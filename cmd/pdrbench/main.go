@@ -10,7 +10,7 @@
 // ablations, all. Absolute numbers depend on the host; the paper's shapes
 // (who wins, by what factor) are the reproduction target. "parallel"
 // (worker-pool scaling), "cache" (result-cache cold/warm/sliding workloads),
-// "shard" (unsharded vs space-partitioned engines under read and mixed
+// "shard" (one partition vs several under read and mixed
 // read/write load), and "hotpath" (single-core kernel ns/op, B/op,
 // allocs/op) are host-dependent by design and not part of "all"; with
 // -benchjson DIR they record BENCH_interval.json + BENCH_snapshot.json,
@@ -42,7 +42,7 @@ func main() {
 		svgDir    = flag.String("svgdir", "", "when set, fig7 also renders SVG plots into this directory")
 		workers   = flag.String("workers", "1,2,4,8", "worker-pool sizes for -exp parallel")
 		cacheB    = flag.Int64("cache-bytes", 64<<20, "result-cache budget for -exp cache")
-		shards    = flag.String("shards", "2,4,8", "shard widths for -exp shard (the unsharded baseline always runs first)")
+		shards    = flag.String("shards", "2,4,8", "partition counts for -exp shard (the one-partition baseline always runs first)")
 		benchJSON = flag.String("benchjson", "", "when set with -exp parallel, -exp cache, -exp shard, or -exp hotpath, write the BENCH_*.json baselines into this directory")
 	)
 	flag.Parse()
@@ -338,7 +338,7 @@ func run(r *experiments.Runner, exp string, sizes, workers, shards []int, cacheB
 	// The shard study is opt-in for the same reason: it measures this
 	// host's contention relief, not a paper figure.
 	if exp == "shard" {
-		section("Shard (extension)", "unsharded vs space-partitioned engines: snapshot, interval, mixed read/write")
+		section("Shard (extension)", "one partition vs several: snapshot, interval, mixed read/write")
 		bp := experiments.DefaultShardBenchParams()
 		bp.Shards = shards
 		sb, err := r.ShardBench(bp)

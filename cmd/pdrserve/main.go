@@ -28,7 +28,6 @@ import (
 
 	"pdr/internal/core"
 	"pdr/internal/service"
-	"pdr/internal/shard"
 	"pdr/internal/wire"
 )
 
@@ -39,7 +38,7 @@ func main() {
 		l         = flag.Float64("l", 30, "fixed neighborhood edge for the PA surfaces")
 		histM     = flag.Int("histm", 100, "density histogram resolution per axis")
 		workers   = flag.Int("workers", 0, "query worker-pool size: 0 = GOMAXPROCS, 1 = sequential")
-		shards    = flag.Int("shards", 1, "spatial shards: 1 = single-lock engine; >1 partitions the plane so writes lock only the owning shard (answers are identical; see docs/PERFORMANCE.md \"Sharding\")")
+		shards    = flag.Int("shards", 1, "space partitions (1-64): writes lock only the partitions that hold the object, so more of them let writers to different parts of the plane proceed together; answers are identical at every setting (see docs/PERFORMANCE.md \"Sharding\")")
 		cacheB    = flag.Int64("cache-bytes", 0, "result-cache budget in bytes: repeated/interval/monitor queries reuse per-timestamp answers until the next update (0 disables)")
 		slowQuery = flag.Duration("slow-query", 0, "log requests slower than this as JSON lines on stderr (0 disables)")
 		slowMax   = flag.Int64("slow-query-max", 0, "cap the slow-query log at this many lines; further slow requests only count on pdr_http_slow_log_dropped_total (0 = unbounded)")
@@ -53,6 +52,7 @@ func main() {
 	cfg.L = *l
 	cfg.HistM = *histM
 	cfg.Workers = *workers
+	cfg.Shards = *shards
 	cfg.CacheBytes = *cacheB
 	cfg.KeepHistory = true // the /v1/past audit endpoint needs the archive
 	var opts []service.Option
@@ -63,17 +63,7 @@ func main() {
 		opts = append(opts, service.WithSlowQueryCap(*slowMax))
 	}
 	opts = append(opts, service.WithTracing(*traceRate, *traceBuf))
-	var svc *service.Service
-	var err error
-	if *shards > 1 {
-		eng, serr := shard.New(cfg, *shards)
-		if serr != nil {
-			log.Fatal("pdrserve: ", serr)
-		}
-		svc, err = service.NewWithEngine(eng, opts...)
-	} else {
-		svc, err = service.New(cfg, opts...)
-	}
+	svc, err := service.New(cfg, opts...)
 	if err != nil {
 		log.Fatal("pdrserve: ", err)
 	}

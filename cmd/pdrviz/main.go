@@ -73,7 +73,7 @@ func main() {
 		Rings:  res.Region.Outline(),
 	}
 	if *objects {
-		for _, st := range srv.Index().All() {
+		for _, st := range srv.LiveStates() {
 			p := st.PositionAt(qt)
 			if cfg.Area.Contains(p) {
 				scene.Points = append(scene.Points, p)

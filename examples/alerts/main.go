@@ -73,8 +73,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	lo, hi := srv.History().Span()
+	segments, lo, hi := srv.ArchiveSpan()
 	fmt.Printf("\naudit: at t=%d the dense region covered %.0f sq miles (%d rects)\n",
 		auditAt, past.Region.Area(), len(past.Region))
-	fmt.Printf("archive: %d segments spanning ticks [%d, %d)\n", srv.History().Len(), lo, hi)
+	fmt.Printf("archive: %d segments spanning ticks [%d, %d)\n", segments, lo, hi)
 }

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"pdr/internal/geom"
 	"pdr/internal/motion"
 )
 
@@ -16,67 +17,75 @@ func cachedConfig() Config {
 }
 
 // TestCachedEquivalenceAcrossWorkersAndTick is the acceptance matrix:
-// workers 1/2/17 × cache on/off × every method, re-checked across an
-// invalidating Tick. The cached server must answer bit-identically to the
-// uncached one, cold and warm, and the warm hit must charge zero IOs.
+// workers 1/2/17 × shards 1/4 × cache on/off × every method, re-checked
+// across an invalidating Tick. The cached server must answer bit-identically
+// to the uncached one-partition one, cold and warm, and the warm hit must
+// charge zero IOs.
 func TestCachedEquivalenceAcrossWorkersAndTick(t *testing.T) {
-	const n, seed = 1500, 7
 	for _, w := range []int{1, 2, 17} {
-		cfgU := testConfig()
-		cfgU.Workers = w
-		sU, gU := loadServer(t, cfgU, n, seed)
-		cfgC := cachedConfig()
-		cfgC.Workers = w
-		sC, gC := loadServer(t, cfgC, n, seed)
-
-		for phase := 0; phase < 2; phase++ { // before and after a Tick
-			for _, m := range []Method{FR, PA, DHOptimistic, DHPessimistic, BruteForce} {
-				q := Query{Rho: RelRhoTest(n, 3), L: 60, At: sU.Now() + 5}
-				base, err := sU.Snapshot(q, m)
-				if err != nil {
-					t.Fatalf("workers=%d %v phase=%d uncached: %v", w, m, phase, err)
-				}
-				cold, err := sC.Snapshot(q, m)
-				if err != nil {
-					t.Fatalf("workers=%d %v phase=%d cold: %v", w, m, phase, err)
-				}
-				warm, err := sC.Snapshot(q, m)
-				if err != nil {
-					t.Fatalf("workers=%d %v phase=%d warm: %v", w, m, phase, err)
-				}
-				if cold.Cached {
-					t.Errorf("workers=%d %v phase=%d: cold answer claims Cached", w, m, phase)
-				}
-				if !warm.Cached {
-					t.Errorf("workers=%d %v phase=%d: warm answer not Cached", w, m, phase)
-				}
-				if warm.IOs != 0 || warm.IOTime != 0 {
-					t.Errorf("workers=%d %v phase=%d: warm hit charged %d IOs", w, m, phase, warm.IOs)
-				}
-				for name, got := range map[string]*Result{"cold": cold, "warm": warm} {
-					if !regionsEqual(base.Region, got.Region) {
-						t.Errorf("workers=%d %v phase=%d: %s region differs from uncached", w, m, phase, name)
-					}
-					if got.Accepted != base.Accepted || got.Rejected != base.Rejected ||
-						got.Candidates != base.Candidates || got.ObjectsRetrieved != base.ObjectsRetrieved {
-						t.Errorf("workers=%d %v phase=%d: %s counters differ from uncached", w, m, phase, name)
-					}
-				}
-			}
-			if err := sU.Tick(gU.Now()+1, gU.Advance()); err != nil {
-				t.Fatal(err)
-			}
-			if err := sC.Tick(gC.Now()+1, gC.Advance()); err != nil {
-				t.Fatal(err)
-			}
+		for _, shards := range []int{1, 4} {
+			cachedEquivalence(t, w, shards)
 		}
 	}
 }
 
-// TestCacheInvalidationOnMutations pins the epoch contract: every Tick,
-// Apply, and Load bumps the epoch — even a failing Apply, since a partial
-// application may already have mutated the summaries — and a bumped epoch
-// turns the next identical query into a miss.
+func cachedEquivalence(t *testing.T, w, shards int) {
+	const n, seed = 1500, 7
+	cfgU := testConfig()
+	cfgU.Workers = w
+	sU, gU := loadServer(t, cfgU, n, seed)
+	cfgC := cachedConfig()
+	cfgC.Workers = w
+	cfgC.Shards = shards
+	sC, gC := loadServer(t, cfgC, n, seed)
+
+	for phase := 0; phase < 2; phase++ { // before and after a Tick
+		for _, m := range []Method{FR, PA, DHOptimistic, DHPessimistic, BruteForce} {
+			q := Query{Rho: RelRhoTest(n, 3), L: 60, At: sU.Now() + 5}
+			base, err := sU.Snapshot(q, m)
+			if err != nil {
+				t.Fatalf("workers=%d shards=%d %v phase=%d uncached: %v", w, shards, m, phase, err)
+			}
+			cold, err := sC.Snapshot(q, m)
+			if err != nil {
+				t.Fatalf("workers=%d shards=%d %v phase=%d cold: %v", w, shards, m, phase, err)
+			}
+			warm, err := sC.Snapshot(q, m)
+			if err != nil {
+				t.Fatalf("workers=%d shards=%d %v phase=%d warm: %v", w, shards, m, phase, err)
+			}
+			if cold.Cached {
+				t.Errorf("workers=%d shards=%d %v phase=%d: cold answer claims Cached", w, shards, m, phase)
+			}
+			if !warm.Cached {
+				t.Errorf("workers=%d shards=%d %v phase=%d: warm answer not Cached", w, shards, m, phase)
+			}
+			if warm.IOs != 0 || warm.IOTime != 0 {
+				t.Errorf("workers=%d shards=%d %v phase=%d: warm hit charged %d IOs", w, shards, m, phase, warm.IOs)
+			}
+			for name, got := range map[string]*Result{"cold": cold, "warm": warm} {
+				if !regionsEqual(base.Region, got.Region) {
+					t.Errorf("workers=%d shards=%d %v phase=%d: %s region differs from uncached", w, shards, m, phase, name)
+				}
+				if got.Accepted != base.Accepted || got.Rejected != base.Rejected ||
+					got.Candidates != base.Candidates || got.ObjectsRetrieved != base.ObjectsRetrieved {
+					t.Errorf("workers=%d shards=%d %v phase=%d: %s counters differ from uncached", w, shards, m, phase, name)
+				}
+			}
+		}
+		if err := sU.Tick(gU.Now()+1, gU.Advance()); err != nil {
+			t.Fatal(err)
+		}
+		if err := sC.Tick(gC.Now()+1, gC.Advance()); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestCacheInvalidationOnMutations pins the epoch contract: every Tick, Load
+// and admitted Apply bumps the epoch, and a bumped epoch turns the next
+// identical query into a miss; a rejected Apply changes nothing and keeps
+// the cached answers.
 func TestCacheInvalidationOnMutations(t *testing.T) {
 	s, g := loadServer(t, cachedConfig(), 800, 13)
 	q := Query{Rho: RelRhoTest(800, 2), L: 60, At: 5}
@@ -120,9 +129,15 @@ func TestCacheInvalidationOnMutations(t *testing.T) {
 	if err := s.Apply(motion.Update{Kind: motion.UpdateKind(99)}); err == nil {
 		t.Fatal("bogus update kind must be rejected")
 	}
-	m4 := missesAfter("after failed apply", e0+3)
-	if m4 != m3+1 {
-		t.Fatalf("failed apply did not invalidate: misses %d, want %d", m4, m3+1)
+	if m4 := missesAfter("after rejected apply", e0+2); m4 != m3 {
+		t.Fatalf("rejected apply invalidated: misses %d, want %d", m4, m3)
+	}
+	fresh := motion.State{ID: 1 << 30, Pos: geom.Point{X: 500, Y: 500}, Ref: s.Now()}
+	if err := s.Apply(motion.NewInsert(fresh)); err != nil {
+		t.Fatal(err)
+	}
+	if m5 := missesAfter("after apply", e0+3); m5 != m3+1 {
+		t.Fatalf("apply did not invalidate: misses %d, want %d", m5, m3+1)
 	}
 }
 

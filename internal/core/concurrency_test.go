@@ -1,4 +1,4 @@
-package shard
+package core
 
 import (
 	"fmt"
@@ -8,14 +8,13 @@ import (
 	"testing"
 	"time"
 
-	"pdr/internal/core"
 	"pdr/internal/geom"
 	"pdr/internal/motion"
 )
 
 // singleShardState finds a stationary state owned by exactly the given
 // shard (zero velocity => point coverage => no replicas).
-func singleShardState(t *testing.T, e *Engine, shard int, id motion.ObjectID) motion.State {
+func singleShardState(t *testing.T, e *Server, shard int, id motion.ObjectID) motion.State {
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(shard) + 1))
 	for i := 0; i < 100000; i++ {
@@ -37,7 +36,7 @@ func singleShardState(t *testing.T, e *Engine, shard int, id motion.ObjectID) mo
 // test, an update routed to a different shard completes, while an update
 // routed to the held shard blocks until release.
 func TestApplyLocksOnlyOwningShard(t *testing.T) {
-	eng, err := New(testConfig(1), 4)
+	eng, err := NewServer(streamConfig(4, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +48,7 @@ func TestApplyLocksOnlyOwningShard(t *testing.T) {
 	other := singleShardState(t, eng, 2, 1)
 	held := singleShardState(t, eng, 0, 2)
 
-	eng.smu[0].Lock()
+	eng.pmu[0].Lock()
 	done := make(chan error, 1)
 	go func() { done <- eng.Apply(motion.NewInsert(other)) }()
 	select {
@@ -58,7 +57,7 @@ func TestApplyLocksOnlyOwningShard(t *testing.T) {
 			t.Fatalf("apply to unheld shard: %v", err)
 		}
 	case <-time.After(5 * time.Second):
-		eng.smu[0].Unlock()
+		eng.pmu[0].Unlock()
 		t.Fatal("apply to shard 2 blocked while only shard 0's lock was held")
 	}
 
@@ -66,12 +65,12 @@ func TestApplyLocksOnlyOwningShard(t *testing.T) {
 	go func() { blocked <- eng.Apply(motion.NewInsert(held)) }()
 	select {
 	case err := <-blocked:
-		eng.smu[0].Unlock()
+		eng.pmu[0].Unlock()
 		t.Fatalf("apply to held shard 0 completed while its write lock was held (err=%v)", err)
 	case <-time.After(100 * time.Millisecond):
 		// Still blocked, as it must be.
 	}
-	eng.smu[0].Unlock()
+	eng.pmu[0].Unlock()
 	select {
 	case err := <-blocked:
 		if err != nil {
@@ -85,7 +84,7 @@ func TestApplyLocksOnlyOwningShard(t *testing.T) {
 // TestWriteFanoutMasks pins the lock-set width: a stationary interior object
 // locks exactly one shard; a fast boundary-crosser locks several.
 func TestWriteFanoutMasks(t *testing.T) {
-	eng, err := New(testConfig(1), 8)
+	eng, err := NewServer(streamConfig(8, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,9 +104,9 @@ func TestWriteFanoutMasks(t *testing.T) {
 // object ranges through Apply while readers run snapshots, intervals, and
 // past queries, and a ticker advances time. Run under -race via check.sh.
 func TestConcurrentWritesAndQueries(t *testing.T) {
-	cfg := testConfig(4)
+	cfg := streamConfig(8, 4)
 	cfg.CacheBytes = 1 << 18
-	eng, err := New(cfg, 8)
+	eng, err := NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +150,7 @@ func TestConcurrentWritesAndQueries(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 30; i++ {
-				q := core.Query{Rho: 0.0001, L: 100, At: eng.Now() + motion.Tick(i%5)}
+				q := Query{Rho: 0.0001, L: 100, At: eng.Now() + motion.Tick(i%5)}
 				if _, err := eng.Snapshot(q, allMethods[i%len(allMethods)]); err != nil {
 					errc <- fmt.Errorf("snapshot: %w", err)
 					return
@@ -163,11 +162,11 @@ func TestConcurrentWritesAndQueries(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 10; i++ {
-			if _, err := eng.PastSnapshot(core.Query{Rho: 0.0001, L: 100, At: 4}); err != nil {
+			if _, err := eng.PastSnapshot(Query{Rho: 0.0001, L: 100, At: 4}); err != nil {
 				errc <- fmt.Errorf("past: %w", err)
 				return
 			}
-			if _, err := eng.Interval(core.Query{Rho: 0.0001, L: 100, At: eng.Now()}, eng.Now()+3, core.FR); err != nil {
+			if _, err := eng.Interval(Query{Rho: 0.0001, L: 100, At: eng.Now()}, eng.Now()+3, FR); err != nil {
 				errc <- fmt.Errorf("interval: %w", err)
 				return
 			}
@@ -178,9 +177,9 @@ func TestConcurrentWritesAndQueries(t *testing.T) {
 	for err := range errc {
 		t.Fatal(err)
 	}
-	// Every surviving write is visible: the registry count must match a
+	// Every surviving write is visible: the directory count must match a
 	// brute-force gather.
-	got, err := eng.Snapshot(core.Query{Rho: 0.0001, L: 100, At: eng.Now()}, core.BruteForce)
+	got, err := eng.Snapshot(Query{Rho: 0.0001, L: 100, At: eng.Now()}, BruteForce)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -199,31 +199,42 @@ func TestIntervalQueryIsUnionOfSnapshots(t *testing.T) {
 }
 
 func TestUpdateErrors(t *testing.T) {
-	s, _ := loadServer(t, testConfig(), 10, 7)
-	st := motion.State{ID: 3, Pos: geom.Point{X: 1, Y: 1}, Ref: 0}
-	// Deleting a state that does not match the live one fails.
-	if err := s.Apply(motion.NewDelete(st, 0)); err == nil {
-		t.Error("mismatched delete must fail")
-	}
-	// Deleting an unknown object fails.
-	unknown := motion.State{ID: 9999, Pos: geom.Point{X: 1, Y: 1}, Ref: 0}
-	if err := s.Apply(motion.NewDelete(unknown, 0)); err == nil {
-		t.Error("unknown delete must fail")
-	}
-	// Double insert fails.
-	fresh := motion.State{ID: 5000, Pos: geom.Point{X: 2, Y: 2}, Ref: 0}
-	if err := s.Apply(motion.NewInsert(fresh)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Apply(motion.NewInsert(fresh)); err == nil {
-		t.Error("double insert must fail")
-	}
-	// Time cannot move backwards.
-	if err := s.Tick(5, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Tick(3, nil); err == nil {
-		t.Error("backwards tick must fail")
+	for _, shards := range []int{1, 4} {
+		cfg := testConfig()
+		cfg.Shards = shards
+		s, _ := loadServer(t, cfg, 10, 7)
+		st := motion.State{ID: 3, Pos: geom.Point{X: 1, Y: 1}, Ref: 0}
+		// Deleting a state that does not match the live one fails.
+		if err := s.Apply(motion.NewDelete(st, 0)); err == nil {
+			t.Errorf("shards=%d: mismatched delete must fail", shards)
+		}
+		// Deleting an unknown object fails.
+		unknown := motion.State{ID: 9999, Pos: geom.Point{X: 1, Y: 1}, Ref: 0}
+		if err := s.Apply(motion.NewDelete(unknown, 0)); err == nil {
+			t.Errorf("shards=%d: unknown delete must fail", shards)
+		}
+		// Double insert fails; the rejections above and here changed nothing,
+		// so the matching delete still succeeds.
+		fresh := motion.State{ID: 5000, Pos: geom.Point{X: 2, Y: 2}, Ref: 0}
+		if err := s.Apply(motion.NewInsert(fresh)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Apply(motion.NewInsert(fresh)); err == nil {
+			t.Errorf("shards=%d: double insert must fail", shards)
+		}
+		if err := s.Apply(motion.NewDelete(fresh, 0)); err != nil {
+			t.Errorf("shards=%d: valid delete rejected: %v", shards, err)
+		}
+		// Time cannot move backwards, and queries cannot precede the clock.
+		if err := s.Tick(5, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Tick(3, nil); err == nil {
+			t.Errorf("shards=%d: backwards tick must fail", shards)
+		}
+		if _, err := s.Snapshot(Query{Rho: 1, L: 60, At: 2}, FR); err == nil {
+			t.Errorf("shards=%d: query before now must be rejected", shards)
+		}
 	}
 }
 

@@ -1,0 +1,365 @@
+package core
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"flag"
+	"fmt"
+	"math"
+	"math/rand"
+	"os"
+	"slices"
+	"strings"
+	"testing"
+
+	"pdr/internal/geom"
+	"pdr/internal/motion"
+)
+
+// answer is one labelled result of the fixed query set streamAnswers runs.
+type answer struct {
+	label string
+	res   *Result
+}
+
+// streamAnswers runs the fixed query set of the exactness tests against a
+// server that has replayed makeStream: three snapshot timestamps (now, inside
+// the window, the horizon's last tick) and a six-tick interval for every
+// method, plus one past snapshot.
+func streamAnswers(t *testing.T, s *Server) []answer {
+	t.Helper()
+	now := s.Now()
+	var out []answer
+	add := func(label string, res *Result, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		out = append(out, answer{label, res})
+	}
+	for qi, q := range []Query{
+		{Rho: 0.0001, L: 100, At: now},
+		{Rho: 0.0003, L: 100, At: now + 7},
+		{Rho: 0.0001, L: 100, At: now + 90},
+	} {
+		for _, m := range allMethods {
+			res, err := s.Snapshot(q, m)
+			add(fmt.Sprintf("snapshot/%d/%v", qi, m), res, err)
+		}
+	}
+	for _, m := range allMethods {
+		res, err := s.Interval(Query{Rho: 0.0001, L: 100, At: now}, now+5, m)
+		add(fmt.Sprintf("interval/%v", m), res, err)
+	}
+	res, err := s.PastSnapshot(Query{Rho: 0.0001, L: 100, At: 4})
+	add("past", res, err)
+	return out
+}
+
+// TestShardsMatchOnePartition is the exactness contract: every method,
+// snapshot and interval and past, bit-identical to the one-partition engine
+// at shard counts {2, 3, 4, 8} x worker counts {1, 2, 17}, over a stream with
+// ticks, between-tick applies, boundary straddlers and objects leaving the
+// area. The one-partition engine is pinned to the independent oracle by
+// TestDifferentialStream and to the previous engine by TestGoldenAnswers.
+func TestShardsMatchOnePartition(t *testing.T) {
+	st := makeStream()
+	ref := streamServer(t, st, 1, 1)
+	want := streamAnswers(t, ref)
+	for _, shards := range []int{2, 3, 4, 8} {
+		for _, workers := range []int{1, 2, 17} {
+			t.Run(fmt.Sprintf("shards=%d/workers=%d", shards, workers), func(t *testing.T) {
+				eng := streamServer(t, st, shards, workers)
+				if eng.Now() != ref.Now() {
+					t.Fatalf("engine now %d != %d", eng.Now(), ref.Now())
+				}
+				if eng.NumObjects() != ref.NumObjects() {
+					t.Fatalf("engine objects %d != %d", eng.NumObjects(), ref.NumObjects())
+				}
+				for i, got := range streamAnswers(t, eng) {
+					sameAnswer(t, got.label, want[i].res, got.res)
+				}
+			})
+		}
+	}
+}
+
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_answers.txt from this build's answers")
+
+// TestGoldenAnswers pins the answers of the fixed stream and query set to a
+// checked-in digest, one line per query: rectangle count and a SHA-256 over
+// the rectangles' float bits and the filter counters. The file was generated
+// from the single-lock engine this one replaced (the commit before the
+// engines were unified), so a pass proves bit-identity across that change;
+// -update-golden rewrites it, which is only right when an answer is meant to
+// change.
+func TestGoldenAnswers(t *testing.T) {
+	const path = "testdata/golden_answers.txt"
+	var b strings.Builder
+	for _, a := range streamAnswers(t, streamServer(t, makeStream(), 1, 1)) {
+		h := sha256.New()
+		put := func(v uint64) {
+			var buf [8]byte
+			binary.LittleEndian.PutUint64(buf[:], v)
+			h.Write(buf[:])
+		}
+		for _, r := range a.res.Region {
+			put(math.Float64bits(r.MinX))
+			put(math.Float64bits(r.MinY))
+			put(math.Float64bits(r.MaxX))
+			put(math.Float64bits(r.MaxY))
+		}
+		for _, n := range []int{a.res.Accepted, a.res.Rejected, a.res.Candidates, a.res.ObjectsRetrieved} {
+			put(uint64(n))
+		}
+		fmt.Fprintf(&b, "%s %d %x\n", a.label, len(a.res.Region), h.Sum(nil))
+	}
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := strings.Split(b.String(), "\n")
+	for i, line := range strings.Split(string(want), "\n") {
+		if i >= len(got) || got[i] != line {
+			t.Fatalf("answer differs from the golden:\n want %s\n got  %s", line, got[min(i, len(got)-1)])
+		}
+	}
+}
+
+// samePointSet reports whether two regions cover the same points (FR and the
+// brute force decompose the same region into different rectangles).
+func samePointSet(a, b geom.Region) bool {
+	return a.DifferenceArea(b) <= 1e-6 && b.DifferenceArea(a) <= 1e-6
+}
+
+// TestDifferentialStream pins the engine to the independent oracle: after
+// every step of a seeded random load/tick/apply/bad-update stream, FR must
+// equal BruteForce (a global sweep that touches neither the histograms nor
+// the indexes), the directory must agree with the per-partition live counts,
+// and a rejected update must have changed nothing.
+func TestDifferentialStream(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			s, err := NewServer(streamConfig(shards, 2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(99))
+			live := map[motion.ObjectID]motion.State{}
+			next := motion.ObjectID(1)
+			now := motion.Tick(0)
+			fresh := func() motion.State {
+				st := motion.State{
+					ID:  next,
+					Pos: geom.Point{X: rng.Float64() * 1000, Y: rng.Float64() * 1000},
+					Vel: geom.Vec{X: (rng.Float64() - 0.5) * 16, Y: (rng.Float64() - 0.5) * 16},
+					Ref: now,
+				}
+				next++
+				return st
+			}
+			anyLive := func() motion.State {
+				ids := make([]motion.ObjectID, 0, len(live))
+				for id := range live {
+					ids = append(ids, id)
+				}
+				slices.Sort(ids) // map order is random
+				return live[ids[rng.Intn(len(ids))]]
+			}
+			// bad returns an update the engine must reject.
+			bad := func() motion.Update {
+				cur := anyLive()
+				switch rng.Intn(3) {
+				case 0:
+					return motion.NewInsert(cur) // duplicate
+				case 1:
+					cur.Vel.X += 1
+					return motion.NewDelete(cur, now) // mismatch
+				default:
+					return motion.NewDelete(motion.State{ID: next + 1000}, now) // unknown
+				}
+			}
+			check := func(step string) {
+				t.Helper()
+				if s.NumObjects() != len(live) {
+					t.Fatalf("%s: NumObjects %d, want %d", step, s.NumObjects(), len(live))
+				}
+				if sum, _ := partitionCounts(s); int(sum) != len(live) {
+					t.Fatalf("%s: per-partition counts sum to %d, want %d", step, sum, len(live))
+				}
+				q := Query{Rho: 0.0002, L: 100, At: now + motion.Tick(rng.Intn(30))}
+				fr, err := s.Snapshot(q, FR)
+				if err != nil {
+					t.Fatalf("%s: FR: %v", step, err)
+				}
+				bf, err := s.Snapshot(q, BruteForce)
+				if err != nil {
+					t.Fatalf("%s: BF: %v", step, err)
+				}
+				if !samePointSet(fr.Region, bf.Region) {
+					t.Fatalf("%s: FR differs from BruteForce at t=%d", step, q.At)
+				}
+			}
+
+			var load []motion.State
+			for i := 0; i < 200; i++ {
+				st := fresh()
+				load = append(load, st)
+				live[st.ID] = st
+			}
+			if err := s.Load(load); err != nil {
+				t.Fatal(err)
+			}
+			check("load")
+			for step := 0; step < 40; step++ {
+				switch rng.Intn(4) {
+				case 0: // a tick of movement updates with a bad record in the middle
+					now++
+					var ups []motion.Update
+					for i := 0; i < 10; i++ {
+						cur := anyLive()
+						nst := fresh()
+						nst.ID = cur.ID
+						ups = append(ups, motion.NewDelete(cur, now), motion.NewInsert(nst))
+						live[cur.ID] = nst
+					}
+					ups = append(ups, bad())
+					// Everything after the bad record must be ignored.
+					ups = append(ups, motion.NewInsert(fresh()))
+					if err := s.Tick(now, ups); err == nil {
+						t.Fatalf("step %d: tick with a bad record succeeded", step)
+					}
+				case 1: // a clean tick
+					now++
+					var ups []motion.Update
+					for i := 0; i < 5; i++ {
+						st := fresh()
+						ups = append(ups, motion.NewInsert(st))
+						live[st.ID] = st
+					}
+					cur := anyLive()
+					ups = append(ups, motion.NewDelete(cur, now))
+					delete(live, cur.ID)
+					if err := s.Tick(now, ups); err != nil {
+						t.Fatalf("step %d: %v", step, err)
+					}
+				case 2: // between-tick applies
+					st := fresh()
+					if err := s.Apply(motion.NewInsert(st)); err != nil {
+						t.Fatalf("step %d: %v", step, err)
+					}
+					live[st.ID] = st
+					cur := anyLive()
+					if err := s.Apply(motion.NewDelete(cur, now)); err != nil {
+						t.Fatalf("step %d: %v", step, err)
+					}
+					delete(live, cur.ID)
+				default: // a bad apply
+					if err := s.Apply(bad()); err == nil {
+						t.Fatalf("step %d: bad apply succeeded", step)
+					}
+				}
+				check(fmt.Sprintf("step %d", step))
+			}
+		})
+	}
+}
+
+// TestBadDeleteMidTick is the regression for the ghost-object bug: a delete
+// naming the wrong velocity in the middle of a tick must be rejected without
+// touching the directory or any partition, so the correct delete and a
+// re-insert still succeed afterwards.
+func TestBadDeleteMidTick(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			s, err := NewServer(streamConfig(shards, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A fast diagonal mover: a straddler at shards=4.
+			obj := motion.State{ID: 7, Pos: geom.Point{X: 480, Y: 480}, Vel: geom.Vec{X: 6, Y: 6}}
+			other := motion.State{ID: 8, Pos: geom.Point{X: 100, Y: 900}}
+			if err := s.Load([]motion.State{obj, other}); err != nil {
+				t.Fatal(err)
+			}
+			wrong := obj
+			wrong.Vel.X = -6
+			late := motion.State{ID: 9, Pos: geom.Point{X: 700, Y: 200}, Ref: 1}
+			err = s.Tick(1, []motion.Update{
+				motion.NewDelete(other, 1),
+				motion.NewDelete(wrong, 1),
+				motion.NewInsert(late),
+			})
+			if err == nil || !strings.Contains(err.Error(), "mismatch") {
+				t.Fatalf("tick with a mismatched delete: err = %v", err)
+			}
+			// The valid prefix landed, the bad delete and the rest did not.
+			if got := s.NumObjects(); got != 1 {
+				t.Fatalf("NumObjects = %d after the partial tick, want 1", got)
+			}
+			agree := func(step string) {
+				t.Helper()
+				if sum, _ := partitionCounts(s); int(sum) != s.NumObjects() {
+					t.Fatalf("%s: per-partition counts sum to %d, NumObjects %d", step, sum, s.NumObjects())
+				}
+				q := Query{Rho: 0.00005, L: 100, At: s.Now()}
+				fr, err := s.Snapshot(q, FR)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bf, err := s.Snapshot(q, BruteForce)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if bf.ObjectsRetrieved != s.NumObjects() {
+					t.Fatalf("%s: BruteForce sees %d objects, NumObjects %d", step, bf.ObjectsRetrieved, s.NumObjects())
+				}
+				if !samePointSet(fr.Region, bf.Region) {
+					t.Fatalf("%s: FR differs from BruteForce", step)
+				}
+			}
+			agree("after the bad tick")
+			if err := s.Apply(motion.NewDelete(obj, 1)); err != nil {
+				t.Fatalf("correct delete after the bad one: %v", err)
+			}
+			agree("after the correct delete")
+			moved := obj
+			moved.Pos, moved.Ref = geom.Point{X: 486, Y: 486}, 1
+			if err := s.Tick(2, []motion.Update{motion.NewInsert(moved)}); err != nil {
+				t.Fatalf("re-insert: %v", err)
+			}
+			agree("after the re-insert")
+		})
+	}
+}
+
+// partitionCounts sums the per-partition primary and replica counters.
+func partitionCounts(s *Server) (objects, replicas int64) {
+	for _, p := range s.parts {
+		objects += p.objects.Load()
+		replicas += p.replicas.Load()
+	}
+	return objects, replicas
+}
+
+// TestPartitionCounts sanity-checks the distribution counters: populations
+// sum to the total, and the straddler stream actually produced replicas.
+func TestPartitionCounts(t *testing.T) {
+	eng := streamServer(t, makeStream(), 8, 1)
+	objects, replicas := partitionCounts(eng)
+	if int(objects) != eng.NumObjects() {
+		t.Fatalf("per-partition populations sum to %d, want %d", objects, eng.NumObjects())
+	}
+	if eng.dir.straddlers.Load() == 0 {
+		t.Fatal("stream with fast movers produced no straddlers")
+	}
+	if replicas == 0 {
+		t.Fatal("no replica registrations")
+	}
+}

@@ -51,19 +51,17 @@ func TestUnknownIndexKindRejected(t *testing.T) {
 	}
 }
 
-func TestGridIndexDefaulting(t *testing.T) {
-	cfg := testConfig()
-	cfg.Index = IndexGrid
-	cfg.GridM = 0
-	s, err := NewServer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Config().GridM != 32 {
-		t.Errorf("GridM defaulted to %d, want 32", s.Config().GridM)
-	}
-	if s.Config().Index != IndexGrid {
-		t.Errorf("Index = %q", s.Config().Index)
+func TestIndexKindDefaulting(t *testing.T) {
+	for _, c := range []struct{ set, want IndexKind }{{"", IndexTPR}, {IndexGrid, IndexGrid}} {
+		cfg := testConfig()
+		cfg.Index = c.set
+		s, err := NewServer(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Config().Index; got != c.want {
+			t.Errorf("Index %q resolved to %q, want %q", c.set, got, c.want)
+		}
 	}
 }
 

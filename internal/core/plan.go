@@ -27,8 +27,8 @@ type Plan struct {
 // a branch-and-bound extraction; otherwise exact FR is cheap enough to
 // prefer.
 func (s *Server) Recommend(q Query, allowApprox bool) (*Plan, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.rlockAll()
+	defer s.runlockAll()
 	if err := s.validateLocked(q); err != nil {
 		return nil, err
 	}
@@ -44,7 +44,7 @@ func (s *Server) Recommend(q Query, allowApprox bool) (*Plan, error) {
 		return &Plan{Method: FR, Reason: fmt.Sprintf(
 			"approximation surfaces are built for l=%g, query uses l=%g", s.surf.L(), q.L)}, nil
 	}
-	fr, err := s.hist.Filter(q.At, q.Rho, q.L)
+	fr, err := s.filterLocked(q)
 	if err != nil {
 		return nil, err
 	}
@@ -58,12 +58,14 @@ func (s *Server) Recommend(q Query, allowApprox bool) (*Plan, error) {
 	}
 	for _, c := range cands {
 		plan.Candidates++
-		grown := s.hist.CellRect(c.I, c.J).Grow(q.L / 2)
-		est, err := s.hist.EstimateCount(q.At, grown)
-		if err != nil {
-			return nil, err
+		grown := s.hists[0].CellRect(c.I, c.J).Grow(q.L / 2)
+		for _, h := range s.hists {
+			est, err := h.EstimateCount(q.At, grown)
+			if err != nil {
+				return nil, err
+			}
+			plan.RefineObjects += est
 		}
-		plan.RefineObjects += est
 	}
 	if plan.RefineObjects > plan.PABudget {
 		plan.Method = PA

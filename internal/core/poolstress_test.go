@@ -12,39 +12,62 @@ import (
 
 // TestPoolReuseBitIdentical is the pool-churn race stress: the query path
 // shares sync.Pools (Chebyshev evaluation scratch, DH filter results and
-// prefix sums, sweep buffers, scatter/gather slices), so concurrent queries
-// continuously recycle each other's buffers. Every answer must still be
-// bit-identical to the single-threaded reference — a stale or under-cleared
-// pooled buffer shows up here as a diverging region. Run under -race via
-// check.sh.
+// prefix sums, sweep buffers, scatter/gather slices, per-window point
+// buffers, and at more than one partition the replica-dedup sets), so
+// concurrent queries continuously recycle each other's buffers. Every answer
+// must still be bit-identical to the single-threaded reference — a stale or
+// under-cleared pooled buffer shows up here as a diverging region. Run under
+// -race via check.sh.
 func TestPoolReuseBitIdentical(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { poolReuse(t, shards) })
+	}
+}
+
+func poolReuse(t *testing.T, shards int) {
 	cfg := testConfig()
 	cfg.Workers = 3
+	cfg.Shards = shards
+	cfg.KeepHistory = true
 	cfg.CacheBytes = 0 // repeats must recompute, not replay a cached region
-	s, _ := loadServer(t, cfg, 1500, 7)
+	s, g := loadServer(t, cfg, 1500, 7)
+	// Two ticks of updates fill the archive, so the past job has segments.
+	for i := 0; i < 2; i++ {
+		ups := g.Advance()
+		if err := s.Tick(g.Now(), ups); err != nil {
+			t.Fatal(err)
+		}
+	}
+	now := s.Now()
 
 	type job struct {
 		q      Query
 		method Method
 		until  motion.Tick // interval query when > q.At
+		past   bool
 	}
 	rho := relRho(1500, 3)
 	var jobs []job
 	for _, m := range []Method{FR, PA, DHOptimistic, DHPessimistic, BruteForce} {
 		for tick := 0; tick < 2; tick++ {
-			jobs = append(jobs, job{q: Query{Rho: rho, L: 60, At: motion.Tick(tick)}, method: m})
+			jobs = append(jobs, job{q: Query{Rho: rho, L: 60, At: now + motion.Tick(tick)}, method: m})
 		}
 	}
 	jobs = append(jobs,
-		job{q: Query{Rho: rho, L: 60, At: 0}, method: FR, until: 3},
-		job{q: Query{Rho: rho, L: 60, At: 1}, method: BruteForce, until: 4},
+		job{q: Query{Rho: rho, L: 60, At: now}, method: FR, until: now + 3},
+		job{q: Query{Rho: rho, L: 60, At: now + 1}, method: BruteForce, until: now + 4},
+		job{q: Query{Rho: rho, L: 60, At: now - 1}, past: true},
 	)
 
 	run := func(j job) (*Result, error) {
-		if j.until > j.q.At {
+		switch {
+		case j.past:
+			return s.PastSnapshot(j.q)
+		case j.until > j.q.At:
 			return s.Interval(j.q, j.until, j.method)
+		default:
+			return s.Snapshot(j.q, j.method)
 		}
-		return s.Snapshot(j.q, j.method)
 	}
 	want := make([]geom.Region, len(jobs))
 	for i, j := range jobs {

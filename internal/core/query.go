@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"sync"
 	"time"
 
@@ -39,6 +41,11 @@ var intervalScratches = sync.Pool{New: func() any { return new(intervalScratch) 
 // pointBufs pools the per-window point-gather buffers of the refinement
 // workers (sweep.DenseRects reads the points and retains nothing).
 var pointBufs = sync.Pool{New: func() any { return new([]geom.Point) }}
+
+// seenSets pools the replica-dedup sets of multi-partition windows; sets are
+// cleared before reuse. A map is pointer-shaped, so pooling it directly
+// costs no boxing allocation.
+var seenSets = sync.Pool{New: func() any { return make(map[motion.ObjectID]struct{}) }}
 
 // growRegions returns buf resized to n nil slots, reallocating only when the
 // capacity is insufficient.
@@ -181,22 +188,38 @@ type Result struct {
 // Total returns CPU + IOTime.
 func (r *Result) Total() time.Duration { return r.CPU + r.IOTime }
 
+// rlockAll read-locks every partition (ascending, matching the writer order)
+// so a query evaluates against one consistent cut of the stream: no mutation
+// can land between the scatter touching partition 0 and partition N-1.
+func (s *Server) rlockAll() {
+	for i := range s.pmu {
+		s.pmu[i].RLock()
+	}
+}
+
+func (s *Server) runlockAll() {
+	for i := len(s.pmu) - 1; i >= 0; i-- {
+		s.pmu[i].RUnlock()
+	}
+}
+
 func (s *Server) validateLocked(q Query) error {
+	now := s.Now()
 	if q.Rho < 0 {
 		return fmt.Errorf("core: negative density threshold %g", q.Rho)
 	}
 	if q.L <= 0 {
 		return fmt.Errorf("core: non-positive neighborhood edge %g", q.L)
 	}
-	if q.At < s.now || q.At > s.now+s.Horizon() {
-		return fmt.Errorf("core: query time %d outside [%d, %d]", q.At, s.now, s.now+s.Horizon())
+	if q.At < now || q.At > now+s.Horizon() {
+		return fmt.Errorf("core: query time %d outside [%d, %d]", q.At, now, now+s.Horizon())
 	}
 	return nil
 }
 
 // Snapshot answers the snapshot PDR query q with the given method. Any
 // number of Snapshot/Interval calls may run concurrently; they serialize
-// only against mutations (Tick, Apply, Load).
+// only against mutations of the partitions involved.
 func (s *Server) Snapshot(q Query, m Method) (*Result, error) {
 	return s.SnapshotTraced(q, m, nil)
 }
@@ -208,8 +231,8 @@ func (s *Server) Snapshot(q Query, m Method) (*Result, error) {
 //
 // pdr:hot — query-path root for the hotpath analyzer family (docs/LINT.md).
 func (s *Server) SnapshotTraced(q Query, m Method, sp *telemetry.Span) (*Result, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.rlockAll()
+	defer s.runlockAll()
 	esp := sp.Child("snapshot")
 	esp.SetAttr("method", m.String())
 	esp.SetAttrInt("at", int64(q.At))
@@ -224,7 +247,7 @@ func (s *Server) SnapshotTraced(q Query, m Method, sp *telemetry.Span) (*Result,
 	return res, nil
 }
 
-// snapshotLocked answers one snapshot query under the (read) lock, serving
+// snapshotLocked answers one snapshot query under the read locks, serving
 // from the result cache when one is configured. Between mutations the answer
 // for (rho, l, qt, method) is immutable, so it is memoized under the current
 // epoch: a hit returns the stored region and filter counters with zero IOs
@@ -243,7 +266,7 @@ func (s *Server) snapshotLocked(q Query, m Method, trackIO bool, sp *telemetry.S
 	if s.qcache == nil {
 		return s.evaluateLocked(q, m, trackIO, sp)
 	}
-	k := cache.Key{Epoch: s.epoch, At: int64(q.At), Rho: q.Rho, L: q.L, Method: uint8(m)}
+	k := cache.Key{Epoch: s.epoch.Load(), At: int64(q.At), Rho: q.Rho, L: q.L, Method: uint8(m)}
 	sw := stopwatch.Start()
 	var computed *Result // set only when this call wins the flight
 	ent, outcome, err := s.qcache.Do(k, func() (*cache.Entry, error) {
@@ -299,9 +322,9 @@ func (s *Server) snapshotLocked(q Query, m Method, trackIO bool, sp *telemetry.S
 	}, nil
 }
 
-// evaluateLocked runs one snapshot evaluation under the (read) lock. With
-// trackIO it charges the query the pool's physical-I/O delta across its
-// evaluation — exact in isolation, approximate attribution when other
+// evaluateLocked runs one snapshot evaluation under the read locks. With
+// trackIO it charges the query the buffer pools' physical-I/O delta across
+// its evaluation — exact in isolation, approximate attribution when other
 // queries overlap (the pool counters are engine-global). Interval fan-outs
 // pass trackIO=false and charge I/O once at the interval level instead, so
 // concurrent sub-snapshots never double-count each other's page accesses.
@@ -309,7 +332,7 @@ func (s *Server) evaluateLocked(q Query, m Method, trackIO bool, sp *telemetry.S
 	res := &Result{Method: m}
 	var ioBefore storage.Stats
 	if trackIO {
-		ioBefore = s.pool.Stats()
+		ioBefore = s.PoolStats()
 	}
 	sw := stopwatch.Start()
 	var err error
@@ -334,7 +357,7 @@ func (s *Server) evaluateLocked(q Query, m Method, trackIO bool, sp *telemetry.S
 	res.CPU = sw.Elapsed()
 	res.Wall = res.CPU // a snapshot evaluation is one sequential stopwatch
 	if trackIO {
-		res.IOs = s.pool.Stats().Sub(ioBefore).RandomIOs()
+		res.IOs = s.PoolStats().Sub(ioBefore).RandomIOs()
 		res.IOTime = time.Duration(res.IOs) * s.cfg.IOCharge
 	}
 	sp.SetAttrInt("ios", res.IOs)
@@ -342,6 +365,13 @@ func (s *Server) evaluateLocked(q Query, m Method, trackIO bool, sp *telemetry.S
 	// name; untraced evaluations (nil sp) report no phases.
 	res.Phases = sp.PhaseSummary()
 	return res, nil
+}
+
+// filterLocked runs the filter step over the merged per-partition histograms
+// — bit-identical to one histogram over the whole population, because int32
+// counters over disjoint primary populations add exactly.
+func (s *Server) filterLocked(q Query) (*dh.FilterResult, error) {
+	return dh.FilterMerged(s.hists, q.At, q.Rho, q.L)
 }
 
 // snapshotFRLocked runs filtering over the histogram and plane-sweep
@@ -353,13 +383,13 @@ func (s *Server) evaluateLocked(q Query, m Method, trackIO bool, sp *telemetry.S
 //
 // Refinement is the method's hot loop and each window is independent
 // (Sec. 5.3's per-cell sweeps share nothing), so the windows fan out over
-// the worker pool: every worker retrieves its window's objects from the
-// index and runs the plane sweep with pooled scratch. Results land in a
+// the worker pool: every worker gathers its window's objects (refineWindow)
+// and runs the plane sweep with pooled scratch. Results land in a
 // per-window slot and are merged in window order, so the output is
 // byte-identical to the sequential path at any worker count.
 func (s *Server) snapshotFRLocked(q Query, res *Result, sp *telemetry.Span) error {
 	ph := sp.Child("filter")
-	fr, err := s.hist.Filter(q.At, q.Rho, q.L)
+	fr, err := s.filterLocked(q)
 	if err != nil {
 		return err
 	}
@@ -370,7 +400,7 @@ func (s *Server) snapshotFRLocked(q Query, res *Result, sp *telemetry.Span) erro
 	fr.Release()
 	windows := make(geom.Region, 0, len(cands))
 	for _, c := range cands {
-		windows.Add(s.hist.CellRect(c.I, c.J))
+		windows.Add(s.hists[0].CellRect(c.I, c.J))
 	}
 	if s.cfg.MergeCandidates {
 		windows = geom.CoalesceInPlace(windows)
@@ -393,23 +423,12 @@ func (s *Server) snapshotFRLocked(q Query, res *Result, sp *telemetry.Span) erro
 	sc.retrieved = growInts(sc.retrieved, len(windows))
 	parts, retrieved := sc.parts, sc.retrieved
 	s.par.ForEachSpan(len(windows), slots, func(wi int, wsp *telemetry.Span) {
-		cell := windows[wi]
-		grown := cell.Grow(q.L / 2)
-		pb := pointBufs.Get().(*[]geom.Point)
-		points := (*pb)[:0]
-		s.index.Search(grown, q.At, func(st motion.State) bool {
-			p := st.PositionAt(q.At)
-			if s.cfg.Area.Contains(p) {
-				points = append(points, p)
-			}
-			return true
-		})
-		retrieved[wi] = len(points)
-		wsp.SetAttrInt("retrieved", int64(len(points)))
-		parts[wi] = sweep.DenseRects(points, cell, q.Rho, q.L)
-		*pb = points
-		pointBufs.Put(pb)
+		parts[wi], retrieved[wi] = s.refineWindow(q, windows[wi], wsp)
 	})
+	var msw stopwatch.Stopwatch
+	if s.pmet != nil {
+		msw = stopwatch.Start()
+	}
 	for wi := range parts {
 		res.ObjectsRetrieved += retrieved[wi]
 		region = append(region, parts[wi]...)
@@ -422,12 +441,72 @@ func (s *Server) snapshotFRLocked(q Query, res *Result, sp *telemetry.Span) erro
 	// the union coalesces in place.
 	res.Region = geom.CoalesceInPlace(region)
 	ph.End()
+	if s.pmet != nil {
+		s.pmet.merge.Observe(msw.Elapsed().Seconds())
+	}
 	return nil
+}
+
+// refineWindow gathers one candidate window's objects from every partition
+// its grown rectangle intersects and sweeps them. Partitions are visited in
+// index order and boundary straddlers (present in several indexes as
+// replicas) are deduplicated by object ID on first sight, so the gathered
+// point multiset — and therefore the sweep — is the same at every partition
+// count. The dedup set and the per-partition child spans exist only for
+// windows that reach more than one partition.
+func (s *Server) refineWindow(q Query, cell geom.Rect, wsp *telemetry.Span) (geom.Region, int) {
+	grown := cell.Grow(q.L / 2)
+	mask := s.router.Intersecting(grown)
+	width := bits.OnesCount64(mask)
+	if s.pmet != nil {
+		s.pmet.scatter.Observe(float64(width))
+	}
+	pb := pointBufs.Get().(*[]geom.Point)
+	points := (*pb)[:0]
+	var seen map[motion.ObjectID]struct{}
+	if width > 1 {
+		wsp.SetAttrInt("shards", int64(width))
+		seen = seenSets.Get().(map[motion.ObjectID]struct{})
+		clear(seen)
+	}
+	for m := mask; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		var psp *telemetry.Span
+		if width > 1 {
+			psp = wsp.Child("shard")
+			psp.SetAttrInt("shard", int64(i))
+		}
+		before := len(points)
+		s.parts[i].index.Search(grown, q.At, func(st motion.State) bool {
+			if seen != nil {
+				if _, dup := seen[st.ID]; dup {
+					return true
+				}
+				seen[st.ID] = struct{}{}
+			}
+			p := st.PositionAt(q.At)
+			if s.cfg.Area.Contains(p) {
+				points = append(points, p)
+			}
+			return true
+		})
+		psp.SetAttrInt("retrieved", int64(len(points)-before))
+		psp.End()
+	}
+	wsp.SetAttrInt("retrieved", int64(len(points)))
+	out := sweep.DenseRects(points, cell, q.Rho, q.L)
+	n := len(points)
+	*pb = points
+	pointBufs.Put(pb)
+	if seen != nil {
+		seenSets.Put(seen)
+	}
+	return out, n
 }
 
 func (s *Server) snapshotPALocked(q Query, res *Result, sp *telemetry.Span) error {
 	if s.surf == nil {
-		return fmt.Errorf("core: PA surfaces are disabled on this server (Config.DisablePA)")
+		return errPADisabled
 	}
 	// lint:ignore floateq config identity: the surfaces answer only the
 	// exact l they were built for; a nearly-equal l must be rejected too.
@@ -436,7 +515,9 @@ func (s *Server) snapshotPALocked(q Query, res *Result, sp *telemetry.Span) erro
 			s.surf.L(), q.L)
 	}
 	ph := sp.Child("pa-eval")
+	s.surfMu.RLock()
 	region, err := s.surf.DenseRegion(q.At, q.Rho)
+	s.surfMu.RUnlock()
 	if err != nil {
 		return err
 	}
@@ -447,7 +528,7 @@ func (s *Server) snapshotPALocked(q Query, res *Result, sp *telemetry.Span) erro
 
 func (s *Server) snapshotDHLocked(q Query, m Method, res *Result, sp *telemetry.Span) error {
 	ph := sp.Child("filter")
-	fr, err := s.hist.Filter(q.At, q.Rho, q.L)
+	fr, err := s.filterLocked(q)
 	if err != nil {
 		return err
 	}
@@ -467,16 +548,25 @@ func (s *Server) snapshotDHLocked(q Query, m Method, res *Result, sp *telemetry.
 	return nil
 }
 
+// appendLivePoints appends the predicted position at qt of every live object
+// that already existed at notAfter and is inside the monitored area at qt (the
+// population contract).
+func (s *Server) appendLivePoints(points []geom.Point, qt, notAfter motion.Tick) []geom.Point {
+	s.dir.each(func(st motion.State) {
+		if st.Ref > notAfter {
+			return
+		}
+		if p := st.PositionAt(qt); s.cfg.Area.Contains(p) {
+			points = append(points, p)
+		}
+	})
+	return points
+}
+
 func (s *Server) snapshotBFLocked(q Query, res *Result, sp *telemetry.Span) {
 	ph := sp.Child("refine")
 	pb := pointBufs.Get().(*[]geom.Point)
-	points := (*pb)[:0]
-	for _, st := range s.live {
-		p := st.PositionAt(q.At)
-		if s.cfg.Area.Contains(p) {
-			points = append(points, p)
-		}
-	}
+	points := s.appendLivePoints((*pb)[:0], q.At, motion.Tick(math.MaxInt64))
 	res.ObjectsRetrieved = len(points)
 	ph.SetAttrInt("retrieved", int64(res.ObjectsRetrieved))
 	ph.End()
@@ -498,13 +588,13 @@ func (s *Server) PastSnapshot(q Query) (*Result, error) {
 // PastSnapshotTraced is PastSnapshot recording its evaluation as a child
 // span of sp (nil traces nothing).
 func (s *Server) PastSnapshotTraced(q Query, sp *telemetry.Span) (*Result, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.hst == nil {
+	s.rlockAll()
+	defer s.runlockAll()
+	if !s.cfg.KeepHistory {
 		return nil, fmt.Errorf("core: history is disabled (set Config.KeepHistory)")
 	}
-	if q.At >= s.now {
-		return nil, fmt.Errorf("core: PastSnapshot is for t < now (%d); use Snapshot", s.now)
+	if now := s.Now(); q.At >= now {
+		return nil, fmt.Errorf("core: PastSnapshot is for t < now (%d); use Snapshot", now)
 	}
 	if q.Rho < 0 || q.L <= 0 {
 		return nil, fmt.Errorf("core: bad query parameters rho=%g l=%g", q.Rho, q.L)
@@ -514,16 +604,12 @@ func (s *Server) PastSnapshotTraced(q Query, sp *telemetry.Span) (*Result, error
 	esp.SetAttrInt("at", int64(q.At))
 	sw := stopwatch.Start()
 	ph := esp.Child("refine")
-	points := s.hst.PointsAt(q.At)
-	for _, st := range s.live {
-		if st.Ref > q.At {
-			continue // this movement did not exist yet at q.At
-		}
-		p := st.PositionAt(q.At)
-		if s.cfg.Area.Contains(p) {
-			points = append(points, p)
-		}
+	var points []geom.Point
+	for _, part := range s.parts {
+		points = append(points, part.hst.PointsAt(q.At)...)
 	}
+	// Movements reported after q.At did not exist yet at q.At.
+	points = s.appendLivePoints(points, q.At, q.At)
 	res.ObjectsRetrieved = len(points)
 	ph.SetAttrInt("retrieved", int64(res.ObjectsRetrieved))
 	ph.End()
@@ -542,7 +628,7 @@ func (s *Server) PastSnapshotTraced(q Query, sp *telemetry.Span) (*Result, error
 // (Definition 5) — accumulating costs across snapshots.
 //
 // The per-timestamp snapshots are independent (each reads a different
-// histogram slot and projects the same index to a different time), so they
+// histogram slot and projects the same indexes to a different time), so they
 // fan out over the worker pool and their results merge deterministically:
 // sub-results land in per-timestamp slots, are concatenated in timestamp
 // order, and the union is coalesced — identical output at any worker count.
@@ -564,14 +650,14 @@ func (s *Server) IntervalTraced(q Query, until motion.Tick, m Method, sp *teleme
 	if until < q.At {
 		return nil, fmt.Errorf("core: empty interval [%d, %d]", q.At, until)
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.rlockAll()
+	defer s.runlockAll()
 	sw := stopwatch.Start()
 	n := int(until-q.At) + 1
 	isp := sp.Child("interval")
 	isp.SetAttr("method", m.String())
 	isp.SetAttrInt("snapshots", int64(n))
-	ioBefore := s.pool.Stats()
+	ioBefore := s.PoolStats()
 	sc := intervalScratches.Get().(*intervalScratch)
 	subs := growResults(sc.subs, n)
 	errs := growErrors(sc.errs, n)
@@ -606,7 +692,7 @@ func (s *Server) IntervalTraced(q Query, until motion.Tick, m Method, sp *teleme
 		out.Phases = telemetry.MergeSpans(out.Phases, r.Phases)
 	}
 	releaseIntervalScratch(sc)
-	out.IOs = s.pool.Stats().Sub(ioBefore).RandomIOs()
+	out.IOs = s.PoolStats().Sub(ioBefore).RandomIOs()
 	out.IOTime = time.Duration(out.IOs) * s.cfg.IOCharge
 	// Snapshots of adjacent timestamps overlap heavily; coalescing the
 	// union keeps the answer free of redundant rectangles, exactly like the
@@ -628,10 +714,10 @@ func (s *Server) IntervalTraced(q Query, until motion.Tick, m Method, sp *teleme
 // The caller owns the result; releasing it (dh.FilterResult.Release) when
 // done is optional but lets the filter pool reuse its buffers.
 func (s *Server) FilterMarks(q Query) (*dh.FilterResult, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.rlockAll()
+	defer s.runlockAll()
 	if err := s.validateLocked(q); err != nil {
 		return nil, err
 	}
-	return s.hist.Filter(q.At, q.Rho, q.L)
+	return s.filterLocked(q)
 }

@@ -1,4 +1,4 @@
-package shard
+package core
 
 import (
 	"fmt"
@@ -19,12 +19,12 @@ const gridBits = 6
 // MaxShards bounds the shard count so owner sets fit a uint64 bitmask.
 const MaxShards = 64
 
-// Router maps the monitored plane onto N shards: the area is cut into a
+// router maps the monitored plane onto N shards: the area is cut into a
 // 2^gridBits x 2^gridBits grid, cells are linearized by the Z-order curve
 // (internal/zcurve), and each shard owns one contiguous range of Morton
 // codes. Contiguity on the curve keeps each shard's territory spatially
 // clustered, so a query window usually touches few shards.
-type Router struct {
+type router struct {
 	area         geom.Rect
 	n            int
 	cells        uint32 // per-axis cell count (2^gridBits)
@@ -35,17 +35,17 @@ type Router struct {
 	starts []uint64
 }
 
-// NewRouter partitions area across n shards (1 <= n <= MaxShards).
-func NewRouter(area geom.Rect, n int) (*Router, error) {
+// newRouter partitions area across n shards (1 <= n <= MaxShards).
+func newRouter(area geom.Rect, n int) (*router, error) {
 	if area.IsEmpty() {
-		return nil, fmt.Errorf("shard: empty area")
+		return nil, fmt.Errorf("core: empty area")
 	}
 	if n < 1 || n > MaxShards {
-		return nil, fmt.Errorf("shard: shard count %d outside [1, %d]", n, MaxShards)
+		return nil, fmt.Errorf("core: shard count %d outside [1, %d]", n, MaxShards)
 	}
 	cells := uint32(1) << gridBits
 	total := uint64(cells) * uint64(cells)
-	r := &Router{
+	r := &router{
 		area:  area,
 		n:     n,
 		cells: cells,
@@ -59,12 +59,9 @@ func NewRouter(area geom.Rect, n int) (*Router, error) {
 	return r, nil
 }
 
-// Shards returns the shard count.
-func (r *Router) Shards() int { return r.n }
-
 // cellOf returns the grid cell holding p, clamped to the grid so every
 // point — even one outside the area — routes deterministically.
-func (r *Router) cellOf(p geom.Point) (uint32, uint32) {
+func (r *router) cellOf(p geom.Point) (uint32, uint32) {
 	cx := int((p.X - r.area.MinX) / r.cellW)
 	cy := int((p.Y - r.area.MinY) / r.cellH)
 	return clampCell(cx, r.cells), clampCell(cy, r.cells)
@@ -81,14 +78,14 @@ func clampCell(c int, cells uint32) uint32 {
 }
 
 // shardOfCode returns the shard owning the Morton code.
-func (r *Router) shardOfCode(code uint64) int {
+func (r *router) shardOfCode(code uint64) int {
 	// The first start beyond code ends the owning range.
 	return sort.Search(r.n, func(i int) bool { return r.starts[i+1] > code })
 }
 
 // Owner returns the shard that owns point p (primary ownership is by the
 // object's reported position).
-func (r *Router) Owner(p geom.Point) int {
+func (r *router) Owner(p geom.Point) int {
 	cx, cy := r.cellOf(p)
 	return r.shardOfCode(zcurve.Interleave(cx, cy))
 }
@@ -97,13 +94,13 @@ func (r *Router) Owner(p geom.Point) int {
 // The cell range is computed conservatively (closed bounds, clamped), so the
 // mask can include a shard that only touches w's boundary — never exclude
 // one that overlaps it, which is what scatter correctness needs.
-func (r *Router) Intersecting(w geom.Rect) uint64 {
+func (r *router) Intersecting(w geom.Rect) uint64 {
 	return r.intersectingBox(w.MinX, w.MinY, w.MaxX, w.MaxY)
 }
 
 // intersectingBox is Intersecting over raw closed coordinates, accepting
 // degenerate (zero-extent) boxes such as a stationary object's coverage.
-func (r *Router) intersectingBox(minX, minY, maxX, maxY float64) uint64 {
+func (r *router) intersectingBox(minX, minY, maxX, maxY float64) uint64 {
 	if minX > r.area.MaxX || maxX < r.area.MinX || minY > r.area.MaxY || maxY < r.area.MinY {
 		return 0
 	}
@@ -134,7 +131,7 @@ func (r *Router) intersectingBox(minX, minY, maxX, maxY float64) uint64 {
 // at any queryable timestamp (qt >= now, extrapolating backward when the
 // state's reference time lies ahead of the clock). Replicas make the scatter
 // exact for boundary-straddling objects; the merge dedups them by object ID.
-func (r *Router) OwnersOf(st motion.State, now motion.Tick) (primary int, replicas uint64) {
+func (r *router) OwnersOf(st motion.State, now motion.Tick) (primary int, replicas uint64) {
 	primary = r.Owner(st.Pos)
 	s0 := 0.0
 	if d := float64(now) - float64(st.Ref); d < 0 {

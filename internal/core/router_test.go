@@ -1,4 +1,4 @@
-package shard
+package core
 
 import (
 	"math/bits"
@@ -12,7 +12,7 @@ import (
 func TestRouterPartitionCoversArea(t *testing.T) {
 	area := geom.NewRect(0, 0, 1000, 1000)
 	for _, n := range []int{1, 2, 3, 7, 8, 64} {
-		r, err := NewRouter(area, n)
+		r, err := newRouter(area, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +55,7 @@ func TestRouterIntersectingExact(t *testing.T) {
 	area := geom.NewRect(0, 0, 1000, 1000)
 	rng := rand.New(rand.NewSource(11))
 	for _, n := range []int{2, 3, 8, 13} {
-		r, err := NewRouter(area, n)
+		r, err := newRouter(area, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +108,7 @@ func TestOwnersOfCoverInvariant(t *testing.T) {
 	area := geom.NewRect(0, 0, 1000, 1000)
 	rng := rand.New(rand.NewSource(23))
 	for _, n := range []int{2, 3, 8, 64} {
-		r, err := NewRouter(area, n)
+		r, err := newRouter(area, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,19 +142,19 @@ func TestOwnersOfCoverInvariant(t *testing.T) {
 
 func TestRouterRejectsBadConfig(t *testing.T) {
 	area := geom.NewRect(0, 0, 1000, 1000)
-	if _, err := NewRouter(area, 0); err == nil {
+	if _, err := newRouter(area, 0); err == nil {
 		t.Fatal("accepted 0 shards")
 	}
-	if _, err := NewRouter(area, 65); err == nil {
+	if _, err := newRouter(area, 65); err == nil {
 		t.Fatal("accepted 65 shards")
 	}
-	if _, err := NewRouter(geom.Rect{}, 2); err == nil {
+	if _, err := newRouter(geom.Rect{}, 2); err == nil {
 		t.Fatal("accepted empty area")
 	}
-	if _, err := New(testConfig(1), 0); err == nil {
-		t.Fatal("engine accepted 0 shards")
+	if _, err := NewServer(streamConfig(-1, 1)); err == nil {
+		t.Fatal("engine accepted -1 shards")
 	}
-	if _, err := New(testConfig(1), 65); err == nil {
+	if _, err := NewServer(streamConfig(65, 1)); err == nil {
 		t.Fatal("engine accepted 65 shards")
 	}
 }

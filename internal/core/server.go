@@ -14,24 +14,64 @@
 // Population contract: an object whose predicted position lies outside the
 // monitored area at timestamp t does not exist at t. All methods apply the
 // same rule, so FR and the brute force return identical regions.
+//
+// # One engine, N partitions
+//
+// The monitored plane is cut along the Z-order curve into Config.Shards
+// contiguous territories (default one: the whole plane). Each territory is a
+// partition — its own histogram, index, buffer pool and archive — and an
+// object belongs to the partition that owns its reported position (its
+// primary); a trajectory that can reach other territories is additionally
+// registered, index-only, as a replica there. One directory holds every live
+// object's movement and partitions, one Chebyshev surface serves PA, and one
+// epoch-keyed cache memoizes answers. There is one query pipeline and one write path;
+// the partition count is a loop bound, never a branch.
+//
+// Locking protocol. The only engine locks are one RWMutex per partition
+// (rank "shard"), the surface lock and the directory's bucket locks; the
+// partitions themselves are unlocked. Queries read-lock every partition, in
+// ascending index order, for their whole evaluation, so a scatter observes
+// one consistent cut of the stream. Tick and Load write-lock every partition;
+// Apply write-locks only the partitions that hold the object, again
+// ascending, so writers to different territories do not serialize. The global
+// acquisition order, checked by pdrvet's lockorder analyzer, is
+//
+//	service 10 → shard 20 → surface 30 → shard-registry 40
+//
+// Exactness. Answers are bit-identical at every partition and worker count:
+//
+//   - FR / DH: the per-partition histograms count disjoint primary
+//     populations in int32 counters, which add exactly, so dh.FilterMerged
+//     reproduces one histogram's marks. A refinement window gathers from
+//     every partition its grown rectangle intersects; index searches are
+//     exact, replicas are deduplicated by object ID, and the plane sweep
+//     depends only on the resulting point multiset.
+//   - PA: Chebyshev coefficient sums are floating-point and order-sensitive,
+//     so the one surface is fed the whole stream in arrival order.
+//   - BruteForce / PastSnapshot: the directory holds each live object once,
+//     and the archives hold primaries only and are disjoint, so the gathered
+//     points do not depend on the partitioning.
+//
+// docs/PERFORMANCE.md ("Sharding") has the partition key, the straddler rule
+// and the measured cost of each.
 package core
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"pdr/internal/bxtree"
 	"pdr/internal/cache"
 	"pdr/internal/dh"
 	"pdr/internal/geom"
-	"pdr/internal/gridindex"
-	"pdr/internal/history"
 	"pdr/internal/motion"
 	"pdr/internal/pa"
 	"pdr/internal/parallel"
 	"pdr/internal/storage"
-	"pdr/internal/tprtree"
 )
 
 // Index is the access method the refinement step queries: any structure
@@ -78,8 +118,8 @@ type Config struct {
 	// L is the fixed neighborhood edge the PA surfaces are built for
 	// (paper: 30 or 60). FR accepts any l >= 2*Area/HistM at query time.
 	L float64
-	// BufferPages caps the TPR-tree buffer pool (0 = unlimited; the paper
-	// sizes it at 10% of the dataset).
+	// BufferPages caps each partition's index buffer pool (0 = unlimited;
+	// the paper sizes it at 10% of the dataset).
 	BufferPages int
 	// PageSize is the tree page size in bytes (default 4 KB).
 	PageSize int
@@ -88,9 +128,6 @@ type Config struct {
 	IOCharge time.Duration
 	// Index selects the refinement access method (default IndexTPR).
 	Index IndexKind
-	// GridM is the per-axis bucket count when Index is IndexGrid (default
-	// 32).
-	GridM int
 	// KeepHistory archives superseded movements so PastSnapshot can answer
 	// PDR queries for past timestamps (memory grows with the update
 	// volume).
@@ -106,6 +143,12 @@ type Config struct {
 	// sequentially. Answers are identical at every setting (see
 	// docs/PERFORMANCE.md for the determinism argument).
 	Workers int
+	// Shards is the number of space partitions, 0 (one partition) to
+	// MaxShards. Writes lock only the partitions that hold the object, so
+	// more partitions let writers to different parts of the plane proceed
+	// together; answers are identical at every setting (see the package
+	// comment and docs/PERFORMANCE.md, "Sharding").
+	Shards int
 	// CacheBytes bounds the epoch-versioned snapshot result cache
 	// (approximate resident bytes). 0 (the default) disables caching and
 	// keeps the pre-cache behavior; when set, repeated snapshot queries,
@@ -113,11 +156,8 @@ type Config struct {
 	// answers until the next mutation supersedes them (see
 	// docs/PERFORMANCE.md, "Result cache").
 	CacheBytes int64
-	// DisablePA skips building and maintaining the Chebyshev surfaces: PA
-	// queries are rejected and Surface returns nil. The sharded engine sets
-	// it on its per-shard servers, which answer PA from one engine-global
-	// surface instead (per-shard float accumulation would not merge
-	// bit-identically; see docs/PERFORMANCE.md, "Sharding").
+	// DisablePA skips building and maintaining the Chebyshev surface: PA
+	// queries are rejected and Surface returns nil.
 	DisablePA bool
 }
 
@@ -137,39 +177,38 @@ func DefaultConfig() Config {
 	}
 }
 
-// Server maintains all query structures over the update stream.
-//
-// Concurrency: the server is a single-writer/many-reader engine. Mutations
-// (Tick, Apply, Load) take the write lock; queries (Snapshot, Interval,
-// PastSnapshot, FilterMarks, Recommend) take the read lock, so any number
-// of queries run simultaneously and only writers serialize. The summary
-// structures (histogram, surfaces, index) are read-only during queries, the
-// buffer pool locks internally, and all telemetry is atomic, so concurrent
-// readers never contend on engine state. Methods named *Locked assume the
-// caller holds mu (the pdrvet locked analyzer enforces the discipline).
+// Server maintains all query structures over the update stream. It is safe
+// for concurrent use: any number of queries (Snapshot, Interval,
+// PastSnapshot, FilterMarks, Recommend, Save) run together, and mutations
+// (Tick, Apply, Load) exclude only the queries and writers that need the
+// same partitions. The package comment states the locking protocol.
 type Server struct {
-	cfg    Config
-	hist   *dh.Histogram
-	surf   *pa.Surface
-	pool   *storage.Pool
-	index  Index
-	hst    *history.Store // nil unless cfg.KeepHistory
-	met    *Metrics       // nil unless SetMetrics was called (pre-traffic)
-	par    *parallel.Pool // bounded fan-out workers (cfg.Workers)
-	qcache *cache.Cache   // snapshot result cache; nil when CacheBytes is 0
+	cfg    Config // effective: defaults resolved
+	router *router
+	parts  []*partition
+	hists  []*dh.Histogram // parts[i].hist, in partition order, for dh.FilterMerged
+	par    *parallel.Pool  // bounded fan-out workers (cfg.Workers)
+	qcache *cache.Cache    // snapshot result cache; nil when CacheBytes is 0
+	met    *Metrics        // nil unless SetMetrics was called (pre-traffic)
+	pmet   *partitionMetrics
 
-	mu sync.RWMutex
-	// now is the server clock; guarded by mu.
-	now motion.Tick
-	// epoch counts mutations (Tick/Apply/Load); guarded by mu. Cached
-	// snapshot answers are keyed by it, so bumping the epoch invalidates
-	// every prior answer in O(1) without touching the cache itself.
-	epoch uint64
-	// live maps object IDs to their current movement; guarded by mu.
-	live map[motion.ObjectID]motion.State
+	// pmu[i] guards parts[i]; see the package comment for the protocol.
+	pmu []sync.RWMutex // pdr:lockrank shard 20
+
+	surfMu sync.RWMutex // pdr:lockrank surface 30
+	surf   *pa.Surface  // the one Chebyshev surface; nil when DisablePA
+
+	dir directory
+
+	// epoch counts mutations (Tick/Apply/Load). Cached snapshot answers are
+	// keyed by it, so bumping the epoch invalidates every prior answer in
+	// O(1) without touching the cache itself.
+	epoch      atomic.Uint64
+	now        atomic.Int64 // the server clock
+	histPrimed atomic.Bool  // the histogram window phase is fixed (see prime)
 }
 
-// NewServer builds an empty server.
+// NewServer builds an empty server of cfg.Shards partitions.
 func NewServer(cfg Config) (*Server, error) {
 	if cfg.Area.IsEmpty() {
 		return nil, fmt.Errorf("core: empty area")
@@ -195,63 +234,43 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.IOCharge == 0 {
 		cfg.IOCharge = storage.DefaultRandomIO
 	}
-	horizon := cfg.U + cfg.W
-
-	hist, err := dh.New(dh.Config{Area: cfg.Area, M: cfg.HistM, Horizon: horizon})
+	if cfg.Index == "" {
+		cfg.Index = IndexTPR
+	}
+	if cfg.Shards == 0 {
+		cfg.Shards = 1
+	}
+	router, err := newRouter(cfg.Area, cfg.Shards)
 	if err != nil {
 		return nil, err
 	}
-	var surf *pa.Surface
+	s := &Server{
+		cfg:    cfg,
+		router: router,
+		parts:  make([]*partition, cfg.Shards),
+		hists:  make([]*dh.Histogram, cfg.Shards),
+		pmu:    make([]sync.RWMutex, cfg.Shards),
+		par:    parallel.New(cfg.Workers),
+		qcache: cache.New(cfg.CacheBytes),
+	}
+	for i := range s.parts {
+		p, err := newPartition(cfg)
+		if err != nil {
+			return nil, err
+		}
+		s.parts[i] = p
+		s.hists[i] = p.hist
+	}
 	if !cfg.DisablePA {
-		surf, err = pa.New(pa.Config{
+		s.surf, err = pa.New(pa.Config{
 			Area: cfg.Area, G: cfg.PAGrid, Degree: cfg.PADegree,
-			Horizon: horizon, L: cfg.L, MD: cfg.PAMD,
+			Horizon: cfg.U + cfg.W, L: cfg.L, MD: cfg.PAMD,
 		})
 		if err != nil {
 			return nil, err
 		}
 	}
-	pool := storage.NewPool(cfg.BufferPages)
-	var index Index
-	switch cfg.Index {
-	case "", IndexTPR:
-		cfg.Index = IndexTPR
-		index, err = tprtree.New(tprtree.Config{Pool: pool, Horizon: horizon, PageSize: cfg.PageSize})
-	case IndexGrid:
-		if cfg.GridM <= 0 {
-			cfg.GridM = 32
-		}
-		index, err = gridindex.New(gridindex.Config{Pool: pool, Area: cfg.Area, M: cfg.GridM, PageSize: cfg.PageSize})
-	case IndexBx:
-		phase := cfg.U / 2
-		if phase <= 0 {
-			phase = 1
-		}
-		index, err = bxtree.New(bxtree.Config{Pool: pool, Area: cfg.Area, PhaseLen: phase, PageSize: cfg.PageSize})
-	default:
-		err = fmt.Errorf("core: unknown index kind %q", cfg.Index)
-	}
-	if err != nil {
-		return nil, err
-	}
-	var hst *history.Store
-	if cfg.KeepHistory {
-		hst, err = history.New(history.Config{Area: cfg.Area, BucketTicks: cfg.U})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return &Server{
-		cfg:    cfg,
-		hist:   hist,
-		surf:   surf,
-		pool:   pool,
-		index:  index,
-		live:   make(map[motion.ObjectID]motion.State),
-		hst:    hst,
-		par:    parallel.New(cfg.Workers),
-		qcache: cache.New(cfg.CacheBytes),
-	}, nil
+	return s, nil
 }
 
 // Config returns the server's effective configuration.
@@ -261,161 +280,18 @@ func (s *Server) Config() Config { return s.cfg }
 func (s *Server) Horizon() motion.Tick { return s.cfg.U + s.cfg.W }
 
 // Now returns the current server time.
-func (s *Server) Now() motion.Tick {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.now
-}
+func (s *Server) Now() motion.Tick { return motion.Tick(s.now.Load()) }
 
-// NumObjects returns the live object count.
-func (s *Server) NumObjects() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.live)
-}
+// NumObjects returns the live object count (replica registrations are not
+// live and are not counted).
+func (s *Server) NumObjects() int { return int(s.dir.count.Load()) }
 
 // Workers returns the effective query worker-pool size.
 func (s *Server) Workers() int { return s.par.Workers() }
 
-// Pool exposes the TPR-tree buffer pool (for I/O statistics).
-func (s *Server) Pool() *storage.Pool { return s.pool }
-
-// Histogram exposes the density histogram (read-only use).
-func (s *Server) Histogram() *dh.Histogram { return s.hist }
-
-// Surface exposes the Chebyshev density surface (read-only use).
-func (s *Server) Surface() *pa.Surface { return s.surf }
-
-// Index exposes the refinement access method (read-only use).
-func (s *Server) Index() Index { return s.index }
-
-// bulkLoader is implemented by access methods that support packed initial
-// loading (the TPR-tree's STR bulk load).
-type bulkLoader interface {
-	BulkLoad([]motion.State) error
-}
-
-// Load bulk-inserts the initial object states; their reference times set
-// the server clock if it has not advanced yet. When the index is empty and
-// supports it, the index portion uses packed bulk loading, which is roughly
-// an order of magnitude faster than one-at-a-time insertion.
-func (s *Server) Load(states []motion.State) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.epoch++
-	bl, bulk := s.index.(bulkLoader)
-	if !bulk || s.index.Len() > 0 {
-		for _, st := range states {
-			if err := s.applyInsertLocked(st); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for _, st := range states {
-		if _, ok := s.live[st.ID]; ok {
-			return fmt.Errorf("core: duplicate object %d in bulk load", st.ID)
-		}
-		s.live[st.ID] = st
-		s.hist.Insert(st)
-		if s.surf != nil {
-			s.surf.Insert(st)
-		}
-	}
-	return bl.BulkLoad(states)
-}
-
-// Tick advances server time to now and applies the tick's update stream.
-func (s *Server) Tick(now motion.Tick, updates []motion.Update) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// Bump before touching anything: even a partially applied tick mutates
-	// the summaries, and over-invalidating the cache is harmless while a
-	// missed invalidation would serve stale answers.
-	s.epoch++
-	if now < s.now {
-		return fmt.Errorf("core: time moved backwards: %d < %d", now, s.now)
-	}
-	s.now = now
-	s.hist.Advance(now)
-	if s.surf != nil {
-		s.surf.Advance(now)
-	}
-	s.index.SetNow(now)
-	for _, u := range updates {
-		if err := s.applyLocked(u); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Apply processes a single update record.
-func (s *Server) Apply(u motion.Update) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.epoch++
-	return s.applyLocked(u)
-}
-
-func (s *Server) applyLocked(u motion.Update) error {
-	switch u.Kind {
-	case motion.Insert:
-		return s.applyInsertLocked(u.State)
-	case motion.Delete:
-		return s.applyDeleteLocked(u.State, u.At)
-	default:
-		return fmt.Errorf("core: unknown update kind %d", u.Kind)
-	}
-}
-
-func (s *Server) applyInsertLocked(st motion.State) error {
-	if _, ok := s.live[st.ID]; ok {
-		return fmt.Errorf("core: insert of live object %d (delete the stale movement first)", st.ID)
-	}
-	s.live[st.ID] = st
-	s.hist.Insert(st)
-	if s.surf != nil {
-		s.surf.Insert(st)
-	}
-	s.index.Insert(st)
-	return nil
-}
-
-func (s *Server) applyDeleteLocked(st motion.State, at motion.Tick) error {
-	cur, ok := s.live[st.ID]
-	if !ok {
-		return fmt.Errorf("core: delete of unknown object %d", st.ID)
-	}
-	if cur != st {
-		return fmt.Errorf("core: delete state mismatch for object %d", st.ID)
-	}
-	delete(s.live, st.ID)
-	s.hist.Delete(st, at)
-	if s.surf != nil {
-		s.surf.Delete(st, at)
-	}
-	if !s.index.Delete(st) {
-		return fmt.Errorf("core: object %d missing from the index", st.ID)
-	}
-	if s.hst != nil && at > st.Ref {
-		if err := s.hst.Record(history.Segment{State: st, From: st.Ref, To: at}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// History exposes the archive (nil unless Config.KeepHistory).
-func (s *Server) History() *history.Store { return s.hst }
-
 // Epoch returns the mutation counter cached answers are keyed by. It
-// increments on every Tick, Apply, and Load.
-func (s *Server) Epoch() uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.epoch
-}
+// increments on every Tick, Load and admitted Apply.
+func (s *Server) Epoch() uint64 { return s.epoch.Load() }
 
 // Cache exposes the snapshot result cache (nil when Config.CacheBytes is 0),
 // so embedders can attach telemetry via cache.NewMetrics.
@@ -423,3 +299,102 @@ func (s *Server) Cache() *cache.Cache { return s.qcache }
 
 // CacheStats returns the result cache counters (zeros when caching is off).
 func (s *Server) CacheStats() cache.Stats { return s.qcache.Stats() }
+
+// Surface exposes the Chebyshev density surface (read-only use; nil when
+// Config.DisablePA).
+func (s *Server) Surface() *pa.Surface { return s.surf }
+
+// SurfaceBytes returns the Chebyshev coefficient footprint (0 when PA is
+// disabled).
+func (s *Server) SurfaceBytes() int {
+	if s.surf == nil {
+		return 0
+	}
+	return s.surf.MemoryBytes()
+}
+
+// Contours extracts iso-density contour segments from the Chebyshev surface
+// (errors when Config.DisablePA).
+func (s *Server) Contours(at motion.Tick, level float64, res int) ([]pa.ContourSegment, error) {
+	if s.surf == nil {
+		return nil, errPADisabled
+	}
+	s.surfMu.RLock()
+	defer s.surfMu.RUnlock()
+	return s.surf.Contours(at, level, res)
+}
+
+var errPADisabled = errors.New("core: PA surfaces are disabled on this server (Config.DisablePA)")
+
+// PoolStats sums the partitions' buffer-pool I/O counters.
+func (s *Server) PoolStats() storage.Stats {
+	var total storage.Stats
+	for _, p := range s.parts {
+		st := p.pool.Stats()
+		total.Reads += st.Reads
+		total.Writes += st.Writes
+		total.Hits += st.Hits
+	}
+	return total
+}
+
+// PoolPages returns the number of pages the buffer pools manage.
+func (s *Server) PoolPages() int {
+	total := 0
+	for _, p := range s.parts {
+		total += p.pool.NumPages()
+	}
+	return total
+}
+
+// DropBufferPools empties every buffer pool, so the next query pays cold
+// I/O — the state the paper's I/O experiments measure from.
+func (s *Server) DropBufferPools() {
+	for _, p := range s.parts {
+		p.pool.Drop()
+	}
+}
+
+// HistogramBytes returns the density histograms' counter footprint.
+func (s *Server) HistogramBytes() int {
+	total := 0
+	for _, h := range s.hists {
+		total += h.MemoryBytes()
+	}
+	return total
+}
+
+// LiveStates returns every live object's current movement, ordered by ID.
+func (s *Server) LiveStates() []motion.State {
+	s.rlockAll()
+	defer s.runlockAll()
+	return s.liveStatesLocked()
+}
+
+func (s *Server) liveStatesLocked() []motion.State {
+	states := make([]motion.State, 0, s.NumObjects())
+	s.dir.each(func(st motion.State) { states = append(states, st) })
+	slices.SortFunc(states, func(a, b motion.State) int { return cmp.Compare(a.ID, b.ID) })
+	return states
+}
+
+// ArchiveSpan returns the archived movement segments' count and the tick
+// range [lo, hi) they cover (zeros unless Config.KeepHistory).
+func (s *Server) ArchiveSpan() (segments int, lo, hi motion.Tick) {
+	s.rlockAll()
+	defer s.runlockAll()
+	for _, p := range s.parts {
+		if p.hst == nil || p.hst.Len() == 0 {
+			continue
+		}
+		plo, phi := p.hst.Span()
+		if segments == 0 || plo < lo {
+			lo = plo
+		}
+		if segments == 0 || phi > hi {
+			hi = phi
+		}
+		segments += p.hst.Len()
+	}
+	return segments, lo, hi
+}

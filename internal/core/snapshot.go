@@ -4,7 +4,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"sort"
 
 	"pdr/internal/motion"
 )
@@ -28,19 +27,13 @@ type snapshot struct {
 // configuration, the clock, and every live movement; Restore rebuilds an
 // equivalent server from it.
 func (s *Server) Save(w io.Writer) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	states := make([]motion.State, 0, len(s.live))
-	for _, st := range s.live {
-		states = append(states, st)
-	}
-	// Deterministic output: order by ID.
-	sort.Slice(states, func(i, j int) bool { return states[i].ID < states[j].ID })
+	s.rlockAll()
+	defer s.runlockAll()
 	return gob.NewEncoder(w).Encode(snapshot{
 		Magic:  snapshotMagic,
 		Config: s.cfg,
-		Now:    s.now,
-		States: states,
+		Now:    s.Now(),
+		States: s.liveStatesLocked(), // ordered by ID: deterministic output
 	})
 }
 

@@ -75,7 +75,7 @@ func (r *Runner) AblationLocalPolynomials() ([]AblationRow, error) {
 			return nil, err
 		}
 		surf.Advance(e.S.Now())
-		for _, st := range e.S.Index().All() {
+		for _, st := range e.S.LiveStates() {
 			surf.Insert(st)
 		}
 		region, err := surf.DenseRegion(qt, rho)
@@ -119,7 +119,7 @@ func (r *Runner) AblationIndex() ([]AblationRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		e.S.Pool().Drop()
+		e.S.DropBufferPools()
 		avg, _, err := e.runPoint(3, l, core.FR)
 		if err != nil {
 			return nil, err

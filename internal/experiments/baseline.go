@@ -46,7 +46,7 @@ func (r *Runner) BaselineComparison() ([]BaselineRow, error) {
 
 	// Predicted in-area object positions at qt, shared by both baselines.
 	var points []geom.Point
-	for _, st := range e.S.Index().All() {
+	for _, st := range e.S.LiveStates() {
 		p := st.PositionAt(qt)
 		if area.Contains(p) {
 			points = append(points, p)

@@ -28,7 +28,7 @@ func (r *Runner) Fig7SVG(dir string) ([]string, error) {
 	qt := e.S.Now()
 
 	var points []geom.Point
-	for _, st := range e.S.Index().All() {
+	for _, st := range e.S.LiveStates() {
 		p := st.PositionAt(qt)
 		if area.Contains(p) {
 			points = append(points, p)

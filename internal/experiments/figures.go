@@ -221,7 +221,7 @@ func (r *Runner) dhMemoryPoint(e *Env, exact map[motion.Tick]core.Result, m int,
 		return MemoryRow{}, err
 	}
 	hist.Advance(e.S.Now())
-	for _, st := range e.S.Index().All() {
+	for _, st := range e.S.LiveStates() {
 		hist.Insert(st)
 	}
 	row := MemoryRow{Method: "DH", Config: fmt.Sprintf("m=%d", m), MemoryMB: float64(hist.MemoryBytes()) / (1 << 20)}
@@ -258,7 +258,7 @@ func (r *Runner) paMemoryPoint(e *Env, exact map[motion.Tick]core.Result, g, k i
 		return MemoryRow{}, err
 	}
 	surf.Advance(e.S.Now())
-	for _, st := range e.S.Index().All() {
+	for _, st := range e.S.LiveStates() {
 		surf.Insert(st)
 	}
 	row := MemoryRow{Method: "PA", Config: fmt.Sprintf("g=%d k=%d", g, k), MemoryMB: float64(surf.MemoryBytes()) / (1 << 20)}
@@ -394,7 +394,7 @@ func (r *Runner) Fig10aQueryCost() ([]QueryCostRow, error) {
 		}
 		for _, varrho := range r.P.Varrhos {
 			// Cold-ish cache per point for honest I/O counts.
-			e.S.Pool().Drop()
+			e.S.DropBufferPools()
 			frAvg, _, err := e.runPoint(varrho, l, core.FR)
 			if err != nil {
 				return nil, err
@@ -433,7 +433,7 @@ func (r *Runner) Fig10bScalability(sizes []int) ([]ScaleRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		e.S.Pool().Drop()
+		e.S.DropBufferPools()
 		frAvg, _, err := e.runPoint(varrho, l, core.FR)
 		if err != nil {
 			return nil, err

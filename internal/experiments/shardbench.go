@@ -2,41 +2,18 @@ package experiments
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"runtime"
 	"sync"
 
 	"pdr/internal/core"
-	"pdr/internal/datagen"
 	"pdr/internal/geom"
 	"pdr/internal/motion"
-	"pdr/internal/shard"
 	"pdr/internal/stopwatch"
 )
 
-// shardBenchEngine is the slice of the engine surface the shard study
-// drives; *core.Server (the unsharded baseline) and *shard.Engine both
-// satisfy it.
-type shardBenchEngine interface {
-	Load(states []motion.State) error
-	Tick(now motion.Tick, updates []motion.Update) error
-	Apply(u motion.Update) error
-	Snapshot(q core.Query, m core.Method) (*core.Result, error)
-	Interval(q core.Query, until motion.Tick, m core.Method) (*core.Result, error)
-	Now() motion.Tick
-	NumObjects() int
-	Config() core.Config
-}
-
-var (
-	_ shardBenchEngine = (*core.Server)(nil)
-	_ shardBenchEngine = (*shard.Engine)(nil)
-)
-
-// ShardPoint is the measurement at one shard count. Shards=0 is the
-// unsharded core.Server the speedups are relative to; Shards>=2 is the
-// space-partitioned engine at that width.
+// ShardPoint is the measurement at one partition count (core.Config.Shards).
+// Shards=1 is the baseline the speedups are relative to.
 type ShardPoint struct {
 	Shards int `json:"shards"`
 	// SnapshotNanos and IntervalNanos are best-of-Trials wall times for one
@@ -47,14 +24,14 @@ type ShardPoint struct {
 	// concurrent snapshot readers racing apply writers (see ShardBench
 	// MixedReads/MixedWriters fields).
 	MixedNanos int64 `json:"mixedNanos"`
-	// Speedups are the unsharded point's wall time over this point's.
+	// Speedups are the one-partition point's wall time over this point's.
 	SnapshotSpeedup float64 `json:"snapshotSpeedup"`
 	IntervalSpeedup float64 `json:"intervalSpeedup"`
 	MixedSpeedup    float64 `json:"mixedSpeedup"`
 }
 
 // ShardBench is one recorded sharding study: identical workload and queries
-// against the unsharded engine and against N-shard engines. As with the
+// against the engine at one partition and at N partitions. As with the
 // other BENCH baselines the host facts are part of the record — shard
 // scaling is contention relief, so on a single-core host the mixed curve is
 // legitimately flat.
@@ -76,15 +53,15 @@ type ShardBench struct {
 	MixedWrites  int `json:"mixedWrites"`
 	MixedReaders int `json:"mixedReaders"`
 	MixedReads   int `json:"mixedReads"`
-	// Points are ordered by shard count; Points[0] (Shards=0) is the
-	// unsharded baseline.
+	// Points are ordered by shard count; Points[0] (Shards=1) is the
+	// baseline.
 	Points []ShardPoint `json:"points"`
 }
 
 // ShardBenchParams configures a sharding study.
 type ShardBenchParams struct {
-	// Shards lists the shard widths to measure (the unsharded baseline is
-	// always run first and is not listed).
+	// Shards lists the shard widths to measure (the one-partition baseline
+	// is always run first and is not listed).
 	Shards []int
 	// Window is the interval query width in ticks.
 	Window int
@@ -100,40 +77,6 @@ func DefaultShardBenchParams() ShardBenchParams {
 		Shards: []int{2, 4, 8}, Window: 8, Trials: 3,
 		MixedWriters: 4, MixedWrites: 200, MixedReaders: 4, MixedReads: 20,
 	}
-}
-
-// buildSharded mirrors Build for a shard.Engine.
-func buildSharded(p Params, cfg core.Config, shards int) (shardBenchEngine, *datagen.Generator, error) {
-	gcfg := datagen.DefaultConfig(p.N)
-	gcfg.Seed = p.Seed
-	g, err := datagen.New(gcfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	var e shardBenchEngine
-	if shards <= 0 {
-		s, err := core.NewServer(cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		e = s
-	} else {
-		s, err := shard.New(cfg, shards)
-		if err != nil {
-			return nil, nil, err
-		}
-		e = s
-	}
-	if err := e.Load(g.InitialStates()); err != nil {
-		return nil, nil, err
-	}
-	for i := 0; i < p.WarmTicks; i++ {
-		ups := g.Advance()
-		if err := e.Tick(g.Now(), ups); err != nil {
-			return nil, nil, err
-		}
-	}
-	return e, g, nil
 }
 
 // ShardBench measures query and mixed read/write wall time against shard
@@ -165,7 +108,7 @@ func (r *Runner) ShardBench(bp ShardBenchParams) (*ShardBench, error) {
 		MixedWriters: bp.MixedWriters, MixedWrites: bp.MixedWrites,
 		MixedReaders: bp.MixedReaders, MixedReads: bp.MixedReads,
 	}
-	for _, n := range append([]int{0}, bp.Shards...) {
+	for _, n := range append([]int{1}, bp.Shards...) {
 		pt, err := r.shardPoint(n, l, varrho, bp)
 		if err != nil {
 			return nil, err
@@ -191,10 +134,13 @@ func (r *Runner) ShardBench(bp ShardBenchParams) (*ShardBench, error) {
 func (r *Runner) shardPoint(shards int, l, varrho float64, bp ShardBenchParams) (ShardPoint, error) {
 	pt := ShardPoint{Shards: shards}
 	for t := 0; t < bp.Trials; t++ {
-		e, _, err := buildSharded(r.P, ServerConfig(r.P), shards)
+		cfg := ServerConfig(r.P)
+		cfg.Shards = shards
+		env, err := Build(r.P, cfg)
 		if err != nil {
 			return pt, err
 		}
+		e := env.S
 		rho := RelRho(e.NumObjects(), varrho, e.Config().Area)
 		q := core.Query{Rho: rho, L: l, At: e.Now()}
 
@@ -229,9 +175,9 @@ func keepBest(dst *int64, ns int64) {
 // returns the wall time for the whole batch to finish. Writers insert and
 // delete fresh objects (the population is unchanged afterwards); readers
 // answer FR snapshots spread over the prediction window. This is the
-// contention regime shard-local write locks exist for: on the unsharded
-// engine every write excludes every read.
-func runMixed(e shardBenchEngine, q core.Query, bp ShardBenchParams) (int64, error) {
+// contention regime partition-local write locks exist for: at one partition
+// every write excludes every read.
+func runMixed(e *core.Server, q core.Query, bp ShardBenchParams) (int64, error) {
 	area := e.Config().Area
 	now := e.Now()
 	var wg sync.WaitGroup
@@ -302,11 +248,7 @@ func PrintShard(w io.Writer, b *ShardBench) error {
 		b.N, b.L, b.Varrho, b.Window, b.MixedWriters, b.MixedWrites, b.MixedReaders, b.MixedReads, b.NumCPU, b.GOMAXPROCS)
 	r.text("shards\tsnapshot\tinterval\tmixed\tsnap-x\tint-x\tmixed-x")
 	for _, p := range b.Points {
-		label := "unsharded"
-		if p.Shards > 0 {
-			label = fmt.Sprintf("%d", p.Shards)
-		}
-		r.linef("%s\t%s\t%s\t%s\t%.2fx\t%.2fx\t%.2fx\n", label,
+		r.linef("%d\t%s\t%s\t%s\t%.2fx\t%.2fx\t%.2fx\n", p.Shards,
 			fmtNanos(p.SnapshotNanos), fmtNanos(p.IntervalNanos), fmtNanos(p.MixedNanos),
 			p.SnapshotSpeedup, p.IntervalSpeedup, p.MixedSpeedup)
 	}

@@ -17,10 +17,10 @@ func TestShardBenchSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(b.Points) != 3 {
-		t.Fatalf("got %d points, want unsharded + 2", len(b.Points))
+		t.Fatalf("got %d points, want baseline + 2", len(b.Points))
 	}
-	if b.Points[0].Shards != 0 {
-		t.Fatalf("first point shards=%d, want the unsharded baseline", b.Points[0].Shards)
+	if b.Points[0].Shards != 1 {
+		t.Fatalf("first point shards=%d, want the one-partition baseline", b.Points[0].Shards)
 	}
 	for _, p := range b.Points {
 		if p.SnapshotNanos <= 0 || p.IntervalNanos <= 0 || p.MixedNanos <= 0 {

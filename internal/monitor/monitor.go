@@ -54,27 +54,17 @@ type sub struct {
 	prev    geom.Region
 }
 
-// Engine is the slice of the PDR engine the monitor drives: clock/update
-// ingestion and traced snapshot evaluation. Both core.Server and the
-// sharded engine (internal/shard) satisfy it, so standing queries work
-// unchanged over either.
-type Engine interface {
-	Tick(now motion.Tick, updates []motion.Update) error
-	Config() core.Config
-	SnapshotTraced(q core.Query, m core.Method, sp *telemetry.Span) (*core.Result, error)
-}
-
 // Monitor evaluates standing queries against a server. It is not safe for
 // concurrent use (same discipline as the engine).
 type Monitor struct {
-	srv    Engine
+	srv    *core.Server
 	nextID int
 	subs   map[int]*sub
 	met    *Metrics // nil unless SetMetrics was called
 }
 
 // New creates a monitor over srv.
-func New(srv Engine) *Monitor {
+func New(srv *core.Server) *Monitor {
 	return &Monitor{srv: srv, subs: make(map[int]*sub)}
 }
 

@@ -14,12 +14,12 @@
 //	GET    /v1/stats      server and buffer-pool statistics
 //	GET    /healthz       liveness
 //
-// The engine is single-writer/many-reader: query handlers share a read
-// lock and run concurrently (fanning work out to the engine's worker pool),
-// while load/update/watch handlers take the write lock. The service-level
-// RWMutex keeps parse-time clock reads coherent with query execution and
-// guards the monitor; the engine has its own internal lock for callers that
-// bypass the service.
+// Query handlers share the service's read lock and run concurrently (fanning
+// work out to the engine's worker pool); load/update/watch handlers take the
+// write lock. The service-level RWMutex keeps parse-time clock reads coherent
+// with query execution and guards the monitor; the engine (internal/core)
+// has its own per-partition locks, which is what lets /v1/apply run under the
+// read lock.
 package service
 
 import (
@@ -33,12 +33,9 @@ import (
 	"sync"
 	"time"
 
-	"pdr/internal/cache"
 	"pdr/internal/core"
 	"pdr/internal/monitor"
 	"pdr/internal/motion"
-	"pdr/internal/pa"
-	"pdr/internal/storage"
 	"pdr/internal/telemetry"
 	"pdr/internal/tracestore"
 	"pdr/internal/wire"
@@ -49,42 +46,15 @@ import (
 // quarter of the ring.
 const DefaultTraceBuffer = 256
 
-// Engine is the query/mutation surface the service publishes over HTTP.
-// Both core.Server (the single-lock engine) and shard.Engine (the
-// space-partitioned scatter-gather engine, see docs/PERFORMANCE.md
-// "Sharding") satisfy it; pick with pdrserve's -shards flag.
-type Engine interface {
-	Load(states []motion.State) error
-	Tick(now motion.Tick, updates []motion.Update) error
-	Apply(u motion.Update) error
-	Now() motion.Tick
-	Horizon() motion.Tick
-	NumObjects() int
-	Config() core.Config
-	Epoch() uint64
-	SnapshotTraced(q core.Query, m core.Method, sp *telemetry.Span) (*core.Result, error)
-	IntervalTraced(q core.Query, until motion.Tick, m core.Method, sp *telemetry.Span) (*core.Result, error)
-	PastSnapshotTraced(q core.Query, sp *telemetry.Span) (*core.Result, error)
-	Contours(at motion.Tick, level float64, res int) ([]pa.ContourSegment, error)
-	PoolStats() storage.Stats
-	PoolPages() int
-	HistogramBytes() int
-	SurfaceBytes() int
-	Cache() *cache.Cache
-	CacheStats() cache.Stats
-	SetMetrics(m *core.Metrics)
-	AttachTelemetry(reg *telemetry.Registry)
-}
-
 // Service wraps a PDR engine with an HTTP API.
 type Service struct {
 	// mu is the outermost lock in the process: every engine and monitor
 	// lock nests inside it, never the reverse.
 	mu sync.RWMutex // pdr:lockrank service 10
-	// srv is the single-writer/many-reader engine; guarded by mu (enforced
-	// by pdrvet's locked analyzer): queries hold the read lock, ticks and
-	// loads the write lock.
-	srv Engine
+	// srv is the engine; guarded by mu (enforced by pdrvet's locked
+	// analyzer): queries and applies hold the read lock, ticks and loads the
+	// write lock.
+	srv *core.Server
 	// mon re-evaluates standing queries; guarded by mu (registration and
 	// advancement mutate it, so those handlers take the write lock).
 	mon *monitor.Monitor
@@ -148,7 +118,7 @@ func WithTracing(sample float64, buffer int) Option {
 	}
 }
 
-// New creates a service over a fresh single-lock engine.
+// New creates a service over a fresh engine.
 func New(cfg core.Config, opts ...Option) (*Service, error) {
 	srv, err := core.NewServer(cfg)
 	if err != nil {
@@ -157,11 +127,10 @@ func New(cfg core.Config, opts ...Option) (*Service, error) {
 	return NewWithEngine(srv, opts...)
 }
 
-// NewWithEngine creates a service over an existing engine — the entry point
-// for the sharded engine (internal/shard) or a pre-built core.Server. The
-// service attaches its metrics bundle and substrate telemetry to the engine,
-// so call it before the engine serves traffic.
-func NewWithEngine(srv Engine, opts ...Option) (*Service, error) {
+// NewWithEngine creates a service over an existing engine. The service
+// attaches its metrics bundle and substrate telemetry to the engine, so call
+// it before the engine serves traffic.
+func NewWithEngine(srv *core.Server, opts ...Option) (*Service, error) {
 	s := &Service{
 		srv: srv, mon: monitor.New(srv), mux: http.NewServeMux(),
 		start: time.Now(), traceSample: 1, traceBuffer: DefaultTraceBuffer,
@@ -236,7 +205,7 @@ func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 //
 // lint:ignore locked offline escape hatch: documented as pre-traffic only,
 // so no handler can race it.
-func (s *Service) Engine() Engine { return s.srv }
+func (s *Service) Engine() *core.Server { return s.srv }
 
 // errorBody is the JSON error envelope.
 type errorBody struct {
@@ -372,9 +341,9 @@ func (s *Service) handleApply(w http.ResponseWriter, r *http.Request) {
 	}
 	// Applies bypass the monitor (the clock does not move, so no standing
 	// query comes due) and take only the read side of the service lock: the
-	// engine serializes its own writes, and on a sharded engine applies to
-	// different shards proceed in parallel — the contention regime
-	// cmd/pdrload's apply traffic class measures.
+	// engine serializes its own writes, and applies to different partitions
+	// proceed in parallel — the contention regime cmd/pdrload's apply traffic
+	// class measures.
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	for i, u := range ups {

@@ -72,27 +72,35 @@ func (s *Service) handle(pattern string, h http.HandlerFunc) {
 		if s.slow != nil {
 			s.slow.maybeLog(route, r, rec.status, elapsed, detail, traceID)
 		}
+		rec.release()
 	})
 }
 
-// statusRecorder captures the response status for the request counters.
+// statusRecorder holds the handler's response — the status and the body,
+// which every handler has fully buffered before writing (writeJSONStatus) —
+// until the middleware has stored the request's trace, written its slow-log
+// line and bumped its counters. Everything a client can look up with the
+// response in hand (X-Pdr-Trace-Id at /debug/traces/{id}, the slow-query
+// line, /metrics) therefore exists before the first byte leaves.
 type statusRecorder struct {
 	http.ResponseWriter
 	status int
+	body   []byte
 }
 
-func (r *statusRecorder) WriteHeader(code int) {
-	r.status = code
-	r.ResponseWriter.WriteHeader(code)
+func (r *statusRecorder) WriteHeader(code int) { r.status = code }
+
+func (r *statusRecorder) Write(p []byte) (int, error) {
+	r.body = append(r.body, p...)
+	return len(p), nil
 }
 
-// Flush delegates to the underlying writer so a streaming handler behind
-// the middleware keeps working; the embedded ResponseWriter would otherwise
-// hide the optional http.Flusher interface.
-func (r *statusRecorder) Flush() {
-	if f, ok := r.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
+// release sends the held response.
+func (r *statusRecorder) release() {
+	r.ResponseWriter.WriteHeader(r.status)
+	// lint:ignore errchecklite a failed write means the client hung up and
+	// there is nobody left to tell.
+	r.ResponseWriter.Write(r.body)
 }
 
 // detailKey carries the per-request queryDetail through the context.

@@ -14,6 +14,7 @@ import (
 
 	"pdr/internal/core"
 	"pdr/internal/motion"
+	"pdr/internal/telemetry"
 )
 
 // syncBuffer lets the slow-query log write from handler goroutines while
@@ -66,24 +67,6 @@ func metricValue(body, sample string) string {
 	return ""
 }
 
-// metricEventually re-scrapes until sample reads want or the deadline
-// passes, returning the last value seen. The HTTP middleware records a
-// request after the response body has already reached the client, so a
-// scrape issued immediately after a call can land in between; the request
-// instruments are eventually consistent with the client's view, never
-// synchronized to it.
-func metricEventually(t *testing.T, ts *httptest.Server, sample, want string) string {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		v := metricValue(fetchMetrics(t, ts), sample)
-		if v == want || time.Now().After(deadline) {
-			return v
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
 // TestMetricsEndpoint is the acceptance path: /metrics serves Prometheus
 // text, and the per-method latency histograms and filter counters move
 // after a /v1/query call.
@@ -122,12 +105,12 @@ func TestMetricsEndpoint(t *testing.T) {
 	if !moved {
 		t.Error("no filter-cell counter moved after an FR query")
 	}
-	// HTTP middleware saw the query route (eventually: it records after the
-	// response is already on the wire).
-	if v := metricEventually(t, ts, `pdr_http_requests_total{route="/v1/query",status="200"}`, "1"); v != "1" {
+	// HTTP middleware saw the query route (it records before the response
+	// leaves, so the scrape that follows the response sees it).
+	if v := metricValue(after, `pdr_http_requests_total{route="/v1/query",status="200"}`); v != "1" {
 		t.Errorf("http request counter = %q, want 1", v)
 	}
-	if v := metricEventually(t, ts, `pdr_http_request_seconds_count{route="/v1/query"}`, "1"); v != "1" {
+	if v := metricValue(after, `pdr_http_request_seconds_count{route="/v1/query"}`); v != "1" {
 		t.Errorf("http latency observations = %q, want 1", v)
 	}
 	// Pool instruments are present (FR refinement touches the index).
@@ -242,26 +225,57 @@ func TestSlowQueryLog(t *testing.T) {
 	}
 }
 
-// TestStatusRecorderFlush pins that the middleware's wrapper forwards
-// Flush, so a streaming handler registered via handle() keeps working.
-func TestStatusRecorderFlush(t *testing.T) {
-	rec := httptest.NewRecorder()
-	sr := &statusRecorder{ResponseWriter: rec, status: http.StatusOK}
-	var _ http.Flusher = sr
-	sr.Flush()
-	if !rec.Flushed {
-		t.Error("Flush not delegated to the underlying writer")
-	}
-	// A non-Flusher underlying writer must not panic.
-	(&statusRecorder{ResponseWriter: nopResponseWriter{}}).Flush()
+// probeWriter is a client that looks the request up the instant the first
+// byte of the response reaches it.
+type probeWriter struct {
+	http.ResponseWriter
+	probe  func()
+	probed bool
 }
 
-// nopResponseWriter is a ResponseWriter without optional interfaces.
-type nopResponseWriter struct{}
+func (w *probeWriter) WriteHeader(code int) {
+	if !w.probed {
+		w.probed = true
+		w.probe()
+	}
+	w.ResponseWriter.WriteHeader(code)
+}
 
-func (nopResponseWriter) Header() http.Header         { return http.Header{} }
-func (nopResponseWriter) Write(p []byte) (int, error) { return len(p), nil }
-func (nopResponseWriter) WriteHeader(int)             {}
+// TestBookkeepingPrecedesResponse pins the middleware's ordering: when the
+// first byte of a response leaves, the request's trace is already stored,
+// its slow-log line written and its counters bumped — a client holding
+// X-Pdr-Trace-Id can never be told 404.
+func TestBookkeepingPrecedesResponse(t *testing.T) {
+	var log syncBuffer
+	svc, err := New(core.DefaultConfig(), WithSlowQueryLog(time.Nanosecond, &log))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	w := &probeWriter{ResponseWriter: rec}
+	w.probe = func() {
+		id, err := telemetry.ParseTraceID(rec.Header().Get(TraceIDHeader))
+		if err != nil {
+			t.Errorf("response carries no trace id: %v", err)
+		} else if svc.tracer.store.Get(id) == nil {
+			t.Error("response left before its trace was stored")
+		}
+		if !strings.Contains(log.String(), `"route":"/v1/stats"`) {
+			t.Error("response left before its slow-log line was written")
+		}
+		var buf bytes.Buffer
+		if err := svc.reg.WriteText(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if v := metricValue(buf.String(), `pdr_http_requests_total{route="/v1/stats",status="200"}`); v != "1" {
+			t.Errorf("response left with the request counter at %q, want 1", v)
+		}
+	}
+	svc.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
+	if !w.probed || rec.Code != http.StatusOK || rec.Body.Len() == 0 {
+		t.Fatalf("response not delivered: probed=%v status=%d body=%d bytes", w.probed, rec.Code, rec.Body.Len())
+	}
+}
 
 func TestParseTick(t *testing.T) {
 	const now, horizon = 100, 90

@@ -1,320 +1,18 @@
-// Package shard scales the PDR engine across space-partitioned shards: the
-// monitored plane is cut along the Z-order curve (internal/zcurve) into N
-// contiguous territories, each owned by an independent core.Server with its
-// own density histogram, index, and buffer pool. Mutations lock only the
-// shard(s) that own the object, so concurrent writers to different regions
-// of the plane no longer serialize; queries scatter to the owning shards and
-// gather through a deterministic, index-slotted merge.
-//
-// Exactness contract: the sharded engine returns answers bit-identical to an
-// unsharded core.Server over the same stream, at any shard count and worker
-// count. The argument, per method (details in docs/PERFORMANCE.md,
-// "Sharding"):
-//
-//   - FR / DH: the per-shard histograms count disjoint primary populations,
-//     and their int32 counters are exactly additive, so dh.FilterMerged
-//     reproduces the single histogram's marks. Refinement windows scatter to
-//     every shard the grown window intersects; index searches are exact
-//     (closed containment of the predicted position), replica registrations
-//     of boundary-straddling objects are deduped by ID, and the plane sweep
-//     depends only on the resulting point multiset — which equals the
-//     unsharded one.
-//   - PA: Chebyshev coefficient accumulation is floating-point and therefore
-//     order-sensitive, so the engine keeps ONE global surface fed the full
-//     update stream in arrival order (per-shard servers set
-//     Config.DisablePA). Identical stream order => identical coefficients.
-//   - BruteForce / PastSnapshot: live sets and archives are primary-only and
-//     disjoint; concatenating per-shard gathers yields the same points.
+// Package shard is a compatibility shim: the sharded engine is core.Server
+// with Config.Shards set, and everything about it is documented there. The
+// shim exists only because the frozen benchmark module (bench/layers) still
+// calls shard.New; nothing outside bench/ may import it, and the next
+// benchmark change should move bench/layers to core.NewServer and delete
+// this package.
 package shard
 
-import (
-	"fmt"
-	"strconv"
-	"sync"
-	"sync/atomic"
+import "pdr/internal/core"
 
-	"pdr/internal/cache"
-	"pdr/internal/core"
-	"pdr/internal/dh"
-	"pdr/internal/motion"
-	"pdr/internal/pa"
-	"pdr/internal/parallel"
-	"pdr/internal/storage"
-	"pdr/internal/telemetry"
-)
+// Engine is the one engine.
+type Engine = core.Server
 
-// Engine is a sharded PDR engine. It satisfies the same query/mutation
-// surface as core.Server (see internal/service.Engine) and is safe for
-// concurrent use.
-//
-// Locking protocol: the engine serializes each shard with its own RWMutex in
-// e.smu — queries read-lock every shard for their whole evaluation (so a
-// scatter observes one consistent cut of the stream), while mutations
-// write-lock only the shards they touch, always in ascending index order
-// (Tick locks all; Apply locks the owner set). surfMu nests inside the shard
-// locks. The per-server internal locks are then uncontended and exist only
-// to keep core.Server independently safe.
-type Engine struct {
-	cfg    core.Config // effective config, as an unsharded server would report
-	n      int
-	router *Router
-	shards []*core.Server
-	hists  []*dh.Histogram // shards[i].Histogram(), cached for FilterMerged
-	par    *parallel.Pool
-	qcache *cache.Cache // engine-level result cache (per-shard caches are off)
-	met    *core.Metrics
-	smet   *metrics
-
-	smu []sync.RWMutex // pdr:lockrank shard 20
-
-	surfMu sync.RWMutex // pdr:lockrank surface 30
-	surf   *pa.Surface  // engine-global Chebyshev surface; nil when DisablePA
-
-	reg          registry
-	replicaCount []atomic.Int64 // replica registrations per shard
-
-	epoch      atomic.Uint64
-	now        atomic.Int64
-	histPrimed atomic.Bool
-}
-
-// New builds an empty sharded engine: shards independent core.Servers over
-// cfg, each owning a contiguous Z-order range of the area. shards must be in
-// [1, MaxShards]. The per-shard servers disable PA surfaces and result
-// caching; the engine owns one global surface and one epoch-keyed cache.
+// New is core.NewServer with cfg.Shards set to shards.
 func New(cfg core.Config, shards int) (*Engine, error) {
-	if shards < 1 || shards > MaxShards {
-		return nil, fmt.Errorf("shard: shard count %d outside [1, %d]", shards, MaxShards)
-	}
-	scfg := cfg
-	scfg.DisablePA = true
-	scfg.CacheBytes = 0
-	e := &Engine{
-		n:            shards,
-		shards:       make([]*core.Server, shards),
-		hists:        make([]*dh.Histogram, shards),
-		smu:          make([]sync.RWMutex, shards),
-		replicaCount: make([]atomic.Int64, shards),
-	}
-	for i := range e.shards {
-		srv, err := core.NewServer(scfg)
-		if err != nil {
-			return nil, err
-		}
-		e.shards[i] = srv
-		e.hists[i] = srv.Histogram()
-	}
-	// The effective config is what an unsharded server over cfg would report
-	// (defaults resolved), with the engine-level PA and cache settings
-	// restored.
-	eff := e.shards[0].Config()
-	eff.DisablePA = cfg.DisablePA
-	eff.CacheBytes = cfg.CacheBytes
-	e.cfg = eff
-	router, err := NewRouter(eff.Area, shards)
-	if err != nil {
-		return nil, err
-	}
-	e.router = router
-	if !eff.DisablePA {
-		surf, err := pa.New(pa.Config{
-			Area: eff.Area, G: eff.PAGrid, Degree: eff.PADegree,
-			Horizon: eff.U + eff.W, L: eff.L, MD: eff.PAMD,
-		})
-		if err != nil {
-			return nil, err
-		}
-		e.surf = surf
-	}
-	e.par = parallel.New(eff.Workers)
-	e.qcache = cache.New(eff.CacheBytes)
-	return e, nil
-}
-
-// Config returns the engine's effective configuration (what the equivalent
-// unsharded server would report).
-func (e *Engine) Config() core.Config { return e.cfg }
-
-// Shards returns the shard count.
-func (e *Engine) Shards() int { return e.n }
-
-// Horizon returns H = U + W.
-func (e *Engine) Horizon() motion.Tick { return e.cfg.U + e.cfg.W }
-
-// Now returns the current engine time.
-func (e *Engine) Now() motion.Tick { return motion.Tick(e.now.Load()) }
-
-// NumObjects returns the live object count across all shards (replica
-// registrations are not live and are not counted).
-func (e *Engine) NumObjects() int { return int(e.reg.count.Load()) }
-
-// Workers returns the effective query worker-pool size.
-func (e *Engine) Workers() int { return e.par.Workers() }
-
-// Epoch returns the engine mutation counter cached answers are keyed by.
-func (e *Engine) Epoch() uint64 { return e.epoch.Load() }
-
-// Cache exposes the engine-level snapshot result cache (nil when
-// Config.CacheBytes is 0).
-func (e *Engine) Cache() *cache.Cache { return e.qcache }
-
-// CacheStats returns the engine-level result cache counters.
-func (e *Engine) CacheStats() cache.Stats { return e.qcache.Stats() }
-
-// PoolStats sums the per-shard buffer-pool I/O counters.
-func (e *Engine) PoolStats() storage.Stats {
-	var total storage.Stats
-	for _, s := range e.shards {
-		st := s.PoolStats()
-		total.Reads += st.Reads
-		total.Writes += st.Writes
-		total.Hits += st.Hits
-	}
-	return total
-}
-
-// PoolPages sums the pages managed across the per-shard buffer pools.
-func (e *Engine) PoolPages() int {
-	total := 0
-	for _, s := range e.shards {
-		total += s.PoolPages()
-	}
-	return total
-}
-
-// HistogramBytes sums the per-shard density-histogram footprints.
-func (e *Engine) HistogramBytes() int {
-	total := 0
-	for _, s := range e.shards {
-		total += s.HistogramBytes()
-	}
-	return total
-}
-
-// SurfaceBytes returns the engine-global Chebyshev coefficient footprint.
-func (e *Engine) SurfaceBytes() int {
-	if e.surf == nil {
-		return 0
-	}
-	return e.surf.MemoryBytes()
-}
-
-// Contours extracts iso-density contour segments from the engine-global
-// Chebyshev surface (errors when Config.DisablePA).
-func (e *Engine) Contours(at motion.Tick, level float64, res int) ([]pa.ContourSegment, error) {
-	if e.surf == nil {
-		return nil, fmt.Errorf("shard: PA surfaces are disabled (Config.DisablePA)")
-	}
-	e.surfMu.RLock()
-	defer e.surfMu.RUnlock()
-	return e.surf.Contours(at, level, res)
-}
-
-// Stats is a point-in-time distribution snapshot for diagnostics.
-type Stats struct {
-	// Shards is the shard count.
-	Shards int `json:"shards"`
-	// Objects is the total live population.
-	Objects int `json:"objects"`
-	// Straddlers counts objects registered with more than one shard.
-	Straddlers int `json:"straddlers"`
-	// ObjectsPerShard is the primary live population per shard.
-	ObjectsPerShard []int `json:"objectsPerShard"`
-	// ReplicasPerShard is the replica registrations per shard.
-	ReplicasPerShard []int64 `json:"replicasPerShard"`
-}
-
-// Stats snapshots the object distribution across shards.
-func (e *Engine) Stats() Stats {
-	st := Stats{
-		Shards:           e.n,
-		Objects:          int(e.reg.count.Load()),
-		Straddlers:       int(e.reg.straddlers.Load()),
-		ObjectsPerShard:  make([]int, e.n),
-		ReplicasPerShard: make([]int64, e.n),
-	}
-	for i, s := range e.shards {
-		st.ObjectsPerShard[i] = s.NumObjects()
-		st.ReplicasPerShard[i] = e.replicaCount[i].Load()
-	}
-	return st
-}
-
-// SetMetrics attaches the engine instrument bundle (shared with the
-// unsharded server, so dashboards read the same series either way). Call
-// before serving traffic, like core.Server.SetMetrics.
-func (e *Engine) SetMetrics(m *core.Metrics) {
-	e.met = m
-	if m != nil {
-		m.BindWorkerPool(e.par)
-	} else {
-		e.par.SetBusyGauge(nil)
-	}
-}
-
-// AttachTelemetry registers the engine's substrate instruments on reg: one
-// shared pool-metrics bundle aggregated across the per-shard buffer pools,
-// the engine-level result cache, and the pdr_shard_* family (distribution
-// gauges, scatter widths, merge time, write-lock waits). Call before serving
-// traffic.
-func (e *Engine) AttachTelemetry(reg *telemetry.Registry) {
-	pm := storage.NewPoolMetrics(reg)
-	for _, s := range e.shards {
-		s.Pool().SetMetrics(pm)
-	}
-	if e.qcache != nil {
-		e.qcache.SetMetrics(cache.NewMetrics(reg))
-	}
-	e.smet = newMetrics(reg, e)
-}
-
-// shardWidthBounds buckets shard fan-out widths (1..MaxShards).
-var shardWidthBounds = []float64{1, 2, 4, 8, 16, 32, 64}
-
-// metrics is the pdr_shard_* instrument bundle.
-type metrics struct {
-	// scatter is the shards queried per refinement window.
-	scatter *telemetry.Histogram
-	// merge is the time spent concatenating and coalescing partial answers.
-	merge *telemetry.Histogram
-	// writeFan is the shards write-locked per mutation.
-	writeFan *telemetry.Histogram
-	// lockWait[i] is the time writers waited for shard i's write lock.
-	lockWait []*telemetry.Histogram
-}
-
-func newMetrics(reg *telemetry.Registry, e *Engine) *metrics {
-	reg.Gauge("pdr_shard_count",
-		"Spatial shards the engine scatters over.").Set(float64(e.n))
-	reg.GaugeFunc("pdr_shard_straddlers",
-		"Live objects registered with more than one shard (trajectory straddles a shard boundary).",
-		func() float64 { return float64(e.reg.straddlers.Load()) })
-	for i := range e.shards {
-		i := i
-		lbl := telemetry.L("shard", strconv.Itoa(i))
-		reg.GaugeFunc("pdr_shard_objects",
-			"Primary live objects owned by each shard.",
-			func() float64 { return float64(e.shards[i].NumObjects()) }, lbl)
-		reg.GaugeFunc("pdr_shard_replicas",
-			"Replica (index-only) registrations held by each shard for boundary straddlers.",
-			func() float64 { return float64(e.replicaCount[i].Load()) }, lbl)
-	}
-	m := &metrics{
-		scatter: reg.Histogram("pdr_shard_scatter_width",
-			"Shards queried per refinement window (scatter fan-out).",
-			shardWidthBounds),
-		merge: reg.Histogram("pdr_shard_merge_seconds",
-			"Time merging (concatenating and coalescing) partial answers per query.",
-			nil),
-		writeFan: reg.Histogram("pdr_shard_write_fanout_shards",
-			"Shards write-locked per mutation (1 unless the object straddles a boundary; ticks lock every shard).",
-			shardWidthBounds),
-		lockWait: make([]*telemetry.Histogram, e.n),
-	}
-	for i := range m.lockWait {
-		m.lockWait[i] = reg.Histogram("pdr_shard_write_lock_wait_seconds",
-			"Time writers waited to acquire each shard's write lock.",
-			nil, telemetry.L("shard", strconv.Itoa(i)))
-	}
-	return m
+	cfg.Shards = shards
+	return core.NewServer(cfg)
 }

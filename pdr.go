@@ -23,6 +23,11 @@
 //   - DHOptimistic / DHPessimistic: histogram-only baselines;
 //   - BruteForce: a global plane sweep (exact; used as ground truth).
 //
+// A Server is safe for concurrent use. Config.Shards cuts the plane into
+// space partitions with a write lock each, so that writers to different
+// regions do not serialize; the default is one partition, and answers are
+// identical at every setting.
+//
 // Quickstart:
 //
 //	srv, err := pdr.NewServer(pdr.DefaultConfig())

@@ -39,17 +39,24 @@ go build ./...
 step "go test ./..."
 go test ./...
 
+step "bench module (its own module: tier-1 does not build it, a product API change can still break it)"
+go build -C bench ./...
+go test -C bench ./...
+go run -C bench pdr/cmd/pdrvet ./...
+
 step "go test -race (service + monitor: the concurrent surfaces)"
 go test -race ./internal/service/... ./internal/monitor/...
 
-step "go test -race (engine read path + kernel scratch pools + result cache)"
+step "service soak (-count=10 at GOMAXPROCS 1, 2, 4: green means green on any core count)"
+for procs in 1 2 4; do
+	GOMAXPROCS=$procs go test -count=10 ./internal/service
+done
+
+step "go test -race (engine: partition-local writes vs scatter-gather reads, kernel scratch pools, result cache)"
 go test -race ./internal/core ./internal/cheb ./internal/dh ./internal/sweep ./internal/parallel ./internal/storage ./internal/cache
 
-step "go test -race (sharded engine: shard-local writes vs scatter-gather reads)"
-go test -race ./internal/shard
-
-step "shard equivalence (sharded answers bit-identical to the unsharded engine)"
-go test -run 'TestEngineMatchesServer|TestShardedServiceFlow' -count=1 ./internal/shard ./internal/service
+step "partition equivalence (N partitions == one == brute force == the golden, over HTTP too)"
+go test -run 'TestShardsMatchOnePartition|TestDifferentialStream|TestGoldenAnswers|TestServiceFlowAcrossShards' -count=1 ./internal/core ./internal/service
 
 step "telemetry (race on the atomic registry + trace store + instrumented service)"
 go test -race ./internal/telemetry ./internal/tracestore ./internal/service
