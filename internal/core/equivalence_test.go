@@ -87,32 +87,30 @@ func TestShardsMatchOnePartition(t *testing.T) {
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_answers.txt from this build's answers")
 
 // TestGoldenAnswers pins the answers of the fixed stream and query set to a
-// checked-in digest, one line per query: rectangle count and a SHA-256 over
-// the rectangles' float bits and the filter counters. The file was generated
-// from the single-lock engine this one replaced (the commit before the
-// engines were unified), so a pass proves bit-identity across that change;
-// -update-golden rewrites it, which is only right when an answer is meant to
-// change.
+// checked-in file, one line per query, in plain columns:
+//
+//	label nrects rect-digest accepted rejected candidates retrieved
+//
+// rect-digest is a SHA-256 over the rectangles' float bits and nothing else,
+// so a diff of the file tells "the answer changed" (a digest moved — never
+// acceptable for a kernel or retrieval change) from "the work changed" (only
+// the retrieved column moved). The digests go back to the single-lock engine
+// the unified one replaced; -update-golden rewrites the file, which is only
+// right when a column is meant to change.
 func TestGoldenAnswers(t *testing.T) {
 	const path = "testdata/golden_answers.txt"
 	var b strings.Builder
 	for _, a := range streamAnswers(t, streamServer(t, makeStream(), 1, 1)) {
 		h := sha256.New()
-		put := func(v uint64) {
-			var buf [8]byte
-			binary.LittleEndian.PutUint64(buf[:], v)
-			h.Write(buf[:])
-		}
+		var buf [8]byte
 		for _, r := range a.res.Region {
-			put(math.Float64bits(r.MinX))
-			put(math.Float64bits(r.MinY))
-			put(math.Float64bits(r.MaxX))
-			put(math.Float64bits(r.MaxY))
+			for _, v := range [4]float64{r.MinX, r.MinY, r.MaxX, r.MaxY} {
+				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+				h.Write(buf[:])
+			}
 		}
-		for _, n := range []int{a.res.Accepted, a.res.Rejected, a.res.Candidates, a.res.ObjectsRetrieved} {
-			put(uint64(n))
-		}
-		fmt.Fprintf(&b, "%s %d %x\n", a.label, len(a.res.Region), h.Sum(nil))
+		fmt.Fprintf(&b, "%s %d %x %d %d %d %d\n", a.label, len(a.res.Region), h.Sum(nil),
+			a.res.Accepted, a.res.Rejected, a.res.Candidates, a.res.ObjectsRetrieved)
 	}
 	if *updateGolden {
 		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
