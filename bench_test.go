@@ -208,15 +208,6 @@ func BenchmarkAblationIndex(b *testing.B) {
 	}
 }
 
-func BenchmarkAblationMergeCandidates(b *testing.B) {
-	r := runner(b)
-	for i := 0; i < b.N; i++ {
-		if _, err := r.AblationMergeCandidates(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkExtIntervalCost(b *testing.B) {
 	r := runner(b)
 	for i := 0; i < b.N; i++ {

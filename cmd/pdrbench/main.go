@@ -393,15 +393,10 @@ func run(r *experiments.Runner, exp string, sizes, workers, shards []int, cacheB
 		if err != nil {
 			return err
 		}
-		mg, err := r.AblationMergeCandidates()
-		if err != nil {
-			return err
-		}
 		rows = append(rows, bb...)
 		rows = append(rows, lp...)
 		rows = append(rows, fl...)
 		rows = append(rows, ix...)
-		rows = append(rows, mg...)
 		if err := experiments.PrintAblation(os.Stdout, rows); err != nil {
 			return err
 		}

@@ -201,47 +201,3 @@ func TestFilterMarksAccessor(t *testing.T) {
 		t.Error("invalid query must be rejected")
 	}
 }
-
-func TestMergeCandidatesEquivalence(t *testing.T) {
-	// With and without candidate-window merging, FR answers are identical;
-	// merging must not retrieve more object records.
-	cfgPlain := testConfig()
-	cfgMerged := testConfig()
-	cfgMerged.MergeCandidates = true
-	sPlain, gen := loadServer(t, cfgPlain, 4000, 61)
-	sMerged, err := NewServer(cfgMerged)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sMerged.Load(gen.InitialStates()); err != nil {
-		t.Fatal(err)
-	}
-	for _, varrho := range []float64{1, 2, 3} {
-		q := Query{Rho: RelRhoTest(4000, varrho), L: 60, At: 10}
-		a, err := sPlain.Snapshot(q, FR)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := sMerged.Snapshot(q, FR)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := a.Region.DifferenceArea(b.Region) + b.Region.DifferenceArea(a.Region); d > 1e-6 {
-			t.Fatalf("varrho=%g: merged and per-cell FR differ by area %g", varrho, d)
-		}
-		if b.ObjectsRetrieved > a.ObjectsRetrieved {
-			t.Errorf("varrho=%g: merging retrieved MORE objects (%d > %d)",
-				varrho, b.ObjectsRetrieved, a.ObjectsRetrieved)
-		}
-		t.Logf("varrho=%g: per-cell retrieved %d, merged %d (%.1fx less)",
-			varrho, a.ObjectsRetrieved, b.ObjectsRetrieved,
-			float64(a.ObjectsRetrieved)/float64(max(b.ObjectsRetrieved, 1)))
-	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -12,8 +12,12 @@ import (
 	"strings"
 	"testing"
 
+	"pdr/internal/dh"
 	"pdr/internal/geom"
 	"pdr/internal/motion"
+	"pdr/internal/storage"
+	"pdr/internal/sweep"
+	"pdr/internal/tprtree"
 )
 
 // answer is one labelled result of the fixed query set streamAnswers runs.
@@ -136,11 +140,125 @@ func samePointSet(a, b geom.Region) bool {
 	return a.DifferenceArea(b) <= 1e-6 && b.DifferenceArea(a) <= 1e-6
 }
 
+// differentialStream drives s through a seeded random load/tick/apply/
+// bad-update stream and calls check after every step with the clock and the
+// live set the engine must hold (check may draw from the stream's rng; every
+// caller must draw the same way to see the same stream). A rejected update
+// must have changed nothing: the directory is compared with the per-partition
+// live counts and the expected population before each check.
+func differentialStream(t *testing.T, s *Server, check func(step string, now motion.Tick, live map[motion.ObjectID]motion.State, rng *rand.Rand)) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(99))
+	live := map[motion.ObjectID]motion.State{}
+	next := motion.ObjectID(1)
+	now := motion.Tick(0)
+	fresh := func() motion.State {
+		st := motion.State{
+			ID:  next,
+			Pos: geom.Point{X: rng.Float64() * 1000, Y: rng.Float64() * 1000},
+			Vel: geom.Vec{X: (rng.Float64() - 0.5) * 16, Y: (rng.Float64() - 0.5) * 16},
+			Ref: now,
+		}
+		next++
+		return st
+	}
+	anyLive := func() motion.State {
+		ids := make([]motion.ObjectID, 0, len(live))
+		for id := range live {
+			ids = append(ids, id)
+		}
+		slices.Sort(ids) // map order is random
+		return live[ids[rng.Intn(len(ids))]]
+	}
+	// bad returns an update the engine must reject.
+	bad := func() motion.Update {
+		cur := anyLive()
+		switch rng.Intn(3) {
+		case 0:
+			return motion.NewInsert(cur) // duplicate
+		case 1:
+			cur.Vel.X += 1
+			return motion.NewDelete(cur, now) // mismatch
+		default:
+			return motion.NewDelete(motion.State{ID: next + 1000}, now) // unknown
+		}
+	}
+	checked := func(step string) {
+		t.Helper()
+		if s.NumObjects() != len(live) {
+			t.Fatalf("%s: NumObjects %d, want %d", step, s.NumObjects(), len(live))
+		}
+		if sum, _ := partitionCounts(s); int(sum) != len(live) {
+			t.Fatalf("%s: per-partition counts sum to %d, want %d", step, sum, len(live))
+		}
+		check(step, now, live, rng)
+	}
+
+	var load []motion.State
+	for i := 0; i < 200; i++ {
+		st := fresh()
+		load = append(load, st)
+		live[st.ID] = st
+	}
+	if err := s.Load(load); err != nil {
+		t.Fatal(err)
+	}
+	checked("load")
+	for step := 0; step < 40; step++ {
+		switch rng.Intn(4) {
+		case 0: // a tick of movement updates with a bad record in the middle
+			now++
+			var ups []motion.Update
+			for i := 0; i < 10; i++ {
+				cur := anyLive()
+				nst := fresh()
+				nst.ID = cur.ID
+				ups = append(ups, motion.NewDelete(cur, now), motion.NewInsert(nst))
+				live[cur.ID] = nst
+			}
+			ups = append(ups, bad())
+			// Everything after the bad record must be ignored.
+			ups = append(ups, motion.NewInsert(fresh()))
+			if err := s.Tick(now, ups); err == nil {
+				t.Fatalf("step %d: tick with a bad record succeeded", step)
+			}
+		case 1: // a clean tick
+			now++
+			var ups []motion.Update
+			for i := 0; i < 5; i++ {
+				st := fresh()
+				ups = append(ups, motion.NewInsert(st))
+				live[st.ID] = st
+			}
+			cur := anyLive()
+			ups = append(ups, motion.NewDelete(cur, now))
+			delete(live, cur.ID)
+			if err := s.Tick(now, ups); err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+		case 2: // between-tick applies
+			st := fresh()
+			if err := s.Apply(motion.NewInsert(st)); err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+			live[st.ID] = st
+			cur := anyLive()
+			if err := s.Apply(motion.NewDelete(cur, now)); err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+			delete(live, cur.ID)
+		default: // a bad apply
+			if err := s.Apply(bad()); err == nil {
+				t.Fatalf("step %d: bad apply succeeded", step)
+			}
+		}
+		checked(fmt.Sprintf("step %d", step))
+	}
+}
+
 // TestDifferentialStream pins the engine to the independent oracle: after
-// every step of a seeded random load/tick/apply/bad-update stream, FR must
-// equal BruteForce (a global sweep that touches neither the histograms nor
-// the indexes), the directory must agree with the per-partition live counts,
-// and a rejected update must have changed nothing.
+// every step of differentialStream, FR must equal BruteForce (a global sweep
+// that touches neither the histograms nor the indexes).
 func TestDifferentialStream(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -148,49 +266,7 @@ func TestDifferentialStream(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rng := rand.New(rand.NewSource(99))
-			live := map[motion.ObjectID]motion.State{}
-			next := motion.ObjectID(1)
-			now := motion.Tick(0)
-			fresh := func() motion.State {
-				st := motion.State{
-					ID:  next,
-					Pos: geom.Point{X: rng.Float64() * 1000, Y: rng.Float64() * 1000},
-					Vel: geom.Vec{X: (rng.Float64() - 0.5) * 16, Y: (rng.Float64() - 0.5) * 16},
-					Ref: now,
-				}
-				next++
-				return st
-			}
-			anyLive := func() motion.State {
-				ids := make([]motion.ObjectID, 0, len(live))
-				for id := range live {
-					ids = append(ids, id)
-				}
-				slices.Sort(ids) // map order is random
-				return live[ids[rng.Intn(len(ids))]]
-			}
-			// bad returns an update the engine must reject.
-			bad := func() motion.Update {
-				cur := anyLive()
-				switch rng.Intn(3) {
-				case 0:
-					return motion.NewInsert(cur) // duplicate
-				case 1:
-					cur.Vel.X += 1
-					return motion.NewDelete(cur, now) // mismatch
-				default:
-					return motion.NewDelete(motion.State{ID: next + 1000}, now) // unknown
-				}
-			}
-			check := func(step string) {
-				t.Helper()
-				if s.NumObjects() != len(live) {
-					t.Fatalf("%s: NumObjects %d, want %d", step, s.NumObjects(), len(live))
-				}
-				if sum, _ := partitionCounts(s); int(sum) != len(live) {
-					t.Fatalf("%s: per-partition counts sum to %d, want %d", step, sum, len(live))
-				}
+			differentialStream(t, s, func(step string, now motion.Tick, _ map[motion.ObjectID]motion.State, rng *rand.Rand) {
 				q := Query{Rho: 0.0002, L: 100, At: now + motion.Tick(rng.Intn(30))}
 				fr, err := s.Snapshot(q, FR)
 				if err != nil {
@@ -203,70 +279,100 @@ func TestDifferentialStream(t *testing.T) {
 				if !samePointSet(fr.Region, bf.Region) {
 					t.Fatalf("%s: FR differs from BruteForce at t=%d", step, q.At)
 				}
-			}
-
-			var load []motion.State
-			for i := 0; i < 200; i++ {
-				st := fresh()
-				load = append(load, st)
-				live[st.ID] = st
-			}
-			if err := s.Load(load); err != nil {
-				t.Fatal(err)
-			}
-			check("load")
-			for step := 0; step < 40; step++ {
-				switch rng.Intn(4) {
-				case 0: // a tick of movement updates with a bad record in the middle
-					now++
-					var ups []motion.Update
-					for i := 0; i < 10; i++ {
-						cur := anyLive()
-						nst := fresh()
-						nst.ID = cur.ID
-						ups = append(ups, motion.NewDelete(cur, now), motion.NewInsert(nst))
-						live[cur.ID] = nst
-					}
-					ups = append(ups, bad())
-					// Everything after the bad record must be ignored.
-					ups = append(ups, motion.NewInsert(fresh()))
-					if err := s.Tick(now, ups); err == nil {
-						t.Fatalf("step %d: tick with a bad record succeeded", step)
-					}
-				case 1: // a clean tick
-					now++
-					var ups []motion.Update
-					for i := 0; i < 5; i++ {
-						st := fresh()
-						ups = append(ups, motion.NewInsert(st))
-						live[st.ID] = st
-					}
-					cur := anyLive()
-					ups = append(ups, motion.NewDelete(cur, now))
-					delete(live, cur.ID)
-					if err := s.Tick(now, ups); err != nil {
-						t.Fatalf("step %d: %v", step, err)
-					}
-				case 2: // between-tick applies
-					st := fresh()
-					if err := s.Apply(motion.NewInsert(st)); err != nil {
-						t.Fatalf("step %d: %v", step, err)
-					}
-					live[st.ID] = st
-					cur := anyLive()
-					if err := s.Apply(motion.NewDelete(cur, now)); err != nil {
-						t.Fatalf("step %d: %v", step, err)
-					}
-					delete(live, cur.ID)
-				default: // a bad apply
-					if err := s.Apply(bad()); err == nil {
-						t.Fatalf("step %d: bad apply succeeded", step)
-					}
-				}
-				check(fmt.Sprintf("step %d", step))
-			}
+			})
 		})
 	}
+}
+
+// perCellFR answers an FR snapshot the way the paper states it and the way
+// bench/layers' shadow builds it, from standalone layers holding exactly the
+// live set: filter, then per candidate cell (in Candidates order) an index
+// search of the cell's own grown window and a sweep of that cell alone, then
+// one union. It is the decomposition the engine's row runs must reproduce.
+func perCellFR(t *testing.T, cfg Config, now motion.Tick, live map[motion.ObjectID]motion.State, q Query) geom.Region {
+	t.Helper()
+	horizon := cfg.U + cfg.W
+	hist, err := dh.New(dh.Config{Area: cfg.Area, M: cfg.HistM, Horizon: horizon})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := tprtree.New(tprtree.Config{Pool: storage.NewPool(0), Horizon: horizon})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hist.Advance(now)
+	tree.SetNow(now)
+	for _, st := range live { // any order: counters add, the sweep sorts
+		hist.Insert(st)
+		tree.Insert(st)
+	}
+	fr, err := hist.Filter(q.At, q.Rho, q.L)
+	if err != nil {
+		t.Fatal(err)
+	}
+	region := fr.AcceptedRegion()
+	for _, cand := range fr.Candidates() {
+		cell := hist.CellRect(cand.I, cand.J)
+		var points []geom.Point
+		tree.Search(cell.Grow(q.L/2), q.At, func(st motion.State) bool {
+			if p := st.PositionAt(q.At); cfg.Area.Contains(p) {
+				points = append(points, p)
+			}
+			return true
+		})
+		region = append(region, sweep.DenseRects(points, cell, q.Rho, q.L)...)
+	}
+	return geom.CoalesceInPlace(region)
+}
+
+// TestFRMatchesPerCellPipeline is the tier-1 twin of the benchmark's traced
+// shadow check: after every step of differentialStream the engine's FR
+// answer must be the per-cell pipeline's answer float bit for float bit, at
+// every partition and worker count. FR == BruteForce (above) allows any
+// decomposition of the right point set; this allows one.
+func TestFRMatchesPerCellPipeline(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		for _, workers := range []int{1, 2, 17} {
+			t.Run(fmt.Sprintf("shards=%d/workers=%d", shards, workers), func(t *testing.T) {
+				cfg := streamConfig(shards, workers)
+				s, err := NewServer(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				differentialStream(t, s, func(step string, now motion.Tick, live map[motion.ObjectID]motion.State, rng *rand.Rand) {
+					q := Query{Rho: 0.0001 * float64(1+rng.Intn(3)), L: 100, At: now + motion.Tick(rng.Intn(30))}
+					fr, err := s.Snapshot(q, FR)
+					if err != nil {
+						t.Fatalf("%s: FR: %v", step, err)
+					}
+					want := perCellFR(t, cfg, now, live, q)
+					if len(want) == 0 || fr.Candidates == 0 {
+						t.Fatalf("%s: %d rectangles from %d candidates: the query pins nothing", step, len(want), fr.Candidates)
+					}
+					if !sameBits(fr.Region, want) {
+						t.Fatalf("%s: FR answer at t=%d is not the per-cell pipeline's:\n got  %d rects %v\n want %d rects %v",
+							step, q.At, len(fr.Region), fr.Region, len(want), want)
+					}
+				})
+			})
+		}
+	}
+}
+
+// sameBits reports whether two regions hold the same rectangles, in order,
+// float bit for float bit.
+func sameBits(a, b geom.Region) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		for _, v := range [4][2]float64{{a[i].MinX, b[i].MinX}, {a[i].MinY, b[i].MinY}, {a[i].MaxX, b[i].MaxX}, {a[i].MaxY, b[i].MaxY}} {
+			if math.Float64bits(v[0]) != math.Float64bits(v[1]) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // TestBadDeleteMidTick is the regression for the ghost-object bug: a delete

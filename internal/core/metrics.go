@@ -15,7 +15,7 @@ var metricMethods = []Method{FR, PA, DHOptimistic, DHPessimistic, BruteForce}
 // filter-mark label values for pdr_engine_filter_cells_total.
 var filterMarks = []string{"accepted", "rejected", "candidate"}
 
-// fanoutBounds buckets fan-out sizes (snapshots per interval query, windows
+// fanoutBounds buckets fan-out sizes (snapshots per interval query, row runs
 // per refinement) — small powers of two up to paper-scale candidate counts.
 var fanoutBounds = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 
@@ -62,7 +62,7 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 			"Wall-clock interval query latency (drops as workers are added; compare against summed per-snapshot cost).",
 			nil),
 		refineFanout: reg.Histogram("pdr_engine_refine_fanout_windows",
-			"Per-FR-query refinement fan-out (candidate windows dispatched to the worker pool).",
+			"Per-FR-query refinement fan-out (row runs of candidate cells dispatched to the worker pool).",
 			fanoutBounds),
 		workers: reg.Gauge("pdr_parallel_workers",
 			"Configured query worker-pool size (core.Config.Workers, 0 resolved to GOMAXPROCS)."),
@@ -150,7 +150,7 @@ var shardWidthBounds = []float64{1, 2, 4, 8, 16, 32, 64}
 
 // partitionMetrics is the pdr_shard_* instrument bundle.
 type partitionMetrics struct {
-	// scatter is the partitions queried per refinement window.
+	// scatter is the partitions queried per refinement row run.
 	scatter *telemetry.Histogram
 	// merge is the time spent concatenating and coalescing partial answers.
 	merge *telemetry.Histogram
@@ -168,7 +168,7 @@ func newPartitionMetrics(reg *telemetry.Registry, s *Server) *partitionMetrics {
 		func() float64 { return float64(s.dir.straddlers.Load()) })
 	m := &partitionMetrics{
 		scatter: reg.Histogram("pdr_shard_scatter_width",
-			"Shards queried per refinement window (scatter fan-out).",
+			"Shards queried per refinement row run (scatter fan-out).",
 			shardWidthBounds),
 		merge: reg.Histogram("pdr_shard_merge_seconds",
 			"Time merging (concatenating and coalescing) partial answers per query.",

@@ -17,12 +17,15 @@ import (
 	"pdr/internal/telemetry"
 )
 
-// frScratch holds one FR snapshot's scatter/gather slices: the per-window
+// frScratch holds one FR snapshot's scatter/gather slices: the candidate
+// cells in row order, where each row run starts in them, and the per-run
 // result slots the refinement fan-out writes and the merge loop drains. The
 // slices are request-scoped (no Result retains them), so they pool across
 // queries; region slots are nil-ed during the merge so a pooled buffer never
 // pins another query's answer.
 type frScratch struct {
+	cells     []geom.Rect
+	starts    []int
 	parts     []geom.Region
 	retrieved []int
 }
@@ -38,11 +41,11 @@ type intervalScratch struct {
 
 var intervalScratches = sync.Pool{New: func() any { return new(intervalScratch) }}
 
-// pointBufs pools the per-window point-gather buffers of the refinement
-// workers (sweep.DenseRects reads the points and retains nothing).
+// pointBufs pools the per-run point-gather buffers of the refinement workers
+// (the sweep reads the points and retains nothing).
 var pointBufs = sync.Pool{New: func() any { return new([]geom.Point) }}
 
-// seenSets pools the replica-dedup sets of multi-partition windows; sets are
+// seenSets pools the replica-dedup sets of multi-partition runs; sets are
 // cleared before reuse. A map is pointer-shaped, so pooling it directly
 // costs no boxing allocation.
 var seenSets = sync.Pool{New: func() any { return make(map[motion.ObjectID]struct{}) }}
@@ -375,18 +378,22 @@ func (s *Server) filterLocked(q Query) (*dh.FilterResult, error) {
 }
 
 // snapshotFRLocked runs filtering over the histogram and plane-sweep
-// refinement over index range results for every candidate window. The paper
-// refines cell by cell; with Config.MergeCandidates adjacent candidate cells
-// are coalesced into maximal windows first, saving duplicate index
-// retrievals where candidates cluster (the grown squares of neighboring
-// cells overlap heavily). Both modes return identical regions.
+// refinement over index range results for the candidate cells. The paper
+// refines cell by cell, fetching each cell's grown window on its own; here
+// the unit is a row run — the candidates of one histogram row, left to right,
+// for as long as the next one's grown window still touches the last one's
+// (gap <= l) — because neighbours' windows are nearly the same window: one
+// index search over the run's grown bounding box (exactly the union of its
+// cells' windows) and one sweep (sweep.DenseRectsRow) replace one of each per
+// cell. The rectangles are still produced and coalesced cell by cell, so the
+// answer is bit-identical to the per-cell pipeline's; only the work counters
+// (ObjectsRetrieved, IOs, the number of window spans) are per run.
 //
-// Refinement is the method's hot loop and each window is independent
-// (Sec. 5.3's per-cell sweeps share nothing), so the windows fan out over
-// the worker pool: every worker gathers its window's objects (refineWindow)
-// and runs the plane sweep with pooled scratch. Results land in a
-// per-window slot and are merged in window order, so the output is
-// byte-identical to the sequential path at any worker count.
+// Refinement is the method's hot loop and each run is independent, so the
+// runs fan out over the worker pool: every worker gathers its run's objects
+// and sweeps them with pooled scratch (refineRun). Results land in a per-run
+// slot and are merged in run order, so the output is byte-identical to the
+// sequential path at any worker count.
 func (s *Server) snapshotFRLocked(q Query, res *Result, sp *telemetry.Span) error {
 	ph := sp.Child("filter")
 	fr, err := s.filterLocked(q)
@@ -396,43 +403,47 @@ func (s *Server) snapshotFRLocked(q Query, res *Result, sp *telemetry.Span) erro
 	res.Accepted, res.Rejected, res.Candidates = fr.CountMarks()
 	region := fr.AcceptedRegion()
 
-	cands := fr.Candidates()
+	cands := fr.CandidatesByRow()
 	fr.Release()
-	windows := make(geom.Region, 0, len(cands))
-	for _, c := range cands {
-		windows.Add(s.hists[0].CellRect(c.I, c.J))
+	sc := frScratches.Get().(*frScratch)
+	cells, starts := sc.cells[:0], sc.starts[:0]
+	for k, c := range cands {
+		cell := s.hists[0].CellRect(c.I, c.J)
+		if k == 0 || c.J != cands[k-1].J || cell.MinX-cells[k-1].MaxX > q.L {
+			starts = append(starts, k)
+		}
+		cells = append(cells, cell)
 	}
-	if s.cfg.MergeCandidates {
-		windows = geom.CoalesceInPlace(windows)
-	}
+	runs := len(starts)
+	starts = append(starts, len(cells))
+	sc.cells, sc.starts = cells, starts
 	ph.SetAttrInt("accepted", int64(res.Accepted))
 	ph.SetAttrInt("rejected", int64(res.Rejected))
 	ph.SetAttrInt("candidates", int64(res.Candidates))
 	ph.End()
 	ph = sp.Child("refine")
-	ph.SetAttrInt("windows", int64(len(windows)))
+	ph.SetAttrInt("windows", int64(runs))
 	if s.met != nil {
-		s.met.refineFanout.Observe(float64(len(windows)))
+		s.met.refineFanout.Observe(float64(runs))
 	}
-	// One child span per window, pre-allocated in window order so the tree
-	// shape is identical at any worker count; each worker fills only its
-	// own slot. The slots themselves come from the scatter/gather pool.
-	slots := ph.Fork("window", len(windows))
-	sc := frScratches.Get().(*frScratch)
-	sc.parts = growRegions(sc.parts, len(windows))
-	sc.retrieved = growInts(sc.retrieved, len(windows))
+	// One child span per run, pre-allocated in run order so the tree shape is
+	// identical at any worker count; each worker fills only its own slot. The
+	// slots themselves come from the scatter/gather pool.
+	slots := ph.Fork("window", runs)
+	sc.parts = growRegions(sc.parts, runs)
+	sc.retrieved = growInts(sc.retrieved, runs)
 	parts, retrieved := sc.parts, sc.retrieved
-	s.par.ForEachSpan(len(windows), slots, func(wi int, wsp *telemetry.Span) {
-		parts[wi], retrieved[wi] = s.refineWindow(q, windows[wi], wsp)
+	s.par.ForEachSpan(runs, slots, func(ri int, wsp *telemetry.Span) {
+		parts[ri], retrieved[ri] = s.refineRun(q, cells[starts[ri]:starts[ri+1]], wsp)
 	})
 	var msw stopwatch.Stopwatch
 	if s.pmet != nil {
 		msw = stopwatch.Start()
 	}
-	for wi := range parts {
-		res.ObjectsRetrieved += retrieved[wi]
-		region = append(region, parts[wi]...)
-		parts[wi] = nil // do not pin this window's region in the pool
+	for ri := range parts {
+		res.ObjectsRetrieved += retrieved[ri]
+		region = append(region, parts[ri]...)
+		parts[ri] = nil // do not pin this run's region in the pool
 	}
 	frScratches.Put(sc)
 	ph.End()
@@ -447,15 +458,16 @@ func (s *Server) snapshotFRLocked(q Query, res *Result, sp *telemetry.Span) erro
 	return nil
 }
 
-// refineWindow gathers one candidate window's objects from every partition
-// its grown rectangle intersects and sweeps them. Partitions are visited in
-// index order and boundary straddlers (present in several indexes as
-// replicas) are deduplicated by object ID on first sight, so the gathered
-// point multiset — and therefore the sweep — is the same at every partition
-// count. The dedup set and the per-partition child spans exist only for
-// windows that reach more than one partition.
-func (s *Server) refineWindow(q Query, cell geom.Rect, wsp *telemetry.Span) (geom.Region, int) {
-	grown := cell.Grow(q.L / 2)
+// refineRun gathers the objects of one row run (see snapshotFRLocked) from
+// every partition the run's grown bounding box intersects and sweeps them.
+// Partitions are visited in index order and boundary straddlers (present in
+// several indexes as replicas) are deduplicated by object ID on first sight,
+// so the gathered point multiset — and therefore the sweep — is the same at
+// every partition count. The dedup set and the per-partition child spans
+// exist only for runs that reach more than one partition.
+func (s *Server) refineRun(q Query, cells []geom.Rect, wsp *telemetry.Span) (geom.Region, int) {
+	first, last := cells[0], cells[len(cells)-1]
+	grown := geom.NewRect(first.MinX, first.MinY, last.MaxX, first.MaxY).Grow(q.L / 2)
 	mask := s.router.Intersecting(grown)
 	width := bits.OnesCount64(mask)
 	if s.pmet != nil {
@@ -464,6 +476,7 @@ func (s *Server) refineWindow(q Query, cell geom.Rect, wsp *telemetry.Span) (geo
 	pb := pointBufs.Get().(*[]geom.Point)
 	points := (*pb)[:0]
 	var seen map[motion.ObjectID]struct{}
+	wsp.SetAttrInt("cells", int64(len(cells)))
 	if width > 1 {
 		wsp.SetAttrInt("shards", int64(width))
 		seen = seenSets.Get().(map[motion.ObjectID]struct{})
@@ -494,7 +507,7 @@ func (s *Server) refineWindow(q Query, cell geom.Rect, wsp *telemetry.Span) (geo
 		psp.End()
 	}
 	wsp.SetAttrInt("retrieved", int64(len(points)))
-	out := sweep.DenseRects(points, cell, q.Rho, q.L)
+	out := sweep.DenseRectsRow(points, cells, q.Rho, q.L)
 	n := len(points)
 	*pb = points
 	pointBufs.Put(pb)

@@ -42,8 +42,8 @@
 //
 //   - FR / DH: the per-partition histograms count disjoint primary
 //     populations in int32 counters, which add exactly, so dh.FilterMerged
-//     reproduces one histogram's marks. A refinement window gathers from
-//     every partition its grown rectangle intersects; index searches are
+//     reproduces one histogram's marks. A refinement row run gathers from
+//     every partition its grown bounding box intersects; index searches are
 //     exact, replicas are deduplicated by object ID, and the plane sweep
 //     depends only on the resulting point multiset.
 //   - PA: Chebyshev coefficient sums are floating-point and order-sensitive,
@@ -132,13 +132,8 @@ type Config struct {
 	// PDR queries for past timestamps (memory grows with the update
 	// volume).
 	KeepHistory bool
-	// MergeCandidates coalesces adjacent candidate cells into maximal
-	// windows before refinement, reducing duplicate index retrievals where
-	// candidates cluster. Answers are identical with or without it; the
-	// paper's per-cell refinement is the default.
-	MergeCandidates bool
 	// Workers bounds the query worker pool used at the engine's fan-out
-	// points (per-timestamp snapshots of an interval query, per-window
+	// points (per-timestamp snapshots of an interval query, per-run
 	// refinement sweeps). 0 selects GOMAXPROCS; 1 runs every query
 	// sequentially. Answers are identical at every setting (see
 	// docs/PERFORMANCE.md for the determinism argument).

@@ -82,7 +82,8 @@ func (r *FilterResult) Release() {
 // Mark returns the classification of cell (i, j).
 func (r *FilterResult) Mark(i, j int) Mark { return r.marks[i*r.h.cfg.M+j] }
 
-// Candidates returns the candidate cells in row-major order. The returned
+// Candidates returns the candidate cells in storage order (ascending I, then
+// J — column by column across the plane). The returned
 // slice is freshly allocated at its exact size (from the mark census) and is
 // owned by the caller — it stays valid after Release.
 func (r *FilterResult) Candidates() []CellIndex {
@@ -91,6 +92,24 @@ func (r *FilterResult) Candidates() []CellIndex {
 	for idx, mk := range r.marks {
 		if mk == Candidate {
 			out = append(out, CellIndex{idx / m, idx % m})
+		}
+	}
+	return out
+}
+
+// CandidatesByRow returns the candidate cells row by row: ascending J (one
+// histogram row is one Y extent), ascending I — left to right — within a row.
+// It is the order the refinement walks them in: neighbours in a row share
+// most of their grown windows, so a row's candidates are swept together.
+// Ownership is as for Candidates.
+func (r *FilterResult) CandidatesByRow() []CellIndex {
+	out := make([]CellIndex, 0, r.nCand)
+	m := r.h.cfg.M
+	for j := 0; j < m; j++ {
+		for i := 0; i < m; i++ {
+			if r.marks[i*m+j] == Candidate {
+				out = append(out, CellIndex{i, j})
+			}
 		}
 	}
 	return out

@@ -175,6 +175,16 @@ func TestFilterCandidatesEnumeration(t *testing.T) {
 			t.Fatalf("cell (%d,%d) in Candidates() but marked %v", c.I, c.J, res.Mark(c.I, c.J))
 		}
 	}
+	// CandidatesByRow is the same set, rows bottom to top, left to right.
+	slices.SortFunc(cells, func(a, b CellIndex) int {
+		if a.J != b.J {
+			return a.J - b.J
+		}
+		return a.I - b.I
+	})
+	if rows := res.CandidatesByRow(); !slices.Equal(rows, cells) || cells[0].J == cells[len(cells)-1].J {
+		t.Fatalf("CandidatesByRow() = %v, want the candidates of several rows in (J, I) order: %v", rows, cells)
+	}
 }
 
 func TestMarkString(t *testing.T) {

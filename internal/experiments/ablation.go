@@ -157,33 +157,3 @@ func (r *Runner) AblationFilter() ([]AblationRow, error) {
 			Value: fmt.Sprintf("%d", res.ObjectsRetrieved)},
 	}, nil
 }
-
-// AblationMergeCandidates measures the candidate-window merging optimization
-// (an engineering extension beyond the paper's per-cell refinement): same
-// exact answers, fewer duplicate index retrievals.
-func (r *Runner) AblationMergeCandidates() ([]AblationRow, error) {
-	l := r.P.Ls[len(r.P.Ls)-1]
-	var rows []AblationRow
-	for _, merged := range []bool{false, true} {
-		cfg := ServerConfig(r.P)
-		cfg.L = l
-		cfg.MergeCandidates = merged
-		e, err := Build(r.P, cfg)
-		if err != nil {
-			return nil, err
-		}
-		avg, _, err := e.runPoint(3, l, core.FR)
-		if err != nil {
-			return nil, err
-		}
-		variant := "per-cell refinement (paper)"
-		if merged {
-			variant = "merged candidate windows"
-		}
-		rows = append(rows,
-			AblationRow{Name: "refine", Variant: variant, Metric: "objects retrieved/query", Value: fmt.Sprintf("%d", avg.Objects)},
-			AblationRow{Name: "refine", Variant: variant, Metric: "FR CPU/query", Value: fmtDur(avg.CPU)},
-		)
-	}
-	return rows, nil
-}

@@ -251,15 +251,8 @@ func TestAblations(t *testing.T) {
 	if len(ix) != 6 {
 		t.Fatalf("AblationIndex rows = %d", len(ix))
 	}
-	mg, err := r.AblationMergeCandidates()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(mg) != 4 {
-		t.Fatalf("AblationMergeCandidates rows = %d", len(mg))
-	}
 	var buf bytes.Buffer
-	if err := PrintAblation(&buf, append(append(append(append(bb, lp...), fl...), ix...), mg...)); err != nil {
+	if err := PrintAblation(&buf, append(append(append(bb, lp...), fl...), ix...)); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "ablation") {

@@ -1,62 +1,102 @@
 package geom
 
-import "sort"
+import (
+	"slices"
+	"sync"
+)
+
+// areaEvent is one vertical rectangle edge of the UnionArea sweep.
+type areaEvent struct {
+	x      float64
+	y1, y2 int32 // compressed y index range [y1, y2)
+	delta  int32 // +1 open, -1 close
+}
+
+// yEdge is one horizontal rectangle edge awaiting its compressed y index:
+// events[ev] and events[ev+1] are the rectangle's open and close events, and
+// top tells which of their two indices this coordinate is.
+type yEdge struct {
+	y   float64
+	ev  int32
+	top bool
+}
+
+// areaScratch is UnionArea's working memory. Every query reply measures its
+// region, so the scratch is pooled like the kernels' (docs/PERFORMANCE.md):
+// steady-state measuring allocates nothing.
+type areaScratch struct {
+	edges  []yEdge
+	events []areaEvent
+	tree   coverTree
+}
+
+var areaScratches = sync.Pool{New: func() any { return new(areaScratch) }}
 
 // UnionArea computes the exact area of the union of a set of half-open
 // rectangles (Klee's measure problem in two dimensions). It runs a vertical
 // sweep over the x-extents of the rectangles and maintains the total covered
 // y-length in a segment tree over the compressed y-coordinates, giving
-// O(n log n) time.
+// O(n log n) time. The y edges are sorted once, carrying their rectangle, so
+// each gets its compressed index as the sort order is read off — no search
+// per edge. Edges sharing an x may be applied in any order: the tree's state
+// is a function of the set of open rectangles alone, and the covered length
+// is read only after x advances.
 func UnionArea(rects []Rect) float64 {
-	// Collect non-empty rectangles and compressed y-coordinates.
-	type event struct {
-		x      float64
-		y1, y2 int // compressed y index range [y1, y2)
-		delta  int // +1 open, -1 close
-	}
-	ys := make([]float64, 0, 2*len(rects))
-	n := 0
+	sc := areaScratches.Get().(*areaScratch)
+	edges, events := sc.edges[:0], sc.events[:0]
 	for _, r := range rects {
 		if r.IsEmpty() {
 			continue
 		}
-		ys = append(ys, r.MinY, r.MaxY)
-		n++
+		ev := int32(len(events))
+		edges = append(edges, yEdge{r.MinY, ev, false}, yEdge{r.MaxY, ev, true})
+		events = append(events, areaEvent{x: r.MinX, delta: +1}, areaEvent{x: r.MaxX, delta: -1})
 	}
-	if n == 0 {
-		return 0
-	}
-	sort.Float64s(ys)
-	ys = dedupFloat64s(ys)
-
-	yIndex := func(v float64) int {
-		return sort.SearchFloat64s(ys, v)
-	}
-
-	events := make([]event, 0, 2*n)
-	for _, r := range rects {
-		if r.IsEmpty() {
-			continue
-		}
-		y1, y2 := yIndex(r.MinY), yIndex(r.MaxY)
-		events = append(events,
-			event{r.MinX, y1, y2, +1},
-			event{r.MaxX, y1, y2, -1},
-		)
-	}
-	sort.Slice(events, func(i, j int) bool { return events[i].x < events[j].x })
-
-	st := newCoverTree(ys)
 	var area float64
-	prevX := events[0].x
-	for _, e := range events {
-		if e.x > prevX {
-			area += (e.x - prevX) * st.coveredLength()
-			prevX = e.x
+	if len(events) > 0 {
+		slices.SortFunc(edges, func(a, b yEdge) int { return compareFloats(a.y, b.y) })
+		ys := sc.tree.ys[:0]
+		for i, e := range edges {
+			// lint:ignore floateq compression merges only bit-identical
+			// coordinates; epsilon would merge distinct cell edges.
+			if i == 0 || e.y != edges[i-1].y {
+				ys = append(ys, e.y)
+			}
+			idx := int32(len(ys) - 1)
+			if e.top {
+				events[e.ev].y2, events[e.ev+1].y2 = idx, idx
+			} else {
+				events[e.ev].y1, events[e.ev+1].y1 = idx, idx
+			}
 		}
-		st.update(e.y1, e.y2, e.delta)
+		slices.SortFunc(events, func(a, b areaEvent) int { return compareFloats(a.x, b.x) })
+
+		st := &sc.tree
+		st.reset(ys)
+		prevX := events[0].x
+		for _, e := range events {
+			if e.x > prevX {
+				area += (e.x - prevX) * st.coveredLength()
+				prevX = e.x
+			}
+			st.update(int(e.y1), int(e.y2), int(e.delta))
+		}
 	}
+	sc.edges, sc.events = edges, events
+	areaScratches.Put(sc)
 	return area
+}
+
+// compareFloats orders rectangle coordinates without cmp.Compare's NaN
+// branches: a NaN coordinate makes the area meaningless however it sorts.
+func compareFloats(a, b float64) int {
+	if a < b {
+		return -1
+	}
+	if a > b {
+		return 1
+	}
+	return 0
 }
 
 func dedupFloat64s(s []float64) []float64 {
@@ -82,16 +122,18 @@ type coverTree struct {
 	len   []float64
 }
 
-func newCoverTree(ys []float64) *coverTree {
-	m := len(ys) - 1 // number of elementary intervals
-	if m < 1 {
-		m = 1
+// reset empties the tree over the sorted, distinct coordinates ys, reusing
+// the node arrays' capacity.
+func (t *coverTree) reset(ys []float64) {
+	m := max(len(ys)-1, 1) // number of elementary intervals
+	t.ys = ys
+	if cap(t.cover) < 4*m {
+		t.cover, t.len = make([]int, 4*m), make([]float64, 4*m)
+		return
 	}
-	return &coverTree{
-		ys:    ys,
-		cover: make([]int, 4*m),
-		len:   make([]float64, 4*m),
-	}
+	t.cover, t.len = t.cover[:4*m], t.len[:4*m]
+	clear(t.cover)
+	clear(t.len)
 }
 
 // update adds delta to the cover count of elementary intervals [l, r).
@@ -102,16 +144,19 @@ func (t *coverTree) update(l, r, delta int) {
 	t.updateNode(1, 0, len(t.ys)-1, l, r, delta)
 }
 
+// updateNode requires [l, r) to overlap the node's [nodeL, nodeR); it only
+// descends into children that [l, r) reaches.
 func (t *coverTree) updateNode(node, nodeL, nodeR, l, r, delta int) {
-	if r <= nodeL || nodeR <= l {
-		return
-	}
 	if l <= nodeL && nodeR <= r {
 		t.cover[node] += delta
 	} else {
 		mid := (nodeL + nodeR) / 2
-		t.updateNode(2*node, nodeL, mid, l, r, delta)
-		t.updateNode(2*node+1, mid, nodeR, l, r, delta)
+		if l < mid {
+			t.updateNode(2*node, nodeL, mid, l, r, delta)
+		}
+		if r > mid {
+			t.updateNode(2*node+1, mid, nodeR, l, r, delta)
+		}
 	}
 	// Recompute covered length of this node.
 	switch {

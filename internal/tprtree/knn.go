@@ -38,11 +38,12 @@ func (t *Tree) KNN(p geom.Point, qt motion.Tick, k int) []Neighbor {
 			continue
 		}
 		n := t.readNode(it.page)
-		for _, e := range n.entries {
+		for i := range n.entries {
+			e := &n.entries[i]
 			if n.leaf {
-				q := e.state().PositionAt(qt)
-				d := q.Sub(p).Norm()
-				heap.Push(pq, knnItem{state: e.state(), dist: d})
+				st := e.state()
+				d := st.PositionAt(qt).Sub(p).Norm()
+				heap.Push(pq, knnItem{state: st, dist: d})
 			} else {
 				heap.Push(pq, knnItem{page: e.child, isNode: true, dist: e.minDistAt(p, qt)})
 			}
@@ -68,7 +69,7 @@ func insertNeighbor(out []Neighbor, nb Neighbor, k int) []Neighbor {
 
 // minDistAt returns the minimum distance from p to e's bounding rectangle
 // evaluated at time t (zero when p is inside).
-func (e entry) minDistAt(p geom.Point, t motion.Tick) float64 {
+func (e *entry) minDistAt(p geom.Point, t motion.Tick) float64 {
 	dx := axisDist(p.X, e.loAt(0, t), e.hiAt(0, t))
 	dy := axisDist(p.Y, e.loAt(1, t), e.hiAt(1, t))
 	return math.Hypot(dx, dy)

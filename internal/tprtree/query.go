@@ -17,14 +17,15 @@ func (t *Tree) Search(r geom.Rect, qt motion.Tick, fn func(motion.State) bool) {
 
 func (t *Tree) search(pid storagePageID, r geom.Rect, qt motion.Tick, fn func(motion.State) bool) bool {
 	n := t.readNode(pid)
-	for _, e := range n.entries {
+	for i := range n.entries {
+		e := &n.entries[i] // in place: the descent copies no entry
 		if !e.intersectsAt(r, qt) {
 			continue
 		}
 		if n.leaf {
-			p := e.state().PositionAt(qt)
-			if r.ContainsClosed(p) {
-				if !fn(e.state()) {
+			st := e.state()
+			if r.ContainsClosed(st.PositionAt(qt)) {
+				if !fn(st) {
 					return false
 				}
 			}
@@ -57,11 +58,11 @@ func (t *Tree) All() []motion.State {
 
 func (t *Tree) walkLeaves(pid storagePageID, fn func(entry)) {
 	n := t.readNode(pid)
-	for _, e := range n.entries {
+	for i := range n.entries {
 		if n.leaf {
-			fn(e)
+			fn(n.entries[i])
 		} else {
-			t.walkLeaves(e.child, fn)
+			t.walkLeaves(n.entries[i].child, fn)
 		}
 	}
 }

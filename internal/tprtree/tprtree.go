@@ -51,7 +51,7 @@ func leafEntry(s motion.State) entry {
 	}
 }
 
-func (e entry) state() motion.State {
+func (e *entry) state() motion.State {
 	return motion.State{
 		ID:  e.obj,
 		Ref: e.ref,
@@ -61,9 +61,10 @@ func (e entry) state() motion.State {
 }
 
 // loAt and hiAt evaluate the tpbr bounds at time t (valid for t >= e.ref;
-// exact at all t for leaf entries).
-func (e entry) loAt(d int, t motion.Tick) float64 { return e.lo[d] + e.vlo[d]*float64(t-e.ref) }
-func (e entry) hiAt(d int, t motion.Tick) float64 { return e.hi[d] + e.vhi[d]*float64(t-e.ref) }
+// exact at all t for leaf entries). They and intersectsAt run once per entry
+// per node visit of every search, so they take the 88-byte entry by pointer.
+func (e *entry) loAt(d int, t motion.Tick) float64 { return e.lo[d] + e.vlo[d]*float64(t-e.ref) }
+func (e *entry) hiAt(d int, t motion.Tick) float64 { return e.hi[d] + e.vhi[d]*float64(t-e.ref) }
 
 // rebase returns e re-anchored at reference time rc >= e.ref. The position
 // bounds are evaluated at rc; velocity bounds are unchanged.
@@ -124,7 +125,7 @@ func (e entry) integArea(t1, t2 motion.Tick) float64 {
 
 // intersectsAt reports whether e's tpbr at time t overlaps r, treating both
 // as closed sets (conservative for index descent).
-func (e entry) intersectsAt(r geom.Rect, t motion.Tick) bool {
+func (e *entry) intersectsAt(r geom.Rect, t motion.Tick) bool {
 	return e.loAt(0, t) <= r.MaxX && e.hiAt(0, t) >= r.MinX &&
 		e.loAt(1, t) <= r.MaxY && e.hiAt(1, t) >= r.MinY
 }

@@ -55,8 +55,8 @@ done
 step "go test -race (engine: partition-local writes vs scatter-gather reads, kernel scratch pools, result cache)"
 go test -race ./internal/core ./internal/cheb ./internal/dh ./internal/sweep ./internal/parallel ./internal/storage ./internal/cache
 
-step "partition equivalence (N partitions == one == brute force == the golden, over HTTP too)"
-go test -run 'TestShardsMatchOnePartition|TestDifferentialStream|TestGoldenAnswers|TestServiceFlowAcrossShards' -count=1 ./internal/core ./internal/service
+step "partition equivalence (N partitions == one == brute force == the per-cell pipeline == the golden, over HTTP too)"
+go test -run 'TestShardsMatchOnePartition|TestDifferentialStream|TestFRMatchesPerCellPipeline|TestGoldenAnswers|TestServiceFlowAcrossShards' -count=1 ./internal/core ./internal/service
 
 step "telemetry (race on the atomic registry + trace store + instrumented service)"
 go test -race ./internal/telemetry ./internal/tracestore ./internal/service
@@ -70,12 +70,30 @@ go test -run '^$' -fuzz FuzzOutlineAreaIdentity -fuzztime "${FUZZ_SECS}s" ./inte
 step "fuzz smoke: sweep-vs-oracle refinement (${FUZZ_SECS}s)"
 go test -run '^$' -fuzz FuzzDenseRectsMatchesOracle -fuzztime "${FUZZ_SECS}s" ./internal/sweep/
 
+step "fuzz smoke: row sweep == per-cell reference kernel, bit for bit (${FUZZ_SECS}s)"
+go test -run '^$' -fuzz FuzzDenseRectsRowMatchesPerCell -fuzztime "${FUZZ_SECS}s" ./internal/sweep/
+
 step "fuzz smoke: zcurve InWindow/BigMin agreement (${FUZZ_SECS}s)"
 go test -run '^$' -fuzz FuzzBigMinInWindow -fuzztime "${FUZZ_SECS}s" ./internal/zcurve/
 
 step "hotpath benchmark smoke (-benchtime=1x: kernels compile, run, report allocs)"
 go test -run '^$' -bench 'BenchmarkSeriesEval|BenchmarkAddBoxDelta|BenchmarkFilter$|BenchmarkDenseRects200|BenchmarkSnapshot' \
 	-benchtime=1x -benchmem ./internal/cheb ./internal/dh ./internal/sweep ./internal/core >/dev/null
+# The sweep's steady state allocates its output region and nothing else: the
+# append growth of a 200-point window's answer is 12 allocations, a 20-cell
+# run's 15. One more means scratch stopped being reused.
+go test -run '^$' -bench 'BenchmarkDenseRects200$|BenchmarkDenseRectsRow$' -benchtime=200x -benchmem ./internal/sweep |
+	awk -v pins='BenchmarkDenseRects200=12 BenchmarkDenseRectsRow=15' '
+		BEGIN { n = split(pins, p, " "); for (i = 1; i <= n; i++) { split(p[i], kv, "="); pin[kv[1]] = kv[2] } }
+		$1 ~ /^Benchmark/ {
+			name = $1; sub(/-[0-9]+$/, "", name)
+			if (name in pin) {
+				seen++
+				if ($(NF-1) + 0 > pin[name] + 0) { print name ": " $(NF-1) " allocs/op, pinned at " pin[name]; bad = 1 }
+			}
+		}
+		END { if (seen != n) { print "expected " n " sweep benchmarks, saw " seen + 0; bad = 1 }; exit bad }'
+echo "ok"
 
 step "pdrvet (project-specific static analysis)"
 go run ./cmd/pdrvet ./...
