@@ -22,7 +22,7 @@ func TestBoxFactorsMatchDirect(t *testing.T) {
 		for _, z := range [][2]float64{{-0.9, -0.2}, {-0.5, 0.5}, {0.1, 0.99}, {-1, 1}} {
 			fast := make([]float64, k+1)
 			slow := make([]float64, k+1)
-			boxFactors(fast, z[0], z[1])
+			BoxFactors(fast, z[0], z[1])
 			directBoxFactors(slow, z[0], z[1])
 			for i := range fast {
 				if math.Abs(fast[i]-slow[i]) > 1e-12 {
@@ -39,7 +39,7 @@ func TestBoxFactorsMatchDirect(t *testing.T) {
 func BenchmarkBoxFactorsRecurrence(b *testing.B) {
 	a := make([]float64, 6)
 	for i := 0; i < b.N; i++ {
-		boxFactors(a, -0.4, 0.7)
+		BoxFactors(a, -0.4, 0.7)
 	}
 }
 

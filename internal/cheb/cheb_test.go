@@ -273,8 +273,8 @@ func BenchmarkSeriesEval(b *testing.B) {
 }
 
 // TestKernelsAllocationFree pins the hot kernels at zero steady-state
-// allocations: after the scratch pool is warm, Eval, Bounds, and AddBoxDelta
-// must not touch the heap (the zero-allocation contract documented in
+// allocations: after the scratch pool is warm, Eval, Bounds, AddBoxDelta and
+// its two halves must not touch the heap (the zero-allocation contract documented in
 // docs/PERFORMANCE.md).
 func TestKernelsAllocationFree(t *testing.T) {
 	if raceEnabled {
@@ -302,6 +302,16 @@ func TestKernelsAllocationFree(t *testing.T) {
 		s.AddBoxDelta(-0.2, -0.2, 0.2, 0.2, -1)
 	}); n != 0 {
 		t.Errorf("AddBoxDelta allocates %v per run, want 0", n)
+	}
+	// The halves, as pa.Surface calls them with scratch of its own.
+	ax, ay := make([]float64, s.K+1), make([]float64, s.K+1)
+	if n := testing.AllocsPerRun(100, func() {
+		if BoxFactors(ax, -1, 0.3) && BoxFactors(ay, -0.2, 1) {
+			s.AddOuter(ax, ay, 1)
+			s.AddOuter(ax, ay, -1)
+		}
+	}); n != 0 {
+		t.Errorf("BoxFactors + AddOuter allocate %v per run, want 0", n)
 	}
 	_ = sink
 }

@@ -15,6 +15,7 @@ import (
 	"pdr/internal/dh"
 	"pdr/internal/geom"
 	"pdr/internal/motion"
+	"pdr/internal/pa"
 	"pdr/internal/storage"
 	"pdr/internal/sweep"
 	"pdr/internal/tprtree"
@@ -145,9 +146,16 @@ func samePointSet(a, b geom.Region) bool {
 // live set the engine must hold (check may draw from the stream's rng; every
 // caller must draw the same way to see the same stream). A rejected update
 // must have changed nothing: the directory is compared with the per-partition
-// live counts and the expected population before each check.
-func differentialStream(t *testing.T, s *Server, check func(step string, now motion.Tick, live map[motion.ObjectID]motion.State, rng *rand.Rand)) {
+// live counts and the expected population before each check. admitted, when
+// not nil, is told before each check which records the step must have
+// applied, in stream order, and whether they arrived as a tick at now.
+func differentialStream(t *testing.T, s *Server,
+	check func(step string, now motion.Tick, live map[motion.ObjectID]motion.State, rng *rand.Rand),
+	admitted func(now motion.Tick, tick bool, recs []motion.Update)) {
 	t.Helper()
+	if admitted == nil {
+		admitted = func(motion.Tick, bool, []motion.Update) {}
+	}
 	rng := rand.New(rand.NewSource(99))
 	live := map[motion.ObjectID]motion.State{}
 	next := motion.ObjectID(1)
@@ -203,6 +211,11 @@ func differentialStream(t *testing.T, s *Server, check func(step string, now mot
 	if err := s.Load(load); err != nil {
 		t.Fatal(err)
 	}
+	loaded := make([]motion.Update, len(load))
+	for i, st := range load {
+		loaded[i] = motion.NewInsert(st)
+	}
+	admitted(now, false, loaded)
 	checked("load")
 	for step := 0; step < 40; step++ {
 		switch rng.Intn(4) {
@@ -216,12 +229,14 @@ func differentialStream(t *testing.T, s *Server, check func(step string, now mot
 				ups = append(ups, motion.NewDelete(cur, now), motion.NewInsert(nst))
 				live[cur.ID] = nst
 			}
+			valid := len(ups)
 			ups = append(ups, bad())
 			// Everything after the bad record must be ignored.
 			ups = append(ups, motion.NewInsert(fresh()))
 			if err := s.Tick(now, ups); err == nil {
 				t.Fatalf("step %d: tick with a bad record succeeded", step)
 			}
+			admitted(now, true, ups[:valid])
 		case 1: // a clean tick
 			now++
 			var ups []motion.Update
@@ -236,6 +251,7 @@ func differentialStream(t *testing.T, s *Server, check func(step string, now mot
 			if err := s.Tick(now, ups); err != nil {
 				t.Fatalf("step %d: %v", step, err)
 			}
+			admitted(now, true, ups)
 		case 2: // between-tick applies
 			st := fresh()
 			if err := s.Apply(motion.NewInsert(st)); err != nil {
@@ -247,6 +263,7 @@ func differentialStream(t *testing.T, s *Server, check func(step string, now mot
 				t.Fatalf("step %d: %v", step, err)
 			}
 			delete(live, cur.ID)
+			admitted(now, false, []motion.Update{motion.NewInsert(st), motion.NewDelete(cur, now)})
 		default: // a bad apply
 			if err := s.Apply(bad()); err == nil {
 				t.Fatalf("step %d: bad apply succeeded", step)
@@ -279,7 +296,7 @@ func TestDifferentialStream(t *testing.T) {
 				if !samePointSet(fr.Region, bf.Region) {
 					t.Fatalf("%s: FR differs from BruteForce at t=%d", step, q.At)
 				}
-			})
+			}, nil)
 		})
 	}
 }
@@ -353,7 +370,7 @@ func TestFRMatchesPerCellPipeline(t *testing.T) {
 						t.Fatalf("%s: FR answer at t=%d is not the per-cell pipeline's:\n got  %d rects %v\n want %d rects %v",
 							step, q.At, len(fr.Region), fr.Region, len(want), want)
 					}
-				})
+				}, nil)
 			})
 		}
 	}
@@ -373,6 +390,76 @@ func sameBits(a, b geom.Region) bool {
 		}
 	}
 	return true
+}
+
+// TestSurfaceMatchesPerRecordFeed is the tier-1 twin of the benchmark's
+// traced PA shadow: after every step of differentialStream — the load, clean
+// ticks, the tick a bad record truncates, between-tick applies — the
+// engine's surface, maintained slot-parallel inside the write fan-out, must
+// equal a standalone pa.Surface fed the admitted records one at a time, float
+// bit for float bit, at every partition and worker count: the density on a
+// fixed lattice for every maintained timestamp, and the dense region for a
+// quarter of them that rotates with the step (branch-and-bound is the slow
+// part of this test), all of them after the load.
+func TestSurfaceMatchesPerRecordFeed(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		for _, workers := range []int{1, 2, 17} {
+			t.Run(fmt.Sprintf("shards=%d/workers=%d", shards, workers), func(t *testing.T) {
+				cfg := streamConfig(shards, workers)
+				s, err := NewServer(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				horizon := cfg.U + cfg.W
+				want, err := pa.New(pa.Config{Area: cfg.Area, G: cfg.PAGrid, Degree: cfg.PADegree, Horizon: horizon, L: cfg.L, MD: cfg.PAMD})
+				if err != nil {
+					t.Fatal(err)
+				}
+				steps := motion.Tick(0)
+				differentialStream(t, s, func(step string, now motion.Tick, _ map[motion.ObjectID]motion.State, _ *rand.Rand) {
+					got := s.Surface()
+					dense := 0
+					steps++
+					for qt := now; qt <= now+horizon; qt++ {
+						for y := 12.5; y < 1000; y += 62.5 {
+							for x := 12.5; x < 1000; x += 62.5 {
+								p := geom.Point{X: x, Y: y}
+								if g, w := got.Density(qt, p), want.Density(qt, p); math.Float64bits(g) != math.Float64bits(w) {
+									t.Fatalf("%s: density at t=%d %v = %g, the per-record feed has %g", step, qt, p, g, w)
+								}
+							}
+						}
+						if steps > 1 && (qt+steps)%4 != 0 {
+							continue
+						}
+						g, err := got.DenseRegion(qt, 0.0004)
+						if err != nil {
+							t.Fatalf("%s: %v", step, err)
+						}
+						w, err := want.DenseRegion(qt, 0.0004)
+						if err != nil {
+							t.Fatalf("%s: %v", step, err)
+						}
+						if !sameBits(g, w) {
+							t.Fatalf("%s: PA region at t=%d is not the per-record feed's:\n got  %d rects %v\n want %d rects %v",
+								step, qt, len(g), g, len(w), w)
+						}
+						dense += len(w)
+					}
+					if dense == 0 {
+						t.Fatalf("%s: no timestamp has a dense rectangle: the query pins nothing", step)
+					}
+				}, func(now motion.Tick, tick bool, recs []motion.Update) {
+					if tick {
+						want.Advance(now)
+					}
+					for _, u := range recs {
+						want.Apply(u)
+					}
+				})
+			})
+		}
+	}
 }
 
 // TestBadDeleteMidTick is the regression for the ghost-object bug: a delete

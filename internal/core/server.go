@@ -38,6 +38,14 @@
 //
 //	service 10 → shard 20 → surface 30 → shard-registry 40
 //
+// One fan-out per write. Tick and Load route and admit their records in
+// stream order, then hand the worker pool len(partitions) + H+1 independent
+// items in a single ForEach: each partition's list of records, then each
+// timestamp slot of the surface (pa.Surface.ApplySlot over the whole admitted
+// stream). The writer takes the surface lock before the fan-out and releases
+// it after; the helpers it hands slots to write disjoint slots under it.
+// Workers: 1 runs the same items inline, in index order.
+//
 // Exactness. Answers are bit-identical at every partition and worker count:
 //
 //   - FR / DH: the per-partition histograms count disjoint primary
@@ -47,7 +55,10 @@
 //     exact, replicas are deduplicated by object ID, and the plane sweep
 //     depends only on the resulting point multiset.
 //   - PA: Chebyshev coefficient sums are floating-point and order-sensitive,
-//     so the one surface is fed the whole stream in arrival order.
+//     so the one surface is fed the whole stream in arrival order — per
+//     timestamp slot: slots share no coefficient, each is one work item, and
+//     every series receives its increments in stream order at any worker
+//     count.
 //   - BruteForce / PastSnapshot: the directory holds each live object once,
 //     and the archives hold primaries only and are disjoint, so the gathered
 //     points do not depend on the partitioning.

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
+	"pdr/internal/motion"
 	"pdr/internal/telemetry"
 )
 
@@ -131,5 +133,57 @@ func TestTracedBudgetTruncationKeepsAnswer(t *testing.T) {
 	}
 	if n := tr.Root().CountSpans(); n > 3 {
 		t.Fatalf("budget 3 produced %d spans", n)
+	}
+}
+
+// attrOf returns the span's attribute value for key ("" when absent).
+func attrOf(sp *telemetry.Span, key string) string {
+	for _, a := range sp.Attrs {
+		if a.Key == key {
+			return a.Value
+		}
+	}
+	return ""
+}
+
+// TestTickTracedSpans: a traced tick records its two phases — the
+// sequential plan and the one fan-out — with the counts an operator needs to
+// read a slow tick, and a bad record shows up as applied < updates. The tree
+// has the same shape at every worker count; the untraced Tick is the nil
+// span.
+func TestTickTracedSpans(t *testing.T) {
+	st := makeStream()
+	for _, workers := range []int{1, 2, 17} {
+		s, err := NewServer(streamConfig(4, workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Load(st.load); err != nil {
+			t.Fatal(err)
+		}
+		b := st.ticks[0]
+		ups := append(append([]motion.Update(nil), b.updates[:7]...), motion.NewDelete(motion.State{ID: 1 << 40}, b.now)) // unknown
+		tr := telemetry.NewTrace("test")
+		err = s.TickTraced(b.now, ups, tr.Root())
+		tr.End()
+		if err == nil {
+			t.Fatal("tick deleting an unknown object succeeded")
+		}
+		if got, want := treeShape(tr), "test\n plan\n apply\n"; got != want {
+			t.Fatalf("workers=%d: tick trace shape:\n%s\nwant:\n%s", workers, got, want)
+		}
+		plan, apply := tr.Root().Children[0], tr.Root().Children[1]
+		if u, a := attrOf(plan, "updates"), attrOf(plan, "applied"); u != "8" || a != "7" {
+			t.Errorf("workers=%d: plan span updates=%q applied=%q, want 8 and 7", workers, u, a)
+		}
+		want := map[string]string{"partitions": "4", "slots": "91", "workers": strconv.Itoa(workers)}
+		for k, v := range want {
+			if got := attrOf(apply, k); got != v {
+				t.Errorf("workers=%d: apply span %s=%q, want %q", workers, k, got, v)
+			}
+		}
+		if err := s.Tick(b.now+1, nil); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"pdr/internal/motion"
 	"pdr/internal/stopwatch"
+	"pdr/internal/telemetry"
 )
 
 // owners records where one live object is registered: its primary partition
@@ -240,7 +241,8 @@ func (s *Server) admit(u motion.Update, ow owners) error {
 
 // Load bulk-inserts the initial object states. Like Tick it applies the
 // valid prefix: a duplicate ID stops the load there and is reported after
-// the states before it have been loaded.
+// the states before it have been loaded. The partitions' bulk loads and the
+// surface's timestamp slots run in one fan-out, as in Tick.
 func (s *Server) Load(states []motion.State) error {
 	s.lockAllWrite()
 	defer s.unlockAllWrite()
@@ -252,30 +254,33 @@ func (s *Server) Load(states []motion.State) error {
 	now := s.Now()
 	own := make([][]motion.State, len(s.parts))
 	reps := make([][]motion.State, len(s.parts))
+	inserts := make([]motion.Update, 0, len(states))
 	var loadErr error
-	for i, st := range states {
+	for _, st := range states {
+		u := motion.NewInsert(st)
 		primary, replicas := s.router.OwnersOf(st, now)
-		if loadErr = s.admit(motion.NewInsert(st), owners{primary: primary, replicas: replicas}); loadErr != nil {
-			states = states[:i]
+		if loadErr = s.admit(u, owners{primary: primary, replicas: replicas}); loadErr != nil {
 			break
 		}
+		inserts = append(inserts, u)
 		own[primary] = append(own[primary], st)
 		for m := replicas; m != 0; m &= m - 1 {
 			r := bits.TrailingZeros64(m)
 			reps[r] = append(reps[r], st)
 		}
 	}
+	slots := 0
 	if s.surf != nil {
-		// The one surface sees the full stream in arrival order — the
-		// bit-identity requirement for float coefficient sums.
 		s.surfMu.Lock()
-		for _, st := range states {
-			s.surf.Insert(st)
-		}
-		s.surfMu.Unlock()
+		defer s.surfMu.Unlock()
+		slots = s.surf.Begin(inserts)
 	}
 	errs := make([]error, len(s.parts))
-	s.par.ForEach(len(s.parts), func(i int) {
+	s.par.ForEach(len(s.parts)+slots, func(i int) {
+		if i >= len(s.parts) {
+			s.surf.ApplySlot(i-len(s.parts), inserts)
+			return
+		}
 		errs[i] = s.parts[i].load(own[i], reps[i])
 	})
 	for _, err := range errs {
@@ -295,15 +300,26 @@ type op struct {
 // Tick advances server time to now and applies the tick's update stream. A
 // tick touches every partition (all clocks and histogram windows advance in
 // lockstep), so it write-locks the whole engine. Updates are routed and
-// admitted in stream order — the directory is sequential — and the
-// per-partition lists then apply in parallel, each preserving the
-// stream's relative order for the objects it holds.
+// admitted in stream order — the directory is sequential — and the admitted
+// stream is then applied in one fan-out of independent items: each
+// partition's list (preserving the stream's relative order for the objects
+// it holds) and each timestamp slot of the Chebyshev surface (walking the
+// whole stream in order for its own timestamp). The partitions go first:
+// they are the long items, and the pool's dynamic cursor packs the short
+// slot items around them.
 //
 // An invalid update stops processing: the valid prefix before it is applied
 // in full, the bad update and everything after it change nothing. The epoch
 // is bumped before anything else, so cached answers never survive a partial
 // tick.
 func (s *Server) Tick(now motion.Tick, updates []motion.Update) error {
+	return s.TickTraced(now, updates, nil)
+}
+
+// TickTraced is Tick recording its two phases as child spans of sp: "plan"
+// (route and admit, sequential) and "apply" (the fan-out). A nil sp traces
+// nothing and allocates nothing — Tick simply passes nil.
+func (s *Server) TickTraced(now motion.Tick, updates []motion.Update, sp *telemetry.Span) error {
 	s.lockAllWrite()
 	defer s.unlockAllWrite()
 	s.epoch.Add(1)
@@ -312,6 +328,8 @@ func (s *Server) Tick(now motion.Tick, updates []motion.Update) error {
 	}
 	s.now.Store(int64(now))
 	s.histPrimed.Store(true) // every histogram window advances to now below
+	psp := sp.Child("plan")
+	psp.SetAttrInt("updates", int64(len(updates)))
 	plan := make([][]op, len(s.parts))
 	for i := range plan {
 		plan[i] = make([]op, 0, len(updates)/len(plan)+1)
@@ -333,16 +351,27 @@ func (s *Server) Tick(now motion.Tick, updates []motion.Update) error {
 			plan[r] = append(plan[r], op{u: u, replica: true})
 		}
 	}
+	psp.SetAttrInt("applied", int64(len(updates)))
+	psp.End()
+	slots := 0
 	if s.surf != nil {
+		// The writer holds the surface lock across the fan-out; the helpers
+		// it hands slots to write disjoint slots under it.
 		s.surfMu.Lock()
+		defer s.surfMu.Unlock()
 		s.surf.Advance(now)
-		for _, u := range updates {
-			s.surf.Apply(u)
-		}
-		s.surfMu.Unlock()
+		slots = s.surf.Begin(updates)
 	}
+	asp := sp.Child("apply")
+	asp.SetAttrInt("partitions", int64(len(s.parts)))
+	asp.SetAttrInt("slots", int64(slots))
+	asp.SetAttrInt("workers", int64(s.par.Workers()))
 	errs := make([]error, len(s.parts))
-	s.par.ForEach(len(s.parts), func(i int) {
+	s.par.ForEach(len(s.parts)+slots, func(i int) {
+		if i >= len(s.parts) {
+			s.surf.ApplySlot(i-len(s.parts), updates)
+			return
+		}
 		p := s.parts[i]
 		p.advance(now)
 		for _, o := range plan[i] {
@@ -351,6 +380,7 @@ func (s *Server) Tick(now motion.Tick, updates []motion.Update) error {
 			}
 		}
 	})
+	asp.End()
 	for _, err := range errs {
 		if err != nil {
 			return err

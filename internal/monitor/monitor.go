@@ -142,7 +142,7 @@ func (m *Monitor) Advance(now motion.Tick, updates []motion.Update) ([]Event, er
 func (m *Monitor) AdvanceTraced(now motion.Tick, updates []motion.Update, sp *telemetry.Span) ([]Event, error) {
 	tsp := sp.Child("tick")
 	tsp.SetAttrInt("updates", int64(len(updates)))
-	err := m.srv.Tick(now, updates)
+	err := m.srv.TickTraced(now, updates, tsp)
 	tsp.End()
 	if err != nil {
 		return nil, err

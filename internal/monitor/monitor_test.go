@@ -2,11 +2,13 @@ package monitor
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"pdr/internal/core"
 	"pdr/internal/geom"
 	"pdr/internal/motion"
+	"pdr/internal/telemetry"
 )
 
 func testServer(t *testing.T) *core.Server {
@@ -261,4 +263,32 @@ func regionsSame(a, b geom.Region) bool {
 		}
 	}
 	return true
+}
+
+// TestAdvanceTracedTickSpanHasEnginePhases: the "tick" span of a traced
+// /v1/updates request carries the engine's write-path phases as children, so
+// a slow tick says whether routing or the apply fan-out was slow.
+func TestAdvanceTracedTickSpanHasEnginePhases(t *testing.T) {
+	s := testServer(t)
+	if err := s.Load(block(0, 50, 500, 500, 0)); err != nil {
+		t.Fatal(err)
+	}
+	m := New(s)
+	tr := telemetry.NewTrace("updates")
+	ups := []motion.Update{motion.NewInsert(block(1000, 1, 200, 200, 1)[0])}
+	if _, err := m.AdvanceTraced(1, ups, tr.Root()); err != nil {
+		t.Fatal(err)
+	}
+	tr.End()
+	tick := tr.Root().Children[0]
+	if tick.Name != "tick" {
+		t.Fatalf("first span is %q, want tick", tick.Name)
+	}
+	var names []string
+	for _, c := range tick.Children {
+		names = append(names, c.Name)
+	}
+	if got := strings.Join(names, ","); got != "plan,apply" {
+		t.Fatalf("tick span children = %q, want plan,apply", got)
+	}
 }

@@ -75,12 +75,11 @@ const deleteEps = 1e-6
 // It reports whether the movement was found.
 func (t *Tree) Delete(s motion.State) bool {
 	target := leafEntry(s)
-	found, bound, underflow, orphans := t.deleteRec(t.root, target)
+	found, _, underflow, orphans := t.deleteRec(t.root, &target)
 	if !found {
 		return false
 	}
 	t.size--
-	_ = bound
 	root := t.readNode(t.root)
 	if underflow && !root.leaf && len(root.entries) == 1 {
 		// Shrink the tree: promote the only child.
@@ -100,11 +99,11 @@ func (t *Tree) Delete(s motion.State) bool {
 // recomputed bound of pid's subtree, whether pid underflowed (root is exempt
 // from minimum fill but still reports emptiness via underflow at caller),
 // and any orphaned leaf entries from condensed descendants.
-func (t *Tree) deleteRec(pid storagePageID, target entry) (found bool, bound entry, underflow bool, orphans []entry) {
+func (t *Tree) deleteRec(pid storagePageID, target *entry) (found bool, bound entry, underflow bool, orphans []entry) {
 	n := t.readNode(pid)
 	if n.leaf {
-		for i, e := range n.entries {
-			if e.obj == target.obj && e.ref == target.ref && entryClose(e, target) {
+		for i := range n.entries {
+			if e := &n.entries[i]; e.obj == target.obj && e.ref == target.ref && entryClose(e, target) {
 				n.entries = append(n.entries[:i], n.entries[i+1:]...)
 				t.mustWrite(pid, n)
 				return true, t.boundOf(n, pid), len(n.entries) < t.minLeaf, nil
@@ -112,22 +111,24 @@ func (t *Tree) deleteRec(pid storagePageID, target entry) (found bool, bound ent
 		}
 		return false, entry{}, false, nil
 	}
-	for i, c := range n.entries {
+	for i := range n.entries {
+		c := &n.entries[i]
 		if !c.mayContain(target, t.now) {
 			continue
 		}
-		f, childBound, childUnder, childOrphans := t.deleteRec(c.child, target)
+		child := c.child // c dangles once entries shift below
+		f, childBound, childUnder, childOrphans := t.deleteRec(child, target)
 		if !f {
 			continue
 		}
 		orphans = childOrphans
 		if childUnder {
 			// Condense: drop the child, orphan its remaining leaf entries.
-			orphans = append(orphans, t.collectLeafEntries(c.child)...)
-			t.freeSubtree(c.child)
+			orphans = append(orphans, t.collectLeafEntries(child)...)
+			t.freeSubtree(child)
 			n.entries = append(n.entries[:i], n.entries[i+1:]...)
 		} else {
-			childBound.child = c.child
+			childBound.child = child
 			n.entries[i] = childBound
 		}
 		t.mustWrite(pid, n)
@@ -166,7 +167,7 @@ func (t *Tree) freeSubtree(pid storagePageID) {
 
 // entryClose reports whether two leaf entries describe the same movement up
 // to floating-point tolerance.
-func entryClose(a, b entry) bool {
+func entryClose(a, b *entry) bool {
 	for d := 0; d < 2; d++ {
 		if math.Abs(a.lo[d]-b.lo[d]) > deleteEps || math.Abs(a.vlo[d]-b.vlo[d]) > deleteEps {
 			return false
@@ -178,7 +179,7 @@ func entryClose(a, b entry) bool {
 // mayContain reports whether internal entry c could bound leaf entry e:
 // position containment at the anchor time and velocity containment, with
 // tolerance.
-func (c entry) mayContain(e entry, now motion.Tick) bool {
+func (c *entry) mayContain(e *entry, now motion.Tick) bool {
 	rc := now
 	if e.ref > rc {
 		rc = e.ref

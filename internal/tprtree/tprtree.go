@@ -66,40 +66,54 @@ func (e *entry) state() motion.State {
 func (e *entry) loAt(d int, t motion.Tick) float64 { return e.lo[d] + e.vlo[d]*float64(t-e.ref) }
 func (e *entry) hiAt(d int, t motion.Tick) float64 { return e.hi[d] + e.vhi[d]*float64(t-e.ref) }
 
-// rebase returns e re-anchored at reference time rc >= e.ref. The position
-// bounds are evaluated at rc; velocity bounds are unchanged.
-func (e entry) rebase(rc motion.Tick) entry {
+// spanAt returns e's position bounds along dimension d at reference time
+// rc >= e.ref: as stored when rc is e's own anchor, evaluated otherwise.
+func (e *entry) spanAt(d int, rc motion.Tick) (lo, hi float64) {
 	if rc == e.ref {
-		return e
+		return e.lo[d], e.hi[d]
 	}
-	out := e
-	out.ref = rc
+	return e.loAt(d, rc), e.hiAt(d, rc)
+}
+
+// bound returns the tpbr of e alone re-anchored at rc >= e.ref (position
+// bounds evaluated at rc, velocity bounds unchanged), naming neither a child
+// page nor an object: the seed extend accumulates into.
+func (e *entry) bound(rc motion.Tick) entry {
+	out := entry{ref: rc, vlo: e.vlo, vhi: e.vhi}
 	for d := 0; d < 2; d++ {
-		out.lo[d] = e.loAt(d, rc)
-		out.hi[d] = e.hiAt(d, rc)
+		out.lo[d], out.hi[d] = e.spanAt(d, rc)
 	}
 	return out
 }
 
+// extend grows acc, a tpbr anchored at rc, to cover e as well (rc must be
+// >= e.ref for the result to be conservative). The write path unions a
+// node's entries on every insert and delete at every level, so both sides
+// are taken by pointer and e is re-anchored on the fly: no 88-byte entry is
+// copied.
+func (acc *entry) extend(e *entry, rc motion.Tick) {
+	for d := 0; d < 2; d++ {
+		lo, hi := e.spanAt(d, rc)
+		acc.lo[d] = math.Min(acc.lo[d], lo)
+		acc.hi[d] = math.Max(acc.hi[d], hi)
+		acc.vlo[d] = math.Min(acc.vlo[d], e.vlo[d])
+		acc.vhi[d] = math.Max(acc.vhi[d], e.vhi[d])
+	}
+}
+
 // combine returns the tpbr union of a and b anchored at rc (rc must be >=
 // both reference times for the result to be conservative).
-func combine(a, b entry, rc motion.Tick) entry {
-	a, b = a.rebase(rc), b.rebase(rc)
-	out := entry{ref: rc}
-	for d := 0; d < 2; d++ {
-		out.lo[d] = math.Min(a.lo[d], b.lo[d])
-		out.hi[d] = math.Max(a.hi[d], b.hi[d])
-		out.vlo[d] = math.Min(a.vlo[d], b.vlo[d])
-		out.vhi[d] = math.Max(a.vhi[d], b.vhi[d])
-	}
+func combine(a, b *entry, rc motion.Tick) entry {
+	out := a.bound(rc)
+	out.extend(b, rc)
 	return out
 }
 
 // combineAll unions a non-empty entry slice at anchor rc.
 func combineAll(es []entry, rc motion.Tick) entry {
-	out := es[0].rebase(rc)
-	for _, e := range es[1:] {
-		out = combine(out, e, rc)
+	out := es[0].bound(rc)
+	for i := 1; i < len(es); i++ {
+		out.extend(&es[i], rc)
 	}
 	return out
 }
@@ -107,7 +121,7 @@ func combineAll(es []entry, rc motion.Tick) entry {
 // integArea returns the integral over [t1, t2] of the area of e's tpbr.
 // Width along dimension d at time t is (hi-lo) + (vhi-vlo)*(t-ref), so the
 // area is a quadratic in t with an analytic integral.
-func (e entry) integArea(t1, t2 motion.Tick) float64 {
+func (e *entry) integArea(t1, t2 motion.Tick) float64 {
 	if t2 < t1 {
 		return 0
 	}
@@ -260,7 +274,7 @@ func (t *Tree) Insert(s motion.State) {
 }
 
 func (t *Tree) insertEntry(e entry) {
-	bound, split := t.insertAt(t.root, e)
+	bound, split := t.insertAt(t.root, &e)
 	if split != nil {
 		// Root split: grow the tree.
 		oldRoot := bound
@@ -274,10 +288,10 @@ func (t *Tree) insertEntry(e entry) {
 // insertAt descends to a leaf, inserts e, and returns the (tight, re-anchored
 // at t.now) bound of the visited node plus an optional new sibling from a
 // split.
-func (t *Tree) insertAt(pid storage.PageID, e entry) (bound entry, split *entry) {
+func (t *Tree) insertAt(pid storage.PageID, e *entry) (bound entry, split *entry) {
 	n := t.readNode(pid)
 	if n.leaf {
-		n.entries = append(n.entries, e)
+		n.entries = append(n.entries, *e)
 	} else {
 		best := t.chooseSubtree(n, e)
 		childBound, childSplit := t.insertAt(n.entries[best].child, e)
@@ -304,14 +318,16 @@ func (t *Tree) insertAt(pid storage.PageID, e entry) (bound entry, split *entry)
 
 // chooseSubtree picks the child of n whose horizon-integrated area grows
 // least when enlarged to cover e, breaking ties by least integrated area.
-func (t *Tree) chooseSubtree(n *node, e entry) int {
+func (t *Tree) chooseSubtree(n *node, e *entry) int {
 	t1, t2 := t.now, t.now+t.horizon
 	best := 0
 	bestEnl := math.Inf(1)
 	bestArea := math.Inf(1)
-	for i, c := range n.entries {
+	for i := range n.entries {
+		c := &n.entries[i]
 		area := c.integArea(t1, t2)
-		enl := combine(c, e, t.now).integArea(t1, t2) - area
+		u := combine(c, e, t.now)
+		enl := u.integArea(t1, t2) - area
 		// lint:ignore floateq exact tie-break between identically-computed
 		// enlargements; an epsilon would only blur the heuristic.
 		if enl < bestEnl || (enl == bestEnl && area < bestArea) {
@@ -351,13 +367,15 @@ func (t *Tree) split(n *node) *node {
 		// Prefix and suffix combined bounds for O(n) distribution scoring.
 		prefix := make([]entry, len(buf))
 		suffix := make([]entry, len(buf))
-		prefix[0] = buf[0].rebase(t.now)
+		prefix[0] = buf[0].bound(t.now)
 		for i := 1; i < len(buf); i++ {
-			prefix[i] = combine(prefix[i-1], buf[i], t.now)
+			prefix[i] = prefix[i-1]
+			prefix[i].extend(&buf[i], t.now)
 		}
-		suffix[len(buf)-1] = buf[len(buf)-1].rebase(t.now)
+		suffix[len(buf)-1] = buf[len(buf)-1].bound(t.now)
 		for i := len(buf) - 2; i >= 0; i-- {
-			suffix[i] = combine(suffix[i+1], buf[i], t.now)
+			suffix[i] = suffix[i+1]
+			suffix[i].extend(&buf[i], t.now)
 		}
 		for k := minFill; k <= len(buf)-minFill; k++ {
 			cost := prefix[k-1].integArea(t1, t2) + suffix[k].integArea(t1, t2)

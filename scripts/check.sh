@@ -52,11 +52,11 @@ for procs in 1 2 4; do
 	GOMAXPROCS=$procs go test -count=10 ./internal/service
 done
 
-step "go test -race (engine: partition-local writes vs scatter-gather reads, kernel scratch pools, result cache)"
-go test -race ./internal/core ./internal/cheb ./internal/dh ./internal/sweep ./internal/parallel ./internal/storage ./internal/cache
+step "go test -race (engine: partition-local writes vs scatter-gather reads, the slot-parallel surface, kernel scratch pools, result cache)"
+go test -race ./internal/core ./internal/pa ./internal/cheb ./internal/dh ./internal/sweep ./internal/parallel ./internal/storage ./internal/cache
 
-step "partition equivalence (N partitions == one == brute force == the per-cell pipeline == the golden, over HTTP too)"
-go test -run 'TestShardsMatchOnePartition|TestDifferentialStream|TestFRMatchesPerCellPipeline|TestGoldenAnswers|TestServiceFlowAcrossShards' -count=1 ./internal/core ./internal/service
+step "partition equivalence (N partitions == one == brute force == the per-cell pipeline == the per-record surface feed == the golden, over HTTP too)"
+go test -run 'TestShardsMatchOnePartition|TestDifferentialStream|TestFRMatchesPerCellPipeline|TestSurfaceMatchesPerRecordFeed|TestGoldenAnswers|TestServiceFlowAcrossShards' -count=1 ./internal/core ./internal/service
 
 step "telemetry (race on the atomic registry + trace store + instrumented service)"
 go test -race ./internal/telemetry ./internal/tracestore ./internal/service
@@ -79,11 +79,10 @@ go test -run '^$' -fuzz FuzzBigMinInWindow -fuzztime "${FUZZ_SECS}s" ./internal/
 step "hotpath benchmark smoke (-benchtime=1x: kernels compile, run, report allocs)"
 go test -run '^$' -bench 'BenchmarkSeriesEval|BenchmarkAddBoxDelta|BenchmarkFilter$|BenchmarkDenseRects200|BenchmarkSnapshot' \
 	-benchtime=1x -benchmem ./internal/cheb ./internal/dh ./internal/sweep ./internal/core >/dev/null
-# The sweep's steady state allocates its output region and nothing else: the
-# append growth of a 200-point window's answer is 12 allocations, a 20-cell
-# run's 15. One more means scratch stopped being reused.
-go test -run '^$' -bench 'BenchmarkDenseRects200$|BenchmarkDenseRectsRow$' -benchtime=200x -benchmem ./internal/sweep |
-	awk -v pins='BenchmarkDenseRects200=12 BenchmarkDenseRectsRow=15' '
+# pin_allocs 'Name=N ...' reads `go test -bench -benchmem` output and fails
+# when a named benchmark is missing or allocates more than its pin.
+pin_allocs() {
+	awk -v pins="$1" '
 		BEGIN { n = split(pins, p, " "); for (i = 1; i <= n; i++) { split(p[i], kv, "="); pin[kv[1]] = kv[2] } }
 		$1 ~ /^Benchmark/ {
 			name = $1; sub(/-[0-9]+$/, "", name)
@@ -92,7 +91,17 @@ go test -run '^$' -bench 'BenchmarkDenseRects200$|BenchmarkDenseRectsRow$' -benc
 				if ($(NF-1) + 0 > pin[name] + 0) { print name ": " $(NF-1) " allocs/op, pinned at " pin[name]; bad = 1 }
 			}
 		}
-		END { if (seen != n) { print "expected " n " sweep benchmarks, saw " seen + 0; bad = 1 }; exit bad }'
+		END { if (seen != n) { print "expected " n " pinned benchmarks, saw " seen + 0; bad = 1 }; exit bad }'
+}
+# The sweep's steady state allocates its output region and nothing else: the
+# append growth of a 200-point window's answer is 12 allocations, a 20-cell
+# run's 15. One more means scratch stopped being reused.
+go test -run '^$' -bench 'BenchmarkDenseRects200$|BenchmarkDenseRectsRow$' -benchtime=200x -benchmem ./internal/sweep |
+	pin_allocs 'BenchmarkDenseRects200=12 BenchmarkDenseRectsRow=15'
+# A surface batch (1,000 updates x 91 timestamp slots) allocates nothing: the
+# Lemma-4 factor scratch is owned per slot.
+go test -run '^$' -bench 'BenchmarkSurfaceBatch$' -benchtime=5x -benchmem ./internal/pa |
+	pin_allocs 'BenchmarkSurfaceBatch=0'
 echo "ok"
 
 step "pdrvet (project-specific static analysis)"
