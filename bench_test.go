@@ -199,15 +199,6 @@ func BenchmarkBaselineComparison(b *testing.B) {
 	}
 }
 
-func BenchmarkAblationIndex(b *testing.B) {
-	r := runner(b)
-	for i := 0; i < b.N; i++ {
-		if _, err := r.AblationIndex(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkExtIntervalCost(b *testing.B) {
 	r := runner(b)
 	for i := 0; i < b.N; i++ {

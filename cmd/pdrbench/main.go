@@ -389,14 +389,9 @@ func run(r *experiments.Runner, exp string, sizes, workers, shards []int, cacheB
 		if err != nil {
 			return err
 		}
-		ix, err := r.AblationIndex()
-		if err != nil {
-			return err
-		}
 		rows = append(rows, bb...)
 		rows = append(rows, lp...)
 		rows = append(rows, fl...)
-		rows = append(rows, ix...)
 		if err := experiments.PrintAblation(os.Stdout, rows); err != nil {
 			return err
 		}

@@ -27,6 +27,16 @@ type answer struct {
 	res   *Result
 }
 
+// streamQueries is the snapshot part of the fixed query set: now, inside the
+// window, and the horizon's last tick.
+func streamQueries(now motion.Tick) []Query {
+	return []Query{
+		{Rho: 0.0001, L: 100, At: now},
+		{Rho: 0.0003, L: 100, At: now + 7},
+		{Rho: 0.0001, L: 100, At: now + 90},
+	}
+}
+
 // streamAnswers runs the fixed query set of the exactness tests against a
 // server that has replayed makeStream: three snapshot timestamps (now, inside
 // the window, the horizon's last tick) and a six-tick interval for every
@@ -42,11 +52,7 @@ func streamAnswers(t *testing.T, s *Server) []answer {
 		}
 		out = append(out, answer{label, res})
 	}
-	for qi, q := range []Query{
-		{Rho: 0.0001, L: 100, At: now},
-		{Rho: 0.0003, L: 100, At: now + 7},
-		{Rho: 0.0001, L: 100, At: now + 90},
-	} {
+	for qi, q := range streamQueries(now) {
 		for _, m := range allMethods {
 			res, err := s.Snapshot(q, m)
 			add(fmt.Sprintf("snapshot/%d/%v", qi, m), res, err)

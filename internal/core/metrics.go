@@ -48,7 +48,7 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		latency: make(map[Method]*telemetry.Histogram, len(metricMethods)),
 		filter:  make(map[string]*telemetry.Counter, len(filterMarks)),
 		errors: reg.Counter("pdr_engine_query_errors_total",
-			"Queries rejected by validation or failed during evaluation."),
+			"Query calls (snapshot, interval, past) rejected by validation or failed during evaluation; one per call."),
 		retrieved: reg.Counter("pdr_engine_objects_retrieved_total",
 			"Index results fetched during refinement."),
 		intervals: reg.Counter("pdr_engine_interval_queries_total",

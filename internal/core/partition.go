@@ -4,26 +4,21 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"pdr/internal/bxtree"
 	"pdr/internal/dh"
-	"pdr/internal/gridindex"
 	"pdr/internal/history"
 	"pdr/internal/motion"
 	"pdr/internal/storage"
 	"pdr/internal/tprtree"
 )
 
-// gridIndexM is the per-axis bucket count of the IndexGrid access method.
-const gridIndexM = 32
-
 // partition is one territory's structures: the histogram and archive of the
-// objects whose primary it is, and an index (over its own buffer pool) of
+// objects whose primary it is, and a TPR-tree (over its own buffer pool) of
 // those objects plus the replicas of straddlers from other territories. It
 // has no lock of its own: Server.pmu[i] guards partition i.
 type partition struct {
 	hist  *dh.Histogram
 	pool  *storage.Pool
-	index Index
+	index *tprtree.Tree
 	hst   *history.Store // nil unless Config.KeepHistory
 	// objects counts the partition's primaries and replicas its index-only
 	// registrations; atomic so gauges read them without the partition lock.
@@ -37,20 +32,7 @@ func newPartition(cfg Config) (*partition, error) {
 		return nil, err
 	}
 	p := &partition{hist: hist, pool: storage.NewPool(cfg.BufferPages)}
-	switch cfg.Index {
-	case IndexTPR:
-		p.index, err = tprtree.New(tprtree.Config{Pool: p.pool, Horizon: horizon, PageSize: cfg.PageSize})
-	case IndexGrid:
-		p.index, err = gridindex.New(gridindex.Config{Pool: p.pool, Area: cfg.Area, M: gridIndexM, PageSize: cfg.PageSize})
-	case IndexBx:
-		phase := cfg.U / 2
-		if phase <= 0 {
-			phase = 1
-		}
-		p.index, err = bxtree.New(bxtree.Config{Pool: p.pool, Area: cfg.Area, PhaseLen: phase, PageSize: cfg.PageSize})
-	default:
-		err = fmt.Errorf("core: unknown index kind %q", cfg.Index)
-	}
+	p.index, err = tprtree.New(tprtree.Config{Pool: p.pool, Horizon: horizon, PageSize: cfg.PageSize})
 	if err != nil {
 		return nil, err
 	}
@@ -94,29 +76,22 @@ func (p *partition) apply(u motion.Update, replica bool) error {
 	return nil
 }
 
-// bulkLoader is implemented by access methods that support packed initial
-// loading (the TPR-tree's STR bulk load).
-type bulkLoader interface {
-	BulkLoad([]motion.State) error
-}
-
 // load enacts a batch of admitted inserts: own states enter the histogram
-// and the index, replicas the index only. When the index is empty and
-// supports it, the index portion uses packed bulk loading, which is roughly
-// an order of magnitude faster than one-at-a-time insertion.
+// and the index, replicas the index only. An empty tree is packed by STR bulk
+// loading, which is roughly an order of magnitude faster than one-at-a-time
+// insertion.
 func (p *partition) load(own, replicas []motion.State) error {
 	for _, st := range own {
 		p.hist.Insert(st)
 	}
-	bl, bulk := p.index.(bulkLoader)
-	if !bulk || p.index.Len() > 0 {
-		for _, st := range own {
-			p.index.Insert(st)
-		}
-		for _, st := range replicas {
-			p.index.Insert(st)
-		}
-		return nil
+	if p.index.Len() == 0 {
+		return p.index.BulkLoad(append(own, replicas...))
 	}
-	return bl.BulkLoad(append(own, replicas...))
+	for _, st := range own {
+		p.index.Insert(st)
+	}
+	for _, st := range replicas {
+		p.index.Insert(st)
+	}
+	return nil
 }

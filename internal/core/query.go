@@ -50,52 +50,14 @@ var pointBufs = sync.Pool{New: func() any { return new([]geom.Point) }}
 // costs no boxing allocation.
 var seenSets = sync.Pool{New: func() any { return make(map[motion.ObjectID]struct{}) }}
 
-// growRegions returns buf resized to n nil slots, reallocating only when the
+// grow returns buf resized to n zero slots, reallocating only when the
 // capacity is insufficient.
-func growRegions(buf []geom.Region, n int) []geom.Region {
+func grow[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]geom.Region, n)
+		return make([]T, n)
 	}
 	buf = buf[:n]
-	for i := range buf {
-		buf[i] = nil
-	}
-	return buf
-}
-
-// growInts is growRegions for int slots.
-func growInts(buf []int, n int) []int {
-	if cap(buf) < n {
-		buf = make([]int, n)
-	}
-	buf = buf[:n]
-	for i := range buf {
-		buf[i] = 0
-	}
-	return buf
-}
-
-// growResults is growRegions for sub-result slots.
-func growResults(buf []*Result, n int) []*Result {
-	if cap(buf) < n {
-		return make([]*Result, n)
-	}
-	buf = buf[:n]
-	for i := range buf {
-		buf[i] = nil
-	}
-	return buf
-}
-
-// growErrors is growRegions for error slots.
-func growErrors(buf []error, n int) []error {
-	if cap(buf) < n {
-		return make([]error, n)
-	}
-	buf = buf[:n]
-	for i := range buf {
-		buf[i] = nil
-	}
+	clear(buf)
 	return buf
 }
 
@@ -206,6 +168,17 @@ func (s *Server) runlockAll() {
 	}
 }
 
+// failed counts one failed query call and returns its error. Only the public
+// entry points (SnapshotTraced, IntervalTraced, PastSnapshotTraced) call it,
+// so pdr_engine_query_errors_total moves once per failed request however many
+// snapshots the request fanned out.
+func (s *Server) failed(err error) error {
+	if s.met != nil {
+		s.met.errors.Inc()
+	}
+	return err
+}
+
 func (s *Server) validateLocked(q Query) error {
 	now := s.Now()
 	if q.Rho < 0 {
@@ -242,7 +215,7 @@ func (s *Server) SnapshotTraced(q Query, m Method, sp *telemetry.Span) (*Result,
 	res, err := s.snapshotLocked(q, m, true, esp)
 	esp.End()
 	if err != nil {
-		return nil, err
+		return nil, s.failed(err)
 	}
 	if s.met != nil {
 		s.met.observe(res)
@@ -261,9 +234,6 @@ func (s *Server) SnapshotTraced(q Query, m Method, sp *telemetry.Span) (*Result,
 // the other's region.
 func (s *Server) snapshotLocked(q Query, m Method, trackIO bool, sp *telemetry.Span) (*Result, error) {
 	if err := s.validateLocked(q); err != nil {
-		if s.met != nil {
-			s.met.errors.Inc()
-		}
 		return nil, err
 	}
 	if s.qcache == nil {
@@ -289,11 +259,6 @@ func (s *Server) snapshotLocked(q Query, m Method, trackIO bool, sp *telemetry.S
 		}, nil
 	})
 	if err != nil {
-		// A shared error still failed this caller's query; evaluation
-		// errors are counted once per failed call, winner and waiters alike.
-		if outcome != cache.Computed && s.met != nil {
-			s.met.errors.Inc()
-		}
 		return nil, err
 	}
 	if outcome == cache.Computed {
@@ -352,9 +317,6 @@ func (s *Server) evaluateLocked(q Query, m Method, trackIO bool, sp *telemetry.S
 		err = fmt.Errorf("core: unknown method %d", m)
 	}
 	if err != nil {
-		if s.met != nil {
-			s.met.errors.Inc()
-		}
 		return nil, err
 	}
 	res.CPU = sw.Elapsed()
@@ -430,8 +392,8 @@ func (s *Server) snapshotFRLocked(q Query, res *Result, sp *telemetry.Span) erro
 	// identical at any worker count; each worker fills only its own slot. The
 	// slots themselves come from the scatter/gather pool.
 	slots := ph.Fork("window", runs)
-	sc.parts = growRegions(sc.parts, runs)
-	sc.retrieved = growInts(sc.retrieved, runs)
+	sc.parts = grow(sc.parts, runs)
+	sc.retrieved = grow(sc.retrieved, runs)
 	parts, retrieved := sc.parts, sc.retrieved
 	s.par.ForEachSpan(runs, slots, func(ri int, wsp *telemetry.Span) {
 		parts[ri], retrieved[ri] = s.refineRun(q, cells[starts[ri]:starts[ri+1]], wsp)
@@ -604,13 +566,13 @@ func (s *Server) PastSnapshotTraced(q Query, sp *telemetry.Span) (*Result, error
 	s.rlockAll()
 	defer s.runlockAll()
 	if !s.cfg.KeepHistory {
-		return nil, fmt.Errorf("core: history is disabled (set Config.KeepHistory)")
+		return nil, s.failed(fmt.Errorf("core: history is disabled (set Config.KeepHistory)"))
 	}
 	if now := s.Now(); q.At >= now {
-		return nil, fmt.Errorf("core: PastSnapshot is for t < now (%d); use Snapshot", now)
+		return nil, s.failed(fmt.Errorf("core: PastSnapshot is for t < now (%d); use Snapshot", now))
 	}
 	if q.Rho < 0 || q.L <= 0 {
-		return nil, fmt.Errorf("core: bad query parameters rho=%g l=%g", q.Rho, q.L)
+		return nil, s.failed(fmt.Errorf("core: bad query parameters rho=%g l=%g", q.Rho, q.L))
 	}
 	res := &Result{Method: BruteForce}
 	esp := sp.Child("past")
@@ -661,7 +623,7 @@ func (s *Server) Interval(q Query, until motion.Tick, m Method) (*Result, error)
 // pdr:hot — query-path root for the hotpath analyzer family (docs/LINT.md).
 func (s *Server) IntervalTraced(q Query, until motion.Tick, m Method, sp *telemetry.Span) (*Result, error) {
 	if until < q.At {
-		return nil, fmt.Errorf("core: empty interval [%d, %d]", q.At, until)
+		return nil, s.failed(fmt.Errorf("core: empty interval [%d, %d]", q.At, until))
 	}
 	s.rlockAll()
 	defer s.runlockAll()
@@ -672,8 +634,8 @@ func (s *Server) IntervalTraced(q Query, until motion.Tick, m Method, sp *teleme
 	isp.SetAttrInt("snapshots", int64(n))
 	ioBefore := s.PoolStats()
 	sc := intervalScratches.Get().(*intervalScratch)
-	subs := growResults(sc.subs, n)
-	errs := growErrors(sc.errs, n)
+	subs := grow(sc.subs, n)
+	errs := grow(sc.errs, n)
 	sc.subs, sc.errs = subs, errs
 	slots := isp.Fork("snapshot", n)
 	s.par.ForEachSpan(n, slots, func(i int, ssp *telemetry.Span) {
@@ -686,7 +648,7 @@ func (s *Server) IntervalTraced(q Query, until motion.Tick, m Method, sp *teleme
 		if err != nil {
 			isp.End()
 			releaseIntervalScratch(sc)
-			return nil, err
+			return nil, s.failed(err)
 		}
 	}
 	out := &Result{Method: m, Cached: true}

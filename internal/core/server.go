@@ -19,7 +19,7 @@
 //
 // The monitored plane is cut along the Z-order curve into Config.Shards
 // contiguous territories (default one: the whole plane). Each territory is a
-// partition — its own histogram, index, buffer pool and archive — and an
+// partition — its own histogram, TPR-tree, buffer pool and archive — and an
 // object belongs to the partition that owns its reported position (its
 // primary); a trajectory that can reach other territories is additionally
 // registered, index-only, as a replica there. One directory holds every live
@@ -85,32 +85,6 @@ import (
 	"pdr/internal/storage"
 )
 
-// Index is the access method the refinement step queries: any structure
-// that indexes predicted movements and answers timestamp range queries.
-// Both the TPR-tree (the paper's choice) and the uniform grid index satisfy
-// it over the same buffer pool, making their I/O directly comparable.
-type Index interface {
-	Insert(motion.State)
-	Delete(motion.State) bool
-	SetNow(motion.Tick)
-	Search(r geom.Rect, qt motion.Tick, fn func(motion.State) bool)
-	All() []motion.State
-	Len() int
-}
-
-// IndexKind selects the refinement access method.
-type IndexKind string
-
-const (
-	// IndexTPR is the TPR-tree (default; the paper's substrate).
-	IndexTPR IndexKind = "tpr"
-	// IndexGrid is the paged uniform grid (SETI-style ablation baseline).
-	IndexGrid IndexKind = "grid"
-	// IndexBx is the B^x-tree (B+-tree over Z-order keys with time
-	// phases), the alternative the paper's related work cites.
-	IndexBx IndexKind = "bx"
-)
-
 // Config parameterizes a Server. Zero fields fall back to the paper's
 // defaults where one exists.
 type Config struct {
@@ -129,7 +103,7 @@ type Config struct {
 	// L is the fixed neighborhood edge the PA surfaces are built for
 	// (paper: 30 or 60). FR accepts any l >= 2*Area/HistM at query time.
 	L float64
-	// BufferPages caps each partition's index buffer pool (0 = unlimited;
+	// BufferPages caps each partition's TPR-tree buffer pool (0 = unlimited;
 	// the paper sizes it at 10% of the dataset).
 	BufferPages int
 	// PageSize is the tree page size in bytes (default 4 KB).
@@ -137,8 +111,6 @@ type Config struct {
 	// IOCharge is the modelled cost per physical page access (default the
 	// paper's 10 ms).
 	IOCharge time.Duration
-	// Index selects the refinement access method (default IndexTPR).
-	Index IndexKind
 	// KeepHistory archives superseded movements so PastSnapshot can answer
 	// PDR queries for past timestamps (memory grows with the update
 	// volume).
@@ -239,9 +211,6 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	if cfg.IOCharge == 0 {
 		cfg.IOCharge = storage.DefaultRandomIO
-	}
-	if cfg.Index == "" {
-		cfg.Index = IndexTPR
 	}
 	if cfg.Shards == 0 {
 		cfg.Shards = 1

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"os"
 	"strings"
 	"testing"
 
@@ -60,6 +62,50 @@ func TestSaveRestoreRoundTrip(t *testing.T) {
 	}
 	if _, err := restored.Snapshot(Query{Rho: 0.001, L: 60, At: restored.Now()}, FR); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRestoreParentCheckpoint restores two pdr-checkpoint-v1 files written by
+// commit 6c96f86 — the last one whose Config had an Index field — from a
+// streamConfig(1, 1) server that had replayed makeStream: one with the default
+// index, one with Config.Index = "grid". gob drops the stream field the
+// receiver lacks, so both come back as TPR-tree servers: the remaining Config
+// fields round-trip, and every FR/PA/DH answer equals, bit for bit, that of a
+// fresh server fed the same stream.
+func TestRestoreParentCheckpoint(t *testing.T) {
+	fresh := streamServer(t, makeStream(), 1, 1)
+	for _, name := range []string{"checkpoint_v1_default.gob", "checkpoint_v1_grid.gob"} {
+		t.Run(name, func(t *testing.T) {
+			f, err := os.Open("testdata/" + name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			restored, err := Restore(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := restored.Config(), fresh.Config(); got != want {
+				t.Fatalf("restored config %+v, want %+v", got, want)
+			}
+			if restored.Now() != fresh.Now() || restored.NumObjects() != fresh.NumObjects() {
+				t.Fatalf("restored now=%d n=%d, want now=%d n=%d",
+					restored.Now(), restored.NumObjects(), fresh.Now(), fresh.NumObjects())
+			}
+			for _, q := range streamQueries(fresh.Now()) {
+				for _, m := range []Method{FR, PA, DHOptimistic, DHPessimistic} {
+					want, err := fresh.Snapshot(q, m)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := restored.Snapshot(q, m)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameAnswer(t, fmt.Sprintf("%v at %d", m, q.At), want, got)
+				}
+			}
+		})
 	}
 }
 

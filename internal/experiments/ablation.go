@@ -98,40 +98,6 @@ func (r *Runner) AblationLocalPolynomials() ([]AblationRow, error) {
 	return rows, nil
 }
 
-// AblationIndex compares the two refinement access methods — TPR-tree and
-// paged uniform grid — on the same FR query workload under the same buffer
-// budget, reporting I/O and CPU per query.
-func (r *Runner) AblationIndex() ([]AblationRow, error) {
-	l := r.P.Ls[len(r.P.Ls)-1]
-	var rows []AblationRow
-	for _, kind := range []core.IndexKind{core.IndexTPR, core.IndexGrid, core.IndexBx} {
-		p := r.P
-		cfg := ServerConfig(p)
-		cfg.L = l
-		cfg.Index = kind
-		// A tight buffer makes the access pattern visible: ~10% of the
-		// leaf-page working set.
-		cfg.BufferPages = p.N / 80 / 10
-		if cfg.BufferPages < 8 {
-			cfg.BufferPages = 8
-		}
-		e, err := Build(p, cfg)
-		if err != nil {
-			return nil, err
-		}
-		e.S.DropBufferPools()
-		avg, _, err := e.runPoint(3, l, core.FR)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows,
-			AblationRow{Name: "index", Variant: string(kind), Metric: "FR IOs/query", Value: fmt.Sprintf("%d", avg.IOs)},
-			AblationRow{Name: "index", Variant: string(kind), Metric: "FR CPU/query", Value: fmtDur(avg.CPU)},
-		)
-	}
-	return rows, nil
-}
-
 // AblationFilter quantifies the value of the filtering step for FR: how
 // many cells the filter settles without refinement, and the refinement
 // volume left.

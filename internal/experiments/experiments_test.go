@@ -244,15 +244,8 @@ func TestAblations(t *testing.T) {
 	if len(fl) != 5 {
 		t.Fatalf("AblationFilter rows = %d", len(fl))
 	}
-	ix, err := r.AblationIndex()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ix) != 6 {
-		t.Fatalf("AblationIndex rows = %d", len(ix))
-	}
 	var buf bytes.Buffer
-	if err := PrintAblation(&buf, append(append(append(bb, lp...), fl...), ix...)); err != nil {
+	if err := PrintAblation(&buf, append(append(bb, lp...), fl...)); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "ablation") {

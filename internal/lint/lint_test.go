@@ -311,7 +311,7 @@ func f() time.Time { return time.Now() }
 		want int
 	}{
 		{"flags time.Now in core", "pdr/internal/core", clockSrc, 1},
-		{"flags time.Since in an index", "pdr/internal/bptree", `package bptree
+		{"flags time.Since in an index", "pdr/internal/tprtree", `package tprtree
 import "time"
 func f(t0 time.Time) time.Duration { return time.Since(t0) }
 `, 1},
@@ -426,20 +426,20 @@ func TestPanicPrefix(t *testing.T) {
 		src  string
 		want int
 	}{
-		{"flags unprefixed panic", "pdr/internal/bptree", `package bptree
+		{"flags unprefixed panic", "pdr/internal/tprtree", `package tprtree
 func f() { panic("boom") }
 `, 1},
-		{"prefixed literal allowed", "pdr/internal/bptree", `package bptree
-func f() { panic("bptree: boom") }
-`, 0},
-		{"prefixed Sprintf allowed", "pdr/internal/bxtree", `package bxtree
-import "fmt"
-func f(n int) { panic(fmt.Sprintf("bxtree: phase %d underflow", n)) }
-`, 0},
-		{"wrong-package prefix flagged", "pdr/internal/gridindex", `package gridindex
+		{"prefixed literal allowed", "pdr/internal/tprtree", `package tprtree
 func f() { panic("tprtree: boom") }
+`, 0},
+		{"prefixed Sprintf allowed", "pdr/internal/tprtree", `package tprtree
+import "fmt"
+func f(n int) { panic(fmt.Sprintf("tprtree: level %d underflow", n)) }
+`, 0},
+		{"wrong-package prefix flagged", "pdr/internal/tprtree", `package tprtree
+func f() { panic("storage: boom") }
 `, 1},
-		{"dynamic message left to humans", "pdr/internal/bptree", `package bptree
+		{"dynamic message left to humans", "pdr/internal/tprtree", `package tprtree
 func f(err error) { panic(err) }
 `, 0},
 		{"unrestricted package allowed", "pdr/internal/x", `package x

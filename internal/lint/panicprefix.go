@@ -7,15 +7,12 @@ import (
 	"strings"
 )
 
-// panicPrefixPackages are the index substrates whose corruption panics
+// panicPrefixPackages is the index substrate, whose corruption panics
 // must identify their origin uniformly: "<pkg>: <detail>". Operators grep
 // crash logs by that prefix, and core wraps index panics on that
 // assumption.
 var panicPrefixPackages = map[string]bool{
-	"pdr/internal/tprtree":   true,
-	"pdr/internal/gridindex": true,
-	"pdr/internal/bptree":    true,
-	"pdr/internal/bxtree":    true,
+	"pdr/internal/tprtree": true,
 }
 
 // AnalyzerPanicPrefix checks that every panic message in an index package

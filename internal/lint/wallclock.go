@@ -6,17 +6,14 @@ import (
 
 // wallClockRestricted are the packages where simulation time (motion.Tick)
 // must flow through parameters: the engine, the movement archive, and the
-// index substrates. Reading the machine clock there either leaks
+// index substrate. Reading the machine clock there either leaks
 // nondeterminism into query answers or masks a missing tick parameter.
 // Wall-clock *metering* (CPU cost measurement) goes through
 // internal/stopwatch, which is the one approved wrapper.
 var wallClockRestricted = map[string]bool{
-	"pdr/internal/core":      true,
-	"pdr/internal/history":   true,
-	"pdr/internal/tprtree":   true,
-	"pdr/internal/gridindex": true,
-	"pdr/internal/bptree":    true,
-	"pdr/internal/bxtree":    true,
+	"pdr/internal/core":    true,
+	"pdr/internal/history": true,
+	"pdr/internal/tprtree": true,
 }
 
 // wallClockFuncs are the time-package functions that read the machine

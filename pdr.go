@@ -103,16 +103,6 @@ const (
 	BruteForce = core.BruteForce
 )
 
-// Refinement access methods (Config.Index).
-const (
-	// IndexTPR is the TPR-tree (default; the paper's substrate).
-	IndexTPR = core.IndexTPR
-	// IndexGrid is a paged uniform grid (SETI-style).
-	IndexGrid = core.IndexGrid
-	// IndexBx is a B^x-tree (B+-tree over Z-order keys with time phases).
-	IndexBx = core.IndexBx
-)
-
 // Plan is a method recommendation from Server.Recommend.
 type Plan = core.Plan
 

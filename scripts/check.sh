@@ -36,6 +36,19 @@ go vet ./...
 step "go build ./..."
 go build ./...
 
+step "link closure (every internal package is reachable from the library, a binary or an example)"
+# A package kept alive only by its own tests fails here. The one exception:
+# internal/shard is the shim the frozen bench/layers compiles against.
+reachable=$(go list -deps . ./cmd/... ./examples/...)
+for pkg in $(go list ./internal/...); do
+	[ "$pkg" = "pdr/internal/shard" ] && continue
+	if ! echo "$reachable" | grep -qx "$pkg"; then
+		echo "$pkg is linked by no binary, example or the root package" >&2
+		exit 1
+	fi
+done
+echo "ok"
+
 step "go test ./..."
 go test ./...
 
