@@ -207,51 +207,3 @@ func BenchmarkExtIntervalCost(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkIntervalParallel reports the interval query's parallel speedup
-// at 4 workers against the sequential path on the same workload (the curve
-// cmd/pdrbench -exp parallel records at full scale into BENCH_*.json).
-// The speedup metric tracks the host: ~1.0x on one core, climbing toward
-// the fan-out width as cores are added.
-func BenchmarkIntervalParallel(b *testing.B) {
-	r := runner(b)
-	bp := experiments.DefaultParallelBenchParams()
-	bp.Workers = []int{1, 4}
-	bp.Window = 4
-	bp.Trials = 1
-	for i := 0; i < b.N; i++ {
-		res, err := r.ParallelInterval(bp)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := res.Points[len(res.Points)-1]
-		b.ReportMetric(last.Speedup, "speedup-4w")
-		b.ReportMetric(float64(last.WallNanos), "wall-ns-4w")
-	}
-}
-
-// TestIntervalParallelBenchSmoke keeps the scaling study inside the plain
-// `go test ./...` tier-1 gate (benchmarks only run under -bench): one tiny
-// run, asserting the shape of the result rather than any timing.
-func TestIntervalParallelBenchSmoke(t *testing.T) {
-	r := experiments.NewRunner(experiments.TestParams())
-	bp := experiments.ParallelBenchParams{Workers: []int{1, 2}, Window: 2, Trials: 1}
-	res, err := r.ParallelInterval(bp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Points) != 2 || res.Points[0].Workers != 1 || res.Points[1].Workers != 2 {
-		t.Fatalf("unexpected points: %+v", res.Points)
-	}
-	if res.Points[0].Speedup != 1 {
-		t.Errorf("sequential baseline speedup = %g, want 1", res.Points[0].Speedup)
-	}
-	if res.NumCPU <= 0 || res.GOMAXPROCS <= 0 {
-		t.Errorf("host facts missing: NumCPU=%d GOMAXPROCS=%d", res.NumCPU, res.GOMAXPROCS)
-	}
-	for _, p := range res.Points {
-		if p.WallNanos <= 0 {
-			t.Errorf("workers=%d: non-positive wall time %d", p.Workers, p.WallNanos)
-		}
-	}
-}

@@ -5,24 +5,19 @@
 //
 //	pdrbench [-exp all] [-n 100000] [-queries 5] [-warm 20] [-seed 1] [-sizes 10000,50000,100000]
 //
-// Experiments: table1, fig7, fig8a, fig8b, fig8c, fig8d, fig9a, fig9b,
-// fig10a, fig10b, interval, parallel, cache, shard, hotpath, baselines,
-// ablations, all. Absolute numbers depend on the host; the paper's shapes
-// (who wins, by what factor) are the reproduction target. "parallel"
-// (worker-pool scaling), "cache" (result-cache cold/warm/sliding workloads),
-// "shard" (one partition vs several under read and mixed
-// read/write load), and "hotpath" (single-core kernel ns/op, B/op,
-// allocs/op) are host-dependent by design and not part of "all"; with
-// -benchjson DIR they record BENCH_interval.json + BENCH_snapshot.json,
-// BENCH_cache.json, BENCH_shard.json, and BENCH_hotpath.json respectively
-// (see docs/PERFORMANCE.md).
+// -exp takes one name from the experiments table below, or "all". Absolute
+// numbers depend on the host; the paper's shapes (who wins, by what factor)
+// are the reproduction target. How fast the engine is on this host is
+// bench/'s question, not this command's (docs/PERFORMANCE.md, "Measuring").
+// Exits 2 on a usage error (bad flag, unknown experiment), 1 when an
+// experiment fails.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
@@ -30,52 +25,115 @@ import (
 	"pdr/internal/experiments"
 )
 
+// options are the flags an experiment may read beyond the runner's Params.
+type options struct {
+	sizes  []int  // fig10b dataset sizes
+	asCSV  bool   // figures that have a CSV writer use it
+	svgDir string // fig7 also renders SVG plots here when set
+}
+
+// experiment is one section of the report.
+type experiment struct {
+	name  string // the -exp value that selects it
+	title string // section header
+	// inAll is false only for the second name of a section "all" already
+	// runs under its first (fig8b, fig8d).
+	inAll bool
+	run   func(w io.Writer, r *experiments.Runner, o options) error
+}
+
+// table is the one list of experiments, in report order: the -exp help
+// text, the name check and the dispatch all read it.
+var table = []experiment{
+	{"table1", "Table 1 — experimental setup", true, table1},
+	{"fig7", "Fig 7 — example: dense regions found by FR and PA", true, fig7},
+	{"fig8a", "Fig 8(a)/8(b) — accuracy vs varrho and l: PA vs DH baselines", true, fig8Accuracy},
+	{"fig8b", "Fig 8(a)/8(b) — accuracy vs varrho and l: PA vs DH baselines", false, fig8Accuracy},
+	{"fig8c", "Fig 8(c)/8(d) — accuracy vs memory budget", true, fig8Memory},
+	{"fig8d", "Fig 8(c)/8(d) — accuracy vs memory budget", false, fig8Memory},
+	{"fig9a", "Fig 9(a) — query CPU: PA vs DH", true, fig9a},
+	{"fig9b", "Fig 9(b) — build CPU per location update: PA vs DH", true, fig9b},
+	{"fig10a", "Fig 10(a) — total query cost: PA vs FR", true, fig10a},
+	{"fig10b", "Fig 10(b) — query cost vs dataset size", true, fig10b},
+	{"interval", "Interval (extension) — interval PDR cost and union growth vs window width", true, interval},
+	{"baselines", "Baselines — prior-art methods (Figs 1-3 arguments) quantified vs exact PDR", true, baselines},
+	{"ablations", "Ablations — design choices called out in DESIGN.md", true, ablations},
+}
+
+// validNames lists what -exp accepts, in table order.
+func validNames() string {
+	names := make([]string, 0, len(table)+1)
+	for _, e := range table {
+		names = append(names, e.name)
+	}
+	return strings.Join(append(names, "all"), ", ")
+}
+
+// selectExperiments resolves an -exp value to the sections it runs.
+func selectExperiments(name string) ([]experiment, error) {
+	var sel []experiment
+	for _, e := range table {
+		if e.name == name || (name == "all" && e.inAll) {
+			sel = append(sel, e)
+		}
+	}
+	if len(sel) == 0 {
+		return nil, fmt.Errorf("unknown experiment %q (valid: %s)", name, validNames())
+	}
+	return sel, nil
+}
+
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with the process edges (args, stdio, exit status) made
+// testable.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("pdrbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		exp       = flag.String("exp", "all", "experiment to run (table1, fig7, fig8a, fig8b, fig8c, fig8d, fig9a, fig9b, fig10a, fig10b, interval, parallel, cache, shard, hotpath, baselines, ablations, all)")
-		n         = flag.Int("n", 100000, "number of moving objects (CH100K analogue)")
-		queries   = flag.Int("queries", 5, "queries per parameter point")
-		warm      = flag.Int("warm", 20, "warm-up ticks of update traffic before measuring")
-		seed      = flag.Int64("seed", 1, "workload seed")
-		sizes     = flag.String("sizes", "10000,50000,100000", "dataset sizes for fig10b")
-		format    = flag.String("format", "table", "output format for figure data: table or csv")
-		svgDir    = flag.String("svgdir", "", "when set, fig7 also renders SVG plots into this directory")
-		workers   = flag.String("workers", "1,2,4,8", "worker-pool sizes for -exp parallel")
-		cacheB    = flag.Int64("cache-bytes", 64<<20, "result-cache budget for -exp cache")
-		shards    = flag.String("shards", "2,4,8", "partition counts for -exp shard (the one-partition baseline always runs first)")
-		benchJSON = flag.String("benchjson", "", "when set with -exp parallel, -exp cache, -exp shard, or -exp hotpath, write the BENCH_*.json baselines into this directory")
+		exp     = fs.String("exp", "all", "experiment to run ("+validNames()+")")
+		n       = fs.Int("n", 100000, "number of moving objects (CH100K analogue)")
+		queries = fs.Int("queries", 5, "queries per parameter point")
+		warm    = fs.Int("warm", 20, "warm-up ticks of update traffic before measuring")
+		seed    = fs.Int64("seed", 1, "workload seed")
+		sizes   = fs.String("sizes", "10000,50000,100000", "dataset sizes for fig10b")
+		format  = fs.String("format", "table", "output format for figure data: table or csv")
+		svgDir  = fs.String("svgdir", "", "when set, fig7 also renders SVG plots into this directory")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	sel, err := selectExperiments(strings.ToLower(*exp))
+	if err != nil {
+		fmt.Fprintln(stderr, "pdrbench:", err)
+		return 2
+	}
+	sizeList, err := parseSizes(*sizes)
+	if err != nil {
+		fmt.Fprintln(stderr, "pdrbench: -sizes:", err)
+		return 2
+	}
 
 	p := experiments.DefaultParams()
 	p.N = *n
 	p.QueriesPerPoint = *queries
 	p.WarmTicks = *warm
 	p.Seed = *seed
-
-	sizeList, err := parseSizes(*sizes)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pdrbench:", err)
-		os.Exit(2)
-	}
-
-	workerList, err := parseSizes(*workers)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pdrbench: -workers:", err)
-		os.Exit(2)
-	}
-
-	shardList, err := parseSizes(*shards)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pdrbench: -shards:", err)
-		os.Exit(2)
-	}
-
 	r := experiments.NewRunner(p)
-	if err := run(r, strings.ToLower(*exp), sizeList, workerList, shardList, *cacheB, *format == "csv", *svgDir, *benchJSON); err != nil {
-		fmt.Fprintln(os.Stderr, "pdrbench:", err)
-		os.Exit(1)
+	o := options{sizes: sizeList, asCSV: *format == "csv", svgDir: *svgDir}
+
+	start := time.Now()
+	for _, e := range sel {
+		fmt.Fprintf(stdout, "\n=== %s ===\n", e.title)
+		if err := e.run(stdout, r, o); err != nil {
+			fmt.Fprintf(stderr, "pdrbench: %s: %v\n", e.name, err)
+			return 1
+		}
 	}
+	fmt.Fprintf(stdout, "\ntotal runtime: %v\n", time.Since(start).Round(time.Millisecond))
+	return 0
 }
 
 func parseSizes(s string) ([]int, error) {
@@ -97,311 +155,91 @@ func parseSizes(s string) ([]int, error) {
 	return out, nil
 }
 
-func run(r *experiments.Runner, exp string, sizes, workers, shards []int, cacheBytes int64, asCSV bool, svgDir, benchJSON string) error {
-	all := exp == "all"
-	section := func(name, paper string) {
-		fmt.Printf("\n=== %s — %s ===\n", name, paper)
+// emit renders one figure's rows: as CSV when asked for and the figure has
+// a CSV writer (asCSV non-nil), as an aligned table otherwise. err is the
+// error of the call that produced rows, passed through unrendered.
+func emit[T any](w io.Writer, o options, rows []T, err error, asTable, asCSV func(io.Writer, []T) error) error {
+	if err != nil {
+		return err
 	}
-	start := time.Now()
+	if o.asCSV && asCSV != nil {
+		return asCSV(w, rows)
+	}
+	return asTable(w, rows)
+}
 
-	if all || exp == "table1" {
-		section("Table 1", "experimental setup")
-		if err := r.Table1(os.Stdout); err != nil {
-			return err
-		}
+func table1(w io.Writer, r *experiments.Runner, _ options) error {
+	return r.Table1(w)
+}
+
+func fig7(w io.Writer, r *experiments.Runner, o options) error {
+	rows, err := r.Fig7()
+	if err := emit(w, o, rows, err, experiments.PrintFig7, nil); err != nil {
+		return err
 	}
-	if all || exp == "fig7" {
-		section("Fig 7", "example: dense regions found by FR and PA")
-		rows, err := r.Fig7()
-		if err != nil {
-			return err
-		}
-		if err := experiments.PrintFig7(os.Stdout, rows); err != nil {
-			return err
-		}
-		if svgDir != "" {
-			paths, err := r.Fig7SVG(svgDir)
-			if err != nil {
-				return err
-			}
-			for _, p := range paths {
-				fmt.Println("wrote", p)
-			}
-		}
+	if o.svgDir == "" {
+		return nil
 	}
-	if all || exp == "fig8a" || exp == "fig8b" {
-		section("Fig 8(a)/8(b)", "accuracy vs varrho and l: PA vs DH baselines")
-		rows, err := r.Fig8Accuracy()
-		if err != nil {
-			return err
-		}
-		if asCSV {
-			if err := experiments.CSVFig8Accuracy(os.Stdout, rows); err != nil {
-				return err
-			}
-		} else {
-			if err := experiments.PrintFig8Accuracy(os.Stdout, rows); err != nil {
-				return err
-			}
-		}
+	paths, err := r.Fig7SVG(o.svgDir)
+	if err != nil {
+		return err
 	}
-	if all || exp == "fig8c" || exp == "fig8d" {
-		section("Fig 8(c)/8(d)", "accuracy vs memory budget")
-		rows, err := r.Fig8Memory()
-		if err != nil {
-			return err
-		}
-		if asCSV {
-			if err := experiments.CSVFig8Memory(os.Stdout, rows); err != nil {
-				return err
-			}
-		} else {
-			if err := experiments.PrintFig8Memory(os.Stdout, rows); err != nil {
-				return err
-			}
-		}
+	for _, p := range paths {
+		fmt.Fprintln(w, "wrote", p)
 	}
-	if all || exp == "fig9a" {
-		section("Fig 9(a)", "query CPU: PA vs DH")
-		rows, err := r.Fig9aQueryCPU()
-		if err != nil {
-			return err
-		}
-		if asCSV {
-			if err := experiments.CSVFig9a(os.Stdout, rows); err != nil {
-				return err
-			}
-		} else {
-			if err := experiments.PrintFig9a(os.Stdout, rows); err != nil {
-				return err
-			}
-		}
-	}
-	if all || exp == "fig9b" {
-		section("Fig 9(b)", "build CPU per location update: PA vs DH")
-		rows, err := r.Fig9bBuildCPU()
-		if err != nil {
-			return err
-		}
-		if err := experiments.PrintFig9b(os.Stdout, rows); err != nil {
-			return err
-		}
-	}
-	if all || exp == "fig10a" {
-		section("Fig 10(a)", "total query cost: PA vs FR")
-		rows, err := r.Fig10aQueryCost()
-		if err != nil {
-			return err
-		}
-		if asCSV {
-			if err := experiments.CSVFig10a(os.Stdout, rows); err != nil {
-				return err
-			}
-		} else {
-			if err := experiments.PrintFig10a(os.Stdout, rows); err != nil {
-				return err
-			}
-		}
-	}
-	if all || exp == "fig10b" {
-		section("Fig 10(b)", "query cost vs dataset size")
-		rows, err := r.Fig10bScalability(sizes)
-		if err != nil {
-			return err
-		}
-		if asCSV {
-			if err := experiments.CSVFig10b(os.Stdout, rows); err != nil {
-				return err
-			}
-		} else {
-			if err := experiments.PrintFig10b(os.Stdout, rows); err != nil {
-				return err
-			}
-		}
-	}
-	if all || exp == "interval" {
-		section("Interval (extension)", "interval PDR cost and union growth vs window width")
-		rows, err := r.ExtIntervalCost([]int{1, 2, 4, 8, 16})
-		if err != nil {
-			return err
-		}
-		if err := experiments.PrintInterval(os.Stdout, rows); err != nil {
-			return err
-		}
-	}
-	// The parallel scaling study is opt-in (not part of "all"): its numbers
-	// are host-dependent by design, and "all" reproduces the paper.
-	if exp == "parallel" {
-		section("Parallel (extension)", "query wall time vs worker-pool size")
-		bp := experiments.DefaultParallelBenchParams()
-		bp.Workers = workers
-		iv, err := r.ParallelInterval(bp)
-		if err != nil {
-			return err
-		}
-		if err := experiments.PrintParallel(os.Stdout, iv); err != nil {
-			return err
-		}
-		snap, err := r.ParallelSnapshot(bp)
-		if err != nil {
-			return err
-		}
-		if err := experiments.PrintParallel(os.Stdout, snap); err != nil {
-			return err
-		}
-		if benchJSON != "" {
-			for name, b := range map[string]*experiments.ParallelBench{
-				"BENCH_interval.json": iv, "BENCH_snapshot.json": snap,
-			} {
-				path := filepath.Join(benchJSON, name)
-				f, err := os.Create(path)
-				if err != nil {
-					return err
-				}
-				err = b.WriteJSON(f)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-				if err != nil {
-					return err
-				}
-				fmt.Println("wrote", path)
-			}
-		}
-	}
-	// Like "parallel", the cache study is opt-in: it measures this host's
-	// cold/warm ratio, not a paper figure.
-	if exp == "cache" {
-		section("Cache (extension)", "result-cache cold vs warm vs sliding-window workloads")
-		bp := experiments.DefaultCacheBenchParams()
-		bp.CacheBytes = cacheBytes
-		cb, err := r.CacheBench(bp)
-		if err != nil {
-			return err
-		}
-		if err := experiments.PrintCache(os.Stdout, cb); err != nil {
-			return err
-		}
-		if benchJSON != "" {
-			path := filepath.Join(benchJSON, "BENCH_cache.json")
-			f, err := os.Create(path)
-			if err != nil {
-				return err
-			}
-			err = cb.WriteJSON(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				return err
-			}
-			fmt.Println("wrote", path)
-		}
-	}
-	// The hotpath study is opt-in for the same reason: it measures this
-	// host's per-core kernel cost, not a paper figure.
-	if exp == "hotpath" {
-		section("Hotpath (extension)", "single-core query kernels: ns/op, B/op, allocs/op")
-		hb, err := r.HotpathBench(experiments.DefaultHotpathBenchParams())
-		if err != nil {
-			return err
-		}
-		if benchJSON != "" {
-			path := filepath.Join(benchJSON, "BENCH_hotpath.json")
-			// Carry the pre-optimization numbers forward: a re-recorded
-			// baseline keeps the original "before" so the file always shows
-			// the rewrite's delta.
-			if f, err := os.Open(path); err == nil {
-				prior, perr := experiments.ReadHotpathJSON(f)
-				f.Close()
-				if perr == nil {
-					hb.MergeBefore(prior)
-				}
-			}
-			f, err := os.Create(path)
-			if err != nil {
-				return err
-			}
-			err = hb.WriteJSON(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				return err
-			}
-			fmt.Println("wrote", path)
-		}
-		if err := experiments.PrintHotpath(os.Stdout, hb); err != nil {
-			return err
-		}
-	}
-	// The shard study is opt-in for the same reason: it measures this
-	// host's contention relief, not a paper figure.
-	if exp == "shard" {
-		section("Shard (extension)", "one partition vs several: snapshot, interval, mixed read/write")
-		bp := experiments.DefaultShardBenchParams()
-		bp.Shards = shards
-		sb, err := r.ShardBench(bp)
-		if err != nil {
-			return err
-		}
-		if err := experiments.PrintShard(os.Stdout, sb); err != nil {
-			return err
-		}
-		if benchJSON != "" {
-			path := filepath.Join(benchJSON, "BENCH_shard.json")
-			f, err := os.Create(path)
-			if err != nil {
-				return err
-			}
-			err = sb.WriteJSON(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				return err
-			}
-			fmt.Println("wrote", path)
-		}
-	}
-	if all || exp == "baselines" {
-		section("Baselines", "prior-art methods (Figs 1-3 arguments) quantified vs exact PDR")
-		rows, err := r.BaselineComparison()
-		if err != nil {
-			return err
-		}
-		if err := experiments.PrintBaselines(os.Stdout, rows); err != nil {
-			return err
-		}
-	}
-	if all || exp == "ablations" {
-		section("Ablations", "design choices called out in DESIGN.md")
-		var rows []experiments.AblationRow
-		bb, err := r.AblationBranchBound()
-		if err != nil {
-			return err
-		}
-		lp, err := r.AblationLocalPolynomials()
-		if err != nil {
-			return err
-		}
-		fl, err := r.AblationFilter()
-		if err != nil {
-			return err
-		}
-		rows = append(rows, bb...)
-		rows = append(rows, lp...)
-		rows = append(rows, fl...)
-		if err := experiments.PrintAblation(os.Stdout, rows); err != nil {
-			return err
-		}
-	}
-	switch exp {
-	case "all", "table1", "fig7", "fig8a", "fig8b", "fig8c", "fig8d",
-		"fig9a", "fig9b", "fig10a", "fig10b", "interval", "parallel", "cache", "shard", "hotpath", "baselines", "ablations":
-	default:
-		return fmt.Errorf("unknown experiment %q", exp)
-	}
-	fmt.Printf("\ntotal runtime: %v\n", time.Since(start).Round(time.Millisecond))
 	return nil
+}
+
+func fig8Accuracy(w io.Writer, r *experiments.Runner, o options) error {
+	rows, err := r.Fig8Accuracy()
+	return emit(w, o, rows, err, experiments.PrintFig8Accuracy, experiments.CSVFig8Accuracy)
+}
+
+func fig8Memory(w io.Writer, r *experiments.Runner, o options) error {
+	rows, err := r.Fig8Memory()
+	return emit(w, o, rows, err, experiments.PrintFig8Memory, experiments.CSVFig8Memory)
+}
+
+func fig9a(w io.Writer, r *experiments.Runner, o options) error {
+	rows, err := r.Fig9aQueryCPU()
+	return emit(w, o, rows, err, experiments.PrintFig9a, experiments.CSVFig9a)
+}
+
+func fig9b(w io.Writer, r *experiments.Runner, o options) error {
+	rows, err := r.Fig9bBuildCPU()
+	return emit(w, o, rows, err, experiments.PrintFig9b, nil)
+}
+
+func fig10a(w io.Writer, r *experiments.Runner, o options) error {
+	rows, err := r.Fig10aQueryCost()
+	return emit(w, o, rows, err, experiments.PrintFig10a, experiments.CSVFig10a)
+}
+
+func fig10b(w io.Writer, r *experiments.Runner, o options) error {
+	rows, err := r.Fig10bScalability(o.sizes)
+	return emit(w, o, rows, err, experiments.PrintFig10b, experiments.CSVFig10b)
+}
+
+func interval(w io.Writer, r *experiments.Runner, o options) error {
+	rows, err := r.ExtIntervalCost([]int{1, 2, 4, 8, 16})
+	return emit(w, o, rows, err, experiments.PrintInterval, nil)
+}
+
+func baselines(w io.Writer, r *experiments.Runner, o options) error {
+	rows, err := r.BaselineComparison()
+	return emit(w, o, rows, err, experiments.PrintBaselines, nil)
+}
+
+func ablations(w io.Writer, r *experiments.Runner, o options) error {
+	var rows []experiments.AblationRow
+	for _, ablate := range []func() ([]experiments.AblationRow, error){
+		r.AblationBranchBound, r.AblationLocalPolynomials, r.AblationFilter,
+	} {
+		part, err := ablate()
+		if err != nil {
+			return err
+		}
+		rows = append(rows, part...)
+	}
+	return experiments.PrintAblation(w, rows)
 }

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	pdrserve -addr :8080 [-data workload.jsonl] [-l 30] [-histm 100]
-//	         [-workers 0] [-shards 1] [-cache-bytes 67108864]
+//	         [-workers 0] [-shards 1] [-cache-bytes 0]
 //	         [-slow-query 250ms] [-slow-query-max 10000] [-trace-sample 1.0]
 //	         [-trace-buffer 256] [-debug-addr localhost:6060]
 //

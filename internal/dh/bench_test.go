@@ -33,9 +33,13 @@ func BenchmarkFilter(b *testing.B) {
 	rho := 50000.0 * 3 / 1e6
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := h.Filter(motion.Tick(i%91), rho, 30); err != nil {
+		fr, err := h.Filter(motion.Tick(i%91), rho, 30)
+		if err != nil {
 			b.Fatal(err)
 		}
+		// As the engine's pipeline does; without it every iteration
+		// allocates a fresh marks buffer and the pooled path goes unmeasured.
+		fr.Release()
 	}
 }
 

@@ -342,8 +342,8 @@ func (s *Service) handleApply(w http.ResponseWriter, r *http.Request) {
 	// Applies bypass the monitor (the clock does not move, so no standing
 	// query comes due) and take only the read side of the service lock: the
 	// engine serializes its own writes, and applies to different partitions
-	// proceed in parallel — the contention regime cmd/pdrload's apply traffic
-	// class measures.
+	// proceed in parallel — the contention regime bench/'s mixed-rw workload
+	// measures.
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	for i, u := range ups {
