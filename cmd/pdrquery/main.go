@@ -78,7 +78,7 @@ func main() {
 	}
 	fmt.Printf("method=%s rho=%.6g l=%g qt=%d\n", res.Method, rho, *l, qt)
 	fmt.Printf("dense region: %d rects, area %.1f (%.3f%% of the plane)\n",
-		len(res.Region), res.Region.Area(), 100*res.Region.Area()/cfg.Area.Area())
+		len(res.Region), res.Area, 100*res.Area/cfg.Area.Area())
 	fmt.Printf("cost: cpu=%v ios=%d io-time=%v total=%v\n", res.CPU, res.IOs, res.IOTime, res.Total())
 	if res.Method == core.FR {
 		fmt.Printf("filter: accepted=%d rejected=%d candidates=%d objects-retrieved=%d\n",

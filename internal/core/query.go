@@ -122,6 +122,11 @@ type Query struct {
 type Result struct {
 	Method Method
 	Region geom.Region
+	// Area is the area Region covers. A snapshot answer's rectangles are
+	// disjoint by construction (geom.DisjointArea), so it is their plain sum;
+	// an interval answer unions overlapping snapshots and pays for the exact
+	// measure (geom.UnionArea).
+	Area float64
 	// CPU is the measured computation time — for interval queries the
 	// *summed* work across per-timestamp snapshots, which exceeds elapsed
 	// time when snapshots run on the worker pool.
@@ -278,6 +283,7 @@ func (s *Server) snapshotLocked(q Query, m Method, trackIO bool, sp *telemetry.S
 	return &Result{
 		Method:           m,
 		Region:           ent.Region,
+		Area:             geom.DisjointArea(ent.Region),
 		CPU:              elapsed,
 		Wall:             elapsed,
 		Cached:           true,
@@ -319,6 +325,7 @@ func (s *Server) evaluateLocked(q Query, m Method, trackIO bool, sp *telemetry.S
 	if err != nil {
 		return nil, err
 	}
+	res.Area = geom.DisjointArea(res.Region)
 	res.CPU = sw.Elapsed()
 	res.Wall = res.CPU // a snapshot evaluation is one sequential stopwatch
 	if trackIO {
@@ -590,6 +597,7 @@ func (s *Server) PastSnapshotTraced(q Query, sp *telemetry.Span) (*Result, error
 	ph.End()
 	ph = esp.Child("union")
 	res.Region = geom.CoalesceInPlace(sweep.DenseRects(points, s.cfg.Area, q.Rho, q.L))
+	res.Area = geom.DisjointArea(res.Region)
 	ph.End()
 	res.CPU = sw.Elapsed()
 	res.Wall = res.CPU
@@ -626,14 +634,39 @@ func (s *Server) IntervalTraced(q Query, until motion.Tick, m Method, sp *teleme
 		return nil, s.failed(fmt.Errorf("core: empty interval [%d, %d]", q.At, until))
 	}
 	s.rlockAll()
-	defer s.runlockAll()
 	sw := stopwatch.Start()
 	n := int(until-q.At) + 1
 	isp := sp.Child("interval")
 	isp.SetAttr("method", m.String())
 	isp.SetAttrInt("snapshots", int64(n))
+	out, err := s.intervalLocked(q, n, m, isp)
+	s.runlockAll()
+	if err != nil {
+		isp.End()
+		return nil, s.failed(err)
+	}
+	// Snapshots of adjacent timestamps overlap, so the union's area is the
+	// exact measure, not a sum. The union is private to this call: it is
+	// measured after the partitions are released.
+	asp := isp.Child("area")
+	out.Area = geom.UnionArea(out.Region)
+	asp.End()
+	isp.SetAttrInt("ios", out.IOs)
+	isp.End()
+	out.Wall = sw.Elapsed()
+	if s.met != nil {
+		s.met.observeInterval(int64(n), out.Wall)
+	}
+	return out, nil
+}
+
+// intervalLocked fans the n per-timestamp snapshots of an interval query out
+// under the read locks and merges them into one result (everything but its
+// Area and Wall, which IntervalTraced fills in once the locks are released).
+func (s *Server) intervalLocked(q Query, n int, m Method, isp *telemetry.Span) (*Result, error) {
 	ioBefore := s.PoolStats()
 	sc := intervalScratches.Get().(*intervalScratch)
+	defer releaseIntervalScratch(sc)
 	subs := grow(sc.subs, n)
 	errs := grow(sc.errs, n)
 	sc.subs, sc.errs = subs, errs
@@ -646,9 +679,7 @@ func (s *Server) IntervalTraced(q Query, until motion.Tick, m Method, sp *teleme
 	})
 	for _, err := range errs {
 		if err != nil {
-			isp.End()
-			releaseIntervalScratch(sc)
-			return nil, s.failed(err)
+			return nil, err
 		}
 	}
 	out := &Result{Method: m, Cached: true}
@@ -666,7 +697,6 @@ func (s *Server) IntervalTraced(q Query, until motion.Tick, m Method, sp *teleme
 		out.ObjectsRetrieved += r.ObjectsRetrieved
 		out.Phases = telemetry.MergeSpans(out.Phases, r.Phases)
 	}
-	releaseIntervalScratch(sc)
 	out.IOs = s.PoolStats().Sub(ioBefore).RandomIOs()
 	out.IOTime = time.Duration(out.IOs) * s.cfg.IOCharge
 	// Snapshots of adjacent timestamps overlap heavily; coalescing the
@@ -675,12 +705,6 @@ func (s *Server) IntervalTraced(q Query, until motion.Tick, m Method, sp *teleme
 	usp := isp.Child("union")
 	out.Region = geom.CoalesceInPlace(region)
 	usp.End()
-	isp.SetAttrInt("ios", out.IOs)
-	isp.End()
-	out.Wall = sw.Elapsed()
-	if s.met != nil {
-		s.met.observeInterval(int64(n), out.Wall)
-	}
 	return out, nil
 }
 

@@ -14,7 +14,8 @@ import (
 // referenceUnionArea is geom.UnionArea as it stood before its scratch was
 // pooled and its y indices were read off the sort order: a search per edge,
 // events ordered by an unstable reflection sort. The rewrite promises the
-// same float, bit for bit — every query reply carries this number — and the
+// same float, bit for bit — interval replies and standing-query events carry
+// this number, and snapshot replies a sum pinned against it — and the
 // tests below hold it to that.
 func referenceUnionArea(rects []geom.Rect) float64 {
 	type event struct {
@@ -98,10 +99,11 @@ func sameArea(t *testing.T, label string, g geom.Region) {
 	}
 }
 
-// TestAreaBitsOfQueryAnswers measures what the service measures: FR answers
-// (disjoint, coalesced), PA answers (branch-and-bound boxes), the DH
-// baselines, and interval answers, whose per-timestamp parts overlap — from
-// an engine over a clustered population, twice through the pooled scratch.
+// TestAreaBitsOfQueryAnswers measures what the engine's answers are made of:
+// FR answers (disjoint, coalesced), PA answers (branch-and-bound boxes), the
+// DH baselines, and interval answers, whose per-timestamp parts overlap —
+// from an engine over a clustered population, twice through the pooled
+// scratch — and holds core.Result.Area to the same reference.
 func TestAreaBitsOfQueryAnswers(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	s, err := core.NewServer(core.Config{
@@ -134,25 +136,27 @@ func TestAreaBitsOfQueryAnswers(t *testing.T) {
 				t.Fatalf("%v snapshot: %d rects pin nothing", m, len(res.Region))
 			}
 			sameArea(t, m.String()+" snapshot", res.Region)
+			// The result's own figure is the plain sum of its disjoint
+			// rectangles: the same number up to summation order.
+			if want := referenceUnionArea(res.Region); math.Abs(res.Area-want) > 1e-12*want {
+				t.Fatalf("%v snapshot: Result.Area %v, reference measure %v", m, res.Area, want)
+			}
 		}
 		for _, m := range []core.Method{core.FR, core.PA} {
 			res, err := s.Interval(q, q.At+4, m)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if covered, sum := res.Region.Area(), rectSum(res.Region); !(sum > covered*1.01) {
+			if covered, sum := res.Region.Area(), geom.DisjointArea(res.Region); !(sum > covered*1.01) {
 				t.Fatalf("%v interval: rectangle areas sum to %g over a union of %g — no overlap to measure", m, sum, covered)
 			}
 			sameArea(t, m.String()+" interval", res.Region)
+			// Overlapping parts: the result's figure is the measure itself.
+			if want := referenceUnionArea(res.Region); math.Float64bits(res.Area) != math.Float64bits(want) {
+				t.Fatalf("%v interval: Result.Area %v, reference measure %v", m, res.Area, want)
+			}
 		}
 	}
-}
-
-func rectSum(g geom.Region) (sum float64) {
-	for _, r := range g {
-		sum += r.Area()
-	}
-	return sum
 }
 
 // TestAreaBitsRandom: rectangle soups on a coarse lattice (many shared x and

@@ -21,9 +21,9 @@ type yEdge struct {
 	top bool
 }
 
-// areaScratch is UnionArea's working memory. Every query reply measures its
-// region, so the scratch is pooled like the kernels' (docs/PERFORMANCE.md):
-// steady-state measuring allocates nothing.
+// areaScratch is UnionArea's working memory. Every interval reply and every
+// standing-query event measures a region, so the scratch is pooled like the
+// kernels' (docs/PERFORMANCE.md): steady-state measuring allocates nothing.
 type areaScratch struct {
 	edges  []yEdge
 	events []areaEvent
@@ -84,6 +84,20 @@ func UnionArea(rects []Rect) float64 {
 	}
 	sc.edges, sc.events = edges, events
 	areaScratches.Put(sc)
+	return area
+}
+
+// DisjointArea returns the area of a region whose rectangles are pairwise
+// disjoint — every snapshot answer is, by construction: histogram cells,
+// branch-and-bound boxes and sweep output tile without overlap, and Coalesce
+// only merges abutting runs — as the plain sum of the rectangle areas: one
+// linear pass where UnionArea sorts and sweeps. Overlapping input is counted
+// once per rectangle; interval unions and set differences need UnionArea.
+func DisjointArea(rects []Rect) float64 {
+	var area float64
+	for _, r := range rects {
+		area += r.Area()
+	}
 	return area
 }
 

@@ -34,8 +34,10 @@ type Event struct {
 	// At is the evaluation time (server now); Target = At + Ahead is the
 	// forecast timestamp the region refers to.
 	At, Target motion.Tick
-	// Region is the full current answer.
+	// Region is the full current answer and Area the area it covers (the
+	// snapshot result's own figure).
 	Region geom.Region
+	Area   float64
 	// Added covers points that are dense now but were not in the previous
 	// evaluation; Removed covers the opposite.
 	Added, Removed geom.Region
@@ -184,8 +186,8 @@ func (m *Monitor) evaluate(s *sub, now motion.Tick, sp *telemetry.Span) (Event, 
 	}
 	ev := Event{
 		SubID: s.id, At: now, Target: target,
-		Region: res.Region,
-		First:  !s.ran,
+		Region: res.Region, Area: res.Area,
+		First: !s.ran,
 	}
 	if s.ran {
 		ev.Added = geom.Subtract(res.Region, s.prev)

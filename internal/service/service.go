@@ -19,15 +19,17 @@
 // write lock. The service-level RWMutex keeps parse-time clock reads coherent
 // with query execution and guards the monitor; the engine (internal/core)
 // has its own per-partition locks, which is what lets /v1/apply run under the
-// read lock.
+// read lock. A query's answer is private to its request, so /v1/query and
+// /v1/past drop the lock when the engine returns and encode the reply
+// (reply.go) without it: a tick never waits out the formatting of a reply.
 package service
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -220,22 +222,6 @@ func writeJSON(w http.ResponseWriter, v any) {
 	writeJSONStatus(w, http.StatusOK, v)
 }
 
-// writeJSONStatus encodes v into a buffer before touching the connection,
-// so an encoding failure yields a clean 500 instead of a truncated 200
-// body, and the status line is never written twice.
-func writeJSONStatus(w http.ResponseWriter, code int, v any) {
-	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(v); err != nil {
-		http.Error(w, `{"error":"response encoding failed"}`, http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	// lint:ignore errchecklite the reply is fully buffered; a failed write
-	// means the client hung up and there is nobody left to tell.
-	w.Write(buf.Bytes())
-}
-
 // LoadRequest is the body of POST /v1/load.
 type LoadRequest struct {
 	States []wire.Record `json:"states"`
@@ -363,7 +349,11 @@ type RectJSON struct {
 	MaxY float64 `json:"maxY"`
 }
 
-// QueryResponse is the body returned by GET /v1/query.
+// QueryResponse is the body returned by GET /v1/query and GET /v1/past: the
+// documented shape, and what clients decode into. The handlers never build
+// one — appendQueryReply writes its encoding straight from the engine's
+// result — so a field added here must be added there, in the same position
+// (TestQueryReplyMatchesEncodingJSON compares the two byte for byte).
 type QueryResponse struct {
 	Method      string        `json:"method"`
 	At          motion.Tick   `json:"at"`
@@ -411,7 +401,21 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad l %q", qp.Get("l"))
 		return
 	}
+	ans, code, err := s.evalQuery(r, qp, method, l)
+	if err != nil {
+		httpError(w, code, "%v", err)
+		return
+	}
+	annotateQuery(r, ans)
+	writeQueryReply(w, r, ans, qp.Get("outline") == "1")
+}
 
+// evalQuery resolves a query's clock-relative parameters and runs it, all
+// under one hold of the service's read lock so the clock it parsed against
+// is the clock it ran at — and not a moment longer: the answer is private to
+// the request, so the reply is encoded after the lock is gone. A failure
+// comes back with the HTTP status to report it under.
+func (s *Service) evalQuery(r *http.Request, qp url.Values, method core.Method, l float64) (queryAnswer, int, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	now := s.srv.Now()
@@ -419,64 +423,28 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	rho, err := s.parseRhoLocked(qp)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
+		return queryAnswer{}, http.StatusBadRequest, err
 	}
 	at, err := parseTick(qp.Get("at"), now, horizon)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
+		return queryAnswer{}, http.StatusBadRequest, err
 	}
-	q := core.Query{Rho: rho, L: l, At: at}
-
-	var res *core.Result
-	var until *motion.Tick
+	ans := queryAnswer{q: core.Query{Rho: rho, L: l, At: at}}
 	if u := qp.Get("until"); u != "" {
 		end, err := parseTick(u, now, horizon)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
-			return
+			return queryAnswer{}, http.StatusBadRequest, err
 		}
-		until = &end
-		res, err = s.srv.IntervalTraced(q, end, method, requestSpan(r))
-		if err != nil {
-			httpError(w, http.StatusUnprocessableEntity, "%v", err)
-			return
-		}
+		ans.until = &end
+		ans.res, err = s.srv.IntervalTraced(ans.q, end, method, requestSpan(r))
 	} else {
-		res, err = s.srv.SnapshotTraced(q, method, requestSpan(r))
-		if err != nil {
-			httpError(w, http.StatusUnprocessableEntity, "%v", err)
-			return
-		}
+		ans.res, err = s.srv.SnapshotTraced(ans.q, method, requestSpan(r))
 	}
-	annotateQuery(r, q, until, res.Method.String(), res)
-
-	out := QueryResponse{
-		Method: res.Method.String(), At: q.At, Until: until,
-		Rho: rho, L: l,
-		Rects:           make([]RectJSON, len(res.Region)),
-		Area:            res.Region.Area(),
-		CPUMicros:       res.CPU.Microseconds(),
-		WallMicros:      res.Wall.Microseconds(),
-		IOs:             res.IOs,
-		TotalMicros:     res.Total().Microseconds(),
-		Cached:          res.Cached,
-		CachedCPUMicros: res.CachedCPU.Microseconds(),
+	if err != nil {
+		return queryAnswer{}, http.StatusUnprocessableEntity, err
 	}
-	for i, rect := range res.Region {
-		out.Rects[i] = RectJSON{rect.MinX, rect.MinY, rect.MaxX, rect.MaxY}
-	}
-	if qp.Get("outline") == "1" {
-		for _, ring := range res.Region.Outline() {
-			pts := make([]PointJSON, len(ring))
-			for i, p := range ring {
-				pts[i] = PointJSON{p.X, p.Y}
-			}
-			out.Rings = append(out.Rings, pts)
-		}
-	}
-	writeJSON(w, out)
+	ans.method = ans.res.Method.String()
+	return ans, http.StatusOK, nil
 }
 
 // ContourResponse is the body of GET /v1/contours.
@@ -595,7 +563,7 @@ func (s *Service) handleStats(w http.ResponseWriter, _ *http.Request) {
 // parseRhoLocked resolves rho= (absolute) or varrho= (relative to the live
 // count) query parameters. The Locked suffix is the pdrvet convention: the
 // caller must hold s.mu.
-func (s *Service) parseRhoLocked(qp interface{ Get(string) string }) (float64, error) {
+func (s *Service) parseRhoLocked(qp url.Values) (float64, error) {
 	if v := qp.Get("rho"); v != "" {
 		rho, err := strconv.ParseFloat(v, 64)
 		if err != nil {

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
 
 	"pdr/internal/core"
+	"pdr/internal/geom"
 	"pdr/internal/motion"
 	"pdr/internal/wire"
 )
@@ -172,5 +174,73 @@ func TestRaceConcurrentIntervalQueries(t *testing.T) {
 			t.Errorf("client %d answer diverged: area %g (%d rects) vs %g (%d rects)",
 				c, answers[c].Area, len(answers[c].Rects), answers[0].Area, len(answers[0].Rects))
 		}
+	}
+}
+
+// TestRaceEncodeWhileTicking: a query reply is encoded after the service lock
+// is released, out of a pooled buffer the middleware hands to the socket and
+// then back to the pool — so ticks now run while replies are being formatted,
+// and buffers change hands between concurrent requests. Every reply must
+// still arrive whole and self-consistent: the announced length, valid JSON,
+// and an area that is exactly the sum of the rectangles it carries (a
+// snapshot's are disjoint), which a buffer recycled a write too early, or a
+// region shared with the engine, would break.
+func TestRaceEncodeWhileTicking(t *testing.T) {
+	_, ts := testService(t)
+	g := loadWorkload(t, ts, 1500)
+
+	const readers = 4
+	stop := make(chan struct{})
+	errs := make(chan error, readers)
+	var wg sync.WaitGroup
+	for w := 0; w < readers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			method := []string{"fr", "pa"}[w%2]
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				resp, err := http.Get(fmt.Sprintf("%s/v1/query?method=%s&varrho=%d&l=60&at=now%%2B%d", ts.URL, method, 1+i%3, i%5))
+				if err != nil {
+					errs <- err
+					return
+				}
+				body, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				var qr QueryResponse
+				switch {
+				case err != nil:
+				case resp.StatusCode != http.StatusOK:
+					err = fmt.Errorf("query status %d: %s", resp.StatusCode, body)
+				case int64(len(body)) != resp.ContentLength:
+					err = fmt.Errorf("%d-byte body under Content-Length %d", len(body), resp.ContentLength)
+				default:
+					err = json.Unmarshal(body, &qr)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+				var sum float64
+				for _, r := range qr.Rects {
+					sum += geom.NewRect(r.MinX, r.MinY, r.MaxX, r.MaxY).Area()
+				}
+				if sum != qr.Area {
+					errs <- fmt.Errorf("%s reply: area %v, its %d rectangles sum to %v", method, qr.Area, len(qr.Rects), sum)
+					return
+				}
+			}
+		}(w)
+	}
+	advanceTicks(t, ts, g, 8)
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

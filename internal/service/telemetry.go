@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"pdr/internal/core"
 	"pdr/internal/motion"
 	"pdr/internal/stopwatch"
 	"pdr/internal/telemetry"
@@ -35,6 +34,8 @@ func (s *Service) handle(pattern string, h http.HandlerFunc) {
 	}
 	latency := s.reg.Histogram("pdr_http_request_seconds",
 		"HTTP request latency by route.", nil, telemetry.L("route", route))
+	replyBytes := s.reg.Histogram("pdr_http_response_bytes",
+		"HTTP response body size by route.", responseByteBuckets, telemetry.L("route", route))
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		detail := &queryDetail{}
 		var tr *telemetry.Trace
@@ -65,19 +66,24 @@ func (s *Service) handle(pattern string, h http.HandlerFunc) {
 			elapsed = sw.Elapsed()
 		}
 		latency.Observe(elapsed.Seconds())
+		replyBytes.Observe(float64(len(rec.body)))
 		s.reg.Counter("pdr_http_requests_total",
 			"HTTP requests by route and status.",
 			telemetry.L("route", route),
 			telemetry.L("status", strconv.Itoa(rec.status))).Inc()
 		if s.slow != nil {
-			s.slow.maybeLog(route, r, rec.status, elapsed, detail, traceID)
+			s.slow.maybeLog(route, r, rec.status, len(rec.body), elapsed, detail, traceID)
 		}
 		rec.release()
 	})
 }
 
+// responseByteBuckets spans an error envelope (~50 B) to a paper-scale exact
+// interval answer (tens of MB) in factors of four.
+var responseByteBuckets = []float64{256, 1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20, 16 << 20}
+
 // statusRecorder holds the handler's response — the status and the body,
-// which every handler has fully buffered before writing (writeJSONStatus) —
+// which every handler has fully buffered before writing (sendReply) —
 // until the middleware has stored the request's trace, written its slow-log
 // line and bumped its counters. Everything a client can look up with the
 // response in hand (X-Pdr-Trace-Id at /debug/traces/{id}, the slow-query
@@ -86,6 +92,10 @@ type statusRecorder struct {
 	http.ResponseWriter
 	status int
 	body   []byte
+	// pooled is the replyBufs buffer body aliases when the handler handed
+	// its reply over whole (sendReply); nil when the body was copied in
+	// through Write.
+	pooled *[]byte
 }
 
 func (r *statusRecorder) WriteHeader(code int) { r.status = code }
@@ -95,12 +105,17 @@ func (r *statusRecorder) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// release sends the held response.
+// release sends the held response and returns a handed-over buffer to its
+// pool.
 func (r *statusRecorder) release() {
 	r.ResponseWriter.WriteHeader(r.status)
 	// lint:ignore errchecklite a failed write means the client hung up and
 	// there is nobody left to tell.
 	r.ResponseWriter.Write(r.body)
+	if r.pooled != nil {
+		replyBufs.Put(r.pooled)
+		r.body, r.pooled = nil, nil
+	}
 }
 
 // detailKey carries the per-request queryDetail through the context.
@@ -120,40 +135,46 @@ type queryDetail struct {
 	wall   time.Duration
 	cached bool
 	phases []telemetry.PhaseSpan
+	// encode is the time writeQueryReply spent building the reply body.
+	encode time.Duration
 	// span is the request's root span when the request is traced; handlers
 	// fetch it via requestSpan to hang engine subtrees off it. Nil when
 	// tracing is off or the request was sampled out.
 	span *telemetry.Span
 }
 
+// requestDetail returns the request's carrier, nil for a request that
+// bypassed the middleware (e.g. a direct handler test).
+func requestDetail(r *http.Request) *queryDetail {
+	d, _ := r.Context().Value(detailKey{}).(*queryDetail)
+	return d
+}
+
 // requestSpan returns the request's root span, nil for untraced requests
-// (tracing disabled, sampled out, or a request that bypassed the
-// middleware, e.g. a direct handler test).
+// (tracing disabled, sampled out, or no carrier).
 func requestSpan(r *http.Request) *telemetry.Span {
-	d, ok := r.Context().Value(detailKey{}).(*queryDetail)
-	if !ok {
-		return nil
+	if d := requestDetail(r); d != nil {
+		return d.span
 	}
-	return d.span
+	return nil
 }
 
 // annotateQuery records engine result detail on the request's carrier (a
-// no-op for requests that did not pass through the middleware, e.g. direct
-// handler tests).
-func annotateQuery(r *http.Request, q core.Query, until *motion.Tick, method string, res *core.Result) {
-	d, ok := r.Context().Value(detailKey{}).(*queryDetail)
-	if !ok {
+// no-op without one).
+func annotateQuery(r *http.Request, a queryAnswer) {
+	d := requestDetail(r)
+	if d == nil {
 		return
 	}
 	d.set = true
-	d.method = method
-	d.rho, d.l, d.at = q.Rho, q.L, q.At
-	d.until = until
-	d.ios = res.IOs
-	d.cpu = res.CPU
-	d.wall = res.Wall
-	d.cached = res.Cached
-	d.phases = res.Phases
+	d.method = a.method
+	d.rho, d.l, d.at = a.q.Rho, a.q.L, a.q.At
+	d.until = a.until
+	d.ios = a.res.IOs
+	d.cpu = a.res.CPU
+	d.wall = a.res.Wall
+	d.cached = a.res.Cached
+	d.phases = a.res.Phases
 }
 
 // slowQueryLog writes one structured JSON line per request slower than the
@@ -181,6 +202,11 @@ type slowQueryLine struct {
 	URL            string `json:"url"`
 	Status         int    `json:"status"`
 	DurationMicros int64  `json:"durationMicros"`
+	// ReplyBytes is the response body size; EncodeMicros, present on query
+	// routes, is the part of the duration spent building that body — the
+	// service's own share of a slow exact read, beside the engine's phases.
+	ReplyBytes   int   `json:"replyBytes"`
+	EncodeMicros int64 `json:"encodeMicros,omitempty"`
 	// TraceID resolves at GET /debug/traces/{id} while the trace store
 	// retains the trace; absent for untraced requests.
 	TraceID string           `json:"traceId,omitempty"`
@@ -205,7 +231,7 @@ type phaseSpanJSON struct {
 	Micros int64  `json:"micros"`
 }
 
-func (l *slowQueryLog) maybeLog(route string, r *http.Request, status int, elapsed time.Duration, d *queryDetail, traceID telemetry.TraceID) {
+func (l *slowQueryLog) maybeLog(route string, r *http.Request, status, replyBytes int, elapsed time.Duration, d *queryDetail, traceID telemetry.TraceID) {
 	if elapsed < l.threshold {
 		return
 	}
@@ -221,11 +247,13 @@ func (l *slowQueryLog) maybeLog(route string, r *http.Request, status int, elaps
 		URL:            r.URL.String(),
 		Status:         status,
 		DurationMicros: elapsed.Microseconds(),
+		ReplyBytes:     replyBytes,
 	}
 	if traceID != 0 {
 		line.TraceID = traceID.String()
 	}
 	if d != nil && d.set {
+		line.EncodeMicros = d.encode.Microseconds()
 		q := &slowQueryDetail{
 			Method: d.method, Rho: d.rho, L: d.l, At: d.at, Until: d.until,
 			IOs: d.ios, CPUMicros: d.cpu.Microseconds(),

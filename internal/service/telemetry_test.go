@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -112,6 +113,13 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if v := metricValue(after, `pdr_http_request_seconds_count{route="/v1/query"}`); v != "1" {
 		t.Errorf("http latency observations = %q, want 1", v)
+	}
+	// ... and the size of what it sent: one observation, summing to the body.
+	if v := metricValue(after, `pdr_http_response_bytes_count{route="/v1/query"}`); v != "1" {
+		t.Errorf("http response-size observations = %q, want 1", v)
+	}
+	if v := metricValue(after, `pdr_http_response_bytes_sum{route="/v1/query"}`); v != strconv.FormatInt(resp.ContentLength, 10) {
+		t.Errorf("http response bytes = %q, the reply's Content-Length was %d", v, resp.ContentLength)
 	}
 	// Pool instruments are present (FR refinement touches the index).
 	if v := metricValue(after, "pdr_pool_hit_ratio"); v == "" {

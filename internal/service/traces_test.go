@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -89,6 +90,19 @@ func TestTraceHeaderResolvesToStoredTree(t *testing.T) {
 			t.Errorf("span %q missing from stored tree", want)
 		}
 	}
+	// The service's own share hangs off the root too: the encode span says
+	// what was formatted, and it is what the client received.
+	attrs := map[string]string{}
+	for _, c := range tr.Root.Children {
+		if c.Name == "encode" {
+			for _, a := range c.Attrs {
+				attrs[a.Key] = a.Value
+			}
+		}
+	}
+	if attrs["rects"] != strconv.Itoa(len(qr.Rects)) || attrs["bytes"] != strconv.FormatInt(resp.ContentLength, 10) {
+		t.Errorf("encode span attrs %v, want rects=%d bytes=%d", attrs, len(qr.Rects), resp.ContentLength)
+	}
 
 	// The slow log (threshold 1ns logs everything) recorded the same ID and
 	// the same microsecond measurement.
@@ -109,6 +123,10 @@ func TestTraceHeaderResolvesToStoredTree(t *testing.T) {
 	if found.DurationMicros != tr.DurationMicros {
 		t.Fatalf("slow log says %dµs, trace store says %dµs — must be the same measurement",
 			found.DurationMicros, tr.DurationMicros)
+	}
+	if int64(found.ReplyBytes) != resp.ContentLength || found.EncodeMicros > found.DurationMicros {
+		t.Errorf("slow log says replyBytes %d (Content-Length %d), encodeMicros %d of %dµs",
+			found.ReplyBytes, resp.ContentLength, found.EncodeMicros, found.DurationMicros)
 	}
 }
 

@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"net/http"
+	"net/url"
 	"strconv"
 
 	"pdr/internal/core"
@@ -58,34 +59,32 @@ func (s *Service) handlePast(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad l %q", qp.Get("l"))
 		return
 	}
+	ans, code, err := s.evalPast(r, qp, l)
+	if err != nil {
+		httpError(w, code, "%v", err)
+		return
+	}
+	annotateQuery(r, ans)
+	writeQueryReply(w, r, ans, false)
+}
+
+// evalPast is evalQuery for /v1/past.
+func (s *Service) evalPast(r *http.Request, qp url.Values, l float64) (queryAnswer, int, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	at, err := parsePastTick(qp.Get("at"), s.srv.Now())
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
+		return queryAnswer{}, http.StatusBadRequest, err
 	}
 	rho, err := s.parseRhoLocked(qp)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
+		return queryAnswer{}, http.StatusBadRequest, err
 	}
-	q := core.Query{Rho: rho, L: l, At: at}
-	res, err := s.srv.PastSnapshotTraced(q, requestSpan(r))
-	if err != nil {
-		httpError(w, http.StatusUnprocessableEntity, "%v", err)
-		return
+	ans := queryAnswer{method: "past-exact", q: core.Query{Rho: rho, L: l, At: at}}
+	if ans.res, err = s.srv.PastSnapshotTraced(ans.q, requestSpan(r)); err != nil {
+		return queryAnswer{}, http.StatusUnprocessableEntity, err
 	}
-	annotateQuery(r, q, nil, "past-exact", res)
-	out := QueryResponse{
-		Method: "past-exact", At: at, Rho: rho, L: l,
-		Rects: make([]RectJSON, len(res.Region)),
-		Area:  res.Region.Area(), CPUMicros: res.CPU.Microseconds(),
-	}
-	for i, rect := range res.Region {
-		out.Rects[i] = RectJSON{rect.MinX, rect.MinY, rect.MaxX, rect.MaxY}
-	}
-	writeJSON(w, out)
+	return ans, http.StatusOK, nil
 }
 
 func (s *Service) handleWatch(w http.ResponseWriter, r *http.Request) {
@@ -137,7 +136,7 @@ func eventsJSON(events []monitor.Event) []EventJSON {
 	for i, ev := range events {
 		ej := EventJSON{
 			SubID: ev.SubID, At: ev.At, Target: ev.Target, First: ev.First,
-			Area: ev.Region.Area(), AddedArea: ev.Added.Area(), RemovedArea: ev.Removed.Area(),
+			Area: ev.Area, AddedArea: ev.Added.Area(), RemovedArea: ev.Removed.Area(),
 		}
 		for _, r := range ev.Added {
 			ej.Added = append(ej.Added, RectJSON{r.MinX, r.MinY, r.MaxX, r.MaxY})

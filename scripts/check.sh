@@ -87,6 +87,9 @@ go test -run '^$' -fuzz FuzzDenseRectsRowMatchesPerCell -fuzztime "${FUZZ_SECS}s
 step "fuzz smoke: zcurve InWindow/BigMin agreement (${FUZZ_SECS}s)"
 go test -run '^$' -fuzz FuzzBigMinInWindow -fuzztime "${FUZZ_SECS}s" ./internal/zcurve/
 
+step "fuzz smoke: reply float formatting == encoding/json (${FUZZ_SECS}s)"
+go test -run '^$' -fuzz FuzzAppendFloatMatchesEncodingJSON -fuzztime "${FUZZ_SECS}s" ./internal/service/
+
 step "hotpath benchmark smoke (-benchtime=1x: kernels compile, run, report allocs)"
 go test -run '^$' -bench 'BenchmarkSeriesEval|BenchmarkAddBoxDelta|BenchmarkFilter$|BenchmarkDenseRects200|BenchmarkSnapshot' \
 	-benchtime=1x -benchmem ./internal/cheb ./internal/dh ./internal/sweep ./internal/core >/dev/null
@@ -117,6 +120,10 @@ go test -run '^$' -bench 'BenchmarkSurfaceBatch$' -benchtime=5x -benchmem ./inte
 # released, as the engine does) run on pooled scratch alone.
 go test -run '^$' -bench 'BenchmarkSeriesEval$|BenchmarkAddBoxDelta$|BenchmarkFilter$' -benchtime=200x -benchmem ./internal/cheb ./internal/dh |
 	pin_allocs 'BenchmarkSeriesEval=0 BenchmarkAddBoxDelta=0 BenchmarkFilter=0'
+# A query reply (~8k rectangles, ~840 KB) is appended into a pooled buffer
+# that is already grown: the encoder builds no intermediate value.
+go test -run '^$' -bench 'BenchmarkEncodeQueryReply$' -benchtime=200x -benchmem ./internal/service |
+	pin_allocs 'BenchmarkEncodeQueryReply=0'
 echo "ok"
 
 step "pdrvet (project-specific static analysis)"
