@@ -28,44 +28,53 @@ func T(k int, x float64) float64 {
 	return t
 }
 
-// Bound returns sound lower and upper bounds of T_i over [z1, z2] (a
-// subinterval of [-1, 1]). T_i(x) = cos(i*arccos x); its extrema inside the
-// interval are the points where i*arccos(x) crosses a multiple of pi: odd
-// multiples give -1, even multiples give +1. Otherwise the extremes are at
-// the endpoints.
-func Bound(i int, z1, z2 float64) (lo, hi float64) {
-	if i == 0 {
-		return 1, 1
-	}
+// Interval is a closed interval [Lo, Hi] of Chebyshev-polynomial values.
+type Interval struct{ Lo, Hi float64 }
+
+// AxisBounds fills dst[i] with sound lower and upper bounds of T_i over
+// [z1, z2] (a subinterval of [-1, 1]) for every degree i < len(dst).
+// T_i(x) = cos(i*arccos x); its extrema inside the interval are the points
+// where i*arccos(x) crosses a multiple of pi: odd multiples give -1, even
+// multiples give +1. Otherwise the extremes are at the endpoints.
+//
+// It is the one-dimensional half of Series2D.Bounds: each endpoint's arccos is
+// taken once for all degrees, and a caller bounding many boxes over the same
+// intervals (pa.Surface's branch-and-bound) computes each interval once.
+func AxisBounds(dst []Interval, z1, z2 float64) {
 	if z1 > z2 {
 		z1, z2 = z2, z1
 	}
 	z1 = clamp(z1, -1, 1)
 	z2 = clamp(z2, -1, 1)
+	// arccos is decreasing: theta runs over [th2, th1].
+	th1, th2 := math.Acos(z1), math.Acos(z2)
 	// Endpoint values via the recurrence so they agree exactly with Eval
 	// (cos(acos(z)) round-trips with epsilon error and would make a bound
 	// minutely unsound).
-	v1, v2 := T(i, z1), T(i, z2)
-	lo = math.Min(v1, v2)
-	hi = math.Max(v1, v2)
-	// arccos is decreasing: theta runs over [th2, th1]; interior extrema of
-	// cos(i*theta) are the multiples of pi inside [i*th2, i*th1]. The range
-	// is widened by a hair so rounding can only add extrema (wider bounds
-	// stay sound).
-	th1 := math.Acos(z1)
-	th2 := math.Acos(z2)
-	u1 := float64(i) * th2 // low end of i*theta
-	u2 := float64(i) * th1
-	kLo := int(math.Ceil(u1/math.Pi - 1e-12))
-	kHi := int(math.Floor(u2/math.Pi + 1e-12))
-	for k := kLo; k <= kHi; k++ {
-		if k%2 == 0 {
-			hi = 1
-		} else {
-			lo = -1
+	pm1, p1 := 1.0, z1 // T_i-1(z1), T_i(z1)
+	pm2, p2 := 1.0, z2
+	for i := range dst {
+		if i == 0 {
+			dst[0] = Interval{1, 1}
+			continue
 		}
+		lo, hi := min(p1, p2), max(p1, p2)
+		// Interior extrema of cos(i*theta) are the multiples of pi inside
+		// [i*th2, i*th1]. The range is widened by a hair so rounding can only
+		// add extrema (wider bounds stay sound).
+		kLo := int(math.Ceil(float64(i)*th2/math.Pi - 1e-12))
+		kHi := int(math.Floor(float64(i)*th1/math.Pi + 1e-12))
+		for k := kLo; k <= kHi; k++ {
+			if k%2 == 0 {
+				hi = 1
+			} else {
+				lo = -1
+			}
+		}
+		dst[i] = Interval{lo, hi}
+		pm1, p1 = p1, 2*z1*p1-pm1
+		pm2, p2 = p2, 2*z2*p2-pm2
 	}
-	return lo, hi
 }
 
 func clamp(v, lo, hi float64) float64 {
@@ -92,38 +101,28 @@ type Series2D struct {
 // (K+1)(K+2)/2 (the paper's storage formula).
 func NumCoeffs(k int) int { return (k + 1) * (k + 2) / 2 }
 
-// interval is a closed interval [lo, hi] of Chebyshev-polynomial values.
-type interval struct{ lo, hi float64 }
-
 // evalScratch holds the per-call working buffers of the evaluation kernels
-// (T_i value vectors, Lemma-4 factors, per-degree bounds). The hot kernels
-// run once per branch-and-bound probe and once per movement update, so the
-// scratch lives in a sync.Pool rather than being made fresh each call. It
+// (T_i value vectors, Lemma-4 factors, per-degree bounds) for callers that
+// bring none: Eval, Bounds and AddBoxDelta run once per density probe and
+// per movement update, so the scratch lives in a sync.Pool rather than being
+// made fresh each call (EvalFrom, BoundsFrom and AddOuter take the caller's). It
 // cannot live on Series2D itself: any number of readers evaluate the same
 // series concurrently under the engine's read lock.
 type evalScratch struct {
 	tx, ty []float64  // Eval: T_i(x), T_j(y)
 	ax, ay []float64  // AddBoxDelta: Lemma-4 one-dimensional factors
-	bx, by []interval // Bounds: per-degree interval bounds
+	bx, by []Interval // Bounds: per-degree interval bounds
 }
 
 // scratches pools evaluation scratch across goroutines; buffers grow to the
 // largest degree evaluated and are reused across calls.
 var scratches = sync.Pool{New: func() any { return new(evalScratch) }}
 
-// growF64 returns buf resized to length n, reallocating only when the
-// capacity is insufficient. Contents are unspecified.
-func growF64(buf []float64, n int) []float64 {
+// grow returns buf resized to length n, reallocating only when the capacity
+// is insufficient. Contents are unspecified.
+func grow[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	return buf[:n]
-}
-
-// growIv is growF64 for interval scratch.
-func growIv(buf []interval, n int) []interval {
-	if cap(buf) < n {
-		return make([]interval, n)
+		return make([]T, n)
 	}
 	return buf[:n]
 }
@@ -149,15 +148,26 @@ func (s *Series2D) At(i, j int) float64 { return s.A[s.Index(i, j)] }
 // Eval evaluates the series at (x, y) in [-1, 1]^2.
 //
 // pdr:hot — PA evaluation root for the hotpath analyzer family
-// (docs/LINT.md); called per branch-and-bound probe.
+// (docs/LINT.md); called per density probe.
 func (s *Series2D) Eval(x, y float64) float64 {
 	k := s.K
 	sc := scratches.Get().(*evalScratch)
-	sc.tx = growF64(sc.tx, k+1)
-	sc.ty = growF64(sc.ty, k+1)
-	tx, ty := sc.tx, sc.ty
-	chebVals(tx, x)
-	chebVals(ty, y)
+	sc.tx = grow(sc.tx, k+1)
+	sc.ty = grow(sc.ty, k+1)
+	Vals(sc.tx, x)
+	Vals(sc.ty, y)
+	sum := s.EvalFrom(sc.tx, sc.ty)
+	scratches.Put(sc)
+	return sum
+}
+
+// EvalFrom is Eval given Vals of the point's two coordinates (K+1 values
+// each): a caller evaluating on a lattice computes each vector once.
+//
+// pdr:hot — PA evaluation root for the hotpath analyzer family
+// (docs/LINT.md); called per branch-and-bound leaf.
+func (s *Series2D) EvalFrom(tx, ty []float64) float64 {
+	k := s.K
 	var sum float64
 	idx := 0
 	for i := 0; i <= k; i++ {
@@ -168,12 +178,11 @@ func (s *Series2D) Eval(x, y float64) float64 {
 		}
 		sum += row * tx[i]
 	}
-	scratches.Put(sc)
 	return sum
 }
 
-// chebVals fills t with T_0(x)..T_len-1(x).
-func chebVals(t []float64, x float64) {
+// Vals fills t with T_0(x)..T_len(t)-1(x).
+func Vals(t []float64, x float64) {
 	t[0] = 1
 	if len(t) > 1 {
 		t[1] = x
@@ -223,8 +232,8 @@ func (s *Series2D) AddBoxDelta(x1, y1, x2, y2, value float64) {
 	}
 	k := s.K
 	sc := scratches.Get().(*evalScratch)
-	sc.ax = growF64(sc.ax, k+1)
-	sc.ay = growF64(sc.ay, k+1)
+	sc.ax = grow(sc.ax, k+1)
+	sc.ay = grow(sc.ay, k+1)
 	if BoxFactors(sc.ax, x1, x2) && BoxFactors(sc.ay, y1, y2) {
 		s.AddOuter(sc.ax, sc.ay, value)
 	}
@@ -314,24 +323,35 @@ var (
 
 // Bounds returns sound lower and upper bounds of the series over the box
 // [x1, x2] x [y1, y2] (within [-1, 1]^2), obtained by interval arithmetic
-// over per-term Chebyshev bounds (paper Sec. 6.3).
+// over per-term Chebyshev bounds (paper Sec. 6.3): AxisBounds of each axis
+// interval, then BoundsFrom, the way AddBoxDelta is BoxFactors and AddOuter.
 //
-// pdr:hot — PA bound root for the hotpath analyzer family (docs/LINT.md);
-// called per branch-and-bound box.
+// pdr:hot — PA bound root for the hotpath analyzer family (docs/LINT.md).
 func (s *Series2D) Bounds(x1, y1, x2, y2 float64) (lo, hi float64) {
 	k := s.K
 	sc := scratches.Get().(*evalScratch)
-	sc.bx = growIv(sc.bx, k+1)
-	sc.by = growIv(sc.by, k+1)
-	bx, by := sc.bx, sc.by
-	for i := 0; i <= k; i++ {
-		l, h := Bound(i, x1, x2)
-		bx[i] = interval{l, h}
-		l, h = Bound(i, y1, y2)
-		by[i] = interval{l, h}
-	}
+	sc.bx = grow(sc.bx, k+1)
+	sc.by = grow(sc.by, k+1)
+	AxisBounds(sc.bx, x1, x2)
+	AxisBounds(sc.by, y1, y2)
+	lo, hi = s.BoundsFrom(sc.bx, sc.by)
+	scratches.Put(sc)
+	return lo, hi
+}
+
+// BoundsFrom is the two-dimensional half of Bounds: given AxisBounds of the
+// box's x and y intervals it sums a_ij * (bx[i] * by[j]) in interval
+// arithmetic. The extremes of the four endpoint products are picked by plain
+// comparisons, not math.Min/Max calls: the two differ only in the sign of a
+// zero, which neither the sums nor a threshold comparison can see.
+//
+// pdr:hot — PA bound root for the hotpath analyzer family (docs/LINT.md);
+// called per branch-and-bound box.
+func (s *Series2D) BoundsFrom(bx, by []Interval) (lo, hi float64) {
+	k := s.K
 	idx := 0
 	for i := 0; i <= k; i++ {
+		xl, xh := bx[i].Lo, bx[i].Hi
 		for j := 0; j <= k-i; j++ {
 			a := s.A[idx]
 			idx++
@@ -339,12 +359,21 @@ func (s *Series2D) Bounds(x1, y1, x2, y2 float64) (lo, hi float64) {
 				continue
 			}
 			// Interval product bx[i] * by[j], then scaled by a.
-			p1 := bx[i].lo * by[j].lo
-			p2 := bx[i].lo * by[j].hi
-			p3 := bx[i].hi * by[j].lo
-			p4 := bx[i].hi * by[j].hi
-			tl := math.Min(math.Min(p1, p2), math.Min(p3, p4))
-			th := math.Max(math.Max(p1, p2), math.Max(p3, p4))
+			p1, p2 := xl*by[j].Lo, xl*by[j].Hi
+			p3, p4 := xh*by[j].Lo, xh*by[j].Hi
+			if p2 < p1 {
+				p1, p2 = p2, p1
+			}
+			if p4 < p3 {
+				p3, p4 = p4, p3
+			}
+			tl, th := p1, p2
+			if p3 < tl {
+				tl = p3
+			}
+			if p4 > th {
+				th = p4
+			}
 			if a > 0 {
 				lo += a * tl
 				hi += a * th
@@ -354,6 +383,5 @@ func (s *Series2D) Bounds(x1, y1, x2, y2 float64) (lo, hi float64) {
 			}
 		}
 	}
-	scratches.Put(sc)
 	return lo, hi
 }

@@ -30,23 +30,23 @@ func TestTKnownPolynomials(t *testing.T) {
 
 func TestBoundKnownCases(t *testing.T) {
 	// T1 over [a, b] is just [a, b].
-	lo, hi := Bound(1, -0.5, 0.25)
+	lo, hi := bound(1, -0.5, 0.25)
 	if lo != -0.5 || hi != 0.25 {
 		t.Errorf("Bound(1) = [%g, %g], want [-0.5, 0.25]", lo, hi)
 	}
 	// T2 over [-1, 1] hits both extremes.
-	lo, hi = Bound(2, -1, 1)
+	lo, hi = bound(2, -1, 1)
 	if lo != -1 || hi != 1 {
 		t.Errorf("Bound(2, full) = [%g, %g], want [-1, 1]", lo, hi)
 	}
 	// T0 is constant 1.
-	lo, hi = Bound(0, -0.9, 0.9)
+	lo, hi = bound(0, -0.9, 0.9)
 	if lo != 1 || hi != 1 {
 		t.Errorf("Bound(0) = [%g, %g], want [1, 1]", lo, hi)
 	}
 	// Reversed interval is normalized.
-	lo1, hi1 := Bound(3, 0.8, -0.2)
-	lo2, hi2 := Bound(3, -0.2, 0.8)
+	lo1, hi1 := bound(3, 0.8, -0.2)
+	lo2, hi2 := bound(3, -0.2, 0.8)
 	if lo1 != lo2 || hi1 != hi2 {
 		t.Error("Bound must normalize reversed intervals")
 	}
@@ -58,7 +58,7 @@ func TestQuickBoundSoundAndTight(t *testing.T) {
 		i := rng.Intn(8)
 		z1 := rng.Float64()*2 - 1
 		z2 := z1 + rng.Float64()*(1-z1)
-		lo, hi := Bound(i, z1, z2)
+		lo, hi := bound(i, z1, z2)
 		worstLo, worstHi := math.Inf(1), math.Inf(-1)
 		for k := 0; k <= 400; k++ {
 			x := z1 + (z2-z1)*float64(k)/400

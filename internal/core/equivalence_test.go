@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"pdr/internal/cheb"
 	"pdr/internal/dh"
 	"pdr/internal/geom"
 	"pdr/internal/motion"
@@ -558,5 +559,90 @@ func TestPartitionCounts(t *testing.T) {
 	}
 	if replicas == 0 {
 		t.Fatal("no replica registrations")
+	}
+}
+
+// referenceDenseRegion is the PA extraction as it stood before the surface's
+// bounds table (internal/pa keeps the same recursion as its own reference):
+// per polynomial cell, halve the normalized square by midpoints, ask the
+// series for Bounds of each box and, at the MD floor, for Eval of its centre.
+func referenceDenseRegion(surf *pa.Surface, cfg Config, qt motion.Tick, rho float64) geom.Region {
+	floor := 2 * float64(cfg.PAGrid) / float64(cfg.PAMD)
+	var out geom.Region
+	var branch func(series *cheb.Series2D, cell geom.Rect, x1, y1, x2, y2 float64)
+	branch = func(series *cheb.Series2D, cell geom.Rect, x1, y1, x2, y2 float64) {
+		emit := func() {
+			out.Add(geom.NewRect(
+				cell.MinX+(x1+1)/2*cell.Width(), cell.MinY+(y1+1)/2*cell.Height(),
+				cell.MinX+(x2+1)/2*cell.Width(), cell.MinY+(y2+1)/2*cell.Height()))
+		}
+		lo, hi := series.Bounds(x1, y1, x2, y2)
+		if hi < rho {
+			return
+		}
+		if lo >= rho {
+			emit()
+			return
+		}
+		if x2-x1 <= floor && y2-y1 <= floor {
+			if series.Eval((x1+x2)/2, (y1+y2)/2) >= rho {
+				emit()
+			}
+			return
+		}
+		mx, my := (x1+x2)/2, (y1+y2)/2
+		branch(series, cell, x1, y1, mx, my)
+		branch(series, cell, mx, y1, x2, my)
+		branch(series, cell, x1, my, mx, y2)
+		branch(series, cell, mx, my, x2, y2)
+	}
+	for gy := 0; gy < cfg.PAGrid; gy++ {
+		for gx := 0; gx < cfg.PAGrid; gx++ {
+			series, cell := surf.Cell(qt, gx, gy)
+			branch(series, cell, -1, -1, 1, 1)
+		}
+	}
+	return geom.CoalesceInPlace(out)
+}
+
+// TestPASnapshotMatchesReferenceWalk: after every step of differentialStream
+// the engine's PA answer — the table walk, under the engine's locks, through
+// its cache — is the recursion it replaced run over the engine's own
+// surface, rectangle for rectangle on float bits, at one partition and four:
+// every maintained timestamp after the load, a rotating quarter of them after
+// each later step, at a threshold that rotates too.
+func TestPASnapshotMatchesReferenceWalk(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			cfg := streamConfig(shards, 2)
+			s, err := NewServer(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			steps := motion.Tick(0)
+			differentialStream(t, s, func(step string, now motion.Tick, _ map[motion.ObjectID]motion.State, _ *rand.Rand) {
+				steps++
+				dense := 0
+				for qt := now; qt <= now+cfg.U+cfg.W; qt++ {
+					if steps > 1 && (qt+steps)%4 != 0 {
+						continue
+					}
+					rho := 0.0001 * float64(1+(qt+steps)%6)
+					res, err := s.Snapshot(Query{Rho: rho, L: cfg.L, At: qt}, PA)
+					if err != nil {
+						t.Fatalf("%s: %v", step, err)
+					}
+					want := referenceDenseRegion(s.Surface(), cfg, qt, rho)
+					if !sameBits(res.Region, want) {
+						t.Fatalf("%s: PA snapshot at t=%d rho=%g has %d rectangles, the reference walk %d, or others",
+							step, qt, rho, len(res.Region), len(want))
+					}
+					dense += len(want)
+				}
+				if dense == 0 {
+					t.Fatalf("%s: no timestamp has a dense rectangle: the comparison pins nothing", step)
+				}
+			}, nil)
+		})
 	}
 }

@@ -367,6 +367,7 @@ func (s *Server) snapshotFRLocked(q Query, res *Result, sp *telemetry.Span) erro
 	ph := sp.Child("filter")
 	fr, err := s.filterLocked(q)
 	if err != nil {
+		ph.End()
 		return err
 	}
 	res.Accepted, res.Rejected, res.Candidates = fr.CountMarks()
@@ -498,13 +499,16 @@ func (s *Server) snapshotPALocked(q Query, res *Result, sp *telemetry.Span) erro
 	}
 	ph := sp.Child("pa-eval")
 	s.surfMu.RLock()
-	region, err := s.surf.DenseRegion(q.At, q.Rho)
+	region, walk, err := s.surf.DenseRegionStats(q.At, q.Rho)
 	s.surfMu.RUnlock()
+	ph.SetAttrInt("boxes", int64(walk.Boxes))
+	ph.SetAttrInt("leaves", int64(walk.Leaves))
+	ph.SetAttrInt("rects", int64(walk.Rects))
+	ph.End()
 	if err != nil {
 		return err
 	}
 	res.Region = region
-	ph.End()
 	return nil
 }
 
@@ -512,6 +516,7 @@ func (s *Server) snapshotDHLocked(q Query, m Method, res *Result, sp *telemetry.
 	ph := sp.Child("filter")
 	fr, err := s.filterLocked(q)
 	if err != nil {
+		ph.End()
 		return err
 	}
 	res.Accepted, res.Rejected, res.Candidates = fr.CountMarks()

@@ -4,6 +4,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"pdr/internal/motion"
 	"pdr/internal/telemetry"
@@ -185,5 +186,77 @@ func TestTickTracedSpans(t *testing.T) {
 		if err := s.Tick(b.now+1, nil); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestFailedPhaseSpanIsClosed: a snapshot evaluation that fails inside a
+// phase closes the span it opened, so the failed request's trace shows how
+// long the phase ran instead of an open span of duration 0. End is
+// idempotent on a closed span and stamps an open one, so ending the span
+// again later tells the two apart.
+func TestFailedPhaseSpanIsClosed(t *testing.T) {
+	s := loadWorkers(t, 500, 11, 1)[0]
+	short := Query{Rho: 1, L: 1, At: 0}                   // l below twice the histogram cell: the filter refuses
+	negative := Query{Rho: -1, L: s.Surface().L(), At: 0} // past validateLocked only when called directly
+	for name, eval := range map[string]func(sp *telemetry.Span) error{
+		"FR/filter":  func(sp *telemetry.Span) error { return s.snapshotFRLocked(short, &Result{}, sp) },
+		"DH/filter":  func(sp *telemetry.Span) error { return s.snapshotDHLocked(short, DHOptimistic, &Result{}, sp) },
+		"PA/pa-eval": func(sp *telemetry.Span) error { return s.snapshotPALocked(negative, &Result{}, sp) },
+	} {
+		tr := telemetry.NewTrace("test")
+		if err := eval(tr.Root()); err == nil {
+			t.Fatalf("%s: the evaluation succeeded", name)
+		}
+		if n := len(tr.Root().Children); n != 1 {
+			t.Fatalf("%s: %d phase spans, want the one that failed", name, n)
+		}
+		ph := tr.Root().Children[0]
+		if want := name[strings.Index(name, "/")+1:]; ph.Name != want {
+			t.Fatalf("%s: failed in span %q, want %q", name, ph.Name, want)
+		}
+		closed := ph.Duration
+		time.Sleep(time.Millisecond)
+		ph.End()
+		if ph.Duration != closed {
+			t.Errorf("%s: the failed phase's span was left open", name)
+		}
+	}
+}
+
+// TestPAEvalSpanCountsTheWalk: the pa-eval span says what branch-and-bound
+// did — boxes bounded, floor-level centres evaluated, rectangles emitted
+// before the union — and a lower threshold shows up as a longer walk.
+func TestPAEvalSpanCountsTheWalk(t *testing.T) {
+	s := loadWorkers(t, 2500, 11, 1)[0]
+	walk := func(varrho float64) (boxes, leaves, rects int) {
+		tr := telemetry.NewTrace("test")
+		res, err := s.SnapshotTraced(Query{Rho: RelRhoTest(2500, varrho), L: s.Surface().L(), At: 10}, PA, tr.Root())
+		tr.End()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ph := range tr.Root().Children[0].Children { // test > snapshot > pa-eval
+			if ph.Name != "pa-eval" {
+				continue
+			}
+			boxes, _ = strconv.Atoi(attrOf(ph, "boxes"))
+			leaves, _ = strconv.Atoi(attrOf(ph, "leaves"))
+			rects, _ = strconv.Atoi(attrOf(ph, "rects"))
+			if rects < len(res.Region) {
+				t.Errorf("varrho=%g: %d rectangles emitted, %d in the answer after the union", varrho, rects, len(res.Region))
+			}
+			return boxes, leaves, rects
+		}
+		t.Fatalf("varrho=%g: no pa-eval span", varrho)
+		return 0, 0, 0
+	}
+	cells := s.cfg.PAGrid * s.cfg.PAGrid
+	lowBoxes, lowLeaves, lowRects := walk(1)
+	highBoxes, highLeaves, _ := walk(4)
+	if highBoxes < cells || highLeaves > highBoxes || lowLeaves > lowBoxes {
+		t.Errorf("boxes/leaves %d/%d and %d/%d over %d cells", lowBoxes, lowLeaves, highBoxes, highLeaves, cells)
+	}
+	if lowBoxes <= highBoxes || lowRects == 0 {
+		t.Errorf("varrho=1 bounded %d boxes and emitted %d rectangles, varrho=4 bounded %d: the lower threshold is the longer walk", lowBoxes, lowRects, highBoxes)
 	}
 }

@@ -68,6 +68,8 @@ type Surface struct {
 	// one goroutine at a time (ApplySlot), so its scratch needs neither a
 	// lock nor a pool.
 	scratch []factors
+	// table serves DenseRegion's branch-and-bound its Chebyshev bounds.
+	table boundsTable
 }
 
 // factors holds the Lemma-4 factor vectors of one box along each axis:
@@ -104,6 +106,7 @@ func New(cfg Config) (*Surface, error) {
 		unit:    1 / (cfg.L * cfg.L),
 		slots:   make([][]*cheb.Series2D, cfg.Horizon+1),
 		scratch: make([]factors, cfg.Horizon+1),
+		table:   newBoundsTable(cfg),
 	}
 	for t := range s.slots {
 		n := cfg.G * (cfg.Degree + 1)
@@ -171,6 +174,13 @@ func (s *Surface) cellRect(gx, gy int) geom.Rect {
 		s.cfg.Area.MinX+float64(gx+1)*s.cellW,
 		s.cfg.Area.MinY+float64(gy+1)*s.cellH,
 	)
+}
+
+// Cell returns the series of polynomial cell (gx, gy) at maintained timestamp
+// t and the cell's world rectangle, for read-only use: what a caller needs to
+// evaluate the surface by a method of its own.
+func (s *Surface) Cell(t motion.Tick, gx, gy int) (*cheb.Series2D, geom.Rect) {
+	return s.slot(t)[gy*s.cfg.G+gx], s.cellRect(gx, gy)
 }
 
 // cellOf returns the polynomial cell containing p, clamped to the grid.
@@ -336,6 +346,6 @@ func (s *Surface) Density(t motion.Tick, p geom.Point) float64 {
 		return 0
 	}
 	gx, gy := s.cellOf(p)
-	cell := s.cellRect(gx, gy)
-	return s.slot(t)[gy*s.cfg.G+gx].Eval(s.normX(p.X, cell), s.normY(p.Y, cell))
+	series, cell := s.Cell(t, gx, gy)
+	return series.Eval(s.normX(p.X, cell), s.normY(p.Y, cell))
 }

@@ -356,44 +356,3 @@ func TestApplyDispatch(t *testing.T) {
 		t.Fatalf("Apply(delete) left density %g", d)
 	}
 }
-
-func TestDenseRegionInMatchesClippedGlobal(t *testing.T) {
-	s := newSurface(t, 8, 5, 0, 60)
-	rng := rand.New(rand.NewSource(6))
-	s.Advance(0)
-	for _, st := range clusterStates(rng, 300, 450, 550, 60) {
-		s.Insert(st)
-	}
-	rho := 0.5 * s.Density(0, geom.Point{X: 450, Y: 550})
-	global, err := s.DenseRegion(0, rho)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viewport := geom.Rect{MinX: 300, MinY: 400, MaxX: 600, MaxY: 700}
-	clipped, err := s.DenseRegionIn(0, rho, viewport)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The clipped search subdivides from different initial boxes, so
-	// boundary cells can decide differently at the resolution floor; areas
-	// must agree within a small tolerance.
-	want := global.Clip(viewport)
-	if d := math.Abs(clipped.Area() - want.Area()); d > 0.02*(1+want.Area()) {
-		t.Fatalf("viewport area %g, want ~clipped global %g", clipped.Area(), want.Area())
-	}
-	for _, r := range clipped {
-		if !viewport.ContainsRect(r) {
-			t.Fatalf("viewport result %v escapes viewport", r)
-		}
-	}
-	// Degenerate viewports.
-	if g, err := s.DenseRegionIn(0, rho, geom.Rect{}); err != nil || g != nil {
-		t.Errorf("empty viewport: %v, %v", g, err)
-	}
-	if _, err := s.DenseRegionIn(99, rho, viewport); err == nil {
-		t.Error("out-of-window timestamp must be rejected")
-	}
-	if _, err := s.DenseRegionIn(0, -1, viewport); err == nil {
-		t.Error("negative rho must be rejected")
-	}
-}

@@ -90,9 +90,12 @@ go test -run '^$' -fuzz FuzzBigMinInWindow -fuzztime "${FUZZ_SECS}s" ./internal/
 step "fuzz smoke: reply float formatting == encoding/json (${FUZZ_SECS}s)"
 go test -run '^$' -fuzz FuzzAppendFloatMatchesEncodingJSON -fuzztime "${FUZZ_SECS}s" ./internal/service/
 
+step "fuzz smoke: AxisBounds == the per-degree Bound it replaced, bit for bit (${FUZZ_SECS}s)"
+go test -run '^$' -fuzz FuzzAxisBoundsMatchesBound -fuzztime "${FUZZ_SECS}s" ./internal/cheb/
+
 step "hotpath benchmark smoke (-benchtime=1x: kernels compile, run, report allocs)"
-go test -run '^$' -bench 'BenchmarkSeriesEval|BenchmarkAddBoxDelta|BenchmarkFilter$|BenchmarkDenseRects200|BenchmarkSnapshot' \
-	-benchtime=1x -benchmem ./internal/cheb ./internal/dh ./internal/sweep ./internal/core >/dev/null
+go test -run '^$' -bench 'BenchmarkSeriesEval|BenchmarkAddBoxDelta|BenchmarkFilter$|BenchmarkDenseRects200|BenchmarkDenseRegion$|BenchmarkSnapshot' \
+	-benchtime=1x -benchmem ./internal/cheb ./internal/dh ./internal/sweep ./internal/pa ./internal/core >/dev/null
 # pin_allocs 'Name=N ...' reads `go test -bench -benchmem` output and fails
 # when a named benchmark is missing or allocates more than its pin.
 pin_allocs() {
@@ -116,6 +119,10 @@ go test -run '^$' -bench 'BenchmarkDenseRects200$|BenchmarkDenseRectsRow$' -benc
 # Lemma-4 factor scratch is owned per slot.
 go test -run '^$' -bench 'BenchmarkSurfaceBatch$' -benchtime=5x -benchmem ./internal/pa |
 	pin_allocs 'BenchmarkSurfaceBatch=0'
+# The PA branch-and-bound walk reads its bounds from the surface's table and
+# emits into a pooled buffer: it allocates the answer and nothing per box.
+go test -run '^$' -bench 'BenchmarkDenseRegion$' -benchtime=200x -benchmem ./internal/pa |
+	pin_allocs 'BenchmarkDenseRegion=1'
 # Chebyshev evaluation, the Lemma-4 box delta and the DH filter (its result
 # released, as the engine does) run on pooled scratch alone.
 go test -run '^$' -bench 'BenchmarkSeriesEval$|BenchmarkAddBoxDelta$|BenchmarkFilter$' -benchtime=200x -benchmem ./internal/cheb ./internal/dh |
