@@ -252,27 +252,39 @@ func (s *Series2D) AddOuter(ax, ay []float64, value float64) {
 	k := s.K
 	scale := value / (math.Pi * math.Pi)
 	idx := 0
-	for i := 0; i <= k; i++ {
-		ci := 2.0
-		if i == 0 {
-			ci = 1
+	for i, a := range ax[:k+1] {
+		// value/pi^2 and c_i go into the x factor once per row, c_j into one
+		// doubling after column 0. Scaling by two is exact, so the increments
+		// are the bits of scale*c_i*c_j*ax[i]*ay[j].
+		sx := scale * a
+		if i > 0 {
+			sx *= 2
 		}
-		for j := 0; j <= k-i; j++ {
-			cj := 2.0
-			if j == 0 {
-				cj = 1
-			}
-			s.A[idx] += scale * ci * cj * ax[i] * ay[j]
-			idx++
+		row := s.A[idx : idx+k+1-i]
+		col := ay[:len(row)]
+		row[0] += sx * col[0]
+		sx *= 2
+		for j := 1; j < len(row); j++ {
+			row[j] += sx * col[j]
 		}
+		idx += len(row)
 	}
 }
 
 // BoxFactors fills dst with the one-dimensional factors A_0..A_len(dst)-1 of
-// Lemma 4 for the interval [z1, z2] clipped to [-1, 1], computing
-// sin(i*theta) by the angle-addition recurrence so the cost is two
-// arccos/sincos calls plus O(K) multiplies. It reports false, leaving dst
-// unspecified, when the clipped interval is empty.
+// Lemma 4 for the interval [z1, z2] clipped to [-1, 1]. It reports false,
+// leaving dst unspecified, when the clipped interval is empty.
+//
+// No endpoint's angle is ever taken. With theta = arccos z, cos(theta) is z
+// itself and sin(theta) is sqrt(1-z^2) — written (1-z)(1+z) so nothing
+// cancels near the edges, and exactly 0 at z = ±1, where a polynomial-cell
+// edge cuts a box; sin(i*theta) follows by the angle-addition recurrence;
+// and A_0 = theta1 - theta2, an angle in (0, pi], is the one arctangent of
+// its own sine and cosine, sin(theta1)cos(theta2) - cos(theta1)sin(theta2)
+// and cos(theta1)cos(theta2) + sin(theta1)sin(theta2). The cost is two square
+// roots, one atan2 and O(K) multiplies; every factor is within 4e-14 of the
+// closed form evaluated through math.Acos and math.Sin (DESIGN.md, "PA
+// tolerance contract").
 //
 // pdr:hot — Lemma-4 factor root for the hotpath analyzer family
 // (docs/LINT.md); runs once per overlapped polynomial-cell row or column,
@@ -282,27 +294,12 @@ func BoxFactors(dst []float64, z1, z2 float64) bool {
 	if z2 <= z1 {
 		return false
 	}
-	// Clipped and non-empty, z1 can sit only on the lower edge of [-1, 1] and
-	// z2 only on the upper: where a polynomial-cell edge cuts a box — most
-	// boxes, on one axis or both — the angle is known. Both arccos come
-	// before either sincos so the two dependency chains overlap in the
-	// pipeline (interleaved, an interior interval costs 84 ns instead of 74).
-	th1, s1, c1 := acosNeg1, sinNeg1, cosNeg1
-	th2, s2, c2 := acosPos1, sinPos1, cosPos1
-	if z1 != -1 {
-		th1 = math.Acos(z1)
-	}
-	if z2 != 1 {
-		th2 = math.Acos(z2)
-	}
-	if z1 != -1 {
-		s1, c1 = math.Sincos(th1)
-	}
-	if z2 != 1 {
-		s2, c2 = math.Sincos(th2)
-	}
-	dst[0] = th1 - th2
-	si1, ci1 := s1, c1 // sin(i*th1), cos(i*th1)
+	s1, c1 := math.Sqrt((1-z1)*(1+z1)), z1
+	s2, c2 := math.Sqrt((1-z2)*(1+z2)), z2
+	// The sine of the difference is never negative (theta1 > theta2), and at
+	// [-1, 1] it is +0 beside a cosine of -1: atan2 gives +pi, not -pi.
+	dst[0] = math.Atan2(s1*c2-c1*s2, c1*c2+s1*s2)
+	si1, ci1 := s1, c1 // sin(i*theta1), cos(i*theta1)
 	si2, ci2 := s2, c2
 	for i := 1; i < len(dst); i++ {
 		dst[i] = (si1 - si2) / float64(i)
@@ -311,15 +308,6 @@ func BoxFactors(dst []float64, z1, z2 float64) bool {
 	}
 	return true
 }
-
-// arccos of the edges of [-1, 1] with its sine and cosine, as the math calls
-// BoxFactors makes for any other endpoint return them, bit for bit.
-var (
-	acosNeg1         = math.Acos(-1)
-	sinNeg1, cosNeg1 = math.Sincos(acosNeg1)
-	acosPos1         = math.Acos(1)
-	sinPos1, cosPos1 = math.Sincos(acosPos1)
-)
 
 // Bounds returns sound lower and upper bounds of the series over the box
 // [x1, x2] x [y1, y2] (within [-1, 1]^2), obtained by interval arithmetic

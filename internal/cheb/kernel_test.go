@@ -8,8 +8,9 @@ import (
 
 // referenceAddBoxDelta is AddBoxDelta as it stood before the kernel was split
 // into BoxFactors and AddOuter — both axes' factors recomputed per call, every
-// endpoint through math.Acos and math.Sincos — kept as the bit-for-bit
-// reference for the split kernel and the surface's shared factors.
+// endpoint through math.Acos and math.Sincos, four multiplies per coefficient
+// — kept as the reference of the PA tolerance contract's cross-kernel clause
+// (DESIGN.md): the kernel that replaced it stays within coeffTolerance of it.
 func referenceAddBoxDelta(s *Series2D, x1, y1, x2, y2, value float64) {
 	x1, x2 = clamp(x1, -1, 1), clamp(x2, -1, 1)
 	y1, y2 = clamp(y1, -1, 1), clamp(y2, -1, 1)
@@ -71,11 +72,19 @@ func kernelCoord(rng *rand.Rand) float64 {
 	}
 }
 
-// TestSplitKernelMatchesReference pins both routes through the split kernel
-// — AddBoxDelta, and BoxFactors x2 + AddOuter as the surface calls them — to
-// the pre-split kernel on float bits, accumulating a random stream of boxes
+// coeffTolerance is the cross-kernel clause of the PA tolerance contract for
+// accumulated coefficients: after any stream of boxes, every coefficient is
+// within coeffTolerance times the sum of the |value|s added so far of the
+// reference kernel's.
+const coeffTolerance = 1e-12
+
+// TestSplitKernelMatchesReference accumulates a random stream of boxes
 // (interior, cut at ±1, clipped, clipped to empty, inverted, negative and
-// zero values) into each of degrees 0..7.
+// zero values) into each of degrees 0..7 by three routes — the pre-split
+// trigonometric kernel, AddBoxDelta, and BoxFactors x2 + AddOuter as the
+// surface calls them. The two routes through the product kernel are the same
+// binary and must agree on float bits; against the reference every
+// coefficient stays within the contract's bound after every box.
 func TestSplitKernelMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	for k := 0; k <= 7; k++ {
@@ -83,6 +92,7 @@ func TestSplitKernelMatchesReference(t *testing.T) {
 		whole, _ := NewSeries2D(k)
 		halves, _ := NewSeries2D(k)
 		ax, ay := make([]float64, k+1), make([]float64, k+1)
+		var sumAbs float64
 		for n := 0; n < 2000; n++ {
 			x1, x2 := kernelCoord(rng), kernelCoord(rng)
 			y1, y2 := kernelCoord(rng), kernelCoord(rng)
@@ -101,15 +111,16 @@ func TestSplitKernelMatchesReference(t *testing.T) {
 			if value != 0 && BoxFactors(ax, x1, x2) && BoxFactors(ay, y1, y2) {
 				halves.AddOuter(ax, ay, value)
 			}
+			sumAbs += math.Abs(value)
 			for i := range ref.A {
-				want := math.Float64bits(ref.A[i])
-				if got := math.Float64bits(whole.A[i]); got != want {
-					t.Fatalf("k=%d box %d [%g,%g]x[%g,%g] v=%g: AddBoxDelta coeff %d = %x, reference %x",
+				if got, want := math.Float64bits(halves.A[i]), math.Float64bits(whole.A[i]); got != want {
+					t.Fatalf("k=%d box %d [%g,%g]x[%g,%g] v=%g: BoxFactors+AddOuter coeff %d = %x, AddBoxDelta %x",
 						k, n, x1, x2, y1, y2, value, i, got, want)
 				}
-				if got := math.Float64bits(halves.A[i]); got != want {
-					t.Fatalf("k=%d box %d [%g,%g]x[%g,%g] v=%g: BoxFactors+AddOuter coeff %d = %x, reference %x",
-						k, n, x1, x2, y1, y2, value, i, got, want)
+				d := math.Abs(whole.A[i] - ref.A[i])
+				if !(d <= coeffTolerance*sumAbs) {
+					t.Fatalf("k=%d box %d [%g,%g]x[%g,%g] v=%g: coeff %d = %g, reference %g: off by %.3g, allowed %.3g",
+						k, n, x1, x2, y1, y2, value, i, whole.A[i], ref.A[i], d, coeffTolerance*sumAbs)
 				}
 			}
 		}

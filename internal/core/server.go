@@ -46,6 +46,15 @@
 // it after; the helpers it hands slots to write disjoint slots under it.
 // Workers: 1 runs the same items inline, in index order.
 //
+// Partial writes. A write that holds a record the directory rejects — an
+// insert of a live object, a delete that does not name the live movement —
+// is neither rolled back nor skipped past: the valid prefix before the bad
+// record is applied in full, the bad record and everything after it change
+// nothing, and the epoch is bumped either way, so no cached answer survives
+// it. Tick reports the prefix's length in a *PartialError (the HTTP 409
+// carries it as "applied"); Load stops the same way; Apply is one record,
+// so a rejected one changes nothing and leaves the epoch alone.
+//
 // Exactness. Answers are bit-identical at every partition and worker count:
 //
 //   - FR / DH: the per-partition histograms count disjoint primary
@@ -58,7 +67,9 @@
 //     so the one surface is fed the whole stream in arrival order — per
 //     timestamp slot: slots share no coefficient, each is one work item, and
 //     every series receives its increments in stream order at any worker
-//     count.
+//     count. (Bit-identical within one binary; across kernels the
+//     coefficients are bounded, not equal — DESIGN.md, "PA tolerance
+//     contract".)
 //   - BruteForce / PastSnapshot: the directory holds each live object once,
 //     and the archives hold primaries only and are disjoint, so the gathered
 //     points do not depend on the partitioning.

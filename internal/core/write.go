@@ -291,6 +291,17 @@ func (s *Server) Load(states []motion.State) error {
 	return loadErr
 }
 
+// PartialError is how Tick reports a stream it stopped in: the first Applied
+// updates — the valid prefix — took effect, the next one was rejected with
+// Err, whose text is the error's.
+type PartialError struct {
+	Applied int
+	Err     error
+}
+
+func (e *PartialError) Error() string { return e.Err.Error() }
+func (e *PartialError) Unwrap() error { return e.Err }
+
 // op is one admitted update bound for a single partition.
 type op struct {
 	u       motion.Update
@@ -309,9 +320,9 @@ type op struct {
 // slot items around them.
 //
 // An invalid update stops processing: the valid prefix before it is applied
-// in full, the bad update and everything after it change nothing. The epoch
-// is bumped before anything else, so cached answers never survive a partial
-// tick.
+// in full, the bad update and everything after it change nothing, and the
+// error is a *PartialError carrying the prefix's length. The epoch is bumped
+// before anything else, so cached answers never survive a partial tick.
 func (s *Server) Tick(now motion.Tick, updates []motion.Update) error {
 	return s.TickTraced(now, updates, nil)
 }
@@ -341,7 +352,7 @@ func (s *Server) TickTraced(now motion.Tick, updates []motion.Update, sp *teleme
 			err = s.admit(u, ow)
 		}
 		if err != nil {
-			planErr = err
+			planErr = &PartialError{Applied: i, Err: err}
 			updates = updates[:i]
 			break
 		}

@@ -326,9 +326,11 @@ type BuildCPURow struct {
 }
 
 // Fig9bBuildCPU reproduces Fig. 9(b): CPU to maintain the density histogram
-// versus the polynomial coefficients per location update. PA is roughly an
-// order of magnitude costlier (it computes arccos/sin per overlapped cell
-// and timestamp).
+// versus the polynomial coefficients per location update. In the paper PA is
+// roughly an order of magnitude costlier because it computes arccos/sin per
+// overlapped cell and timestamp; cheb.BoxFactors computes neither, and what
+// is left is the 21 coefficient increments per cell and timestamp
+// (EXPERIMENTS.md, Fig 9(b)).
 func (r *Runner) Fig9bBuildCPU() ([]BuildCPURow, error) {
 	l := r.P.Ls[len(r.P.Ls)-1]
 	cfg := ServerConfig(r.P)

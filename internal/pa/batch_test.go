@@ -6,16 +6,19 @@ import (
 	"math/rand"
 	"testing"
 
+	"pdr/internal/cheb"
 	"pdr/internal/geom"
 	"pdr/internal/motion"
 	"pdr/internal/parallel"
 )
 
 // referenceApply is the surface update as it stood before it became
-// slot-parallel: one record, timestamp by timestamp, one full
-// cheb.AddBoxDelta — both axes' Lemma-4 factors — per overlapped polynomial
-// cell. Kept as the bit-for-bit reference for the batch and for the factors
-// addBox shares along cell rows and columns.
+// slot-parallel and before its kernel shed its trigonometry: one record,
+// timestamp by timestamp, one full Lemma-4 increment — both axes' factors
+// through math.Acos and math.Sincos — per overlapped polynomial cell. Kept as
+// the reference of the PA tolerance contract's cross-kernel clause
+// (DESIGN.md): a different kernel, so the comparison is bounded, not
+// bit-exact.
 func referenceApply(s *Surface, u motion.Update) {
 	st, from, delta := u.State, u.At, -1/(s.cfg.L*s.cfg.L)
 	if u.Kind == motion.Insert {
@@ -47,10 +50,49 @@ func referenceApply(s *Surface, u motion.Update) {
 				if ov.IsEmpty() {
 					continue
 				}
-				slot[gy*s.cfg.G+gx].AddBoxDelta(
+				referenceAddBoxDelta(slot[gy*s.cfg.G+gx],
 					s.normX(ov.MinX, cell), s.normY(ov.MinY, cell),
 					s.normX(ov.MaxX, cell), s.normY(ov.MaxY, cell), delta)
 			}
+		}
+	}
+}
+
+// referenceAddBoxDelta is Lemma 4 as the paper prices it and as
+// cheb.AddBoxDelta computed it until PR 24: arccos and sincos of every
+// endpoint, four multiplies per coefficient.
+func referenceAddBoxDelta(s *cheb.Series2D, x1, y1, x2, y2, value float64) {
+	clamp := func(v float64) float64 { return math.Max(-1, math.Min(1, v)) }
+	x1, x2, y1, y2 = clamp(x1), clamp(x2), clamp(y1), clamp(y2)
+	if x2 <= x1 || y2 <= y1 {
+		return
+	}
+	factors := func(z1, z2 float64) []float64 {
+		a := make([]float64, s.K+1)
+		th1, th2 := math.Acos(z1), math.Acos(z2)
+		s1, c1 := math.Sincos(th1)
+		s2, c2 := math.Sincos(th2)
+		a[0] = th1 - th2
+		si1, ci1, si2, ci2 := s1, c1, s2, c2
+		for i := 1; i < len(a); i++ {
+			a[i] = (si1 - si2) / float64(i)
+			si1, ci1 = si1*c1+ci1*s1, ci1*c1-si1*s1
+			si2, ci2 = si2*c2+ci2*s2, ci2*c2-si2*s2
+		}
+		return a
+	}
+	ax, ay := factors(x1, x2), factors(y1, y2)
+	scale := value / (math.Pi * math.Pi)
+	for i := 0; i <= s.K; i++ {
+		for j := 0; j <= s.K-i; j++ {
+			c := 4.0
+			if i == 0 {
+				c /= 2
+			}
+			if j == 0 {
+				c /= 2
+			}
+			s.A[s.Index(i, j)] += scale * c * ax[i] * ay[j]
 		}
 	}
 }
@@ -80,11 +122,37 @@ func sameCoefficients(t *testing.T, label string, want, got *Surface) {
 	}
 }
 
+// coeffTolerance is the cross-kernel clause of the PA tolerance contract
+// (DESIGN.md): every coefficient is within coeffTolerance times the sum of
+// the |value|s of the records applied so far of the reference kernel's.
+const coeffTolerance = 1e-12
+
+// closeCoefficients fails the test unless got's window equals want's and
+// every coefficient of every slot is within bound of want's.
+func closeCoefficients(t *testing.T, label string, want, got *Surface, bound float64) {
+	t.Helper()
+	if got.base != want.base || got.filled != want.filled {
+		t.Fatalf("%s: window (base %d, filled %v), want (%d, %v)", label, got.base, got.filled, want.base, want.filled)
+	}
+	for k := range want.slots {
+		for c := range want.slots[k] {
+			for i, w := range want.slots[k][c].A {
+				if g := got.slots[k][c].A[i]; !(math.Abs(g-w) <= bound) {
+					t.Fatalf("%s: slot %d cell %d coefficient %d = %g, reference %g: off by %.3g, allowed %.3g",
+						label, k, c, i, g, w, math.Abs(g-w), bound)
+				}
+			}
+		}
+	}
+}
+
 // TestBatchMatchesPerRecord drives four surfaces through the same 40 ticks
 // of random insert/delete streams — the reference loop, the public
-// per-record Apply, and the batch through a 2- and a 17-worker pool — and
-// requires every coefficient of every slot to agree bit for bit after every
-// batch. The stream holds what the kernel branches on: positions exactly on
+// per-record Apply, and the batch through a 2- and a 17-worker pool. After
+// every batch the three routes through the product kernel, one binary, agree
+// on every coefficient of every slot bit for bit; the reference loop, a
+// different kernel, agrees within the tolerance contract's bound. The stream
+// holds what the kernel branches on: positions exactly on
 // polynomial-cell edges, boxes cut by the area boundary, objects that leave
 // the area mid-horizon, deletes long after the movement's reference time,
 // an Advance that rotates more than H slots, and a first batch on a surface
@@ -146,6 +214,7 @@ func batchMatchesPerRecord(t *testing.T, g int) {
 		return st
 	}
 	now := motion.Tick(5)
+	applied := 0 // records so far: each adds ±unit to a coefficient at most once
 	for tick := 0; tick < 40; tick++ {
 		var ups []motion.Update
 		if tick > 0 { // the first batch lands unanchored, as Server.Load's does
@@ -175,10 +244,11 @@ func batchMatchesPerRecord(t *testing.T, g int) {
 		for s, pool := range batched {
 			applyBatch(s, pool, ups)
 		}
+		applied += len(ups)
 		label := fmt.Sprintf("tick %d (now %d)", tick, now)
-		sameCoefficients(t, label+": per-record Apply", ref, rec)
+		closeCoefficients(t, label+": per-record Apply vs the reference kernel", ref, rec, coeffTolerance*float64(applied)*rec.unit)
 		for s, pool := range batched {
-			sameCoefficients(t, fmt.Sprintf("%s: batch at %d workers", label, pool.Workers()), ref, s)
+			sameCoefficients(t, fmt.Sprintf("%s: batch at %d workers", label, pool.Workers()), rec, s)
 		}
 	}
 	var mass float64

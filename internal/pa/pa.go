@@ -23,6 +23,15 @@
 // polynomial-cell column and once per row, not once per cell.
 // core.Server.Tick and Load run the slots in the same fan-out as their
 // partitions (docs/PERFORMANCE.md, "Write path").
+//
+// # What is promised about the coefficients
+//
+// DESIGN.md, "PA tolerance contract": within one binary every route to a
+// surface — per record, batched, at any worker or partition count — yields
+// the same float bits, and a delete cancels its insert exactly; across
+// kernels (a change to cheb.BoxFactors or AddOuter) coefficients are held to
+// 1e-12 of the accumulated |value| against the test-only trigonometric
+// reference, and the answers — the golden file, pa_err_ratio — do not move.
 package pa
 
 import (
@@ -303,8 +312,7 @@ func (s *Surface) addBox(k int, box geom.Rect, value float64) {
 // coordinates. It returns the cells first..last the interval overlaps —
 // first > last when none — having written their factors to f, Degree+1 values
 // per cell from first on. Where a cell edge cuts the interval the normalized
-// endpoint is exactly -1 or 1, which cheb.BoxFactors serves without
-// trigonometry.
+// endpoint is exactly -1 or 1, where cheb.BoxFactors' sine is exactly 0.
 //
 // The overlapped cells are one run: a cell between two overlapped cells lies
 // wholly inside the interval (its neighbours' shared edges are the same

@@ -14,6 +14,13 @@
 //	GET    /v1/stats      server and buffer-pool statistics
 //	GET    /healthz       liveness
 //
+// The three write routes read their body whole, at most 64 MiB of it (413
+// beyond), before decoding: /v1/updates and /v1/apply through
+// wire.DecodeUpdates with encoding/json as the fallback on the same bytes
+// (body.go), so a malformed body's 400 names the byte or the record. The
+// engine applies the valid prefix of a write and stops at the first record it
+// rejects; the 409 then reads {"error": ..., "applied": n}.
+//
 // Query handlers share the service's read lock and run concurrently (fanning
 // work out to the engine's worker pool); load/update/watch handlers take the
 // write lock. The service-level RWMutex keeps parse-time clock reads coherent
@@ -25,7 +32,7 @@
 package service
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -214,6 +221,13 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
+// partialBody is the 409 of a write the engine stopped in: the first Applied
+// records of the request took effect, the next one was rejected with Error.
+type partialBody struct {
+	Error   string `json:"error"`
+	Applied int    `json:"applied"`
+}
+
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSONStatus(w, code, errorBody{Error: fmt.Sprintf(format, args...)})
 }
@@ -234,9 +248,16 @@ type LoadResponse struct {
 }
 
 func (s *Service) handleLoad(w http.ResponseWriter, r *http.Request) {
+	pb, err := readBody(w, r)
+	if err != nil {
+		bodyReadError(w, err)
+		return
+	}
 	var req LoadRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	err = decodeJSON(*pb, &req)
+	bodyBufs.Put(pb)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	states := make([]motion.State, len(req.States))
@@ -269,25 +290,26 @@ type UpdatesResponse struct {
 }
 
 func (s *Service) handleUpdates(w http.ResponseWriter, r *http.Request) {
-	var req UpdatesRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	now, ups, ok := decodeUpdates(w, r, func(body []byte) (motion.Tick, []wire.Record, error) {
+		var req UpdatesRequest
+		err := decodeJSON(body, &req)
+		return req.Now, req.Updates, err
+	})
+	if !ok {
 		return
-	}
-	ups := make([]motion.Update, len(req.Updates))
-	for i, rec := range req.Updates {
-		u, err := rec.Update()
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "update %d: %v", i, err)
-			return
-		}
-		ups[i] = u
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	events, err := s.mon.AdvanceTraced(req.Now, ups, requestSpan(r))
+	events, err := s.mon.AdvanceTraced(now, ups, requestSpan(r))
 	if err != nil {
-		httpError(w, http.StatusConflict, "tick: %v", err)
+		// The engine stops at the first record it rejects: the valid prefix
+		// before it is applied and stays applied (core's package comment).
+		applied := 0
+		var partial *core.PartialError
+		if errors.As(err, &partial) {
+			applied = partial.Applied
+		}
+		writeJSONStatus(w, http.StatusConflict, partialBody{Error: fmt.Sprintf("tick: %v", err), Applied: applied})
 		return
 	}
 	writeJSON(w, UpdatesResponse{
@@ -311,19 +333,13 @@ type ApplyResponse struct {
 }
 
 func (s *Service) handleApply(w http.ResponseWriter, r *http.Request) {
-	var req ApplyRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	_, ups, ok := decodeUpdates(w, r, func(body []byte) (motion.Tick, []wire.Record, error) {
+		var req ApplyRequest
+		err := decodeJSON(body, &req)
+		return 0, req.Updates, err
+	})
+	if !ok {
 		return
-	}
-	ups := make([]motion.Update, len(req.Updates))
-	for i, rec := range req.Updates {
-		u, err := rec.Update()
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "update %d: %v", i, err)
-			return
-		}
-		ups[i] = u
 	}
 	// Applies bypass the monitor (the clock does not move, so no standing
 	// query comes due) and take only the read side of the service lock: the
@@ -334,7 +350,7 @@ func (s *Service) handleApply(w http.ResponseWriter, r *http.Request) {
 	defer s.mu.RUnlock()
 	for i, u := range ups {
 		if err := s.srv.Apply(u); err != nil {
-			httpError(w, http.StatusConflict, "apply %d: %v", i, err)
+			writeJSONStatus(w, http.StatusConflict, partialBody{Error: fmt.Sprintf("apply %d: %v", i, err), Applied: i})
 			return
 		}
 	}

@@ -135,8 +135,10 @@ type queryDetail struct {
 	wall   time.Duration
 	cached bool
 	phases []telemetry.PhaseSpan
-	// encode is the time writeQueryReply spent building the reply body.
+	// encode is the time writeQueryReply spent building the reply body;
+	// decode the time decodeUpdates spent turning a write's body into updates.
 	encode time.Duration
+	decode time.Duration
 	// span is the request's root span when the request is traced; handlers
 	// fetch it via requestSpan to hang engine subtrees off it. Nil when
 	// tracing is off or the request was sampled out.
@@ -205,8 +207,11 @@ type slowQueryLine struct {
 	// ReplyBytes is the response body size; EncodeMicros, present on query
 	// routes, is the part of the duration spent building that body — the
 	// service's own share of a slow exact read, beside the engine's phases.
+	// DecodeMicros, present on /v1/updates and /v1/apply, is the part spent
+	// decoding the request body before the engine was called.
 	ReplyBytes   int   `json:"replyBytes"`
 	EncodeMicros int64 `json:"encodeMicros,omitempty"`
+	DecodeMicros int64 `json:"decodeMicros,omitempty"`
 	// TraceID resolves at GET /debug/traces/{id} while the trace store
 	// retains the trace; absent for untraced requests.
 	TraceID string           `json:"traceId,omitempty"`
@@ -251,6 +256,9 @@ func (l *slowQueryLog) maybeLog(route string, r *http.Request, status, replyByte
 	}
 	if traceID != 0 {
 		line.TraceID = traceID.String()
+	}
+	if d != nil {
+		line.DecodeMicros = d.decode.Microseconds()
 	}
 	if d != nil && d.set {
 		line.EncodeMicros = d.encode.Microseconds()

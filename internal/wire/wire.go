@@ -119,9 +119,11 @@ func Replay(r io.Reader, srv Server) (int, error) {
 		if len(line) == 0 {
 			continue
 		}
-		var rec Record
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return count, fmt.Errorf("wire: line %d: %w", count+1, err)
+		rec, ok := decodeRecord(line)
+		if !ok {
+			if err := json.Unmarshal(line, &rec); err != nil {
+				return count, fmt.Errorf("wire: line %d: %w", count+1, err)
+			}
 		}
 		count++
 		switch rec.Kind {

@@ -1,7 +1,7 @@
 #!/bin/sh
 # check.sh — the repo's full verification gate: formatting, vet, build,
 # tests, race detection on the concurrent packages, a fuzz smoke pass over
-# the geometry invariants, allocs/op pins on the kernels, the
+# the geometry invariants and the decoders, allocs/op pins on the kernels, the
 # project-specific pdrvet analyzers, and a dangling-path check on the docs.
 #
 # Usage: scripts/check.sh        (from the module root)
@@ -93,9 +93,12 @@ go test -run '^$' -fuzz FuzzAppendFloatMatchesEncodingJSON -fuzztime "${FUZZ_SEC
 step "fuzz smoke: AxisBounds == the per-degree Bound it replaced, bit for bit (${FUZZ_SECS}s)"
 go test -run '^$' -fuzz FuzzAxisBoundsMatchesBound -fuzztime "${FUZZ_SECS}s" ./internal/cheb/
 
+step "fuzz smoke: the /v1/updates scanner == encoding/json wherever it answers (${FUZZ_SECS}s)"
+go test -run '^$' -fuzz FuzzDecodeUpdatesMatchesEncodingJSON -fuzztime "${FUZZ_SECS}s" ./internal/wire/
+
 step "hotpath benchmark smoke (-benchtime=1x: kernels compile, run, report allocs)"
-go test -run '^$' -bench 'BenchmarkSeriesEval|BenchmarkAddBoxDelta|BenchmarkFilter$|BenchmarkDenseRects200|BenchmarkDenseRegion$|BenchmarkSnapshot' \
-	-benchtime=1x -benchmem ./internal/cheb ./internal/dh ./internal/sweep ./internal/pa ./internal/core >/dev/null
+go test -run '^$' -bench 'BenchmarkSeriesEval|BenchmarkAddBoxDelta|BenchmarkBoxFactors|BenchmarkFilter$|BenchmarkDenseRects200|BenchmarkDenseRegion$|BenchmarkSnapshot|BenchmarkDecodeUpdates' \
+	-benchtime=1x -benchmem ./internal/cheb ./internal/dh ./internal/sweep ./internal/pa ./internal/core ./internal/wire >/dev/null
 # pin_allocs 'Name=N ...' reads `go test -bench -benchmem` output and fails
 # when a named benchmark is missing or allocates more than its pin.
 pin_allocs() {
@@ -131,6 +134,10 @@ go test -run '^$' -bench 'BenchmarkSeriesEval$|BenchmarkAddBoxDelta$|BenchmarkFi
 # that is already grown: the encoder builds no intermediate value.
 go test -run '^$' -bench 'BenchmarkEncodeQueryReply$' -benchtime=200x -benchmem ./internal/service |
 	pin_allocs 'BenchmarkEncodeQueryReply=0'
+# A tick's body (1,030 records) is scanned off the request's bytes into one
+# exactly-sized update slice: no per-record or per-number allocation.
+go test -run '^$' -bench 'BenchmarkDecodeUpdates$' -benchtime=200x -benchmem ./internal/wire |
+	pin_allocs 'BenchmarkDecodeUpdates=1'
 echo "ok"
 
 step "pdrvet (project-specific static analysis)"
