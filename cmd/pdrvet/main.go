@@ -4,18 +4,12 @@
 //
 // Usage:
 //
-//	pdrvet [-only floateq,locked] [-json] [-list] [-graph] [-fix [-dry]] [-timing] [patterns]
+//	pdrvet [-only floateq,poollife] [-json] [-list] [-root dir] [patterns]
 //
 // Patterns are module-relative ("./...", "./internal/geom", or full import
 // paths like "pdr/internal/service"); with none, or with "./...", the whole
 // module is analyzed. -json switches the diagnostic stream to one JSON
-// object per line for machine consumption. -graph dumps the pdr:hot call
-// graph instead of running analyzers. -fix applies the suggested fixes
-// attached to findings (atomically per file, gofmt-checked); -fix -dry
-// prints the unified diffs without writing. -timing appends per-analyzer
-// wall time: a stderr table, or — with -json — one
-// {"analyzer":...,"timingMicros":...} line per analyzer after the
-// diagnostic stream. Exits 1 when findings remain
+// object per line for machine consumption. Exits 1 when findings remain
 // after lint:ignore suppression, 2 on load/usage errors. Load errors are
 // tolerant: a package that fails to parse or type-check is reported on
 // stderr, the remaining packages are still analyzed and their findings
@@ -46,16 +40,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		list     = fs.Bool("list", false, "list analyzers and exit")
 		asJSON   = fs.Bool("json", false, "emit diagnostics as one JSON object per line")
 		rootFlag = fs.String("root", ".", "module root (directory containing go.mod)")
-		graph    = fs.Bool("graph", false, "dump the pdr:hot call graph and exit")
-		fix      = fs.Bool("fix", false, "apply suggested fixes (atomic per file, gofmt-checked)")
-		dry      = fs.Bool("dry", false, "with -fix: print unified diffs instead of writing")
-		timing   = fs.Bool("timing", false, "report per-analyzer wall time (stderr table, or timingMicros lines with -json)")
 	)
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *dry && !*fix {
-		fmt.Fprintln(stderr, "pdrvet: -dry requires -fix")
 		return 2
 	}
 
@@ -88,63 +74,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	if *graph {
-		if err := lint.BuildGraph(pkgs).Dump(stdout); err != nil {
-			fmt.Fprintln(stderr, "pdrvet:", err)
-			return 2
-		}
-		if len(loadErrs) > 0 {
-			return 2
-		}
-		return 0
-	}
-
-	diags, timings := lint.RunTimed(pkgs, analyzers)
-	if *timing {
-		if *asJSON && !*fix {
-			defer func() {
-				if err := lint.WriteJSONTimings(stdout, timings); err != nil {
-					fmt.Fprintln(stderr, "pdrvet:", err)
-				}
-			}()
-		} else {
-			defer writeTimingTable(stderr, timings)
-		}
-	}
-
-	if *fix {
-		sum, err := lint.ApplyFixes(diags, *dry, stdout)
-		if err != nil {
-			fmt.Fprintln(stderr, "pdrvet:", err)
-			return 2
-		}
-		verb := "fixed"
-		if *dry {
-			verb = "fixable"
-		}
-		fmt.Fprintf(stderr, "pdrvet: %d finding(s), %d %s in %d file(s), %d fix(es) skipped\n",
-			len(diags), sum.Applied, verb, len(sum.Files), sum.Skipped)
-		if *dry {
-			if len(loadErrs) > 0 {
-				return 2
-			}
-			// Dry mode gates CI: any applicable fix means the tree is not
-			// clean.
-			if sum.Applied > 0 {
-				return 1
-			}
-			return 0
-		}
-		// After applying, the remaining findings are those without fixes.
-		if len(loadErrs) > 0 {
-			return 2
-		}
-		if len(diags) > sum.Applied {
-			return 1
-		}
-		return 0
-	}
-
+	diags := lint.Run(pkgs, analyzers)
 	if *asJSON {
 		if err := lint.WriteJSON(stdout, diags); err != nil {
 			fmt.Fprintln(stderr, "pdrvet:", err)
@@ -157,28 +87,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if n := len(diags); n > 0 {
 		fmt.Fprintf(stderr, "pdrvet: %d finding(s)\n", n)
-		if len(loadErrs) > 0 {
-			return 2
-		}
+	}
+	switch {
+	case len(loadErrs) > 0:
+		return 2
+	case len(diags) > 0:
 		return 1
 	}
-	if len(loadErrs) > 0 {
-		return 2
-	}
 	return 0
-}
-
-// writeTimingTable prints per-analyzer wall time, in registration order, as
-// a human-readable stderr table (diagnostics own stdout).
-func writeTimingTable(w io.Writer, timings []lint.AnalyzerTiming) {
-	var total int64
-	fmt.Fprintln(w, "pdrvet: per-analyzer wall time:")
-	for _, t := range timings {
-		us := t.Duration.Microseconds()
-		total += us
-		fmt.Fprintf(w, "  %-14s %8dµs\n", t.Name, us)
-	}
-	fmt.Fprintf(w, "  %-14s %8dµs\n", "total", total)
 }
 
 // load resolves command-line patterns to packages. "./..." (or no

@@ -147,8 +147,7 @@ func (s *Series2D) At(i, j int) float64 { return s.A[s.Index(i, j)] }
 
 // Eval evaluates the series at (x, y) in [-1, 1]^2.
 //
-// pdr:hot — PA evaluation root for the hotpath analyzer family
-// (docs/LINT.md); called per density probe.
+// Called per density probe.
 func (s *Series2D) Eval(x, y float64) float64 {
 	k := s.K
 	sc := scratches.Get().(*evalScratch)
@@ -164,8 +163,7 @@ func (s *Series2D) Eval(x, y float64) float64 {
 // EvalFrom is Eval given Vals of the point's two coordinates (K+1 values
 // each): a caller evaluating on a lattice computes each vector once.
 //
-// pdr:hot — PA evaluation root for the hotpath analyzer family
-// (docs/LINT.md); called per branch-and-bound leaf.
+// Called per branch-and-bound leaf.
 func (s *Series2D) EvalFrom(tx, ty []float64) float64 {
 	k := s.K
 	var sum float64
@@ -224,8 +222,7 @@ func (s *Series2D) Reset() {
 // itself, so a factor vector shared by a row or column of cells is computed
 // once.
 //
-// pdr:hot — Lemma-4 update root for the hotpath analyzer family
-// (docs/LINT.md); runs once per movement update.
+// Runs once per movement update.
 func (s *Series2D) AddBoxDelta(x1, y1, x2, y2, value float64) {
 	if value == 0 {
 		return
@@ -245,9 +242,7 @@ func (s *Series2D) AddBoxDelta(x1, y1, x2, y2, value float64) {
 // factors BoxFactors computed for each axis. ax and ay must hold at least
 // K+1 values.
 //
-// pdr:hot — Lemma-4 accumulate root for the hotpath analyzer family
-// (docs/LINT.md); runs once per overlapped polynomial cell, timestamp and
-// movement update.
+// Runs once per overlapped polynomial cell, timestamp and movement update.
 func (s *Series2D) AddOuter(ax, ay []float64, value float64) {
 	k := s.K
 	scale := value / (math.Pi * math.Pi)
@@ -286,9 +281,8 @@ func (s *Series2D) AddOuter(ax, ay []float64, value float64) {
 // closed form evaluated through math.Acos and math.Sin (DESIGN.md, "PA
 // tolerance contract").
 //
-// pdr:hot — Lemma-4 factor root for the hotpath analyzer family
-// (docs/LINT.md); runs once per overlapped polynomial-cell row or column,
-// timestamp and movement update.
+// Runs once per overlapped polynomial-cell row or column, timestamp and
+// movement update.
 func BoxFactors(dst []float64, z1, z2 float64) bool {
 	z1, z2 = clamp(z1, -1, 1), clamp(z2, -1, 1)
 	if z2 <= z1 {
@@ -313,8 +307,6 @@ func BoxFactors(dst []float64, z1, z2 float64) bool {
 // [x1, x2] x [y1, y2] (within [-1, 1]^2), obtained by interval arithmetic
 // over per-term Chebyshev bounds (paper Sec. 6.3): AxisBounds of each axis
 // interval, then BoundsFrom, the way AddBoxDelta is BoxFactors and AddOuter.
-//
-// pdr:hot — PA bound root for the hotpath analyzer family (docs/LINT.md).
 func (s *Series2D) Bounds(x1, y1, x2, y2 float64) (lo, hi float64) {
 	k := s.K
 	sc := scratches.Get().(*evalScratch)
@@ -333,8 +325,7 @@ func (s *Series2D) Bounds(x1, y1, x2, y2 float64) (lo, hi float64) {
 // comparisons, not math.Min/Max calls: the two differ only in the sign of a
 // zero, which neither the sums nor a threshold comparison can see.
 //
-// pdr:hot — PA bound root for the hotpath analyzer family (docs/LINT.md);
-// called per branch-and-bound box.
+// Called per branch-and-bound box.
 func (s *Series2D) BoundsFrom(bx, by []Interval) (lo, hi float64) {
 	k := s.K
 	idx := 0

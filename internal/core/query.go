@@ -209,8 +209,6 @@ func (s *Server) Snapshot(q Query, m Method) (*Result, error) {
 // sp: the phase breakdown, the per-window refinement fan-out, and cache
 // outcomes all land in the span tree. A nil sp traces nothing and
 // allocates nothing — Snapshot simply passes nil.
-//
-// pdr:hot — query-path root for the hotpath analyzer family (docs/LINT.md).
 func (s *Server) SnapshotTraced(q Query, m Method, sp *telemetry.Span) (*Result, error) {
 	s.rlockAll()
 	defer s.runlockAll()
@@ -632,8 +630,6 @@ func (s *Server) Interval(q Query, until motion.Tick, m Method) (*Result, error)
 // sp: one "snapshot" child per timestamp, pre-allocated in timestamp
 // order so the tree shape is deterministic at any worker count. A nil sp
 // traces nothing and allocates nothing.
-//
-// pdr:hot — query-path root for the hotpath analyzer family (docs/LINT.md).
 func (s *Server) IntervalTraced(q Query, until motion.Tick, m Method, sp *telemetry.Span) (*Result, error) {
 	if until < q.At {
 		return nil, s.failed(fmt.Errorf("core: empty interval [%d, %d]", q.At, until))

@@ -51,9 +51,9 @@
 // is neither rolled back nor skipped past: the valid prefix before the bad
 // record is applied in full, the bad record and everything after it change
 // nothing, and the epoch is bumped either way, so no cached answer survives
-// it. Tick reports the prefix's length in a *PartialError (the HTTP 409
-// carries it as "applied"); Load stops the same way; Apply is one record,
-// so a rejected one changes nothing and leaves the epoch alone.
+// it. Tick and Load report the prefix's length in a *PartialError (the HTTP
+// 409 carries it as "applied"); Apply is one record, so a rejected one
+// changes nothing and leaves the epoch alone.
 //
 // Exactness. Answers are bit-identical at every partition and worker count:
 //

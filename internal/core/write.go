@@ -240,9 +240,10 @@ func (s *Server) admit(u motion.Update, ow owners) error {
 }
 
 // Load bulk-inserts the initial object states. Like Tick it applies the
-// valid prefix: a duplicate ID stops the load there and is reported after
-// the states before it have been loaded. The partitions' bulk loads and the
-// surface's timestamp slots run in one fan-out, as in Tick.
+// valid prefix: a duplicate ID stops the load there and is reported, as a
+// *PartialError carrying the prefix's length, after the states before it
+// have been loaded. The partitions' bulk loads and the surface's timestamp
+// slots run in one fan-out, as in Tick.
 func (s *Server) Load(states []motion.State) error {
 	s.lockAllWrite()
 	defer s.unlockAllWrite()
@@ -288,12 +289,15 @@ func (s *Server) Load(states []motion.State) error {
 			return err
 		}
 	}
-	return loadErr
+	if loadErr != nil {
+		return &PartialError{Applied: len(inserts), Err: loadErr}
+	}
+	return nil
 }
 
-// PartialError is how Tick reports a stream it stopped in: the first Applied
-// updates — the valid prefix — took effect, the next one was rejected with
-// Err, whose text is the error's.
+// PartialError is how Tick and Load report a stream they stopped in: the
+// first Applied records — the valid prefix — took effect, the next one was
+// rejected with Err, whose text is the error's.
 type PartialError struct {
 	Applied int
 	Err     error

@@ -158,11 +158,7 @@ func (h *Histogram) Delete(s motion.State, at motion.Tick) {
 	h.apply(s, at, -1)
 }
 
-// Apply dispatches an update record.
-//
-// pdr:hot — update-stream root for the hotpath analyzer family
-// (docs/LINT.md); Insert/Delete and the Lemma-coverage loop are reached
-// through it.
+// Apply dispatches an update record to Insert or Delete.
 func (h *Histogram) Apply(u motion.Update) {
 	switch u.Kind {
 	case motion.Insert:

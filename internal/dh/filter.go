@@ -164,8 +164,6 @@ func (r *FilterResult) CountMarks() (accepted, rejected, candidates int) {
 // PDR query with density threshold rho and neighborhood edge l. It requires
 // l_c <= l/2 (otherwise neither neighborhood bound is valid) and qt within
 // the maintained window.
-//
-// pdr:hot — filter-step root for the hotpath analyzer family (docs/LINT.md).
 func (h *Histogram) Filter(qt motion.Tick, rho, l float64) (*FilterResult, error) {
 	if err := h.validateFilter(qt, rho, l); err != nil {
 		return nil, err

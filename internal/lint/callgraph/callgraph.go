@@ -1,5 +1,6 @@
 // Package callgraph builds a type-informed static call graph over the
-// module's packages, stdlib-only, for pdrvet's hot-path analyzer family.
+// module's packages, stdlib-only, for pdrvet's interprocedural lockorder
+// analyzer.
 //
 // Nodes are the module's declared functions and methods plus every function
 // literal (a closure runs where it is invoked, so it is its own node).
@@ -13,31 +14,18 @@
 //     a function body (assigned, passed as an argument, returned) gets an
 //     edge from the enclosing function, because the enclosing context may
 //     cause it to run. This over-approximates reachability, which is the
-//     safe direction for a lint that asks "could this execute on the hot
-//     path?".
+//     safe direction for a lint that asks "could this run while a lock is
+//     held?".
 //
 // Calls the graph cannot resolve — through func-typed variables and fields,
-// or through interface methods — are recorded per node as dynamic call
-// sites rather than silently dropped, so `pdrvet -graph` shows exactly
-// where static reachability is blind.
-//
-// Hot roots are functions whose doc comment carries a line containing the
-// `pdr:hot` directive. Reachability propagates from the roots over the
-// resolved edges; Node.Hot marks the transitive closure.
+// or through interface methods — get no edge.
 package callgraph
 
 import (
 	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
-	"io"
-	"sort"
-	"strings"
 )
-
-// HotDirective is the doc-comment marker that declares a hot root.
-const HotDirective = "pdr:hot"
 
 // Unit is one type-checked package handed to Build.
 type Unit struct {
@@ -50,33 +38,19 @@ type Unit struct {
 
 // Node is one function, method, or function literal of the module.
 type Node struct {
-	// Obj is the declared function or method; nil for function literals.
-	Obj *types.Func
 	// Lit is the function literal; nil for declared functions.
 	Lit *ast.FuncLit
-	// Decl is the declaration carrying the body (nil for literals).
-	Decl *ast.FuncDecl
 	// Name is the printable identity: "pdr/internal/core.(*Server).Snapshot"
 	// or "pdr/internal/sweep.DenseRects$1" for the first literal inside
 	// DenseRects.
 	Name string
-	// Pos locates the declaration or literal.
-	Pos token.Pos
-	// Root marks a pdr:hot annotated function.
-	Root bool
-	// Hot marks functions reachable from a root (roots included).
-	Hot bool
 	// Calls are the resolved static out-edges, deduplicated, in first-seen
 	// (source) order.
 	Calls []*Node
-	// Dynamic are call sites this graph could not resolve statically
-	// (func-typed values, interface method calls), in source order.
-	Dynamic []token.Pos
 }
 
 // Graph is the module call graph.
 type Graph struct {
-	Fset  *token.FileSet
 	Nodes []*Node
 
 	byObj map[*types.Func]*Node
@@ -89,19 +63,12 @@ func (g *Graph) FuncNode(fn *types.Func) *Node { return g.byObj[fn] }
 // LitNode returns the node of a function literal, or nil.
 func (g *Graph) LitNode(lit *ast.FuncLit) *Node { return g.byLit[lit] }
 
-// HotFunc reports whether the declared function fn is hot-reachable.
-func (g *Graph) HotFunc(fn *types.Func) bool {
-	n := g.byObj[fn]
-	return n != nil && n.Hot
-}
-
-// Build constructs the call graph over the given units. All units must share
-// fset. Node order is deterministic: units in the given order, files in
-// parse order, declarations in source order, literals right after their
-// encloser in source order.
-func Build(fset *token.FileSet, units []Unit) *Graph {
+// Build constructs the call graph over the given units. Node order is
+// deterministic: units in the given order, files in parse order,
+// declarations in source order, literals right after their encloser in
+// source order.
+func Build(units []Unit) *Graph {
 	g := &Graph{
-		Fset:  fset,
 		byObj: make(map[*types.Func]*Node),
 		byLit: make(map[*ast.FuncLit]*Node),
 	}
@@ -125,13 +92,7 @@ func Build(fset *token.FileSet, units []Unit) *Graph {
 				if obj == nil {
 					continue
 				}
-				n := &Node{
-					Obj:  obj,
-					Decl: fd,
-					Name: funcName(u.Path, obj),
-					Pos:  fd.Pos(),
-					Root: hasHotDirective(fd.Doc),
-				}
+				n := &Node{Name: funcName(u.Path, obj)}
 				g.Nodes = append(g.Nodes, n)
 				g.byObj[obj] = n
 				bodies = append(bodies, declBody{n, fd.Body, u})
@@ -144,7 +105,6 @@ func Build(fset *token.FileSet, units []Unit) *Graph {
 							ln := &Node{
 								Lit:  fl,
 								Name: fmt.Sprintf("%s$%d", n.Name, seq),
-								Pos:  fl.Pos(),
 							}
 							g.Nodes = append(g.Nodes, ln)
 							g.byLit[fl] = ln
@@ -162,25 +122,6 @@ func Build(fset *token.FileSet, units []Unit) *Graph {
 	for _, b := range bodies {
 		if b.body != nil {
 			g.edgesFrom(b.node, b.body, b.unit)
-		}
-	}
-
-	// Pass 3: hot propagation from the roots.
-	var work []*Node
-	for _, n := range g.Nodes {
-		if n.Root {
-			n.Hot = true
-			work = append(work, n)
-		}
-	}
-	for len(work) > 0 {
-		n := work[0]
-		work = work[1:]
-		for _, c := range n.Calls {
-			if !c.Hot {
-				c.Hot = true
-				work = append(work, c)
-			}
 		}
 	}
 	return g
@@ -203,65 +144,18 @@ func (g *Graph) edgesFrom(n *Node, body *ast.BlockStmt, u *Unit) {
 			// the encloser, then let the literal walk itself.
 			addEdge(g.byLit[x])
 			return false
-		case *ast.CallExpr:
-			if target, dynamic := g.resolveCall(x, u); dynamic {
-				n.Dynamic = append(n.Dynamic, x.Lparen)
-			} else {
-				addEdge(target)
-			}
-			// Arguments (and the Fun's base expression) still need the
-			// value-reference walk below, so keep descending; the Fun
-			// identifier resolves to the same edge and dedups.
-			return true
 		case *ast.Ident:
-			// Flow-insensitive value references: a package function or
-			// method value mentioned anywhere gets an edge (covers
-			// f := s.Run, ForEach(n, worker), return handler).
+			// A package function or method named anywhere gets an edge:
+			// the callee of a direct call (f(), pkg.F(), s.Method()) and,
+			// flow-insensitively, a function or method value (f := s.Run,
+			// ForEach(n, worker), return handler). Conversions and builtins
+			// name no *types.Func and so add nothing.
 			if fn, ok := u.Info.Uses[x].(*types.Func); ok && !isInterfaceMethod(fn) {
 				addEdge(g.byObj[fn])
 			}
 		}
 		return true
 	})
-}
-
-// resolveCall classifies one call site: (target, false) for a statically
-// resolved module-local callee or an external/builtin/conversion (target
-// nil), (nil, true) for a dynamic call the graph cannot resolve.
-func (g *Graph) resolveCall(call *ast.CallExpr, u *Unit) (*Node, bool) {
-	fun := ast.Unparen(call.Fun)
-	// Generic instantiation f[T](...) — resolve through the index.
-	if ix, ok := fun.(*ast.IndexExpr); ok {
-		fun = ast.Unparen(ix.X)
-	} else if ix, ok := fun.(*ast.IndexListExpr); ok {
-		fun = ast.Unparen(ix.X)
-	}
-	if tv, ok := u.Info.Types[fun]; ok && tv.IsType() {
-		return nil, false // conversion, not a call
-	}
-	switch fun := fun.(type) {
-	case *ast.FuncLit:
-		return g.byLit[fun], false // immediately-invoked literal
-	case *ast.Ident:
-		switch obj := u.Info.Uses[fun].(type) {
-		case *types.Func:
-			return g.byObj[obj], false // external callees resolve to nil
-		case *types.Builtin, nil:
-			return nil, false
-		default:
-			return nil, true // func-typed variable: dynamic
-		}
-	case *ast.SelectorExpr:
-		if fn, ok := u.Info.Uses[fun.Sel].(*types.Func); ok {
-			if isInterfaceMethod(fn) {
-				return nil, true // interface dispatch: dynamic
-			}
-			return g.byObj[fn], false
-		}
-		return nil, true // func-typed field: dynamic
-	default:
-		return nil, true
-	}
 }
 
 // isInterfaceMethod reports whether fn is declared on an interface (its
@@ -274,21 +168,6 @@ func isInterfaceMethod(fn *types.Func) bool {
 	return types.IsInterface(sig.Recv().Type())
 }
 
-// hasHotDirective reports whether the doc comment carries a pdr:hot line.
-func hasHotDirective(doc *ast.CommentGroup) bool {
-	if doc == nil {
-		return false
-	}
-	for _, c := range doc.List {
-		text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-		if text == HotDirective || strings.HasPrefix(text, HotDirective+" ") ||
-			strings.HasPrefix(text, HotDirective+":") {
-			return true
-		}
-	}
-	return false
-}
-
 // funcName renders the printable identity of a declared function.
 func funcName(path string, fn *types.Func) string {
 	sig, _ := fn.Type().(*types.Signature)
@@ -298,63 +177,4 @@ func funcName(path string, fn *types.Func) string {
 		return fmt.Sprintf("%s.(%s).%s", path, s, fn.Name())
 	}
 	return path + "." + fn.Name()
-}
-
-// Dump writes the graph in a stable, human-readable form: one block per
-// node in name order, hot nodes marked, out-edges and dynamic call sites
-// listed. Nodes with no edges, no dynamic sites, and no hot mark are
-// elided with a summary count to keep the dump readable.
-func (g *Graph) Dump(w io.Writer) error {
-	nodes := make([]*Node, len(g.Nodes))
-	copy(nodes, g.Nodes)
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].Name < nodes[j].Name })
-	roots, hot, dynamic := 0, 0, 0
-	for _, n := range nodes {
-		if n.Root {
-			roots++
-		}
-		if n.Hot {
-			hot++
-		}
-		dynamic += len(n.Dynamic)
-	}
-	if _, err := fmt.Fprintf(w, "# call graph: %d nodes, %d roots, %d hot, %d dynamic call sites\n",
-		len(nodes), roots, hot, dynamic); err != nil {
-		return err
-	}
-	cold := 0
-	for _, n := range nodes {
-		if !n.Hot && len(n.Calls) == 0 && len(n.Dynamic) == 0 {
-			cold++
-			continue
-		}
-		mark := "    "
-		switch {
-		case n.Root:
-			mark = "root"
-		case n.Hot:
-			mark = "hot "
-		}
-		if _, err := fmt.Fprintf(w, "%s %s\n", mark, n.Name); err != nil {
-			return err
-		}
-		for _, c := range n.Calls {
-			if _, err := fmt.Fprintf(w, "       -> %s\n", c.Name); err != nil {
-				return err
-			}
-		}
-		for _, p := range n.Dynamic {
-			pos := g.Fset.Position(p)
-			if _, err := fmt.Fprintf(w, "       ?? dynamic call at %s:%d:%d\n",
-				pos.Filename, pos.Line, pos.Column); err != nil {
-				return err
-			}
-		}
-	}
-	if cold > 0 {
-		if _, err := fmt.Fprintf(w, "# %d leaf nodes with no edges elided\n", cold); err != nil {
-			return err
-		}
-	}
-	return nil
 }

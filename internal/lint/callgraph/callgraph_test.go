@@ -6,7 +6,6 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
-	"strings"
 	"testing"
 
 	"pdr/internal/lint/callgraph"
@@ -31,7 +30,7 @@ func buildFixture(t *testing.T, src string) *callgraph.Graph {
 	if err != nil {
 		t.Fatalf("typecheck fixture: %v", err)
 	}
-	return callgraph.Build(fset, []callgraph.Unit{{
+	return callgraph.Build([]callgraph.Unit{{
 		Path:  "fix",
 		Files: []*ast.File{file},
 		Pkg:   pkg,
@@ -51,35 +50,16 @@ func nodeByName(t *testing.T, g *callgraph.Graph, name string) *callgraph.Node {
 	return nil
 }
 
-func TestHotPropagatesTransitively(t *testing.T) {
-	g := buildFixture(t, `package fix
-
-// Entry is the query entry point.
-// pdr:hot
-func Entry() { middle() }
-
-func middle() { leaf() }
-
-func leaf() {}
-
-func unreached() { leaf() }
-`)
-	for name, wantHot := range map[string]bool{
-		"fix.Entry":     true,
-		"fix.middle":    true,
-		"fix.leaf":      true,
-		"fix.unreached": false,
-	} {
-		if got := nodeByName(t, g, name).Hot; got != wantHot {
-			t.Errorf("%s: Hot = %v, want %v", name, got, wantHot)
+// calls reports whether from has a resolved edge to the node named to.
+func calls(t *testing.T, g *callgraph.Graph, from, to string) bool {
+	t.Helper()
+	target := nodeByName(t, g, to)
+	for _, c := range nodeByName(t, g, from).Calls {
+		if c == target {
+			return true
 		}
 	}
-	if !nodeByName(t, g, "fix.Entry").Root {
-		t.Errorf("fix.Entry should be a root")
-	}
-	if nodeByName(t, g, "fix.middle").Root {
-		t.Errorf("fix.middle must not be a root")
-	}
+	return false
 }
 
 func TestMethodCallResolvesViaReceiver(t *testing.T) {
@@ -91,16 +71,16 @@ func (s *server) run() { s.step() }
 
 func (s *server) step() {}
 
-// pdr:hot
 func Entry() {
 	var s server
 	s.run()
 }
 `)
-	for _, name := range []string{"fix.(*server).run", "fix.(*server).step"} {
-		if !nodeByName(t, g, name).Hot {
-			t.Errorf("%s should be hot via resolved method calls", name)
-		}
+	if !calls(t, g, "fix.Entry", "fix.(*server).run") {
+		t.Errorf("Entry -> (*server).run not resolved through the receiver")
+	}
+	if !calls(t, g, "fix.(*server).run", "fix.(*server).step") {
+		t.Errorf("(*server).run -> (*server).step not resolved through the receiver")
 	}
 }
 
@@ -115,7 +95,6 @@ func helper() {}
 
 func call(f func()) { f() }
 
-// pdr:hot
 func Entry(s *server) {
 	f := s.work // method value: edge Entry -> (*server).work
 	call(f)
@@ -123,26 +102,24 @@ func Entry(s *server) {
 }
 `)
 	for _, name := range []string{"fix.(*server).work", "fix.helper", "fix.call"} {
-		if !nodeByName(t, g, name).Hot {
-			t.Errorf("%s should be hot via value-reference edges", name)
+		if !calls(t, g, "fix.Entry", name) {
+			t.Errorf("Entry -> %s missing: value references are edges", name)
 		}
 	}
-	// call() invokes its parameter: that is a dynamic site, not an edge.
-	callNode := nodeByName(t, g, "fix.call")
-	if len(callNode.Dynamic) != 1 {
-		t.Errorf("fix.call: %d dynamic sites, want 1 (the f() invocation)", len(callNode.Dynamic))
-	}
-	if len(callNode.Calls) != 0 {
+	// call() invokes its parameter: a dynamic site, not an edge.
+	if callNode := nodeByName(t, g, "fix.call"); len(callNode.Calls) != 0 {
 		t.Errorf("fix.call: unexpected resolved edges %v", names(callNode.Calls))
 	}
 }
 
+// TestFuncLitIsOwnNodeAndInheritsHot pins that a literal is a node of its
+// own, reached only through the function that encloses it: whatever reaches
+// Entry reaches leaf via Entry$1, and nothing reaches cold's literal but cold.
 func TestFuncLitIsOwnNodeAndInheritsHot(t *testing.T) {
 	g := buildFixture(t, `package fix
 
 func leaf() {}
 
-// pdr:hot
 func Entry() {
 	f := func() { leaf() }
 	f()
@@ -153,15 +130,20 @@ func cold() {
 	g()
 }
 `)
-	lit := nodeByName(t, g, "fix.Entry$1")
-	if !lit.Hot {
-		t.Errorf("literal inside hot Entry should be hot")
+	if !calls(t, g, "fix.Entry", "fix.Entry$1") {
+		t.Errorf("Entry must have an edge to its literal")
 	}
-	if !nodeByName(t, g, "fix.leaf").Hot {
-		t.Errorf("leaf called from hot literal should be hot")
+	if !calls(t, g, "fix.Entry$1", "fix.leaf") {
+		t.Errorf("the literal, not Entry, calls leaf")
 	}
-	if nodeByName(t, g, "fix.cold$1").Hot {
-		t.Errorf("literal inside cold function must stay cold")
+	if calls(t, g, "fix.Entry", "fix.leaf") {
+		t.Errorf("the literal's call must not be attributed to Entry")
+	}
+	if !calls(t, g, "fix.cold", "fix.cold$1") {
+		t.Errorf("cold must have an edge to its own literal")
+	}
+	if calls(t, g, "fix.Entry", "fix.cold$1") {
+		t.Errorf("cold's literal must not be reached from Entry")
 	}
 }
 
@@ -176,20 +158,12 @@ func (impl) run() { leaf() }
 
 func leaf() {}
 
-// pdr:hot
 func Entry(r runner) { r.run() }
 `)
-	entry := nodeByName(t, g, "fix.Entry")
-	if len(entry.Dynamic) != 1 {
-		t.Fatalf("Entry: %d dynamic sites, want 1 (interface dispatch)", len(entry.Dynamic))
-	}
-	// The implementation is NOT resolved through the interface: this is the
-	// documented blind spot that -graph surfaces.
-	if nodeByName(t, g, "fix.(impl).run").Hot {
-		t.Errorf("impl.run must not be hot: interface dispatch is unresolved")
-	}
-	if nodeByName(t, g, "fix.leaf").Hot {
-		t.Errorf("leaf must stay cold behind the unresolved interface call")
+	// The implementation is NOT resolved through the interface: the
+	// documented blind spot of a static graph.
+	if entry := nodeByName(t, g, "fix.Entry"); len(entry.Calls) != 0 {
+		t.Errorf("Entry: interface dispatch resolved to %v, want no edge", names(entry.Calls))
 	}
 }
 
@@ -198,7 +172,6 @@ func TestConversionsAndBuiltinsAreNotCalls(t *testing.T) {
 
 type id int
 
-// pdr:hot
 func Entry(xs []int) int {
 	ys := make([]id, 0, len(xs))
 	for _, x := range xs {
@@ -207,49 +180,8 @@ func Entry(xs []int) int {
 	return len(ys)
 }
 `)
-	entry := nodeByName(t, g, "fix.Entry")
-	if len(entry.Dynamic) != 0 {
-		t.Errorf("Entry: conversions/builtins misclassified as dynamic: %d sites", len(entry.Dynamic))
-	}
-	if len(entry.Calls) != 0 {
+	if entry := nodeByName(t, g, "fix.Entry"); len(entry.Calls) != 0 {
 		t.Errorf("Entry: unexpected resolved edges %v", names(entry.Calls))
-	}
-}
-
-func TestDumpIsStableAndMarked(t *testing.T) {
-	src := `package fix
-
-// pdr:hot
-func Entry() { step() }
-
-func step() {}
-
-func lonely() {}
-`
-	g := buildFixture(t, src)
-	var a, b strings.Builder
-	if err := g.Dump(&a); err != nil {
-		t.Fatalf("Dump: %v", err)
-	}
-	if err := buildFixture(t, src).Dump(&b); err != nil {
-		t.Fatalf("Dump: %v", err)
-	}
-	if a.String() != b.String() {
-		t.Errorf("Dump is not deterministic:\n--- first\n%s--- second\n%s", a.String(), b.String())
-	}
-	out := a.String()
-	for _, want := range []string{
-		"root fix.Entry",
-		"-> fix.step",
-		"hot  fix.step",
-		"1 roots, 2 hot",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("Dump missing %q:\n%s", want, out)
-		}
-	}
-	if strings.Contains(out, "fix.lonely") {
-		t.Errorf("Dump should elide cold leaf nodes:\n%s", out)
 	}
 }
 

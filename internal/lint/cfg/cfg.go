@@ -1,7 +1,7 @@
 // Package cfg builds intra-procedural control-flow graphs over Go function
 // bodies and runs forward dataflow analyses over them. It is the engine
-// underneath pdrvet's flow-aware concurrency analyzers (locked, deferunlock,
-// atomicmix, noleak): where the first-generation analyzers compared token
+// underneath pdrvet's flow-aware analyzers (deferunlock, noleak, poollife,
+// lockorder): where the first-generation analyzers compared token
 // positions ("a Lock call textually before the first access"), the CFG makes
 // path-sensitive questions answerable — "is the lock held on *every* path
 // reaching this access?", "does *some* path exit without unlocking?".

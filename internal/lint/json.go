@@ -15,10 +15,6 @@ type JSONDiagnostic struct {
 	Col      int    `json:"col"`
 	Analyzer string `json:"analyzer"`
 	Message  string `json:"message"`
-	// Fixes carries the machine-applicable suggested fixes, byte-offset
-	// edits included, so CI tooling can apply or display them without
-	// re-running the analyzers.
-	Fixes []SuggestedFix `json:"fixes,omitempty"`
 }
 
 // toJSON converts a Diagnostic to its wire shape.
@@ -30,7 +26,6 @@ func toJSON(d Diagnostic) JSONDiagnostic {
 		Col:      d.Pos.Column,
 		Analyzer: d.Analyzer,
 		Message:  d.Message,
-		Fixes:    d.Fixes,
 	}
 }
 
@@ -40,27 +35,6 @@ func WriteJSON(w io.Writer, diags []Diagnostic) error {
 	enc := json.NewEncoder(w)
 	for _, d := range diags {
 		if err := enc.Encode(toJSON(d)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// JSONTiming is the machine-readable shape of one analyzer's wall time,
-// appended to the -json stream by pdrvet -timing. The analyzer field keeps
-// diagnostic lines and timing lines distinguishable: timing lines have
-// timingMicros and no file.
-type JSONTiming struct {
-	Analyzer     string `json:"analyzer"`
-	TimingMicros int64  `json:"timingMicros"`
-}
-
-// WriteJSONTimings emits one JSONTiming line per analyzer in the input
-// (registration) order.
-func WriteJSONTimings(w io.Writer, timings []AnalyzerTiming) error {
-	enc := json.NewEncoder(w)
-	for _, t := range timings {
-		if err := enc.Encode(JSONTiming{Analyzer: t.Name, TimingMicros: t.Duration.Microseconds()}); err != nil {
 			return err
 		}
 	}

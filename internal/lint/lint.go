@@ -1,17 +1,20 @@
 // Package lint is pdrvet's analysis framework: a stdlib-only module loader
 // (go/parser + go/types) plus a pluggable set of analyzers that enforce the
 // PDR engine's un-compilable invariants — half-open rectangle semantics,
-// the single-writer mutex discipline, simulation-time purity, seeded
-// randomness, epsilon-safe float comparison, checked encode/write errors,
-// uniform index-corruption panics, and namespaced telemetry metric names.
+// simulation-time purity, epsilon-safe float comparison, checked
+// encode/write errors, goroutine joins, sync.Pool lifetimes, and the
+// unlock and lock-rank discipline. Properties a measurement or the race
+// detector checks (allocations on hot paths, guarded-field access) are left
+// to those gates.
 //
 // Diagnostics carry file:line:col positions. A finding can be suppressed by
 // a directive comment on the same line or the line above:
 //
 //	// lint:ignore <analyzer>[,<analyzer>...] <reason>
 //
-// The reason is mandatory; an ignore directive without one is itself a
-// finding. The analyzer list may be "all".
+// The reason is mandatory; an ignore directive without one, or one naming an
+// analyzer that is not registered, is itself a finding. The analyzer list
+// may be "all".
 package lint
 
 import (
@@ -21,7 +24,6 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-	"time"
 
 	"pdr/internal/lint/callgraph"
 )
@@ -34,8 +36,6 @@ type Diagnostic struct {
 	Pkg     string
 	Pos     token.Position
 	Message string
-	// Fixes are optional machine-applicable suggested fixes (pdrvet -fix).
-	Fixes []SuggestedFix
 }
 
 // String formats the finding as file:line:col: [analyzer] message.
@@ -51,8 +51,8 @@ type Analyzer struct {
 	Doc string
 	// Run inspects one package and reports findings through the pass.
 	Run func(*Pass)
-	// UsesCallGraph requests Pass.Graph: the module call graph with pdr:hot
-	// reachability, built once per Run over all loaded packages.
+	// UsesCallGraph requests Pass.Graph: the module call graph, built once
+	// per Run over all loaded packages.
 	UsesCallGraph bool
 	// Prepare, when set, runs once per Run over every loaded package before
 	// the per-package passes, and its result is handed to each of this
@@ -74,8 +74,8 @@ type Pass struct {
 	Pkg   *types.Package
 	Info  *types.Info
 	// Graph is the module call graph; non-nil only for analyzers that set
-	// UsesCallGraph. It spans every package of the run, so hot reachability
-	// crosses package boundaries.
+	// UsesCallGraph. It spans every package of the run, so interprocedural
+	// facts cross package boundaries.
 	Graph *callgraph.Graph
 	// Shared is the analyzer's Prepare result (nil when Prepare is unset):
 	// module-wide state computed once per Run and read by every pass.
@@ -92,36 +92,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 		Pos:      p.Fset.Position(pos),
 		Message:  fmt.Sprintf(format, args...),
 	})
-}
-
-// ReportFixf records a finding at pos carrying a machine-applicable
-// suggested fix (applied by pdrvet -fix).
-func (p *Pass) ReportFixf(pos token.Pos, fix SuggestedFix, format string, args ...any) {
-	*p.diags = append(*p.diags, Diagnostic{
-		Analyzer: p.Analyzer.Name,
-		Pkg:      p.Path,
-		Pos:      p.Fset.Position(pos),
-		Message:  fmt.Sprintf(format, args...),
-		Fixes:    []SuggestedFix{fix},
-	})
-}
-
-// EditRange builds a FixEdit replacing the source range [start, end) with
-// newText, converting the AST positions to byte offsets.
-func (p *Pass) EditRange(start, end token.Pos, newText string) FixEdit {
-	sp := p.Fset.Position(start)
-	ep := p.Fset.Position(end)
-	return FixEdit{File: sp.Filename, Start: sp.Offset, End: ep.Offset, NewText: newText}
-}
-
-// HotFunc reports whether decl is reachable from a pdr:hot root. False when
-// the pass has no call graph.
-func (p *Pass) HotFunc(decl *ast.FuncDecl) bool {
-	if p.Graph == nil {
-		return false
-	}
-	fn, _ := p.Info.Defs[decl.Name].(*types.Func)
-	return fn != nil && p.Graph.HotFunc(fn)
 }
 
 // TypeOf returns the type of e, or nil if the checker recorded none.
@@ -150,22 +120,12 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		AnalyzerFloatEq,
 		AnalyzerHalfOpen,
-		AnalyzerLocked,
 		AnalyzerWallClock,
-		AnalyzerRandSeed,
 		AnalyzerErrCheckLite,
-		AnalyzerPanicPrefix,
-		AnalyzerMetricName,
 		AnalyzerDeferUnlock,
-		AnalyzerAtomicMix,
 		AnalyzerNoLeak,
 		AnalyzerPoolLife,
 		AnalyzerLockOrder,
-		AnalyzerHotAlloc,
-		AnalyzerHotDefer,
-		AnalyzerHotLock,
-		AnalyzerHotIface,
-		AnalyzerHotClock,
 		AnalyzerDirective,
 	}
 }
@@ -200,37 +160,18 @@ func Names() []string {
 // Run applies the analyzers to every package and returns the surviving
 // findings in deterministic order, with lint:ignore suppression applied.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	diags, _ := RunTimed(pkgs, analyzers)
-	return diags
-}
-
-// AnalyzerTiming is the wall-clock cost of one analyzer across a whole run:
-// its Prepare phase plus every per-package pass. pdrvet -timing reports it
-// so suite growth stays observable.
-type AnalyzerTiming struct {
-	Name     string
-	Duration time.Duration
-}
-
-// RunTimed is Run with per-analyzer wall time measured. Timings come back
-// in registration order, one entry per analyzer of the run.
-func RunTimed(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []AnalyzerTiming) {
 	var graph *callgraph.Graph
 	for _, a := range analyzers {
 		if a.UsesCallGraph {
-			graph = BuildGraph(pkgs)
+			graph = buildGraph(pkgs)
 			break
 		}
 	}
-	elapsed := make(map[string]time.Duration, len(analyzers))
 	shared := make(map[string]any)
 	for _, a := range analyzers {
-		if a.Prepare == nil {
-			continue
+		if a.Prepare != nil {
+			shared[a.Name] = a.Prepare(pkgs, graph)
 		}
-		start := time.Now()
-		shared[a.Name] = a.Prepare(pkgs, graph)
-		elapsed[a.Name] += time.Since(start)
 	}
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
@@ -249,18 +190,12 @@ func RunTimed(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []AnalyzerT
 			if a.UsesCallGraph {
 				pass.Graph = graph
 			}
-			start := time.Now()
 			a.Run(pass)
-			elapsed[a.Name] += time.Since(start)
 		}
 		diags = append(diags, applyIgnores(pkg, analyzers, pkgDiags)...)
 	}
 	sortDiags(diags)
-	timings := make([]AnalyzerTiming, len(analyzers))
-	for i, a := range analyzers {
-		timings[i] = AnalyzerTiming{Name: a.Name, Duration: elapsed[a.Name]}
-	}
-	return diags, timings
+	return diags
 }
 
 // sortDiags orders findings by (package, file, line, col, analyzer,
@@ -288,12 +223,9 @@ func sortDiags(diags []Diagnostic) {
 	})
 }
 
-// BuildGraph constructs the module call graph over the loaded packages —
-// the reachability substrate of the hot-path analyzers and `pdrvet -graph`.
-func BuildGraph(pkgs []*Package) *callgraph.Graph {
-	if len(pkgs) == 0 {
-		return callgraph.Build(token.NewFileSet(), nil)
-	}
+// buildGraph constructs the module call graph over the loaded packages —
+// the interprocedural substrate of lockorder.
+func buildGraph(pkgs []*Package) *callgraph.Graph {
 	units := make([]callgraph.Unit, 0, len(pkgs))
 	for _, pkg := range pkgs {
 		units = append(units, callgraph.Unit{
@@ -303,7 +235,7 @@ func BuildGraph(pkgs []*Package) *callgraph.Graph {
 			Info:  pkg.Info,
 		})
 	}
-	return callgraph.Build(pkgs[0].Fset, units)
+	return callgraph.Build(units)
 }
 
 // ignoreDirective is one parsed lint:ignore comment.
@@ -330,7 +262,9 @@ const ignorePrefix = "lint:ignore"
 
 // applyIgnores drops diagnostics covered by a well-formed ignore directive.
 // When the directive analyzer itself is part of the run, it additionally
-// adds a finding for every malformed directive (missing reason) and — when
+// adds a finding for every malformed directive (missing reason), for every
+// name a directive gives that is not a registered analyzer (a directive for
+// a deleted analyzer would otherwise live forever), and — when
 // every analyzer a directive names was also part of this run — reports
 // directives that suppressed nothing as stale, so dead ignores cannot
 // outlive the finding they excused. Under `-only` runs that exclude
@@ -344,6 +278,10 @@ func applyIgnores(pkg *Package, analyzers []*Analyzer, diags []Diagnostic) []Dia
 			directiveRan = true
 			break
 		}
+	}
+	registered := make(map[string]bool)
+	for _, a := range All() {
+		registered[a.Name] = true
 	}
 	var directives []ignoreDirective
 	var malformed []Diagnostic
@@ -378,6 +316,14 @@ func applyIgnores(pkg *Package, analyzers []*Analyzer, diags []Diagnostic) []Dia
 					d.analyzers = make(map[string]bool)
 					for _, n := range strings.Split(fields[0], ",") {
 						d.analyzers[n] = true
+						if directiveRan && !registered[n] {
+							malformed = append(malformed, Diagnostic{
+								Analyzer: AnalyzerDirective.Name,
+								Pkg:      pkg.Path,
+								Pos:      pkg.Fset.Position(c.Pos()),
+								Message:  fmt.Sprintf("lint:ignore names unknown analyzer %q; delete it from the directive (registered: %s)", n, strings.Join(Names(), ", ")),
+							})
+						}
 					}
 				}
 				directives = append(directives, d)

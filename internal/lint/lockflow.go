@@ -1,7 +1,7 @@
 package lint
 
 // Shared lock-state machinery for the flow-aware concurrency analyzers
-// (locked, deferunlock, atomicmix). Mutexes are identified by the textual
+// (deferunlock, lockorder). Mutexes are identified by the textual
 // key of the expression they are locked through ("s.mu", "sh.mu",
 // "c.shards[i].mu"): intra-procedural, purely syntactic aliasing, which is
 // exactly the discipline the tree follows — a shard is picked once into a
@@ -11,8 +11,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-
-	"pdr/internal/lint/cfg"
 )
 
 // lockState maps a mutex key to the lock level held on *every* path
@@ -85,6 +83,19 @@ func mutexOpOf(p *Pass, call *ast.CallExpr) (mutexOp, bool) {
 	return mutexOp{key: key, name: sel.Sel.Name, pos: call.Pos()}, true
 }
 
+// isMutex reports whether t is sync.Mutex or sync.RWMutex.
+func isMutex(t types.Type) bool {
+	named, ok := types.Unalias(t).(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
+		return false
+	}
+	return obj.Name() == "Mutex" || obj.Name() == "RWMutex"
+}
+
 // derefType unwraps one level of pointer (fields may hold *sync.Mutex).
 func derefType(t types.Type) types.Type {
 	if t == nil {
@@ -136,32 +147,6 @@ func exprKey(e ast.Expr) string {
 	return ""
 }
 
-// rootIdent returns the base identifier of a selector/index/deref chain, or
-// "" when the chain does not bottom out in a plain identifier.
-func rootIdent(e ast.Expr) string {
-	for {
-		switch t := e.(type) {
-		case *ast.Ident:
-			return t.Name
-		case *ast.SelectorExpr:
-			e = t.X
-		case *ast.ParenExpr:
-			e = t.X
-		case *ast.StarExpr:
-			e = t.X
-		case *ast.IndexExpr:
-			e = t.X
-		case *ast.UnaryExpr:
-			if t.Op != token.AND {
-				return ""
-			}
-			e = t.X
-		default:
-			return ""
-		}
-	}
-}
-
 // apply advances the state across one mutex operation. The receiver is not
 // mutated (predecessor facts are shared); a copy is returned.
 func (s lockState) apply(op mutexOp) lockState {
@@ -185,160 +170,4 @@ func (s lockState) apply(op mutexOp) lockState {
 	// TryLock/TryRLock succeed only conditionally; they never strengthen
 	// the must-hold state.
 	return out
-}
-
-// stepLockState advances the lock state across one CFG node. Function
-// literal bodies are opaque (they run elsewhere) and deferred statements do
-// not change mid-body state (a deferred unlock runs on the way out, after
-// every node of the body).
-func stepLockState(p *Pass, n ast.Node, in lockState) lockState {
-	out := in
-	ast.Inspect(n, func(x ast.Node) bool {
-		switch x := x.(type) {
-		case *ast.FuncLit, *ast.DeferStmt:
-			return false
-		case *ast.CallExpr:
-			if op, ok := mutexOpOf(p, x); ok {
-				out = out.apply(op)
-			}
-		}
-		return true
-	})
-	return out
-}
-
-// lockFlow converges the lock-state dataflow over g starting from entry.
-func lockFlow(p *Pass, g *cfg.Graph, entry lockState) *cfg.Result[lockState] {
-	return cfg.Run(g, &cfg.Analysis[lockState]{
-		Entry: entry,
-		Join:  joinLockStates,
-		Equal: equalLockStates,
-		Transfer: func(b *cfg.Block, in lockState) lockState {
-			for _, n := range b.Nodes {
-				in = stepLockState(p, n, in)
-			}
-			return in
-		},
-	})
-}
-
-// markWriteChain marks every field selection an lvalue chain writes
-// through: s.f, s.cfg.name, s.items[i], *s.ptr. Index subscripts are reads
-// and are not descended into.
-func markWriteChain(e ast.Expr, w map[ast.Expr]bool) {
-	for {
-		switch t := e.(type) {
-		case *ast.ParenExpr:
-			e = t.X
-		case *ast.IndexExpr:
-			e = t.X
-		case *ast.StarExpr:
-			e = t.X
-		case *ast.SelectorExpr:
-			w[t] = true
-			e = t.X
-		default:
-			return
-		}
-	}
-}
-
-// writeSelectors collects the field selections written by n: assignment
-// left-hand sides, ++/--, address-taking (&x.f escapes to writers), and
-// delete's map argument. Function literal bodies are excluded.
-func writeSelectors(n ast.Node) map[ast.Expr]bool {
-	w := make(map[ast.Expr]bool)
-	ast.Inspect(n, func(x ast.Node) bool {
-		switch x := x.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.AssignStmt:
-			if x.Tok != token.DEFINE {
-				for _, l := range x.Lhs {
-					markWriteChain(l, w)
-				}
-			}
-		case *ast.IncDecStmt:
-			markWriteChain(x.X, w)
-		case *ast.UnaryExpr:
-			if x.Op == token.AND {
-				markWriteChain(x.X, w)
-			}
-		case *ast.CallExpr:
-			if id, ok := x.Fun.(*ast.Ident); ok && id.Name == "delete" && len(x.Args) > 0 {
-				markWriteChain(x.Args[0], w)
-			}
-		}
-		return true
-	})
-	return w
-}
-
-// topFuncLits returns the function literals occurring directly in n, not
-// nested inside another literal (recursion handles those).
-func topFuncLits(n ast.Node) []*ast.FuncLit {
-	var out []*ast.FuncLit
-	ast.Inspect(n, func(x ast.Node) bool {
-		if fl, ok := x.(*ast.FuncLit); ok {
-			out = append(out, fl)
-			return false
-		}
-		return true
-	})
-	return out
-}
-
-// guardedFieldSel reports whether sel selects a "guarded by mu" field of a
-// struct declared in this package, returning the owning struct's name.
-func guardedFieldSel(p *Pass, guarded map[string]map[string]bool, sel *ast.SelectorExpr) (string, bool) {
-	s, ok := p.Info.Selections[sel]
-	if !ok || s.Kind() != types.FieldVal {
-		return "", false
-	}
-	named, ok := types.Unalias(derefType(s.Recv())).(*types.Named)
-	if !ok || named.Obj().Pkg() != p.Pkg {
-		return "", false
-	}
-	fields, ok := guarded[named.Obj().Name()]
-	if !ok || !fields[sel.Sel.Name] {
-		return "", false
-	}
-	return named.Obj().Name(), true
-}
-
-// ownedIdents returns the local identifiers bound to freshly constructed
-// values of guarded struct types (x := T{...} / x := &T{...}): until such a
-// value is shared, its owner may touch guarded fields without the lock —
-// the constructor idiom (service.New wiring s.mon before returning s).
-func ownedIdents(p *Pass, guarded map[string]map[string]bool, body *ast.BlockStmt) map[string]bool {
-	owned := make(map[string]bool)
-	ast.Inspect(body, func(x ast.Node) bool {
-		as, ok := x.(*ast.AssignStmt)
-		if !ok || len(as.Lhs) != len(as.Rhs) {
-			return true
-		}
-		for i, l := range as.Lhs {
-			id, ok := l.(*ast.Ident)
-			if !ok {
-				continue
-			}
-			r := as.Rhs[i]
-			if u, ok := r.(*ast.UnaryExpr); ok && u.Op == token.AND {
-				r = u.X
-			}
-			cl, ok := r.(*ast.CompositeLit)
-			if !ok {
-				continue
-			}
-			named, ok := types.Unalias(derefType(p.TypeOf(cl))).(*types.Named)
-			if !ok || named.Obj().Pkg() != p.Pkg {
-				continue
-			}
-			if _, ok := guarded[named.Obj().Name()]; ok {
-				owned[id.Name] = true
-			}
-		}
-		return true
-	})
-	return owned
 }

@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -26,11 +25,10 @@ import (
 //   - double release: a Put/Release every reaching path has already done,
 //     and a deferred release that re-runs after an explicit one;
 //   - pointer-bearing fields not cleared before Put: the pool would pin the
-//     last query's data live (mechanical fix: insert the `x.f = nil` /
-//     `clear(x.f)` lines before the Put);
+//     last query's data live (`x.f = nil` / `clear(x.f)` before the Put);
 //   - a pooled-scratch alias of a caller slice (`out := s[:0]` + append)
 //     returned without a cap-clip, letting the caller's appends clobber
-//     retained scratch (mechanical fix: return `out[:len(out):len(out)]`).
+//     retained scratch (return `out[:len(out):len(out)]`).
 //
 // Release knowledge is interprocedural: Prepare builds module-wide releaser
 // and provider summaries (poolflow.go), so core releasing a dh value by
@@ -627,8 +625,7 @@ func mentionsName(n ast.Node, name string) bool {
 // but reference elements must be zeroed). The check is syntactic and
 // per-function: clears through a single-level alias (`parts := x.parts;
 // parts[i] = nil`), element stores, clear() calls, and a full `*x = T{}`
-// reset all count. Findings carry a mechanical fix inserting the missing
-// clear statements before the Put.
+// reset all count.
 func checkNilBeforePut(p *Pass, fd *ast.FuncDecl) {
 	type putSite struct {
 		call    *ast.CallExpr
@@ -735,68 +732,37 @@ func checkNilBeforePut(p *Pass, fd *ast.FuncDecl) {
 			continue
 		}
 		var missing []string
-		var fixes []string
 		for i := 0; i < put.typ.NumFields(); i++ {
 			f := put.typ.Field(i)
 			key := put.arg + "." + f.Name()
-			cleared := nilAssigns[key] || elemClears[key]
-			switch clearKindOf(f.Type()) {
-			case clearNil:
-				if !cleared {
-					missing = append(missing, f.Name())
-					fixes = append(fixes, key+" = nil\n")
-				}
-			case clearElems:
-				if !cleared {
-					missing = append(missing, f.Name())
-					fixes = append(fixes, "clear("+key+")\n")
-				}
+			if needsClear(f.Type()) && !nilAssigns[key] && !elemClears[key] {
+				missing = append(missing, f.Name())
 			}
 		}
 		if len(missing) == 0 {
 			continue
 		}
 		sort.Strings(missing)
-		anchor := insertionStmt(fd.Body, put.call.Pos())
-		msg := "%s is returned to pool %s with pointer-bearing field(s) %s still set; the pool pins their data live — clear them before Put"
-		if _, isDefer := anchor.(*ast.DeferStmt); isDefer || anchor == nil {
-			// Clearing before a deferred Put would run too early; report
-			// without a mechanical fix.
-			p.Reportf(put.call.Pos(), msg, put.arg, put.poolKey, strings.Join(missing, ", "))
-			continue
-		}
-		p.ReportFixf(put.call.Pos(), SuggestedFix{
-			Message: fmt.Sprintf("clear %s before Put", strings.Join(missing, ", ")),
-			Edits:   []FixEdit{p.EditRange(anchor.Pos(), anchor.Pos(), strings.Join(fixes, ""))},
-		}, msg, put.arg, put.poolKey, strings.Join(missing, ", "))
+		p.Reportf(put.call.Pos(), "%s is returned to pool %s with pointer-bearing field(s) %s still set; the pool pins their data live — clear them before Put",
+			put.arg, put.poolKey, strings.Join(missing, ", "))
 	}
 }
 
-type clearKind int
-
-const (
-	clearNone  clearKind = iota
-	clearNil             // direct reference field: f = nil
-	clearElems           // slice of references: clear(f) zeroes elements, keeps capacity
-)
-
-// clearKindOf classifies a pooled struct field by what Put-hygiene it
-// needs. Primitive fields and primitive-element slices/maps need nothing —
-// retaining their backing storage is the point of pooling.
-func clearKindOf(t types.Type) clearKind {
+// needsClear reports whether a pooled struct field must be cleared before
+// Put: a direct reference (f = nil), a map holding references, or a slice of
+// references (clear(f) zeroes elements, keeps capacity). Primitive fields
+// and primitive-element slices/maps need nothing — retaining their backing
+// storage is the point of pooling.
+func needsClear(t types.Type) bool {
 	switch u := t.Underlying().(type) {
 	case *types.Pointer, *types.Interface, *types.Chan, *types.Signature:
-		return clearNil
+		return true
 	case *types.Map:
-		if refBearing(u.Key()) || refBearing(u.Elem()) {
-			return clearNil
-		}
+		return refBearing(u.Key()) || refBearing(u.Elem())
 	case *types.Slice:
-		if refBearing(u.Elem()) {
-			return clearElems
-		}
+		return refBearing(u.Elem())
 	}
-	return clearNone
+	return false
 }
 
 // refBearing reports whether values of t keep heap objects reachable
@@ -843,31 +809,14 @@ func localStructType(p *Pass, e ast.Expr) *types.Struct {
 	return st
 }
 
-// insertionStmt finds the deepest non-block statement containing pos — the
-// anchor a fix inserts new statements before.
-func insertionStmt(body *ast.BlockStmt, pos token.Pos) ast.Stmt {
-	var found ast.Stmt
-	ast.Inspect(body, func(n ast.Node) bool {
-		s, isStmt := n.(ast.Stmt)
-		if !isStmt || s.Pos() > pos || pos >= s.End() {
-			return n == body || !isStmt
-		}
-		if _, isBlock := s.(*ast.BlockStmt); !isBlock {
-			found = s
-		}
-		return true
-	})
-	return found
-}
-
 // ---- cap-clip on pooled returns ------------------------------------------
 
 // checkCapClip flags the shape where a function builds its result in the
 // caller's (pooled) scratch — `out := s[:0]` over a slice parameter plus
 // appends — and returns it without clipping capacity. The caller of such a
 // provider can then append to the result and silently clobber the retained
-// scratch. The fix rewrites the return to out[:len(out):len(out)], forcing
-// those appends to reallocate.
+// scratch. Returning out[:len(out):len(out)] forces those appends to
+// reallocate.
 func checkCapClip(p *Pass, fd *ast.FuncDecl) {
 	params := make(map[string]bool)
 	if fd.Type.Params != nil {
@@ -931,11 +880,8 @@ func checkCapClip(p *Pass, fd *ast.FuncDecl) {
 			if !isAlias || !appended[id.Name] {
 				continue
 			}
-			clip := fmt.Sprintf("%s[:len(%s):len(%s)]", id.Name, id.Name, id.Name)
-			p.ReportFixf(res.Pos(), SuggestedFix{
-				Message: "clip the returned slice's capacity",
-				Edits:   []FixEdit{p.EditRange(res.Pos(), res.End(), clip)},
-			}, "%s aliases pooled scratch %s and is returned with spare capacity; return %s so caller appends reallocate instead of clobbering the scratch", id.Name, param, clip)
+			p.Reportf(res.Pos(), "%s aliases pooled scratch %s and is returned with spare capacity; return %s[:len(%s):len(%s)] so caller appends reallocate instead of clobbering the scratch",
+				id.Name, param, id.Name, id.Name, id.Name)
 		}
 		return true
 	})

@@ -248,11 +248,8 @@ func Put(n *node) {
 		if !strings.Contains(diags[0].Message, "next") {
 			t.Errorf("finding does not name the field: %s", diags[0].Message)
 		}
-		if len(diags[0].Fixes) != 1 {
-			t.Fatalf("want one suggested fix, got %d", len(diags[0].Fixes))
-		}
-		if edits := diags[0].Fixes[0].Edits; len(edits) != 1 || !strings.Contains(edits[0].NewText, "n.next = nil") {
-			t.Errorf("fix should insert n.next = nil, got %+v", edits)
+		if !strings.Contains(diags[0].Message, "clear them before Put") {
+			t.Errorf("finding does not say how to fix it: %s", diags[0].Message)
 		}
 	})
 	t.Run("nil assignment before Put clean", func(t *testing.T) {
@@ -271,9 +268,6 @@ func Use(n *node) {
 }
 `, AnalyzerPoolLife)
 		wantFindings(t, diags, "poollife", 1)
-		if len(diags[0].Fixes) != 0 {
-			t.Errorf("clearing before a deferred Put runs too early; want no fix, got %+v", diags[0].Fixes)
-		}
 	})
 	t.Run("slice of pointers wants clear()", func(t *testing.T) {
 		diags := analyze(t, "pdr/internal/x", decl+`
@@ -288,8 +282,8 @@ func PutList(l *list) {
 }
 `, AnalyzerPoolLife)
 		wantFindings(t, diags, "poollife", 1)
-		if len(diags[0].Fixes) != 1 || !strings.Contains(diags[0].Fixes[0].Edits[0].NewText, "clear(l.items)") {
-			t.Errorf("want clear(l.items) fix, got %+v", diags[0].Fixes)
+		if !strings.Contains(diags[0].Message, "items") {
+			t.Errorf("finding does not name the field: %s", diags[0].Message)
 		}
 	})
 	t.Run("clear before Put clean", func(t *testing.T) {
@@ -323,11 +317,8 @@ func Dedup(s []float64) []float64 {
 }
 `, AnalyzerPoolLife)
 		wantFindings(t, diags, "poollife", 1)
-		if len(diags[0].Fixes) != 1 {
-			t.Fatalf("want one suggested fix, got %d", len(diags[0].Fixes))
-		}
-		if got := diags[0].Fixes[0].Edits[0].NewText; got != "out[:len(out):len(out)]" {
-			t.Errorf("fix text = %q, want full-slice clip", got)
+		if !strings.Contains(diags[0].Message, "return out[:len(out):len(out)]") {
+			t.Errorf("finding does not name the full-slice clip: %s", diags[0].Message)
 		}
 	})
 	t.Run("clipped return clean", func(t *testing.T) {

@@ -254,8 +254,7 @@ func (s *Surface) Begin(updates []motion.Update) int {
 // u.At on, both up to Ref+H. Calls for different k touch disjoint memory and
 // may run concurrently; nothing else may use the surface meanwhile.
 //
-// pdr:hot — PA update root for the hotpath analyzer family (docs/LINT.md);
-// its loop runs once per timestamp and movement update.
+// Its loop runs once per timestamp and movement update.
 func (s *Surface) ApplySlot(k int, updates []motion.Update) {
 	// The one maintained timestamp that lives in slot k.
 	n := motion.Tick(len(s.slots))

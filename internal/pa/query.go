@@ -69,8 +69,6 @@ func (s *Surface) DenseRegion(qt motion.Tick, rho float64) (geom.Region, error) 
 }
 
 // DenseRegionStats is DenseRegion that also reports what the walk did.
-//
-// pdr:hot — PA query root for the hotpath analyzer family (docs/LINT.md).
 func (s *Surface) DenseRegionStats(qt motion.Tick, rho float64) (geom.Region, WalkStats, error) {
 	if qt < s.base || qt > s.base+s.cfg.Horizon {
 		return nil, WalkStats{}, fmt.Errorf("pa: timestamp %d outside window [%d, %d]", qt, s.base, s.base+s.cfg.Horizon)

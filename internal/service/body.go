@@ -13,9 +13,9 @@ import (
 	"pdr/internal/wire"
 )
 
-// maxBodyBytes bounds the body of a write request (/v1/load, /v1/updates,
-// /v1/apply), which is read whole before it is decoded. A 20,000-state load
-// is 2.8 MB and a 1,030-record tick 143 KB.
+// maxBodyBytes bounds the body of a POST (/v1/load, /v1/updates,
+// /v1/apply, /v1/watch), which is read whole before it is decoded. A
+// 20,000-state load is 2.8 MB and a 1,030-record tick 143 KB.
 const maxBodyBytes = 64 << 20
 
 // bodyBufs pools request bodies the way replyBufs pools replies: a steady

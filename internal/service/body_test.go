@@ -132,7 +132,7 @@ func TestMalformedBodyNamesTheByte(t *testing.T) {
 
 // TestPartialWriteReportsAppliedCount: the engine applies the valid prefix
 // of a write and stops at the first record it rejects; the 409 says how long
-// the prefix was, on both write routes, and the prefix stays applied.
+// the prefix was, on every write route, and the prefix stays applied.
 func TestPartialWriteReportsAppliedCount(t *testing.T) {
 	svc, ts := testService(t)
 	loadWorkload(t, ts, 100)
@@ -160,8 +160,23 @@ func TestPartialWriteReportsAppliedCount(t *testing.T) {
 	check("/v1/updates", `{"now":1,"updates":`+batch+`}`, 2, 102)
 	batch = `[` + rec("insert", 900004) + `,` + rec("delete", 999999) + `]`
 	check("/v1/apply", `{"updates":`+batch+`}`, 1, 103)
+	// A load stops at a duplicate ID with the states before it loaded.
+	state := func(id int) string {
+		return `{"id":` + strconv.Itoa(id) + `,"x":400,"y":400,"ref":1}`
+	}
+	code, reply, _ := post(t, ts, "/v1/load", `{"states":[`+state(900006)+`,`+state(900007)+`,`+state(900001)+`,`+state(900008)+`]}`)
+	var p struct {
+		Error   string
+		Applied *int
+	}
+	if err := json.Unmarshal(reply, &p); err != nil || code != http.StatusConflict || p.Applied == nil || *p.Applied != 2 {
+		t.Errorf("/v1/load duplicate: status %d, reply %s; want 409 with applied=2", code, reply)
+	}
+	if got := svc.Engine().NumObjects(); got != 105 {
+		t.Errorf("/v1/load: %d objects after the partial load, want 105 (the prefix loaded, nothing after it)", got)
+	}
 	// A tick the engine refuses outright applied nothing.
-	code, reply, _ := post(t, ts, "/v1/updates", `{"now":0,"updates":[`+rec("insert", 900005)+`]}`)
+	code, reply, _ = post(t, ts, "/v1/updates", `{"now":0,"updates":[`+rec("insert", 900005)+`]}`)
 	if code != http.StatusConflict || !bytes.Contains(reply, []byte(`"applied":0`)) {
 		t.Errorf("backwards tick: status %d, reply %s", code, reply)
 	}
@@ -183,7 +198,7 @@ func TestOversizedBodyIs413(t *testing.T) {
 	svc, ts := testService(t)
 	loadWorkload(t, ts, 100)
 	epoch := svc.Engine().Epoch()
-	for _, route := range []string{"/v1/updates", "/v1/apply", "/v1/load"} {
+	for _, route := range []string{"/v1/updates", "/v1/apply", "/v1/load", "/v1/watch"} {
 		req := httptest.NewRequest(http.MethodPost, route, io.LimitReader(zeros{}, maxBodyBytes+1))
 		req.ContentLength = maxBodyBytes + 1
 		rec := httptest.NewRecorder()

@@ -14,8 +14,8 @@
 //	GET    /v1/stats      server and buffer-pool statistics
 //	GET    /healthz       liveness
 //
-// The three write routes read their body whole, at most 64 MiB of it (413
-// beyond), before decoding: /v1/updates and /v1/apply through
+// The three write routes and /v1/watch read their body whole, at most 64 MiB
+// of it (413 beyond), before decoding: /v1/updates and /v1/apply through
 // wire.DecodeUpdates with encoding/json as the fallback on the same bytes
 // (body.go), so a malformed body's 400 names the byte or the record. The
 // engine applies the valid prefix of a write and stops at the first record it
@@ -60,9 +60,9 @@ type Service struct {
 	// mu is the outermost lock in the process: every engine and monitor
 	// lock nests inside it, never the reverse.
 	mu sync.RWMutex // pdr:lockrank service 10
-	// srv is the engine; guarded by mu (enforced by pdrvet's locked
-	// analyzer): queries and applies hold the read lock, ticks and loads the
-	// write lock.
+	// srv is the engine; guarded by mu (checked by the race detector):
+	// queries and applies hold the read lock, ticks and loads the write
+	// lock.
 	srv *core.Server
 	// mon re-evaluates standing queries; guarded by mu (registration and
 	// advancement mutate it, so those handlers take the write lock).
@@ -211,9 +211,6 @@ func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // Engine returns the wrapped PDR engine for offline pre-loading; once the
 // service is receiving HTTP traffic, all access must go through the API.
-//
-// lint:ignore locked offline escape hatch: documented as pre-traffic only,
-// so no handler can race it.
 func (s *Service) Engine() *core.Server { return s.srv }
 
 // errorBody is the JSON error envelope.
@@ -226,6 +223,19 @@ type errorBody struct {
 type partialBody struct {
 	Error   string `json:"error"`
 	Applied int    `json:"applied"`
+}
+
+// writePartial answers a load or tick the engine stopped in. The engine
+// stops at the first record it rejects: the valid prefix before it is
+// applied and stays applied (core's package comment), and its length is the
+// *core.PartialError's Applied.
+func writePartial(w http.ResponseWriter, op string, err error) {
+	applied := 0
+	var partial *core.PartialError
+	if errors.As(err, &partial) {
+		applied = partial.Applied
+	}
+	writeJSONStatus(w, http.StatusConflict, partialBody{Error: fmt.Sprintf("%s: %v", op, err), Applied: applied})
 }
 
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {
@@ -267,7 +277,7 @@ func (s *Service) handleLoad(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.srv.Load(states); err != nil {
-		httpError(w, http.StatusConflict, "load: %v", err)
+		writePartial(w, "load", err)
 		return
 	}
 	writeJSON(w, LoadResponse{Loaded: len(states), Now: s.srv.Now()})
@@ -302,14 +312,7 @@ func (s *Service) handleUpdates(w http.ResponseWriter, r *http.Request) {
 	defer s.mu.Unlock()
 	events, err := s.mon.AdvanceTraced(now, ups, requestSpan(r))
 	if err != nil {
-		// The engine stops at the first record it rejects: the valid prefix
-		// before it is applied and stays applied (core's package comment).
-		applied := 0
-		var partial *core.PartialError
-		if errors.As(err, &partial) {
-			applied = partial.Applied
-		}
-		writeJSONStatus(w, http.StatusConflict, partialBody{Error: fmt.Sprintf("tick: %v", err), Applied: applied})
+		writePartial(w, "tick", err)
 		return
 	}
 	writeJSON(w, UpdatesResponse{

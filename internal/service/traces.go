@@ -25,7 +25,7 @@ type tracer struct {
 // maybeStart returns a new trace for this request, or nil when head
 // sampling decides against. The decision is a hash of an atomic sequence
 // number — deterministic for a given request ordinal, lock-free, and free
-// of the global math/rand state (pdrvet's randseed rule).
+// of the global math/rand state.
 func (t *tracer) maybeStart(route string) *telemetry.Trace {
 	if !t.admit() {
 		t.dropped.Inc()

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"encoding/json"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -88,9 +87,16 @@ func (s *Service) evalPast(r *http.Request, qp url.Values, l float64) (queryAnsw
 }
 
 func (s *Service) handleWatch(w http.ResponseWriter, r *http.Request) {
+	pb, err := readBody(w, r)
+	if err != nil {
+		bodyReadError(w, err)
+		return
+	}
 	var req WatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	err = decodeJSON(*pb, &req)
+	bodyBufs.Put(pb)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	method, err := parseMethod(req.Method)

@@ -93,8 +93,6 @@ func DenseRects(points []geom.Point, cell geom.Rect, rho, l float64) geom.Region
 // event inside it. Mirror images hold on the right and in Y.
 //
 // Safe for concurrent use; concurrent calls draw scratch from a shared pool.
-//
-// pdr:hot — refinement root for the hotpath analyzer family (docs/LINT.md).
 func DenseRectsRow(points []geom.Point, cells []geom.Rect, rho, l float64) geom.Region {
 	if len(cells) == 0 || l <= 0 {
 		return nil

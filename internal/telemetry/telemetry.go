@@ -12,8 +12,7 @@
 // status-code labels lazily.
 //
 // Metric names must be snake_case with the pdr_ prefix (enforced here at
-// registration and statically by pdrvet's metricname analyzer; see
-// docs/OBSERVABILITY.md for the full inventory).
+// registration; see docs/OBSERVABILITY.md for the full inventory).
 package telemetry
 
 import (
@@ -27,8 +26,6 @@ import (
 )
 
 // nameRE is the registration contract: snake_case with the pdr_ prefix.
-// pdrvet's metricname analyzer enforces the same pattern statically on
-// literal registration names.
 var nameRE = regexp.MustCompile(`^pdr(_[a-z0-9]+)+$`)
 
 // labelKeyRE validates label keys (Prometheus label-name subset).

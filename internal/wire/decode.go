@@ -30,8 +30,7 @@ import (
 // bytes with encoding/json, which accepts or rejects them as it always has.
 // The updates do not alias body.
 //
-// pdr:hot — update-decode root for the hotpath analyzer family
-// (docs/LINT.md); its loop runs once per record of a tick's body.
+// Its loop runs once per record of a tick's body.
 func DecodeUpdates(body []byte) (now motion.Tick, updates []motion.Update, ok bool) {
 	s := scanner{b: body}
 	if !s.eat('{') {

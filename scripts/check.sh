@@ -143,9 +143,6 @@ echo "ok"
 step "pdrvet (project-specific static analysis)"
 go run ./cmd/pdrvet ./...
 
-step "pdrvet -fix -dry (no machine-applicable fix left pending)"
-go run ./cmd/pdrvet -fix -dry ./...
-
 step "analyzer inventory matches docs/LINT.md"
 listed=$(go run ./cmd/pdrvet -list | awk '{print $1}' | sort)
 documented=$(grep -E '^### ' docs/LINT.md | sed -E 's/^### ([a-z]+) .*/\1/' | sort)
@@ -156,15 +153,6 @@ if [ "$listed" != "$documented" ]; then
 	exit 1
 fi
 echo "ok"
-
-step "race reproducer (locked's RLock-write finding is a real race)"
-# Inverted gate: the env-gated reproducer in internal/lint/raceproof_test.go
-# commits the exact pattern the locked analyzer flags; -race must fail it.
-if PDR_RACE_REPRO=1 go test -race -run TestRaceReproRLockWrite -count=1 ./internal/lint/ >/dev/null 2>&1; then
-	echo "expected the RLock-write reproducer to fail under -race" >&2
-	exit 1
-fi
-echo "ok (race detector confirms the analyzer's claim)"
 
 step "doc paths resolve (a doc that names a file or package names one that exists)"
 # CHANGES.md and ROADMAP.md are history and bench/ is frozen: not checked.
