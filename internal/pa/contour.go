@@ -21,8 +21,12 @@ func (s *Surface) Contours(qt motion.Tick, level float64, res int) ([]ContourSeg
 	if qt < s.base || qt > s.base+s.cfg.Horizon {
 		return nil, fmt.Errorf("pa: timestamp %d outside window [%d, %d]", qt, s.base, s.base+s.cfg.Horizon)
 	}
-	if res < 2 {
-		return nil, fmt.Errorf("pa: contour resolution must be >= 2, got %d", res)
+	// The sampling allocates (res+1)² densities and evaluates the series at
+	// each under the caller's read lock, so res is bounded above as well:
+	// 1024 is 8x the largest in-tree caller (pdrviz's 128).
+	const maxRes = 1024
+	if res < 2 || res > maxRes {
+		return nil, fmt.Errorf("pa: contour resolution must be in [2, %d], got %d", maxRes, res)
 	}
 	area := s.cfg.Area
 	dx := area.Width() / float64(res)

@@ -292,6 +292,9 @@ func TestContours(t *testing.T) {
 	if _, err := s.Contours(0, level, 1); err == nil {
 		t.Error("resolution < 2 must be rejected")
 	}
+	if _, err := s.Contours(0, level, 100000); err == nil {
+		t.Error("resolution > 1024 must be rejected before anything is allocated")
+	}
 }
 
 func BenchmarkInsert(b *testing.B) {

@@ -450,8 +450,8 @@ func (s *Service) evalQuery(r *http.Request, qp url.Values, method core.Method, 
 	}
 	ans := queryAnswer{q: core.Query{Rho: rho, L: l, At: at}}
 	if u := qp.Get("until"); u != "" {
-		end, err := parseTick(u, now, horizon)
-		if err != nil {
+		var end motion.Tick
+		if end, err = parseTick(u, now, horizon); err != nil {
 			return queryAnswer{}, http.StatusBadRequest, err
 		}
 		ans.until = &end

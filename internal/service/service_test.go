@@ -210,6 +210,10 @@ func TestQueryValidationErrors(t *testing.T) {
 		{"/v1/query?method=fr&l=60&varrho=1&at=now-3", http.StatusBadRequest}, // past: /v1/past territory
 		{"/v1/query?method=fr&l=60&varrho=1&until=now%2B9999", http.StatusBadRequest},
 		{"/v1/query?method=pa&l=45&varrho=1", http.StatusUnprocessableEntity}, // PA wrong l
+		// An interval the engine rejects is a 422 like a snapshot, not a
+		// dropped connection.
+		{"/v1/query?method=pa&l=45&varrho=1&until=now%2B2", http.StatusUnprocessableEntity},
+		{"/v1/query?method=fr&l=60&varrho=1&at=now%2B3&until=now%2B1", http.StatusUnprocessableEntity},
 	}
 	for _, c := range cases {
 		resp, err := http.Get(ts.URL + c.url)
@@ -302,10 +306,11 @@ func TestContoursEndpoint(t *testing.T) {
 	}
 	// Bad parameters.
 	for _, u := range []string{
-		"/v1/contours",                 // missing level
-		"/v1/contours?level=1&res=x",   // bad res
-		"/v1/contours?level=1&res=1",   // res too small
-		"/v1/contours?level=1&at=9999", // out of window
+		"/v1/contours",                    // missing level
+		"/v1/contours?level=1&res=x",      // bad res
+		"/v1/contours?level=1&res=1",      // res too small
+		"/v1/contours?level=1&res=100000", // res too large: 80 GB of samples
+		"/v1/contours?level=1&at=9999",    // out of window
 	} {
 		resp, err := http.Get(ts.URL + u)
 		if err != nil {

@@ -204,7 +204,9 @@ func recordTranscript(t *testing.T) []byte {
 		"method=fr&l=60&varrho=1&at=now-3",
 		"method=fr&l=60&varrho=1&at=1",
 		"method=fr&l=60&varrho=1&until=now%2B9999",
+		"method=fr&l=60&varrho=1&at=now%2B3&until=now%2B1",
 		"method=pa&l=45&varrho=1",
+		"method=pa&l=45&varrho=1&until=now%2B2",
 		"method=fr&l=20&varrho=1",
 		"method=fr&l=60&rho=-1",
 	} {
@@ -238,7 +240,7 @@ func recordTranscript(t *testing.T) []byte {
 
 	// Contours.
 	tr.do("GET", "/v1/contours?level=0.0004&res=16", nil, "")
-	for _, q := range []string{"", "?level=1&res=x", "?level=1&res=1", "?level=1&at=9999"} {
+	for _, q := range []string{"", "?level=1&res=x", "?level=1&res=1", "?level=1&res=1025", "?level=1&at=9999"} {
 		tr.do("GET", "/v1/contours"+q, nil, "")
 	}
 
