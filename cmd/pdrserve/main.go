@@ -5,7 +5,7 @@
 // Usage:
 //
 //	pdrserve -addr :8080 [-data workload.jsonl] [-l 30] [-histm 100]
-//	         [-workers 0] [-shards 1] [-cache-bytes 0]
+//	         [-workers 0] [-cache-bytes 0]
 //	         [-slow-query 250ms] [-slow-query-max 10000] [-trace-sample 1.0]
 //	         [-trace-buffer 256] [-debug-addr localhost:6060]
 //
@@ -38,7 +38,6 @@ func main() {
 		l         = flag.Float64("l", 30, "fixed neighborhood edge for the PA surfaces")
 		histM     = flag.Int("histm", 100, "density histogram resolution per axis")
 		workers   = flag.Int("workers", 0, "query worker-pool size: 0 = GOMAXPROCS, 1 = sequential")
-		shards    = flag.Int("shards", 1, "space partitions (1-64): writes lock only the partitions that hold the object, so more of them let writers to different parts of the plane proceed together; answers are identical at every setting (see docs/PERFORMANCE.md \"Sharding\")")
 		cacheB    = flag.Int64("cache-bytes", 0, "result-cache budget in bytes: repeated/interval/monitor queries reuse per-timestamp answers until the next update (0 disables)")
 		slowQuery = flag.Duration("slow-query", 0, "log requests slower than this as JSON lines on stderr (0 disables)")
 		slowMax   = flag.Int64("slow-query-max", 0, "cap the slow-query log at this many lines; further slow requests only count on pdr_http_slow_log_dropped_total (0 = unbounded)")
@@ -52,7 +51,6 @@ func main() {
 	cfg.L = *l
 	cfg.HistM = *histM
 	cfg.Workers = *workers
-	cfg.Shards = *shards
 	cfg.CacheBytes = *cacheB
 	cfg.KeepHistory = true // the /v1/past audit endpoint needs the archive
 	var opts []service.Option

@@ -6,7 +6,7 @@
 //
 //   - Dense-cell queries (Hadjieleftheriou et al., SSTD 2003 [4]): partition
 //     the space into a fixed grid and report cells whose region density
-//     (count/area) reaches the threshold. Dense regions straddling cell
+//     (count/area) reaches the threshold. Dense regions spanning cell
 //     borders are lost entirely (Fig. 1a).
 //
 //   - Effective Density Queries (Jensen et al., ICDE 2006 [7]): report a set

@@ -12,9 +12,9 @@ import (
 func area10() geom.Rect { return geom.Rect{MinX: 0, MinY: 0, MaxX: 10, MaxY: 10} }
 
 // TestAnswerLossFigure1a reproduces the paper's Fig. 1(a): four objects in a
-// unit square straddling four grid cells. No grid cell is dense, so the
+// unit square spanning four grid cells. No grid cell is dense, so the
 // dense-cell method reports nothing — answer loss — while the PDR answer is
-// non-empty and contains the straddling square's center.
+// non-empty and contains the spanning square's center.
 func TestAnswerLossFigure1a(t *testing.T) {
 	// Grid of unit cells; objects clustered around the corner (5, 5).
 	points := []geom.Point{
@@ -29,10 +29,10 @@ func TestAnswerLossFigure1a(t *testing.T) {
 
 	pdr := sweep.DenseRects(points, area10(), rho, 1)
 	if len(pdr) == 0 {
-		t.Fatal("PDR must find the straddling dense square")
+		t.Fatal("PDR must find the dense square spanning the cells")
 	}
 	if !pdr.Contains(geom.Point{X: 5, Y: 5}) {
-		t.Error("PDR answer must contain the center of the straddling square")
+		t.Error("PDR answer must contain the center of the spanning square")
 	}
 }
 

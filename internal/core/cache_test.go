@@ -17,26 +17,22 @@ func cachedConfig() Config {
 }
 
 // TestCachedEquivalenceAcrossWorkersAndTick is the acceptance matrix:
-// workers 1/2/17 × shards 1/4 × cache on/off × every method, re-checked
-// across an invalidating Tick. The cached server must answer bit-identically
-// to the uncached one-partition one, cold and warm, and the warm hit must
-// charge zero IOs.
+// workers 1/2/17 × cache on/off × every method, re-checked across an
+// invalidating Tick. The cached server must answer bit-identically to the
+// uncached one, cold and warm, and the warm hit must charge zero IOs.
 func TestCachedEquivalenceAcrossWorkersAndTick(t *testing.T) {
 	for _, w := range []int{1, 2, 17} {
-		for _, shards := range []int{1, 4} {
-			cachedEquivalence(t, w, shards)
-		}
+		cachedEquivalence(t, w)
 	}
 }
 
-func cachedEquivalence(t *testing.T, w, shards int) {
+func cachedEquivalence(t *testing.T, w int) {
 	const n, seed = 1500, 7
 	cfgU := testConfig()
 	cfgU.Workers = w
 	sU, gU := loadServer(t, cfgU, n, seed)
 	cfgC := cachedConfig()
 	cfgC.Workers = w
-	cfgC.Shards = shards
 	sC, gC := loadServer(t, cfgC, n, seed)
 
 	for phase := 0; phase < 2; phase++ { // before and after a Tick
@@ -44,32 +40,32 @@ func cachedEquivalence(t *testing.T, w, shards int) {
 			q := Query{Rho: RelRhoTest(n, 3), L: 60, At: sU.Now() + 5}
 			base, err := sU.Snapshot(q, m)
 			if err != nil {
-				t.Fatalf("workers=%d shards=%d %v phase=%d uncached: %v", w, shards, m, phase, err)
+				t.Fatalf("workers=%d %v phase=%d uncached: %v", w, m, phase, err)
 			}
 			cold, err := sC.Snapshot(q, m)
 			if err != nil {
-				t.Fatalf("workers=%d shards=%d %v phase=%d cold: %v", w, shards, m, phase, err)
+				t.Fatalf("workers=%d %v phase=%d cold: %v", w, m, phase, err)
 			}
 			warm, err := sC.Snapshot(q, m)
 			if err != nil {
-				t.Fatalf("workers=%d shards=%d %v phase=%d warm: %v", w, shards, m, phase, err)
+				t.Fatalf("workers=%d %v phase=%d warm: %v", w, m, phase, err)
 			}
 			if cold.Cached {
-				t.Errorf("workers=%d shards=%d %v phase=%d: cold answer claims Cached", w, shards, m, phase)
+				t.Errorf("workers=%d %v phase=%d: cold answer claims Cached", w, m, phase)
 			}
 			if !warm.Cached {
-				t.Errorf("workers=%d shards=%d %v phase=%d: warm answer not Cached", w, shards, m, phase)
+				t.Errorf("workers=%d %v phase=%d: warm answer not Cached", w, m, phase)
 			}
 			if warm.IOs != 0 || warm.IOTime != 0 {
-				t.Errorf("workers=%d shards=%d %v phase=%d: warm hit charged %d IOs", w, shards, m, phase, warm.IOs)
+				t.Errorf("workers=%d %v phase=%d: warm hit charged %d IOs", w, m, phase, warm.IOs)
 			}
 			for name, got := range map[string]*Result{"cold": cold, "warm": warm} {
 				if !regionsEqual(base.Region, got.Region) {
-					t.Errorf("workers=%d shards=%d %v phase=%d: %s region differs from uncached", w, shards, m, phase, name)
+					t.Errorf("workers=%d %v phase=%d: %s region differs from uncached", w, m, phase, name)
 				}
 				if got.Accepted != base.Accepted || got.Rejected != base.Rejected ||
 					got.Candidates != base.Candidates || got.ObjectsRetrieved != base.ObjectsRetrieved {
-					t.Errorf("workers=%d shards=%d %v phase=%d: %s counters differ from uncached", w, shards, m, phase, name)
+					t.Errorf("workers=%d %v phase=%d: %s counters differ from uncached", w, m, phase, name)
 				}
 			}
 		}

@@ -68,34 +68,6 @@ func streamAnswers(t *testing.T, s *Server) []answer {
 	return out
 }
 
-// TestShardsMatchOnePartition is the exactness contract: every method,
-// snapshot and interval and past, bit-identical to the one-partition engine
-// at shard counts {2, 3, 4, 8} x worker counts {1, 2, 17}, over a stream with
-// ticks, between-tick applies, boundary straddlers and objects leaving the
-// area. The one-partition engine is pinned to the independent oracle by
-// TestDifferentialStream and to the previous engine by TestGoldenAnswers.
-func TestShardsMatchOnePartition(t *testing.T) {
-	st := makeStream()
-	ref := streamServer(t, st, 1, 1)
-	want := streamAnswers(t, ref)
-	for _, shards := range []int{2, 3, 4, 8} {
-		for _, workers := range []int{1, 2, 17} {
-			t.Run(fmt.Sprintf("shards=%d/workers=%d", shards, workers), func(t *testing.T) {
-				eng := streamServer(t, st, shards, workers)
-				if eng.Now() != ref.Now() {
-					t.Fatalf("engine now %d != %d", eng.Now(), ref.Now())
-				}
-				if eng.NumObjects() != ref.NumObjects() {
-					t.Fatalf("engine objects %d != %d", eng.NumObjects(), ref.NumObjects())
-				}
-				for i, got := range streamAnswers(t, eng) {
-					sameAnswer(t, got.label, want[i].res, got.res)
-				}
-			})
-		}
-	}
-}
-
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_answers.txt from this build's answers")
 
 // TestGoldenAnswers pins the answers of the fixed stream and query set to a
@@ -112,7 +84,7 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_an
 func TestGoldenAnswers(t *testing.T) {
 	const path = "testdata/golden_answers.txt"
 	var b strings.Builder
-	for _, a := range streamAnswers(t, streamServer(t, makeStream(), 1, 1)) {
+	for _, a := range streamAnswers(t, streamServer(t, makeStream(), 1)) {
 		h := sha256.New()
 		var buf [8]byte
 		for _, r := range a.res.Region {
@@ -152,8 +124,8 @@ func samePointSet(a, b geom.Region) bool {
 // bad-update stream and calls check after every step with the clock and the
 // live set the engine must hold (check may draw from the stream's rng; every
 // caller must draw the same way to see the same stream). A rejected update
-// must have changed nothing: the directory is compared with the per-partition
-// live counts and the expected population before each check. admitted, when
+// must have changed nothing: the directory's count is compared with the
+// expected population before each check. admitted, when
 // not nil, is told before each check which records the step must have
 // applied, in stream order, and whether they arrived as a tick at now.
 func differentialStream(t *testing.T, s *Server,
@@ -202,9 +174,6 @@ func differentialStream(t *testing.T, s *Server,
 		t.Helper()
 		if s.NumObjects() != len(live) {
 			t.Fatalf("%s: NumObjects %d, want %d", step, s.NumObjects(), len(live))
-		}
-		if sum, _ := partitionCounts(s); int(sum) != len(live) {
-			t.Fatalf("%s: per-partition counts sum to %d, want %d", step, sum, len(live))
 		}
 		check(step, now, live, rng)
 	}
@@ -284,28 +253,24 @@ func differentialStream(t *testing.T, s *Server,
 // every step of differentialStream, FR must equal BruteForce (a global sweep
 // that touches neither the histograms nor the indexes).
 func TestDifferentialStream(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			s, err := NewServer(streamConfig(shards, 2))
-			if err != nil {
-				t.Fatal(err)
-			}
-			differentialStream(t, s, func(step string, now motion.Tick, _ map[motion.ObjectID]motion.State, rng *rand.Rand) {
-				q := Query{Rho: 0.0002, L: 100, At: now + motion.Tick(rng.Intn(30))}
-				fr, err := s.Snapshot(q, FR)
-				if err != nil {
-					t.Fatalf("%s: FR: %v", step, err)
-				}
-				bf, err := s.Snapshot(q, BruteForce)
-				if err != nil {
-					t.Fatalf("%s: BF: %v", step, err)
-				}
-				if !samePointSet(fr.Region, bf.Region) {
-					t.Fatalf("%s: FR differs from BruteForce at t=%d", step, q.At)
-				}
-			}, nil)
-		})
+	s, err := NewServer(streamConfig(2))
+	if err != nil {
+		t.Fatal(err)
 	}
+	differentialStream(t, s, func(step string, now motion.Tick, _ map[motion.ObjectID]motion.State, rng *rand.Rand) {
+		q := Query{Rho: 0.0002, L: 100, At: now + motion.Tick(rng.Intn(30))}
+		fr, err := s.Snapshot(q, FR)
+		if err != nil {
+			t.Fatalf("%s: FR: %v", step, err)
+		}
+		bf, err := s.Snapshot(q, BruteForce)
+		if err != nil {
+			t.Fatalf("%s: BF: %v", step, err)
+		}
+		if !samePointSet(fr.Region, bf.Region) {
+			t.Fatalf("%s: FR differs from BruteForce at t=%d", step, q.At)
+		}
+	}, nil)
 }
 
 // perCellFR answers an FR snapshot the way the paper states it and the way
@@ -352,34 +317,32 @@ func perCellFR(t *testing.T, cfg Config, now motion.Tick, live map[motion.Object
 // TestFRMatchesPerCellPipeline is the tier-1 twin of the benchmark's traced
 // shadow check: after every step of differentialStream the engine's FR
 // answer must be the per-cell pipeline's answer float bit for float bit, at
-// every partition and worker count. FR == BruteForce (above) allows any
+// every worker count. FR == BruteForce (above) allows any
 // decomposition of the right point set; this allows one.
 func TestFRMatchesPerCellPipeline(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		for _, workers := range []int{1, 2, 17} {
-			t.Run(fmt.Sprintf("shards=%d/workers=%d", shards, workers), func(t *testing.T) {
-				cfg := streamConfig(shards, workers)
-				s, err := NewServer(cfg)
+	for _, workers := range []int{1, 2, 17} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			cfg := streamConfig(workers)
+			s, err := NewServer(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			differentialStream(t, s, func(step string, now motion.Tick, live map[motion.ObjectID]motion.State, rng *rand.Rand) {
+				q := Query{Rho: 0.0001 * float64(1+rng.Intn(3)), L: 100, At: now + motion.Tick(rng.Intn(30))}
+				fr, err := s.Snapshot(q, FR)
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("%s: FR: %v", step, err)
 				}
-				differentialStream(t, s, func(step string, now motion.Tick, live map[motion.ObjectID]motion.State, rng *rand.Rand) {
-					q := Query{Rho: 0.0001 * float64(1+rng.Intn(3)), L: 100, At: now + motion.Tick(rng.Intn(30))}
-					fr, err := s.Snapshot(q, FR)
-					if err != nil {
-						t.Fatalf("%s: FR: %v", step, err)
-					}
-					want := perCellFR(t, cfg, now, live, q)
-					if len(want) == 0 || fr.Candidates == 0 {
-						t.Fatalf("%s: %d rectangles from %d candidates: the query pins nothing", step, len(want), fr.Candidates)
-					}
-					if !sameBits(fr.Region, want) {
-						t.Fatalf("%s: FR answer at t=%d is not the per-cell pipeline's:\n got  %d rects %v\n want %d rects %v",
-							step, q.At, len(fr.Region), fr.Region, len(want), want)
-					}
-				}, nil)
-			})
-		}
+				want := perCellFR(t, cfg, now, live, q)
+				if len(want) == 0 || fr.Candidates == 0 {
+					t.Fatalf("%s: %d rectangles from %d candidates: the query pins nothing", step, len(want), fr.Candidates)
+				}
+				if !sameBits(fr.Region, want) {
+					t.Fatalf("%s: FR answer at t=%d is not the per-cell pipeline's:\n got  %d rects %v\n want %d rects %v",
+						step, q.At, len(fr.Region), fr.Region, len(want), want)
+				}
+			}, nil)
+		})
 	}
 }
 
@@ -404,162 +367,128 @@ func sameBits(a, b geom.Region) bool {
 // ticks, the tick a bad record truncates, between-tick applies — the
 // engine's surface, maintained slot-parallel inside the write fan-out, must
 // equal a standalone pa.Surface fed the admitted records one at a time, float
-// bit for float bit, at every partition and worker count: the density on a
+// bit for float bit, at every worker count: the density on a
 // fixed lattice for every maintained timestamp, and the dense region for a
 // quarter of them that rotates with the step (branch-and-bound is the slow
 // part of this test), all of them after the load.
 func TestSurfaceMatchesPerRecordFeed(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		for _, workers := range []int{1, 2, 17} {
-			t.Run(fmt.Sprintf("shards=%d/workers=%d", shards, workers), func(t *testing.T) {
-				cfg := streamConfig(shards, workers)
-				s, err := NewServer(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				horizon := cfg.U + cfg.W
-				want, err := pa.New(pa.Config{Area: cfg.Area, G: cfg.PAGrid, Degree: cfg.PADegree, Horizon: horizon, L: cfg.L, MD: cfg.PAMD})
-				if err != nil {
-					t.Fatal(err)
-				}
-				steps := motion.Tick(0)
-				differentialStream(t, s, func(step string, now motion.Tick, _ map[motion.ObjectID]motion.State, _ *rand.Rand) {
-					got := s.Surface()
-					dense := 0
-					steps++
-					for qt := now; qt <= now+horizon; qt++ {
-						for y := 12.5; y < 1000; y += 62.5 {
-							for x := 12.5; x < 1000; x += 62.5 {
-								p := geom.Point{X: x, Y: y}
-								if g, w := got.Density(qt, p), want.Density(qt, p); math.Float64bits(g) != math.Float64bits(w) {
-									t.Fatalf("%s: density at t=%d %v = %g, the per-record feed has %g", step, qt, p, g, w)
-								}
+	for _, workers := range []int{1, 2, 17} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			cfg := streamConfig(workers)
+			s, err := NewServer(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			horizon := cfg.U + cfg.W
+			want, err := pa.New(pa.Config{Area: cfg.Area, G: cfg.PAGrid, Degree: cfg.PADegree, Horizon: horizon, L: cfg.L, MD: cfg.PAMD})
+			if err != nil {
+				t.Fatal(err)
+			}
+			steps := motion.Tick(0)
+			differentialStream(t, s, func(step string, now motion.Tick, _ map[motion.ObjectID]motion.State, _ *rand.Rand) {
+				got := s.Surface()
+				dense := 0
+				steps++
+				for qt := now; qt <= now+horizon; qt++ {
+					for y := 12.5; y < 1000; y += 62.5 {
+						for x := 12.5; x < 1000; x += 62.5 {
+							p := geom.Point{X: x, Y: y}
+							if g, w := got.Density(qt, p), want.Density(qt, p); math.Float64bits(g) != math.Float64bits(w) {
+								t.Fatalf("%s: density at t=%d %v = %g, the per-record feed has %g", step, qt, p, g, w)
 							}
 						}
-						if steps > 1 && (qt+steps)%4 != 0 {
-							continue
-						}
-						g, err := got.DenseRegion(qt, 0.0004)
-						if err != nil {
-							t.Fatalf("%s: %v", step, err)
-						}
-						w, err := want.DenseRegion(qt, 0.0004)
-						if err != nil {
-							t.Fatalf("%s: %v", step, err)
-						}
-						if !sameBits(g, w) {
-							t.Fatalf("%s: PA region at t=%d is not the per-record feed's:\n got  %d rects %v\n want %d rects %v",
-								step, qt, len(g), g, len(w), w)
-						}
-						dense += len(w)
 					}
-					if dense == 0 {
-						t.Fatalf("%s: no timestamp has a dense rectangle: the query pins nothing", step)
+					if steps > 1 && (qt+steps)%4 != 0 {
+						continue
 					}
-				}, func(now motion.Tick, tick bool, recs []motion.Update) {
-					if tick {
-						want.Advance(now)
+					g, err := got.DenseRegion(qt, 0.0004)
+					if err != nil {
+						t.Fatalf("%s: %v", step, err)
 					}
-					for _, u := range recs {
-						want.Apply(u)
+					w, err := want.DenseRegion(qt, 0.0004)
+					if err != nil {
+						t.Fatalf("%s: %v", step, err)
 					}
-				})
+					if !sameBits(g, w) {
+						t.Fatalf("%s: PA region at t=%d is not the per-record feed's:\n got  %d rects %v\n want %d rects %v",
+							step, qt, len(g), g, len(w), w)
+					}
+					dense += len(w)
+				}
+				if dense == 0 {
+					t.Fatalf("%s: no timestamp has a dense rectangle: the query pins nothing", step)
+				}
+			}, func(now motion.Tick, tick bool, recs []motion.Update) {
+				if tick {
+					want.Advance(now)
+				}
+				for _, u := range recs {
+					want.Apply(u)
+				}
 			})
-		}
+		})
 	}
 }
 
 // TestBadDeleteMidTick is the regression for the ghost-object bug: a delete
 // naming the wrong velocity in the middle of a tick must be rejected without
-// touching the directory or any partition, so the correct delete and a
+// touching the directory or the structures, so the correct delete and a
 // re-insert still succeed afterwards.
 func TestBadDeleteMidTick(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			s, err := NewServer(streamConfig(shards, 1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			// A fast diagonal mover: a straddler at shards=4.
-			obj := motion.State{ID: 7, Pos: geom.Point{X: 480, Y: 480}, Vel: geom.Vec{X: 6, Y: 6}}
-			other := motion.State{ID: 8, Pos: geom.Point{X: 100, Y: 900}}
-			if err := s.Load([]motion.State{obj, other}); err != nil {
-				t.Fatal(err)
-			}
-			wrong := obj
-			wrong.Vel.X = -6
-			late := motion.State{ID: 9, Pos: geom.Point{X: 700, Y: 200}, Ref: 1}
-			err = s.Tick(1, []motion.Update{
-				motion.NewDelete(other, 1),
-				motion.NewDelete(wrong, 1),
-				motion.NewInsert(late),
-			})
-			if err == nil || !strings.Contains(err.Error(), "mismatch") {
-				t.Fatalf("tick with a mismatched delete: err = %v", err)
-			}
-			// The valid prefix landed, the bad delete and the rest did not.
-			if got := s.NumObjects(); got != 1 {
-				t.Fatalf("NumObjects = %d after the partial tick, want 1", got)
-			}
-			agree := func(step string) {
-				t.Helper()
-				if sum, _ := partitionCounts(s); int(sum) != s.NumObjects() {
-					t.Fatalf("%s: per-partition counts sum to %d, NumObjects %d", step, sum, s.NumObjects())
-				}
-				q := Query{Rho: 0.00005, L: 100, At: s.Now()}
-				fr, err := s.Snapshot(q, FR)
-				if err != nil {
-					t.Fatal(err)
-				}
-				bf, err := s.Snapshot(q, BruteForce)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if bf.ObjectsRetrieved != s.NumObjects() {
-					t.Fatalf("%s: BruteForce sees %d objects, NumObjects %d", step, bf.ObjectsRetrieved, s.NumObjects())
-				}
-				if !samePointSet(fr.Region, bf.Region) {
-					t.Fatalf("%s: FR differs from BruteForce", step)
-				}
-			}
-			agree("after the bad tick")
-			if err := s.Apply(motion.NewDelete(obj, 1)); err != nil {
-				t.Fatalf("correct delete after the bad one: %v", err)
-			}
-			agree("after the correct delete")
-			moved := obj
-			moved.Pos, moved.Ref = geom.Point{X: 486, Y: 486}, 1
-			if err := s.Tick(2, []motion.Update{motion.NewInsert(moved)}); err != nil {
-				t.Fatalf("re-insert: %v", err)
-			}
-			agree("after the re-insert")
-		})
+	s, err := NewServer(streamConfig(1))
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// partitionCounts sums the per-partition primary and replica counters.
-func partitionCounts(s *Server) (objects, replicas int64) {
-	for _, p := range s.parts {
-		objects += p.objects.Load()
-		replicas += p.replicas.Load()
+	// A fast diagonal mover.
+	obj := motion.State{ID: 7, Pos: geom.Point{X: 480, Y: 480}, Vel: geom.Vec{X: 6, Y: 6}}
+	other := motion.State{ID: 8, Pos: geom.Point{X: 100, Y: 900}}
+	if err := s.Load([]motion.State{obj, other}); err != nil {
+		t.Fatal(err)
 	}
-	return objects, replicas
-}
-
-// TestPartitionCounts sanity-checks the distribution counters: populations
-// sum to the total, and the straddler stream actually produced replicas.
-func TestPartitionCounts(t *testing.T) {
-	eng := streamServer(t, makeStream(), 8, 1)
-	objects, replicas := partitionCounts(eng)
-	if int(objects) != eng.NumObjects() {
-		t.Fatalf("per-partition populations sum to %d, want %d", objects, eng.NumObjects())
+	wrong := obj
+	wrong.Vel.X = -6
+	late := motion.State{ID: 9, Pos: geom.Point{X: 700, Y: 200}, Ref: 1}
+	err = s.Tick(1, []motion.Update{
+		motion.NewDelete(other, 1),
+		motion.NewDelete(wrong, 1),
+		motion.NewInsert(late),
+	})
+	if err == nil || !strings.Contains(err.Error(), "mismatch") {
+		t.Fatalf("tick with a mismatched delete: err = %v", err)
 	}
-	if eng.dir.straddlers.Load() == 0 {
-		t.Fatal("stream with fast movers produced no straddlers")
+	// The valid prefix landed, the bad delete and the rest did not.
+	if got := s.NumObjects(); got != 1 {
+		t.Fatalf("NumObjects = %d after the partial tick, want 1", got)
 	}
-	if replicas == 0 {
-		t.Fatal("no replica registrations")
+	agree := func(step string) {
+		t.Helper()
+		q := Query{Rho: 0.00005, L: 100, At: s.Now()}
+		fr, err := s.Snapshot(q, FR)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bf, err := s.Snapshot(q, BruteForce)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bf.ObjectsRetrieved != s.NumObjects() {
+			t.Fatalf("%s: BruteForce sees %d objects, NumObjects %d", step, bf.ObjectsRetrieved, s.NumObjects())
+		}
+		if !samePointSet(fr.Region, bf.Region) {
+			t.Fatalf("%s: FR differs from BruteForce", step)
+		}
 	}
+	agree("after the bad tick")
+	if err := s.Apply(motion.NewDelete(obj, 1)); err != nil {
+		t.Fatalf("correct delete after the bad one: %v", err)
+	}
+	agree("after the correct delete")
+	moved := obj
+	moved.Pos, moved.Ref = geom.Point{X: 486, Y: 486}, 1
+	if err := s.Tick(2, []motion.Update{motion.NewInsert(moved)}); err != nil {
+		t.Fatalf("re-insert: %v", err)
+	}
+	agree("after the re-insert")
 }
 
 // referenceDenseRegion is the PA extraction as it stood before the surface's
@@ -608,41 +537,36 @@ func referenceDenseRegion(surf *pa.Surface, cfg Config, qt motion.Tick, rho floa
 // TestPASnapshotMatchesReferenceWalk: after every step of differentialStream
 // the engine's PA answer — the table walk, under the engine's locks, through
 // its cache — is the recursion it replaced run over the engine's own
-// surface, rectangle for rectangle on float bits, at one partition and four:
-// every maintained timestamp after the load, a rotating quarter of them after
+// surface, rectangle for rectangle on float bits: every maintained timestamp after the load, a rotating quarter of them after
 // each later step, at a threshold that rotates too.
 func TestPASnapshotMatchesReferenceWalk(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			cfg := streamConfig(shards, 2)
-			s, err := NewServer(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			steps := motion.Tick(0)
-			differentialStream(t, s, func(step string, now motion.Tick, _ map[motion.ObjectID]motion.State, _ *rand.Rand) {
-				steps++
-				dense := 0
-				for qt := now; qt <= now+cfg.U+cfg.W; qt++ {
-					if steps > 1 && (qt+steps)%4 != 0 {
-						continue
-					}
-					rho := 0.0001 * float64(1+(qt+steps)%6)
-					res, err := s.Snapshot(Query{Rho: rho, L: cfg.L, At: qt}, PA)
-					if err != nil {
-						t.Fatalf("%s: %v", step, err)
-					}
-					want := referenceDenseRegion(s.Surface(), cfg, qt, rho)
-					if !sameBits(res.Region, want) {
-						t.Fatalf("%s: PA snapshot at t=%d rho=%g has %d rectangles, the reference walk %d, or others",
-							step, qt, rho, len(res.Region), len(want))
-					}
-					dense += len(want)
-				}
-				if dense == 0 {
-					t.Fatalf("%s: no timestamp has a dense rectangle: the comparison pins nothing", step)
-				}
-			}, nil)
-		})
+	cfg := streamConfig(2)
+	s, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
+	steps := motion.Tick(0)
+	differentialStream(t, s, func(step string, now motion.Tick, _ map[motion.ObjectID]motion.State, _ *rand.Rand) {
+		steps++
+		dense := 0
+		for qt := now; qt <= now+cfg.U+cfg.W; qt++ {
+			if steps > 1 && (qt+steps)%4 != 0 {
+				continue
+			}
+			rho := 0.0001 * float64(1+(qt+steps)%6)
+			res, err := s.Snapshot(Query{Rho: rho, L: cfg.L, At: qt}, PA)
+			if err != nil {
+				t.Fatalf("%s: %v", step, err)
+			}
+			want := referenceDenseRegion(s.Surface(), cfg, qt, rho)
+			if !sameBits(res.Region, want) {
+				t.Fatalf("%s: PA snapshot at t=%d rho=%g has %d rectangles, the reference walk %d, or others",
+					step, qt, rho, len(res.Region), len(want))
+			}
+			dense += len(want)
+		}
+		if dense == 0 {
+			t.Fatalf("%s: no timestamp has a dense rectangle: the comparison pins nothing", step)
+		}
+	}, nil)
 }

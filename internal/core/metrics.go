@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strconv"
 	"time"
 
 	"pdr/internal/cache"
@@ -129,66 +128,12 @@ func (s *Server) SetMetrics(m *Metrics) {
 	}
 }
 
-// AttachTelemetry registers the server's substrate instruments on reg: one
-// pool-metrics bundle aggregated across the partitions' buffer pools, the
-// result cache, and the pdr_shard_* family (distribution gauges, scatter
-// widths, merge time, write-lock waits). Call before serving traffic, like
-// SetMetrics.
+// AttachTelemetry registers the server's substrate instruments on reg: the
+// buffer pool's I/O counters and the result cache. Call before serving
+// traffic, like SetMetrics.
 func (s *Server) AttachTelemetry(reg *telemetry.Registry) {
-	pm := storage.NewPoolMetrics(reg)
-	for _, p := range s.parts {
-		p.pool.SetMetrics(pm)
-	}
+	s.pool.SetMetrics(storage.NewPoolMetrics(reg))
 	if s.qcache != nil {
 		s.qcache.SetMetrics(cache.NewMetrics(reg))
 	}
-	s.pmet = newPartitionMetrics(reg, s)
-}
-
-// shardWidthBounds buckets partition fan-out widths (1..MaxShards).
-var shardWidthBounds = []float64{1, 2, 4, 8, 16, 32, 64}
-
-// partitionMetrics is the pdr_shard_* instrument bundle.
-type partitionMetrics struct {
-	// scatter is the partitions queried per refinement row run.
-	scatter *telemetry.Histogram
-	// merge is the time spent concatenating and coalescing partial answers.
-	merge *telemetry.Histogram
-	// writeFan is the partitions write-locked per mutation.
-	writeFan *telemetry.Histogram
-	// lockWait[i] is the time writers waited for partition i's write lock.
-	lockWait []*telemetry.Histogram
-}
-
-func newPartitionMetrics(reg *telemetry.Registry, s *Server) *partitionMetrics {
-	reg.Gauge("pdr_shard_count",
-		"Space partitions the engine scatters over.").Set(float64(len(s.parts)))
-	reg.GaugeFunc("pdr_shard_straddlers",
-		"Live objects registered with more than one shard (trajectory straddles a shard boundary).",
-		func() float64 { return float64(s.dir.straddlers.Load()) })
-	m := &partitionMetrics{
-		scatter: reg.Histogram("pdr_shard_scatter_width",
-			"Shards queried per refinement row run (scatter fan-out).",
-			shardWidthBounds),
-		merge: reg.Histogram("pdr_shard_merge_seconds",
-			"Time merging (concatenating and coalescing) partial answers per query.",
-			nil),
-		writeFan: reg.Histogram("pdr_shard_write_fanout_shards",
-			"Shards write-locked per mutation (1 unless the object straddles a boundary; ticks lock every shard).",
-			shardWidthBounds),
-		lockWait: make([]*telemetry.Histogram, len(s.parts)),
-	}
-	for i, p := range s.parts {
-		lbl := telemetry.L("shard", strconv.Itoa(i))
-		reg.GaugeFunc("pdr_shard_objects",
-			"Primary live objects owned by each shard.",
-			func() float64 { return float64(p.objects.Load()) }, lbl)
-		reg.GaugeFunc("pdr_shard_replicas",
-			"Replica (index-only) registrations held by each shard for boundary straddlers.",
-			func() float64 { return float64(p.replicas.Load()) }, lbl)
-		m.lockWait[i] = reg.Histogram("pdr_shard_write_lock_wait_seconds",
-			"Time writers waited to acquire each shard's write lock.",
-			nil, lbl)
-	}
-	return m
 }

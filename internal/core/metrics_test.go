@@ -16,7 +16,7 @@ func TestQueryErrorsCountCalls(t *testing.T) {
 	for _, cacheBytes := range []int64{0, 1 << 20} {
 		t.Run(fmt.Sprintf("cacheBytes=%d", cacheBytes), func(t *testing.T) {
 			metered := func(keepHistory bool) (*Server, *Metrics) {
-				cfg := streamConfig(1, 2)
+				cfg := streamConfig(2)
 				cfg.KeepHistory = keepHistory
 				cfg.CacheBytes = cacheBytes
 				s, err := NewServer(cfg)

@@ -27,8 +27,8 @@ type Plan struct {
 // a branch-and-bound extraction; otherwise exact FR is cheap enough to
 // prefer.
 func (s *Server) Recommend(q Query, allowApprox bool) (*Plan, error) {
-	s.rlockAll()
-	defer s.runlockAll()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	if err := s.validateLocked(q); err != nil {
 		return nil, err
 	}
@@ -58,14 +58,11 @@ func (s *Server) Recommend(q Query, allowApprox bool) (*Plan, error) {
 	}
 	for _, c := range cands {
 		plan.Candidates++
-		grown := s.hists[0].CellRect(c.I, c.J).Grow(q.L / 2)
-		for _, h := range s.hists {
-			est, err := h.EstimateCount(q.At, grown)
-			if err != nil {
-				return nil, err
-			}
-			plan.RefineObjects += est
+		est, err := s.hist.EstimateCount(q.At, s.hist.CellRect(c.I, c.J).Grow(q.L/2))
+		if err != nil {
+			return nil, err
 		}
+		plan.RefineObjects += est
 	}
 	if plan.RefineObjects > plan.PABudget {
 		plan.Method = PA

@@ -13,21 +13,13 @@ import (
 // TestPoolReuseBitIdentical is the pool-churn race stress: the query path
 // shares sync.Pools (Chebyshev evaluation scratch, DH filter results and
 // prefix sums, sweep buffers, scatter/gather slices, per-window point
-// buffers, and at more than one partition the replica-dedup sets), so
-// concurrent queries continuously recycle each other's buffers. Every answer
+// buffers), so concurrent queries continuously recycle each other's buffers. Every answer
 // must still be bit-identical to the single-threaded reference — a stale or
 // under-cleared pooled buffer shows up here as a diverging region. Run under
 // -race via check.sh.
 func TestPoolReuseBitIdentical(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { poolReuse(t, shards) })
-	}
-}
-
-func poolReuse(t *testing.T, shards int) {
 	cfg := testConfig()
 	cfg.Workers = 3
-	cfg.Shards = shards
 	cfg.KeepHistory = true
 	cfg.CacheBytes = 0 // repeats must recompute, not replay a cached region
 	s, g := loadServer(t, cfg, 1500, 7)

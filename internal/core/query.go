@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"sync"
 	"time"
 
@@ -44,11 +43,6 @@ var intervalScratches = sync.Pool{New: func() any { return new(intervalScratch) 
 // pointBufs pools the per-run point-gather buffers of the refinement workers
 // (the sweep reads the points and retains nothing).
 var pointBufs = sync.Pool{New: func() any { return new([]geom.Point) }}
-
-// seenSets pools the replica-dedup sets of multi-partition runs; sets are
-// cleared before reuse. A map is pointer-shaped, so pooling it directly
-// costs no boxing allocation.
-var seenSets = sync.Pool{New: func() any { return make(map[motion.ObjectID]struct{}) }}
 
 // grow returns buf resized to n zero slots, reallocating only when the
 // capacity is insufficient.
@@ -158,21 +152,6 @@ type Result struct {
 // Total returns CPU + IOTime.
 func (r *Result) Total() time.Duration { return r.CPU + r.IOTime }
 
-// rlockAll read-locks every partition (ascending, matching the writer order)
-// so a query evaluates against one consistent cut of the stream: no mutation
-// can land between the scatter touching partition 0 and partition N-1.
-func (s *Server) rlockAll() {
-	for i := range s.pmu {
-		s.pmu[i].RLock()
-	}
-}
-
-func (s *Server) runlockAll() {
-	for i := len(s.pmu) - 1; i >= 0; i-- {
-		s.pmu[i].RUnlock()
-	}
-}
-
 // failed counts one failed query call and returns its error. Only the public
 // entry points (SnapshotTraced, IntervalTraced, PastSnapshotTraced) call it,
 // so pdr_engine_query_errors_total moves once per failed request however many
@@ -200,7 +179,7 @@ func (s *Server) validateLocked(q Query) error {
 
 // Snapshot answers the snapshot PDR query q with the given method. Any
 // number of Snapshot/Interval calls may run concurrently; they serialize
-// only against mutations of the partitions involved.
+// only against mutations.
 func (s *Server) Snapshot(q Query, m Method) (*Result, error) {
 	return s.SnapshotTraced(q, m, nil)
 }
@@ -210,8 +189,8 @@ func (s *Server) Snapshot(q Query, m Method) (*Result, error) {
 // outcomes all land in the span tree. A nil sp traces nothing and
 // allocates nothing — Snapshot simply passes nil.
 func (s *Server) SnapshotTraced(q Query, m Method, sp *telemetry.Span) (*Result, error) {
-	s.rlockAll()
-	defer s.runlockAll()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	esp := sp.Child("snapshot")
 	esp.SetAttr("method", m.String())
 	esp.SetAttrInt("at", int64(q.At))
@@ -337,11 +316,9 @@ func (s *Server) evaluateLocked(q Query, m Method, trackIO bool, sp *telemetry.S
 	return res, nil
 }
 
-// filterLocked runs the filter step over the merged per-partition histograms
-// — bit-identical to one histogram over the whole population, because int32
-// counters over disjoint primary populations add exactly.
+// filterLocked runs the filter step over the histogram.
 func (s *Server) filterLocked(q Query) (*dh.FilterResult, error) {
-	return dh.FilterMerged(s.hists, q.At, q.Rho, q.L)
+	return s.hist.Filter(q.At, q.Rho, q.L)
 }
 
 // snapshotFRLocked runs filtering over the histogram and plane-sweep
@@ -376,7 +353,7 @@ func (s *Server) snapshotFRLocked(q Query, res *Result, sp *telemetry.Span) erro
 	sc := frScratches.Get().(*frScratch)
 	cells, starts := sc.cells[:0], sc.starts[:0]
 	for k, c := range cands {
-		cell := s.hists[0].CellRect(c.I, c.J)
+		cell := s.hist.CellRect(c.I, c.J)
 		if k == 0 || c.J != cands[k-1].J || cell.MinX-cells[k-1].MaxX > q.L {
 			starts = append(starts, k)
 		}
@@ -404,10 +381,6 @@ func (s *Server) snapshotFRLocked(q Query, res *Result, sp *telemetry.Span) erro
 	s.par.ForEachSpan(runs, slots, func(ri int, wsp *telemetry.Span) {
 		parts[ri], retrieved[ri] = s.refineRun(q, cells[starts[ri]:starts[ri+1]], wsp)
 	})
-	var msw stopwatch.Stopwatch
-	if s.pmet != nil {
-		msw = stopwatch.Start()
-	}
 	for ri := range parts {
 		res.ObjectsRetrieved += retrieved[ri]
 		region = append(region, parts[ri]...)
@@ -420,68 +393,29 @@ func (s *Server) snapshotFRLocked(q Query, res *Result, sp *telemetry.Span) erro
 	// the union coalesces in place.
 	res.Region = geom.CoalesceInPlace(region)
 	ph.End()
-	if s.pmet != nil {
-		s.pmet.merge.Observe(msw.Elapsed().Seconds())
-	}
 	return nil
 }
 
-// refineRun gathers the objects of one row run (see snapshotFRLocked) from
-// every partition the run's grown bounding box intersects and sweeps them.
-// Partitions are visited in index order and boundary straddlers (present in
-// several indexes as replicas) are deduplicated by object ID on first sight,
-// so the gathered point multiset — and therefore the sweep — is the same at
-// every partition count. The dedup set and the per-partition child spans
-// exist only for runs that reach more than one partition.
+// refineRun gathers the objects of one row run (see snapshotFRLocked) with
+// one index search over the run's grown bounding box and sweeps them.
 func (s *Server) refineRun(q Query, cells []geom.Rect, wsp *telemetry.Span) (geom.Region, int) {
 	first, last := cells[0], cells[len(cells)-1]
 	grown := geom.NewRect(first.MinX, first.MinY, last.MaxX, first.MaxY).Grow(q.L / 2)
-	mask := s.router.Intersecting(grown)
-	width := bits.OnesCount64(mask)
-	if s.pmet != nil {
-		s.pmet.scatter.Observe(float64(width))
-	}
 	pb := pointBufs.Get().(*[]geom.Point)
 	points := (*pb)[:0]
-	var seen map[motion.ObjectID]struct{}
 	wsp.SetAttrInt("cells", int64(len(cells)))
-	if width > 1 {
-		wsp.SetAttrInt("shards", int64(width))
-		seen = seenSets.Get().(map[motion.ObjectID]struct{})
-		clear(seen)
-	}
-	for m := mask; m != 0; m &= m - 1 {
-		i := bits.TrailingZeros64(m)
-		var psp *telemetry.Span
-		if width > 1 {
-			psp = wsp.Child("shard")
-			psp.SetAttrInt("shard", int64(i))
+	s.index.Search(grown, q.At, func(st motion.State) bool {
+		p := st.PositionAt(q.At)
+		if s.cfg.Area.Contains(p) {
+			points = append(points, p)
 		}
-		before := len(points)
-		s.parts[i].index.Search(grown, q.At, func(st motion.State) bool {
-			if seen != nil {
-				if _, dup := seen[st.ID]; dup {
-					return true
-				}
-				seen[st.ID] = struct{}{}
-			}
-			p := st.PositionAt(q.At)
-			if s.cfg.Area.Contains(p) {
-				points = append(points, p)
-			}
-			return true
-		})
-		psp.SetAttrInt("retrieved", int64(len(points)-before))
-		psp.End()
-	}
+		return true
+	})
 	wsp.SetAttrInt("retrieved", int64(len(points)))
 	out := sweep.DenseRectsRow(points, cells, q.Rho, q.L)
 	n := len(points)
 	*pb = points
 	pointBufs.Put(pb)
-	if seen != nil {
-		seenSets.Put(seen)
-	}
 	return out, n
 }
 
@@ -573,8 +507,8 @@ func (s *Server) PastSnapshot(q Query) (*Result, error) {
 // PastSnapshotTraced is PastSnapshot recording its evaluation as a child
 // span of sp (nil traces nothing).
 func (s *Server) PastSnapshotTraced(q Query, sp *telemetry.Span) (*Result, error) {
-	s.rlockAll()
-	defer s.runlockAll()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	if !s.cfg.KeepHistory {
 		return nil, s.failed(fmt.Errorf("core: history is disabled (set Config.KeepHistory)"))
 	}
@@ -589,12 +523,8 @@ func (s *Server) PastSnapshotTraced(q Query, sp *telemetry.Span) (*Result, error
 	esp.SetAttrInt("at", int64(q.At))
 	sw := stopwatch.Start()
 	ph := esp.Child("refine")
-	var points []geom.Point
-	for _, part := range s.parts {
-		points = append(points, part.hst.PointsAt(q.At)...)
-	}
 	// Movements reported after q.At did not exist yet at q.At.
-	points = s.appendLivePoints(points, q.At, q.At)
+	points := s.appendLivePoints(s.hst.PointsAt(q.At), q.At, q.At)
 	res.ObjectsRetrieved = len(points)
 	ph.SetAttrInt("retrieved", int64(res.ObjectsRetrieved))
 	ph.End()
@@ -634,21 +564,21 @@ func (s *Server) IntervalTraced(q Query, until motion.Tick, m Method, sp *teleme
 	if until < q.At {
 		return nil, s.failed(fmt.Errorf("core: empty interval [%d, %d]", q.At, until))
 	}
-	s.rlockAll()
+	s.mu.RLock()
 	sw := stopwatch.Start()
 	n := int(until-q.At) + 1
 	isp := sp.Child("interval")
 	isp.SetAttr("method", m.String())
 	isp.SetAttrInt("snapshots", int64(n))
 	out, err := s.intervalLocked(q, n, m, isp)
-	s.runlockAll()
+	s.mu.RUnlock()
 	if err != nil {
 		isp.End()
 		return nil, s.failed(err)
 	}
 	// Snapshots of adjacent timestamps overlap, so the union's area is the
 	// exact measure, not a sum. The union is private to this call: it is
-	// measured after the partitions are released.
+	// measured after the engine lock is released.
 	asp := isp.Child("area")
 	out.Area = geom.UnionArea(out.Region)
 	asp.End()
@@ -714,8 +644,8 @@ func (s *Server) intervalLocked(q Query, n int, m Method, isp *telemetry.Span) (
 // The caller owns the result; releasing it (dh.FilterResult.Release) when
 // done is optional but lets the filter pool reuse its buffers.
 func (s *Server) FilterMarks(q Query) (*dh.FilterResult, error) {
-	s.rlockAll()
-	defer s.runlockAll()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	if err := s.validateLocked(q); err != nil {
 		return nil, err
 	}

@@ -15,36 +15,29 @@
 // monitored area at timestamp t does not exist at t. All methods apply the
 // same rule, so FR and the brute force return identical regions.
 //
-// # One engine, N partitions
+// # One engine
 //
-// The monitored plane is cut along the Z-order curve into Config.Shards
-// contiguous territories (default one: the whole plane). Each territory is a
-// partition — its own histogram, TPR-tree, buffer pool and archive — and an
-// object belongs to the partition that owns its reported position (its
-// primary); a trajectory that can reach other territories is additionally
-// registered, index-only, as a replica there. One directory holds every live
-// object's movement and partitions, one Chebyshev surface serves PA, and one
-// epoch-keyed cache memoizes answers. There is one query pipeline and one write path;
-// the partition count is a loop bound, never a branch.
+// A Server holds one density histogram, one TPR-tree over its own buffer
+// pool, one movement archive and one Chebyshev surface, plus a directory of
+// every live object's current movement and one epoch-keyed cache of answers.
+// There is one query pipeline and one write path.
 //
-// Locking protocol. The only engine locks are one RWMutex per partition
-// (rank "shard"), the surface lock and the directory's bucket locks; the
-// partitions themselves are unlocked. Queries read-lock every partition, in
-// ascending index order, for their whole evaluation, so a scatter observes
-// one consistent cut of the stream. Tick and Load write-lock every partition;
-// Apply write-locks only the partitions that hold the object, again
-// ascending, so writers to different territories do not serialize. The global
-// acquisition order, checked by pdrvet's lockorder analyzer, is
+// Locking protocol. The engine lock (rank "engine") guards the histogram,
+// the index, its pool and the archive; the surface has a lock of its own and
+// the directory its bucket locks. Queries read-lock the engine for their
+// whole evaluation, so each observes one consistent cut of the stream; Tick,
+// Load and Apply write-lock it. The global acquisition order, checked by
+// pdrvet's lockorder analyzer, is
 //
-//	service 10 → shard 20 → surface 30 → shard-registry 40
+//	service 10 → engine 20 → surface 30 → directory 40
 //
-// One fan-out per write. Tick and Load route and admit their records in
-// stream order, then hand the worker pool len(partitions) + H+1 independent
-// items in a single ForEach: each partition's list of records, then each
-// timestamp slot of the surface (pa.Surface.ApplySlot over the whole admitted
-// stream). The writer takes the surface lock before the fan-out and releases
-// it after; the helpers it hands slots to write disjoint slots under it.
-// Workers: 1 runs the same items inline, in index order.
+// One fan-out per write. Tick and Load admit their records in stream order,
+// then hand the worker pool 1 + H+1 independent items in a single ForEach:
+// the histogram, index and archive walking the admitted stream, then each
+// timestamp slot of the surface (pa.Surface.ApplySlot over the whole
+// admitted stream). The writer takes the surface lock before the fan-out and
+// releases it after; the helpers it hands slots to write disjoint slots under
+// it. Workers: 1 runs the same items inline, in index order.
 //
 // Partial writes. A write that holds a record the directory rejects — an
 // insert of a live object, a delete that does not name the live movement —
@@ -55,27 +48,20 @@
 // 409 carries it as "applied"); Apply is one record, so a rejected one
 // changes nothing and leaves the epoch alone.
 //
-// Exactness. Answers are bit-identical at every partition and worker count:
+// Exactness. Answers are bit-identical at every worker count:
 //
-//   - FR / DH: the per-partition histograms count disjoint primary
-//     populations in int32 counters, which add exactly, so dh.FilterMerged
-//     reproduces one histogram's marks. A refinement row run gathers from
-//     every partition its grown bounding box intersects; index searches are
-//     exact, replicas are deduplicated by object ID, and the plane sweep
-//     depends only on the resulting point multiset.
+//   - FR / DH: the filter reads integer counters, index searches are exact,
+//     and the plane sweep of a refinement row run depends only on the
+//     resulting point multiset.
 //   - PA: Chebyshev coefficient sums are floating-point and order-sensitive,
-//     so the one surface is fed the whole stream in arrival order — per
+//     so the surface is fed the whole stream in arrival order — per
 //     timestamp slot: slots share no coefficient, each is one work item, and
 //     every series receives its increments in stream order at any worker
 //     count. (Bit-identical within one binary; across kernels the
 //     coefficients are bounded, not equal — DESIGN.md, "PA tolerance
 //     contract".)
-//   - BruteForce / PastSnapshot: the directory holds each live object once,
-//     and the archives hold primaries only and are disjoint, so the gathered
-//     points do not depend on the partitioning.
-//
-// docs/PERFORMANCE.md ("Sharding") has the partition key, the straddler rule
-// and the measured cost of each.
+//   - BruteForce / PastSnapshot: the directory holds each live object once
+//     and the archive each superseded movement once.
 package core
 
 import (
@@ -90,10 +76,12 @@ import (
 	"pdr/internal/cache"
 	"pdr/internal/dh"
 	"pdr/internal/geom"
+	"pdr/internal/history"
 	"pdr/internal/motion"
 	"pdr/internal/pa"
 	"pdr/internal/parallel"
 	"pdr/internal/storage"
+	"pdr/internal/tprtree"
 )
 
 // Config parameterizes a Server. Zero fields fall back to the paper's
@@ -114,7 +102,7 @@ type Config struct {
 	// L is the fixed neighborhood edge the PA surfaces are built for
 	// (paper: 30 or 60). FR accepts any l >= 2*Area/HistM at query time.
 	L float64
-	// BufferPages caps each partition's TPR-tree buffer pool (0 = unlimited;
+	// BufferPages caps the TPR-tree buffer pool (0 = unlimited;
 	// the paper sizes it at 10% of the dataset).
 	BufferPages int
 	// PageSize is the tree page size in bytes (default 4 KB).
@@ -132,12 +120,6 @@ type Config struct {
 	// sequentially. Answers are identical at every setting (see
 	// docs/PERFORMANCE.md for the determinism argument).
 	Workers int
-	// Shards is the number of space partitions, 0 (one partition) to
-	// MaxShards. Writes lock only the partitions that hold the object, so
-	// more partitions let writers to different parts of the plane proceed
-	// together; answers are identical at every setting (see the package
-	// comment and docs/PERFORMANCE.md, "Sharding").
-	Shards int
 	// CacheBytes bounds the epoch-versioned snapshot result cache
 	// (approximate resident bytes). 0 (the default) disables caching and
 	// keeps the pre-cache behavior; when set, repeated snapshot queries,
@@ -169,20 +151,21 @@ func DefaultConfig() Config {
 // Server maintains all query structures over the update stream. It is safe
 // for concurrent use: any number of queries (Snapshot, Interval,
 // PastSnapshot, FilterMarks, Recommend, Save) run together, and mutations
-// (Tick, Apply, Load) exclude only the queries and writers that need the
-// same partitions. The package comment states the locking protocol.
+// (Tick, Apply, Load) exclude queries and each other. The package comment
+// states the locking protocol.
 type Server struct {
-	cfg    Config // effective: defaults resolved
-	router *router
-	parts  []*partition
-	hists  []*dh.Histogram // parts[i].hist, in partition order, for dh.FilterMerged
-	par    *parallel.Pool  // bounded fan-out workers (cfg.Workers)
-	qcache *cache.Cache    // snapshot result cache; nil when CacheBytes is 0
-	met    *Metrics        // nil unless SetMetrics was called (pre-traffic)
-	pmet   *partitionMetrics
+	cfg    Config         // effective: defaults resolved
+	par    *parallel.Pool // bounded fan-out workers (cfg.Workers)
+	qcache *cache.Cache   // snapshot result cache; nil when CacheBytes is 0
+	met    *Metrics       // nil unless SetMetrics was called (pre-traffic)
 
-	// pmu[i] guards parts[i]; see the package comment for the protocol.
-	pmu []sync.RWMutex // pdr:lockrank shard 20
+	// mu guards hist, pool, index and hst; see the package comment for the
+	// protocol.
+	mu    sync.RWMutex // pdr:lockrank engine 20
+	hist  *dh.Histogram
+	pool  *storage.Pool
+	index *tprtree.Tree
+	hst   *history.Store // nil unless Config.KeepHistory
 
 	surfMu sync.RWMutex // pdr:lockrank surface 30
 	surf   *pa.Surface  // the one Chebyshev surface; nil when DisablePA
@@ -192,12 +175,11 @@ type Server struct {
 	// epoch counts mutations (Tick/Apply/Load). Cached snapshot answers are
 	// keyed by it, so bumping the epoch invalidates every prior answer in
 	// O(1) without touching the cache itself.
-	epoch      atomic.Uint64
-	now        atomic.Int64 // the server clock
-	histPrimed atomic.Bool  // the histogram window phase is fixed (see prime)
+	epoch atomic.Uint64
+	now   atomic.Int64 // the server clock
 }
 
-// NewServer builds an empty server of cfg.Shards partitions.
+// NewServer builds an empty server.
 func NewServer(cfg Config) (*Server, error) {
 	if cfg.Area.IsEmpty() {
 		return nil, fmt.Errorf("core: empty area")
@@ -223,34 +205,32 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.IOCharge == 0 {
 		cfg.IOCharge = storage.DefaultRandomIO
 	}
-	if cfg.Shards == 0 {
-		cfg.Shards = 1
-	}
-	router, err := newRouter(cfg.Area, cfg.Shards)
+	horizon := cfg.U + cfg.W
+	hist, err := dh.New(dh.Config{Area: cfg.Area, M: cfg.HistM, Horizon: horizon})
 	if err != nil {
 		return nil, err
 	}
 	s := &Server{
 		cfg:    cfg,
-		router: router,
-		parts:  make([]*partition, cfg.Shards),
-		hists:  make([]*dh.Histogram, cfg.Shards),
-		pmu:    make([]sync.RWMutex, cfg.Shards),
 		par:    parallel.New(cfg.Workers),
 		qcache: cache.New(cfg.CacheBytes),
+		hist:   hist,
+		pool:   storage.NewPool(cfg.BufferPages),
 	}
-	for i := range s.parts {
-		p, err := newPartition(cfg)
+	s.index, err = tprtree.New(tprtree.Config{Pool: s.pool, Horizon: horizon, PageSize: cfg.PageSize})
+	if err != nil {
+		return nil, err
+	}
+	if cfg.KeepHistory {
+		s.hst, err = history.New(history.Config{Area: cfg.Area, BucketTicks: cfg.U})
 		if err != nil {
 			return nil, err
 		}
-		s.parts[i] = p
-		s.hists[i] = p.hist
 	}
 	if !cfg.DisablePA {
 		s.surf, err = pa.New(pa.Config{
 			Area: cfg.Area, G: cfg.PAGrid, Degree: cfg.PADegree,
-			Horizon: cfg.U + cfg.W, L: cfg.L, MD: cfg.PAMD,
+			Horizon: horizon, L: cfg.L, MD: cfg.PAMD,
 		})
 		if err != nil {
 			return nil, err
@@ -268,8 +248,7 @@ func (s *Server) Horizon() motion.Tick { return s.cfg.U + s.cfg.W }
 // Now returns the current server time.
 func (s *Server) Now() motion.Tick { return motion.Tick(s.now.Load()) }
 
-// NumObjects returns the live object count (replica registrations are not
-// live and are not counted).
+// NumObjects returns the live object count.
 func (s *Server) NumObjects() int { return int(s.dir.count.Load()) }
 
 // Workers returns the effective query worker-pool size.
@@ -312,48 +291,23 @@ func (s *Server) Contours(at motion.Tick, level float64, res int) ([]pa.ContourS
 
 var errPADisabled = errors.New("core: PA surfaces are disabled on this server (Config.DisablePA)")
 
-// PoolStats sums the partitions' buffer-pool I/O counters.
-func (s *Server) PoolStats() storage.Stats {
-	var total storage.Stats
-	for _, p := range s.parts {
-		st := p.pool.Stats()
-		total.Reads += st.Reads
-		total.Writes += st.Writes
-		total.Hits += st.Hits
-	}
-	return total
-}
+// PoolStats returns the index buffer pool's I/O counters.
+func (s *Server) PoolStats() storage.Stats { return s.pool.Stats() }
 
-// PoolPages returns the number of pages the buffer pools manage.
-func (s *Server) PoolPages() int {
-	total := 0
-	for _, p := range s.parts {
-		total += p.pool.NumPages()
-	}
-	return total
-}
+// PoolPages returns the number of pages the buffer pool manages.
+func (s *Server) PoolPages() int { return s.pool.NumPages() }
 
-// DropBufferPools empties every buffer pool, so the next query pays cold
-// I/O — the state the paper's I/O experiments measure from.
-func (s *Server) DropBufferPools() {
-	for _, p := range s.parts {
-		p.pool.Drop()
-	}
-}
+// DropBufferPools empties the buffer pool, so the next query pays cold I/O —
+// the state the paper's I/O experiments measure from.
+func (s *Server) DropBufferPools() { s.pool.Drop() }
 
-// HistogramBytes returns the density histograms' counter footprint.
-func (s *Server) HistogramBytes() int {
-	total := 0
-	for _, h := range s.hists {
-		total += h.MemoryBytes()
-	}
-	return total
-}
+// HistogramBytes returns the density histogram's counter footprint.
+func (s *Server) HistogramBytes() int { return s.hist.MemoryBytes() }
 
 // LiveStates returns every live object's current movement, ordered by ID.
 func (s *Server) LiveStates() []motion.State {
-	s.rlockAll()
-	defer s.runlockAll()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return s.liveStatesLocked()
 }
 
@@ -367,20 +321,11 @@ func (s *Server) liveStatesLocked() []motion.State {
 // ArchiveSpan returns the archived movement segments' count and the tick
 // range [lo, hi) they cover (zeros unless Config.KeepHistory).
 func (s *Server) ArchiveSpan() (segments int, lo, hi motion.Tick) {
-	s.rlockAll()
-	defer s.runlockAll()
-	for _, p := range s.parts {
-		if p.hst == nil || p.hst.Len() == 0 {
-			continue
-		}
-		plo, phi := p.hst.Span()
-		if segments == 0 || plo < lo {
-			lo = plo
-		}
-		if segments == 0 || phi > hi {
-			hi = phi
-		}
-		segments += p.hst.Len()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.hst == nil || s.hst.Len() == 0 {
+		return 0, 0, 0
 	}
-	return segments, lo, hi
+	lo, hi = s.hst.Span()
+	return s.hst.Len(), lo, hi
 }

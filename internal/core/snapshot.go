@@ -27,8 +27,8 @@ type snapshot struct {
 // configuration, the clock, and every live movement; Restore rebuilds an
 // equivalent server from it.
 func (s *Server) Save(w io.Writer) error {
-	s.rlockAll()
-	defer s.runlockAll()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return gob.NewEncoder(w).Encode(snapshot{
 		Magic:  snapshotMagic,
 		Config: s.cfg,

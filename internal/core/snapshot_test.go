@@ -67,13 +67,14 @@ func TestSaveRestoreRoundTrip(t *testing.T) {
 
 // TestRestoreParentCheckpoint restores two pdr-checkpoint-v1 files written by
 // commit 6c96f86 — the last one whose Config had an Index field — from a
-// streamConfig(1, 1) server that had replayed makeStream: one with the default
-// index, one with Config.Index = "grid". gob drops the stream field the
-// receiver lacks, so both come back as TPR-tree servers: the remaining Config
+// streamConfig(1) server that had replayed makeStream: one with the default
+// index, one with Config.Index = "grid". gob drops the stream fields the
+// receiver lacks (Index, and Shards since the engine is one partition), so
+// both come back as TPR-tree servers: the remaining Config
 // fields round-trip, and every FR/PA/DH answer equals, bit for bit, that of a
 // fresh server fed the same stream.
 func TestRestoreParentCheckpoint(t *testing.T) {
-	fresh := streamServer(t, makeStream(), 1, 1)
+	fresh := streamServer(t, makeStream(), 1)
 	for _, name := range []string{"checkpoint_v1_default.gob", "checkpoint_v1_grid.gob"} {
 		t.Run(name, func(t *testing.T) {
 			f, err := os.Open("testdata/" + name)

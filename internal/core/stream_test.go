@@ -11,9 +11,8 @@ import (
 )
 
 // streamConfig is the engine the stream-replay tests (equivalence, golden,
-// concurrency, pool stress) run against, at the given partition and worker
-// counts.
-func streamConfig(shards, workers int) Config {
+// concurrency, pool stress) run against, at the given worker count.
+func streamConfig(workers int) Config {
 	return Config{
 		Area:        geom.NewRect(0, 0, 1000, 1000),
 		U:           60,
@@ -26,14 +25,14 @@ func streamConfig(shards, workers int) Config {
 		IOCharge:    time.Millisecond,
 		KeepHistory: true,
 		Workers:     workers,
-		Shards:      shards,
 	}
 }
 
-// streamServer builds a server at (shards, workers) and replays st onto it.
-func streamServer(t *testing.T, st *stream, shards, workers int) *Server {
+// streamServer builds a server at the given worker count and replays st onto
+// it.
+func streamServer(t *testing.T, st *stream, workers int) *Server {
 	t.Helper()
-	s, err := NewServer(streamConfig(shards, workers))
+	s, err := NewServer(streamConfig(workers))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,9 +56,8 @@ type tickBatch struct {
 // makeStream builds a deterministic workload of 300 loaded objects plus ten
 // ticks of movement updates, fresh inserts, permanent deletes, and
 // between-tick Apply traffic. Velocities up to 8 units/tick over a 90-tick
-// horizon give trajectories spanning most of the plane, so many objects
-// straddle shard boundaries; a few are handcrafted to sit exactly on the
-// center partition lines.
+// horizon give trajectories spanning most of the plane; a few are
+// handcrafted to sit exactly on histogram cell lines through the centre.
 func makeStream() *stream {
 	rng := rand.New(rand.NewSource(42))
 	s := &stream{}
@@ -80,7 +78,7 @@ func makeStream() *stream {
 		s.load = append(s.load, st)
 		live[st.ID] = st
 	}
-	// Boundary straddlers: on the center lines, crossing them, and parked
+	// Boundary cases: on the centre cell lines, crossing them, and parked
 	// exactly at the area corner.
 	for _, st := range []motion.State{
 		{ID: next, Pos: geom.Point{X: 500, Y: 500}, Vel: geom.Vec{X: 3, Y: -3}, Ref: 0},

@@ -155,7 +155,7 @@ func attrOf(sp *telemetry.Span, key string) string {
 func TestTickTracedSpans(t *testing.T) {
 	st := makeStream()
 	for _, workers := range []int{1, 2, 17} {
-		s, err := NewServer(streamConfig(4, workers))
+		s, err := NewServer(streamConfig(workers))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,7 +177,7 @@ func TestTickTracedSpans(t *testing.T) {
 		if u, a := attrOf(plan, "updates"), attrOf(plan, "applied"); u != "8" || a != "7" {
 			t.Errorf("workers=%d: plan span updates=%q applied=%q, want 8 and 7", workers, u, a)
 		}
-		want := map[string]string{"partitions": "4", "slots": "91", "workers": strconv.Itoa(workers)}
+		want := map[string]string{"slots": "91", "workers": strconv.Itoa(workers)}
 		for k, v := range want {
 			if got := attrOf(apply, k); got != v {
 				t.Errorf("workers=%d: apply span %s=%q, want %q", workers, k, got, v)

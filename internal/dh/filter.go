@@ -56,11 +56,10 @@ type FilterResult struct {
 // FilterResult.Release.
 var filterResults = sync.Pool{New: func() any { return new(FilterResult) }}
 
-// filterScratch holds filterCounts' prefix-sum grid and FilterMerged's
-// summation grid — per-call working memory that never escapes a filter call.
+// filterScratch holds filterCounts' prefix-sum grid — per-call working
+// memory that never escapes a filter call.
 type filterScratch struct {
-	pre    []int64
-	merged []int32
+	pre []int64
 }
 
 var filterScratches = sync.Pool{New: func() any { return new(filterScratch) }}
@@ -171,45 +170,6 @@ func (h *Histogram) Filter(qt motion.Tick, rho, l float64) (*FilterResult, error
 	return h.filterCounts(h.slot(qt), rho, l), nil
 }
 
-// FilterMerged runs the filter step over the element-wise sum of several
-// histograms maintained over disjoint object populations (the sharded
-// engine's per-shard histograms). Counters are integers, so the summed grid
-// equals the grid a single histogram over the union population would hold,
-// and the resulting marks — and every region derived from them — are
-// bit-identical to the unsharded filter. All histograms must share the same
-// configuration and window phase (the engine advances them in lockstep).
-func FilterMerged(hs []*Histogram, qt motion.Tick, rho, l float64) (*FilterResult, error) {
-	if len(hs) == 0 {
-		return nil, fmt.Errorf("dh: no histograms to merge")
-	}
-	h := hs[0]
-	for _, o := range hs[1:] {
-		if o.cfg != h.cfg || o.base != h.base {
-			return nil, fmt.Errorf("dh: merged histograms differ in configuration or window phase")
-		}
-	}
-	if err := h.validateFilter(qt, rho, l); err != nil {
-		return nil, err
-	}
-	if len(hs) == 1 {
-		return h.filterCounts(h.slot(qt), rho, l), nil
-	}
-	sc := filterScratches.Get().(*filterScratch)
-	sc.merged = growI32(sc.merged, h.cfg.M*h.cfg.M)
-	merged := sc.merged
-	for i := range merged {
-		merged[i] = 0
-	}
-	for _, o := range hs {
-		for i, c := range o.slot(qt) {
-			merged[i] += c
-		}
-	}
-	res := h.filterCounts(merged, rho, l)
-	filterScratches.Put(sc)
-	return res, nil
-}
-
 func (h *Histogram) validateFilter(qt motion.Tick, rho, l float64) error {
 	if l <= 0 || rho < 0 {
 		return fmt.Errorf("dh: bad query parameters rho=%g l=%g", rho, l)
@@ -224,8 +184,7 @@ func (h *Histogram) validateFilter(qt motion.Tick, rho, l float64) error {
 	return nil
 }
 
-// filterCounts classifies every cell of one timestamp grid; counts is the
-// grid to filter (a resident slot, or a merged copy).
+// filterCounts classifies every cell of one timestamp grid.
 func (h *Histogram) filterCounts(counts []int32, rho, l float64) *FilterResult {
 	m := h.cfg.M
 	// 2-D prefix sums: pre[(i+1)*(m+1)+(j+1)] = sum of counts[0..i][0..j].
@@ -317,14 +276,6 @@ func (h *Histogram) filterCounts(counts []int32, rho, l float64) *FilterResult {
 func growI64(buf []int64, n int) []int64 {
 	if cap(buf) < n {
 		return make([]int64, n)
-	}
-	return buf[:n]
-}
-
-// growI32 is growI64 for int32 scratch.
-func growI32(buf []int32, n int) []int32 {
-	if cap(buf) < n {
-		return make([]int32, n)
 	}
 	return buf[:n]
 }

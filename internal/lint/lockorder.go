@@ -23,20 +23,19 @@ import (
 //     which is how every deadlock between ranked classes must start;
 //   - acquisition cycles among unranked classes (A→B and B→A can deadlock
 //     two goroutines even though each order is locally fine);
-//   - shard index discipline: a class declared over a mutex slice
-//     (`smu []sync.RWMutex`) must be acquired in ascending index order —
-//     the PR 8 scatter-gather protocol — so holding smu[2] while locking
-//     smu[1], or a descending `for i--` acquire loop, is a finding.
+//   - a class acquired while already held: two instances of one class have
+//     no defined order.
 //
-// The analysis is interprocedural: acquire-only helpers (rlockAll,
-// lockMaskWrite) are summarized as "leaves these classes held", their
-// release twins as "drops them", so an edge like shard→shard-registry is
-// seen even though the registry bucket locks inside a callee. Unannotated
+// The analysis is interprocedural: acquire-only helpers are summarized as
+// "leaves these classes held", their release twins as "drops them", and a
+// callee's own acquisitions count at the call, so an edge like
+// engine→directory is seen even though the directory's bucket lock is taken
+// inside a callee. Unannotated
 // mutexes are invisible — the analyzer checks the declared protocol, it
 // does not invent one.
 var AnalyzerLockOrder = &Analyzer{
 	Name:          "lockorder",
-	Doc:           "builds the pdr:lockrank acquisition-order graph: rank violations, cycles, shard index discipline",
+	Doc:           "builds the pdr:lockrank acquisition-order graph: rank violations and cycles",
 	Run:           runLockOrder,
 	UsesCallGraph: true,
 	Prepare: func(pkgs []*Package, graph *callgraph.Graph) any {
@@ -53,11 +52,7 @@ type lockClass struct {
 	name   string
 	rank   int
 	ranked bool
-	// indexed marks a class declared over a slice/array of mutexes, whose
-	// instances are ordered by index (the ascending-acquire discipline)
-	// rather than by rank against each other.
-	indexed bool
-	pos     token.Pos
+	pos    token.Pos
 }
 
 // lockOrderFinding is one pre-rendered diagnostic, attributed to a package.
@@ -184,8 +179,7 @@ func prepareLockOrder(pkgs []*Package, graph *callgraph.Graph) *lockOrderResult 
 		}
 	}
 
-	// Per-function flow: collect acquisition-order edges and check the
-	// indexed (shard) discipline.
+	// Per-function flow: collect acquisition-order edges.
 	var edges []*lockOrderEdge
 	edgeIndex := make(map[[2]*lockClass]*lockOrderEdge)
 	recordEdge := func(from, to *lockClass, pkg string, pos token.Pos) {
@@ -198,19 +192,15 @@ func prepareLockOrder(pkgs []*Package, graph *callgraph.Graph) *lockOrderResult 
 		edges = append(edges, e)
 	}
 	for _, u := range units {
-		walkLockOrderFlow(u, classes, byName, acqTrans, releases, netHeld, graph, recordEdge, report)
-		checkDescendingLoops(u, classes, acqTrans, graph, report)
+		walkLockOrderFlow(u, classes, byName, acqTrans, releases, netHeld, graph, recordEdge)
 	}
 
 	// Rank discipline over the deduplicated edges.
 	for _, e := range edges {
 		switch {
 		case e.from == e.to:
-			if e.from.indexed {
-				continue // ordered by index, checked separately
-			}
 			e.reported = true
-			report(e.pkg, e.pos, "acquires lock class %q while already holding it; instances of a non-indexed class have no defined order", e.to.name)
+			report(e.pkg, e.pos, "acquires lock class %q while already holding it; instances of one class have no defined order", e.to.name)
 		case e.from.ranked && e.to.ranked && e.to.rank < e.from.rank:
 			e.reported = true
 			report(e.pkg, e.pos, "lock order violation: acquires %q (rank %d) while holding %q (rank %d); pdr:lockrank ranks must ascend", e.to.name, e.to.rank, e.from.name, e.from.rank)
@@ -254,13 +244,8 @@ func collectLockClasses(pkgs []*Package, report func(string, token.Pos, string, 
 						continue
 					}
 					for _, id := range field.Names {
-						v, isVar := pkg.Info.Defs[id].(*types.Var)
-						if v == nil || !isVar {
-							continue
-						}
-						classes[v] = cls
-						if isIndexedMutex(v.Type()) {
-							cls.indexed = true
+						if v, isVar := pkg.Info.Defs[id].(*types.Var); isVar && v != nil {
+							classes[v] = cls
 						}
 					}
 				}
@@ -302,17 +287,6 @@ func parseLockRank(groups ...*ast.CommentGroup) (name string, rank int, ranked b
 		}
 	}
 	return "", 0, false, token.NoPos, false, ""
-}
-
-// isIndexedMutex reports whether t is a slice or array of mutexes.
-func isIndexedMutex(t types.Type) bool {
-	switch u := t.Underlying().(type) {
-	case *types.Slice:
-		return isMutex(derefType(u.Elem()))
-	case *types.Array:
-		return isMutex(derefType(u.Elem()))
-	}
-	return false
 }
 
 // collectLockNodeUnits pairs every call-graph node with its body and a
@@ -404,7 +378,7 @@ func directLockEffects(u lockNodeUnit, classes map[*types.Var]*lockClass) (acq, 
 }
 
 // classOfMutexExpr resolves the mutex expression of a Lock/Unlock call to
-// its annotated class: e.smu[i] → the smu field's class, b.mu → regBucket's.
+// its annotated class: s.mu → the mu field's class, b.mu → dirBucket's.
 func classOfMutexExpr(info *types.Info, classes map[*types.Var]*lockClass, e ast.Expr) (*lockClass, bool) {
 	for {
 		switch t := e.(type) {
@@ -448,8 +422,7 @@ func syntheticLockKey(cls *lockClass) string { return "\x00" + cls.name }
 // walkLockOrderFlow runs the augmented must-held flow over one body and
 // emits acquisition-order edges: at every classed acquire and every call
 // into a class-acquiring callee, each held class gains an edge to the
-// acquired one. The indexed-class constant-index discipline is checked at
-// acquire sites from the same facts.
+// acquired one.
 func walkLockOrderFlow(
 	u lockNodeUnit,
 	classes map[*types.Var]*lockClass,
@@ -457,7 +430,6 @@ func walkLockOrderFlow(
 	acqTrans, releases, netHeld map[*callgraph.Node]classSet,
 	graph *callgraph.Graph,
 	recordEdge func(from, to *lockClass, pkg string, pos token.Pos),
-	report func(string, token.Pos, string, ...any),
 ) {
 	keyClass := make(map[string]*lockClass)
 	heldClasses := func(st lockState) classSet {
@@ -483,7 +455,7 @@ func walkLockOrderFlow(
 		return nil
 	}
 	// step advances the state across one node; with emit true it also
-	// records edges and index-discipline findings (the replay pass).
+	// records edges (the replay pass).
 	step := func(n ast.Node, in lockState, emit bool) lockState {
 		out := in
 		ast.Inspect(n, func(x ast.Node) bool {
@@ -512,7 +484,6 @@ func walkLockOrderFlow(
 							for h := range heldClasses(out) {
 								recordEdge(h, cls, u.pkg.Path, op.pos)
 							}
-							checkIndexOrder(u, out, keyClass, cls, op, report)
 						}
 					}
 					out = out.apply(op)
@@ -559,110 +530,6 @@ func walkLockOrderFlow(
 		func(n ast.Node, in lockState) lockState { return step(n, in, false) },
 		func(n ast.Node, before lockState) { step(n, before, true) },
 	)
-}
-
-// checkIndexOrder enforces ascending acquisition within an indexed class:
-// acquiring cls[c2] while provably holding cls[c1] with constant c1 > c2
-// breaks the sharding protocol.
-func checkIndexOrder(u lockNodeUnit, st lockState, keyClass map[string]*lockClass, cls *lockClass, op mutexOp, report func(string, token.Pos, string, ...any)) {
-	if !cls.indexed {
-		return
-	}
-	c2, ok := constIndexOf(op.key)
-	if !ok {
-		return
-	}
-	for k := range st {
-		if keyClass[k] != cls || k == op.key {
-			continue
-		}
-		if c1, held := constIndexOf(k); held && c1 > c2 {
-			report(u.pkg.Path, op.pos, "acquires %s while holding %s: %q locks must be taken in ascending index order (the scatter-gather deadlock-freedom protocol)", op.key, k, cls.name)
-		}
-	}
-}
-
-// constIndexOf extracts a trailing constant index from an exprKey like
-// "e.smu[3]".
-func constIndexOf(key string) (int, bool) {
-	if !strings.HasSuffix(key, "]") {
-		return 0, false
-	}
-	open := strings.LastIndexByte(key, '[')
-	if open < 0 {
-		return 0, false
-	}
-	n, err := strconv.Atoi(key[open+1 : len(key)-1])
-	if err != nil {
-		return 0, false
-	}
-	return n, true
-}
-
-// checkDescendingLoops flags the syntactic descending-acquire shape: a
-// `for ... ; i--` loop that locks an indexed class at the loop variable,
-// directly or through an acquire helper taking the variable.
-func checkDescendingLoops(u lockNodeUnit, classes map[*types.Var]*lockClass, acqTrans map[*callgraph.Node]classSet, graph *callgraph.Graph, report func(string, token.Pos, string, ...any)) {
-	body := u.body
-	if u.node.Lit != nil {
-		body = u.node.Lit.Body
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		if fl, isLit := n.(*ast.FuncLit); isLit && body != fl.Body {
-			return false
-		}
-		fs, isFor := n.(*ast.ForStmt)
-		if !isFor || fs.Post == nil {
-			return true
-		}
-		post, isIncDec := fs.Post.(*ast.IncDecStmt)
-		if !isIncDec || post.Tok != token.DEC {
-			return true
-		}
-		v, isID := post.X.(*ast.Ident)
-		if !isID {
-			return true
-		}
-		ast.Inspect(fs.Body, func(x ast.Node) bool {
-			if _, isLit := x.(*ast.FuncLit); isLit {
-				return false
-			}
-			call, isCall := x.(*ast.CallExpr)
-			if !isCall {
-				return true
-			}
-			if op, isOp := mutexOpOf(u.pass, call); isOp {
-				if op.name != "Lock" && op.name != "RLock" {
-					return true
-				}
-				cls, classed := classOfMutexExpr(u.pkg.Info, classes, call.Fun.(*ast.SelectorExpr).X)
-				if classed && cls.indexed && mentionsName(call.Fun.(*ast.SelectorExpr).X, v.Name) {
-					report(u.pkg.Path, op.pos, "acquires %q locks in a descending loop (%s--); the sharding protocol requires ascending index order", cls.name, v.Name)
-				}
-				return true
-			}
-			callee := (*callgraph.Node)(nil)
-			if fn := staticCallee(u.pkg.Info, call); fn != nil {
-				callee = graph.FuncNode(fn)
-			}
-			if callee == nil {
-				return true
-			}
-			for a := range acqTrans[callee] {
-				if !a.indexed {
-					continue
-				}
-				for _, arg := range call.Args {
-					if mentionsName(arg, v.Name) {
-						report(u.pkg.Path, call.Lparen, "calls an acquire helper for %q in a descending loop (%s--); the sharding protocol requires ascending index order", a.name, v.Name)
-						return true
-					}
-				}
-			}
-			return true
-		})
-		return true
-	})
 }
 
 // reportLockCycles finds acquisition cycles among classes whose edges were

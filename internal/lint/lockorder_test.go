@@ -218,77 +218,3 @@ func (s *S) BA() {
 		t.Errorf("cycle finding should name both classes: %s", msg)
 	}
 }
-
-// TestLockOrderShardIndexDiscipline pins the sharding protocol checks: a
-// class over a mutex slice must be acquired in ascending index order.
-func TestLockOrderShardIndexDiscipline(t *testing.T) {
-	const decl = `package x
-
-import "sync"
-
-type E struct {
-	smu []sync.RWMutex // pdr:lockrank shard 10
-}
-`
-	cases := []struct {
-		name string
-		src  string
-		want int
-	}{
-		{"ascending loop acquire with descending unlock clean", decl + `
-func (e *E) LockAll() {
-	for i := range e.smu {
-		e.smu[i].Lock()
-	}
-}
-
-func (e *E) UnlockAll() {
-	for i := len(e.smu) - 1; i >= 0; i-- {
-		e.smu[i].Unlock()
-	}
-}
-`, 0},
-		{"descending constant-index acquire flagged", decl + `
-func (e *E) Bad() {
-	e.smu[1].Lock()
-	e.smu[0].Lock()
-	e.smu[0].Unlock()
-	e.smu[1].Unlock()
-}
-`, 1},
-		{"ascending constant-index acquire clean", decl + `
-func (e *E) OK() {
-	e.smu[0].Lock()
-	e.smu[1].Lock()
-	e.smu[1].Unlock()
-	e.smu[0].Unlock()
-}
-`, 0},
-		{"descending loop acquire flagged", decl + `
-func (e *E) Bad() {
-	for i := len(e.smu) - 1; i >= 0; i-- {
-		e.smu[i].Lock()
-	}
-	for i := range e.smu {
-		e.smu[i].Unlock()
-	}
-}
-`, 1},
-		{"descending loop through acquire helper flagged", decl + `
-func (e *E) lockOne(i int) {
-	e.smu[i].Lock()
-}
-
-func (e *E) Bad() {
-	for i := len(e.smu) - 1; i >= 0; i-- {
-		e.lockOne(i)
-	}
-}
-`, 1},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			wantFindings(t, analyze(t, "pdr/internal/x", tc.src, AnalyzerLockOrder), "lockorder", tc.want)
-		})
-	}
-}

@@ -5,7 +5,8 @@ package lint
 // summaries that say which functions release a pooled argument back to a
 // pool ("releasers" — releaseIntervalScratch, FilterResult.Release) and
 // which functions hand a pool-obtained value to their caller ("providers" —
-// Histogram.Filter, FilterMerged). The summaries are computed once per Run
+// Histogram.Filter, and core's filterLocked that returns its result). The
+// summaries are computed once per Run
 // over every loaded package (Analyzer.Prepare), so obligations follow
 // values across package boundaries: core acquiring from a dh provider is
 // released by calling a dh method.

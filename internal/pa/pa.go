@@ -22,12 +22,12 @@
 // Within a slot the Lemma-4 factors of a box are computed once per overlapped
 // polynomial-cell column and once per row, not once per cell.
 // core.Server.Tick and Load run the slots in the same fan-out as their
-// partitions (docs/PERFORMANCE.md, "Write path").
+// index and histogram work (docs/PERFORMANCE.md, "Write path").
 //
 // # What is promised about the coefficients
 //
 // DESIGN.md, "PA tolerance contract": within one binary every route to a
-// surface — per record, batched, at any worker or partition count — yields
+// surface — per record, batched, at any worker count — yields
 // the same float bits, and a delete cancels its insert exactly; across
 // kernels (a change to cheb.BoxFactors or AddOuter) coefficients are held to
 // 1e-12 of the accumulated |value| against the test-only trigonometric

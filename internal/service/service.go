@@ -25,10 +25,10 @@
 // work out to the engine's worker pool); load/update/watch handlers take the
 // write lock. The service-level RWMutex keeps parse-time clock reads coherent
 // with query execution and guards the monitor; the engine (internal/core)
-// has its own per-partition locks, which is what lets /v1/apply run under the
-// read lock. A query's answer is private to its request, so /v1/query and
-// /v1/past drop the lock when the engine returns and encode the reply
-// (reply.go) without it: a tick never waits out the formatting of a reply.
+// has its own lock, which is what lets /v1/apply run under the read lock. A
+// query's answer is private to its request, so /v1/query and /v1/past drop
+// the lock when the engine returns and encode the reply (reply.go) without
+// it: a tick never waits out the formatting of a reply.
 package service
 
 import (
@@ -346,9 +346,8 @@ func (s *Service) handleApply(w http.ResponseWriter, r *http.Request) {
 	}
 	// Applies bypass the monitor (the clock does not move, so no standing
 	// query comes due) and take only the read side of the service lock: the
-	// engine serializes its own writes, and applies to different partitions
-	// proceed in parallel — the contention regime bench/'s mixed-rw workload
-	// measures.
+	// engine serializes its own writes against queries — the contention
+	// regime bench/'s mixed-rw workload measures.
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	for i, u := range ups {

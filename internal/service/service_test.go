@@ -39,15 +39,6 @@ func testServiceWith(t *testing.T, mod func(*core.Config)) (*Service, *httptest.
 	return svc, ts
 }
 
-// shardedTestService is testService at four partitions, with the archive on.
-func shardedTestService(t *testing.T) (*Service, *httptest.Server) {
-	t.Helper()
-	return testServiceWith(t, func(cfg *core.Config) {
-		cfg.Shards = 4
-		cfg.KeepHistory = true
-	})
-}
-
 // advanceTicks advances the generator n ticks, posting each batch of
 // updates so the server's clock follows.
 func advanceTicks(t *testing.T, ts *httptest.Server, g *datagen.Generator, n int) {
@@ -714,115 +705,10 @@ func getMetricsBody(t *testing.T, ts *httptest.Server) string {
 	return buf.String()
 }
 
-// TestServiceFlowAcrossShards drives the full HTTP surface at four
-// partitions and cross-checks every query answer against a one-partition
-// service running the identical workload: the -shards flag must be invisible
-// in the API's responses.
-func TestServiceFlowAcrossShards(t *testing.T) {
-	_, sharded := shardedTestService(t)
-	_, plain := testService(t)
-
-	gs := loadWorkload(t, sharded, 2000)
-	gp := loadWorkload(t, plain, 2000)
-	advanceTicks(t, sharded, gs, 3)
-	advanceTicks(t, plain, gp, 3)
-
-	for _, q := range []string{
-		"/v1/query?method=fr&varrho=2&l=60&at=now%2B10",
-		"/v1/query?method=dh-opt&varrho=2&l=60&at=now%2B5",
-		"/v1/query?method=bf&varrho=2&l=60&at=now",
-		"/v1/query?method=fr&varrho=2&l=60&until=now%2B4",
-	} {
-		want := getJSONBody(t, plain, q)
-		got := getJSONBody(t, sharded, q)
-		// The trace header differs; the decoded payloads must not, except
-		// for measured costs.
-		scrub := func(m map[string]any) {
-			for _, k := range []string{"cpuMicros", "wallMicros", "ios", "totalMicros", "cached", "cachedCpuMicros"} {
-				delete(m, k)
-			}
-		}
-		scrub(want)
-		scrub(got)
-		wb, _ := json.Marshal(want)
-		gb, _ := json.Marshal(got)
-		if !bytes.Equal(wb, gb) {
-			t.Fatalf("%s diverges between four partitions and one:\n  four: %s\n  one:  %s", q, gb, wb)
-		}
-	}
-
-	// The archives answer over partitions (concatenated gathers).
-	presp, err := http.Get(sharded.URL + "/v1/past?varrho=2&l=60&at=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	presp.Body.Close()
-	if presp.StatusCode != http.StatusOK {
-		t.Fatalf("past status %d", presp.StatusCode)
-	}
-
-	cresp, err := http.Get(sharded.URL + "/v1/contours?level=0.0001&res=48")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cresp.Body.Close()
-	if cresp.StatusCode != http.StatusOK {
-		t.Fatalf("contours status %d", cresp.StatusCode)
-	}
-	var st StatsResponse
-	sresp, err := http.Get(sharded.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sresp.Body.Close()
-	if err := json.NewDecoder(sresp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Objects != 2000 {
-		t.Fatalf("stats objects = %d, want 2000", st.Objects)
-	}
-
-	// The per-partition instruments are on the scrape path at any count.
-	for _, ts := range []*httptest.Server{sharded, plain} {
-		body := getMetricsBody(t, ts)
-		for _, name := range []string{"pdr_shard_count", "pdr_shard_objects", "pdr_shard_straddlers"} {
-			if !strings.Contains(body, name) {
-				t.Errorf("metrics exposition missing %s", name)
-			}
-		}
-	}
-}
-
-func getJSONBody(t *testing.T, ts *httptest.Server, path string) map[string]any {
-	t.Helper()
-	resp, err := http.Get(ts.URL + path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("%s status %d", path, resp.StatusCode)
-	}
-	var m map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
-
-// TestApplyEndpoint exercises POST /v1/apply at one partition and at four:
-// between-tick writes land without moving the clock, and state-mismatched
-// deletes are rejected.
+// TestApplyEndpoint exercises POST /v1/apply: between-tick writes land
+// without moving the clock, and state-mismatched deletes are rejected.
 func TestApplyEndpoint(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			_, ts := testServiceWith(t, func(cfg *core.Config) { cfg.Shards = shards })
-			applyEndpoint(t, ts)
-		})
-	}
-}
-
-func applyEndpoint(t *testing.T, ts *httptest.Server) {
+	_, ts := testService(t)
 	loadWorkload(t, ts, 500)
 
 	ins := wire.Record{Kind: wire.KindInsert, Tick: 0, ID: 900001, X: 400, Y: 400, VX: 2, VY: 1, Ref: 0}

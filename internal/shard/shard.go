@@ -1,9 +1,8 @@
-// Package shard is a compatibility shim: the sharded engine is core.Server
-// with Config.Shards set, and everything about it is documented there. The
-// shim exists only because the frozen benchmark module (bench/layers) still
-// calls shard.New; nothing outside bench/ may import it, and the next
-// benchmark change should move bench/layers to core.NewServer and delete
-// this package.
+// Package shard is a compatibility shim: the engine is one core.Server, and
+// the space partitioning this package once selected is gone. The shim exists
+// only because the frozen benchmark module (bench/layers) still calls
+// shard.New; nothing outside bench/ may import it, and the next benchmark
+// change should move bench/layers to core.NewServer and delete this package.
 package shard
 
 import "pdr/internal/core"
@@ -11,8 +10,7 @@ import "pdr/internal/core"
 // Engine is the one engine.
 type Engine = core.Server
 
-// New is core.NewServer with cfg.Shards set to shards.
+// New is core.NewServer(cfg). It ignores shards: there is one partition.
 func New(cfg core.Config, shards int) (*Engine, error) {
-	cfg.Shards = shards
 	return core.NewServer(cfg)
 }

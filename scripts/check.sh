@@ -39,7 +39,8 @@ go build ./...
 
 step "link closure (every internal package is reachable from the library, a binary or an example)"
 # A package kept alive only by its own tests fails here. The one exception:
-# internal/shard is the shim the frozen bench/layers compiles against.
+# internal/shard is the shim the frozen bench/layers compiles against; its
+# New returns core.NewServer(cfg) and ignores the partition count it is given.
 reachable=$(go list -deps . ./cmd/... ./examples/...)
 for pkg in $(go list ./internal/...); do
 	[ "$pkg" = "pdr/internal/shard" ] && continue
@@ -66,11 +67,11 @@ for procs in 1 2 4; do
 	GOMAXPROCS=$procs go test -count=10 ./internal/service
 done
 
-step "go test -race (engine: partition-local writes vs scatter-gather reads, the slot-parallel surface, kernel scratch pools, result cache)"
+step "go test -race (engine: writers vs readers on the one engine lock, the slot-parallel surface, kernel scratch pools, result cache)"
 go test -race ./internal/core ./internal/pa ./internal/cheb ./internal/dh ./internal/sweep ./internal/parallel ./internal/storage ./internal/cache
 
-step "partition equivalence (N partitions == one == brute force == the per-cell pipeline == the per-record surface feed == the golden, over HTTP too)"
-go test -run 'TestShardsMatchOnePartition|TestDifferentialStream|TestFRMatchesPerCellPipeline|TestSurfaceMatchesPerRecordFeed|TestGoldenAnswers|TestServiceFlowAcrossShards' -count=1 ./internal/core ./internal/service
+step "answer equivalence (FR == brute force == the per-cell pipeline, the surface == the per-record feed, the golden answers, the golden HTTP transcript)"
+go test -run 'TestDifferentialStream|TestFRMatchesPerCellPipeline|TestSurfaceMatchesPerRecordFeed|TestGoldenAnswers|TestGoldenTranscript' -count=1 ./internal/core ./internal/service
 
 step "telemetry (race on the atomic registry + trace store + instrumented service)"
 go test -race ./internal/telemetry ./internal/tracestore ./internal/service
@@ -83,9 +84,6 @@ go test -run '^$' -fuzz FuzzDenseRectsMatchesOracle -fuzztime "${FUZZ_SECS}s" ./
 
 step "fuzz smoke: row sweep == per-cell reference kernel, bit for bit (${FUZZ_SECS}s)"
 go test -run '^$' -fuzz FuzzDenseRectsRowMatchesPerCell -fuzztime "${FUZZ_SECS}s" ./internal/sweep/
-
-step "fuzz smoke: zcurve InWindow/BigMin agreement (${FUZZ_SECS}s)"
-go test -run '^$' -fuzz FuzzBigMinInWindow -fuzztime "${FUZZ_SECS}s" ./internal/zcurve/
 
 step "fuzz smoke: reply float formatting == encoding/json (${FUZZ_SECS}s)"
 go test -run '^$' -fuzz FuzzAppendFloatMatchesEncodingJSON -fuzztime "${FUZZ_SECS}s" ./internal/service/
