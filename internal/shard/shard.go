@@ -1,8 +1,7 @@
-// Package shard is a compatibility shim: the engine is one core.Server, and
-// the space partitioning this package once selected is gone. The shim exists
-// only because the frozen benchmark module (bench/layers) still calls
-// shard.New; nothing outside bench/ may import it, and the next benchmark
-// change should move bench/layers to core.NewServer and delete this package.
+// Package shard is a compatibility shim for the frozen benchmark module
+// (bench/layers), which still calls shard.New. The engine is one
+// core.Server; nothing outside bench/ may import this package, and the next
+// benchmark change should move bench/layers to core.NewServer and delete it.
 package shard
 
 import "pdr/internal/core"
@@ -10,7 +9,8 @@ import "pdr/internal/core"
 // Engine is the one engine.
 type Engine = core.Server
 
-// New is core.NewServer(cfg). It ignores shards: there is one partition.
+// New returns core.NewServer(cfg). shards is ignored: the engine has one
+// partition.
 func New(cfg core.Config, shards int) (*Engine, error) {
 	return core.NewServer(cfg)
 }
