@@ -253,24 +253,28 @@ func differentialStream(t *testing.T, s *Server,
 // every step of differentialStream, FR must equal BruteForce (a global sweep
 // that touches neither the histograms nor the indexes).
 func TestDifferentialStream(t *testing.T) {
-	s, err := NewServer(streamConfig(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	differentialStream(t, s, func(step string, now motion.Tick, _ map[motion.ObjectID]motion.State, rng *rand.Rand) {
-		q := Query{Rho: 0.0002, L: 100, At: now + motion.Tick(rng.Intn(30))}
-		fr, err := s.Snapshot(q, FR)
+	// The case keeps the subtest name it had when the engine could be split
+	// into partitions; there is one engine now.
+	t.Run("shards=1", func(t *testing.T) {
+		s, err := NewServer(streamConfig(2))
 		if err != nil {
-			t.Fatalf("%s: FR: %v", step, err)
+			t.Fatal(err)
 		}
-		bf, err := s.Snapshot(q, BruteForce)
-		if err != nil {
-			t.Fatalf("%s: BF: %v", step, err)
-		}
-		if !samePointSet(fr.Region, bf.Region) {
-			t.Fatalf("%s: FR differs from BruteForce at t=%d", step, q.At)
-		}
-	}, nil)
+		differentialStream(t, s, func(step string, now motion.Tick, _ map[motion.ObjectID]motion.State, rng *rand.Rand) {
+			q := Query{Rho: 0.0002, L: 100, At: now + motion.Tick(rng.Intn(30))}
+			fr, err := s.Snapshot(q, FR)
+			if err != nil {
+				t.Fatalf("%s: FR: %v", step, err)
+			}
+			bf, err := s.Snapshot(q, BruteForce)
+			if err != nil {
+				t.Fatalf("%s: BF: %v", step, err)
+			}
+			if !samePointSet(fr.Region, bf.Region) {
+				t.Fatalf("%s: FR differs from BruteForce at t=%d", step, q.At)
+			}
+		}, nil)
+	})
 }
 
 // perCellFR answers an FR snapshot the way the paper states it and the way
@@ -435,60 +439,64 @@ func TestSurfaceMatchesPerRecordFeed(t *testing.T) {
 // touching the directory or the structures, so the correct delete and a
 // re-insert still succeed afterwards.
 func TestBadDeleteMidTick(t *testing.T) {
-	s, err := NewServer(streamConfig(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A fast diagonal mover.
-	obj := motion.State{ID: 7, Pos: geom.Point{X: 480, Y: 480}, Vel: geom.Vec{X: 6, Y: 6}}
-	other := motion.State{ID: 8, Pos: geom.Point{X: 100, Y: 900}}
-	if err := s.Load([]motion.State{obj, other}); err != nil {
-		t.Fatal(err)
-	}
-	wrong := obj
-	wrong.Vel.X = -6
-	late := motion.State{ID: 9, Pos: geom.Point{X: 700, Y: 200}, Ref: 1}
-	err = s.Tick(1, []motion.Update{
-		motion.NewDelete(other, 1),
-		motion.NewDelete(wrong, 1),
-		motion.NewInsert(late),
+	// The case keeps the subtest name it had when the engine could be split
+	// into partitions; there is one engine now.
+	t.Run("shards=1", func(t *testing.T) {
+		s, err := NewServer(streamConfig(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A fast diagonal mover.
+		obj := motion.State{ID: 7, Pos: geom.Point{X: 480, Y: 480}, Vel: geom.Vec{X: 6, Y: 6}}
+		other := motion.State{ID: 8, Pos: geom.Point{X: 100, Y: 900}}
+		if err := s.Load([]motion.State{obj, other}); err != nil {
+			t.Fatal(err)
+		}
+		wrong := obj
+		wrong.Vel.X = -6
+		late := motion.State{ID: 9, Pos: geom.Point{X: 700, Y: 200}, Ref: 1}
+		err = s.Tick(1, []motion.Update{
+			motion.NewDelete(other, 1),
+			motion.NewDelete(wrong, 1),
+			motion.NewInsert(late),
+		})
+		if err == nil || !strings.Contains(err.Error(), "mismatch") {
+			t.Fatalf("tick with a mismatched delete: err = %v", err)
+		}
+		// The valid prefix landed, the bad delete and the rest did not.
+		if got := s.NumObjects(); got != 1 {
+			t.Fatalf("NumObjects = %d after the partial tick, want 1", got)
+		}
+		agree := func(step string) {
+			t.Helper()
+			q := Query{Rho: 0.00005, L: 100, At: s.Now()}
+			fr, err := s.Snapshot(q, FR)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bf, err := s.Snapshot(q, BruteForce)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bf.ObjectsRetrieved != s.NumObjects() {
+				t.Fatalf("%s: BruteForce sees %d objects, NumObjects %d", step, bf.ObjectsRetrieved, s.NumObjects())
+			}
+			if !samePointSet(fr.Region, bf.Region) {
+				t.Fatalf("%s: FR differs from BruteForce", step)
+			}
+		}
+		agree("after the bad tick")
+		if err := s.Apply(motion.NewDelete(obj, 1)); err != nil {
+			t.Fatalf("correct delete after the bad one: %v", err)
+		}
+		agree("after the correct delete")
+		moved := obj
+		moved.Pos, moved.Ref = geom.Point{X: 486, Y: 486}, 1
+		if err := s.Tick(2, []motion.Update{motion.NewInsert(moved)}); err != nil {
+			t.Fatalf("re-insert: %v", err)
+		}
+		agree("after the re-insert")
 	})
-	if err == nil || !strings.Contains(err.Error(), "mismatch") {
-		t.Fatalf("tick with a mismatched delete: err = %v", err)
-	}
-	// The valid prefix landed, the bad delete and the rest did not.
-	if got := s.NumObjects(); got != 1 {
-		t.Fatalf("NumObjects = %d after the partial tick, want 1", got)
-	}
-	agree := func(step string) {
-		t.Helper()
-		q := Query{Rho: 0.00005, L: 100, At: s.Now()}
-		fr, err := s.Snapshot(q, FR)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bf, err := s.Snapshot(q, BruteForce)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if bf.ObjectsRetrieved != s.NumObjects() {
-			t.Fatalf("%s: BruteForce sees %d objects, NumObjects %d", step, bf.ObjectsRetrieved, s.NumObjects())
-		}
-		if !samePointSet(fr.Region, bf.Region) {
-			t.Fatalf("%s: FR differs from BruteForce", step)
-		}
-	}
-	agree("after the bad tick")
-	if err := s.Apply(motion.NewDelete(obj, 1)); err != nil {
-		t.Fatalf("correct delete after the bad one: %v", err)
-	}
-	agree("after the correct delete")
-	moved := obj
-	moved.Pos, moved.Ref = geom.Point{X: 486, Y: 486}, 1
-	if err := s.Tick(2, []motion.Update{motion.NewInsert(moved)}); err != nil {
-		t.Fatalf("re-insert: %v", err)
-	}
-	agree("after the re-insert")
 }
 
 // referenceDenseRegion is the PA extraction as it stood before the surface's
@@ -540,33 +548,37 @@ func referenceDenseRegion(surf *pa.Surface, cfg Config, qt motion.Tick, rho floa
 // surface, rectangle for rectangle on float bits: every maintained timestamp after the load, a rotating quarter of them after
 // each later step, at a threshold that rotates too.
 func TestPASnapshotMatchesReferenceWalk(t *testing.T) {
-	cfg := streamConfig(2)
-	s, err := NewServer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	steps := motion.Tick(0)
-	differentialStream(t, s, func(step string, now motion.Tick, _ map[motion.ObjectID]motion.State, _ *rand.Rand) {
-		steps++
-		dense := 0
-		for qt := now; qt <= now+cfg.U+cfg.W; qt++ {
-			if steps > 1 && (qt+steps)%4 != 0 {
-				continue
-			}
-			rho := 0.0001 * float64(1+(qt+steps)%6)
-			res, err := s.Snapshot(Query{Rho: rho, L: cfg.L, At: qt}, PA)
-			if err != nil {
-				t.Fatalf("%s: %v", step, err)
-			}
-			want := referenceDenseRegion(s.Surface(), cfg, qt, rho)
-			if !sameBits(res.Region, want) {
-				t.Fatalf("%s: PA snapshot at t=%d rho=%g has %d rectangles, the reference walk %d, or others",
-					step, qt, rho, len(res.Region), len(want))
-			}
-			dense += len(want)
+	// The case keeps the subtest name it had when the engine could be split
+	// into partitions; there is one engine now.
+	t.Run("shards=1", func(t *testing.T) {
+		cfg := streamConfig(2)
+		s, err := NewServer(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if dense == 0 {
-			t.Fatalf("%s: no timestamp has a dense rectangle: the comparison pins nothing", step)
-		}
-	}, nil)
+		steps := motion.Tick(0)
+		differentialStream(t, s, func(step string, now motion.Tick, _ map[motion.ObjectID]motion.State, _ *rand.Rand) {
+			steps++
+			dense := 0
+			for qt := now; qt <= now+cfg.U+cfg.W; qt++ {
+				if steps > 1 && (qt+steps)%4 != 0 {
+					continue
+				}
+				rho := 0.0001 * float64(1+(qt+steps)%6)
+				res, err := s.Snapshot(Query{Rho: rho, L: cfg.L, At: qt}, PA)
+				if err != nil {
+					t.Fatalf("%s: %v", step, err)
+				}
+				want := referenceDenseRegion(s.Surface(), cfg, qt, rho)
+				if !sameBits(res.Region, want) {
+					t.Fatalf("%s: PA snapshot at t=%d rho=%g has %d rectangles, the reference walk %d, or others",
+						step, qt, rho, len(res.Region), len(want))
+				}
+				dense += len(want)
+			}
+			if dense == 0 {
+				t.Fatalf("%s: no timestamp has a dense rectangle: the comparison pins nothing", step)
+			}
+		}, nil)
+	})
 }

@@ -708,49 +708,53 @@ func getMetricsBody(t *testing.T, ts *httptest.Server) string {
 // TestApplyEndpoint exercises POST /v1/apply: between-tick writes land
 // without moving the clock, and state-mismatched deletes are rejected.
 func TestApplyEndpoint(t *testing.T) {
-	_, ts := testService(t)
-	loadWorkload(t, ts, 500)
+	// The case keeps the subtest name it had when the engine could be split
+	// into partitions; there is one engine now.
+	t.Run("shards=1", func(t *testing.T) {
+		_, ts := testService(t)
+		loadWorkload(t, ts, 500)
 
-	ins := wire.Record{Kind: wire.KindInsert, Tick: 0, ID: 900001, X: 400, Y: 400, VX: 2, VY: 1, Ref: 0}
-	del := ins
-	del.Kind = wire.KindDelete
-	body, _ := json.Marshal(ApplyRequest{Updates: []wire.Record{ins, del}})
-	resp, err := http.Post(ts.URL+"/v1/apply", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("apply status %d", resp.StatusCode)
-	}
-	var ar ApplyResponse
-	if err := json.NewDecoder(resp.Body).Decode(&ar); err != nil {
-		t.Fatal(err)
-	}
-	if ar.Applied != 2 || ar.Objects != 500 || ar.Now != 0 {
-		t.Fatalf("apply response %+v (insert+delete must leave population and clock unchanged)", ar)
-	}
+		ins := wire.Record{Kind: wire.KindInsert, Tick: 0, ID: 900001, X: 400, Y: 400, VX: 2, VY: 1, Ref: 0}
+		del := ins
+		del.Kind = wire.KindDelete
+		body, _ := json.Marshal(ApplyRequest{Updates: []wire.Record{ins, del}})
+		resp, err := http.Post(ts.URL+"/v1/apply", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("apply status %d", resp.StatusCode)
+		}
+		var ar ApplyResponse
+		if err := json.NewDecoder(resp.Body).Decode(&ar); err != nil {
+			t.Fatal(err)
+		}
+		if ar.Applied != 2 || ar.Objects != 500 || ar.Now != 0 {
+			t.Fatalf("apply response %+v (insert+delete must leave population and clock unchanged)", ar)
+		}
 
-	// A delete whose state does not match the live movement is a conflict.
-	bogus := wire.Record{Kind: wire.KindDelete, Tick: 0, ID: 900002, X: 1, Y: 1}
-	body, _ = json.Marshal(ApplyRequest{Updates: []wire.Record{bogus}})
-	r2, err := http.Post(ts.URL+"/v1/apply", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2.Body.Close()
-	if r2.StatusCode != http.StatusConflict {
-		t.Fatalf("bogus delete status %d, want %d", r2.StatusCode, http.StatusConflict)
-	}
+		// A delete whose state does not match the live movement is a conflict.
+		bogus := wire.Record{Kind: wire.KindDelete, Tick: 0, ID: 900002, X: 1, Y: 1}
+		body, _ = json.Marshal(ApplyRequest{Updates: []wire.Record{bogus}})
+		r2, err := http.Post(ts.URL+"/v1/apply", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r2.Body.Close()
+		if r2.StatusCode != http.StatusConflict {
+			t.Fatalf("bogus delete status %d, want %d", r2.StatusCode, http.StatusConflict)
+		}
 
-	// A record kind that is not an update is a bad request.
-	body, _ = json.Marshal(ApplyRequest{Updates: []wire.Record{{Kind: wire.KindState, ID: 1}}})
-	r3, err := http.Post(ts.URL+"/v1/apply", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r3.Body.Close()
-	if r3.StatusCode != http.StatusBadRequest {
-		t.Fatalf("state-record apply status %d, want %d", r3.StatusCode, http.StatusBadRequest)
-	}
+		// A record kind that is not an update is a bad request.
+		body, _ = json.Marshal(ApplyRequest{Updates: []wire.Record{{Kind: wire.KindState, ID: 1}}})
+		r3, err := http.Post(ts.URL+"/v1/apply", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r3.Body.Close()
+		if r3.StatusCode != http.StatusBadRequest {
+			t.Fatalf("state-record apply status %d, want %d", r3.StatusCode, http.StatusBadRequest)
+		}
+	})
 }
