@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pdr/internal/datagen"
+	"pdr/internal/motion"
 )
 
 // BenchmarkServerTick measures end-to-end update ingestion: one tick of a
@@ -46,6 +47,45 @@ func BenchmarkSnapshotFR(b *testing.B) {
 
 func BenchmarkSnapshotPA(b *testing.B) {
 	benchSnapshot(b, PA)
+}
+
+// BenchmarkSnapshotFRClasses is exact-read's snapshot mix in process: the
+// seven l x varrho classes bench/ cycles through, over a 20,000-object
+// population 8 ticks into its stream, each class at its own timestamp inside
+// the prediction window. One op is the seven queries.
+func BenchmarkSnapshotFRClasses(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.DisablePA = true
+	s, err := NewServer(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const n = 20000
+	gcfg := datagen.DefaultConfig(n)
+	gcfg.Seed = 1
+	g, err := datagen.New(gcfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := s.Load(g.InitialStates()); err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		ups := g.Advance()
+		if err := s.Tick(g.Now(), ups); err != nil {
+			b.Fatal(err)
+		}
+	}
+	classes := [][2]float64{{30, 1}, {30, 3}, {30, 5}, {45, 3}, {60, 1}, {60, 3}, {60, 5}}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k, c := range classes {
+			q := Query{Rho: RelRhoTest(n, c[1]), L: c[0], At: s.Now() + motion.Tick(4*k)}
+			if _, err := s.Snapshot(q, FR); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 }
 
 func benchSnapshot(b *testing.B, m Method) {

@@ -78,6 +78,37 @@ func TestParallelSnapshotEquivalence(t *testing.T) {
 	}
 }
 
+// TestFRGatherReadsOnce: an FR snapshot fetches its objects with one index
+// descent split over the workers, so at any worker count it reads every page
+// at most once and retrieves every object at most once — the same pages and
+// the same objects.
+func TestFRGatherReadsOnce(t *testing.T) {
+	servers := loadWorkers(t, 2500, 11, 1, 2, 17)
+	for _, varrho := range []float64{1, 3, 5} {
+		q := Query{Rho: RelRhoTest(2500, varrho), L: 60, At: 10}
+		var reads []int64
+		for _, s := range servers {
+			before := s.PoolStats()
+			res, err := s.Snapshot(q, FR)
+			if err != nil {
+				t.Fatal(err)
+			}
+			after := s.PoolStats()
+			n := after.Hits + after.Reads - before.Hits - before.Reads
+			if n > int64(s.PoolPages()) || res.ObjectsRetrieved > s.NumObjects() || res.Candidates == 0 {
+				t.Fatalf("varrho=%g workers=%d: %d page reads of %d pages, %d objects retrieved of %d, %d candidates",
+					varrho, s.Workers(), n, s.PoolPages(), res.ObjectsRetrieved, s.NumObjects(), res.Candidates)
+			}
+			reads = append(reads, n)
+		}
+		for i, n := range reads {
+			if n != reads[0] {
+				t.Errorf("varrho=%g: workers=%d read %d pages, sequential %d", varrho, servers[i].Workers(), n, reads[0])
+			}
+		}
+	}
+}
+
 // TestParallelIntervalEquivalence: the interval fan-out must merge to
 // exactly the sequential union at any worker count, including the
 // single-timestamp edge case and more workers than timestamps.

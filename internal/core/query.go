@@ -16,21 +16,6 @@ import (
 	"pdr/internal/telemetry"
 )
 
-// frScratch holds one FR snapshot's scatter/gather slices: the candidate
-// cells in row order, where each row run starts in them, and the per-run
-// result slots the refinement fan-out writes and the merge loop drains. The
-// slices are request-scoped (no Result retains them), so they pool across
-// queries; region slots are nil-ed during the merge so a pooled buffer never
-// pins another query's answer.
-type frScratch struct {
-	cells     []geom.Rect
-	starts    []int
-	parts     []geom.Region
-	retrieved []int
-}
-
-var frScratches = sync.Pool{New: func() any { return new(frScratch) }}
-
 // intervalScratch is frScratch for the interval fan-out: per-timestamp
 // sub-result and error slots.
 type intervalScratch struct {
@@ -40,8 +25,9 @@ type intervalScratch struct {
 
 var intervalScratches = sync.Pool{New: func() any { return new(intervalScratch) }}
 
-// pointBufs pools the per-run point-gather buffers of the refinement workers
-// (the sweep reads the points and retains nothing).
+// pointBufs pools point buffers: the FR gather's per-subtree finds and
+// per-strip X orders, and the brute force's sweep input (the sweep reads the
+// points and retains nothing).
 var pointBufs = sync.Pool{New: func() any { return new([]geom.Point) }}
 
 // grow returns buf resized to n zero slots, reallocating only when the
@@ -322,22 +308,32 @@ func (s *Server) filterLocked(q Query) (*dh.FilterResult, error) {
 }
 
 // snapshotFRLocked runs filtering over the histogram and plane-sweep
-// refinement over index range results for the candidate cells. The paper
-// refines cell by cell, fetching each cell's grown window on its own; here
-// the unit is a row run — the candidates of one histogram row, left to right,
-// for as long as the next one's grown window still touches the last one's
-// (gap <= l) — because neighbours' windows are nearly the same window: one
-// index search over the run's grown bounding box (exactly the union of its
-// cells' windows) and one sweep (sweep.DenseRectsRow) replace one of each per
-// cell. The rectangles are still produced and coalesced cell by cell, so the
-// answer is bit-identical to the per-cell pipeline's; only the work counters
-// (ObjectsRetrieved, IOs, the number of window spans) are per run.
+// refinement over index results for the candidate cells. The paper refines
+// cell by cell, fetching each cell's grown window on its own; here the unit
+// of refinement is a row run — the candidates of one histogram row, left to
+// right, for as long as the next one's grown window still touches the last
+// one's (gap <= l) — because neighbours' windows are nearly the same window:
+// one sweep (sweep.DenseRectsRowSorted) over the run's grown bounding box
+// (exactly the union of its cells' windows) replaces one per cell. The
+// rectangles are still produced and coalesced cell by cell, so the answer is
+// bit-identical to the per-cell pipeline's.
 //
-// Refinement is the method's hot loop and each run is independent, so the
-// runs fan out over the worker pool: every worker gathers its run's objects
-// and sweeps them with pooled scratch (refineRun). Results land in a per-run
-// slot and are merged in run order, so the output is byte-identical to the
-// sequential path at any worker count.
+// Each piece of work is done once per snapshot. The windows of adjacent rows
+// overlap too (by l/(cell+l)), so the objects are fetched by one index
+// descent over all the runs' windows together (tprtree.Split, pruned by
+// frScratch.touches): every page is read once and every object retrieved
+// once (ObjectsRetrieved counts them). The gather is binned by the histogram
+// row that holds each object and every bin is put in X order once
+// (frScratch.gather); a run's objects — exactly those of its closed grown
+// window — are then a linear merge of the X ranges of the few bins its
+// window spans (frScratch.runPoints), with no sort.
+//
+// The descent, the bins' X order, the runs and the final union
+// (geom.CoalesceSplit) are each split over the worker pool. Runs land in
+// per-run slots merged in run order, and the split union is the serial one
+// for disjoint rectangles, so the output is byte-identical to the sequential
+// path at any worker count — and so are the work counters, which depend on
+// the windows alone.
 func (s *Server) snapshotFRLocked(q Query, res *Result, sp *telemetry.Span) error {
 	ph := sp.Child("filter")
 	fr, err := s.filterLocked(q)
@@ -351,21 +347,21 @@ func (s *Server) snapshotFRLocked(q Query, res *Result, sp *telemetry.Span) erro
 	cands := fr.CandidatesByRow()
 	fr.Release()
 	sc := frScratches.Get().(*frScratch)
-	cells, starts := sc.cells[:0], sc.starts[:0]
-	for k, c := range cands {
-		cell := s.hist.CellRect(c.I, c.J)
-		if k == 0 || c.J != cands[k-1].J || cell.MinX-cells[k-1].MaxX > q.L {
-			starts = append(starts, k)
-		}
-		cells = append(cells, cell)
-	}
-	runs := len(starts)
-	starts = append(starts, len(cells))
-	sc.cells, sc.starts = cells, starts
+	defer sc.release()
+	sc.plan(cands, s.hist, q.L)
+	runs := len(sc.windows)
 	ph.SetAttrInt("accepted", int64(res.Accepted))
 	ph.SetAttrInt("rejected", int64(res.Rejected))
 	ph.SetAttrInt("candidates", int64(res.Candidates))
 	ph.End()
+
+	ph = sp.Child("gather")
+	if runs > 0 {
+		res.ObjectsRetrieved = sc.gather(s, q.At)
+	}
+	ph.SetAttrInt("retrieved", int64(res.ObjectsRetrieved))
+	ph.End()
+
 	ph = sp.Child("refine")
 	ph.SetAttrInt("windows", int64(runs))
 	if s.met != nil {
@@ -376,47 +372,21 @@ func (s *Server) snapshotFRLocked(q Query, res *Result, sp *telemetry.Span) erro
 	// slots themselves come from the scatter/gather pool.
 	slots := ph.Fork("window", runs)
 	sc.parts = grow(sc.parts, runs)
-	sc.retrieved = grow(sc.retrieved, runs)
-	parts, retrieved := sc.parts, sc.retrieved
+	parts := sc.parts
 	s.par.ForEachSpan(runs, slots, func(ri int, wsp *telemetry.Span) {
-		parts[ri], retrieved[ri] = s.refineRun(q, cells[starts[ri]:starts[ri+1]], wsp)
+		parts[ri] = sc.refineRun(ri, q, wsp)
 	})
-	for ri := range parts {
-		res.ObjectsRetrieved += retrieved[ri]
-		region = append(region, parts[ri]...)
-		parts[ri] = nil // do not pin this run's region in the pool
+	for _, part := range parts {
+		region = append(region, part...)
 	}
-	frScratches.Put(sc)
 	ph.End()
 	ph = sp.Child("union")
 	// region is appended fresh above (AcceptedRegion allocates per call), so
-	// the union coalesces in place.
-	res.Region = geom.CoalesceInPlace(region)
+	// the union coalesces in place; its rectangles are disjoint, so the split
+	// union is the serial one.
+	res.Region = geom.CoalesceSplit(region, s.par.Workers(), s.par.ForEach)
 	ph.End()
 	return nil
-}
-
-// refineRun gathers the objects of one row run (see snapshotFRLocked) with
-// one index search over the run's grown bounding box and sweeps them.
-func (s *Server) refineRun(q Query, cells []geom.Rect, wsp *telemetry.Span) (geom.Region, int) {
-	first, last := cells[0], cells[len(cells)-1]
-	grown := geom.NewRect(first.MinX, first.MinY, last.MaxX, first.MaxY).Grow(q.L / 2)
-	pb := pointBufs.Get().(*[]geom.Point)
-	points := (*pb)[:0]
-	wsp.SetAttrInt("cells", int64(len(cells)))
-	s.index.Search(grown, q.At, func(st motion.State) bool {
-		p := st.PositionAt(q.At)
-		if s.cfg.Area.Contains(p) {
-			points = append(points, p)
-		}
-		return true
-	})
-	wsp.SetAttrInt("retrieved", int64(len(points)))
-	out := sweep.DenseRectsRow(points, cells, q.Rho, q.L)
-	n := len(points)
-	*pb = points
-	pointBufs.Put(pb)
-	return out, n
 }
 
 func (s *Server) snapshotPALocked(q Query, res *Result, sp *telemetry.Span) error {

@@ -1,8 +1,8 @@
 package geom
 
 import (
-	"cmp"
 	"slices"
+	"sync"
 )
 
 // Coalesce returns a compacted region covering exactly the same point set:
@@ -49,19 +49,37 @@ func CoalesceInPlace(g Region) Region {
 
 // coalesceWork runs the two merge passes over the (owned) working slice.
 func coalesceWork(work Region) Region {
+	return stackColumns(mergeBands(work))
+}
+
+// compare3 orders by three keys in turn. The keys are never NaN, so plain
+// comparisons order them as cmp.Compare would.
+func compare3(a1, b1, a2, b2, a3, b3 float64) int {
+	switch {
+	case a1 < b1:
+		return -1
+	case a1 > b1:
+		return 1
+	case a2 < b2:
+		return -1
+	case a2 > b2:
+		return 1
+	case a3 < b3:
+		return -1
+	case a3 > b3:
+		return 1
+	}
+	return 0
+}
+
+// mergeBands is pass 1: sort by (MinY, MaxY, MinX) and merge horizontal runs
+// within (MinY, MaxY) bands, in place. It returns the merged prefix.
+func mergeBands(work Region) Region {
 	if len(work) < 2 {
 		return work
 	}
-
-	// Pass 1: merge horizontal runs within (MinY, MaxY) bands.
 	slices.SortFunc(work, func(a, b Rect) int {
-		if c := cmp.Compare(a.MinY, b.MinY); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.MaxY, b.MaxY); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.MinX, b.MinX)
+		return compare3(a.MinY, b.MinY, a.MaxY, b.MaxY, a.MinX, b.MinX)
 	})
 	merged := work[:1]
 	for _, r := range work[1:] {
@@ -76,16 +94,17 @@ func coalesceWork(work Region) Region {
 			merged = append(merged, r)
 		}
 	}
+	return merged
+}
 
-	// Pass 2: stack vertical runs with identical X extents.
+// stackColumns is pass 2: sort by (MinX, MaxX, MinY) and stack vertical runs
+// with identical X extents, in place. It returns the stacked prefix.
+func stackColumns(merged Region) Region {
+	if len(merged) < 2 {
+		return merged
+	}
 	slices.SortFunc(merged, func(a, b Rect) int {
-		if c := cmp.Compare(a.MinX, b.MinX); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.MaxX, b.MaxX); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.MinY, b.MinY)
+		return compare3(a.MinX, b.MinX, a.MaxX, b.MaxX, a.MinY, b.MinY)
 	})
 	out := merged[:1]
 	for _, r := range merged[1:] {
@@ -101,4 +120,95 @@ func coalesceWork(work Region) Region {
 		}
 	}
 	return out
+}
+
+// CoalesceSplit is CoalesceInPlace with each pass split n ways: forEach must
+// call fn(i) once for every i in [0, n) — concurrently or not — and return
+// when all calls have. A pass merges only rectangles that share its leading
+// sort key (pass 1 equal MinY, pass 2 equal MinX), so it cuts the rectangles
+// into n ranges of that key, and sorts and merges each range on its own; the
+// ranges ascend, so their concatenation is the whole pass's sorted order.
+//
+// For disjoint rectangles — every snapshot answer, which is why the FR
+// engine uses it — no two share all three sort keys (they would share a
+// corner point), so the sorted order is unique and the result is
+// CoalesceInPlace's rectangle for rectangle, at any n. Overlapping inputs
+// are still covered exactly, as by Coalesce.
+func CoalesceSplit(g Region, n int, forEach func(n int, fn func(i int))) Region {
+	if n < 2 || len(g) < 2*n {
+		return CoalesceInPlace(g)
+	}
+	work := g[:0]
+	for _, r := range g {
+		if !r.IsEmpty() {
+			work = append(work, r)
+		}
+	}
+	sb := splitScratches.Get().(*splitScratch)
+	defer splitScratches.Put(sb)
+	work = work[:sb.pass(work, n, forEach, func(r Rect) float64 { return r.MinY }, mergeBands)]
+	return work[:sb.pass(work, n, forEach, func(r Rect) float64 { return r.MinX }, stackColumns)]
+}
+
+// splitScratch is CoalesceSplit's working memory: the rectangles scattered
+// into key ranges, the sampled keys and pivots, each range's bounds, and a
+// cursor per range.
+type splitScratch struct {
+	buf            Region
+	sample, pivots []float64
+	bounds, cur    []int
+}
+
+var splitScratches = sync.Pool{New: func() any { return new(splitScratch) }}
+
+// pass scatters work into n ascending ranges of key, merges each range in
+// place through forEach, and gathers the merged prefixes back to the front
+// of work, in range order. It returns their total length.
+func (sb *splitScratch) pass(work Region, n int, forEach func(int, func(int)), key func(Rect) float64, merge func(Region) Region) int {
+	// Pivots: the n-quantiles of an evenly spaced sample of the keys. Equal
+	// keys always fall in one range, whatever the pivots.
+	sample, pivots := sb.sample[:0], sb.pivots[:0]
+	for i, step := 0, max(1, len(work)/(32*n)); i < len(work); i += step {
+		sample = append(sample, key(work[i]))
+	}
+	slices.Sort(sample)
+	for i := 1; i < n; i++ {
+		pivots = append(pivots, sample[i*len(sample)/n])
+	}
+	part := func(r Rect) int {
+		k, i := key(r), 0
+		for i < len(pivots) && pivots[i] <= k {
+			i++
+		}
+		return i
+	}
+	bounds, cur := sb.bounds[:0], sb.cur[:0]
+	for i := 0; i <= n; i++ {
+		bounds = append(bounds, 0)
+	}
+	for _, r := range work {
+		bounds[part(r)+1]++
+	}
+	for i := 1; i <= n; i++ {
+		bounds[i] += bounds[i-1]
+	}
+	cur = append(cur, bounds[:n]...)
+	if cap(sb.buf) < len(work) {
+		sb.buf = make(Region, len(work))
+	}
+	buf := sb.buf[:len(work)]
+	for _, r := range work {
+		i := part(r)
+		buf[cur[i]] = r
+		cur[i]++
+	}
+	forEach(n, func(i int) {
+		cur[i] = bounds[i] + len(merge(buf[bounds[i]:bounds[i+1]]))
+	})
+	m := 0
+	for i := 0; i < n; i++ {
+		m += copy(work[m:], buf[bounds[i]:cur[i]])
+	}
+	sb.sample, sb.pivots, sb.bounds, sb.cur = sample, pivots, bounds, cur
+	return m
 }

@@ -194,3 +194,100 @@ func TestCoalesceInPlaceAllocationFree(t *testing.T) {
 		t.Errorf("CoalesceInPlace allocates %v per run, want 0", n)
 	}
 }
+
+// disjointRegion is an answer-shaped region: cells of a lattice, some whole
+// and some cut into a few pieces along one axis, in random order — disjoint,
+// with many shared edges for both passes to merge across.
+func disjointRegion(rng *rand.Rand, n int) Region {
+	var g Region
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if rng.Intn(3) == 0 {
+				continue
+			}
+			x, y := float64(i)*1.5, float64(j)*0.7
+			switch cut := 1 + rng.Intn(3); rng.Intn(3) {
+			case 0:
+				g.Add(NewRect(x, y, x+1.5, y+0.7))
+			case 1:
+				for k := 0; k < cut; k++ {
+					g.Add(NewRect(x+1.5*float64(k)/float64(cut), y, x+1.5*float64(k+1)/float64(cut), y+0.7))
+				}
+			default:
+				for k := 0; k < cut; k++ {
+					g.Add(NewRect(x, y+0.7*float64(k)/float64(cut), x+1.5, y+0.7*float64(k+1)/float64(cut)))
+				}
+			}
+		}
+	}
+	rng.Shuffle(len(g), func(a, b int) { g[a], g[b] = g[b], g[a] })
+	return g
+}
+
+// inline and spawn are the two ways CoalesceSplit's forEach may run the
+// ranges: one after the other on the caller, or all at once.
+func inline(n int, fn func(int)) {
+	for i := 0; i < n; i++ {
+		fn(i)
+	}
+}
+
+func spawn(n int, fn func(int)) {
+	done := make(chan struct{})
+	for i := 0; i < n; i++ {
+		go func() {
+			fn(i)
+			done <- struct{}{}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		<-done
+	}
+}
+
+// TestCoalesceSplitMatchesInPlace: on disjoint rectangles the split union is
+// CoalesceInPlace's, rectangle for rectangle and in order, at every split
+// count and however its ranges run; on overlapping ones it covers the same
+// points.
+func TestCoalesceSplitMatchesInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 60; trial++ {
+		g := disjointRegion(rng, 2+rng.Intn(40))
+		g = append(g, NewRect(0, 0, 0, 5)) // an empty one, dropped by both
+		want := CoalesceInPlace(append(Region(nil), g...))
+		for n := 1; n <= 5; n++ {
+			for name, forEach := range map[string]func(int, func(int)){"inline": inline, "spawn": spawn} {
+				got := CoalesceSplit(append(Region(nil), g...), n, forEach)
+				if !slices.Equal(got, want) {
+					t.Fatalf("trial %d, n=%d, %s: %d rectangles, CoalesceInPlace %d, or others",
+						trial, n, name, len(got), len(want))
+				}
+			}
+		}
+	}
+	for trial := 0; trial < 30; trial++ {
+		var g Region
+		for i := 0; i < 200; i++ {
+			x, y := float64(rng.Intn(20)), float64(rng.Intn(20))
+			g.Add(NewRect(x, y, x+1+float64(rng.Intn(4)), y+1+float64(rng.Intn(4))))
+		}
+		got := CoalesceSplit(append(Region(nil), g...), 3, spawn)
+		if d := got.DifferenceArea(g) + g.DifferenceArea(got); d != 0 {
+			t.Fatalf("trial %d: overlapping input, the split union differs by area %g", trial, d)
+		}
+	}
+}
+
+// BenchmarkCoalesceSplit is an exact answer's final union — ~9k disjoint
+// rectangles — split two ways on the caller: the scratch is pooled, so what
+// it allocates is the closures that hand the ranges out.
+func BenchmarkCoalesceSplit(b *testing.B) {
+	g := disjointRegion(rand.New(rand.NewSource(1)), 75)
+	work := make(Region, len(g))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(work, g)
+		CoalesceSplit(work, 2, inline)
+	}
+}

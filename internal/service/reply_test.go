@@ -269,6 +269,38 @@ func benchAnswer() queryAnswer {
 	}}
 }
 
+// TestSplitReplyMatchesSerial: the two-goroutine encoder writes the serial
+// encoder's bytes — on either side of the split size, with rings, and with a
+// non-finite coordinate in either half, which both refuse.
+func TestSplitReplyMatchesSerial(t *testing.T) {
+	big := benchAnswer()
+	small := benchAnswer()
+	small.res = &core.Result{Region: big.res.Region[:splitRects-1], Area: 1}
+	ringed := benchAnswer()
+	ringed.res = &core.Result{Region: big.res.Region[:splitRects+1], Area: 2}
+	rings := ringed.res.Region[:3].Outline()
+	for name, c := range map[string]struct {
+		a     queryAnswer
+		rings []geom.Ring
+	}{"big": {big, nil}, "small": {small, nil}, "ringed": {ringed, rings}} {
+		want, err := appendQueryReply(nil, c.a, c.rings)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := appendQueryReplySplit([]byte("stale"), c.a, c.rings)
+		if err != nil || !bytes.Equal(got[len("stale"):], want) {
+			t.Fatalf("%s: split reply differs from the serial one (err %v)", name, err)
+		}
+	}
+	for _, at := range []int{0, len(big.res.Region) - 1} {
+		bad := benchAnswer()
+		bad.res.Region[at].MaxX = math.Inf(1)
+		if _, err := appendQueryReplySplit(nil, bad, nil); err == nil {
+			t.Fatalf("non-finite coordinate at %d: no error", at)
+		}
+	}
+}
+
 // BenchmarkEncodeQueryReply is the steady state of the reply path: the
 // buffer comes from the pool already grown, the region is walked once, and
 // nothing is allocated (scripts/check.sh pins allocs/op at 0).

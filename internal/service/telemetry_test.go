@@ -224,8 +224,8 @@ func TestSlowQueryLog(t *testing.T) {
 	for _, p := range queryLine.Query.Phases {
 		phases = append(phases, p.Phase)
 	}
-	if got := strings.Join(phases, ","); got != "filter,refine,union" {
-		t.Errorf("trace phases = %s, want filter,refine,union", got)
+	if got := strings.Join(phases, ","); got != "filter,gather,refine,union" {
+		t.Errorf("trace phases = %s, want filter,gather,refine,union", got)
 	}
 	// The slow-query counter is exposed.
 	if v := metricValue(fetchMetrics(t, ts), "pdr_http_slow_queries_total"); v == "" || v == "0" {

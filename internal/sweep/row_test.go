@@ -3,6 +3,7 @@ package sweep
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pdr/internal/geom"
@@ -203,6 +204,7 @@ func TestRowMatchesPerCellRandom(t *testing.T) {
 		rho := float64(threshold) / (l * l)
 		got := DenseRectsRow(points, cells, rho, l)
 		sameBits(t, "run", got, perCellReference(points, cells, rho, l))
+		sameSorted(t, points, cells, rho, l, got)
 		if len(got) > 0 {
 			nonEmpty++
 		}
@@ -265,7 +267,26 @@ func FuzzDenseRectsRowMatchesPerCell(f *testing.F) {
 		}
 		got := DenseRectsRow(points, cells, rho, l)
 		sameBits(t, "run", got, perCellReference(points, cells, rho, l))
+		sameSorted(t, points, cells, rho, l, got)
 	})
+}
+
+// sameSorted holds DenseRectsRowSorted, given the points in X order, to the
+// row kernel's answer want, and to leaving its points as they were.
+func sameSorted(t *testing.T, points []geom.Point, cells []geom.Rect, rho, l float64, want geom.Region) {
+	t.Helper()
+	sorted := append([]geom.Point(nil), points...)
+	SortByX(sorted)
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i].X < sorted[i-1].X {
+			t.Fatalf("SortByX: %v before %v", sorted[i-1], sorted[i])
+		}
+	}
+	kept := append([]geom.Point(nil), sorted...)
+	sameBits(t, "sorted run", DenseRectsRowSorted(sorted, cells, rho, l), want)
+	if !slices.Equal(sorted, kept) {
+		t.Fatal("DenseRectsRowSorted modified its points")
+	}
 }
 
 // BenchmarkDenseRectsRow refines a 20-cell run with ~300 points per grown
@@ -283,11 +304,21 @@ func BenchmarkDenseRectsRow(b *testing.B) {
 		points[i] = geom.Point{X: rng.Float64()*(200+l) - l/2, Y: rng.Float64()*(10+l) - l/2}
 	}
 	rho := 300.0 / 1600
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		DenseRectsRow(points, cells, rho, l)
-	}
+	b.Run("copy", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			DenseRectsRow(points, cells, rho, l)
+		}
+	})
+	// The engine's call: the points arrive in X order and are swept where
+	// they lie.
+	SortByX(points)
+	b.Run("sorted", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			DenseRectsRowSorted(points, cells, rho, l)
+		}
+	})
 }
 
 // TestRowIgnoresObjectsOutsideTheWindow pins the argument in DenseRectsRow's

@@ -29,9 +29,12 @@
 //
 // The unit of work is a row run: candidate cells of one histogram row, left
 // to right. Neighbouring cells' grown windows overlap almost entirely, so
-// the run sorts the union of the windows once and carries the band across
-// cell boundaries, while the rectangles are still produced — split at the
-// same events, coalesced over the same set — cell by cell.
+// the run takes the union of the windows in X order once and carries the
+// band across cell boundaries, while the rectangles are still produced —
+// split at the same events, coalesced over the same set — cell by cell. A
+// caller that already holds the points in X order (the engine sorts a
+// snapshot's gather once for all its runs) passes them to
+// DenseRectsRowSorted, which reads them in place.
 //
 // Allocation model: a run needs three scratch slices (the X-ordered points,
 // the band's Y values, the dense Y segments of one event) whose sizes depend
@@ -43,7 +46,6 @@
 package sweep
 
 import (
-	"cmp"
 	"math"
 	"slices"
 	"sort"
@@ -56,7 +58,8 @@ import (
 // value is ready to use; buffers grow to the high-water mark of the runs a
 // worker has refined and are reused across calls.
 type sweeper struct {
-	pts  []geom.Point // the run's points in X order
+	buf  []geom.Point // DenseRectsRow's sorted copy of its points
+	pts  []geom.Point // the run's points in X order (buf, or the caller's)
 	ys   []float64    // Y values of pts[lo:hi], ascending
 	segs []segment
 
@@ -94,6 +97,31 @@ func DenseRects(points []geom.Point, cell geom.Rect, rho, l float64) geom.Region
 //
 // Safe for concurrent use; concurrent calls draw scratch from a shared pool.
 func DenseRectsRow(points []geom.Point, cells []geom.Rect, rho, l float64) geom.Region {
+	return denseRectsRow(points, cells, rho, l, false)
+}
+
+// DenseRectsRowSorted is DenseRectsRow for points already in ascending X
+// order: it sweeps them where they are, with no copy and no sort, and does
+// not modify them. The sweep depends only on the point multiset, so the
+// result is DenseRectsRow's, bit for bit.
+func DenseRectsRowSorted(points []geom.Point, cells []geom.Rect, rho, l float64) geom.Region {
+	return denseRectsRow(points, cells, rho, l, true)
+}
+
+// SortByX sorts points by ascending X, the order DenseRectsRowSorted reads.
+func SortByX(points []geom.Point) {
+	slices.SortFunc(points, func(a, b geom.Point) int {
+		switch {
+		case a.X < b.X:
+			return -1
+		case a.X > b.X:
+			return 1
+		}
+		return 0
+	})
+}
+
+func denseRectsRow(points []geom.Point, cells []geom.Rect, rho, l float64, sorted bool) geom.Region {
 	if len(cells) == 0 || l <= 0 {
 		return nil
 	}
@@ -118,15 +146,21 @@ func DenseRectsRow(points []geom.Point, cells []geom.Rect, rho, l float64) geom.
 		return nil
 	}
 	sw := sweepers.Get().(*sweeper)
-	out := sw.denseRectsRow(points, cells, threshold, l/2)
+	if sorted {
+		sw.pts = points
+	} else {
+		sw.buf = append(sw.buf[:0], points...)
+		SortByX(sw.buf)
+		sw.pts = sw.buf
+	}
+	out := sw.denseRectsRow(cells, threshold, l/2)
+	sw.pts = nil // the pool must not pin a caller's points
 	sweepers.Put(sw)
 	return out
 }
 
-func (sw *sweeper) denseRectsRow(points []geom.Point, cells []geom.Rect, threshold int, half float64) geom.Region {
-	pts := append(sw.pts[:0], points...)
-	sw.pts = pts
-	slices.SortFunc(pts, func(a, b geom.Point) int { return cmp.Compare(a.X, b.X) })
+func (sw *sweeper) denseRectsRow(cells []geom.Rect, threshold int, half float64) geom.Region {
+	pts := sw.pts
 	sw.lo, sw.hi = 0, 0
 
 	var out geom.Region
@@ -203,11 +237,14 @@ type segment struct{ lo, hi float64 }
 // band's ascending Y values, returning maximal dense segments within
 // [yb, yt). Object i covers [ys[i]-half, ys[i]+half), and both ends ascend
 // with i, so pa objects have entered and pb have left at the current y. The
-// returned slice is the sweeper's scratch — valid until the next sweepY.
+// walk starts at its row: two binary searches place both pointers at yb, so
+// the objects that entered below the row — about l/(l+cell) of the band —
+// are not stepped over one at a time on every dense X event. The returned
+// slice is the sweeper's scratch — valid until the next sweepY.
 func (sw *sweeper) sweepY(ys []float64, yb, yt float64, threshold int, half float64) []segment {
 	segs := sw.segs[:0]
 	n := len(ys)
-	pa, pb := 0, 0
+	pa, pb := firstAfter(ys, -half, yb), firstAfter(ys, half, yb)
 	dense := false // the step that ended at y was dense: the run continues
 	for y := yb; y < yt; {
 		for pa < n && ys[pa]-half <= y {
@@ -236,4 +273,21 @@ func (sw *sweeper) sweepY(ys []float64, yb, yt float64, threshold int, half floa
 	}
 	sw.segs = segs
 	return segs
+}
+
+// firstAfter returns the first i with ys[i]+d > y, or len(ys): ys ascends,
+// and so does ys[i]+d, rounding being monotone. With d = -half it is where
+// the Y walk's enter pointer stands at y (ys[i]+(-half) is ys[i]-half, bit
+// for bit), with d = +half its exit pointer.
+func firstAfter(ys []float64, d, y float64) int {
+	lo, hi := 0, len(ys)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if ys[m]+d > y {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	return lo
 }

@@ -36,6 +36,60 @@ func (t *Tree) search(pid storagePageID, r geom.Rect, qt motion.Tick, fn func(mo
 	return true
 }
 
+// Subtree names a part of the tree one descent can be split at (Split).
+type Subtree struct{ pid storagePageID }
+
+// Split starts a search over a region only the caller can describe — a set
+// of windows, say, searched in one descent instead of one each. It returns,
+// appended to dst, the subtrees one level under the root whose bounds at qt,
+// as closed rectangles, satisfy overlaps (the root itself when it is a
+// leaf). SearchSubtree then searches each; the subtrees share no page, so
+// together they read every page at most once, however many of the caller's
+// windows it meets, and they may be searched concurrently (the tree is
+// read-only meanwhile, as for Search).
+func (t *Tree) Split(dst []Subtree, qt motion.Tick, overlaps func(geom.Rect) bool) []Subtree {
+	n := t.readNode(t.root)
+	if n.leaf {
+		return append(dst, Subtree{t.root})
+	}
+	for i := range n.entries {
+		if e := &n.entries[i]; overlaps(e.boundAt(qt)) {
+			dst = append(dst, Subtree{e.child})
+		}
+	}
+	return dst
+}
+
+// SearchSubtree descends sub (from Split) into every node whose bound at qt
+// satisfies overlaps, and hands fn every movement stored in a leaf it
+// reaches, without a position test: fn makes its own exact one. fn returning
+// false stops the search.
+func (t *Tree) SearchSubtree(sub Subtree, qt motion.Tick, overlaps func(geom.Rect) bool, fn func(motion.State) bool) {
+	t.searchFunc(sub.pid, qt, overlaps, fn)
+}
+
+// boundAt is e's bound at time qt as a closed rectangle.
+func (e *entry) boundAt(qt motion.Tick) geom.Rect {
+	return geom.NewRect(e.loAt(0, qt), e.loAt(1, qt), e.hiAt(0, qt), e.hiAt(1, qt))
+}
+
+func (t *Tree) searchFunc(pid storagePageID, qt motion.Tick, overlaps func(geom.Rect) bool, fn func(motion.State) bool) bool {
+	n := t.readNode(pid)
+	for i := range n.entries {
+		e := &n.entries[i]
+		if n.leaf {
+			if !fn(e.state()) {
+				return false
+			}
+			continue
+		}
+		if overlaps(e.boundAt(qt)) && !t.searchFunc(e.child, qt, overlaps, fn) {
+			return false
+		}
+	}
+	return true
+}
+
 // RangeQuery returns all movements whose predicted position at qt lies in r
 // (closed containment).
 func (t *Tree) RangeQuery(r geom.Rect, qt motion.Tick) []motion.State {

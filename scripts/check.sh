@@ -113,9 +113,14 @@ pin_allocs() {
 }
 # The sweep's steady state allocates its output region and nothing else: the
 # append growth of a 200-point window's answer is 12 allocations, a 20-cell
-# run's 15. One more means scratch stopped being reused.
+# run's 15 — whether the run's points are copied and sorted or, as the engine
+# passes them, swept in place. One more means scratch stopped being reused.
 go test -run '^$' -bench 'BenchmarkDenseRects200$|BenchmarkDenseRectsRow$' -benchtime=200x -benchmem ./internal/sweep |
-	pin_allocs 'BenchmarkDenseRects200=12 BenchmarkDenseRectsRow=15'
+	pin_allocs 'BenchmarkDenseRects200=12 BenchmarkDenseRectsRow/copy=15 BenchmarkDenseRectsRow/sorted=15'
+# An exact answer's final union, split in two, runs on pooled scratch: its two
+# allocations are the closures that hand out the key ranges.
+go test -run '^$' -bench 'BenchmarkCoalesceSplit$' -benchtime=200x -benchmem ./internal/geom |
+	pin_allocs 'BenchmarkCoalesceSplit=2'
 # A surface batch (1,000 updates x 91 timestamp slots) allocates nothing: the
 # Lemma-4 factor scratch is owned per slot.
 go test -run '^$' -bench 'BenchmarkSurfaceBatch$' -benchtime=5x -benchmem ./internal/pa |
