@@ -25,9 +25,9 @@ type intervalScratch struct {
 
 var intervalScratches = sync.Pool{New: func() any { return new(intervalScratch) }}
 
-// pointBufs pools point buffers: the FR gather's per-subtree finds and
-// per-strip X orders, and the brute force's sweep input (the sweep reads the
-// points and retains nothing).
+// pointBufs pools point buffers: the FR gather's per-subtree finds, each
+// run's merge of its window's objects, and the brute force's sweep input
+// (the sweep reads the points and retains nothing).
 var pointBufs = sync.Pool{New: func() any { return new([]geom.Point) }}
 
 // grow returns buf resized to n zero slots, reallocating only when the

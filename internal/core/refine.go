@@ -170,12 +170,11 @@ func (sc *frScratch) gather(s *Server, qt motion.Tick) int {
 	s.par.ForEach(len(sc.subtrees), func(i int) {
 		pb := pointBufs.Get().(*[]geom.Point)
 		found := (*pb)[:0]
-		s.index.SearchSubtree(sc.subtrees[i], qt, sc.touches, func(m motion.State) bool {
+		s.index.SearchSubtree(sc.subtrees[i], qt, sc.touches, func(m motion.State) {
 			p := m.PositionAt(qt)
 			if s.cfg.Area.Contains(p) && sc.touches(geom.NewRect(p.X, p.Y, p.X, p.Y)) {
 				found = append(found, p)
 			}
-			return true
 		})
 		*pb = found
 		sc.found[i] = pb

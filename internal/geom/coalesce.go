@@ -52,8 +52,9 @@ func coalesceWork(work Region) Region {
 	return stackColumns(mergeBands(work))
 }
 
-// compare3 orders by three keys in turn. The keys are never NaN, so plain
-// comparisons order them as cmp.Compare would.
+// compare3 orders by three keys in turn: as cmp.Compare would for every
+// number, without its NaN branches (a NaN coordinate bounds no point set,
+// and no caller builds one).
 func compare3(a1, b1, a2, b2, a3, b3 float64) int {
 	switch {
 	case a1 < b1:

@@ -32,8 +32,8 @@
 // the run takes the union of the windows in X order once and carries the
 // band across cell boundaries, while the rectangles are still produced —
 // split at the same events, coalesced over the same set — cell by cell. A
-// caller that already holds the points in X order (the engine sorts a
-// snapshot's gather once for all its runs) passes them to
+// caller that already holds the points in X order (the engine merges each
+// run's out of a snapshot's row bins, each sorted once) passes them to
 // DenseRectsRowSorted, which reads them in place.
 //
 // Allocation model: a run needs three scratch slices (the X-ordered points,

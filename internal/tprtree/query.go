@@ -62,32 +62,22 @@ func (t *Tree) Split(dst []Subtree, qt motion.Tick, overlaps func(geom.Rect) boo
 
 // SearchSubtree descends sub (from Split) into every node whose bound at qt
 // satisfies overlaps, and hands fn every movement stored in a leaf it
-// reaches, without a position test: fn makes its own exact one. fn returning
-// false stops the search.
-func (t *Tree) SearchSubtree(sub Subtree, qt motion.Tick, overlaps func(geom.Rect) bool, fn func(motion.State) bool) {
-	t.searchFunc(sub.pid, qt, overlaps, fn)
+// reaches, without a position test: fn makes its own exact one.
+func (t *Tree) SearchSubtree(sub Subtree, qt motion.Tick, overlaps func(geom.Rect) bool, fn func(motion.State)) {
+	n := t.readNode(sub.pid)
+	for i := range n.entries {
+		e := &n.entries[i]
+		if n.leaf {
+			fn(e.state())
+		} else if overlaps(e.boundAt(qt)) {
+			t.SearchSubtree(Subtree{e.child}, qt, overlaps, fn)
+		}
+	}
 }
 
 // boundAt is e's bound at time qt as a closed rectangle.
 func (e *entry) boundAt(qt motion.Tick) geom.Rect {
 	return geom.NewRect(e.loAt(0, qt), e.loAt(1, qt), e.hiAt(0, qt), e.hiAt(1, qt))
-}
-
-func (t *Tree) searchFunc(pid storagePageID, qt motion.Tick, overlaps func(geom.Rect) bool, fn func(motion.State) bool) bool {
-	n := t.readNode(pid)
-	for i := range n.entries {
-		e := &n.entries[i]
-		if n.leaf {
-			if !fn(e.state()) {
-				return false
-			}
-			continue
-		}
-		if overlaps(e.boundAt(qt)) && !t.searchFunc(e.child, qt, overlaps, fn) {
-			return false
-		}
-	}
-	return true
 }
 
 // RangeQuery returns all movements whose predicted position at qt lies in r

@@ -31,12 +31,11 @@ func searchWindows(tr *Tree, pool *storage.Pool, windows []geom.Rect, qt motion.
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			tr.SearchSubtree(sub, qt, overlaps, func(st motion.State) bool {
+			tr.SearchSubtree(sub, qt, overlaps, func(st motion.State) {
 				p := st.PositionAt(qt)
 				if overlaps(geom.NewRect(p.X, p.Y, p.X, p.Y)) {
 					found[i] = append(found[i], st.ID)
 				}
-				return true
 			})
 		}()
 	}
@@ -118,7 +117,7 @@ func TestSplitOfALeafRoot(t *testing.T) {
 	subs := tr.Split(nil, 0, all)
 	n := 0
 	for _, sub := range subs {
-		tr.SearchSubtree(sub, 0, all, func(motion.State) bool { n++; return true })
+		tr.SearchSubtree(sub, 0, all, func(motion.State) { n++ })
 	}
 	if len(subs) != 1 || n != 10 {
 		t.Fatalf("%d subtrees holding %d movements, want the root holding 10", len(subs), n)
