@@ -132,8 +132,20 @@ func TestCacheInvalidationOnMutations(t *testing.T) {
 	if err := s.Apply(motion.NewInsert(fresh)); err != nil {
 		t.Fatal(err)
 	}
-	if m5 := missesAfter("after apply", e0+3); m5 != m3+1 {
+	m5 := missesAfter("after apply", e0+3)
+	if m5 != m3+1 {
 		t.Fatalf("apply did not invalidate: misses %d, want %d", m5, m3+1)
+	}
+
+	if err := s.Tick(s.Now()-1, nil); err == nil {
+		t.Fatal("a tick moving time backwards must be rejected")
+	}
+	h5 := s.CacheStats().Hits
+	if m6 := missesAfter("after rejected tick", e0+3); m6 != m5 {
+		t.Fatalf("rejected tick invalidated: misses %d, want %d", m6, m5)
+	}
+	if h6 := s.CacheStats().Hits; h6 != h5+1 {
+		t.Fatalf("query after rejected tick: hits %d, want %d", h6, h5+1)
 	}
 }
 

@@ -11,8 +11,9 @@ import (
 )
 
 // TestConcurrentWritesAndQueries is the race stress: writers hammer disjoint
-// object ranges through Apply while readers run snapshots, intervals, and
-// past queries, and a ticker advances time. Run under -race via check.sh.
+// object ranges through Apply while readers run snapshots, intervals, past
+// queries and Contours over the surface the writers update. Run under -race
+// via check.sh.
 func TestConcurrentWritesAndQueries(t *testing.T) {
 	cfg := streamConfig(4)
 	cfg.CacheBytes = 1 << 18
@@ -27,7 +28,7 @@ func TestConcurrentWritesAndQueries(t *testing.T) {
 	const writers = 4
 	const perWriter = 60
 	var wg sync.WaitGroup
-	errc := make(chan error, writers+3)
+	errc := make(chan error, writers+4)
 	for w := 0; w < writers; w++ {
 		w := w
 		wg.Add(1)
@@ -78,6 +79,16 @@ func TestConcurrentWritesAndQueries(t *testing.T) {
 			}
 			if _, err := eng.Interval(Query{Rho: 0.0001, L: 100, At: eng.Now()}, eng.Now()+3, FR); err != nil {
 				errc <- fmt.Errorf("interval: %w", err)
+				return
+			}
+		}
+	}()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 10; i++ {
+			if _, err := eng.Contours(eng.Now(), 0.0001, 16); err != nil {
+				errc <- fmt.Errorf("contours: %w", err)
 				return
 			}
 		}

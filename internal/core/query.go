@@ -400,9 +400,7 @@ func (s *Server) snapshotPALocked(q Query, res *Result, sp *telemetry.Span) erro
 			s.surf.L(), q.L)
 	}
 	ph := sp.Child("pa-eval")
-	s.surfMu.RLock()
 	region, walk, err := s.surf.DenseRegionStats(q.At, q.Rho)
-	s.surfMu.RUnlock()
 	ph.SetAttrInt("boxes", int64(walk.Boxes))
 	ph.SetAttrInt("leaves", int64(walk.Leaves))
 	ph.SetAttrInt("rects", int64(walk.Rects))
@@ -441,14 +439,14 @@ func (s *Server) snapshotDHLocked(q Query, m Method, res *Result, sp *telemetry.
 // that already existed at notAfter and is inside the monitored area at qt (the
 // population contract).
 func (s *Server) appendLivePoints(points []geom.Point, qt, notAfter motion.Tick) []geom.Point {
-	s.dir.each(func(st motion.State) {
+	for _, st := range s.dir.m {
 		if st.Ref > notAfter {
-			return
+			continue
 		}
 		if p := st.PositionAt(qt); s.cfg.Area.Contains(p) {
 			points = append(points, p)
 		}
-	})
+	}
 	return points
 }
 

@@ -22,22 +22,22 @@
 // every live object's current movement and one epoch-keyed cache of answers.
 // There is one query pipeline and one write path.
 //
-// Locking protocol. The engine lock (rank "engine") guards the histogram,
-// the index, its pool and the archive; the surface has a lock of its own and
-// the directory its bucket locks. Queries read-lock the engine for their
-// whole evaluation, so each observes one consistent cut of the stream; Tick,
-// Load and Apply write-lock it. The global acquisition order, checked by
-// pdrvet's lockorder analyzer, is
+// Locking protocol. The engine lock (rank "engine") is the one lock on
+// engine state: it guards the histogram, the index, its pool, the archive,
+// the surface and the directory. Queries read-lock it for their whole
+// evaluation, so each observes one consistent cut of the stream; Tick, Load
+// and Apply write-lock it. The global acquisition order, checked by pdrvet's
+// lockorder analyzer, is
 //
-//	service 10 → engine 20 → surface 30 → directory 40
+//	service 10 → engine 20
 //
 // One fan-out per write. Tick and Load admit their records in stream order,
 // then hand the worker pool 1 + H+1 independent items in a single ForEach:
 // the histogram, index and archive walking the admitted stream, then each
 // timestamp slot of the surface (pa.Surface.ApplySlot over the whole
-// admitted stream). The writer takes the surface lock before the fan-out and
-// releases it after; the helpers it hands slots to write disjoint slots under
-// it. Workers: 1 runs the same items inline, in index order.
+// admitted stream). The helpers the writer hands slots to write disjoint
+// slots under its engine lock. Workers: 1 runs the same items inline, in
+// index order.
 //
 // Partial writes. A write that holds a record the directory rejects — an
 // insert of a live object, a delete that does not name the live movement —
@@ -159,18 +159,15 @@ type Server struct {
 	qcache *cache.Cache   // snapshot result cache; nil when CacheBytes is 0
 	met    *Metrics       // nil unless SetMetrics was called (pre-traffic)
 
-	// mu guards hist, pool, index and hst; see the package comment for the
-	// protocol.
+	// mu guards hist, pool, index, hst, surf and dir; see the package
+	// comment for the protocol.
 	mu    sync.RWMutex // pdr:lockrank engine 20
 	hist  *dh.Histogram
 	pool  *storage.Pool
 	index *tprtree.Tree
 	hst   *history.Store // nil unless Config.KeepHistory
-
-	surfMu sync.RWMutex // pdr:lockrank surface 30
-	surf   *pa.Surface  // the one Chebyshev surface; nil when DisablePA
-
-	dir directory
+	surf  *pa.Surface    // the one Chebyshev surface; nil when DisablePA
+	dir   directory
 
 	// epoch counts mutations (Tick/Apply/Load). Cached snapshot answers are
 	// keyed by it, so bumping the epoch invalidates every prior answer in
@@ -284,8 +281,8 @@ func (s *Server) Contours(at motion.Tick, level float64, res int) ([]pa.ContourS
 	if s.surf == nil {
 		return nil, errPADisabled
 	}
-	s.surfMu.RLock()
-	defer s.surfMu.RUnlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return s.surf.Contours(at, level, res)
 }
 
@@ -312,8 +309,10 @@ func (s *Server) LiveStates() []motion.State {
 }
 
 func (s *Server) liveStatesLocked() []motion.State {
-	states := make([]motion.State, 0, s.NumObjects())
-	s.dir.each(func(st motion.State) { states = append(states, st) })
+	states := make([]motion.State, 0, len(s.dir.m))
+	for _, st := range s.dir.m {
+		states = append(states, st)
+	}
 	slices.SortFunc(states, func(a, b motion.State) int { return cmp.Compare(a.ID, b.ID) })
 	return states
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"pdr/internal/history"
@@ -10,39 +9,26 @@ import (
 	"pdr/internal/telemetry"
 )
 
-const dirBuckets = 64
-
 // directory is the engine's one record of the live objects: each object's
 // current movement. It validates updates — a duplicate insert could
 // otherwise count an object twice in every summary, and a delete must name
 // the movement the summaries hold — and is what BruteForce, PastSnapshot and
-// Save gather from. Buckets shard the map so a lookup locks one bucket.
+// Save gather from. The engine lock guards m; count mirrors len(m) so
+// NumObjects reads it without the lock.
 type directory struct {
-	count   atomic.Int64
-	buckets [dirBuckets]dirBucket
-}
-
-type dirBucket struct {
-	mu sync.Mutex // pdr:lockrank directory 40
-	m  map[motion.ObjectID]motion.State
-}
-
-func (d *directory) bucket(id motion.ObjectID) *dirBucket {
-	return &d.buckets[uint64(id)%dirBuckets]
+	count atomic.Int64
+	m     map[motion.ObjectID]motion.State
 }
 
 // insert registers a live object; errors if the ID is already live.
 func (d *directory) insert(st motion.State) error {
-	b := d.bucket(st.ID)
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if _, ok := b.m[st.ID]; ok {
+	if _, ok := d.m[st.ID]; ok {
 		return fmt.Errorf("core: insert of live object %d (delete the stale movement first)", st.ID)
 	}
-	if b.m == nil {
-		b.m = make(map[motion.ObjectID]motion.State)
+	if d.m == nil {
+		d.m = make(map[motion.ObjectID]motion.State)
 	}
-	b.m[st.ID] = st
+	d.m[st.ID] = st
 	d.count.Add(1)
 	return nil
 }
@@ -50,35 +36,16 @@ func (d *directory) insert(st motion.State) error {
 // remove drops the object whose live movement is exactly st; errors, and
 // changes nothing, if the object is unknown or its movement differs.
 func (d *directory) remove(st motion.State) error {
-	b := d.bucket(st.ID)
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	cur, ok := b.m[st.ID]
+	cur, ok := d.m[st.ID]
 	if !ok {
 		return fmt.Errorf("core: delete of unknown object %d", st.ID)
 	}
 	if cur != st {
 		return fmt.Errorf("core: delete state mismatch for object %d", st.ID)
 	}
-	delete(b.m, st.ID)
+	delete(d.m, st.ID)
 	d.count.Add(-1)
 	return nil
-}
-
-// each calls fn with every live movement, in no particular order. fn must
-// not call back into the directory.
-func (d *directory) each(fn func(motion.State)) {
-	for i := range d.buckets {
-		d.buckets[i].each(fn)
-	}
-}
-
-func (b *dirBucket) each(fn func(motion.State)) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for _, st := range b.m {
-		fn(st)
-	}
 }
 
 // admit validates an update against the directory and, only when it is
@@ -142,8 +109,6 @@ func (s *Server) Load(states []motion.State) error {
 	}
 	slots := 0
 	if s.surf != nil {
-		s.surfMu.Lock()
-		defer s.surfMu.Unlock()
 		slots = s.surf.Begin(inserts)
 	}
 	var err error
@@ -195,7 +160,9 @@ func (e *PartialError) Unwrap() error { return e.Err }
 // An invalid update stops processing: the valid prefix before it is applied
 // in full, the bad update and everything after it change nothing, and the
 // error is a *PartialError carrying the prefix's length. The epoch is bumped
-// before anything else, so cached answers never survive a partial tick.
+// once the clock check passes, before any update is admitted, so cached
+// answers never survive a partial tick; a tick rejected for moving time
+// backwards changes nothing and leaves the epoch alone.
 func (s *Server) Tick(now motion.Tick, updates []motion.Update) error {
 	return s.TickTraced(now, updates, nil)
 }
@@ -206,10 +173,10 @@ func (s *Server) Tick(now motion.Tick, updates []motion.Update) error {
 func (s *Server) TickTraced(now motion.Tick, updates []motion.Update, sp *telemetry.Span) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.epoch.Add(1)
 	if cur := s.Now(); now < cur {
 		return fmt.Errorf("core: time moved backwards: %d < %d", now, cur)
 	}
+	s.epoch.Add(1)
 	s.now.Store(int64(now))
 	psp := sp.Child("plan")
 	psp.SetAttrInt("updates", int64(len(updates)))
@@ -225,10 +192,8 @@ func (s *Server) TickTraced(now motion.Tick, updates []motion.Update, sp *teleme
 	psp.End()
 	slots := 0
 	if s.surf != nil {
-		// The writer holds the surface lock across the fan-out; the helpers
-		// it hands slots to write disjoint slots under it.
-		s.surfMu.Lock()
-		defer s.surfMu.Unlock()
+		// The helpers the fan-out hands slots to write disjoint slots under
+		// the writer's engine lock.
 		s.surf.Advance(now)
 		slots = s.surf.Begin(updates)
 	}
@@ -270,9 +235,7 @@ func (s *Server) Apply(u motion.Update) error {
 		return err
 	}
 	if s.surf != nil {
-		s.surfMu.Lock()
 		s.surf.Apply(u)
-		s.surfMu.Unlock()
 	}
 	return nil
 }

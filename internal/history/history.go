@@ -11,7 +11,6 @@ import (
 
 	"pdr/internal/geom"
 	"pdr/internal/motion"
-	"pdr/internal/sweep"
 )
 
 // Segment is one archived movement: the linear motion State was the
@@ -107,23 +106,4 @@ func (st *Store) PointsAt(t motion.Tick) []geom.Point {
 		}
 	}
 	return out
-}
-
-// DenseRegion answers the snapshot PDR query (rho, l, t) for a past
-// timestamp, exactly, by a global plane sweep over the archived positions.
-func (st *Store) DenseRegion(t motion.Tick, rho, l float64) geom.Region {
-	return geom.Coalesce(sweep.DenseRects(st.PointsAt(t), st.cfg.Area, rho, l))
-}
-
-// IntervalDenseRegion answers the interval PDR query (rho, l, [t1, t2]) for
-// past timestamps: the union of the snapshot answers (paper Definition 5).
-func (st *Store) IntervalDenseRegion(t1, t2 motion.Tick, rho, l float64) (geom.Region, error) {
-	if t2 < t1 {
-		return nil, fmt.Errorf("history: empty interval [%d, %d]", t1, t2)
-	}
-	var out geom.Region
-	for t := t1; t <= t2; t++ {
-		out = append(out, st.DenseRegion(t, rho, l)...)
-	}
-	return geom.Coalesce(out), nil
 }

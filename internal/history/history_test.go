@@ -1,13 +1,10 @@
 package history
 
 import (
-	"math"
-	"math/rand"
 	"testing"
 
 	"pdr/internal/geom"
 	"pdr/internal/motion"
-	"pdr/internal/sweep"
 )
 
 func area1000() geom.Rect { return geom.Rect{MinX: 0, MinY: 0, MaxX: 1000, MaxY: 1000} }
@@ -103,77 +100,5 @@ func TestOutOfAreaPositionsDropped(t *testing.T) {
 	}
 	if got := st.PointsAt(15); len(got) != 0 {
 		t.Errorf("outside the area: %v", got)
-	}
-}
-
-func TestDenseRegionMatchesDirectSweep(t *testing.T) {
-	st := newStore(t)
-	rng := rand.New(rand.NewSource(1))
-	var segs []Segment
-	for i := 0; i < 300; i++ {
-		s := Segment{
-			State: motion.State{
-				ID:  motion.ObjectID(i),
-				Pos: geom.Point{X: 400 + rng.Float64()*200, Y: 400 + rng.Float64()*200},
-				Vel: geom.Vec{X: rng.Float64() - 0.5, Y: rng.Float64() - 0.5},
-				Ref: motion.Tick(rng.Intn(20)),
-			},
-		}
-		s.From = s.State.Ref
-		s.To = s.From + 5 + motion.Tick(rng.Intn(30))
-		segs = append(segs, s)
-		if err := st.Record(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, qt := range []motion.Tick{0, 10, 25, 40} {
-		var pts []geom.Point
-		for _, s := range segs {
-			if s.Valid(qt) {
-				p := s.State.PositionAt(qt)
-				if area1000().Contains(p) {
-					pts = append(pts, p)
-				}
-			}
-		}
-		rho := 5.0 / (60 * 60)
-		got := st.DenseRegion(qt, rho, 60)
-		want := sweep.DenseRects(pts, area1000(), rho, 60)
-		if math.Abs(got.Area()-want.Area()) > 1e-6 {
-			t.Fatalf("t=%d: area %g, want %g", qt, got.Area(), want.Area())
-		}
-		if d := got.DifferenceArea(want) + want.DifferenceArea(got); d > 1e-6 {
-			t.Fatalf("t=%d: regions differ by %g", qt, d)
-		}
-	}
-}
-
-func TestIntervalDenseRegion(t *testing.T) {
-	st := newStore(t)
-	// Two bursts at different times and places.
-	for i := 0; i < 10; i++ {
-		st.Record(Segment{
-			State: motion.State{ID: motion.ObjectID(i), Pos: geom.Point{X: 100 + float64(i)*0.1, Y: 100}, Ref: 0},
-			From:  0, To: 5,
-		})
-		st.Record(Segment{
-			State: motion.State{ID: motion.ObjectID(100 + i), Pos: geom.Point{X: 800 + float64(i)*0.1, Y: 800}, Ref: 10},
-			From:  10, To: 15,
-		})
-	}
-	rho := 5.0 / (40 * 40)
-	iv, err := st.IntervalDenseRegion(0, 14, rho, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !iv.Contains(geom.Point{X: 100, Y: 100}) || !iv.Contains(geom.Point{X: 800, Y: 800}) {
-		t.Error("interval union must include both bursts")
-	}
-	// A snapshot at t=7 sees neither.
-	if got := st.DenseRegion(7, rho, 40); len(got) != 0 {
-		t.Errorf("t=7 should be empty, got %v", got)
-	}
-	if _, err := st.IntervalDenseRegion(5, 3, rho, 40); err == nil {
-		t.Error("reversed interval must be rejected")
 	}
 }

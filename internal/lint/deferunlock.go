@@ -3,7 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/token"
-	"strings"
 
 	"pdr/internal/lint/cfg"
 )
@@ -21,15 +20,11 @@ import (
 // at a program point; the join is set union, so "some path leaks" is
 // preserved through merges. Mutexes the function never locks are ignored —
 // helpers that only unlock (their caller locked) are the *Locked
-// convention's business, not this analyzer's. Symmetrically, acquire-only
-// helpers — functions named lock*/rlock*, whose whole job is to leave locks
-// held for the caller (lockAllWrite, rlockAll) — are exempt from the
-// exit-leak check, though double and mismatched unlocks inside them are
-// still reported; the lockorder analyzer models what they leave held.
-// Functions using TryLock are skipped: the lock's success is a runtime
-// condition the CFG cannot see. Paths ending in panic or process exit are
-// exempt, matching the tree's convention that index corruption panics
-// abandon the process.
+// convention's business, not this analyzer's. A function that returns
+// holding a lock it took is a finding whatever its name. Functions using
+// TryLock are skipped: the lock's success is a runtime condition the CFG
+// cannot see. Paths ending in panic or process exit are exempt, matching the
+// tree's convention that index corruption panics abandon the process.
 var AnalyzerDeferUnlock = &Analyzer{
 	Name: "deferunlock",
 	Doc:  "flags lock paths that can exit without the matching unlock, and double unlocks",
@@ -103,25 +98,17 @@ func runDeferUnlock(p *Pass) {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			checkUnlockPaths(p, fd.Body, isAcquireHelperName(fd.Name.Name))
+			checkUnlockPaths(p, fd.Body)
 		}
 	}
 }
 
-// isAcquireHelperName reports whether name follows the acquire-only helper
-// convention: the function's contract is to return with locks held.
-func isAcquireHelperName(name string) bool {
-	lower := strings.ToLower(name)
-	return strings.HasPrefix(lower, "lock") || strings.HasPrefix(lower, "rlock")
-}
-
 // checkUnlockPaths analyzes one function body (and, recursively, every
 // function literal inside it — each runs as its own function with its own
-// release obligations). acquireHelper suppresses the exit-leak check:
-// leaving locks held at return is the function's documented contract.
-func checkUnlockPaths(p *Pass, body *ast.BlockStmt, acquireHelper bool) {
+// release obligations).
+func checkUnlockPaths(p *Pass, body *ast.BlockStmt) {
 	for _, fl := range allFuncLits(body) {
-		checkUnlockPaths(p, fl.Body, false)
+		checkUnlockPaths(p, fl.Body)
 	}
 	if usesTryLock(p, body) {
 		return
@@ -163,14 +150,8 @@ func checkUnlockPaths(p *Pass, body *ast.BlockStmt, acquireHelper bool) {
 		for f := range set {
 			switch {
 			case f.level == 2 && !f.deferW:
-				if acquireHelper {
-					continue
-				}
 				report(f.lockPos, "%s.Lock() is not released on every return path; add defer %s.Unlock() or unlock before each return", key, key)
 			case f.level == 1 && !f.deferR:
-				if acquireHelper {
-					continue
-				}
 				report(f.lockPos, "%s.RLock() is not released on every return path; add defer %s.RUnlock() or unlock before each return", key, key)
 			case f.level == 0 && f.deferW:
 				report(f.deferWPos, "deferred %s.Unlock() runs after a path already unlocked %s (double unlock at return)", key, key)

@@ -177,18 +177,18 @@ func (s *S) Touch() {
 	s.n++
 }
 `, 0},
-		// Acquire-only helpers (lock*/rlock*) return with locks held by
-		// contract; the lockorder analyzer models what they leave held.
-		{"acquire-only helper exempt from leak check", decl + `
+		// A helper's name earns it nothing: returning with a lock held is a
+		// leak whether or not the function is called lock*/rlock*.
+		{"a lock-prefixed helper leaks like any other", decl + `
 func (s *S) lockAll() {
 	s.mu.Lock()
 }
-`, 0},
-		{"rlock-prefixed helper exempt too", rwDecl + `
+`, 1},
+		{"an rlock-prefixed helper leaks too", rwDecl + `
 func (s *S) rlockAll() {
 	s.mu.RLock()
 }
-`, 0},
+`, 1},
 		{"same body without the helper name still leaks", decl + `
 func (s *S) grab() {
 	s.mu.Lock()

@@ -2,10 +2,10 @@ package lint
 
 // Shared lock-state machinery for the flow-aware concurrency analyzers
 // (deferunlock, lockorder). Mutexes are identified by the textual
-// key of the expression they are locked through ("s.mu", "sh.mu",
-// "c.shards[i].mu"): intra-procedural, purely syntactic aliasing, which is
-// exactly the discipline the tree follows — a shard is picked once into a
-// local and locked through that local.
+// key of the expression they are locked through ("s.mu", "p.mu"):
+// intra-procedural, purely syntactic aliasing, which is exactly the
+// discipline the tree follows — a mutex is locked and unlocked through one
+// expression.
 
 import (
 	"go/ast"

@@ -26,13 +26,12 @@ import (
 //   - a class acquired while already held: two instances of one class have
 //     no defined order.
 //
-// The analysis is interprocedural: acquire-only helpers are summarized as
-// "leaves these classes held", their release twins as "drops them", and a
-// callee's own acquisitions count at the call, so an edge like
-// engine→directory is seen even though the directory's bucket lock is taken
-// inside a callee. Unannotated
-// mutexes are invisible — the analyzer checks the declared protocol, it
-// does not invent one.
+// The analysis is interprocedural: a callee's own acquisitions, transitively,
+// count at the call, so an edge like service→engine is seen even though the
+// engine lock is taken inside a callee. A function that returns holding a
+// lock is deferunlock's finding, so no callee is modelled as leaving one
+// held. Unannotated mutexes are invisible — the analyzer checks the declared
+// protocol, it does not invent one.
 var AnalyzerLockOrder = &Analyzer{
 	Name:          "lockorder",
 	Doc:           "builds the pdr:lockrank acquisition-order graph: rank violations and cycles",
@@ -126,24 +125,11 @@ func prepareLockOrder(pkgs []*Package, graph *callgraph.Graph) *lockOrderResult 
 
 	units := collectLockNodeUnits(pkgs, graph)
 
-	// Interprocedural summaries to a fixed point over the call graph:
-	// acqTrans — every class a function may acquire, transitively;
-	// releases — every class it may drop (deferred releases included);
-	// netHeld — classes still held when it returns (acquire-only helpers).
-	directAcq := make(map[*callgraph.Node]classSet)
-	directRel := make(map[*callgraph.Node]classSet)
-	for _, u := range units {
-		acq, rel := directLockEffects(u, classes)
-		directAcq[u.node] = acq
-		directRel[u.node] = rel
-	}
+	// acqTrans: every class a function may acquire, transitively — a fixed
+	// point over the call graph.
 	acqTrans := make(map[*callgraph.Node]classSet)
-	releases := make(map[*callgraph.Node]classSet)
 	for _, u := range units {
-		acqTrans[u.node] = classSet{}
-		releases[u.node] = classSet{}
-		acqTrans[u.node].addAll(directAcq[u.node])
-		releases[u.node].addAll(directRel[u.node])
+		acqTrans[u.node] = directAcquires(u, classes)
 	}
 	for changed := true; changed; {
 		changed = false
@@ -152,29 +138,6 @@ func prepareLockOrder(pkgs []*Package, graph *callgraph.Graph) *lockOrderResult 
 				if acqTrans[c] != nil && acqTrans[u.node].addAll(acqTrans[c]) {
 					changed = true
 				}
-				if releases[c] != nil && releases[u.node].addAll(releases[c]) {
-					changed = true
-				}
-			}
-		}
-	}
-	netHeld := make(map[*callgraph.Node]classSet)
-	for _, u := range units {
-		netHeld[u.node] = classSet{}
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, u := range units {
-			next := classSet{}
-			next.addAll(directAcq[u.node])
-			for _, c := range u.node.Calls {
-				next.addAll(netHeld[c])
-			}
-			for c := range releases[u.node] {
-				delete(next, c)
-			}
-			if netHeld[u.node].addAll(next) {
-				changed = true
 			}
 		}
 	}
@@ -192,7 +155,7 @@ func prepareLockOrder(pkgs []*Package, graph *callgraph.Graph) *lockOrderResult 
 		edges = append(edges, e)
 	}
 	for _, u := range units {
-		walkLockOrderFlow(u, classes, byName, acqTrans, releases, netHeld, graph, recordEdge)
+		walkLockOrderFlow(u, classes, acqTrans, graph, recordEdge)
 	}
 
 	// Rank discipline over the deduplicated edges.
@@ -332,53 +295,34 @@ func collectLockNodeUnits(pkgs []*Package, graph *callgraph.Graph) []lockNodeUni
 	return units
 }
 
-// directLockEffects scans one body (nested literals excluded — they are
-// their own nodes) for classed mutex operations: classes acquired outside
-// defers, and classes released anywhere including deferred releases.
-func directLockEffects(u lockNodeUnit, classes map[*types.Var]*lockClass) (acq, rel classSet) {
-	acq, rel = classSet{}, classSet{}
-	var walk func(n ast.Node, inDefer bool)
-	walk = func(n ast.Node, inDefer bool) {
-		ast.Inspect(n, func(x ast.Node) bool {
-			switch x := x.(type) {
-			case *ast.FuncLit:
-				if n != x {
-					return false
-				}
-			case *ast.DeferStmt:
-				walk(x.Call, true)
-				return false
-			case *ast.CallExpr:
-				op, ok := mutexOpOf(u.pass, x)
-				if !ok {
-					return true
-				}
-				cls, classed := classOfMutexExpr(u.pkg.Info, classes, x.Fun.(*ast.SelectorExpr).X)
-				if !classed {
-					return true
-				}
-				switch op.name {
-				case "Lock", "RLock", "TryLock", "TryRLock":
-					if !inDefer {
-						acq[cls] = true
-					}
-				case "Unlock", "RUnlock":
-					rel[cls] = true
+// directAcquires scans one body (nested literals excluded — they are their
+// own nodes — and defers too) for the classes it locks.
+func directAcquires(u lockNodeUnit, classes map[*types.Var]*lockClass) classSet {
+	acq := classSet{}
+	ast.Inspect(u.body, func(x ast.Node) bool {
+		switch x := x.(type) {
+		case *ast.FuncLit, *ast.DeferStmt:
+			return false
+		case *ast.CallExpr:
+			op, ok := mutexOpOf(u.pass, x)
+			if !ok {
+				return true
+			}
+			switch op.name {
+			case "Lock", "RLock", "TryLock", "TryRLock":
+				if cls, classed := classOfMutexExpr(u.pkg.Info, classes, x.Fun.(*ast.SelectorExpr).X); classed {
+					acq[cls] = true
 				}
 			}
-			return true
-		})
-	}
-	if u.node.Lit != nil {
-		walk(u.node.Lit.Body, false)
-	} else {
-		walk(u.body, false)
-	}
-	return acq, rel
+		}
+		return true
+	})
+	return acq
 }
 
 // classOfMutexExpr resolves the mutex expression of a Lock/Unlock call to
-// its annotated class: s.mu → the mu field's class, b.mu → dirBucket's.
+// its annotated class: s.mu → the mu field's class, whatever the
+// expression it is reached through.
 func classOfMutexExpr(info *types.Info, classes map[*types.Var]*lockClass, e ast.Expr) (*lockClass, bool) {
 	for {
 		switch t := e.(type) {
@@ -415,19 +359,14 @@ func classOfMutexExpr(info *types.Info, classes map[*types.Var]*lockClass, e ast
 	}
 }
 
-// syntheticLockKey is the lockState key recording "a helper left this class
-// held"; the NUL prefix cannot collide with any exprKey.
-func syntheticLockKey(cls *lockClass) string { return "\x00" + cls.name }
-
-// walkLockOrderFlow runs the augmented must-held flow over one body and
+// walkLockOrderFlow runs the must-held flow over one body and
 // emits acquisition-order edges: at every classed acquire and every call
 // into a class-acquiring callee, each held class gains an edge to the
 // acquired one.
 func walkLockOrderFlow(
 	u lockNodeUnit,
 	classes map[*types.Var]*lockClass,
-	byName map[string]*lockClass,
-	acqTrans, releases, netHeld map[*callgraph.Node]classSet,
+	acqTrans map[*callgraph.Node]classSet,
 	graph *callgraph.Graph,
 	recordEdge func(from, to *lockClass, pkg string, pos token.Pos),
 ) {
@@ -435,11 +374,7 @@ func walkLockOrderFlow(
 	heldClasses := func(st lockState) classSet {
 		out := classSet{}
 		for k := range st {
-			if strings.HasPrefix(k, "\x00") {
-				if cls := byName[k[1:]]; cls != nil {
-					out[cls] = true
-				}
-			} else if cls := keyClass[k]; cls != nil {
+			if cls := keyClass[k]; cls != nil {
 				out[cls] = true
 			}
 		}
@@ -498,15 +433,6 @@ func walkLockOrderFlow(
 						for a := range acqTrans[callee] {
 							recordEdge(h, a, u.pkg.Path, x.Lparen)
 						}
-					}
-				}
-				if len(releases[callee]) > 0 || len(netHeld[callee]) > 0 {
-					out = out.clone()
-					for c := range releases[callee] {
-						delete(out, syntheticLockKey(c))
-					}
-					for c := range netHeld[callee] {
-						out[syntheticLockKey(c)] = 2
 					}
 				}
 			}

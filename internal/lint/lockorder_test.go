@@ -93,33 +93,14 @@ type S struct {
 }
 
 // TestLockOrderInterprocedural pins the reason the analyzer exists: the
-// nesting is only visible across calls. An acquire-only helper leaves its
-// class held in the caller; a callee that locks on its own account creates
-// an edge from whatever the caller holds.
+// nesting is only visible across calls: a callee that locks on its own
+// account creates an edge from whatever the caller holds.
 func TestLockOrderInterprocedural(t *testing.T) {
 	cases := []struct {
 		name string
 		src  string
 		want int
 	}{
-		{"violation through an acquire-only helper", `package x
-
-import "sync"
-
-type S struct {
-	hi sync.Mutex // pdr:lockrank high 20
-	lo sync.Mutex // pdr:lockrank low 10
-}
-
-func (s *S) lockHigh() { s.hi.Lock() }
-
-func (s *S) Bad() {
-	s.lockHigh()
-	s.lo.Lock()
-	s.lo.Unlock()
-	s.hi.Unlock()
-}
-`, 1},
 		{"violation inside a callee under a held lock", `package x
 
 import "sync"
@@ -157,24 +138,6 @@ func (s *S) withHigh() {
 func (s *S) OK() {
 	s.withHigh()
 	s.lo.Lock()
-	s.lo.Unlock()
-}
-`, 0},
-		{"ascending helper chain clean", `package x
-
-import "sync"
-
-type S struct {
-	lo sync.Mutex // pdr:lockrank low 10
-	hi sync.Mutex // pdr:lockrank high 20
-}
-
-func (s *S) lockLow() { s.lo.Lock() }
-
-func (s *S) OK() {
-	s.lockLow()
-	s.hi.Lock()
-	s.hi.Unlock()
 	s.lo.Unlock()
 }
 `, 0},

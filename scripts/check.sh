@@ -59,7 +59,7 @@ go build -C bench ./...
 go test -C bench ./...
 go run -C bench pdr/cmd/pdrvet ./...
 
-step "go test -race (service + monitor: the concurrent surfaces)"
+step "go test -race (service + monitor: the concurrent surfaces, the instrumented service included)"
 go test -race ./internal/service/... ./internal/monitor/...
 
 step "service soak (-count=10 at GOMAXPROCS 1, 2, 4: green means green on any core count)"
@@ -73,8 +73,8 @@ go test -race ./internal/core ./internal/pa ./internal/cheb ./internal/dh ./inte
 step "answer equivalence (FR == brute force == the per-cell pipeline, the surface == the per-record feed, the golden answers, the golden HTTP transcript)"
 go test -run 'TestDifferentialStream|TestFRMatchesPerCellPipeline|TestSurfaceMatchesPerRecordFeed|TestGoldenAnswers|TestGoldenTranscript' -count=1 ./internal/core ./internal/service
 
-step "telemetry (race on the atomic registry + trace store + instrumented service)"
-go test -race ./internal/telemetry ./internal/tracestore ./internal/service
+step "telemetry (race on the atomic registry + trace store)"
+go test -race ./internal/telemetry ./internal/tracestore
 
 step "fuzz smoke: geometry area identity (${FUZZ_SECS}s)"
 go test -run '^$' -fuzz FuzzOutlineAreaIdentity -fuzztime "${FUZZ_SECS}s" ./internal/geom/
