@@ -57,6 +57,12 @@ func TestQueryValidation(t *testing.T) {
 	if _, err := s.Snapshot(Query{Rho: 1, L: 0, At: 0}, FR); err == nil {
 		t.Error("l=0 must be rejected")
 	}
+	// NaN passes every range comparison; ±Inf passes the sign checks.
+	for _, q := range []Query{{Rho: math.NaN(), L: 60}, {Rho: math.Inf(1), L: 60}, {Rho: 1, L: math.Inf(1)}, {Rho: 1, L: math.NaN()}} {
+		if _, err := s.Snapshot(q, FR); err == nil {
+			t.Errorf("rho=%g l=%g must be rejected", q.Rho, q.L)
+		}
+	}
 	if _, err := s.Snapshot(Query{Rho: 1, L: 60, At: 1000}, FR); err == nil {
 		t.Error("far-future query time must be rejected")
 	}

@@ -41,6 +41,23 @@ func TestImpossibleThresholdEmpty(t *testing.T) {
 	}
 }
 
+// TestHugeThresholdFREqualsBruteForce: rho*l^2 = 3.6e303 objects is more
+// than exist, for the oracle as for FR — the threshold's int conversion used
+// to overflow to a negative number and call the whole area dense.
+func TestHugeThresholdFREqualsBruteForce(t *testing.T) {
+	s, _ := loadServer(t, testConfig(), 2000, 15)
+	q := Query{Rho: 1e300, L: 60, At: 0}
+	for _, m := range []Method{FR, BruteForce} {
+		r, err := s.Snapshot(q, m)
+		if err != nil {
+			t.Fatalf("%v: %v", m, err)
+		}
+		if len(r.Region) != 0 {
+			t.Errorf("%v: rho=1e300 answered %d rects (area %g), want none", m, len(r.Region), r.Region.Area())
+		}
+	}
+}
+
 func TestEmptyServerQueries(t *testing.T) {
 	s, err := NewServer(testConfig())
 	if err != nil {

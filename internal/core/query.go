@@ -149,13 +149,27 @@ func (s *Server) failed(err error) error {
 	return err
 }
 
+// CheckParams rejects a density threshold rho and a neighborhood edge l that
+// no query answers: rho must be finite and non-negative, l finite and
+// positive. NaN passes every range comparison, so it is tested for by name.
+func CheckParams(rho, l float64) error {
+	switch {
+	case rho < 0:
+		return fmt.Errorf("core: negative density threshold %g", rho)
+	case math.IsNaN(rho) || math.IsInf(rho, 0):
+		return fmt.Errorf("core: non-finite density threshold %g", rho)
+	case l <= 0:
+		return fmt.Errorf("core: non-positive neighborhood edge %g", l)
+	case math.IsNaN(l) || math.IsInf(l, 0):
+		return fmt.Errorf("core: non-finite neighborhood edge %g", l)
+	}
+	return nil
+}
+
 func (s *Server) validateLocked(q Query) error {
 	now := s.Now()
-	if q.Rho < 0 {
-		return fmt.Errorf("core: negative density threshold %g", q.Rho)
-	}
-	if q.L <= 0 {
-		return fmt.Errorf("core: non-positive neighborhood edge %g", q.L)
+	if err := CheckParams(q.Rho, q.L); err != nil {
+		return err
 	}
 	if q.At < now || q.At > now+s.Horizon() {
 		return fmt.Errorf("core: query time %d outside [%d, %d]", q.At, now, now+s.Horizon())
@@ -483,8 +497,8 @@ func (s *Server) PastSnapshotTraced(q Query, sp *telemetry.Span) (*Result, error
 	if now := s.Now(); q.At >= now {
 		return nil, s.failed(fmt.Errorf("core: PastSnapshot is for t < now (%d); use Snapshot", now))
 	}
-	if q.Rho < 0 || q.L <= 0 {
-		return nil, s.failed(fmt.Errorf("core: bad query parameters rho=%g l=%g", q.Rho, q.L))
+	if err := CheckParams(q.Rho, q.L); err != nil {
+		return nil, s.failed(err)
 	}
 	res := &Result{Method: BruteForce}
 	esp := sp.Child("past")

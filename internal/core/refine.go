@@ -251,7 +251,8 @@ func (sc *frScratch) refineRun(ri int, q Query, wsp *telemetry.Span) geom.Region
 	cells := sc.cells[sc.starts[ri]:sc.starts[ri+1]]
 	wsp.SetAttrInt("cells", int64(len(cells)))
 	wsp.SetAttrInt("retrieved", int64(len(points)))
-	out := sweep.DenseRectsRowSorted(points, cells, q.Rho, q.L)
+	out, walks := sweep.DenseRectsRowSorted(points, cells, q.Rho, q.L)
+	wsp.SetAttrInt("walks", int64(walks))
 	*pb = points
 	pointBufs.Put(pb)
 	return out

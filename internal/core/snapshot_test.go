@@ -195,6 +195,9 @@ func TestPastSnapshotValidation(t *testing.T) {
 	if _, err := s2.PastSnapshot(Query{Rho: -1, L: 60, At: 0}); err == nil {
 		t.Error("negative rho must fail")
 	}
+	if _, err := s2.PastSnapshot(Query{Rho: math.NaN(), L: 60, At: 0}); err == nil {
+		t.Error("rho=NaN must fail")
+	}
 	if _, err := s2.PastSnapshot(Query{Rho: 1, L: 60, At: 1}); err != nil {
 		t.Errorf("valid past query failed: %v", err)
 	}

@@ -99,7 +99,7 @@ func (m *Monitor) SetMetrics(met *Metrics) {
 
 // Register adds a standing query and returns its subscription id.
 func (m *Monitor) Register(q ContinuousQuery) (int, error) {
-	if q.Rho < 0 || q.L <= 0 {
+	if core.CheckParams(q.Rho, q.L) != nil {
 		return 0, fmt.Errorf("monitor: bad query parameters rho=%g l=%g", q.Rho, q.L)
 	}
 	if q.Ahead < 0 || q.Ahead > m.srv.Config().W {

@@ -45,6 +45,11 @@ func TestRegisterValidation(t *testing.T) {
 	if _, err := m.Register(ContinuousQuery{Rho: 1, L: 0}); err == nil {
 		t.Error("zero l must be rejected")
 	}
+	for _, q := range []ContinuousQuery{{Rho: math.NaN(), L: 60}, {Rho: math.Inf(1), L: 60}, {Rho: 1, L: math.Inf(1)}} {
+		if _, err := m.Register(q); err == nil {
+			t.Errorf("rho=%g l=%g must be rejected", q.Rho, q.L)
+		}
+	}
 	if _, err := m.Register(ContinuousQuery{Rho: 1, L: 60, Ahead: 99}); err == nil {
 		t.Error("forecast beyond W must be rejected")
 	}

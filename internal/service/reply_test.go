@@ -192,8 +192,9 @@ func TestNonFiniteReplyIsAClean500(t *testing.T) {
 		writeJSON(rec, ContourResponse{Level: math.NaN()})
 		clean500(t, rec)
 	})
-	// End to end, through the middleware's recorder: rho=NaN passes every
-	// range check (no comparison with NaN is true) and is echoed in the reply.
+	// End to end, through the middleware's recorder: rho=NaN, which no
+	// range comparison catches, never reaches the reply — the engine
+	// rejects it up front as a JSON 422.
 	_, ts := testService(t)
 	loadWorkload(t, ts, 200)
 	resp, err := http.Get(ts.URL + "/v1/query?method=dh-opt&rho=NaN&l=60")
@@ -201,8 +202,8 @@ func TestNonFiniteReplyIsAClean500(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusInternalServerError || resp.Header.Get("Content-Type") != "application/json" {
-		t.Errorf("rho=NaN: status %d, Content-Type %q; want a JSON 500", resp.StatusCode, resp.Header.Get("Content-Type"))
+	if resp.StatusCode != http.StatusUnprocessableEntity || resp.Header.Get("Content-Type") != "application/json" {
+		t.Errorf("rho=NaN: status %d, Content-Type %q; want a JSON 422", resp.StatusCode, resp.Header.Get("Content-Type"))
 	}
 	var e errorBody
 	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e.Error == "" {

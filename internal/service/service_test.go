@@ -205,6 +205,10 @@ func TestQueryValidationErrors(t *testing.T) {
 		// dropped connection.
 		{"/v1/query?method=pa&l=45&varrho=1&until=now%2B2", http.StatusUnprocessableEntity},
 		{"/v1/query?method=fr&l=60&varrho=1&at=now%2B3&until=now%2B1", http.StatusUnprocessableEntity},
+		// ParseFloat reads NaN and Inf; the engine rejects them.
+		{"/v1/query?method=fr&l=60&rho=NaN", http.StatusUnprocessableEntity},
+		{"/v1/query?method=fr&l=60&rho=Inf", http.StatusUnprocessableEntity},
+		{"/v1/query?method=fr&l=Inf&varrho=1", http.StatusUnprocessableEntity},
 	}
 	for _, c := range cases {
 		resp, err := http.Get(ts.URL + c.url)

@@ -125,6 +125,52 @@ func TestRowTableCases(t *testing.T) {
 			cells:     []geom.Rect{geom.NewRect(0, 0, 10, 10), geom.NewRect(12, 0, 12, 10), geom.NewRect(15, 0, 25, 10)},
 			threshold: 6, l: 6, wantRects: true,
 		},
+		{
+			// X = 10 leaves and X = 18 joins the band at the same x = 14, and
+			// so do X = 21 and X = 29 at x = 25: one batch of both kinds.
+			name: "an enter and an exit at the same X",
+			points: append([]geom.Point{{X: 10, Y: 2}, {X: 18, Y: 8}, {X: 21, Y: 5}, {X: 29, Y: 6}},
+				grid(8, 1, 30, 9, 4)...),
+			cells:     row(0, 10, 6, 10, 0, 10, 2, 10),
+			threshold: 5, l: 8, wantRects: true,
+		},
+		{
+			// Y = yb - l/2 covers [yb - l, yb): nothing of the row. The
+			// objects at Y = -4 join and leave without a depth changing.
+			name: "an object whose row interval is empty",
+			points: append([]geom.Point{{X: 11, Y: -4}, {X: 13, Y: -4}, {X: 16, Y: -4}, {X: 22, Y: -4}, {X: 27, Y: 14}},
+				grid(10, 2, 30, 8, 3)...),
+			cells:     row(0, 10, 10, 10, 0, 10),
+			threshold: 4, l: 8, wantRects: true,
+		},
+		{
+			// With l = 12 an object covers the whole row [0, 10) from Y = 4
+			// (yt - l/2: its span ends exactly at yt) to Y = 6 (yb + l/2: it
+			// starts exactly at yb); 3.5 and 6.5 fall half a unit short. Each
+			// group is alone in the band: two whole-row objects and a near
+			// miss leave [0, 9.5) and [0.5, 10) dense, three on the edges
+			// the whole row.
+			name: "whole-row objects on the row's edges",
+			points: []geom.Point{
+				{X: 10, Y: 4}, {X: 11, Y: 6}, {X: 12, Y: 3.5},
+				{X: 30, Y: 6}, {X: 31, Y: 4}, {X: 32, Y: 6.5},
+				{X: 50, Y: 4}, {X: 51, Y: 6}, {X: 52, Y: 4},
+			},
+			cells:     row(0, 10, 0, 20, 0, 20, 0, 20),
+			threshold: 3, l: 12, wantRects: true,
+		},
+		{
+			// Exactly threshold whole-row objects at X = 20..24 (l = 12: the
+			// band holds all five over [18, 26)), beside partial ones that
+			// the walk would count too.
+			name: "a whole-row count that hits the threshold exactly",
+			points: []geom.Point{
+				{X: 20, Y: 5}, {X: 21, Y: 4}, {X: 22, Y: 6}, {X: 23, Y: 5}, {X: 24, Y: 5},
+				{X: 19, Y: -0.5}, {X: 22, Y: 10.5}, {X: 25, Y: 14}, {X: 9, Y: 5}, {X: 36, Y: 5},
+			},
+			cells:     row(0, 10, 10, 10, 0, 10, 0, 10),
+			threshold: 5, l: 12, wantRects: true,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -283,10 +329,54 @@ func sameSorted(t *testing.T, points []geom.Point, cells []geom.Rect, rho, l flo
 		}
 	}
 	kept := append([]geom.Point(nil), sorted...)
-	sameBits(t, "sorted run", DenseRectsRowSorted(sorted, cells, rho, l), want)
+	got, _ := DenseRectsRowSorted(sorted, cells, rho, l)
+	sameBits(t, "sorted run", got, want)
 	if !slices.Equal(sorted, kept) {
 		t.Fatal("DenseRectsRowSorted modified its points")
 	}
+}
+
+// clusteredRun draws a run shaped like a candidate row at the edge of a road
+// cluster: k cells 10 wide on the row [0, 10), l = 30, and a road of objects
+// along X — nine in ten covering the whole row, its density rising from
+// nothing at the run's left end — over a sparse uniform background. The
+// threshold is half the band's road objects at the right end, so the run
+// holds sparse steps, partly dense ones and whole-row ones.
+func clusteredRun(rng *rand.Rand, k, road int) (points []geom.Point, cells []geom.Rect, rho, l float64) {
+	l = 30
+	for i := 0; i < k; i++ {
+		cells = append(cells, geom.NewRect(float64(10*i), 0, float64(10*i+10), 10))
+	}
+	span := float64(10*k) + l
+	for i := 0; i < road; i++ {
+		points = append(points, geom.Point{X: span*math.Sqrt(rng.Float64()) - l/2, Y: 5 + rng.NormFloat64()*6})
+	}
+	for i := 0; i < road/4; i++ {
+		points = append(points, geom.Point{X: rng.Float64()*span - l/2, Y: rng.Float64()*(10+l) - l/2})
+	}
+	// The band holds 2*road*l/span road objects at the right end.
+	return points, cells, float64(road) * l / span / (l * l), l
+}
+
+// TestRowSkipsWalks: on a clustered run most dense X steps cannot change the
+// dense Y set, and the sweep must see that — at most half of them walk the
+// band — while its answer stays the per-cell pipeline's, bit for bit.
+func TestRowSkipsWalks(t *testing.T) {
+	points, cells, rho, l := clusteredRun(rand.New(rand.NewSource(3)), 6, 600)
+	SortByX(points)
+	sw := &sweeper{pts: points}
+	got := sw.denseRectsRow(cells, int(math.Ceil(rho*l*l)), l/2)
+	sameBits(t, "clustered run", got, perCellReference(points, cells, rho, l))
+	if len(got) == 0 || sw.dense < 200 {
+		t.Fatalf("%d rects over %d dense steps: the run is too sparse to pin anything", len(got), sw.dense)
+	}
+	if 2*sw.walks > sw.dense {
+		t.Fatalf("%d Y walks over %d dense steps: the bounds settle too few", sw.walks, sw.dense)
+	}
+	if _, walks := DenseRectsRowSorted(points, cells, rho, l); walks != sw.walks {
+		t.Fatalf("DenseRectsRowSorted reports %d walks, the sweep ran %d", walks, sw.walks)
+	}
+	t.Logf("%d Y walks over %d dense steps", sw.walks, sw.dense)
 }
 
 // BenchmarkDenseRectsRow refines a 20-cell run with ~300 points per grown
@@ -317,6 +407,17 @@ func BenchmarkDenseRectsRow(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			DenseRectsRowSorted(points, cells, rho, l)
+		}
+	})
+	// Uniform points keep the dense Y set moving at almost every event. The
+	// engine's candidates sit where a road cluster thins out: most steps are
+	// sparse, whole-row dense, or leave the segments as they were.
+	road, _, roadRho, _ := clusteredRun(rng, len(cells), 2000)
+	SortByX(road)
+	b.Run("clustered", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			DenseRectsRowSorted(road, cells, roadRho, l)
 		}
 	})
 }

@@ -23,9 +23,21 @@
 // in index order and leave in index order: the band is always an index range
 // pts[pb:pa], the X events come from a two-pointer merge of the two implicit
 // coordinate sequences, and nothing is sorted inside the event loop. The
-// same holds in Y: the band's Y values are kept as one ascending slice,
-// moved forward by a binary-search insert or remove per object, and the Y
-// sweep is a two-pointer walk over it — linear in the band per X event.
+// same holds in Y: the band's Y values are kept as one ascending slice, and
+// the Y sweep is a two-pointer walk over it, linear in the band.
+//
+// The walk runs only where the dense Y set can change. Between walks the
+// sweep keeps the last dense segments and two sound bounds on them — the
+// lowest depth on a segment, the highest off one — and moves the bounds per
+// object that enters or leaves, in O(log segments): an object whose row
+// interval lies inside one segment cannot change an entry's answer, nor one
+// that meets no segment an exit's. A count of the band's objects that cover
+// the whole row settles the row as one segment outright. An X step whose
+// segments equal the last step's extends that step's rectangles instead of
+// starting new ones, which is what the cell's union would have merged them
+// into. So the band's sorted Y values are brought up to date, and walked,
+// only at the events a bound cannot settle — on the engine's clustered input
+// a minority of the dense ones.
 //
 // The unit of work is a row run: candidate cells of one histogram row, left
 // to right. Neighbouring cells' grown windows overlap almost entirely, so
@@ -36,13 +48,13 @@
 // run's out of a snapshot's row bins, each sorted once) passes them to
 // DenseRectsRowSorted, which reads them in place.
 //
-// Allocation model: a run needs three scratch slices (the X-ordered points,
-// the band's Y values, the dense Y segments of one event) whose sizes depend
-// only on the point count. A query refines dozens of runs and the parallel
-// engine refines runs from many queries at once, so the scratch lives in a
-// sync.Pool of per-worker sweeper structs: each call checks one out, grows
-// its buffers as needed, and returns it — steady-state refinement allocates
-// only the output region.
+// Allocation model: a run needs four scratch slices (the X-ordered points,
+// the band's Y values, the kept dense Y segments and a walk's) whose sizes
+// depend only on the point count. A query refines dozens of runs and the
+// parallel engine refines runs from many queries at once, so the scratch
+// lives in a sync.Pool of per-worker sweeper structs: each call checks one
+// out, grows its buffers as needed, and returns it — steady-state refinement
+// allocates only the output region.
 package sweep
 
 import (
@@ -61,10 +73,25 @@ type sweeper struct {
 	buf  []geom.Point // DenseRectsRow's sorted copy of its points
 	pts  []geom.Point // the run's points in X order (buf, or the caller's)
 	ys   []float64    // Y values of pts[lo:hi], ascending
-	segs []segment
+	segs []segment    // the dense Y segments of the current X step
+	walk []segment    // sweepY's segments, before they replace segs
 
 	lo, hi int // the index range ys currently holds
+
+	// The row [yb, yt) and what is known of its depths between walks: every
+	// point of segs has depth at least onMin, every other point of the row
+	// at most offMax (none and -none when there is no such point), and
+	// whole of the band's objects cover the whole row.
+	yb, yt, half  float64
+	onMin, offMax int
+	whole         int
+
+	walks, dense int // Y walks run, and dense X steps swept, by the last run
 }
+
+// none stands for "no depth": the bounds over an empty set of points. It is
+// far from any depth, and a run moves a bound at most once per object.
+const none = math.MaxInt32
 
 // sweepers pools sweeper scratch across goroutines; see the package comment.
 var sweepers = sync.Pool{New: func() any { return new(sweeper) }}
@@ -97,14 +124,16 @@ func DenseRects(points []geom.Point, cell geom.Rect, rho, l float64) geom.Region
 //
 // Safe for concurrent use; concurrent calls draw scratch from a shared pool.
 func DenseRectsRow(points []geom.Point, cells []geom.Rect, rho, l float64) geom.Region {
-	return denseRectsRow(points, cells, rho, l, false)
+	out, _ := denseRectsRow(points, cells, rho, l, false)
+	return out
 }
 
 // DenseRectsRowSorted is DenseRectsRow for points already in ascending X
 // order: it sweeps them where they are, with no copy and no sort, and does
 // not modify them. The sweep depends only on the point multiset, so the
-// result is DenseRectsRow's, bit for bit.
-func DenseRectsRowSorted(points []geom.Point, cells []geom.Rect, rho, l float64) geom.Region {
+// result is DenseRectsRow's, bit for bit. It also returns how many Y walks
+// the sweep ran: the dense X steps no bound could settle.
+func DenseRectsRowSorted(points []geom.Point, cells []geom.Rect, rho, l float64) (geom.Region, int) {
 	return denseRectsRow(points, cells, rho, l, true)
 }
 
@@ -121,9 +150,9 @@ func SortByX(points []geom.Point) {
 	})
 }
 
-func denseRectsRow(points []geom.Point, cells []geom.Rect, rho, l float64, sorted bool) geom.Region {
+func denseRectsRow(points []geom.Point, cells []geom.Rect, rho, l float64, sorted bool) (geom.Region, int) {
 	if len(cells) == 0 || l <= 0 {
-		return nil
+		return nil, 0
 	}
 	for i, c := range cells[1:] {
 		// lint:ignore floateq a row is one histogram row: its cells carry
@@ -132,18 +161,21 @@ func denseRectsRow(points []geom.Point, cells []geom.Rect, rho, l float64, sorte
 			panic("sweep: DenseRectsRow cells are not one left-to-right row")
 		}
 	}
-	// Integer object-count threshold: |L| >= rho*l^2.
-	threshold := int(math.Ceil(rho * l * l))
-	if threshold <= 0 {
+	// Object-count threshold: |L| >= rho*l^2, compared in float first — a
+	// huge rho would overflow the conversion to int.
+	need := math.Ceil(rho * l * l)
+	if need <= 0 {
 		// Everything is dense, including empty space.
 		out := make(geom.Region, 0, len(cells))
 		for _, c := range cells {
 			out.Add(c)
 		}
-		return out
+		return out, 0
 	}
-	if len(points) < threshold {
-		return nil
+	if !(need <= float64(len(points))) || !(cells[0].MinY < cells[0].MaxY) {
+		// Fewer objects than one square needs (need may be +Inf or NaN), or
+		// a row with no points in it.
+		return nil, 0
 	}
 	sw := sweepers.Get().(*sweeper)
 	if sorted {
@@ -153,15 +185,20 @@ func denseRectsRow(points []geom.Point, cells []geom.Rect, rho, l float64, sorte
 		SortByX(sw.buf)
 		sw.pts = sw.buf
 	}
-	out := sw.denseRectsRow(cells, threshold, l/2)
+	out := sw.denseRectsRow(cells, int(need), l/2)
+	walks := sw.walks
 	sw.pts = nil // the pool must not pin a caller's points
 	sweepers.Put(sw)
-	return out
+	return out, walks
 }
 
 func (sw *sweeper) denseRectsRow(cells []geom.Rect, threshold int, half float64) geom.Region {
 	pts := sw.pts
 	sw.lo, sw.hi = 0, 0
+	sw.yb, sw.yt, sw.half = cells[0].MinY, cells[0].MaxY, half
+	// The band starts empty: nothing is dense, every depth is 0.
+	sw.segs, sw.onMin, sw.offMax, sw.whole = sw.segs[:0], none, 0, 0
+	sw.walks, sw.dense = 0, 0
 
 	var out geom.Region
 	n := len(pts)
@@ -170,12 +207,25 @@ func (sw *sweeper) denseRectsRow(cells []geom.Rect, threshold int, half float64)
 	pa, pb := 0, 0
 	for _, c := range cells {
 		start := len(out)
+		// open counts the rectangles at out's end that the previous X step of
+		// this cell emitted, one per segment of segs: an unchanged step
+		// extends them.
+		open := 0
 		for x := c.MinX; x < c.MaxX; {
+			a0, b0 := pa, pb
 			for pa < n && pts[pa].X-half <= x {
 				pa++
 			}
 			for pb < n && pts[pb].X+half <= x {
 				pb++
+			}
+			// pts[a0:pb] entered and left between two steps: they were
+			// never in the band where a step could see them.
+			for _, p := range pts[max(a0, pb):pa] {
+				sw.enter(p.Y)
+			}
+			for _, p := range pts[b0:min(pb, a0)] {
+				sw.leave(p.Y)
 			}
 			// The next event: the first enter or exit coordinate beyond x,
 			// or the cell's edge.
@@ -186,9 +236,14 @@ func (sw *sweeper) denseRectsRow(cells []geom.Rect, threshold int, half float64)
 			if pb < n && pts[pb].X+half < next {
 				next = pts[pb].X + half
 			}
-			if pa-pb >= threshold {
-				for _, seg := range sw.sweepY(sw.band(pb, pa), c.MinY, c.MaxY, threshold, half) {
-					out.Add(geom.NewRect(x, seg.lo, next, seg.hi))
+			if sw.settle(pb, pa, threshold) || open == 0 {
+				for _, seg := range sw.segs {
+					out = append(out, geom.NewRect(x, seg.lo, next, seg.hi))
+				}
+				open = len(sw.segs)
+			} else {
+				for i := len(out) - open; i < len(out); i++ {
+					out[i].MaxX = next
 				}
 			}
 			x = next
@@ -200,12 +255,98 @@ func (sw *sweeper) denseRectsRow(cells []geom.Rect, threshold int, half float64)
 	return out
 }
 
+// settle brings segs to the band pts[pb:pa]'s dense Y set, walking the band
+// only when the whole-row count and the depth bounds leave it open, and
+// reports whether segs changed.
+func (sw *sweeper) settle(pb, pa, threshold int) bool {
+	count := pa - pb
+	if count < threshold {
+		// Nothing is dense, and no depth exceeds the band.
+		changed := len(sw.segs) > 0
+		sw.segs, sw.onMin, sw.offMax = sw.segs[:0], none, count
+		return changed
+	}
+	sw.dense++
+	if sw.whole >= threshold {
+		// The row is one segment; every depth is at least whole.
+		sw.offMax = -none
+		if row := (segment{sw.yb, sw.yt}); len(sw.segs) != 1 || sw.segs[0] != row {
+			sw.segs, sw.onMin = append(sw.segs[:0], row), sw.whole
+			return true
+		}
+		sw.onMin = max(sw.onMin, sw.whole)
+		return false
+	}
+	if sw.onMin >= threshold && min(sw.offMax, count) < threshold {
+		return false
+	}
+	sw.walks++
+	walk := sw.sweepY(sw.band(pb, pa), threshold)
+	// == on the edges is bit equality here: an edge is yb, yt or some
+	// ys[i]±half, and only yb or yt itself can be a negative zero.
+	changed := !slices.Equal(walk, sw.segs)
+	sw.segs, sw.walk = walk, sw.segs
+	return changed
+}
+
+// rowSpan returns the part [a, b) of the row that an object at y covers (it
+// covers none when a >= b), and whether it covers all of it. The edges are
+// the Y walk's own enter and exit coordinates, bit for bit.
+func (sw *sweeper) rowSpan(y float64) (a, b float64, whole bool) {
+	lo, hi := y-sw.half, y+sw.half
+	return max(lo, sw.yb), min(hi, sw.yt), lo <= sw.yb && hi >= sw.yt
+}
+
+// enter accounts for an object joining the band: it raises every depth of
+// its span by one, which changes the dense set only off the segments.
+func (sw *sweeper) enter(y float64) {
+	a, b, whole := sw.rowSpan(y)
+	if whole {
+		sw.whole++
+	}
+	if a < b {
+		if k := sw.segAfter(a); k == len(sw.segs) || a < sw.segs[k].lo || sw.segs[k].hi < b {
+			sw.offMax++
+		}
+	}
+}
+
+// leave accounts for an object leaving the band: it lowers every depth of
+// its span by one, which changes the dense set only on the segments.
+func (sw *sweeper) leave(y float64) {
+	a, b, whole := sw.rowSpan(y)
+	if whole {
+		sw.whole--
+	}
+	if a < b {
+		if k := sw.segAfter(a); k < len(sw.segs) && sw.segs[k].lo < b {
+			sw.onMin--
+		}
+	}
+}
+
+// segAfter returns the first segment ending beyond y, or len(segs): the one
+// segment that can hold, or be the first to meet, a span starting at y.
+func (sw *sweeper) segAfter(y float64) int {
+	segs := sw.segs
+	lo, hi := 0, len(segs)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if segs[m].hi > y {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	return lo
+}
+
 // band returns the Y values of pts[lo:hi] in ascending order. Successive
 // calls within a run only move lo and hi forward, so the slice held from the
 // previous call is updated — one binary search and one memmove per object
 // that left or joined — unless the two ranges share nothing, in which case
 // it is rebuilt by a sort. The band is brought up to date only here, at the
-// X events dense enough to need it, never per event.
+// X events that walk it, never per event.
 func (sw *sweeper) band(lo, hi int) []float64 {
 	ys := sw.ys
 	if lo >= sw.hi {
@@ -234,19 +375,22 @@ func (sw *sweeper) band(lo, hi int) []float64 {
 type segment struct{ lo, hi float64 }
 
 // sweepY runs the Y-dimension l-square sweep (paper Algorithm 3) over the
-// band's ascending Y values, returning maximal dense segments within
-// [yb, yt). Object i covers [ys[i]-half, ys[i]+half), and both ends ascend
-// with i, so pa objects have entered and pb have left at the current y. The
-// walk starts at its row: two binary searches place both pointers at yb, so
-// the objects that entered below the row — about l/(l+cell) of the band —
-// are not stepped over one at a time on every dense X event. The returned
-// slice is the sweeper's scratch — valid until the next sweepY.
-func (sw *sweeper) sweepY(ys []float64, yb, yt float64, threshold int, half float64) []segment {
-	segs := sw.segs[:0]
+// band's ascending Y values, returning maximal dense segments within the row
+// [yb, yt) and setting onMin and offMax to the lowest depth on them and the
+// highest off them. Object i covers [ys[i]-half, ys[i]+half), and both ends
+// ascend with i, so pa objects have entered and pb have left at the current
+// y. The walk starts at its row: two binary searches place both pointers at
+// yb, so the objects that entered below the row — about l/(l+cell) of the
+// band — are not stepped over one at a time. The returned slice is the
+// sweeper's walk scratch.
+func (sw *sweeper) sweepY(ys []float64, threshold int) []segment {
+	segs := sw.walk[:0]
+	yt, half := sw.yt, sw.half
+	onMin, offMax := none, -none
 	n := len(ys)
-	pa, pb := firstAfter(ys, -half, yb), firstAfter(ys, half, yb)
+	pa, pb := firstAfter(ys, -half, sw.yb), firstAfter(ys, half, sw.yb)
 	dense := false // the step that ended at y was dense: the run continues
-	for y := yb; y < yt; {
+	for y := sw.yb; y < yt; {
 		for pa < n && ys[pa]-half <= y {
 			pa++
 		}
@@ -260,18 +404,21 @@ func (sw *sweeper) sweepY(ys []float64, yb, yt float64, threshold int, half floa
 		if pb < n && ys[pb]+half < next {
 			next = ys[pb] + half
 		}
-		switch {
-		case pa-pb < threshold:
+		switch depth := pa - pb; {
+		case depth < threshold:
 			dense = false
+			offMax = max(offMax, depth)
 		case dense:
 			segs[len(segs)-1].hi = next
+			onMin = min(onMin, depth)
 		default:
 			segs = append(segs, segment{y, next})
 			dense = true
+			onMin = min(onMin, depth)
 		}
 		y = next
 	}
-	sw.segs = segs
+	sw.onMin, sw.offMax = onMin, offMax
 	return segs
 }
 

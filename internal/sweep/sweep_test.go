@@ -100,6 +100,22 @@ func TestThresholdTooHigh(t *testing.T) {
 	}
 }
 
+// TestHugeThresholdNothingDense: rho*l^2 beyond every int (and +Inf) asks for
+// more objects than there are, not for a threshold the int conversion
+// wrapped below zero.
+func TestHugeThresholdNothingDense(t *testing.T) {
+	points := []geom.Point{{X: 1, Y: 1}, {X: 2, Y: 2}, {X: 2, Y: 2}}
+	cell := geom.Rect{MinX: 0, MinY: 0, MaxX: 10, MaxY: 10}
+	for _, rho := range []float64{1e300, math.Inf(1)} {
+		if got := DenseRects(points, cell, rho, 60); got != nil {
+			t.Errorf("rho=%g: %v, want nothing dense", rho, got)
+		}
+		if got, walks := DenseRectsRowSorted(points, []geom.Rect{cell}, rho, 60); got != nil || walks != 0 {
+			t.Errorf("rho=%g: sorted run %v after %d walks, want nothing dense", rho, got, walks)
+		}
+	}
+}
+
 func TestZeroThresholdEverythingDense(t *testing.T) {
 	cell := geom.Rect{MinX: 0, MinY: 0, MaxX: 4, MaxY: 4}
 	got := DenseRects(nil, cell, 0, 2)

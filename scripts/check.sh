@@ -112,11 +112,12 @@ pin_allocs() {
 		END { if (seen != n) { print "expected " n " pinned benchmarks, saw " seen + 0; bad = 1 }; exit bad }'
 }
 # The sweep's steady state allocates its output region and nothing else: the
-# append growth of a 200-point window's answer is 12 allocations, a 20-cell
+# append growth of a 200-point window's answer is 11 allocations, a 20-cell
 # run's 15 — whether the run's points are copied and sorted or, as the engine
-# passes them, swept in place. One more means scratch stopped being reused.
+# passes them, swept in place — and a clustered run's 10. One more means
+# scratch stopped being reused.
 go test -run '^$' -bench 'BenchmarkDenseRects200$|BenchmarkDenseRectsRow$' -benchtime=200x -benchmem ./internal/sweep |
-	pin_allocs 'BenchmarkDenseRects200=12 BenchmarkDenseRectsRow/copy=15 BenchmarkDenseRectsRow/sorted=15'
+	pin_allocs 'BenchmarkDenseRects200=11 BenchmarkDenseRectsRow/copy=15 BenchmarkDenseRectsRow/sorted=15 BenchmarkDenseRectsRow/clustered=10'
 # An exact answer's final union, split in two, runs on pooled scratch: its two
 # allocations are the closures that hand out the key ranges.
 go test -run '^$' -bench 'BenchmarkCoalesceSplit$' -benchtime=200x -benchmem ./internal/geom |
