@@ -190,13 +190,6 @@ func Vals(t []float64, x float64) {
 	}
 }
 
-// AddScaled adds w times o to s (both must have the same degree).
-func (s *Series2D) AddScaled(o *Series2D, w float64) {
-	for i := range s.A {
-		s.A[i] += w * o.A[i]
-	}
-}
-
 // Reset zeroes all coefficients.
 func (s *Series2D) Reset() {
 	for i := range s.A {

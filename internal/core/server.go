@@ -26,10 +26,13 @@
 // engine state: it guards the histogram, the index, its pool, the archive,
 // the surface and the directory. Queries read-lock it for their whole
 // evaluation, so each observes one consistent cut of the stream; Tick, Load
-// and Apply write-lock it. The global acquisition order, checked by pdrvet's
+// and Apply write-lock it. It is the only lock an HTTP query or write
+// holds: the service takes none around it. The one lock ever held outside
+// it is the standing-query monitor's, across a tick and its
+// re-evaluations. The global acquisition order, checked by pdrvet's
 // lockorder analyzer, is
 //
-//	service 10 → engine 20
+//	monitor 10 → engine 20
 //
 // One fan-out per write. Tick and Load admit their records in stream order,
 // then hand the worker pool 1 + H+1 independent items in a single ForEach:

@@ -69,10 +69,6 @@ func New(cfg Config) (*Histogram, error) {
 // M returns the per-axis grid resolution.
 func (h *Histogram) M() int { return h.cfg.M }
 
-// CellEdge returns the cell edge length l_c (cells are square when the area
-// is; the X edge is returned).
-func (h *Histogram) CellEdge() float64 { return h.lcX }
-
 // Horizon returns H.
 func (h *Histogram) Horizon() motion.Tick { return h.cfg.Horizon }
 

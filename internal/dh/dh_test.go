@@ -218,10 +218,6 @@ func TestCellRectTiling(t *testing.T) {
 	if got, want := g.Area(), area1000().Area(); got != want {
 		t.Errorf("cells tile area %g, want %g", got, want)
 	}
-	// CellEdge matches the tiling.
-	if got := h.CellEdge(); got != 250 {
-		t.Errorf("CellEdge = %g, want 250", got)
-	}
 }
 
 func TestCellIndexClamping(t *testing.T) {

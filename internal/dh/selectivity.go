@@ -37,17 +37,3 @@ func (h *Histogram) EstimateCount(t motion.Tick, r geom.Rect) (float64, error) {
 	}
 	return est, nil
 }
-
-// EstimateSelectivity returns EstimateCount normalized by the timestamp's
-// total population (zero when the histogram is empty at t).
-func (h *Histogram) EstimateSelectivity(t motion.Tick, r geom.Rect) (float64, error) {
-	total := h.Total(t)
-	if total == 0 {
-		return 0, nil
-	}
-	est, err := h.EstimateCount(t, r)
-	if err != nil {
-		return 0, err
-	}
-	return est / float64(total), nil
-}

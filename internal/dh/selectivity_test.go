@@ -49,6 +49,13 @@ func TestEstimateCountBrackets(t *testing.T) {
 			t.Fatalf("trial %d: estimate %g outside [%d, %d]", trial, est, lower, upper)
 		}
 	}
+	// Validation and degenerate cases.
+	if _, err := h.EstimateCount(99, area1000()); err == nil {
+		t.Error("out-of-window timestamp must be rejected")
+	}
+	if est, _ := h.EstimateCount(0, geom.Rect{MinX: -50, MinY: -50, MaxX: -10, MaxY: -10}); est != 0 {
+		t.Errorf("outside-area window estimate %g, want 0", est)
+	}
 }
 
 func TestEstimateCountAccuracyOnUniform(t *testing.T) {
@@ -78,42 +85,5 @@ func TestEstimateCountAccuracyOnUniform(t *testing.T) {
 	}
 	if rel := math.Abs(est-float64(exact)) / float64(exact); rel > 0.05 {
 		t.Errorf("uniform estimate %g vs exact %d (rel err %.3f > 5%%)", est, exact, rel)
-	}
-}
-
-func TestEstimateSelectivity(t *testing.T) {
-	h := newHist(t, 20, 0)
-	h.Advance(0)
-	for i := 0; i < 100; i++ {
-		h.Insert(motion.State{ID: motion.ObjectID(i), Pos: geom.Point{X: 100, Y: 100}, Ref: 0})
-	}
-	// All mass in one cell: selecting the whole area yields 1.
-	sel, err := h.EstimateSelectivity(0, area1000())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(sel-1) > 1e-9 {
-		t.Errorf("whole-area selectivity %g, want 1", sel)
-	}
-	// Far-away window yields 0.
-	sel, err = h.EstimateSelectivity(0, geom.Rect{MinX: 800, MinY: 800, MaxX: 900, MaxY: 900})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sel != 0 {
-		t.Errorf("empty window selectivity %g, want 0", sel)
-	}
-	// Validation and degenerate cases.
-	if _, err := h.EstimateCount(99, area1000()); err == nil {
-		t.Error("out-of-window timestamp must be rejected")
-	}
-	if est, _ := h.EstimateCount(0, geom.Rect{MinX: -50, MinY: -50, MaxX: -10, MaxY: -10}); est != 0 {
-		t.Errorf("outside-area window estimate %g, want 0", est)
-	}
-	// Empty histogram selectivity is 0 without error.
-	h2 := newHist(t, 20, 0)
-	h2.Advance(0)
-	if sel, err := h2.EstimateSelectivity(0, area1000()); err != nil || sel != 0 {
-		t.Errorf("empty histogram selectivity = %g, %v", sel, err)
 	}
 }

@@ -12,18 +12,6 @@ func NewRect(minX, minY, maxX, maxY float64) Rect {
 	return Rect{MinX: minX, MinY: minY, MaxX: maxX, MaxY: maxY}
 }
 
-// RectFromCorners returns the half-open rectangle spanned by two opposite
-// corners, normalizing their order so the result is non-empty whenever the
-// corners differ in both coordinates.
-func RectFromCorners(p, q Point) Rect {
-	return Rect{
-		MinX: math.Min(p.X, q.X),
-		MinY: math.Min(p.Y, q.Y),
-		MaxX: math.Max(p.X, q.X),
-		MaxY: math.Max(p.Y, q.Y),
-	}
-}
-
 // Eps is the relative tolerance of ApproxEq: coarse enough to absorb the
 // round-off of the handful of arithmetic steps that produce any coordinate
 // in this module, fine enough to keep distinct histogram-cell boundaries
@@ -40,10 +28,4 @@ func ApproxEq(a, b float64) bool {
 	}
 	scale := math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
 	return math.Abs(a-b) <= Eps*scale
-}
-
-// ApproxEqRect reports whether every extent of a and b is ApproxEq.
-func ApproxEqRect(a, b Rect) bool {
-	return ApproxEq(a.MinX, b.MinX) && ApproxEq(a.MinY, b.MinY) &&
-		ApproxEq(a.MaxX, b.MaxX) && ApproxEq(a.MaxY, b.MaxY)
 }

@@ -148,11 +148,6 @@ func (r Rect) Center() Point {
 	return Point{(r.MinX + r.MaxX) / 2, (r.MinY + r.MaxY) / 2}
 }
 
-// Translate returns r shifted by v.
-func (r Rect) Translate(v Vec) Rect {
-	return Rect{r.MinX + v.X, r.MinY + v.Y, r.MaxX + v.X, r.MaxY + v.Y}
-}
-
 // String implements fmt.Stringer.
 func (r Rect) String() string {
 	return fmt.Sprintf("[%g, %g) x [%g, %g)", r.MinX, r.MaxX, r.MinY, r.MaxY)
@@ -192,20 +187,6 @@ func (g Region) Contains(p Point) bool {
 // Area returns the exact area of the union of the region's rectangles.
 func (g Region) Area() float64 { return UnionArea(g) }
 
-// IntersectRegion returns a region covering exactly the points common to g
-// and h, built from pairwise rectangle intersections. This materializes up
-// to len(g)*len(h) rectangles; for areas alone use IntersectionArea, which
-// runs in near-linear time.
-func (g Region) IntersectRegion(h Region) Region {
-	var out Region
-	for _, a := range g {
-		for _, b := range h {
-			out.Add(a.Intersect(b))
-		}
-	}
-	return out
-}
-
 // IntersectionArea returns area(g intersect h), via inclusion-exclusion
 // over three sweep-line union measures: |A ^ B| = |A| + |B| - |A u B|.
 func (g Region) IntersectionArea(h Region) float64 {
@@ -229,13 +210,4 @@ func (g Region) DifferenceArea(h Region) float64 {
 		return 0 // guard against floating-point round-off
 	}
 	return d
-}
-
-// Clip returns the sub-region of g inside w.
-func (g Region) Clip(w Rect) Region {
-	var out Region
-	for _, r := range g {
-		out.Add(r.Intersect(w))
-	}
-	return out
 }

@@ -113,13 +113,10 @@ func TestUnionBounding(t *testing.T) {
 	}
 }
 
-func TestGrowTranslateCenter(t *testing.T) {
+func TestGrowCenter(t *testing.T) {
 	r := Rect{0, 0, 2, 4}
 	if got, want := r.Grow(1), (Rect{-1, -1, 3, 5}); got != want {
 		t.Errorf("Grow = %v, want %v", got, want)
-	}
-	if got, want := r.Translate(Vec{1, -1}), (Rect{1, -1, 3, 3}); got != want {
-		t.Errorf("Translate = %v, want %v", got, want)
 	}
 	if got, want := r.Center(), (Point{1, 2}); got != want {
 		t.Errorf("Center = %v, want %v", got, want)
@@ -238,14 +235,5 @@ func TestQuickAreaInclusionExclusion(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestRegionClip(t *testing.T) {
-	g := Region{{0, 0, 10, 10}, {20, 20, 30, 30}}
-	c := g.Clip(Rect{5, 5, 25, 25})
-	wantArea := 25.0 + 25.0 // 5x5 from each member
-	if got := c.Area(); math.Abs(got-wantArea) > 1e-9 {
-		t.Errorf("Clip area = %g, want %g", got, wantArea)
 	}
 }

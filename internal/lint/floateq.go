@@ -7,12 +7,10 @@ import (
 )
 
 // approvedEpsilonFuncs are functions allowed to compare floats exactly:
-// the epsilon helpers themselves (which need bit-exact shortcuts for
-// infinities and signed zeros) and canonical-form predicates whose whole
-// point is bit equality.
+// the epsilon helper itself, which needs a bit-exact shortcut for
+// infinities and signed zeros.
 var approvedEpsilonFuncs = map[string]bool{
-	"pdr/internal/geom.ApproxEq":     true,
-	"pdr/internal/geom.ApproxEqRect": true,
+	"pdr/internal/geom.ApproxEq": true,
 }
 
 // AnalyzerFloatEq flags == and != between non-constant floating-point

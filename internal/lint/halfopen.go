@@ -11,8 +11,8 @@ const geomPath = "pdr/internal/geom"
 // outside package geom. Every Rect is the half-open product
 // [MinX, MaxX) x [MinY, MaxY); raw literals scattered across packages are
 // how min/max swaps and closed-boundary assumptions creep in. Build
-// rectangles with geom.NewRect, geom.RectFromCorners or
-// geom.RectFromCenter, which carry the convention in one audited place.
+// rectangles with geom.NewRect or geom.RectFromCenter, which carry the
+// convention in one audited place.
 var AnalyzerHalfOpen = &Analyzer{
 	Name: "halfopen",
 	Doc:  "flags geom.Rect composite literals outside package geom",
@@ -38,7 +38,7 @@ func runHalfOpen(p *Pass) {
 		}
 		obj := named.Obj()
 		if obj.Name() == "Rect" && obj.Pkg() != nil && obj.Pkg().Path() == geomPath {
-			p.Reportf(cl.Pos(), "geom.Rect literal outside package geom; use geom.NewRect (or RectFromCorners/RectFromCenter) to preserve half-open [min,max) semantics")
+			p.Reportf(cl.Pos(), "geom.Rect literal outside package geom; use geom.NewRect (or RectFromCenter) to preserve half-open [min,max) semantics")
 		}
 		return true
 	})

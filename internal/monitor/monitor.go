@@ -4,10 +4,18 @@
 // that stopped being dense — rather than full answers. This is the
 // continuous-query layer the paper's traffic-management motivation implies
 // (watch for congestion forming, alert when it appears or dissolves).
+//
+// A Monitor has one lock of its own (rank "monitor", taken before the
+// engine's): a tick and the re-evaluations it triggers run under it as one
+// step, so a registration or removal never lands between the two. Queries
+// and between-tick writes to the engine do not take it: an apply that lands
+// between a tick and its re-evaluations is seen by them, as by any query
+// after it.
 package monitor
 
 import (
 	"fmt"
+	"sync"
 
 	"pdr/internal/core"
 	"pdr/internal/geom"
@@ -56,10 +64,14 @@ type sub struct {
 	prev    geom.Region
 }
 
-// Monitor evaluates standing queries against a server. It is not safe for
-// concurrent use (same discipline as the engine).
+// Monitor evaluates standing queries against a server. It is safe for
+// concurrent use: mu serializes ticks, re-evaluations and subscription
+// changes.
 type Monitor struct {
-	srv    *core.Server
+	srv *core.Server
+	// mu guards everything below. Advance holds it across the engine tick,
+	// so it is taken before the engine lock: the lower rank.
+	mu     sync.Mutex // pdr:lockrank monitor 10
 	nextID int
 	subs   map[int]*sub
 	met    *Metrics // nil unless SetMetrics was called
@@ -88,9 +100,15 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 	}
 }
 
+// Subscriptions reads the subscription gauge: the live count, without
+// waiting out a tick that holds the monitor's lock.
+func (met *Metrics) Subscriptions() int { return int(met.subs.Value()) }
+
 // SetMetrics attaches an instrument bundle; the subscription gauge is
 // seeded with the current count so late attachment stays accurate.
 func (m *Monitor) SetMetrics(met *Metrics) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	m.met = met
 	if met != nil {
 		met.subs.Set(float64(len(m.subs)))
@@ -108,6 +126,8 @@ func (m *Monitor) Register(q ContinuousQuery) (int, error) {
 	if q.Every <= 0 {
 		q.Every = 1
 	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	m.nextID++
 	m.subs[m.nextID] = &sub{id: m.nextID, q: q}
 	if m.met != nil {
@@ -118,6 +138,8 @@ func (m *Monitor) Register(q ContinuousQuery) (int, error) {
 
 // Unregister removes a subscription, reporting whether it existed.
 func (m *Monitor) Unregister(id int) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	if _, ok := m.subs[id]; !ok {
 		return false
 	}
@@ -129,7 +151,11 @@ func (m *Monitor) Unregister(id int) bool {
 }
 
 // NumSubscriptions returns the number of active standing queries.
-func (m *Monitor) NumSubscriptions() int { return len(m.subs) }
+func (m *Monitor) NumSubscriptions() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.subs)
+}
 
 // Advance forwards the tick to the server, then re-evaluates every due
 // standing query and returns the resulting events in subscription order.
@@ -142,6 +168,8 @@ func (m *Monitor) Advance(now motion.Tick, updates []motion.Update) ([]Event, er
 // shows exactly which standing query made it slow. A nil sp traces
 // nothing and allocates nothing.
 func (m *Monitor) AdvanceTraced(now motion.Tick, updates []motion.Update, sp *telemetry.Span) ([]Event, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	tsp := sp.Child("tick")
 	tsp.SetAttrInt("updates", int64(len(updates)))
 	err := m.srv.TickTraced(now, updates, tsp)

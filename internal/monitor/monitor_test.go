@@ -1,8 +1,10 @@
 package monitor
 
 import (
+	"fmt"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"pdr/internal/core"
@@ -295,5 +297,65 @@ func TestAdvanceTracedTickSpanHasEnginePhases(t *testing.T) {
 	}
 	if got := strings.Join(names, ","); got != "plan,apply" {
 		t.Fatalf("tick span children = %q, want plan,apply", got)
+	}
+}
+
+// TestConcurrentSubscriptionChangesAndTicks registers, removes and counts
+// subscriptions on two goroutines while a third ticks the monitor, with
+// metrics attached as the service attaches them. It exists for
+// `go test -race`: the monitor's own lock is what orders a registration
+// against the re-evaluation loop of a tick, and without it the detector
+// reports the subscription map and the id counter. Every tick must succeed,
+// and the count must settle at the subscriptions left registered.
+func TestConcurrentSubscriptionChangesAndTicks(t *testing.T) {
+	s := testServer(t)
+	if err := s.Load(block(0, 120, 400, 400, 0)); err != nil {
+		t.Fatal(err)
+	}
+	m := New(s)
+	met := NewMetrics(telemetry.NewRegistry())
+	m.SetMetrics(met)
+	rho := 50.0 / (60 * 60)
+	const rounds = 20
+	var wg sync.WaitGroup
+	errs := make(chan error, 3)
+	wg.Add(3)
+	go func() {
+		defer wg.Done()
+		for tick := motion.Tick(1); tick <= rounds; tick++ {
+			if _, err := m.AdvanceTraced(tick, nil, telemetry.NewTrace("updates").Root()); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	// Each subscriber keeps every other subscription it registers.
+	for w := 0; w < 2; w++ {
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				id, err := m.Register(ContinuousQuery{Rho: rho, L: 60, Ahead: motion.Tick(w), Method: core.PA})
+				if err != nil {
+					errs <- err
+					return
+				}
+				if i%2 == 1 && !m.Unregister(id) {
+					errs <- fmt.Errorf("subscription %d vanished before its removal", id)
+					return
+				}
+				if n := m.NumSubscriptions(); n < 1 {
+					errs <- fmt.Errorf("%d subscriptions while one of ours is registered", n)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if got, want := m.NumSubscriptions(), rounds; got != want || met.Subscriptions() != want {
+		t.Errorf("%d subscriptions (gauge %d), want %d", got, met.Subscriptions(), want)
 	}
 }

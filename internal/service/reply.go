@@ -77,9 +77,9 @@ type queryAnswer struct {
 }
 
 // writeQueryReply encodes a query answer (appendQueryReply) and sends it.
-// The caller has released the service lock: the result's region is private
-// to the request (computed fresh, or a cache clone), so formatting ~33k
-// floats holds up neither a tick nor another reader.
+// No lock is held: the result's region is private to the request (computed
+// fresh, or a cache clone), so formatting ~33k floats holds up neither a
+// tick nor another reader.
 func writeQueryReply(w http.ResponseWriter, r *http.Request, a queryAnswer, outline bool) {
 	sp := requestSpan(r).Child("encode")
 	sw := stopwatch.Start()

@@ -21,14 +21,17 @@
 // engine applies the valid prefix of a write and stops at the first record it
 // rejects; the 409 then reads {"error": ..., "applied": n}.
 //
-// Query handlers share the service's read lock and run concurrently (fanning
-// work out to the engine's worker pool); load/update/watch handlers take the
-// write lock. The service-level RWMutex keeps parse-time clock reads coherent
-// with query execution and guards the monitor; the engine (internal/core)
-// has its own lock, which is what lets /v1/apply run under the read lock. A
-// query's answer is private to its request, so /v1/query and /v1/past drop
-// the lock when the engine returns and encode the reply (reply.go) without
-// it: a tick never waits out the formatting of a reply.
+// One lock per request. The service holds no lock on the engine: every
+// handler calls the engine (internal/core), which takes its own lock for the
+// call, so queries run concurrently with each other and a write waits out
+// only the engine calls in flight, not the requests around them. The monitor
+// has its own lock, taken only by /v1/updates (a tick and its standing-query
+// re-evaluations run as one step) and by POST and DELETE /v1/watch.
+// Clock-relative timestamps (now, now+K) are resolved against the engine's
+// clock and re-resolved when a tick moved it under a failed run (atClock),
+// so a query never fails because a tick landed between the two. A query's
+// answer is private to its request: the reply is encoded (reply.go) after
+// the engine lock is released, so a tick never waits out its formatting.
 package service
 
 import (
@@ -39,7 +42,6 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"pdr/internal/core"
@@ -57,24 +59,19 @@ const DefaultTraceBuffer = 256
 
 // Service wraps a PDR engine with an HTTP API.
 type Service struct {
-	// mu is the outermost lock in the process: every engine and monitor
-	// lock nests inside it, never the reverse.
-	mu sync.RWMutex // pdr:lockrank service 10
-	// srv is the engine; guarded by mu (checked by the race detector):
-	// queries and applies hold the read lock, ticks and loads the write
-	// lock.
+	// srv is the engine and mon re-evaluates standing queries; each locks
+	// itself, so the handlers call both without a lock of their own.
 	srv *core.Server
-	// mon re-evaluates standing queries; guarded by mu (registration and
-	// advancement mutate it, so those handlers take the write lock).
 	mon *monitor.Monitor
 	mux *http.ServeMux
-	// reg and met are atomic-based telemetry; safe without mu.
-	reg  *telemetry.Registry
-	met  *core.Metrics
-	slow *slowQueryLog // nil unless WithSlowQueryLog was given
+	// reg, met and monMet are atomic-based telemetry; /v1/stats reads the
+	// subscription count off monMet rather than waiting out a tick in mon.
+	reg    *telemetry.Registry
+	met    *core.Metrics
+	monMet *monitor.Metrics
+	slow   *slowQueryLog // nil unless WithSlowQueryLog was given
 	// tracer samples and stores request traces; nil when tracing is
-	// disabled (trace buffer 0). Internally synchronized — handlers use it
-	// without mu.
+	// disabled (trace buffer 0). Internally synchronized.
 	tracer *tracer
 	// rts is the lazily-refreshed runtime sample behind the pdr_go_*
 	// gauges and the /v1/stats runtime fields; internally synchronized.
@@ -153,7 +150,8 @@ func NewWithEngine(srv *core.Server, opts ...Option) (*Service, error) {
 	s.met = core.NewMetrics(s.reg)
 	srv.SetMetrics(s.met)
 	srv.AttachTelemetry(s.reg)
-	s.mon.SetMetrics(monitor.NewMetrics(s.reg))
+	s.monMet = monitor.NewMetrics(s.reg)
+	s.mon.SetMetrics(s.monMet)
 	if s.slow != nil {
 		s.slow.count = s.reg.Counter("pdr_http_slow_queries_total",
 			"Requests that exceeded the slow-query threshold.")
@@ -274,8 +272,6 @@ func (s *Service) handleLoad(w http.ResponseWriter, r *http.Request) {
 	for i, rec := range req.States {
 		states[i] = rec.State()
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if err := s.srv.Load(states); err != nil {
 		writePartial(w, "load", err)
 		return
@@ -308,15 +304,13 @@ func (s *Service) handleUpdates(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	events, err := s.mon.AdvanceTraced(now, ups, requestSpan(r))
 	if err != nil {
 		writePartial(w, "tick", err)
 		return
 	}
 	writeJSON(w, UpdatesResponse{
-		Applied: len(ups), Now: s.srv.Now(), Objects: s.srv.NumObjects(),
+		Applied: len(ups), Now: now, Objects: s.srv.NumObjects(),
 		Events: eventsJSON(events),
 	})
 }
@@ -345,11 +339,8 @@ func (s *Service) handleApply(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Applies bypass the monitor (the clock does not move, so no standing
-	// query comes due) and take only the read side of the service lock: the
-	// engine serializes its own writes against queries — the contention
-	// regime bench/'s mixed-rw workload measures.
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	// query comes due): each takes the engine's write lock alone — the
+	// contention regime bench/'s mixed-rw workload measures.
 	for i, u := range ups {
 		if err := s.srv.Apply(u); err != nil {
 			writeJSONStatus(w, http.StatusConflict, partialBody{Error: fmt.Sprintf("apply %d: %v", i, err), Applied: i})
@@ -428,41 +419,57 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 	writeQueryReply(w, r, ans, qp.Get("outline") == "1")
 }
 
-// evalQuery resolves a query's clock-relative parameters and runs it, all
-// under one hold of the service's read lock so the clock it parsed against
-// is the clock it ran at — and not a moment longer: the answer is private to
-// the request, so the reply is encoded after the lock is gone. A failure
-// comes back with the HTTP status to report it under.
-func (s *Service) evalQuery(r *http.Request, qp url.Values, method core.Method, l float64) (queryAnswer, int, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	now := s.srv.Now()
-	horizon := s.srv.Horizon()
+// atClock runs a request whose timestamps are relative to the engine's
+// clock: run resolves them against now and calls the engine, answering with
+// the HTTP status to report under. No lock spans the resolve and the engine
+// call, so a tick landing between them can leave a resolved timestamp behind
+// the window the engine answers. A run that failed while the clock moved is
+// therefore resolved and run again against the new clock, until a failure is
+// one at a clock still current when run returned: a now or now+K query never
+// fails because a tick landed mid-request, and an absolute timestamp a tick
+// left behind gets the 400 it gets after the tick. Only a tick that lands
+// before the engine takes its lock can fail a run this way, so the loop ends
+// at the first resolve no tick overtakes. A run that succeeded stands.
+func atClock[T any](srv *core.Server, run func(now motion.Tick) (T, int, error)) (T, int, error) {
+	for {
+		now := srv.Now()
+		v, code, err := run(now)
+		if err == nil || srv.Now() == now {
+			return v, code, err
+		}
+	}
+}
 
-	rho, err := s.parseRhoLocked(qp)
-	if err != nil {
-		return queryAnswer{}, http.StatusBadRequest, err
-	}
-	at, err := parseTick(qp.Get("at"), now, horizon)
-	if err != nil {
-		return queryAnswer{}, http.StatusBadRequest, err
-	}
-	ans := queryAnswer{q: core.Query{Rho: rho, L: l, At: at}}
-	if u := qp.Get("until"); u != "" {
-		var end motion.Tick
-		if end, err = parseTick(u, now, horizon); err != nil {
+// evalQuery resolves a query's clock-relative parameters and runs it at one
+// clock (atClock). A failure comes back with the HTTP status to report it
+// under.
+func (s *Service) evalQuery(r *http.Request, qp url.Values, method core.Method, l float64) (queryAnswer, int, error) {
+	return atClock(s.srv, func(now motion.Tick) (queryAnswer, int, error) {
+		rho, err := s.parseRho(qp)
+		if err != nil {
 			return queryAnswer{}, http.StatusBadRequest, err
 		}
-		ans.until = &end
-		ans.res, err = s.srv.IntervalTraced(ans.q, end, method, requestSpan(r))
-	} else {
-		ans.res, err = s.srv.SnapshotTraced(ans.q, method, requestSpan(r))
-	}
-	if err != nil {
-		return queryAnswer{}, http.StatusUnprocessableEntity, err
-	}
-	ans.method = ans.res.Method.String()
-	return ans, http.StatusOK, nil
+		at, err := parseTick(qp.Get("at"), now, s.srv.Horizon())
+		if err != nil {
+			return queryAnswer{}, http.StatusBadRequest, err
+		}
+		ans := queryAnswer{q: core.Query{Rho: rho, L: l, At: at}}
+		if u := qp.Get("until"); u != "" {
+			var end motion.Tick
+			if end, err = parseTick(u, now, s.srv.Horizon()); err != nil {
+				return queryAnswer{}, http.StatusBadRequest, err
+			}
+			ans.until = &end
+			ans.res, err = s.srv.IntervalTraced(ans.q, end, method, requestSpan(r))
+		} else {
+			ans.res, err = s.srv.SnapshotTraced(ans.q, method, requestSpan(r))
+		}
+		if err != nil {
+			return queryAnswer{}, http.StatusUnprocessableEntity, err
+		}
+		ans.method = ans.res.Method.String()
+		return ans, http.StatusOK, nil
+	})
 }
 
 // ContourResponse is the body of GET /v1/contours.
@@ -486,21 +493,24 @@ func (s *Service) handleContours(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	at, err := parseTick(qp.Get("at"), s.srv.Now(), s.srv.Horizon())
+	out, code, err := atClock(s.srv, func(now motion.Tick) (ContourResponse, int, error) {
+		at, err := parseTick(qp.Get("at"), now, s.srv.Horizon())
+		if err != nil {
+			return ContourResponse{}, http.StatusBadRequest, err
+		}
+		segs, err := s.srv.Contours(at, level, res)
+		if err != nil {
+			return ContourResponse{}, http.StatusUnprocessableEntity, err
+		}
+		out := ContourResponse{Level: level, At: at, Segments: make([][4]float64, len(segs))}
+		for i, sg := range segs {
+			out.Segments[i] = [4]float64{sg.A.X, sg.A.Y, sg.B.X, sg.B.Y}
+		}
+		return out, http.StatusOK, nil
+	})
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		httpError(w, code, "%v", err)
 		return
-	}
-	segs, err := s.srv.Contours(at, level, res)
-	if err != nil {
-		httpError(w, http.StatusUnprocessableEntity, "%v", err)
-		return
-	}
-	out := ContourResponse{Level: level, At: at, Segments: make([][4]float64, len(segs))}
-	for i, sg := range segs {
-		out.Segments[i] = [4]float64{sg.A.X, sg.A.Y, sg.B.X, sg.B.Y}
 	}
 	writeJSON(w, out)
 }
@@ -542,8 +552,6 @@ type StatsResponse struct {
 }
 
 func (s *Service) handleStats(w http.ResponseWriter, _ *http.Request) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	st := s.srv.PoolStats()
 	cst := s.srv.CacheStats()
 	var traceSampled, traceDropped int64
@@ -561,7 +569,7 @@ func (s *Service) handleStats(w http.ResponseWriter, _ *http.Request) {
 		PoolWrites:         st.Writes,
 		PoolHits:           st.Hits,
 		PoolHitRatio:       st.HitRatio(),
-		Subscriptions:      s.mon.NumSubscriptions(),
+		Subscriptions:      s.monMet.Subscriptions(),
 		QueriesServed:      s.met.QueriesServed(),
 		UptimeHorizon:      s.srv.Horizon(),
 		CacheHits:          cst.Hits,
@@ -578,10 +586,9 @@ func (s *Service) handleStats(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// parseRhoLocked resolves rho= (absolute) or varrho= (relative to the live
-// count) query parameters. The Locked suffix is the pdrvet convention: the
-// caller must hold s.mu.
-func (s *Service) parseRhoLocked(qp url.Values) (float64, error) {
+// parseRho resolves rho= (absolute) or varrho= (relative to the live count)
+// query parameters.
+func (s *Service) parseRho(qp url.Values) (float64, error) {
 	if v := qp.Get("rho"); v != "" {
 		rho, err := strconv.ParseFloat(v, 64)
 		if err != nil {
@@ -682,9 +689,9 @@ func parseMethod(v string) (core.Method, error) {
 
 // ListenAndServe runs the service on addr until the listener fails. The
 // full timeout set is configured so a slow or stalled client can never pin
-// a handler goroutine (and with it s.mu) indefinitely: WriteTimeout bounds
-// the whole response, sized for exact FR interval queries which legitimately
-// run tens of seconds at paper scale.
+// a handler goroutine indefinitely: WriteTimeout bounds the whole response,
+// sized for exact FR interval queries which legitimately run tens of seconds
+// at paper scale.
 func (s *Service) ListenAndServe(addr string) error {
 	server := &http.Server{
 		Addr:              addr,

@@ -1,12 +1,12 @@
 package service
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -16,105 +16,131 @@ import (
 	"pdr/internal/wire"
 )
 
-// TestRaceUpdatesQueryStats drives one Service with concurrent update
-// traffic, snapshot queries and stats polls. It exists for `go test -race`
-// (scripts/check.sh runs it there): the handlers share srv/mon behind
-// Service.mu, and this workload makes the detector see every pairing of the
-// write path against both read paths. The updates goroutine is the single
-// clock owner, so Now stays monotonic; queries and stats race freely
-// against it.
+// TestRaceUpdatesQueryStats drives one Service with a ticking writer beside
+// a client of every other route: snapshot queries, stats polls, between-tick
+// applies, standing-query registration and removal, contours and past
+// queries. It exists for `go test -race` (scripts/check.sh runs it there):
+// no service lock spans a request, so each handler meets the tick on the
+// engine's lock or the monitor's alone, and this workload makes the detector
+// see every pairing. The writer is the single clock owner, so Now stays
+// monotonic. Every reply must succeed: the queries and contours ask at the
+// default at=now, which a tick landing between resolve and run would turn
+// into an error if the service did not re-resolve.
 func TestRaceUpdatesQueryStats(t *testing.T) {
-	_, ts := testService(t)
+	_, ts := testServiceWith(t, func(cfg *core.Config) { cfg.KeepHistory = true })
 	g := loadWorkload(t, ts, 800)
+	// One tick first, so at=0 is in the past for the /v1/past client.
+	advanceTicks(t, ts, g, 1)
 
 	const (
 		queryWorkers = 4
 		statsWorkers = 2
 		iters        = 6
 	)
-	var wg sync.WaitGroup
-	errs := make(chan error, queryWorkers+statsWorkers+1)
-
-	// Writer: advance the clock and push location updates.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < iters; i++ {
-			ups := g.Advance()
-			var ur UpdatesRequest
-			ur.Now = g.Now()
-			for _, u := range ups {
-				kind := wire.KindInsert
-				if u.Kind == motion.Delete {
-					kind = wire.KindDelete
-				}
-				ur.Updates = append(ur.Updates, wire.FromState(kind, u.State, u.At))
-			}
-			body, _ := json.Marshal(ur)
-			resp, err := http.Post(ts.URL+"/v1/updates", "application/json", bytes.NewReader(body))
-			if err != nil {
-				errs <- err
-				return
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				errs <- fmt.Errorf("updates status %d", resp.StatusCode)
-				return
-			}
+	// do sends one request and returns its reply body, or an error when the
+	// status is not want.
+	do := func(method, path, body string, want int) ([]byte, error) {
+		hr, err := http.NewRequest(method, ts.URL+path, strings.NewReader(body))
+		if err != nil {
+			return nil, err
 		}
-	}()
-
-	// Readers: snapshot queries with both cheap methods.
-	for w := 0; w < queryWorkers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			method := "pa"
-			if w%2 == 1 {
-				method = "dh"
-			}
-			for i := 0; i < iters; i++ {
-				resp, err := http.Get(fmt.Sprintf("%s/v1/query?method=%s&varrho=%d&l=60", ts.URL, method, 1+w%3))
-				if err != nil {
-					errs <- err
-					return
-				}
-				var qr QueryResponse
-				err = json.NewDecoder(resp.Body).Decode(&qr)
-				resp.Body.Close()
-				if err != nil {
-					errs <- fmt.Errorf("query decode: %w", err)
-					return
-				}
-			}
-		}(w)
+		resp, err := http.DefaultClient.Do(hr)
+		if err != nil {
+			return nil, err
+		}
+		reply, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err == nil && resp.StatusCode != want {
+			err = fmt.Errorf("%s %s: status %d, want %d: %s", method, path, resp.StatusCode, want, reply)
+		}
+		return reply, err
 	}
-
-	// Readers: stats polls.
-	for w := 0; w < statsWorkers; w++ {
+	var wg sync.WaitGroup
+	errs := make(chan error, queryWorkers+statsWorkers+5)
+	// client runs iters rounds on its own goroutine and reports the first
+	// round that fails.
+	client := func(round func(i int) error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				resp, err := http.Get(ts.URL + "/v1/stats")
-				if err != nil {
+				if err := round(i); err != nil {
 					errs <- err
-					return
-				}
-				var sr StatsResponse
-				err = json.NewDecoder(resp.Body).Decode(&sr)
-				resp.Body.Close()
-				if err != nil {
-					errs <- fmt.Errorf("stats decode: %w", err)
-					return
-				}
-				if sr.Objects == 0 {
-					errs <- fmt.Errorf("stats reported zero objects mid-traffic")
 					return
 				}
 			}
 		}()
 	}
+	get := func(path string) func(int) error {
+		return func(int) error {
+			_, err := do(http.MethodGet, path, "", http.StatusOK)
+			return err
+		}
+	}
+
+	// Writer: advance the clock and push location updates.
+	client(func(int) error {
+		ups := g.Advance()
+		var ur UpdatesRequest
+		ur.Now = g.Now()
+		for _, u := range ups {
+			kind := wire.KindInsert
+			if u.Kind == motion.Delete {
+				kind = wire.KindDelete
+			}
+			ur.Updates = append(ur.Updates, wire.FromState(kind, u.State, u.At))
+		}
+		body, _ := json.Marshal(ur)
+		_, err := do(http.MethodPost, "/v1/updates", string(body), http.StatusOK)
+		return err
+	})
+	// Snapshot queries with both cheap methods, at the default at=now.
+	for w := 0; w < queryWorkers; w++ {
+		method := []string{"pa", "dh-opt"}[w%2]
+		client(get(fmt.Sprintf("/v1/query?method=%s&varrho=%d&l=60", method, 1+w%3)))
+	}
+	for w := 0; w < statsWorkers; w++ {
+		client(func(int) error {
+			reply, err := do(http.MethodGet, "/v1/stats", "", http.StatusOK)
+			if err != nil {
+				return err
+			}
+			var sr StatsResponse
+			if err := json.Unmarshal(reply, &sr); err != nil {
+				return err
+			}
+			if sr.Objects == 0 {
+				return fmt.Errorf("stats reported zero objects mid-traffic")
+			}
+			return nil
+		})
+	}
+	client(get("/v1/contours?level=0.001&res=16"))
+	client(get("/v1/past?varrho=2&l=60&at=0"))
+	// Between-tick applies: each inserts an object no tick names and deletes
+	// it again.
+	client(func(i int) error {
+		ins := wire.Record{Kind: wire.KindInsert, ID: 900001 + uint64(i), X: 400, Y: 400, VX: 2, VY: 1}
+		del := ins
+		del.Kind = wire.KindDelete
+		body, _ := json.Marshal(ApplyRequest{Updates: []wire.Record{ins, del}})
+		_, err := do(http.MethodPost, "/v1/apply", string(body), http.StatusOK)
+		return err
+	})
+	// Standing queries, registered and removed again while ticks
+	// re-evaluate them.
+	client(func(int) error {
+		reply, err := do(http.MethodPost, "/v1/watch", `{"varrho":2,"l":60,"every":1,"method":"pa"}`, http.StatusOK)
+		if err != nil {
+			return err
+		}
+		var wr WatchResponse
+		if err := json.Unmarshal(reply, &wr); err != nil {
+			return err
+		}
+		_, err = do(http.MethodDelete, fmt.Sprintf("/v1/watch/%d", wr.ID), "", http.StatusNoContent)
+		return err
+	})
 
 	wg.Wait()
 	close(errs)
@@ -124,7 +150,7 @@ func TestRaceUpdatesQueryStats(t *testing.T) {
 }
 
 // TestRaceConcurrentIntervalQueries hammers the parallel interval path from
-// several HTTP clients at once: every handler holds the service read lock
+// several HTTP clients at once: every handler holds the engine read lock
 // simultaneously, and each interval query fans its per-timestamp snapshots
 // out to the engine's worker pool. All clients must get the same answer —
 // the engine is quiescent (no updates), so any divergence would mean the
@@ -177,7 +203,7 @@ func TestRaceConcurrentIntervalQueries(t *testing.T) {
 	}
 }
 
-// TestRaceEncodeWhileTicking: a query reply is encoded after the service lock
+// TestRaceEncodeWhileTicking: a query reply is encoded after the engine lock
 // is released, out of a pooled buffer the middleware hands to the socket and
 // then back to the pool — so ticks now run while replies are being formatted,
 // and buffers change hands between concurrent requests. Every reply must

@@ -12,8 +12,7 @@ import (
 
 // tracer decides per request whether to trace (probabilistic head
 // sampling) and files completed traces into the bounded store. All state
-// is atomic or internally locked — the middleware uses it without any
-// service-level lock.
+// is atomic or internally locked — the middleware uses it without a lock.
 type tracer struct {
 	store   *tracestore.Store
 	rate    float64 // head-sampling probability in [0, 1]

@@ -67,15 +67,15 @@ func (s *Service) handlePast(w http.ResponseWriter, r *http.Request) {
 	writeQueryReply(w, r, ans, false)
 }
 
-// evalPast is evalQuery for /v1/past.
+// evalPast is evalQuery for /v1/past. It needs no atClock: a tick that lands
+// after the resolve keeps a past timestamp past, and changes nothing the
+// archive answers for it.
 func (s *Service) evalPast(r *http.Request, qp url.Values, l float64) (queryAnswer, int, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	at, err := parsePastTick(qp.Get("at"), s.srv.Now())
 	if err != nil {
 		return queryAnswer{}, http.StatusBadRequest, err
 	}
-	rho, err := s.parseRhoLocked(qp)
+	rho, err := s.parseRho(qp)
 	if err != nil {
 		return queryAnswer{}, http.StatusBadRequest, err
 	}
@@ -104,8 +104,6 @@ func (s *Service) handleWatch(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	rho := req.Rho
 	if rho == 0 && req.Varrho != 0 {
 		area := s.srv.Config().Area
@@ -127,8 +125,6 @@ func (s *Service) handleUnwatch(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad id %q", r.PathValue("id"))
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if !s.mon.Unregister(id) {
 		httpError(w, http.StatusNotFound, "no subscription %d", id)
 		return

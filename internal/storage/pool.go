@@ -150,14 +150,6 @@ func (p *Pool) SetMetrics(m *PoolMetrics) {
 	}
 }
 
-// Capacity returns the buffer capacity in pages (0 = unlimited).
-func (p *Pool) Capacity() int {
-	if p.capacity <= 0 {
-		return 0
-	}
-	return p.capacity
-}
-
 // Alloc reserves a fresh page ID with a nil payload. The new page is
 // considered resident and dirty (it must be written before eviction).
 func (p *Pool) Alloc() PageID {

@@ -160,9 +160,6 @@ func TestUnlimitedPoolNeverEvicts(t *testing.T) {
 	if p.Stats().Writes != 0 {
 		t.Fatalf("unlimited pool must not evict; writes = %d", p.Stats().Writes)
 	}
-	if p.Capacity() != 0 {
-		t.Fatalf("Capacity = %d, want 0", p.Capacity())
-	}
 }
 
 // TestPoolHitRatioFreshProcess pins the zero-denominator guard: with no

@@ -258,14 +258,6 @@ func (s *Span) SetAttrBool(key string, v bool) {
 	s.Attrs = append(s.Attrs, Attr{Key: key, Value: strconv.FormatBool(v)})
 }
 
-// SetAttrFloat annotates the span with a float value ('g', shortest).
-func (s *Span) SetAttrFloat(key string, v float64) {
-	if s == nil {
-		return
-	}
-	s.Attrs = append(s.Attrs, Attr{Key: key, Value: strconv.FormatFloat(v, 'g', -1, 64)})
-}
-
 // Spans is a fixed fan-out of sibling spans, indexed by worker item. A nil
 // Spans hands every worker a nil span, so the fan-out sites need no
 // tracing guards.
