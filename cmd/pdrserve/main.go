@@ -55,10 +55,7 @@ func main() {
 	cfg.KeepHistory = true // the /v1/past audit endpoint needs the archive
 	var opts []service.Option
 	if *slowQuery > 0 {
-		opts = append(opts, service.WithSlowQueryLog(*slowQuery, os.Stderr))
-	}
-	if *slowMax > 0 {
-		opts = append(opts, service.WithSlowQueryCap(*slowMax))
+		opts = append(opts, service.WithSlowQueryLog(*slowQuery, *slowMax, os.Stderr))
 	}
 	opts = append(opts, service.WithTracing(*traceRate, *traceBuf))
 	svc, err := service.New(cfg, opts...)

@@ -12,8 +12,8 @@
 //
 // Concurrency: each shard owns a short-critical-section mutex over its map,
 // recency list, and in-flight table; byte/entry accounting and the
-// hit/miss/eviction statistics are process-global atomics, so Stats and the
-// telemetry mirror never take a shard lock. Concurrent callers of the same
+// hit/miss/eviction statistics are process-global atomics, so Stats and a
+// /metrics scrape never take a shard lock. Concurrent callers of the same
 // key collapse: the first computes while the rest block on its flight and
 // share the stored result. Entries are deep-immutable — the cache stores
 // and returns private copies, so neither the winner's caller nor any reader
@@ -155,10 +155,6 @@ type Cache struct {
 	// waiting counts callers blocked on another caller's flight right now
 	// (test and introspection hook for the singleflight layer).
 	waiting atomic.Int64
-
-	// met mirrors the accounting into telemetry; atomic so attachment
-	// needs no lock.
-	met atomic.Pointer[Metrics]
 }
 
 // New builds a cache bounded by budgetBytes of approximate entry
@@ -240,9 +236,6 @@ func (c *Cache) Do(k Key, compute func() (*Entry, error)) (*Entry, Outcome, erro
 		ent := el.Value.(*node).ent.clone()
 		sh.mu.Unlock()
 		c.hits.Add(1)
-		if m := c.met.Load(); m != nil {
-			m.hits.Inc()
-		}
 		return ent, Hit, nil
 	}
 	if f, ok := sh.flights[k]; ok {
@@ -251,9 +244,6 @@ func (c *Cache) Do(k Key, compute func() (*Entry, error)) (*Entry, Outcome, erro
 		<-f.done
 		c.waiting.Add(-1)
 		c.shared.Add(1)
-		if m := c.met.Load(); m != nil {
-			m.shared.Inc()
-		}
 		if f.err != nil {
 			return nil, Shared, f.err
 		}
@@ -264,9 +254,6 @@ func (c *Cache) Do(k Key, compute func() (*Entry, error)) (*Entry, Outcome, erro
 	sh.mu.Unlock()
 
 	c.misses.Add(1)
-	if m := c.met.Load(); m != nil {
-		m.misses.Inc()
-	}
 	settled := false
 	// A panicking compute must still settle the flight, or every waiter
 	// would block forever; the panic then propagates to this caller.
@@ -324,10 +311,6 @@ func (sh *shard) storeLocked(k Key, ent *Entry, c *Cache) {
 	for sh.bytes > sh.budget {
 		sh.evictOldestLocked(c)
 	}
-	if m := c.met.Load(); m != nil {
-		m.bytes.Set(float64(c.bytes.Load()))
-		m.entries.Set(float64(c.entries.Load()))
-	}
 }
 
 // evictOldestLocked drops the least-recently-used entry. The caller holds
@@ -345,9 +328,6 @@ func (sh *shard) evictOldestLocked(c *Cache) {
 	c.bytes.Add(-n.bytes)
 	c.entries.Add(-1)
 	c.evictions.Add(1)
-	if m := c.met.Load(); m != nil {
-		m.evictions.Inc()
-	}
 }
 
 // Stats is a point-in-time snapshot of the cache accounting.

@@ -75,7 +75,6 @@ func TestZeroBudgetDisablesCache(t *testing.T) {
 	if c.Len() != 0 {
 		t.Errorf("nil cache Len = %d", c.Len())
 	}
-	c.SetMetrics(nil) // must not panic
 }
 
 func TestHitReturnsEqualRegion(t *testing.T) {
@@ -339,10 +338,11 @@ func TestConcurrentMixedKeys(t *testing.T) {
 	}
 }
 
-func TestMetricsMirror(t *testing.T) {
-	reg := telemetry.NewRegistry()
+// TestMetricsReadAtScrapeTime registers the cache on a registry only after
+// it has served lookups: the exposition reads the cache's own counters, so
+// it reports every lookup since the cache was built, as Stats does.
+func TestMetricsReadAtScrapeTime(t *testing.T) {
 	c := New(1 << 20)
-	c.SetMetrics(NewMetrics(reg))
 	mustCompute(t, c, key(1, 0), entryWithRects(1))
 	if _, outcome := lookup(t, c, key(1, 0)); outcome != Hit {
 		t.Fatal("expected a hit")
@@ -351,8 +351,21 @@ func TestMetricsMirror(t *testing.T) {
 	if st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if r := st.HitRatio(); r != 0.5 {
-		t.Errorf("hit ratio = %g, want 0.5", r)
+	reg := telemetry.NewRegistry()
+	c.RegisterMetrics(reg)
+	var buf bytes.Buffer
+	if err := reg.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, sample := range []string{
+		"pdr_cache_hits_total 1",
+		"pdr_cache_misses_total 1",
+		"pdr_cache_entries 1",
+		"pdr_cache_hit_ratio 0.5",
+	} {
+		if !strings.Contains(buf.String(), sample+"\n") {
+			t.Errorf("exposition lacks %q:\n%s", sample, buf.String())
+		}
 	}
 }
 
@@ -364,7 +377,7 @@ func TestHitRatioFreshProcess(t *testing.T) {
 		t.Fatalf("fresh HitRatio = %v, want 0", r)
 	}
 	reg := telemetry.NewRegistry()
-	NewMetrics(reg)
+	New(1 << 20).RegisterMetrics(reg)
 	var buf bytes.Buffer
 	if err := reg.WriteText(&buf); err != nil {
 		t.Fatal(err)

@@ -2,54 +2,26 @@ package cache
 
 import "pdr/internal/telemetry"
 
-// Metrics mirrors the cache accounting into a telemetry registry: the
-// counters become atomic instruments a concurrent /metrics scrape can read
-// without touching a shard lock, and the hit ratio is derived from them at
-// scrape time.
-type Metrics struct {
-	hits, misses, evictions, shared *telemetry.Counter
-	bytes, entries                  *telemetry.Gauge
-}
-
-// NewMetrics registers the cache instruments on reg.
-func NewMetrics(reg *telemetry.Registry) *Metrics {
-	m := &Metrics{
-		hits: reg.Counter("pdr_cache_hits_total",
-			"Snapshot lookups served from the result cache."),
-		misses: reg.Counter("pdr_cache_misses_total",
-			"Snapshot lookups that evaluated (cold key or superseded epoch)."),
-		evictions: reg.Counter("pdr_cache_evictions_total",
-			"Cached snapshot results dropped by the byte budget (LRU tail)."),
-		shared: reg.Counter("pdr_cache_singleflight_shared_total",
-			"Lookups collapsed onto another caller's in-flight evaluation."),
-		bytes: reg.Gauge("pdr_cache_bytes",
-			"Approximate resident bytes of the snapshot result cache."),
-		entries: reg.Gauge("pdr_cache_entries",
-			"Resident entries of the snapshot result cache."),
-	}
+// RegisterMetrics exposes the cache accounting on reg. Every series is read
+// from the cache's own atomics at scrape time (no shard lock), so /metrics
+// reports the counts since the cache was built, the same numbers Stats
+// returns.
+func (c *Cache) RegisterMetrics(reg *telemetry.Registry) {
+	reg.CounterFunc("pdr_cache_hits_total",
+		"Snapshot lookups served from the result cache.", c.hits.Load)
+	reg.CounterFunc("pdr_cache_misses_total",
+		"Snapshot lookups that evaluated (cold key or superseded epoch).", c.misses.Load)
+	reg.CounterFunc("pdr_cache_evictions_total",
+		"Cached snapshot results dropped by the byte budget (LRU tail).", c.evictions.Load)
+	reg.CounterFunc("pdr_cache_singleflight_shared_total",
+		"Lookups collapsed onto another caller's in-flight evaluation.", c.shared.Load)
+	reg.GaugeFunc("pdr_cache_bytes",
+		"Approximate resident bytes of the snapshot result cache.",
+		func() float64 { return float64(c.bytes.Load()) })
+	reg.GaugeFunc("pdr_cache_entries",
+		"Resident entries of the snapshot result cache.",
+		func() float64 { return float64(c.entries.Load()) })
 	reg.GaugeFunc("pdr_cache_hit_ratio",
 		"Fraction of lookups served without an evaluation (hits plus shared flights).",
-		func() float64 {
-			return Stats{
-				Hits:   m.hits.Value(),
-				Misses: m.misses.Value(),
-				Shared: m.shared.Value(),
-			}.HitRatio()
-		})
-	return m
-}
-
-// SetMetrics attaches telemetry instruments; every accounting change from
-// here on is mirrored into them. The resident gauges are seeded with the
-// current state so late attachment stays accurate. Nil-safe on a disabled
-// cache.
-func (c *Cache) SetMetrics(m *Metrics) {
-	if c == nil {
-		return
-	}
-	c.met.Store(m)
-	if m != nil {
-		m.bytes.Set(float64(c.bytes.Load()))
-		m.entries.Set(float64(c.entries.Load()))
-	}
+		func() float64 { return c.Stats().HitRatio() })
 }

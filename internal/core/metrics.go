@@ -3,8 +3,6 @@ package core
 import (
 	"time"
 
-	"pdr/internal/cache"
-	"pdr/internal/storage"
 	"pdr/internal/telemetry"
 )
 
@@ -21,10 +19,10 @@ var fanoutBounds = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 // Metrics is the engine's instrument bundle: per-method query counts and
 // latency distributions, the filter step's cell classification (the paper's
 // Sec. 5 cost drivers), refinement fan-in, interval-query fan-out, and the
-// parallel execution layer (worker-pool occupancy, per-query fan-out
-// distributions, wall-clock interval latency — the series where added
-// workers show up as left-shifted buckets). All instruments are atomic, so
-// a /metrics scrape never needs the engine lock.
+// parallel execution layer (per-query fan-out distributions, wall-clock
+// interval latency — the series where added workers show up as
+// left-shifted buckets). All instruments are atomic, so a /metrics scrape
+// never needs the engine lock.
 type Metrics struct {
 	queries      map[Method]*telemetry.Counter
 	latency      map[Method]*telemetry.Histogram
@@ -36,8 +34,6 @@ type Metrics struct {
 	fanoutHist   *telemetry.Histogram
 	intervalWall *telemetry.Histogram
 	refineFanout *telemetry.Histogram
-	workers      *telemetry.Gauge
-	busy         *telemetry.Gauge
 }
 
 // NewMetrics registers the engine instruments on reg.
@@ -63,10 +59,6 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		refineFanout: reg.Histogram("pdr_engine_refine_fanout_windows",
 			"Per-FR-query refinement fan-out (row runs of candidate cells dispatched to the worker pool).",
 			fanoutBounds),
-		workers: reg.Gauge("pdr_parallel_workers",
-			"Configured query worker-pool size (core.Config.Workers, 0 resolved to GOMAXPROCS)."),
-		busy: reg.Gauge("pdr_parallel_workers_busy",
-			"Worker-pool helper goroutines currently running fan-out items."),
 	}
 	for _, mm := range metricMethods {
 		m.queries[mm] = reg.Counter("pdr_engine_queries_total",
@@ -118,22 +110,17 @@ func (m *Metrics) QueriesServed() map[string]int64 {
 // disables engine metrics (the default for offline/experiment servers).
 // Call before serving traffic: attachment is not synchronized with
 // in-flight queries.
-func (s *Server) SetMetrics(m *Metrics) {
-	s.met = m
-	if m != nil {
-		m.workers.Set(float64(s.par.Workers()))
-		s.par.SetBusyGauge(m.busy)
-	} else {
-		s.par.SetBusyGauge(nil)
-	}
-}
+func (s *Server) SetMetrics(m *Metrics) { s.met = m }
 
-// AttachTelemetry registers the server's substrate instruments on reg: the
-// buffer pool's I/O counters and the result cache. Call before serving
-// traffic, like SetMetrics.
+// AttachTelemetry registers the server's substrate series on reg: the
+// buffer pool's I/O counters, the result cache (when enabled) and the
+// worker pool. Each is read from its subsystem at scrape time, so the
+// series count from the engine's construction, not from the attachment,
+// and may be attached at any time.
 func (s *Server) AttachTelemetry(reg *telemetry.Registry) {
-	s.pool.SetMetrics(storage.NewPoolMetrics(reg))
+	s.pool.RegisterMetrics(reg)
 	if s.qcache != nil {
-		s.qcache.SetMetrics(cache.NewMetrics(reg))
+		s.qcache.RegisterMetrics(reg)
 	}
+	s.par.RegisterMetrics(reg)
 }

@@ -258,8 +258,7 @@ func (s *Server) Workers() int { return s.par.Workers() }
 // increments on every Tick, Load and admitted Apply.
 func (s *Server) Epoch() uint64 { return s.epoch.Load() }
 
-// Cache exposes the snapshot result cache (nil when Config.CacheBytes is 0),
-// so embedders can attach telemetry via cache.NewMetrics.
+// Cache exposes the snapshot result cache (nil when Config.CacheBytes is 0).
 func (s *Server) Cache() *cache.Cache { return s.qcache }
 
 // CacheStats returns the result cache counters (zeros when caching is off).

@@ -16,6 +16,7 @@ package monitor
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"pdr/internal/core"
 	"pdr/internal/geom"
@@ -69,12 +70,15 @@ type sub struct {
 // changes.
 type Monitor struct {
 	srv *core.Server
+	// numSubs is len(subs), kept beside it so NumSubscriptions never waits
+	// out a tick that holds mu.
+	numSubs atomic.Int64
 	// mu guards everything below. Advance holds it across the engine tick,
 	// so it is taken before the engine lock: the lower rank.
 	mu     sync.Mutex // pdr:lockrank monitor 10
 	nextID int
 	subs   map[int]*sub
-	met    *Metrics // nil unless SetMetrics was called
+	met    *metrics // nil unless RegisterMetrics was called
 }
 
 // New creates a monitor over srv.
@@ -82,37 +86,27 @@ func New(srv *core.Server) *Monitor {
 	return &Monitor{srv: srv, subs: make(map[int]*sub)}
 }
 
-// Metrics is the monitor's instrument bundle: live subscription count,
-// events emitted, and standing-query evaluation latency.
-type Metrics struct {
-	subs   *telemetry.Gauge
+// metrics is the monitor's instrument bundle: events emitted and
+// standing-query evaluation latency.
+type metrics struct {
 	events *telemetry.Counter
 	eval   *telemetry.Histogram
 }
 
-// NewMetrics registers the monitor instruments on reg.
-func NewMetrics(reg *telemetry.Registry) *Metrics {
-	return &Metrics{
-		subs:   reg.Gauge("pdr_monitor_subscriptions", "Active standing PDR queries."),
+// RegisterMetrics exposes the monitor on reg: the live subscription count,
+// read at scrape time, plus the events it emits and its evaluation latency
+// from here on.
+func (m *Monitor) RegisterMetrics(reg *telemetry.Registry) {
+	reg.GaugeFunc("pdr_monitor_subscriptions", "Active standing PDR queries.",
+		func() float64 { return float64(m.NumSubscriptions()) })
+	met := &metrics{
 		events: reg.Counter("pdr_monitor_events_total", "Change events emitted to subscribers."),
 		eval: reg.Histogram("pdr_monitor_eval_seconds",
 			"Per-subscription standing-query evaluation latency.", nil),
 	}
-}
-
-// Subscriptions reads the subscription gauge: the live count, without
-// waiting out a tick that holds the monitor's lock.
-func (met *Metrics) Subscriptions() int { return int(met.subs.Value()) }
-
-// SetMetrics attaches an instrument bundle; the subscription gauge is
-// seeded with the current count so late attachment stays accurate.
-func (m *Monitor) SetMetrics(met *Metrics) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.met = met
-	if met != nil {
-		met.subs.Set(float64(len(m.subs)))
-	}
 }
 
 // Register adds a standing query and returns its subscription id.
@@ -130,9 +124,7 @@ func (m *Monitor) Register(q ContinuousQuery) (int, error) {
 	defer m.mu.Unlock()
 	m.nextID++
 	m.subs[m.nextID] = &sub{id: m.nextID, q: q}
-	if m.met != nil {
-		m.met.subs.Set(float64(len(m.subs)))
-	}
+	m.numSubs.Add(1)
 	return m.nextID, nil
 }
 
@@ -144,18 +136,13 @@ func (m *Monitor) Unregister(id int) bool {
 		return false
 	}
 	delete(m.subs, id)
-	if m.met != nil {
-		m.met.subs.Set(float64(len(m.subs)))
-	}
+	m.numSubs.Add(-1)
 	return true
 }
 
-// NumSubscriptions returns the number of active standing queries.
-func (m *Monitor) NumSubscriptions() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.subs)
-}
+// NumSubscriptions returns the number of active standing queries. It takes
+// no lock.
+func (m *Monitor) NumSubscriptions() int { return int(m.numSubs.Load()) }
 
 // Advance forwards the tick to the server, then re-evaluates every due
 // standing query and returns the resulting events in subscription order.

@@ -313,8 +313,8 @@ func TestConcurrentSubscriptionChangesAndTicks(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := New(s)
-	met := NewMetrics(telemetry.NewRegistry())
-	m.SetMetrics(met)
+	reg := telemetry.NewRegistry()
+	m.RegisterMetrics(reg)
 	rho := 50.0 / (60 * 60)
 	const rounds = 20
 	var wg sync.WaitGroup
@@ -355,7 +355,12 @@ func TestConcurrentSubscriptionChangesAndTicks(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if got, want := m.NumSubscriptions(), rounds; got != want || met.Subscriptions() != want {
-		t.Errorf("%d subscriptions (gauge %d), want %d", got, met.Subscriptions(), want)
+	var exposition strings.Builder
+	if err := reg.WriteText(&exposition); err != nil {
+		t.Fatal(err)
+	}
+	gauge := fmt.Sprintf("pdr_monitor_subscriptions %d\n", rounds)
+	if got := m.NumSubscriptions(); got != rounds || !strings.Contains(exposition.String(), gauge) {
+		t.Errorf("%d subscriptions, want %d; /metrics:\n%s", got, rounds, exposition.String())
 	}
 }

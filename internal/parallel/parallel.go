@@ -29,11 +29,9 @@ import (
 type Pool struct {
 	workers int
 	// slots bounds the helper goroutines alive across all concurrent
-	// ForEach calls; each helper holds one slot for its lifetime.
+	// ForEach calls; each helper holds one slot for its lifetime, so
+	// len(slots) is the number of busy helpers.
 	slots chan struct{}
-	// busy mirrors the number of running helpers into telemetry (nil until
-	// SetBusyGauge; stored atomically so attachment needs no lock).
-	busy atomic.Pointer[telemetry.Gauge]
 }
 
 // New builds a pool that runs at most workers items concurrently per
@@ -50,8 +48,16 @@ func New(workers int) *Pool {
 // Workers returns the configured parallelism.
 func (p *Pool) Workers() int { return p.workers }
 
-// SetBusyGauge mirrors the live helper count into g (pass nil to detach).
-func (p *Pool) SetBusyGauge(g *telemetry.Gauge) { p.busy.Store(g) }
+// RegisterMetrics exposes the pool's size and its busy helpers on reg, both
+// read at scrape time.
+func (p *Pool) RegisterMetrics(reg *telemetry.Registry) {
+	reg.GaugeFunc("pdr_parallel_workers",
+		"Configured query worker-pool size (core.Config.Workers, 0 resolved to GOMAXPROCS).",
+		func() float64 { return float64(p.workers) })
+	reg.GaugeFunc("pdr_parallel_workers_busy",
+		"Worker-pool helper goroutines currently running fan-out items.",
+		func() float64 { return float64(len(p.slots)) })
+}
 
 // ForEach runs fn(i) for every i in [0, n), using up to Workers()
 // goroutines, and returns when all calls have finished. Work is distributed
@@ -99,10 +105,6 @@ spawn:
 					<-p.slots
 					wg.Done()
 				}()
-				if g := p.busy.Load(); g != nil {
-					g.Add(1)
-					defer g.Add(-1)
-				}
 				run()
 			}()
 		default:

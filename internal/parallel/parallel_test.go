@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -86,11 +87,41 @@ func TestForEachPanicPropagates(t *testing.T) {
 
 func TestBusyGaugeReturnsToZero(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	g := reg.Gauge("pdr_parallel_workers_busy", "test")
 	p := New(4)
-	p.SetBusyGauge(g)
-	p.ForEach(64, func(int) {})
-	if v := g.Value(); v != 0 {
-		t.Fatalf("busy gauge = %g after ForEach, want 0", v)
+	p.RegisterMetrics(reg)
+	busy := func() string {
+		var b strings.Builder
+		if err := reg.WriteText(&b); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(b.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, "pdr_parallel_workers_busy "); ok {
+				return v
+			}
+		}
+		t.Fatalf("no busy gauge in\n%s", b.String())
+		return ""
+	}
+	// Every helper blocks until all four items run at once, so a scrape
+	// taken then sees the three helpers.
+	var started sync.WaitGroup
+	started.Add(4)
+	release := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		p.ForEach(4, func(int) {
+			started.Done()
+			<-release
+		})
+	}()
+	started.Wait()
+	if v := busy(); v != "3" {
+		t.Errorf("busy gauge = %s while every item runs, want 3", v)
+	}
+	close(release)
+	<-done
+	if v := busy(); v != "0" {
+		t.Fatalf("busy gauge = %s after ForEach, want 0", v)
 	}
 }

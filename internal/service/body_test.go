@@ -56,7 +56,7 @@ func spanAttrs(t *testing.T, ts *httptest.Server, traceID, name string) map[stri
 // the two paths apart.
 func TestUpdatesHandlerFallsBack(t *testing.T) {
 	var log syncBuffer
-	ts := tracedTestService(t, WithSlowQueryLog(time.Nanosecond, &log))
+	ts := tracedTestService(t, WithSlowQueryLog(time.Nanosecond, 0, &log))
 	canonical := `{"now":1,"updates":[{"kind":"insert","tick":1,"id":900001,"x":400,"y":400,"vx":2,"vy":1,"ref":1}]}`
 	unusual := `{"comment":"{", "NOW":2, "Updates":[{"KIND":"insert","tick":2,"id":900002,"x":4e2,"y":400,"vx":2,"vy":1,"ref":2}]}`
 	if _, _, ok := wire.DecodeUpdates([]byte(canonical)); !ok {

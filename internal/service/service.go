@@ -64,12 +64,10 @@ type Service struct {
 	srv *core.Server
 	mon *monitor.Monitor
 	mux *http.ServeMux
-	// reg, met and monMet are atomic-based telemetry; /v1/stats reads the
-	// subscription count off monMet rather than waiting out a tick in mon.
-	reg    *telemetry.Registry
-	met    *core.Metrics
-	monMet *monitor.Metrics
-	slow   *slowQueryLog // nil unless WithSlowQueryLog was given
+	// reg and met are atomic-based telemetry.
+	reg  *telemetry.Registry
+	met  *core.Metrics
+	slow *slowQueryLog // nil unless WithSlowQueryLog was given
 	// tracer samples and stores request traces; nil when tracing is
 	// disabled (trace buffer 0). Internally synchronized.
 	tracer *tracer
@@ -93,22 +91,13 @@ func WithRegistry(reg *telemetry.Registry) Option {
 
 // WithSlowQueryLog enables the slow-query log: every request slower than
 // threshold is written to w as one structured JSON line (see
-// docs/OBSERVABILITY.md for the schema).
-func WithSlowQueryLog(threshold time.Duration, w io.Writer) Option {
+// docs/OBSERVABILITY.md for the schema), up to maxLines lines. Beyond the
+// cap, lines are dropped (and counted on pdr_http_slow_log_dropped_total)
+// so a long-running server can never grow the log without limit; 0 means
+// unbounded.
+func WithSlowQueryLog(threshold time.Duration, maxLines int64, w io.Writer) Option {
 	return func(s *Service) {
-		s.slow = &slowQueryLog{threshold: threshold, w: w}
-	}
-}
-
-// WithSlowQueryCap bounds the slow-query log at maxLines written lines;
-// beyond the cap, lines are dropped (and counted on
-// pdr_http_slow_log_dropped_total) so a long-running server can never
-// grow the log without limit. 0 means unbounded.
-func WithSlowQueryCap(maxLines int64) Option {
-	return func(s *Service) {
-		if s.slow != nil {
-			s.slow.maxLines = maxLines
-		}
+		s.slow = &slowQueryLog{threshold: threshold, maxLines: maxLines, w: w}
 	}
 }
 
@@ -134,8 +123,10 @@ func New(cfg core.Config, opts ...Option) (*Service, error) {
 }
 
 // NewWithEngine creates a service over an existing engine. The service
-// attaches its metrics bundle and substrate telemetry to the engine, so call
-// it before the engine serves traffic.
+// attaches its metrics bundle to the engine without synchronization, so call
+// it while no query runs there. The substrate series (buffer pool, result
+// cache, worker pool) are read from the engine at scrape time and report
+// everything since the engine was built.
 func NewWithEngine(srv *core.Server, opts ...Option) (*Service, error) {
 	s := &Service{
 		srv: srv, mon: monitor.New(srv), mux: http.NewServeMux(),
@@ -150,8 +141,7 @@ func NewWithEngine(srv *core.Server, opts ...Option) (*Service, error) {
 	s.met = core.NewMetrics(s.reg)
 	srv.SetMetrics(s.met)
 	srv.AttachTelemetry(s.reg)
-	s.monMet = monitor.NewMetrics(s.reg)
-	s.mon.SetMetrics(s.monMet)
+	s.mon.RegisterMetrics(s.reg)
 	if s.slow != nil {
 		s.slow.count = s.reg.Counter("pdr_http_slow_queries_total",
 			"Requests that exceeded the slow-query threshold.")
@@ -160,7 +150,7 @@ func NewWithEngine(srv *core.Server, opts ...Option) (*Service, error) {
 	}
 	if s.traceBuffer > 0 {
 		store := tracestore.New(s.traceBuffer, (s.traceBuffer+3)/4)
-		store.SetMetrics(tracestore.NewMetrics(s.reg))
+		store.RegisterMetrics(s.reg)
 		s.tracer = &tracer{
 			store: store,
 			rate:  s.traceSample,
@@ -515,9 +505,9 @@ func (s *Service) handleContours(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, out)
 }
 
-// StatsResponse is the body of GET /v1/stats. The telemetry-backed fields
-// (QueriesServed, Subscriptions, PoolHitRatio) read the same instruments
-// /metrics exposes, so the two surfaces always agree.
+// StatsResponse is the body of GET /v1/stats. Each number is read from the
+// subsystem that counts it, the same place /metrics reads it, so the two
+// surfaces always agree.
 type StatsResponse struct {
 	Now            motion.Tick      `json:"now"`
 	Objects        int              `json:"objects"`
@@ -532,7 +522,7 @@ type StatsResponse struct {
 	QueriesServed  map[string]int64 `json:"queriesServed"`
 	UptimeHorizon  motion.Tick      `json:"horizon"`
 	// Result-cache counters (all zero when Config.CacheBytes is 0); the
-	// same instruments /metrics exposes as pdr_cache_*.
+	// same counters /metrics exposes as pdr_cache_*.
 	CacheHits          int64   `json:"cacheHits"`
 	CacheMisses        int64   `json:"cacheMisses"`
 	CacheEvictions     int64   `json:"cacheEvictions"`
@@ -569,7 +559,7 @@ func (s *Service) handleStats(w http.ResponseWriter, _ *http.Request) {
 		PoolWrites:         st.Writes,
 		PoolHits:           st.Hits,
 		PoolHitRatio:       st.HitRatio(),
-		Subscriptions:      s.monMet.Subscriptions(),
+		Subscriptions:      s.mon.NumSubscriptions(),
 		QueriesServed:      s.met.QueriesServed(),
 		UptimeHorizon:      s.srv.Horizon(),
 		CacheHits:          cst.Hits,

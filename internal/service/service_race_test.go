@@ -17,12 +17,14 @@ import (
 )
 
 // TestRaceUpdatesQueryStats drives one Service with a ticking writer beside
-// a client of every other route: snapshot queries, stats polls, between-tick
-// applies, standing-query registration and removal, contours and past
-// queries. It exists for `go test -race` (scripts/check.sh runs it there):
-// no service lock spans a request, so each handler meets the tick on the
-// engine's lock or the monitor's alone, and this workload makes the detector
-// see every pairing. The writer is the single clock owner, so Now stays
+// a client of every other route: snapshot queries, stats polls and /metrics
+// scrapes, between-tick applies, standing-query registration and removal,
+// contours and past queries. It exists for `go test -race` (scripts/check.sh
+// runs it there): no service lock spans a request, so each handler meets the
+// tick on the engine's lock or the monitor's alone, and a scrape reads each
+// subsystem's own counters (the buffer pool's and the trace store's leaf
+// locks, the worker pool's slots, the monitor's count) while the traffic
+// moves them; this workload makes the detector see every pairing. The writer is the single clock owner, so Now stays
 // monotonic. Every reply must succeed: the queries and contours ask at the
 // default at=now, which a tick landing between resolve and run would turn
 // into an error if the service did not re-resolve.
@@ -112,7 +114,8 @@ func TestRaceUpdatesQueryStats(t *testing.T) {
 			if sr.Objects == 0 {
 				return fmt.Errorf("stats reported zero objects mid-traffic")
 			}
-			return nil
+			_, err = do(http.MethodGet, "/metrics", "", http.StatusOK)
+			return err
 		})
 	}
 	client(get("/v1/contours?level=0.001&res=16"))

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"pdr/internal/core"
+	"pdr/internal/datagen"
 	"pdr/internal/motion"
 	"pdr/internal/telemetry"
 )
@@ -177,13 +178,173 @@ func TestMetricsAndStatsAgree(t *testing.T) {
 	_ = svc
 }
 
+// TestMetricsAgreeWithStatsForAWarmEngine wraps an engine that was loaded
+// and had answered queries before the service existed: /metrics must report
+// the pool's and the cache's counts since the engine was built, exactly as
+// /v1/stats does, not just the traffic since the service attached.
+func TestMetricsAgreeWithStatsForAWarmEngine(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.HistM = 50
+	cfg.L = 60
+	cfg.CacheBytes = 16 << 20
+	srv, err := core.NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gcfg := datagen.DefaultConfig(1000)
+	gcfg.Seed = 7
+	g, err := datagen.New(gcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Load(g.InitialStates()); err != nil {
+		t.Fatal(err)
+	}
+	q := core.Query{Rho: 2 * 1000 / cfg.Area.Area(), L: 60, At: srv.Now() + 5}
+	for i := 0; i < 3; i++ {
+		if _, err := srv.Snapshot(q, core.FR); err != nil {
+			t.Fatal(err)
+		}
+	}
+	svc, err := NewWithEngine(srv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(svc)
+	t.Cleanup(ts.Close)
+
+	resp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var sr StatsResponse
+	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
+		t.Fatal(err)
+	}
+	if sr.PoolHits == 0 || sr.CacheHits != 2 || sr.CacheMisses != 1 {
+		t.Fatalf("stats: poolHits %d, cache hits %d misses %d; want pool hits and 2 cache hits of 1 miss",
+			sr.PoolHits, sr.CacheHits, sr.CacheMisses)
+	}
+	body := fetchMetrics(t, ts)
+	ratio := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	for sample, want := range map[string]string{
+		"pdr_pool_hits_total":                 strconv.FormatInt(sr.PoolHits, 10),
+		"pdr_pool_reads_total":                strconv.FormatInt(sr.PoolReads, 10),
+		"pdr_pool_writes_total":               strconv.FormatInt(sr.PoolWrites, 10),
+		"pdr_pool_pages":                      strconv.Itoa(sr.IndexPages),
+		"pdr_pool_hit_ratio":                  ratio(sr.PoolHitRatio),
+		"pdr_cache_hits_total":                strconv.FormatInt(sr.CacheHits, 10),
+		"pdr_cache_misses_total":              strconv.FormatInt(sr.CacheMisses, 10),
+		"pdr_cache_evictions_total":           strconv.FormatInt(sr.CacheEvictions, 10),
+		"pdr_cache_singleflight_shared_total": strconv.FormatInt(sr.SingleflightShared, 10),
+		"pdr_cache_bytes":                     strconv.FormatInt(sr.CacheBytes, 10),
+		"pdr_cache_entries":                   strconv.FormatInt(sr.CacheEntries, 10),
+		"pdr_cache_hit_ratio":                 ratio(sr.CacheHitRatio),
+	} {
+		if got := metricValue(body, sample); got != want {
+			t.Errorf("/metrics %s = %q, /v1/stats says %s", sample, got, want)
+		}
+	}
+}
+
+// metricFamilies is every family /metrics exposes after
+// TestMetricFamiliesPinned's session, as "name kind". A family's kind is part of its
+// contract: Prometheus applies rate() to counters only, so a counter that
+// turned into a gauge would break every dashboard built on it.
+var metricFamilies = []string{
+	"pdr_build_info gauge",
+	"pdr_cache_bytes gauge",
+	"pdr_cache_entries gauge",
+	"pdr_cache_evictions_total counter",
+	"pdr_cache_hit_ratio gauge",
+	"pdr_cache_hits_total counter",
+	"pdr_cache_misses_total counter",
+	"pdr_cache_singleflight_shared_total counter",
+	"pdr_engine_filter_cells_total counter",
+	"pdr_engine_interval_fanout_snapshots histogram",
+	"pdr_engine_interval_queries_total counter",
+	"pdr_engine_interval_snapshots_total counter",
+	"pdr_engine_interval_wall_seconds histogram",
+	"pdr_engine_objects_retrieved_total counter",
+	"pdr_engine_queries_total counter",
+	"pdr_engine_query_errors_total counter",
+	"pdr_engine_query_seconds histogram",
+	"pdr_engine_refine_fanout_windows histogram",
+	"pdr_go_gc_cycles gauge",
+	"pdr_go_gc_pause_seconds_total gauge",
+	"pdr_go_goroutines gauge",
+	"pdr_go_heap_alloc_bytes gauge",
+	"pdr_go_heap_objects gauge",
+	"pdr_go_heap_sys_bytes gauge",
+	"pdr_go_sched_latency_p50_seconds gauge",
+	"pdr_go_sched_latency_p99_seconds gauge",
+	"pdr_http_request_seconds histogram",
+	"pdr_http_requests_total counter",
+	"pdr_http_response_bytes histogram",
+	"pdr_monitor_eval_seconds histogram",
+	"pdr_monitor_events_total counter",
+	"pdr_monitor_subscriptions gauge",
+	"pdr_parallel_workers gauge",
+	"pdr_parallel_workers_busy gauge",
+	"pdr_pool_hit_ratio gauge",
+	"pdr_pool_hits_total counter",
+	"pdr_pool_pages gauge",
+	"pdr_pool_reads_total counter",
+	"pdr_pool_writes_total counter",
+	"pdr_process_uptime_seconds gauge",
+	"pdr_trace_dropped_total counter",
+	"pdr_trace_evicted_total counter",
+	"pdr_trace_sampled_total counter",
+	"pdr_trace_store_entries gauge",
+}
+
+// TestMetricFamiliesPinned sends one request down each kind of route, with
+// the result cache on: a load, a standing query, two ticks, FR, PA and
+// interval queries, stats and contours. Then it checks each family's
+// # TYPE line against metricFamilies.
+func TestMetricFamiliesPinned(t *testing.T) {
+	_, ts := cachedTestService(t)
+	g := loadWorkload(t, ts, 1000)
+	if code, reply, _ := post(t, ts, "/v1/watch", `{"varrho":2,"l":60,"every":1,"method":"pa"}`); code != http.StatusOK {
+		t.Fatalf("watch: status %d: %s", code, reply)
+	}
+	advanceTicks(t, ts, g, 2)
+	for _, path := range []string{
+		"/v1/query?method=fr&varrho=2&l=60",
+		"/v1/query?method=fr&varrho=2&l=60",
+		"/v1/query?method=pa&varrho=2&l=60",
+		"/v1/query?method=fr&varrho=2&l=60&at=now&until=now%2B2",
+		"/v1/stats",
+		"/v1/contours?level=0.0001&res=16",
+	} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", path, resp.StatusCode)
+		}
+	}
+	var got []string
+	for _, line := range strings.Split(fetchMetrics(t, ts), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			got = append(got, rest)
+		}
+	}
+	if strings.Join(got, "\n") != strings.Join(metricFamilies, "\n") {
+		t.Errorf("/metrics families:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(metricFamilies, "\n"))
+	}
+}
+
 func TestSlowQueryLog(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.HistM = 50
 	cfg.L = 60
 	var log syncBuffer
 	// A zero-ish threshold logs every request.
-	svc, err := New(cfg, WithSlowQueryLog(time.Nanosecond, &log))
+	svc, err := New(cfg, WithSlowQueryLog(time.Nanosecond, 0, &log))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +416,7 @@ func (w *probeWriter) WriteHeader(code int) {
 // X-Pdr-Trace-Id can never be told 404.
 func TestBookkeepingPrecedesResponse(t *testing.T) {
 	var log syncBuffer
-	svc, err := New(core.DefaultConfig(), WithSlowQueryLog(time.Nanosecond, &log))
+	svc, err := New(core.DefaultConfig(), WithSlowQueryLog(time.Nanosecond, 0, &log))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,7 +51,7 @@ func getJSON(t *testing.T, url string, out any) *http.Response {
 // for the same request — one measurement, three views.
 func TestTraceHeaderResolvesToStoredTree(t *testing.T) {
 	var log syncBuffer
-	ts := tracedTestService(t, WithSlowQueryLog(time.Nanosecond, &log))
+	ts := tracedTestService(t, WithSlowQueryLog(time.Nanosecond, 0, &log))
 
 	var qr QueryResponse
 	resp := getJSON(t, ts.URL+"/v1/query?method=fr&varrho=2&l=60", &qr)
@@ -289,9 +289,7 @@ func TestStatsRuntimeFields(t *testing.T) {
 // the drop counter moves; the slow-queries counter keeps counting.
 func TestSlowQueryLogCap(t *testing.T) {
 	var log syncBuffer
-	ts := tracedTestService(t,
-		WithSlowQueryLog(time.Nanosecond, &log),
-		WithSlowQueryCap(2))
+	ts := tracedTestService(t, WithSlowQueryLog(time.Nanosecond, 2, &log))
 	for i := 0; i < 5; i++ {
 		resp, err := http.Get(ts.URL + "/v1/stats")
 		if err != nil {

@@ -56,8 +56,8 @@ func (s Stats) Sub(t Stats) Stats {
 
 // HitRatio returns the fraction of logical reads served from the buffer
 // (hits / (hits + physical reads)), or 0 before any read. Both /v1/stats
-// and the pdr_pool_hit_ratio gauge derive their value from the same
-// increment sites, so the two surfaces always agree.
+// and the pdr_pool_hit_ratio gauge compute it from Pool.Stats, so the two
+// surfaces always agree.
 func (s Stats) HitRatio() float64 {
 	logical := s.Hits + s.Reads
 	if logical == 0 {
@@ -66,39 +66,14 @@ func (s Stats) HitRatio() float64 {
 	return float64(s.Hits) / float64(logical)
 }
 
-// PoolMetrics mirrors the pool's I/O accounting into a telemetry registry:
-// the raw counters become atomic instruments a concurrent /metrics scrape
-// can read without the engine lock, and the hit ratio is derived from them
-// at scrape time.
-type PoolMetrics struct {
-	reads, writes, hits *telemetry.Counter
-	pages               *telemetry.Gauge
-}
-
-// NewPoolMetrics registers the buffer-pool instruments on reg.
-func NewPoolMetrics(reg *telemetry.Registry) *PoolMetrics {
-	m := &PoolMetrics{
-		reads:  reg.Counter("pdr_pool_reads_total", "Physical page reads (buffer misses)."),
-		writes: reg.Counter("pdr_pool_writes_total", "Physical page writes (dirty evictions and flushes)."),
-		hits:   reg.Counter("pdr_pool_hits_total", "Logical reads served from the buffer."),
-		pages:  reg.Gauge("pdr_pool_pages", "Pages currently allocated in the store."),
-	}
-	reg.GaugeFunc("pdr_pool_hit_ratio",
-		"Fraction of logical reads served from the buffer.",
-		func() float64 {
-			return Stats{Reads: m.reads.Value(), Hits: m.hits.Value()}.HitRatio()
-		})
-	return m
-}
-
 // Pool is a page store fronted by an LRU buffer. A Pool with capacity <= 0
 // never evicts (an effectively infinite buffer); pages still incur one read
 // when first faulted after a Drop or when written back.
 //
 // Pool is safe for concurrent use: the buffer structures are guarded by a
 // short-critical-section mutex (an LRU must reorder on every read, so reads
-// cannot be lock-free), while the I/O counters are atomics so Stats and the
-// telemetry mirror never take the lock. Concurrent readers therefore
+// cannot be lock-free), while the I/O counters are atomics so Stats and a
+// /metrics scrape of them never take the lock. Concurrent readers therefore
 // serialize only for the few pointer moves of the LRU touch, not for each
 // other's page processing.
 type Pool struct {
@@ -119,10 +94,6 @@ type Pool struct {
 
 	// I/O counters: atomic, lock-free for readers (see Stats).
 	reads, writes, hits atomic.Int64
-
-	// met mirrors counter increments into telemetry; atomic so attachment
-	// needs no lock.
-	met atomic.Pointer[PoolMetrics]
 }
 
 // NewPool creates a pool whose buffer holds at most capacityPages pages
@@ -137,17 +108,17 @@ func NewPool(capacityPages int) *Pool {
 	}
 }
 
-// SetMetrics attaches telemetry instruments; every stats increment from
-// here on is mirrored into them. The page gauge is seeded with the current
-// allocation so late attachment stays accurate.
-func (p *Pool) SetMetrics(m *PoolMetrics) {
-	p.met.Store(m)
-	if m != nil {
-		p.mu.Lock()
-		pages := len(p.disk)
-		p.mu.Unlock()
-		m.pages.Set(float64(pages))
-	}
+// RegisterMetrics exposes the pool's I/O accounting on reg. Every series
+// is read from the pool at scrape time, so /metrics reports the counts
+// since the pool was built, the same numbers Stats returns.
+func (p *Pool) RegisterMetrics(reg *telemetry.Registry) {
+	reg.CounterFunc("pdr_pool_reads_total", "Physical page reads (buffer misses).", p.reads.Load)
+	reg.CounterFunc("pdr_pool_writes_total", "Physical page writes (dirty evictions and flushes).", p.writes.Load)
+	reg.CounterFunc("pdr_pool_hits_total", "Logical reads served from the buffer.", p.hits.Load)
+	reg.GaugeFunc("pdr_pool_pages", "Pages currently allocated in the store.",
+		func() float64 { return float64(p.NumPages()) })
+	reg.GaugeFunc("pdr_pool_hit_ratio", "Fraction of logical reads served from the buffer.",
+		func() float64 { return p.Stats().HitRatio() })
 }
 
 // Alloc reserves a fresh page ID with a nil payload. The new page is
@@ -160,9 +131,6 @@ func (p *Pool) Alloc() PageID {
 	p.disk[id] = nil
 	p.touchLocked(id)
 	p.dirty[id] = true
-	if m := p.met.Load(); m != nil {
-		m.pages.Add(1)
-	}
 	return id
 }
 
@@ -177,16 +145,10 @@ func (p *Pool) Read(id PageID) (any, error) {
 	}
 	if _, resident := p.index[id]; resident {
 		p.hits.Add(1)
-		if m := p.met.Load(); m != nil {
-			m.hits.Inc()
-		}
 		p.touchLocked(id)
 		return v, nil
 	}
 	p.reads.Add(1)
-	if m := p.met.Load(); m != nil {
-		m.reads.Inc()
-	}
 	p.touchLocked(id)
 	return v, nil
 }
@@ -215,11 +177,6 @@ func (p *Pool) Free(id PageID) {
 		delete(p.index, id)
 	}
 	delete(p.dirty, id)
-	if _, ok := p.disk[id]; ok {
-		if m := p.met.Load(); m != nil {
-			m.pages.Add(-1)
-		}
-	}
 	delete(p.disk, id)
 }
 
@@ -231,9 +188,6 @@ func (p *Pool) Flush() {
 	for id, d := range p.dirty {
 		if d {
 			p.writes.Add(1)
-			if m := p.met.Load(); m != nil {
-				m.writes.Inc()
-			}
 			p.dirty[id] = false
 		}
 	}
@@ -258,13 +212,6 @@ func (p *Pool) Drop() {
 // belong to quiescent moments, which is how every experiment reads them.
 func (p *Pool) Stats() Stats {
 	return Stats{Reads: p.reads.Load(), Writes: p.writes.Load(), Hits: p.hits.Load()}
-}
-
-// ResetStats zeroes the I/O counters.
-func (p *Pool) ResetStats() {
-	p.reads.Store(0)
-	p.writes.Store(0)
-	p.hits.Store(0)
 }
 
 // NumPages returns the number of allocated pages.
@@ -303,9 +250,6 @@ func (p *Pool) touchLocked(id PageID) {
 		delete(p.index, victim)
 		if p.dirty[victim] {
 			p.writes.Add(1)
-			if m := p.met.Load(); m != nil {
-				m.writes.Inc()
-			}
 			p.dirty[victim] = false
 		}
 	}

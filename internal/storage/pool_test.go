@@ -171,7 +171,7 @@ func TestPoolHitRatioFreshProcess(t *testing.T) {
 		t.Fatalf("fresh HitRatio = %v, want 0", r)
 	}
 	reg := telemetry.NewRegistry()
-	NewPoolMetrics(reg)
+	NewPool(0).RegisterMetrics(reg)
 	var buf bytes.Buffer
 	if err := reg.WriteText(&buf); err != nil {
 		t.Fatal(err)

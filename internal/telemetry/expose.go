@@ -74,6 +74,8 @@ func (r *Registry) WriteText(w io.Writer) error {
 				tw.printf("%s%s %d\n", f.name, s.sig, inst.Value())
 			case *Gauge:
 				tw.printf("%s%s %s\n", f.name, s.sig, formatFloat(inst.Value()))
+			case counterFunc:
+				tw.printf("%s%s %d\n", f.name, s.sig, inst())
 			case gaugeFunc:
 				tw.printf("%s%s %s\n", f.name, s.sig, formatFloat(inst()))
 			case *Histogram:

@@ -3,13 +3,15 @@
 // histograms) with Prometheus text exposition, plus a lightweight per-query
 // trace that records phase spans through internal/stopwatch.
 //
-// The registry is the concurrency boundary between the single-writer engine
-// and the HTTP scrape path: instruments are updated with atomic operations,
-// so GET /metrics never needs the service mutex and a slow scrape can never
-// pin a handler. Registration takes a mutex and is idempotent — asking for
-// an already-registered instrument with the same name, labels, and kind
-// returns the existing one, which lets request middleware materialize
-// status-code labels lazily.
+// The registry is the concurrency boundary between the engine and the HTTP
+// scrape path: instruments are updated with atomic operations, and a number
+// that already has a home in a subsystem is read there at scrape time
+// (GaugeFunc, CounterFunc) rather than copied, so GET /metrics never takes
+// the engine or monitor lock and a slow scrape can never pin a handler.
+// Registration takes a mutex and is idempotent — asking for an
+// already-registered instrument with the same name, labels, and kind returns
+// the existing one, which lets request middleware materialize status-code
+// labels lazily.
 //
 // Metric names must be snake_case with the pdr_ prefix (enforced here at
 // registration; see docs/OBSERVABILITY.md for the full inventory).
@@ -155,12 +157,24 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 	return g
 }
 
-// GaugeFunc registers a gauge whose value is computed by fn at scrape time.
-// fn must be safe to call concurrently with everything else in the process
-// (read atomics, not mutable structures).
+// GaugeFunc registers a gauge whose value is computed by fn at scrape time,
+// so a number that already has a home in its subsystem is read there rather
+// than copied into an instrument. fn must be safe to call concurrently with
+// everything else in the process: it reads atomics, or takes a leaf mutex
+// for O(1) work (the buffer pool's page map, the trace store), never the
+// engine or monitor lock, which a tick can hold for seconds.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
 	r.register(name, help, kindGauge, labels, func(sig string) any {
 		return gaugeFunc(fn)
+	})
+}
+
+// CounterFunc registers a counter whose value is read by fn at scrape time,
+// under the same contract as GaugeFunc. fn must never go backwards: a
+// counter that decreases reads as a process restart to rate().
+func (r *Registry) CounterFunc(name, help string, fn func() int64, labels ...Label) {
+	r.register(name, help, kindCounter, labels, func(sig string) any {
+		return counterFunc(fn)
 	})
 }
 
@@ -236,22 +250,14 @@ type Gauge struct {
 // Set stores v.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
-// Add adjusts the gauge by delta (CAS loop; safe for concurrent adders).
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
 // Value returns the current gauge value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // gaugeFunc is a scrape-time computed gauge.
 type gaugeFunc func() float64
+
+// counterFunc is a scrape-time read counter.
+type counterFunc func() int64
 
 // Histogram is a fixed-bucket distribution: per-bucket atomic counts plus
 // an atomic sum. Buckets follow Prometheus le semantics — an observation v

@@ -18,9 +18,8 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 	g := r.Gauge("pdr_test_gauge", "a gauge")
 	g.Set(2.5)
-	g.Add(-0.5)
-	if got := g.Value(); got != 2 {
-		t.Errorf("gauge = %g, want 2", got)
+	if got := g.Value(); got != 2.5 {
+		t.Errorf("gauge = %g, want 2.5", got)
 	}
 }
 
@@ -105,6 +104,7 @@ func TestWriteTextGolden(t *testing.T) {
 	r.Counter("pdr_queries_total", "Queries served.", L("method", "PA")).Inc()
 	r.Gauge("pdr_pool_pages", "Allocated pages.").Set(12)
 	r.GaugeFunc("pdr_pool_hit_ratio", "Buffer hit ratio.", func() float64 { return 0.75 })
+	r.CounterFunc("pdr_pool_reads_total", "Physical reads.", func() int64 { return 40 })
 	h := r.Histogram("pdr_query_seconds", "Latency.", []float64{0.1, 1}, L("method", "FR"))
 	h.Observe(0.05)
 	h.Observe(0.5)
@@ -119,6 +119,9 @@ pdr_pool_hit_ratio 0.75
 # HELP pdr_pool_pages Allocated pages.
 # TYPE pdr_pool_pages gauge
 pdr_pool_pages 12
+# HELP pdr_pool_reads_total Physical reads.
+# TYPE pdr_pool_reads_total counter
+pdr_pool_reads_total 40
 # HELP pdr_queries_total Queries served.
 # TYPE pdr_queries_total counter
 pdr_queries_total{method="FR"} 3
@@ -165,7 +168,7 @@ func TestRegistryConcurrency(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				c.Inc()
-				g.Add(1)
+				g.Set(float64(i))
 				h.Observe(float64(i%7) * 0.001)
 				// Concurrent re-registration must dedupe, not race.
 				r.Counter("pdr_conc_total", "h").Add(0)
@@ -187,8 +190,8 @@ func TestRegistryConcurrency(t *testing.T) {
 	if c.Value() != workers*iters {
 		t.Errorf("counter = %d, want %d", c.Value(), workers*iters)
 	}
-	if g.Value() != workers*iters {
-		t.Errorf("gauge = %g, want %d", g.Value(), workers*iters)
+	if g.Value() != iters-1 {
+		t.Errorf("gauge = %g, want %d (every worker's last Set)", g.Value(), iters-1)
 	}
 	if h.Count() != workers*iters {
 		t.Errorf("histogram count = %d, want %d", h.Count(), workers*iters)

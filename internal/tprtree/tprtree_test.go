@@ -252,9 +252,9 @@ func TestBufferAccounting(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		tr.Insert(randomState(rng, i, 0))
 	}
-	pool.ResetStats()
+	before := pool.Stats()
 	tr.RangeQuery(geom.Rect{MinX: 0, MinY: 0, MaxX: 200, MaxY: 200}, 30)
-	st := pool.Stats()
+	st := pool.Stats().Sub(before)
 	if st.Reads == 0 {
 		t.Error("query over a cold tiny buffer must incur physical reads")
 	}

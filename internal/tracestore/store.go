@@ -32,20 +32,6 @@ type Record struct {
 	Root     *telemetry.Span
 }
 
-// Metrics is the store's instrument bundle.
-type Metrics struct {
-	entries   *telemetry.Gauge
-	evictions *telemetry.Counter
-}
-
-// NewMetrics registers the store instruments on reg.
-func NewMetrics(reg *telemetry.Registry) *Metrics {
-	return &Metrics{
-		entries:   reg.Gauge("pdr_trace_store_entries", "Traces currently resolvable in the store."),
-		evictions: reg.Counter("pdr_trace_evicted_total", "Traces dropped from both the ring and the slow reservoir."),
-	}
-}
-
 // entry wraps a record with its retention bookkeeping.
 type entry struct {
 	rec    *Record
@@ -68,7 +54,6 @@ type Store struct {
 
 	ringCap, slowCap int
 	evictions        int64
-	met              *Metrics // nil until SetMetrics; mirror only
 }
 
 // New builds a store keeping the ringCap most recent and the slowCap
@@ -90,14 +75,13 @@ func New(ringCap, slowCap int) *Store {
 	}
 }
 
-// SetMetrics attaches an instrument bundle (seeded with current state).
-func (s *Store) SetMetrics(met *Metrics) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.met = met
-	if met != nil {
-		met.entries.Set(float64(len(s.byID)))
-	}
+// RegisterMetrics exposes the store's size and eviction count on reg, read
+// through Len and Evictions at scrape time.
+func (s *Store) RegisterMetrics(reg *telemetry.Registry) {
+	reg.GaugeFunc("pdr_trace_store_entries", "Traces currently resolvable in the store.",
+		func() float64 { return float64(s.Len()) })
+	reg.CounterFunc("pdr_trace_evicted_total", "Traces dropped from both the ring and the slow reservoir.",
+		s.Evictions)
 }
 
 // Add retains rec. The record and its span tree must be complete —
@@ -129,9 +113,6 @@ func (s *Store) Add(rec *Record) {
 		s.siftDownLocked(0)
 		s.maybeDropLocked(fastest)
 	}
-	if s.met != nil {
-		s.met.entries.Set(float64(len(s.byID)))
-	}
 }
 
 // maybeDropLocked forgets a record once neither tier references it.
@@ -141,9 +122,6 @@ func (s *Store) maybeDropLocked(e *entry) {
 	}
 	delete(s.byID, e.rec.ID)
 	s.evictions++
-	if s.met != nil {
-		s.met.evictions.Inc()
-	}
 }
 
 // siftUpLocked restores the min-heap property upward from i.

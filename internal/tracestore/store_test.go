@@ -1,6 +1,7 @@
 package tracestore
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -105,10 +106,11 @@ func TestReservoirKeepsSlowestUnderChurn(t *testing.T) {
 	}
 }
 
-func TestMetricsMirror(t *testing.T) {
-	regy := telemetry.NewRegistry()
+// TestMetricsReadAtScrapeTime registers the store only after it has
+// evicted: the exposition reads Len and Evictions, so it reports the
+// store's whole history.
+func TestMetricsReadAtScrapeTime(t *testing.T) {
 	s := New(2, 1)
-	s.SetMetrics(NewMetrics(regy))
 	for i := 1; i <= 5; i++ {
 		s.Add(rec(uint64(i), time.Duration(6-i)*time.Millisecond))
 	}
@@ -118,6 +120,17 @@ func TestMetricsMirror(t *testing.T) {
 	}
 	if got := s.Len(); got != 3 {
 		t.Errorf("len = %d, want 3", got)
+	}
+	regy := telemetry.NewRegistry()
+	s.RegisterMetrics(regy)
+	var buf strings.Builder
+	if err := regy.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, sample := range []string{"pdr_trace_evicted_total 2", "pdr_trace_store_entries 3"} {
+		if !strings.Contains(buf.String(), sample+"\n") {
+			t.Errorf("exposition lacks %q:\n%s", sample, buf.String())
+		}
 	}
 }
 
