@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -19,6 +20,7 @@ import (
 	"pdr/internal/pa"
 	"pdr/internal/storage"
 	"pdr/internal/sweep"
+	"pdr/internal/telemetry"
 	"pdr/internal/tprtree"
 )
 
@@ -125,7 +127,8 @@ func samePointSet(a, b geom.Region) bool {
 // live set the engine must hold (check may draw from the stream's rng; every
 // caller must draw the same way to see the same stream). A rejected update
 // must have changed nothing: the directory's count is compared with the
-// expected population before each check. admitted, when
+// expected population, and the index's structure validated, before each
+// check. admitted, when
 // not nil, is told before each check which records the step must have
 // applied, in stream order, and whether they arrived as a tick at now.
 func differentialStream(t *testing.T, s *Server,
@@ -174,6 +177,9 @@ func differentialStream(t *testing.T, s *Server,
 		t.Helper()
 		if s.NumObjects() != len(live) {
 			t.Fatalf("%s: NumObjects %d, want %d", step, s.NumObjects(), len(live))
+		}
+		if err := s.index.Validate(); err != nil {
+			t.Fatalf("%s: %v", step, err)
 		}
 		check(step, now, live, rng)
 	}
@@ -275,6 +281,54 @@ func TestDifferentialStream(t *testing.T) {
 			}
 		}, nil)
 	})
+}
+
+// TestReReportStream drives a road-network stream (n = 2,000, so the index
+// has internal levels) through 30 ticks, each of ~56 re-reports enacted as
+// one index descent and one histogram pass: after every tick the index must
+// be structurally valid and FR must equal BruteForce. Both ways a re-report
+// can go — rewritten in its leaf, or deleted and re-inserted — must occur.
+func TestReReportStream(t *testing.T) {
+	const n = 2000
+	cfg := testConfig()
+	cfg.DisablePA = true
+	s, g := loadServer(t, cfg, n, 5)
+	if h := s.index.Height(); h < 2 {
+		t.Fatalf("index height %d, want internal levels", h)
+	}
+	var reReports, inPlace int
+	for tick := 0; tick < 30; tick++ {
+		ups := g.Advance()
+		tr := telemetry.NewTrace("tick")
+		if err := s.TickTraced(g.Now(), ups, tr.Root()); err != nil {
+			t.Fatalf("tick %d: %v", tick, err)
+		}
+		tr.End()
+		apply := tr.Root().Children[1]
+		r, _ := strconv.Atoi(attrOf(apply, "re_reports"))
+		p, _ := strconv.Atoi(attrOf(apply, "in_place"))
+		reReports += r
+		inPlace += p
+		if err := s.index.Validate(); err != nil {
+			t.Fatalf("tick %d: %v", tick, err)
+		}
+		q := Query{Rho: RelRhoTest(n, 3), L: 60, At: g.Now() + motion.Tick(tick%10)}
+		fr, err := s.Snapshot(q, FR)
+		if err != nil {
+			t.Fatalf("tick %d: FR: %v", tick, err)
+		}
+		bf, err := s.Snapshot(q, BruteForce)
+		if err != nil {
+			t.Fatalf("tick %d: BF: %v", tick, err)
+		}
+		if !samePointSet(fr.Region, bf.Region) {
+			t.Fatalf("tick %d: FR differs from BruteForce at t=%d", tick, q.At)
+		}
+	}
+	t.Logf("%d of %d re-reports rewritten in place", inPlace, reReports)
+	if inPlace == 0 || inPlace == reReports {
+		t.Fatalf("%d of %d re-reports rewritten in place, want some of each way", inPlace, reReports)
+	}
 }
 
 // perCellFR answers an FR snapshot the way the paper states it and the way

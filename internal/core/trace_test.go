@@ -149,7 +149,9 @@ func attrOf(sp *telemetry.Span, key string) string {
 
 // TestTickTracedSpans: a traced tick records its two phases — the
 // sequential plan and the one fan-out — with the counts an operator needs to
-// read a slow tick, and a bad record shows up as applied < updates. The tree
+// read a slow tick (the fan-out's re-reports and how many were rewritten in
+// their index leaf among them), and a bad record shows up as applied <
+// updates. The tree
 // has the same shape at every worker count; the untraced Tick is the nil
 // span.
 func TestTickTracedSpans(t *testing.T) {
@@ -177,11 +179,16 @@ func TestTickTracedSpans(t *testing.T) {
 		if u, a := attrOf(plan, "updates"), attrOf(plan, "applied"); u != "8" || a != "7" {
 			t.Errorf("workers=%d: plan span updates=%q applied=%q, want 8 and 7", workers, u, a)
 		}
-		want := map[string]string{"slots": "91", "workers": strconv.Itoa(workers)}
+		// The 7 admitted records are 3 re-reports (a delete and the insert
+		// of the same object) and a lone delete.
+		want := map[string]string{"slots": "91", "workers": strconv.Itoa(workers), "re_reports": "3"}
 		for k, v := range want {
 			if got := attrOf(apply, k); got != v {
 				t.Errorf("workers=%d: apply span %s=%q, want %q", workers, k, got, v)
 			}
+		}
+		if p, err := strconv.Atoi(attrOf(apply, "in_place")); err != nil || p < 0 || p > 3 {
+			t.Errorf("workers=%d: apply span in_place=%q, want a count of at most 3", workers, attrOf(apply, "in_place"))
 		}
 		if err := s.Tick(b.now+1, nil); err != nil {
 			t.Fatal(err)

@@ -76,11 +76,39 @@ func (s *Server) enact(u motion.Update) error {
 		if !s.index.Delete(u.State) {
 			return fmt.Errorf("core: object %d missing from the index", u.State.ID)
 		}
-		if s.hst != nil && u.At > u.State.Ref {
-			return s.hst.Record(history.Segment{State: u.State, From: u.State.Ref, To: u.At})
-		}
+		return s.archive(u)
 	}
 	return nil
+}
+
+// reReport enacts an admitted delete and the admitted insert of the same
+// object that follows it as one re-report: one histogram pass (Move) and
+// one index descent (Update). The histogram and archive end as enacting the
+// two records in turn leaves them, and the index holds the same movements.
+// It reports whether the new movement took the old one's place in its index
+// leaf. The caller holds the engine write lock.
+func (s *Server) reReport(del motion.Update, nw motion.State) (inPlace bool, err error) {
+	s.hist.Move(del.State, del.At, nw)
+	found, inPlace := s.index.Update(del.State, nw)
+	if !found {
+		return false, fmt.Errorf("core: object %d missing from the index", del.State.ID)
+	}
+	return inPlace, s.archive(del)
+}
+
+// archive records the segment an admitted delete ends, when history is kept.
+func (s *Server) archive(del motion.Update) error {
+	if s.hst != nil && del.At > del.State.Ref {
+		return s.hst.Record(history.Segment{State: del.State, From: del.State.Ref, To: del.At})
+	}
+	return nil
+}
+
+// reReportAt reports whether updates[i] is a delete immediately followed by
+// the insert of the same object: a re-report.
+func reReportAt(updates []motion.Update, i int) bool {
+	return i+1 < len(updates) && updates[i].Kind == motion.Delete &&
+		updates[i+1].Kind == motion.Insert && updates[i+1].State.ID == updates[i].State.ID
 }
 
 // Load bulk-inserts the initial object states. Like Tick it applies the
@@ -155,7 +183,9 @@ func (e *PartialError) Unwrap() error { return e.Err }
 // stream in order, and each timestamp slot of the Chebyshev surface (walking
 // the whole stream in order for its own timestamp). The structures go first:
 // theirs is the long item, and the pool's dynamic cursor packs the short slot
-// items around it.
+// items around it. In the structures' item a delete immediately followed by
+// the insert of the same object is one re-report (reReport): one histogram
+// pass and one index descent instead of two of each.
 //
 // An invalid update stops processing: the valid prefix before it is applied
 // in full, the bad update and everything after it change nothing, and the
@@ -168,8 +198,9 @@ func (s *Server) Tick(now motion.Tick, updates []motion.Update) error {
 }
 
 // TickTraced is Tick recording its two phases as child spans of sp: "plan"
-// (admit, sequential) and "apply" (the fan-out). A nil sp traces nothing and
-// allocates nothing — Tick simply passes nil.
+// (admit, sequential) and "apply" (the fan-out; its re_reports and in_place
+// attributes count the re-reports and those rewritten in their index leaf).
+// A nil sp traces nothing and allocates nothing — Tick simply passes nil.
 func (s *Server) TickTraced(now motion.Tick, updates []motion.Update, sp *telemetry.Span) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -201,6 +232,7 @@ func (s *Server) TickTraced(now motion.Tick, updates []motion.Update, sp *teleme
 	asp.SetAttrInt("slots", int64(slots))
 	asp.SetAttrInt("workers", int64(s.par.Workers()))
 	var err error
+	var reReports, inPlace int64
 	s.par.ForEach(1+slots, func(i int) {
 		if i > 0 {
 			s.surf.ApplySlot(i-1, updates)
@@ -208,12 +240,26 @@ func (s *Server) TickTraced(now motion.Tick, updates []motion.Update, sp *teleme
 		}
 		s.hist.Advance(now)
 		s.index.SetNow(now)
-		for _, u := range updates {
-			if err = s.enact(u); err != nil {
+		for k := 0; k < len(updates); k++ {
+			if reReportAt(updates, k) {
+				var placed bool
+				if placed, err = s.reReport(updates[k], updates[k+1].State); err != nil {
+					return
+				}
+				reReports++
+				if placed {
+					inPlace++
+				}
+				k++
+				continue
+			}
+			if err = s.enact(updates[k]); err != nil {
 				return
 			}
 		}
 	})
+	asp.SetAttrInt("re_reports", reReports)
+	asp.SetAttrInt("in_place", inPlace)
 	asp.End()
 	if err != nil {
 		return err

@@ -154,6 +154,64 @@ func (h *Histogram) Delete(s motion.State, at motion.Tick) {
 	h.apply(s, at, -1)
 }
 
+// Move is Delete(old, at) followed by Insert(nw) — an object's re-report —
+// in one pass over the union of the two windows. A timestamp where both
+// positions fall in the same cell, or both outside the area, is left alone;
+// otherwise the old cell loses one and the new cell gains one. The counts
+// are integers, so the result is exactly that of Delete then Insert.
+func (h *Histogram) Move(old motion.State, at motion.Tick, nw motion.State) {
+	if !h.filled {
+		h.base = at
+		h.filled = true
+	}
+	dlo, dhi := h.window(at, old.Ref)
+	ilo, ihi := h.window(nw.Ref, nw.Ref)
+	lo, hi := min(dlo, ilo), max(dhi, ihi)
+	n := motion.Tick(len(h.slots))
+	k := ((lo % n) + n) % n // slot of lo; advanced with t
+	for t := lo; t <= hi; t++ {
+		// Counter indices, -1 outside the window or the area (as in apply).
+		from, to := -1, -1
+		if dlo <= t && t <= dhi {
+			if p := old.PositionAt(t); h.cfg.Area.Contains(p) {
+				i, j := h.cellIndex(p)
+				from = i*h.cfg.M + j
+			}
+		}
+		if ilo <= t && t <= ihi {
+			if p := nw.PositionAt(t); h.cfg.Area.Contains(p) {
+				i, j := h.cellIndex(p)
+				to = i*h.cfg.M + j
+			}
+		}
+		if from != to {
+			s := h.slots[k]
+			if from >= 0 {
+				s[from]--
+			}
+			if to >= 0 {
+				s[to]++
+			}
+		}
+		if k++; k == n {
+			k = 0
+		}
+	}
+}
+
+// window returns the maintained timestamps [from, ref+H] clipped to
+// [base, base+H] (empty when lo > hi).
+func (h *Histogram) window(from, ref motion.Tick) (lo, hi motion.Tick) {
+	lo, hi = from, ref+h.cfg.Horizon
+	if lo < h.base {
+		lo = h.base
+	}
+	if hi > h.base+h.cfg.Horizon {
+		hi = h.base + h.cfg.Horizon
+	}
+	return lo, hi
+}
+
 // Apply dispatches an update record to Insert or Delete.
 func (h *Histogram) Apply(u motion.Update) {
 	switch u.Kind {
@@ -169,19 +227,13 @@ func (h *Histogram) apply(s motion.State, from motion.Tick, delta int32) {
 		h.base = from
 		h.filled = true
 	}
-	lo, hi := from, s.Ref+h.cfg.Horizon
-	if lo < h.base {
-		lo = h.base
-	}
-	if hi > h.base+h.cfg.Horizon {
-		hi = h.base + h.cfg.Horizon
-	}
+	lo, hi := h.window(from, s.Ref)
 	for t := lo; t <= hi; t++ {
 		p := s.PositionAt(t)
 		// An object whose predicted position leaves the monitored area does
 		// not exist at that timestamp (see the package contract): skipping
-		// here, in Delete's identical recomputation, and in every query
-		// method keeps all methods exactly consistent.
+		// here, in Delete's and Move's identical recomputation, and in every
+		// query method keeps all methods exactly consistent.
 		if !h.cfg.Area.Contains(p) {
 			continue
 		}

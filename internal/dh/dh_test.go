@@ -1,7 +1,9 @@
 package dh
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pdr/internal/geom"
@@ -114,6 +116,70 @@ func TestDeleteRestoresCounts(t *testing.T) {
 	for idx, v := range h.slot(20) {
 		if v != snapshot[idx] {
 			t.Fatalf("slot 20 cell %d: %d != %d after insert+delete", idx, v, snapshot[idx])
+		}
+	}
+}
+
+// TestMoveIsDeleteThenInsert: Move's one pass leaves every counter of every
+// slot exactly as Delete then Insert does — for re-reports that continue the
+// old trajectory, turn, jump, leave the area or come back into it, and on a
+// histogram no Advance has anchored yet.
+func TestMoveIsDeleteThenInsert(t *testing.T) {
+	move, pair := newHist(t, 40, 30), newHist(t, 40, 30)
+	moved := func(s motion.State) motion.State {
+		nw := s
+		nw.Ref++
+		nw.Pos = s.PositionAt(nw.Ref)
+		return nw
+	}
+	first := motion.State{ID: 1, Pos: geom.Point{X: 10, Y: 10}, Vel: geom.Vec{X: 3}, Ref: 5}
+	move.Move(first, 5, moved(first))
+	pair.Delete(first, 5)
+	pair.Insert(moved(first))
+	sameHist(t, "unanchored", move, pair)
+
+	rng := rand.New(rand.NewSource(9))
+	cur := make([]motion.State, 300)
+	for _, h := range []*Histogram{move, pair} {
+		h.Advance(0)
+	}
+	for i := range cur {
+		cur[i] = randState(rng, i, 0)
+		move.Insert(cur[i])
+		pair.Insert(cur[i])
+	}
+	for now := motion.Tick(1); now <= 40; now++ {
+		move.Advance(now)
+		pair.Advance(now)
+		for k := 0; k < 60; k++ {
+			i := rng.Intn(len(cur))
+			nw := cur[i]
+			nw.Ref, nw.Pos = now, cur[i].PositionAt(now)
+			switch rng.Intn(4) {
+			case 0: // a jump
+				nw = randState(rng, i, now)
+			case 1: // fast: leaves the area inside the horizon
+				nw.Vel = geom.Vec{X: (rng.Float64() - 0.5) * 200, Y: (rng.Float64() - 0.5) * 200}
+			case 2: // a turn
+				nw.Vel = geom.Vec{X: -nw.Vel.Y, Y: nw.Vel.X}
+			}
+			move.Move(cur[i], now, nw)
+			pair.Delete(cur[i], now)
+			pair.Insert(nw)
+			cur[i] = nw
+		}
+		sameHist(t, fmt.Sprintf("now=%d", now), move, pair)
+	}
+}
+
+func sameHist(t *testing.T, label string, a, b *Histogram) {
+	t.Helper()
+	if a.base != b.base {
+		t.Fatalf("%s: base %d != %d", label, a.base, b.base)
+	}
+	for k := range a.slots {
+		if !slices.Equal(a.slots[k], b.slots[k]) {
+			t.Fatalf("%s: slot %d differs", label, k)
 		}
 	}
 }

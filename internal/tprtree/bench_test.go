@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"pdr/internal/datagen"
 	"pdr/internal/geom"
 	"pdr/internal/motion"
 	"pdr/internal/storage"
@@ -57,4 +58,56 @@ func BenchmarkDeleteInsertCycle(b *testing.B) {
 		states[j] = randomState(rng, j, 0)
 		tr.Insert(states[j])
 	}
+}
+
+// BenchmarkTreeUpdate times one re-report of a 20,000-object road-network
+// stream (datagen, seed 1) on a bulk-loaded tree: an Update that rewrites the
+// movement in its leaf when the new one fits there, as most do ("in-place" is
+// their share), and deletes and re-inserts it otherwise. Time advances a tick
+// — untimed — whenever the tick's re-reports are used up.
+func BenchmarkTreeUpdate(b *testing.B) {
+	gcfg := datagen.DefaultConfig(20000)
+	gcfg.Seed = 1
+	g, err := datagen.New(gcfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr, err := New(Config{Pool: storage.NewPool(0), Horizon: 90}) // U + W of the engine's default config
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := tr.BulkLoad(g.InitialStates()); err != nil {
+		b.Fatal(err)
+	}
+	var ups []motion.Update
+	inPlace := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// ups holds the rest of the tick: re-reports are a delete and the
+		// insert of the same object, back to back.
+		for len(ups) < 2 || ups[0].Kind != motion.Delete || ups[1].Kind != motion.Insert || ups[0].State.ID != ups[1].State.ID {
+			b.StopTimer()
+			if len(ups) == 0 {
+				ups = g.Advance()
+				tr.SetNow(g.Now())
+			} else {
+				if u := ups[0]; u.Kind == motion.Insert {
+					tr.Insert(u.State)
+				} else if !tr.Delete(u.State) {
+					b.Fatalf("object %d missing", u.State.ID)
+				}
+				ups = ups[1:]
+			}
+			b.StartTimer()
+		}
+		found, placed := tr.Update(ups[0].State, ups[1].State)
+		if !found {
+			b.Fatalf("object %d missing", ups[0].State.ID)
+		}
+		if placed {
+			inPlace++
+		}
+		ups = ups[2:]
+	}
+	b.ReportMetric(float64(inPlace)/float64(b.N), "in-place")
 }

@@ -41,11 +41,16 @@ func (t *Tree) BulkLoad(states []motion.State) error {
 }
 
 // packLevel tiles entries into nodes of one level and returns the bound
-// entries describing the new nodes.
+// entries describing the new nodes. Every node it makes holds between the
+// level's minimum fill and its fan-out: a slab too short to fill a node is
+// merged into the slab before it, and a slab's trailing remainder is shared
+// with the group before it (split in two when both halves reach the minimum,
+// kept as one node otherwise).
 func (t *Tree) packLevel(entries []entry, leaf bool) []entry {
+	minFill := t.min(leaf)
 	fill := int(float64(t.fan(leaf)) * bulkFill)
-	if fill < t.min(leaf) {
-		fill = t.min(leaf)
+	if fill < minFill {
+		fill = minFill
 	}
 	n := len(entries)
 	nodes := (n + fill - 1) / fill
@@ -54,34 +59,37 @@ func (t *Tree) packLevel(entries []entry, leaf bool) []entry {
 	}
 	slabs := int(math.Ceil(math.Sqrt(float64(nodes))))
 	perSlab := (n + slabs - 1) / slabs
+	if perSlab < minFill {
+		perSlab = minFill
+	}
 
 	sortEntries(entries, func(e entry) float64 { return e.loAt(0, t.now) })
 	var out []entry
-	for s := 0; s < n; s += perSlab {
+	for s := 0; s < n; {
 		hi := s + perSlab
-		if hi > n {
+		if n-hi < minFill {
 			hi = n
 		}
 		slab := entries[s:hi]
+		s = hi
 		sortEntries(slab, func(e entry) float64 { return e.loAt(1, t.now) })
-		for o := 0; o < len(slab); o += fill {
+		for o := 0; o < len(slab); {
 			end := o + fill
+			if rest := len(slab) - end; rest > 0 && rest < minFill {
+				// The trailing remainder joins this group: two nodes when
+				// both halves reach the minimum, one (at most 2·min
+				// entries, within the fan-out) otherwise.
+				if tail := len(slab) - o; tail >= 2*minFill {
+					end = o + tail/2
+				} else {
+					end = len(slab)
+				}
+			}
 			if end > len(slab) {
 				end = len(slab)
 			}
-			group := slab[o:end]
-			// Avoid creating an underfull trailing node: borrow from the
-			// previous group by splitting the remainder evenly.
-			if len(group) < t.min(leaf) && len(out) > 0 && o > 0 {
-				// Re-pack the last two groups as one balanced pair.
-				prevStart := o - fill
-				merged := slab[prevStart:end]
-				half := len(merged) / 2
-				out = out[:len(out)-1]
-				out = append(out, t.packNode(merged[:half], leaf), t.packNode(merged[half:], leaf))
-				continue
-			}
-			out = append(out, t.packNode(group, leaf))
+			out = append(out, t.packNode(slab[o:end], leaf))
+			o = end
 		}
 	}
 	return out

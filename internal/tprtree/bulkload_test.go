@@ -9,9 +9,21 @@ import (
 	"pdr/internal/storage"
 )
 
+// TestBulkLoadValidTree sweeps n across level boundaries: every node but the
+// root must hold at least the minimum fill, however the last slab and the
+// last group of each slab come out, and every page allocated must be a node
+// of the tree.
 func TestBulkLoadValidTree(t *testing.T) {
-	for _, n := range []int{0, 1, 5, 100, 5000} {
-		tr := newTestTree(t)
+	ns := []int{0, 1, 5, 59, 60, 100, 2000, 5000, 20000}
+	for n := 61; n < 1500; n += 37 {
+		ns = append(ns, n)
+	}
+	for _, n := range ns {
+		pool := storage.NewPool(0)
+		tr, err := New(Config{Pool: pool, Horizon: 90})
+		if err != nil {
+			t.Fatal(err)
+		}
 		rng := rand.New(rand.NewSource(int64(n)))
 		states := make([]motion.State, n)
 		for i := range states {
@@ -28,7 +40,22 @@ func TestBulkLoadValidTree(t *testing.T) {
 				t.Fatalf("n=%d: %v", n, err)
 			}
 		}
+		if nodes := countNodes(tr, tr.root); pool.NumPages() != nodes {
+			t.Fatalf("n=%d: %d pages allocated, %d nodes in the tree", n, pool.NumPages(), nodes)
+		}
 	}
+}
+
+// countNodes returns the number of nodes in the subtree at pid.
+func countNodes(tr *Tree, pid storage.PageID) int {
+	n := tr.readNode(pid)
+	count := 1
+	if !n.leaf {
+		for _, e := range n.entries {
+			count += countNodes(tr, e.child)
+		}
+	}
+	return count
 }
 
 func TestBulkLoadRejectsNonEmpty(t *testing.T) {

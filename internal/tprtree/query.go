@@ -118,10 +118,34 @@ const deleteEps = 1e-6
 // Delete removes the movement s (as previously inserted) from the index.
 // It reports whether the movement was found.
 func (t *Tree) Delete(s motion.State) bool {
+	found, _ := t.update(s, nil)
+	return found
+}
+
+// Update replaces the movement old (as previously inserted) by nw — an
+// object's re-report — in the descent that finds old. When nw still fits the
+// bound its leaf has in its parent (a root leaf always does), the leaf entry
+// is overwritten in place and the path's bounds are re-tightened on the way
+// up, as Delete does; otherwise old is deleted and nw inserted. It reports
+// whether old was found (if not, nothing changed) and whether nw took its
+// place in the leaf.
+func (t *Tree) Update(old, nw motion.State) (found, inPlace bool) {
+	repl := leafEntry(nw)
+	return t.update(old, &repl)
+}
+
+// update is Delete (repl nil) and Update: one descent to s's leaf entry,
+// which is overwritten by repl when repl fits there, and removed otherwise —
+// condensing underfull nodes and re-inserting their orphans — before repl,
+// if any, is inserted from the root.
+func (t *Tree) update(s motion.State, repl *entry) (found, inPlace bool) {
 	target := leafEntry(s)
-	found, _, underflow, orphans := t.deleteRec(t.root, &target)
+	found, _, underflow, placed, orphans := t.deleteRec(t.root, &target, repl, nil)
 	if !found {
-		return false
+		return false, false
+	}
+	if placed {
+		return true, true
 	}
 	t.size--
 	root := t.readNode(t.root)
@@ -136,24 +160,37 @@ func (t *Tree) Delete(s motion.State) bool {
 	for _, e := range orphans {
 		t.insertEntry(e)
 	}
-	return true
+	if repl != nil {
+		t.insertEntry(*repl)
+		t.size++
+	}
+	return true, false
 }
 
-// deleteRec searches for target beneath pid. On success it returns the
-// recomputed bound of pid's subtree, whether pid underflowed (root is exempt
-// from minimum fill but still reports emptiness via underflow at caller),
-// and any orphaned leaf entries from condensed descendants.
-func (t *Tree) deleteRec(pid storagePageID, target *entry) (found bool, bound entry, underflow bool, orphans []entry) {
+// deleteRec searches for target beneath pid, whose entry in its parent is pe
+// (nil at the root). On success it returns the recomputed bound of pid's
+// subtree, whether pid underflowed (root is exempt from minimum fill but
+// still reports emptiness via underflow at caller), whether repl was placed
+// where target was, and any orphaned leaf entries from condensed
+// descendants. A placed path changed no node's entry count, so it reports no
+// underflow at any level: an ancestor that was already underfull is left
+// alone rather than condensed.
+func (t *Tree) deleteRec(pid storagePageID, target, repl, pe *entry) (found bool, bound entry, underflow, placed bool, orphans []entry) {
 	n := t.readNode(pid)
 	if n.leaf {
 		for i := range n.entries {
 			if e := &n.entries[i]; e.obj == target.obj && e.ref == target.ref && entryClose(e, target) {
+				if repl != nil && (pe == nil || pe.mayContain(repl, t.now)) {
+					n.entries[i] = *repl
+					t.mustWrite(pid, n)
+					return true, t.boundOf(n, pid), false, true, nil
+				}
 				n.entries = append(n.entries[:i], n.entries[i+1:]...)
 				t.mustWrite(pid, n)
-				return true, t.boundOf(n, pid), len(n.entries) < t.minLeaf, nil
+				return true, t.boundOf(n, pid), len(n.entries) < t.minLeaf, false, nil
 			}
 		}
-		return false, entry{}, false, nil
+		return false, entry{}, false, false, nil
 	}
 	for i := range n.entries {
 		c := &n.entries[i]
@@ -161,7 +198,7 @@ func (t *Tree) deleteRec(pid storagePageID, target *entry) (found bool, bound en
 			continue
 		}
 		child := c.child // c dangles once entries shift below
-		f, childBound, childUnder, childOrphans := t.deleteRec(child, target)
+		f, childBound, childUnder, placed, childOrphans := t.deleteRec(child, target, repl, c)
 		if !f {
 			continue
 		}
@@ -177,11 +214,11 @@ func (t *Tree) deleteRec(pid storagePageID, target *entry) (found bool, bound en
 		}
 		t.mustWrite(pid, n)
 		if len(n.entries) == 0 {
-			return true, entry{ref: t.now}, true, orphans
+			return true, entry{ref: t.now}, true, false, orphans
 		}
-		return true, t.boundOf(n, pid), len(n.entries) < t.minInt, orphans
+		return true, t.boundOf(n, pid), !placed && len(n.entries) < t.minInt, placed, orphans
 	}
-	return false, entry{}, false, nil
+	return false, entry{}, false, false, nil
 }
 
 func (t *Tree) boundOf(n *node, pid storagePageID) entry {

@@ -90,14 +90,24 @@ func (e *entry) bound(rc motion.Tick) entry {
 // >= e.ref for the result to be conservative). The write path unions a
 // node's entries on every insert and delete at every level, so both sides
 // are taken by pointer and e is re-anchored on the fly: no 88-byte entry is
-// copied.
+// copied. Extremes are picked by comparison, not math.Min/math.Max: on
+// finite bounds the two differ only in the sign of a zero, which no bound
+// test can see.
 func (acc *entry) extend(e *entry, rc motion.Tick) {
 	for d := 0; d < 2; d++ {
 		lo, hi := e.spanAt(d, rc)
-		acc.lo[d] = math.Min(acc.lo[d], lo)
-		acc.hi[d] = math.Max(acc.hi[d], hi)
-		acc.vlo[d] = math.Min(acc.vlo[d], e.vlo[d])
-		acc.vhi[d] = math.Max(acc.vhi[d], e.vhi[d])
+		if lo < acc.lo[d] {
+			acc.lo[d] = lo
+		}
+		if hi > acc.hi[d] {
+			acc.hi[d] = hi
+		}
+		if e.vlo[d] < acc.vlo[d] {
+			acc.vlo[d] = e.vlo[d]
+		}
+		if e.vhi[d] > acc.vhi[d] {
+			acc.vhi[d] = e.vhi[d]
+		}
 	}
 }
 
