@@ -1,9 +1,11 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
 	"pdr/internal/datagen"
+	"pdr/internal/geom"
 	"pdr/internal/motion"
 )
 
@@ -58,6 +60,64 @@ func BenchmarkServerTick(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(records), "ns/update")
 			}
 		})
+	}
+}
+
+// BenchmarkServerApply measures a between-tick write on pdrserve's engine
+// (DefaultConfig with KeepHistory), 20,000 objects 8 ticks into their stream:
+// one op is bench/'s /v1/apply request, one ApplyBatch of two records — the
+// insert of a fresh object at the clock and the delete of the one inserted
+// eight applies earlier.
+func BenchmarkServerApply(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.KeepHistory = true
+	s, err := NewServer(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	gcfg := datagen.DefaultConfig(20000)
+	gcfg.Seed = 1
+	g, err := datagen.New(gcfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := s.Load(g.InitialStates()); err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		ups := g.Advance()
+		if err := s.Tick(g.Now(), ups); err != nil {
+			b.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	next := motion.ObjectID(1 << 40)
+	fresh := func() motion.State {
+		next++
+		return motion.State{
+			ID:  next,
+			Pos: geom.Point{X: rng.Float64() * 1000, Y: rng.Float64() * 1000},
+			Vel: geom.Vec{X: rng.Float64()*2 - 1, Y: rng.Float64()*2 - 1},
+			Ref: s.Now(),
+		}
+	}
+	var inFlight []motion.State
+	for i := 0; i < 8; i++ {
+		st := fresh()
+		if err := s.Apply(motion.NewInsert(st)); err != nil {
+			b.Fatal(err)
+		}
+		inFlight = append(inFlight, st)
+	}
+	batch := make([]motion.Update, 2)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st := fresh()
+		batch[0], batch[1] = motion.NewInsert(st), motion.NewDelete(inFlight[0], s.Now())
+		inFlight = append(inFlight[1:], st)
+		if err := s.ApplyBatch(batch); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

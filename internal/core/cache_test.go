@@ -147,6 +147,24 @@ func TestCacheInvalidationOnMutations(t *testing.T) {
 	if h6 := s.CacheStats().Hits; h6 != h5+1 {
 		t.Fatalf("query after rejected tick: hits %d, want %d", h6, h5+1)
 	}
+
+	// A batch of records is one write: one epoch bump for the two.
+	other := fresh
+	other.ID++
+	if err := s.ApplyBatch([]motion.Update{motion.NewInsert(other), motion.NewDelete(fresh, s.Now())}); err != nil {
+		t.Fatal(err)
+	}
+	m7 := missesAfter("after two-record apply", e0+4)
+	if m7 != m5+1 {
+		t.Fatalf("two-record apply did not invalidate: misses %d, want %d", m7, m5+1)
+	}
+	// A batch rejected at its first record changes nothing.
+	if err := s.ApplyBatch([]motion.Update{motion.NewDelete(fresh, s.Now()), motion.NewInsert(fresh)}); err == nil {
+		t.Fatal("a batch deleting an object no longer live must be rejected")
+	}
+	if m8 := missesAfter("after apply rejected at its first record", e0+4); m8 != m7 {
+		t.Fatalf("apply rejected at its first record invalidated: misses %d, want %d", m8, m7)
+	}
 }
 
 // TestCacheDisabledByDefault: CacheBytes=0 keeps the pre-cache behavior —

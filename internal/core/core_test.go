@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"time"
@@ -237,6 +238,95 @@ func TestUpdateErrors(t *testing.T) {
 	}
 	if _, err := s.Snapshot(Query{Rho: 1, L: 60, At: 2}, FR); err == nil {
 		t.Error("query before now must be rejected")
+	}
+}
+
+// clusterServer is a server holding twelve parked objects at one point,
+// one clock tick after they were loaded, and the threshold rho that exactly
+// twelve objects in one l = 60 square reach.
+func clusterServer(t *testing.T) (*Server, []motion.State, float64) {
+	t.Helper()
+	s, err := NewServer(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var objs []motion.State
+	for i := 0; i < 12; i++ {
+		objs = append(objs, motion.State{ID: motion.ObjectID(i + 1), Pos: geom.Point{X: 510, Y: 510}})
+	}
+	if err := s.Load(objs); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Tick(1, nil); err != nil {
+		t.Fatal(err)
+	}
+	return s, objs, 12.0 / (60 * 60)
+}
+
+// agreesWithOracle asserts FR equals the brute force at every timestamp of
+// [now, now+horizon] and returns the brute force's area at now.
+func agreesWithOracle(t *testing.T, s *Server, rho float64, horizon motion.Tick) float64 {
+	t.Helper()
+	var area float64
+	for qt := s.Now(); qt <= s.Now()+horizon; qt++ {
+		q := Query{Rho: rho, L: 60, At: qt}
+		fr, err := s.Snapshot(q, FR)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bf, err := s.Snapshot(q, BruteForce)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !samePointSet(fr.Region, bf.Region) {
+			t.Fatalf("t=%d: FR area %g, the brute force's %g", qt, fr.Area, bf.Area)
+		}
+		if qt == s.Now() {
+			area = bf.Area
+		}
+	}
+	return area
+}
+
+// TestDeleteEndsAtTheClock: a delete stamped after the clock ends its
+// movement at the clock, not at its stamp — no ghost of the object stays in
+// the histogram for [now, stamp) — and the caller's record is left as sent.
+func TestDeleteEndsAtTheClock(t *testing.T) {
+	s, objs, rho := clusterServer(t)
+	ups := []motion.Update{motion.NewDelete(objs[0], s.Now()+5)}
+	if err := s.ApplyBatch(ups); err != nil {
+		t.Fatal(err)
+	}
+	if ups[0].At != s.Now()+5 {
+		t.Fatalf("the caller's delete was rewritten to end at %d", ups[0].At)
+	}
+	if area := agreesWithOracle(t, s, rho, 8); area != 0 {
+		t.Fatalf("eleven objects make a dense region of area %g", area)
+	}
+}
+
+// TestInsertAfterTheClockRejected: an insert referenced after the clock is
+// rejected — the valid prefix before it stays — so FR and the brute force
+// never see a movement that has not started.
+func TestInsertAfterTheClockRejected(t *testing.T) {
+	s, objs, rho := clusterServer(t)
+	early := motion.State{ID: 100, Pos: geom.Point{X: 100, Y: 100}, Ref: s.Now()}
+	late := objs[0]
+	late.ID, late.Ref = 101, s.Now()+5
+	err := s.ApplyBatch([]motion.Update{
+		motion.NewDelete(objs[0], s.Now()),
+		motion.NewInsert(early),
+		motion.NewInsert(late),
+	})
+	if area := agreesWithOracle(t, s, rho, 8); area != 0 {
+		t.Fatalf("eleven objects at the point make a dense region of area %g", area)
+	}
+	var partial *PartialError
+	if !errors.As(err, &partial) || partial.Applied != 2 {
+		t.Fatalf("insert referenced after the clock: err = %v, want a *PartialError after 2 records", err)
+	}
+	if got := s.NumObjects(); got != 12 {
+		t.Fatalf("NumObjects = %d after the partial apply, want 12", got)
 	}
 }
 

@@ -173,6 +173,25 @@ func differentialStream(t *testing.T, s *Server,
 			return motion.NewDelete(motion.State{ID: next + 1000}, now) // unknown
 		}
 	}
+	// applyBatch is one of bench/'s /v1/apply requests: the insert of a
+	// fresh object at the clock and, once more than eight are in flight, the
+	// delete of the one inserted eight applies earlier — of its current
+	// movement, unless a tick has deleted it since.
+	var inFlight []motion.ObjectID
+	applyBatch := func() []motion.Update {
+		st := fresh()
+		batch := []motion.Update{motion.NewInsert(st)}
+		live[st.ID] = st
+		inFlight = append(inFlight, st.ID)
+		if len(inFlight) > 8 {
+			if cur, ok := live[inFlight[0]]; ok {
+				batch = append(batch, motion.NewDelete(cur, now))
+				delete(live, cur.ID)
+			}
+			inFlight = inFlight[1:]
+		}
+		return batch
+	}
 	checked := func(step string) {
 		t.Helper()
 		if s.NumObjects() != len(live) {
@@ -234,18 +253,17 @@ func differentialStream(t *testing.T, s *Server,
 				t.Fatalf("step %d: %v", step, err)
 			}
 			admitted(now, true, ups)
-		case 2: // between-tick applies
-			st := fresh()
-			if err := s.Apply(motion.NewInsert(st)); err != nil {
-				t.Fatalf("step %d: %v", step, err)
+		case 2: // between-tick applies shaped like bench/'s writer
+			for b := 1; b <= 3; b++ {
+				batch := applyBatch()
+				if err := s.ApplyBatch(batch); err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+				admitted(now, false, batch)
+				if b < 3 { // the last batch is checked with the step
+					checked(fmt.Sprintf("step %d batch %d", step, b))
+				}
 			}
-			live[st.ID] = st
-			cur := anyLive()
-			if err := s.Apply(motion.NewDelete(cur, now)); err != nil {
-				t.Fatalf("step %d: %v", step, err)
-			}
-			delete(live, cur.ID)
-			admitted(now, false, []motion.Update{motion.NewInsert(st), motion.NewDelete(cur, now)})
 		default: // a bad apply
 			if err := s.Apply(bad()); err == nil {
 				t.Fatalf("step %d: bad apply succeeded", step)

@@ -449,25 +449,28 @@ func (s *Server) snapshotDHLocked(q Query, m Method, res *Result, sp *telemetry.
 	return nil
 }
 
-// appendLivePoints appends the predicted position at qt of every live object
-// that already existed at notAfter and is inside the monitored area at qt (the
-// population contract).
-func (s *Server) appendLivePoints(points []geom.Point, qt, notAfter motion.Tick) []geom.Point {
-	for _, st := range s.dir.m {
-		if st.Ref > notAfter {
-			continue
-		}
-		if p := st.PositionAt(qt); s.cfg.Area.Contains(p) {
-			points = append(points, p)
-		}
-	}
-	return points
-}
-
+// snapshotBFLocked is the brute force, for a live timestamp and a past one
+// alike: one global sweep over the position at q.At of every movement that
+// was current then — the archive's, when history is kept, plus the live
+// movements referenced by q.At — inside the monitored area (the population
+// contract). It touches neither the histogram nor the index.
 func (s *Server) snapshotBFLocked(q Query, res *Result, sp *telemetry.Span) {
 	ph := sp.Child("refine")
 	pb := pointBufs.Get().(*[]geom.Point)
-	points := s.appendLivePoints((*pb)[:0], q.At, motion.Tick(math.MaxInt64))
+	points := (*pb)[:0]
+	// Every archived segment ends by the clock, so only a past q.At can
+	// find one.
+	if s.hst != nil && q.At < s.Now() {
+		points = append(points, s.hst.PointsAt(q.At)...)
+	}
+	for _, st := range s.dir.m {
+		if st.Ref > q.At {
+			continue // reported after q.At: it did not exist yet
+		}
+		if p := st.PositionAt(q.At); s.cfg.Area.Contains(p) {
+			points = append(points, p)
+		}
+	}
 	res.ObjectsRetrieved = len(points)
 	ph.SetAttrInt("retrieved", int64(res.ObjectsRetrieved))
 	ph.End()
@@ -504,16 +507,8 @@ func (s *Server) PastSnapshotTraced(q Query, sp *telemetry.Span) (*Result, error
 	esp := sp.Child("past")
 	esp.SetAttrInt("at", int64(q.At))
 	sw := stopwatch.Start()
-	ph := esp.Child("refine")
-	// Movements reported after q.At did not exist yet at q.At.
-	points := s.appendLivePoints(s.hst.PointsAt(q.At), q.At, q.At)
-	res.ObjectsRetrieved = len(points)
-	ph.SetAttrInt("retrieved", int64(res.ObjectsRetrieved))
-	ph.End()
-	ph = esp.Child("union")
-	res.Region = geom.CoalesceInPlace(sweep.DenseRects(points, s.cfg.Area, q.Rho, q.L))
+	s.snapshotBFLocked(q, res, esp)
 	res.Area = geom.DisjointArea(res.Region)
-	ph.End()
 	res.CPU = sw.Elapsed()
 	res.Wall = res.CPU
 	res.Phases = esp.PhaseSummary()

@@ -34,22 +34,25 @@
 //
 //	monitor 10 → engine 20
 //
-// One fan-out per write. Tick and Load admit their records in stream order,
-// then hand the worker pool 1 + H+1 independent items in a single ForEach:
-// the histogram, index and archive walking the admitted stream, then each
-// timestamp slot of the surface (pa.Surface.ApplySlot over the whole
-// admitted stream). The helpers the writer hands slots to write disjoint
-// slots under its engine lock. Workers: 1 runs the same items inline, in
-// index order.
+// One write path. Tick (after moving the clock), Load and Apply run one
+// routine at the clock. It admits the records in stream order, then applies
+// the admitted prefix as 1 + H+1 independent items: the histogram, index and
+// archive walking it, then each surface timestamp slot (pa.Surface.ApplySlot
+// over the whole prefix). Up to 4 records run the items inline, in index
+// order; more go to the worker pool in one ForEach, whose helpers write
+// disjoint slots under the writer's lock.
 //
-// Partial writes. A write that holds a record the directory rejects — an
-// insert of a live object, a delete that does not name the live movement —
-// is neither rolled back nor skipped past: the valid prefix before the bad
-// record is applied in full, the bad record and everything after it change
-// nothing, and the epoch is bumped either way, so no cached answer survives
-// it. Tick and Load report the prefix's length in a *PartialError (the HTTP
-// 409 carries it as "applied"); Apply is one record, so a rejected one
-// changes nothing and leaves the epoch alone.
+// The clock rule. An insert referenced after the clock is rejected (one
+// referenced before it is legal: Restore loads such states). A delete's own
+// timestamp is not consulted: it ends its movement at the clock, in the
+// histogram, the surface and the archive alike.
+//
+// Partial writes. A record admission rejects — an insert of a live object or
+// one referenced after the clock, a delete that does not name the live
+// movement — ends the write: the valid prefix before it is applied in full,
+// it and everything after it change nothing, and the prefix's length is
+// reported in a *PartialError (the HTTP 409 carries it as "applied"). Tick
+// and Load bump the epoch either way; Apply bumps it iff it admitted a record.
 //
 // Exactness. Answers are bit-identical at every worker count:
 //

@@ -19,7 +19,9 @@
 // wire.DecodeUpdates with encoding/json as the fallback on the same bytes
 // (body.go), so a malformed body's 400 names the byte or the record. The
 // engine applies the valid prefix of a write and stops at the first record it
-// rejects; the 409 then reads {"error": ..., "applied": n}.
+// rejects; the 409 then reads {"error": ..., "applied": n}. Every write
+// request is one engine write, /v1/apply included: a query sees all of its
+// admitted prefix or none of it.
 //
 // One lock per request. The service holds no lock on the engine: every
 // handler calls the engine (internal/core), which takes its own lock for the
@@ -213,17 +215,21 @@ type partialBody struct {
 	Applied int    `json:"applied"`
 }
 
-// writePartial answers a load or tick the engine stopped in. The engine
-// stops at the first record it rejects: the valid prefix before it is
-// applied and stays applied (core's package comment), and its length is the
+// writePartial answers a write the engine stopped in. The engine stops at
+// the first record it rejects: the valid prefix before it is applied and
+// stays applied (core's package comment), and its length is the
 // *core.PartialError's Applied.
 func writePartial(w http.ResponseWriter, op string, err error) {
-	applied := 0
+	writeJSONStatus(w, http.StatusConflict, partialBody{Error: fmt.Sprintf("%s: %v", op, err), Applied: appliedOf(err)})
+}
+
+// appliedOf returns the length of the valid prefix a failed write applied.
+func appliedOf(err error) int {
 	var partial *core.PartialError
 	if errors.As(err, &partial) {
-		applied = partial.Applied
+		return partial.Applied
 	}
-	writeJSONStatus(w, http.StatusConflict, partialBody{Error: fmt.Sprintf("%s: %v", op, err), Applied: applied})
+	return 0
 }
 
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {
@@ -319,6 +325,11 @@ type ApplyResponse struct {
 	Objects int         `json:"objects"`
 }
 
+// handleApply makes the request's records one engine write
+// (core.Server.ApplyBatch), so a query sees all of its admitted prefix or
+// none of it. It bypasses the monitor — the clock does not move, so no
+// standing query comes due — and takes the engine's write lock alone: the
+// contention regime bench/'s mixed-rw workload measures.
 func (s *Service) handleApply(w http.ResponseWriter, r *http.Request) {
 	_, ups, ok := decodeUpdates(w, r, func(body []byte) (motion.Tick, []wire.Record, error) {
 		var req ApplyRequest
@@ -328,14 +339,9 @@ func (s *Service) handleApply(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	// Applies bypass the monitor (the clock does not move, so no standing
-	// query comes due): each takes the engine's write lock alone — the
-	// contention regime bench/'s mixed-rw workload measures.
-	for i, u := range ups {
-		if err := s.srv.Apply(u); err != nil {
-			writeJSONStatus(w, http.StatusConflict, partialBody{Error: fmt.Sprintf("apply %d: %v", i, err), Applied: i})
-			return
-		}
+	if err := s.srv.ApplyBatch(ups); err != nil {
+		writePartial(w, fmt.Sprintf("apply %d", appliedOf(err)), err)
+		return
 	}
 	writeJSON(w, ApplyResponse{Applied: len(ups), Now: s.srv.Now(), Objects: s.srv.NumObjects()})
 }

@@ -146,6 +146,11 @@ go test -run '^$' -bench 'BenchmarkDecodeUpdates$' -benchtime=200x -benchmem ./i
 # allocates nothing; the few deleted and re-inserted average out below one.
 go test -run '^$' -bench 'BenchmarkTreeUpdate$' -benchtime=2000x -benchmem ./internal/tprtree |
 	pin_allocs 'BenchmarkTreeUpdate=0'
+# A /v1/apply-shaped write (an insert and a delete, one ApplyBatch) runs its
+# items inline and allocates nothing but the structures' amortized growth;
+# handing them to the worker pool reads 9.
+go test -run '^$' -bench 'BenchmarkServerApply$' -benchtime=2000x -benchmem ./internal/core |
+	pin_allocs 'BenchmarkServerApply=0'
 echo "ok"
 
 step "pdrvet (project-specific static analysis)"
