@@ -1,12 +1,117 @@
 package lint
 
 import (
+	"flag"
+	"fmt"
 	"go/token"
+	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 )
+
+var updateFindings = flag.Bool("update-findings", false, "rewrite "+findingsGolden+" from this build's findings")
+
+// findingsGolden pins every diagnostic analyze returns, one line per
+// finding: the test name, line:col, the analyzer and the message. The
+// tests count findings; the golden also catches a finding that moves or
+// is reworded. -update-findings rewrites it, which is only right when a
+// finding is meant to change.
+const findingsGolden = "testdata/findings.golden"
+
+// findings collects, per test that called analyze, the golden lines it
+// produced in call order.
+var findings = struct {
+	sync.Mutex
+	byTest map[string][]string
+}{byTest: make(map[string][]string)}
+
+// goldenFindings reads findingsGolden into per-test line lists.
+var goldenFindings = sync.OnceValues(func() (map[string][]string, error) {
+	data, err := os.ReadFile(findingsGolden)
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[string][]string)
+	for _, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
+		if test, _, ok := strings.Cut(line, " "); ok {
+			out[test] = append(out[test], line)
+		}
+	}
+	return out, nil
+})
+
+// recordFindings appends diags to t's golden lines and, on t's first call,
+// registers the comparison against findingsGolden for when t ends.
+func recordFindings(t *testing.T, diags []Diagnostic) {
+	t.Helper()
+	findings.Lock()
+	defer findings.Unlock()
+	lines, seen := findings.byTest[t.Name()]
+	for _, d := range diags {
+		lines = append(lines, fmt.Sprintf("%s %d:%d [%s] %s", t.Name(), d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message))
+	}
+	findings.byTest[t.Name()] = lines
+	if seen || *updateFindings {
+		return
+	}
+	t.Cleanup(func() {
+		golden, err := goldenFindings()
+		if err != nil {
+			t.Fatalf("%v (run with -update-findings to create it)", err)
+		}
+		findings.Lock()
+		got := findings.byTest[t.Name()]
+		findings.Unlock()
+		want := golden[t.Name()]
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("findings differ from %s (run with -update-findings if the change is meant):\ngot:\n%s\nwant:\n%s",
+				findingsGolden, strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
+	})
+}
+
+// TestMain rewrites findingsGolden under -update-findings. On a run of
+// every test it also fails when the golden names a test that no longer
+// calls analyze, so a deleted or renamed test cannot leave stale lines.
+func TestMain(m *testing.M) {
+	flag.Parse()
+	code := m.Run()
+	tests := make([]string, 0, len(findings.byTest))
+	for name := range findings.byTest {
+		tests = append(tests, name)
+	}
+	sort.Strings(tests)
+	if *updateFindings {
+		var b strings.Builder
+		for _, name := range tests {
+			for _, line := range findings.byTest[name] {
+				b.WriteString(line + "\n")
+			}
+		}
+		if err := os.WriteFile(findingsGolden, []byte(b.String()), 0o644); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			code = 1
+		}
+		os.Exit(code)
+	}
+	if code == 0 && flag.Lookup("test.run").Value.String() == "" && flag.Lookup("test.skip").Value.String() == "" {
+		golden, err := goldenFindings()
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		for name := range golden {
+			if _, ran := findings.byTest[name]; !ran {
+				fmt.Fprintf(os.Stderr, "%s names %s, which no longer calls analyze; run with -update-findings\n", findingsGolden, name)
+				code = 1
+			}
+		}
+	}
+	os.Exit(code)
+}
 
 // testModule loads the real module once for every fixture check: fixtures
 // impersonate module-local import paths, and their imports (pdr/internal/geom,
@@ -20,7 +125,8 @@ var testModule = sync.OnceValues(func() (*Module, error) {
 })
 
 // analyze type-checks src as a single-file package under the given import
-// path and runs the named analyzers over it (plus ignore handling).
+// path and runs the named analyzers over it (plus ignore handling). Every
+// diagnostic it returns is checked against findingsGolden.
 func analyze(t *testing.T, path, src string, analyzers ...*Analyzer) []Diagnostic {
 	t.Helper()
 	m, err := testModule()
@@ -31,7 +137,9 @@ func analyze(t *testing.T, path, src string, analyzers ...*Analyzer) []Diagnosti
 	if err != nil {
 		t.Fatalf("checking fixture: %v", err)
 	}
-	return Run([]*Package{pkg}, analyzers)
+	diags := Run([]*Package{pkg}, analyzers)
+	recordFindings(t, diags)
+	return diags
 }
 
 // wantFindings asserts the number of diagnostics and that each carries the
