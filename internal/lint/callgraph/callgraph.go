@@ -1,6 +1,6 @@
 // Package callgraph builds a type-informed static call graph over the
-// module's packages, stdlib-only, for pdrvet's interprocedural lockorder
-// analyzer.
+// module's packages, stdlib-only: the one module walk pdrvet's
+// interprocedural analyzers (lockorder, poollife) read functions from.
 //
 // Nodes are the module's declared functions and methods plus every function
 // literal (a closure runs where it is invoked, so it is its own node).
@@ -38,8 +38,14 @@ type Unit struct {
 
 // Node is one function, method, or function literal of the module.
 type Node struct {
+	// Func is the declared function or method; nil for literals.
+	Func *types.Func
 	// Lit is the function literal; nil for declared functions.
 	Lit *ast.FuncLit
+	// Body is the function's body; nil for a declaration without one.
+	Body *ast.BlockStmt
+	// Unit is the package the function is declared in.
+	Unit *Unit
 	// Name is the printable identity: "pdr/internal/core.(*Server).Snapshot"
 	// or "pdr/internal/sweep.DenseRects$1" for the first literal inside
 	// DenseRects.
@@ -57,9 +63,6 @@ type Graph struct {
 	byLit map[*ast.FuncLit]*Node
 }
 
-// FuncNode returns the node of a declared function, or nil.
-func (g *Graph) FuncNode(fn *types.Func) *Node { return g.byObj[fn] }
-
 // LitNode returns the node of a function literal, or nil.
 func (g *Graph) LitNode(lit *ast.FuncLit) *Node { return g.byLit[lit] }
 
@@ -74,12 +77,6 @@ func Build(units []Unit) *Graph {
 	}
 
 	// Pass 1: a node per declared function/method and per function literal.
-	type declBody struct {
-		node *Node
-		body *ast.BlockStmt
-		unit *Unit
-	}
-	var bodies []declBody
 	for i := range units {
 		u := &units[i]
 		for _, f := range u.Files {
@@ -92,10 +89,9 @@ func Build(units []Unit) *Graph {
 				if obj == nil {
 					continue
 				}
-				n := &Node{Name: funcName(u.Path, obj)}
+				n := &Node{Func: obj, Body: fd.Body, Unit: u, Name: funcName(u.Path, obj)}
 				g.Nodes = append(g.Nodes, n)
 				g.byObj[obj] = n
-				bodies = append(bodies, declBody{n, fd.Body, u})
 				// Literal nodes, numbered in source order within the decl.
 				seq := 0
 				if fd.Body != nil {
@@ -104,11 +100,12 @@ func Build(units []Unit) *Graph {
 							seq++
 							ln := &Node{
 								Lit:  fl,
+								Body: fl.Body,
+								Unit: u,
 								Name: fmt.Sprintf("%s$%d", n.Name, seq),
 							}
 							g.Nodes = append(g.Nodes, ln)
 							g.byLit[fl] = ln
-							bodies = append(bodies, declBody{ln, fl.Body, u})
 						}
 						return true
 					})
@@ -119,17 +116,45 @@ func Build(units []Unit) *Graph {
 
 	// Pass 2: edges. Each node walks its own body, stopping at nested
 	// literal boundaries (they walk themselves).
-	for _, b := range bodies {
-		if b.body != nil {
-			g.edgesFrom(b.node, b.body, b.unit)
+	for _, n := range g.Nodes {
+		if n.Body != nil {
+			g.edgesFrom(n)
 		}
 	}
 	return g
 }
 
-// edgesFrom records the out-edges of node from its body, excluding nested
+// Callee returns the node a call statically invokes: a function literal
+// called in place, or a declared function or method StaticCallee resolves.
+// Calls through func-typed values and interface methods return nil.
+func (g *Graph) Callee(info *types.Info, call *ast.CallExpr) *Node {
+	if fl, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
+		return g.byLit[fl]
+	}
+	if fn := StaticCallee(info, call); fn != nil {
+		return g.byObj[fn]
+	}
+	return nil
+}
+
+// StaticCallee resolves a call to the *types.Func it names: package-level
+// functions, methods on concrete receivers, and interface methods (which
+// have no body to follow). Calls through func-typed values return nil.
+func StaticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		f, _ := info.Uses[fun].(*types.Func)
+		return f
+	case *ast.SelectorExpr:
+		f, _ := info.Uses[fun.Sel].(*types.Func)
+		return f
+	}
+	return nil
+}
+
+// edgesFrom records the out-edges of n from its body, excluding nested
 // function literals (each literal is its own node and walks its own body).
-func (g *Graph) edgesFrom(n *Node, body *ast.BlockStmt, u *Unit) {
+func (g *Graph) edgesFrom(n *Node) {
 	seen := make(map[*Node]bool)
 	addEdge := func(to *Node) {
 		if to != nil && to != n && !seen[to] {
@@ -137,7 +162,7 @@ func (g *Graph) edgesFrom(n *Node, body *ast.BlockStmt, u *Unit) {
 			n.Calls = append(n.Calls, to)
 		}
 	}
-	ast.Inspect(body, func(x ast.Node) bool {
+	ast.Inspect(n.Body, func(x ast.Node) bool {
 		switch x := x.(type) {
 		case *ast.FuncLit:
 			// A literal occurring here may run wherever it flows: edge from
@@ -150,7 +175,7 @@ func (g *Graph) edgesFrom(n *Node, body *ast.BlockStmt, u *Unit) {
 			// flow-insensitively, a function or method value (f := s.Run,
 			// ForEach(n, worker), return handler). Conversions and builtins
 			// name no *types.Func and so add nothing.
-			if fn, ok := u.Info.Uses[x].(*types.Func); ok && !isInterfaceMethod(fn) {
+			if fn, ok := n.Unit.Info.Uses[x].(*types.Func); ok && !isInterfaceMethod(fn) {
 				addEdge(g.byObj[fn])
 			}
 		}

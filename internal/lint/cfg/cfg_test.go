@@ -687,3 +687,26 @@ func TestEdgeRefine(t *testing.T) {
 		t.Fatalf("branch blocks not found (then=%v else=%v)", sawThen, sawElse)
 	}
 }
+
+func TestKeySetsLattice(t *testing.T) {
+	a := KeySets[int]{"mu": {1: true}}
+	b := KeySets[int]{"mu": {2: true}, "pool": {3: true}}
+	j := a.Join(b)
+	if want := (KeySets[int]{"mu": {1: true, 2: true}, "pool": {3: true}}); !j.Equal(want) {
+		t.Fatalf("join = %v, want %v", j, want)
+	}
+	if len(a["mu"]) != 1 || a.Equal(j) {
+		t.Fatalf("join changed its operand: %v", a)
+	}
+	// Map rewrites facts without touching the set a clone shares, and
+	// deletes a key whose every fact is dropped.
+	c := j.Clone()
+	c.Map("mu", func(f int) (int, bool) { return f * 10, f != 1 })
+	c.Map("pool", func(int) (int, bool) { return 0, false })
+	if want := (KeySets[int]{"mu": {20: true}}); !c.Equal(want) {
+		t.Fatalf("map = %v, want %v", c, want)
+	}
+	if !j["mu"][1] || !j["mu"][2] {
+		t.Fatalf("map changed the set it replaced: %v", j)
+	}
+}

@@ -105,3 +105,75 @@ func (r *Result[F]) ExitFacts() (F, bool) {
 	f, ok := r.In[r.g.Exit.Index]
 	return f, ok
 }
+
+// KeySets is the may-set lattice the flow analyzers share: for each key (a
+// mutex, a pooled value), the set of facts that hold on *some* path reaching
+// a program point. The join is per-key set union, so a fact from either
+// branch survives a merge and "some path leaks" stays visible at exit.
+// Facts are comparable values, so a set of them is a map key set. A
+// KeySets reaching a transfer function is shared with predecessors: Clone
+// before changing it.
+type KeySets[F comparable] map[string]map[F]bool
+
+// Clone returns a copy of s that shares no set with it.
+func (s KeySets[F]) Clone() KeySets[F] {
+	out := make(KeySets[F], len(s))
+	for k, set := range s {
+		cp := make(map[F]bool, len(set))
+		for f := range set {
+			cp[f] = true
+		}
+		out[k] = cp
+	}
+	return out
+}
+
+// Join is the per-key union of s and o, as a new KeySets.
+func (s KeySets[F]) Join(o KeySets[F]) KeySets[F] {
+	out := s.Clone()
+	for k, set := range o {
+		if out[k] == nil {
+			out[k] = make(map[F]bool, len(set))
+		}
+		for f := range set {
+			out[k][f] = true
+		}
+	}
+	return out
+}
+
+// Equal reports whether s and o hold the same facts under the same keys.
+func (s KeySets[F]) Equal(o KeySets[F]) bool {
+	if len(s) != len(o) {
+		return false
+	}
+	for k, ss := range s {
+		os, ok := o[k]
+		if !ok || len(ss) != len(os) {
+			return false
+		}
+		for f := range ss {
+			if !os[f] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// Map replaces key's set with fn applied to each of its facts. A fact for
+// which fn reports false is dropped, and key is deleted when none is left.
+// The old set is not changed.
+func (s KeySets[F]) Map(key string, fn func(F) (F, bool)) {
+	next := make(map[F]bool, len(s[key]))
+	for f := range s[key] {
+		if f, keep := fn(f); keep {
+			next[f] = true
+		}
+	}
+	if len(next) == 0 {
+		delete(s, key)
+		return
+	}
+	s[key] = next
+}

@@ -46,50 +46,7 @@ type holdFact struct {
 }
 
 // holdState maps mutex key -> set of reachable hold configurations.
-type holdState map[string]map[holdFact]bool
-
-func (s holdState) clone() holdState {
-	out := make(holdState, len(s))
-	for k, set := range s {
-		cp := make(map[holdFact]bool, len(set))
-		for f := range set {
-			cp[f] = true
-		}
-		out[k] = cp
-	}
-	return out
-}
-
-func joinHoldStates(a, b holdState) holdState {
-	out := a.clone()
-	for k, set := range b {
-		if out[k] == nil {
-			out[k] = make(map[holdFact]bool, len(set))
-		}
-		for f := range set {
-			out[k][f] = true
-		}
-	}
-	return out
-}
-
-func equalHoldStates(a, b holdState) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, as := range a {
-		bs, ok := b[k]
-		if !ok || len(as) != len(bs) {
-			return false
-		}
-		for f := range as {
-			if !bs[f] {
-				return false
-			}
-		}
-	}
-	return true
-}
+type holdState = cfg.KeySets[holdFact]
 
 func runDeferUnlock(p *Pass) {
 	for _, f := range p.Files {
@@ -114,23 +71,15 @@ func checkUnlockPaths(p *Pass, body *ast.BlockStmt) {
 		return
 	}
 	g := cfg.New(body)
-	reported := make(map[string]bool)
-	report := func(pos token.Pos, format string, args ...any) {
-		key := p.Fset.Position(pos).String() + format
-		if reported[key] {
-			return
-		}
-		reported[key] = true
-		p.Reportf(pos, format, args...)
-	}
+	report := onceReporter(p)
 	step := func(n ast.Node, in holdState) holdState { return stepHoldState(p, n, in, nil) }
 	res := cfg.Run(g, &cfg.Analysis[holdState]{
 		Entry: holdState{},
-		Join:  joinHoldStates,
-		Equal: equalHoldStates,
+		Join:  holdState.Join,
+		Equal: holdState.Equal,
 		Transfer: func(b *cfg.Block, in holdState) holdState {
 			for _, n := range b.Nodes {
-				in = stepHoldState(p, n, in, nil)
+				in = step(n, in)
 			}
 			return in
 		},
@@ -165,17 +114,17 @@ func checkUnlockPaths(p *Pass, body *ast.BlockStmt) {
 // stepHoldState advances the hold state across one CFG node. When report is
 // non-nil, definite double and mismatched unlocks are reported (the replay
 // pass); the fixed-point pass passes nil.
-func stepHoldState(p *Pass, n ast.Node, in holdState, report func(token.Pos, string, ...any)) holdState {
+func stepHoldState(p *Pass, n ast.Node, in holdState, report reporter) holdState {
 	out := in
 	ast.Inspect(n, func(x ast.Node) bool {
 		switch x := x.(type) {
 		case *ast.FuncLit:
 			return false
 		case *ast.DeferStmt:
-			out = registerDefers(p, x, out.clone())
+			out = registerDefers(p, x, out.Clone())
 			return false
 		case *ast.CallExpr:
-			op, ok := mutexOpOf(p, x)
+			op, ok := mutexOpOf(p.Info, x)
 			if !ok {
 				return true
 			}
@@ -187,8 +136,8 @@ func stepHoldState(p *Pass, n ast.Node, in holdState, report func(token.Pos, str
 }
 
 // applyHoldOp transitions every reachable tuple of the operated mutex.
-func applyHoldOp(s holdState, op mutexOp, report func(token.Pos, string, ...any)) holdState {
-	out := s.clone()
+func applyHoldOp(s holdState, op mutexOp, report reporter) holdState {
+	out := s.Clone()
 	set := out[op.key]
 	switch op.name {
 	case "Lock", "RLock":
@@ -196,16 +145,14 @@ func applyHoldOp(s holdState, op mutexOp, report func(token.Pos, string, ...any)
 		if op.name == "RLock" {
 			level = 1
 		}
-		next := make(map[holdFact]bool)
 		if len(set) == 0 {
-			next[holdFact{level: level, lockPos: op.pos}] = true
+			out[op.key] = map[holdFact]bool{{}: true}
 		}
-		for f := range set {
+		out.Map(op.key, func(f holdFact) (holdFact, bool) {
 			f.level = level
 			f.lockPos = op.pos
-			next[f] = true
-		}
-		out[op.key] = next
+			return f, true
+		})
 	case "Unlock", "RUnlock":
 		if len(set) == 0 {
 			// Never locked here: the caller's hold (the *Locked
@@ -234,14 +181,12 @@ func applyHoldOp(s holdState, op mutexOp, report func(token.Pos, string, ...any)
 				report(op.pos, "%s.RUnlock() releases a write lock; use %s.Unlock()", op.key, op.key)
 			}
 		}
-		next := make(map[holdFact]bool)
-		for f := range set {
+		out.Map(op.key, func(f holdFact) (holdFact, bool) {
 			if f.level > 0 || f.level == -1 {
 				f.level = 0
 			}
-			next[f] = true
-		}
-		out[op.key] = next
+			return f, true
+		})
 	}
 	return out
 }
@@ -250,12 +195,10 @@ func applyHoldOp(s holdState, op mutexOp, report func(token.Pos, string, ...any)
 // defer mu.Unlock(), or a deferred closure whose body unlocks.
 func registerDefers(p *Pass, d *ast.DeferStmt, s holdState) holdState {
 	mark := func(op mutexOp) {
-		set := s[op.key]
-		if len(set) == 0 {
-			set = map[holdFact]bool{{level: -1}: true}
+		if len(s[op.key]) == 0 {
+			s[op.key] = map[holdFact]bool{{level: -1}: true}
 		}
-		next := make(map[holdFact]bool)
-		for f := range set {
+		s.Map(op.key, func(f holdFact) (holdFact, bool) {
 			switch op.name {
 			case "Unlock":
 				f.deferW = true
@@ -264,11 +207,10 @@ func registerDefers(p *Pass, d *ast.DeferStmt, s holdState) holdState {
 				f.deferR = true
 				f.deferRPos = op.pos
 			}
-			next[f] = true
-		}
-		s[op.key] = next
+			return f, true
+		})
 	}
-	if op, ok := mutexOpOf(p, d.Call); ok {
+	if op, ok := mutexOpOf(p.Info, d.Call); ok {
 		mark(op)
 		return s
 	}
@@ -278,7 +220,7 @@ func registerDefers(p *Pass, d *ast.DeferStmt, s holdState) holdState {
 				return false
 			}
 			if call, ok := x.(*ast.CallExpr); ok {
-				if op, ok := mutexOpOf(p, call); ok {
+				if op, ok := mutexOpOf(p.Info, call); ok {
 					mark(op)
 				}
 			}
@@ -297,25 +239,11 @@ func usesTryLock(p *Pass, body *ast.BlockStmt) bool {
 			return false
 		}
 		if call, ok := x.(*ast.CallExpr); ok {
-			if op, ok := mutexOpOf(p, call); ok && (op.name == "TryLock" || op.name == "TryRLock") {
+			if op, ok := mutexOpOf(p.Info, call); ok && (op.name == "TryLock" || op.name == "TryRLock") {
 				found = true
 			}
 		}
 		return !found
 	})
 	return found
-}
-
-// allFuncLits collects the function literals directly inside body (not
-// nested in further literals).
-func allFuncLits(body *ast.BlockStmt) []*ast.FuncLit {
-	var out []*ast.FuncLit
-	ast.Inspect(body, func(x ast.Node) bool {
-		if fl, ok := x.(*ast.FuncLit); ok {
-			out = append(out, fl)
-			return false
-		}
-		return true
-	})
-	return out
 }

@@ -51,15 +51,13 @@ type Analyzer struct {
 	Doc string
 	// Run inspects one package and reports findings through the pass.
 	Run func(*Pass)
-	// UsesCallGraph requests Pass.Graph: the module call graph, built once
-	// per Run over all loaded packages.
-	UsesCallGraph bool
 	// Prepare, when set, runs once per Run over every loaded package before
 	// the per-package passes, and its result is handed to each of this
 	// analyzer's passes via Pass.Shared. Interprocedural analyzers build
 	// their cross-package summaries here (pool releaser sets, lock-rank
-	// annotations) so per-package findings can see the whole module. The
-	// graph argument is non-nil only when UsesCallGraph is also set.
+	// annotations) so per-package findings can see the whole module. graph
+	// is the module call graph, built once per Run when any analyzer has a
+	// Prepare: the one walk of the module's functions.
 	Prepare func(pkgs []*Package, graph *callgraph.Graph) any
 }
 
@@ -73,10 +71,6 @@ type Pass struct {
 	Files []*ast.File
 	Pkg   *types.Package
 	Info  *types.Info
-	// Graph is the module call graph; non-nil only for analyzers that set
-	// UsesCallGraph. It spans every package of the run, so interprocedural
-	// facts cross package boundaries.
-	Graph *callgraph.Graph
 	// Shared is the analyzer's Prepare result (nil when Prepare is unset):
 	// module-wide state computed once per Run and read by every pass.
 	Shared any
@@ -161,23 +155,21 @@ func Names() []string {
 // findings in deterministic order, with lint:ignore suppression applied.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	var graph *callgraph.Graph
-	for _, a := range analyzers {
-		if a.UsesCallGraph {
-			graph = buildGraph(pkgs)
-			break
-		}
-	}
 	shared := make(map[string]any)
 	for _, a := range analyzers {
-		if a.Prepare != nil {
-			shared[a.Name] = a.Prepare(pkgs, graph)
+		if a.Prepare == nil {
+			continue
 		}
+		if graph == nil {
+			graph = buildGraph(pkgs)
+		}
+		shared[a.Name] = a.Prepare(pkgs, graph)
 	}
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
 		var pkgDiags []Diagnostic
 		for _, a := range analyzers {
-			pass := &Pass{
+			a.Run(&Pass{
 				Analyzer: a,
 				Path:     pkg.Path,
 				Fset:     pkg.Fset,
@@ -186,11 +178,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 				Info:     pkg.Info,
 				Shared:   shared[a.Name],
 				diags:    &pkgDiags,
-			}
-			if a.UsesCallGraph {
-				pass.Graph = graph
-			}
-			a.Run(pass)
+			})
 		}
 		diags = append(diags, applyIgnores(pkg, analyzers, pkgDiags)...)
 	}
@@ -224,7 +212,7 @@ func sortDiags(diags []Diagnostic) {
 }
 
 // buildGraph constructs the module call graph over the loaded packages —
-// the interprocedural substrate of lockorder.
+// the interprocedural substrate of lockorder and poollife.
 func buildGraph(pkgs []*Package) *callgraph.Graph {
 	units := make([]callgraph.Unit, 0, len(pkgs))
 	for _, pkg := range pkgs {

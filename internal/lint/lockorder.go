@@ -16,7 +16,7 @@ import (
 // AnalyzerLockOrder proves the engine's deadlock-freedom argument statically.
 // Mutex fields annotated with a `// pdr:lockrank <name> [rank]` comment form
 // lock classes; the analyzer extends the must-held lock-set dataflow
-// (lockflow.go) across the call graph into a global acquisition-order graph
+// (lockState, below) across the call graph into a global acquisition-order graph
 // — "while holding class A, class B is acquired" — and reports:
 //
 //   - rank violations: an edge from a higher to a lower (or equal) rank,
@@ -33,10 +33,9 @@ import (
 // held. Unannotated mutexes are invisible — the analyzer checks the declared
 // protocol, it does not invent one.
 var AnalyzerLockOrder = &Analyzer{
-	Name:          "lockorder",
-	Doc:           "builds the pdr:lockrank acquisition-order graph: rank violations and cycles",
-	Run:           runLockOrder,
-	UsesCallGraph: true,
+	Name: "lockorder",
+	Doc:  "builds the pdr:lockrank acquisition-order graph: rank violations and cycles",
+	Run:  runLockOrder,
 	Prepare: func(pkgs []*Package, graph *callgraph.Graph) any {
 		return prepareLockOrder(pkgs, graph)
 	},
@@ -85,15 +84,6 @@ func runLockOrder(p *Pass) {
 	}
 }
 
-// lockNodeUnit is one function or literal body with the package context to
-// resolve it.
-type lockNodeUnit struct {
-	node *callgraph.Node
-	body *ast.BlockStmt
-	pkg  *Package
-	pass *Pass
-}
-
 type classSet map[*lockClass]bool
 
 func (s classSet) addAll(o classSet) bool {
@@ -109,9 +99,6 @@ func (s classSet) addAll(o classSet) bool {
 
 func prepareLockOrder(pkgs []*Package, graph *callgraph.Graph) *lockOrderResult {
 	res := &lockOrderResult{byPkg: make(map[string][]lockOrderFinding)}
-	if graph == nil {
-		return res
-	}
 	report := func(pkg string, pos token.Pos, format string, args ...any) {
 		res.byPkg[pkg] = append(res.byPkg[pkg], lockOrderFinding{
 			pkg: pkg, pos: pos, msg: fmt.Sprintf(format, args...),
@@ -123,19 +110,24 @@ func prepareLockOrder(pkgs []*Package, graph *callgraph.Graph) *lockOrderResult 
 		return res
 	}
 
-	units := collectLockNodeUnits(pkgs, graph)
+	var nodes []*callgraph.Node
+	for _, n := range graph.Nodes {
+		if n.Body != nil {
+			nodes = append(nodes, n)
+		}
+	}
 
 	// acqTrans: every class a function may acquire, transitively — a fixed
 	// point over the call graph.
 	acqTrans := make(map[*callgraph.Node]classSet)
-	for _, u := range units {
-		acqTrans[u.node] = directAcquires(u, classes)
+	for _, n := range nodes {
+		acqTrans[n] = directAcquires(n, classes)
 	}
 	for changed := true; changed; {
 		changed = false
-		for _, u := range units {
-			for _, c := range u.node.Calls {
-				if acqTrans[c] != nil && acqTrans[u.node].addAll(acqTrans[c]) {
+		for _, n := range nodes {
+			for _, c := range n.Calls {
+				if acqTrans[c] != nil && acqTrans[n].addAll(acqTrans[c]) {
 					changed = true
 				}
 			}
@@ -154,8 +146,8 @@ func prepareLockOrder(pkgs []*Package, graph *callgraph.Graph) *lockOrderResult 
 		edgeIndex[key] = e
 		edges = append(edges, e)
 	}
-	for _, u := range units {
-		walkLockOrderFlow(u, classes, acqTrans, graph, recordEdge)
+	for _, n := range nodes {
+		walkLockOrderFlow(n, classes, acqTrans, graph, recordEdge)
 	}
 
 	// Rank discipline over the deduplicated edges.
@@ -252,65 +244,22 @@ func parseLockRank(groups ...*ast.CommentGroup) (name string, rank int, ranked b
 	return "", 0, false, token.NoPos, false, ""
 }
 
-// collectLockNodeUnits pairs every call-graph node with its body and a
-// throwaway pass for type resolution, in deterministic package/file order.
-func collectLockNodeUnits(pkgs []*Package, graph *callgraph.Graph) []lockNodeUnit {
-	var units []lockNodeUnit
-	for _, pkg := range pkgs {
-		var sink []Diagnostic
-		pass := &Pass{
-			Path:  pkg.Path,
-			Fset:  pkg.Fset,
-			Files: pkg.Files,
-			Pkg:   pkg.Types,
-			Info:  pkg.Info,
-			diags: &sink,
-		}
-		for _, f := range pkg.Files {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				obj, _ := pkg.Info.Defs[fd.Name].(*types.Func)
-				if obj == nil {
-					continue
-				}
-				node := graph.FuncNode(obj)
-				if node == nil {
-					continue
-				}
-				units = append(units, lockNodeUnit{node: node, body: fd.Body, pkg: pkg, pass: pass})
-				ast.Inspect(fd.Body, func(x ast.Node) bool {
-					if fl, isLit := x.(*ast.FuncLit); isLit {
-						if ln := graph.LitNode(fl); ln != nil {
-							units = append(units, lockNodeUnit{node: ln, body: fl.Body, pkg: pkg, pass: pass})
-						}
-					}
-					return true
-				})
-			}
-		}
-	}
-	return units
-}
-
 // directAcquires scans one body (nested literals excluded — they are their
 // own nodes — and defers too) for the classes it locks.
-func directAcquires(u lockNodeUnit, classes map[*types.Var]*lockClass) classSet {
+func directAcquires(n *callgraph.Node, classes map[*types.Var]*lockClass) classSet {
 	acq := classSet{}
-	ast.Inspect(u.body, func(x ast.Node) bool {
+	ast.Inspect(n.Body, func(x ast.Node) bool {
 		switch x := x.(type) {
 		case *ast.FuncLit, *ast.DeferStmt:
 			return false
 		case *ast.CallExpr:
-			op, ok := mutexOpOf(u.pass, x)
+			op, ok := mutexOpOf(n.Unit.Info, x)
 			if !ok {
 				return true
 			}
 			switch op.name {
 			case "Lock", "RLock", "TryLock", "TryRLock":
-				if cls, classed := classOfMutexExpr(u.pkg.Info, classes, x.Fun.(*ast.SelectorExpr).X); classed {
+				if cls, classed := classOfMutexExpr(n.Unit.Info, classes, x.Fun.(*ast.SelectorExpr).X); classed {
 					acq[cls] = true
 				}
 			}
@@ -364,7 +313,7 @@ func classOfMutexExpr(info *types.Info, classes map[*types.Var]*lockClass, e ast
 // into a class-acquiring callee, each held class gains an edge to the
 // acquired one.
 func walkLockOrderFlow(
-	u lockNodeUnit,
+	n *callgraph.Node,
 	classes map[*types.Var]*lockClass,
 	acqTrans map[*callgraph.Node]classSet,
 	graph *callgraph.Graph,
@@ -380,20 +329,12 @@ func walkLockOrderFlow(
 		}
 		return out
 	}
-	calleeNode := func(call *ast.CallExpr) *callgraph.Node {
-		if fl, isLit := ast.Unparen(call.Fun).(*ast.FuncLit); isLit {
-			return graph.LitNode(fl)
-		}
-		if fn := staticCallee(u.pkg.Info, call); fn != nil {
-			return graph.FuncNode(fn)
-		}
-		return nil
-	}
+	info, pkg := n.Unit.Info, n.Unit.Path
 	// step advances the state across one node; with emit true it also
 	// records edges (the replay pass).
-	step := func(n ast.Node, in lockState, emit bool) lockState {
+	step := func(node ast.Node, in lockState, emit bool) lockState {
 		out := in
-		ast.Inspect(n, func(x ast.Node) bool {
+		ast.Inspect(node, func(x ast.Node) bool {
 			switch x := x.(type) {
 			case *ast.DeferStmt:
 				return false // releases at exit; mid-body state unchanged
@@ -404,34 +345,34 @@ func walkLockOrderFlow(
 					if ln := graph.LitNode(x); ln != nil {
 						for h := range heldClasses(out) {
 							for a := range acqTrans[ln] {
-								recordEdge(h, a, u.pkg.Path, x.Pos())
+								recordEdge(h, a, pkg, x.Pos())
 							}
 						}
 					}
 				}
 				return false
 			case *ast.CallExpr:
-				if op, ok := mutexOpOf(u.pass, x); ok {
-					cls, classed := classOfMutexExpr(u.pkg.Info, classes, x.Fun.(*ast.SelectorExpr).X)
+				if op, ok := mutexOpOf(info, x); ok {
+					cls, classed := classOfMutexExpr(info, classes, x.Fun.(*ast.SelectorExpr).X)
 					if classed && (op.name == "Lock" || op.name == "RLock") {
 						keyClass[op.key] = cls
 						if emit {
 							for h := range heldClasses(out) {
-								recordEdge(h, cls, u.pkg.Path, op.pos)
+								recordEdge(h, cls, pkg, op.pos)
 							}
 						}
 					}
 					out = out.apply(op)
 					return true
 				}
-				callee := calleeNode(x)
+				callee := graph.Callee(info, x)
 				if callee == nil {
 					return true
 				}
 				if emit {
 					for h := range heldClasses(out) {
 						for a := range acqTrans[callee] {
-							recordEdge(h, a, u.pkg.Path, x.Lparen)
+							recordEdge(h, a, pkg, x.Lparen)
 						}
 					}
 				}
@@ -440,7 +381,7 @@ func walkLockOrderFlow(
 		})
 		return out
 	}
-	g := cfg.New(u.body)
+	g := cfg.New(n.Body)
 	res := cfg.Run(g, &cfg.Analysis[lockState]{
 		Entry: lockState{},
 		Join:  joinLockStates,
@@ -453,9 +394,74 @@ func walkLockOrderFlow(
 		},
 	})
 	res.WalkReached(
-		func(n ast.Node, in lockState) lockState { return step(n, in, false) },
-		func(n ast.Node, before lockState) { step(n, before, true) },
+		func(node ast.Node, in lockState) lockState { return step(node, in, false) },
+		func(node ast.Node, before lockState) { step(node, before, true) },
 	)
+}
+
+// lockState maps a mutex key to the lock level held on *every* path
+// reaching a program point: 1 read-locked, 2 write-locked. Absent means not
+// (provably) held. The join of two states is the pointwise minimum, so a
+// lock held on only one branch is not held after the merge.
+type lockState map[string]int
+
+func (s lockState) clone() lockState {
+	out := make(lockState, len(s))
+	for k, v := range s {
+		out[k] = v
+	}
+	return out
+}
+
+func joinLockStates(a, b lockState) lockState {
+	out := make(lockState)
+	for k, av := range a {
+		if bv, ok := b[k]; ok {
+			if bv < av {
+				out[k] = bv
+			} else {
+				out[k] = av
+			}
+		}
+	}
+	return out
+}
+
+func equalLockStates(a, b lockState) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k, av := range a {
+		if bv, ok := b[k]; !ok || bv != av {
+			return false
+		}
+	}
+	return true
+}
+
+// apply advances the state across one mutex operation. The receiver is not
+// mutated (predecessor facts are shared); a copy is returned.
+func (s lockState) apply(op mutexOp) lockState {
+	out := s.clone()
+	switch op.name {
+	case "Lock":
+		out[op.key] = 2
+	case "RLock":
+		if out[op.key] < 1 {
+			out[op.key] = 1
+		}
+	case "Unlock":
+		delete(out, op.key)
+	case "RUnlock":
+		// Dropping a read hold; a write hold (mismatched RUnlock, which
+		// deferunlock reports) is conservatively kept.
+		if out[op.key] == 1 {
+			delete(out, op.key)
+		}
+	}
+	// TryLock/TryRLock succeed only conditionally; they never strengthen
+	// the must-hold state.
+	return out
 }
 
 // reportLockCycles finds acquisition cycles among classes whose edges were

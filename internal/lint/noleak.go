@@ -149,20 +149,8 @@ func waitGroupCalls(p *Pass, body *ast.BlockStmt, method string) map[string]toke
 // wgMethodCall recognizes wg.<method>() on a sync.WaitGroup receiver with a
 // trackable key.
 func wgMethodCall(p *Pass, call *ast.CallExpr, method string) (string, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != method {
-		return "", false
-	}
-	named, ok := types.Unalias(derefType(p.TypeOf(sel.X))).(*types.Named)
-	if !ok {
-		return "", false
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" || obj.Name() != "WaitGroup" {
-		return "", false
-	}
-	key := exprKey(sel.X)
-	return key, key != ""
+	c, ok := syncCallOf(p.Info, call)
+	return c.key, ok && c.typ == "WaitGroup" && c.method == method
 }
 
 // doneOnEveryPath runs a must-analysis over the closure CFG: true iff

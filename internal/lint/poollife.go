@@ -31,7 +31,7 @@ import (
 //     retained scratch (return `out[:len(out):len(out)]`).
 //
 // Release knowledge is interprocedural: Prepare builds module-wide releaser
-// and provider summaries (poolflow.go), so core releasing a dh value by
+// and provider summaries from the call graph (below), so core releasing a dh value by
 // calling its dh method is understood across the package boundary. Ownership
 // transfers end tracking: returning the value, storing it into a field,
 // composite literal, or channel, capturing it in a function literal or
@@ -43,8 +43,8 @@ var AnalyzerPoolLife = &Analyzer{
 	Name: "poollife",
 	Doc:  "tracks sync.Pool scratch lifetimes: leaked or double releases, use-after-Put, un-cleared pointer fields, un-clipped pooled returns",
 	Run:  runPoolLife,
-	Prepare: func(pkgs []*Package, _ *callgraph.Graph) any {
-		return buildPoolSummary(pkgs)
+	Prepare: func(_ []*Package, graph *callgraph.Graph) any {
+		return buildPoolSummary(graph)
 	},
 }
 
@@ -55,7 +55,6 @@ type poolFact struct {
 	// path returned the value to its pool.
 	live   bool
 	acqPos token.Pos
-	relPos token.Pos
 	// deferRel marks a pending deferred release (defer pool.Put(x) or
 	// defer x.Release()).
 	deferRel bool
@@ -69,50 +68,7 @@ type poolFact struct {
 }
 
 // poolState maps tracked identifier -> set of reachable configurations.
-type poolState map[string]map[poolFact]bool
-
-func (s poolState) clone() poolState {
-	out := make(poolState, len(s))
-	for k, set := range s {
-		cp := make(map[poolFact]bool, len(set))
-		for f := range set {
-			cp[f] = true
-		}
-		out[k] = cp
-	}
-	return out
-}
-
-func joinPoolStates(a, b poolState) poolState {
-	out := a.clone()
-	for k, set := range b {
-		if out[k] == nil {
-			out[k] = make(map[poolFact]bool, len(set))
-		}
-		for f := range set {
-			out[k][f] = true
-		}
-	}
-	return out
-}
-
-func equalPoolStates(a, b poolState) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, as := range a {
-		bs, ok := b[k]
-		if !ok || len(as) != len(bs) {
-			return false
-		}
-		for f := range as {
-			if !bs[f] {
-				return false
-			}
-		}
-	}
-	return true
-}
+type poolState = cfg.KeySets[poolFact]
 
 // allReleasedSet reports whether every reachable configuration has released
 // the value — the precondition for "use after release" and "double release".
@@ -128,13 +84,8 @@ func allReleasedSet(set map[poolFact]bool) bool {
 	return true
 }
 
-type poolReporter func(pos token.Pos, format string, args ...any)
-
 func runPoolLife(p *Pass) {
-	sum, _ := p.Shared.(*poolSummary)
-	if sum == nil {
-		sum = buildPoolSummary(nil)
-	}
+	sum := p.Shared.(*poolSummary)
 	for _, f := range p.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -156,23 +107,15 @@ func checkPoolLife(p *Pass, sum *poolSummary, body *ast.BlockStmt) {
 		checkPoolLife(p, sum, fl.Body)
 	}
 	g := cfg.New(body)
-	reported := make(map[string]bool)
-	report := func(pos token.Pos, format string, args ...any) {
-		key := p.Fset.Position(pos).String() + format
-		if reported[key] {
-			return
-		}
-		reported[key] = true
-		p.Reportf(pos, format, args...)
-	}
+	report := onceReporter(p)
 	step := func(n ast.Node, in poolState) poolState { return stepPoolState(p, sum, n, in, nil) }
 	res := cfg.Run(g, &cfg.Analysis[poolState]{
 		Entry: poolState{},
-		Join:  joinPoolStates,
-		Equal: equalPoolStates,
+		Join:  poolState.Join,
+		Equal: poolState.Equal,
 		Transfer: func(b *cfg.Block, in poolState) poolState {
 			for _, n := range b.Nodes {
-				in = stepPoolState(p, sum, n, in, nil)
+				in = step(n, in)
 			}
 			return in
 		},
@@ -227,32 +170,22 @@ func refinePoolEdge(g *cfg.Graph, from, to *cfg.Block, out poolState) poolState 
 	default:
 		return out
 	}
-	refined := out.clone()
+	refined := out.Clone()
 	if isNil {
 		// The tracked value itself is nil on this edge: no obligation.
 		delete(refined, name)
 	}
-	for k, set := range refined {
-		touched := false
-		next := make(map[poolFact]bool, len(set))
-		for f := range set {
-			if f.errKey == name {
-				touched = true
-				if !isNil {
-					continue // err != nil: the pooled result is invalid
-				}
-				f.errKey = "" // err == nil: the obligation is unconditional
+	for k := range refined {
+		refined.Map(k, func(f poolFact) (poolFact, bool) {
+			if f.errKey != name {
+				return f, true
 			}
-			next[f] = true
-		}
-		if !touched {
-			continue
-		}
-		if len(next) == 0 {
-			delete(refined, k)
-		} else {
-			refined[k] = next
-		}
+			if !isNil {
+				return f, false // err != nil: the pooled result is invalid
+			}
+			f.errKey = "" // err == nil: the obligation is unconditional
+			return f, true
+		})
 	}
 	return refined
 }
@@ -284,8 +217,8 @@ func nilCheckOf(cond ast.Expr) (name string, nilOnTrue bool, ok bool) {
 // stepPoolState advances the pool state across one CFG node. When report is
 // non-nil, use-after-release and double release are reported (the replay
 // pass); the fixed-point pass passes nil.
-func stepPoolState(p *Pass, sum *poolSummary, n ast.Node, in poolState, report poolReporter) poolState {
-	out := in.clone()
+func stepPoolState(p *Pass, sum *poolSummary, n ast.Node, in poolState, report reporter) poolState {
+	out := in.Clone()
 	switch s := n.(type) {
 	case *ast.AssignStmt:
 		stepPoolAssign(p, sum, s, out, report)
@@ -321,7 +254,7 @@ func stepPoolState(p *Pass, sum *poolSummary, n ast.Node, in poolState, report p
 // stepPoolAssign handles acquisitions, rebinds, and stores. Evaluation
 // order: RHS uses/escapes, LHS base uses (x.f = v dereferences x), bare-LHS
 // rebinds kill tracking, then new acquisitions begin it.
-func stepPoolAssign(p *Pass, sum *poolSummary, as *ast.AssignStmt, st poolState, report poolReporter) {
+func stepPoolAssign(p *Pass, sum *poolSummary, as *ast.AssignStmt, st poolState, report reporter) {
 	acqs := poolAcquisitions(p.Info, as, sum)
 	sanct := make(map[token.Pos]bool)
 	for _, r := range as.Rhs {
@@ -370,7 +303,7 @@ func stepPoolAssign(p *Pass, sum *poolSummary, as *ast.AssignStmt, st poolState,
 // stepPoolDefer registers deferred releases (defer pool.Put(x), defer
 // x.Release(), a deferred closure that releases) and conservatively drops
 // tracked values a deferred call captures without releasing.
-func stepPoolDefer(p *Pass, sum *poolSummary, d *ast.DeferStmt, st poolState, report poolReporter) {
+func stepPoolDefer(p *Pass, sum *poolSummary, d *ast.DeferStmt, st poolState, report reporter) {
 	call := d.Call
 	released := make(map[string]bool)
 	if _, name, isPool := poolCallOf(p.Info, call); isPool {
@@ -387,7 +320,7 @@ func stepPoolDefer(p *Pass, sum *poolSummary, d *ast.DeferStmt, st poolState, re
 			}
 		}
 	} else {
-		callee := staticCallee(p.Info, call)
+		callee := callgraph.StaticCallee(p.Info, call)
 		if sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr); isSel {
 			if root := rootOfValue(sel.X); root != "" && isReleaseMethod(sum, callee, sel.Sel.Name) {
 				released[root] = true
@@ -405,17 +338,14 @@ func stepPoolDefer(p *Pass, sum *poolSummary, d *ast.DeferStmt, st poolState, re
 		}
 	}
 	for key := range released {
-		set, tracked := st[key]
-		if !tracked {
+		if _, tracked := st[key]; !tracked {
 			continue
 		}
-		next := make(map[poolFact]bool, len(set))
-		for f := range set {
+		st.Map(key, func(f poolFact) (poolFact, bool) {
 			f.deferRel = true
 			f.deferPos = d.Pos()
-			next[f] = true
-		}
-		st[key] = next
+			return f, true
+		})
 	}
 }
 
@@ -438,7 +368,7 @@ func collectClosureReleases(p *Pass, sum *poolSummary, body *ast.BlockStmt, rele
 			}
 			return true
 		}
-		callee := staticCallee(p.Info, call)
+		callee := callgraph.StaticCallee(p.Info, call)
 		if sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr); isSel {
 			if root := rootOfValue(sel.X); root != "" && isReleaseMethod(sum, callee, sel.Sel.Name) {
 				released[root] = true
@@ -469,7 +399,7 @@ func isReleaseMethod(sum *poolSummary, callee *types.Func, name string) bool {
 // escape, and (on replay) any mention of an all-paths-released value is a
 // use-after-release. sanctioned suppresses the use check on identifiers
 // that are themselves part of a release operation.
-func walkPoolExpr(p *Pass, sum *poolSummary, n ast.Node, st poolState, report poolReporter, sanctioned map[token.Pos]bool) {
+func walkPoolExpr(p *Pass, sum *poolSummary, n ast.Node, st poolState, report reporter, sanctioned map[token.Pos]bool) {
 	if n == nil {
 		return
 	}
@@ -511,7 +441,7 @@ func walkPoolExpr(p *Pass, sum *poolSummary, n ast.Node, st poolState, report po
 // stepPoolCall applies one call's effect on the pool state: pool.Put and
 // releaser calls release, non-releasing callees take ownership of bare
 // tracked arguments, method calls on a tracked receiver borrow.
-func stepPoolCall(p *Pass, sum *poolSummary, call *ast.CallExpr, st poolState, report poolReporter, sanctioned map[token.Pos]bool) {
+func stepPoolCall(p *Pass, sum *poolSummary, call *ast.CallExpr, st poolState, report reporter, sanctioned map[token.Pos]bool) {
 	if _, name, isPool := poolCallOf(p.Info, call); isPool {
 		if name == "Put" && len(call.Args) == 1 {
 			if root := rootOfValue(call.Args[0]); root != "" {
@@ -523,7 +453,7 @@ func stepPoolCall(p *Pass, sum *poolSummary, call *ast.CallExpr, st poolState, r
 		}
 		return
 	}
-	callee := staticCallee(p.Info, call)
+	callee := callgraph.StaticCallee(p.Info, call)
 	if sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr); isSel {
 		if root := rootOfValue(sel.X); root != "" {
 			if _, tracked := st[root]; tracked && isReleaseMethod(sum, callee, sel.Sel.Name) {
@@ -556,24 +486,20 @@ func stepPoolCall(p *Pass, sum *poolSummary, call *ast.CallExpr, st poolState, r
 
 // releasePoolKey transitions every reachable configuration of key to
 // released, reporting a double release when every path already had.
-func releasePoolKey(st poolState, key string, pos token.Pos, report poolReporter, op string) {
-	set := st[key]
-	if report != nil && allReleasedSet(set) {
+func releasePoolKey(st poolState, key string, pos token.Pos, report reporter, op string) {
+	if report != nil && allReleasedSet(st[key]) {
 		report(pos, "%s is already released on every path reaching this %s (double release)", key, op)
 	}
-	next := make(map[poolFact]bool, len(set))
-	for f := range set {
+	st.Map(key, func(f poolFact) (poolFact, bool) {
 		f.live = false
-		f.relPos = pos
-		next[f] = true
-	}
-	st[key] = next
+		return f, true
+	})
 }
 
 // escapePoolValue ends tracking of key because its value was handed to
 // something this function cannot follow; a released value escaping is still
 // a use-after-release.
-func escapePoolValue(st poolState, key string, pos token.Pos, report poolReporter) {
+func escapePoolValue(st poolState, key string, pos token.Pos, report reporter) {
 	set, tracked := st[key]
 	if !tracked {
 		return
@@ -614,6 +540,327 @@ func mentionsName(n ast.Node, name string) bool {
 		return !found
 	})
 	return found
+}
+
+// ---- interprocedural summaries ------------------------------------------
+
+// The module-wide summaries say which functions release a pooled argument
+// back to a pool ("releasers" — releaseIntervalScratch,
+// FilterResult.Release) and which hand a pool-obtained value to their caller
+// ("providers" — Histogram.Filter, and core's filterLocked that returns its
+// result). Prepare computes them once per Run over the call graph, so
+// obligations follow values across package boundaries: core acquiring from
+// a dh provider is released by calling a dh method.
+
+// poolCallOf recognizes call as pool.Get() or pool.Put(x) on a trackable
+// sync.Pool expression, returning the pool's key and the method name.
+func poolCallOf(info *types.Info, call *ast.CallExpr) (poolKey, name string, ok bool) {
+	c, ok := syncCallOf(info, call)
+	if !ok || c.typ != "Pool" || (c.method != "Get" && c.method != "Put") {
+		return "", "", false
+	}
+	return c.key, c.method, true
+}
+
+// poolGetExpr unwraps e to a pool.Get() call, looking through a type
+// assertion (`pool.Get().(*T)` is the acquisition idiom), and returns the
+// pool's key.
+func poolGetExpr(info *types.Info, e ast.Expr) (poolKey string, ok bool) {
+	if ta, isTA := e.(*ast.TypeAssertExpr); isTA {
+		e = ta.X
+	}
+	call, isCall := e.(*ast.CallExpr)
+	if !isCall {
+		return "", false
+	}
+	key, name, isPool := poolCallOf(info, call)
+	if !isPool || name != "Get" {
+		return "", false
+	}
+	return key, true
+}
+
+// poolSummary is the module-wide interprocedural pool knowledge.
+type poolSummary struct {
+	// releasers maps a function to the parameter indices it (transitively)
+	// returns to a sync.Pool; index -1 is the method receiver.
+	releasers map[*types.Func]map[int]bool
+	// providers maps a function to the result indices that carry a
+	// pool-obtained value the caller becomes responsible for.
+	providers map[*types.Func]map[int]bool
+}
+
+func (s *poolSummary) releases(fn *types.Func, idx int) bool {
+	return fn != nil && s.releasers[fn][idx]
+}
+
+// buildPoolSummary computes releaser and provider sets to a fixed point
+// over every declared function of the call graph (a body's closures count
+// as its own): a releaser may delegate to another releaser
+// (Release -> pool.Put), a provider may return another provider's result
+// (Filter -> filterCounts -> pool.Get).
+func buildPoolSummary(graph *callgraph.Graph) *poolSummary {
+	sum := &poolSummary{
+		releasers: make(map[*types.Func]map[int]bool),
+		providers: make(map[*types.Func]map[int]bool),
+	}
+	var decls []*callgraph.Node
+	for _, n := range graph.Nodes {
+		if n.Func != nil && n.Body != nil {
+			decls = append(decls, n)
+		}
+	}
+	for changed := true; changed; {
+		changed = false
+		for _, d := range decls {
+			if summarizeReleaser(d, sum) {
+				changed = true
+			}
+			if summarizeProvider(d, sum) {
+				changed = true
+			}
+		}
+	}
+	return sum
+}
+
+// paramIndices maps parameter (and receiver) names to their index in the
+// releaser convention: receiver -1, parameters 0..n-1 in declaration order.
+func paramIndices(fn *types.Func) map[string]int {
+	idx := make(map[string]int)
+	sig := fn.Type().(*types.Signature)
+	if r := sig.Recv(); r != nil && r.Name() != "" {
+		idx[r.Name()] = -1
+	}
+	for i := 0; i < sig.Params().Len(); i++ {
+		if name := sig.Params().At(i).Name(); name != "" {
+			idx[name] = i
+		}
+	}
+	return idx
+}
+
+// summarizeReleaser scans one body for "parameter handed back to a pool"
+// shapes: pool.Put(p), a call to a known releaser with p at a releasing
+// position, or a releaser method invoked on p. Reports whether the summary
+// grew. Closure bodies are included: a deferred closure that Puts a
+// parameter still releases it on the function's behalf.
+func summarizeReleaser(d *callgraph.Node, sum *poolSummary) bool {
+	params := paramIndices(d.Func)
+	if len(params) == 0 {
+		return false
+	}
+	grew := false
+	record := func(idx int) {
+		set := sum.releasers[d.Func]
+		if set == nil {
+			set = make(map[int]bool)
+			sum.releasers[d.Func] = set
+		}
+		if !set[idx] {
+			set[idx] = true
+			grew = true
+		}
+	}
+	info := d.Unit.Info
+	ast.Inspect(d.Body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		if _, name, isPool := poolCallOf(info, call); isPool && name == "Put" && len(call.Args) == 1 {
+			if idx, isParam := params[rootOfValue(call.Args[0])]; isParam {
+				record(idx)
+			}
+			return true
+		}
+		callee := callgraph.StaticCallee(info, call)
+		if callee == nil || callee == d.Func {
+			return true
+		}
+		if sel, isSel := call.Fun.(*ast.SelectorExpr); isSel && sum.releases(callee, -1) {
+			if id, isID := ast.Unparen(sel.X).(*ast.Ident); isID {
+				if idx, isParam := params[id.Name]; isParam {
+					record(idx)
+				}
+			}
+		}
+		for ai, arg := range call.Args {
+			id, isID := ast.Unparen(arg).(*ast.Ident)
+			if !isID {
+				continue
+			}
+			idx, isParam := params[id.Name]
+			if !isParam {
+				continue
+			}
+			if sum.releases(callee, calleeParamIndex(callee, ai)) {
+				record(idx)
+			}
+		}
+		return true
+	})
+	return grew
+}
+
+// calleeParamIndex clamps an argument position to the callee's parameter
+// count, so variadic tails map onto the variadic parameter.
+func calleeParamIndex(fn *types.Func, arg int) int {
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok {
+		return arg
+	}
+	if n := sig.Params().Len(); arg >= n && n > 0 {
+		return n - 1
+	}
+	return arg
+}
+
+// rootOfValue unwraps &x and (x) to the bare identifier name, or "".
+func rootOfValue(e ast.Expr) string {
+	e = ast.Unparen(e)
+	if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
+		e = ast.Unparen(u.X)
+	}
+	if id, ok := e.(*ast.Ident); ok {
+		return id.Name
+	}
+	return ""
+}
+
+// summarizeProvider scans one body for "pool-obtained value returned to the
+// caller" shapes and records the pooled result indices. Locals are tracked
+// flow-insensitively: x := pool.Get().(*T) or x, err := provider(...)
+// makes x pooled; returning x (or a provider call directly) makes this
+// function a provider at that result position.
+func summarizeProvider(d *callgraph.Node, sum *poolSummary) bool {
+	info := d.Unit.Info
+	pooled := pooledLocals(info, d.Body, sum)
+	grew := false
+	record := func(idx int) {
+		set := sum.providers[d.Func]
+		if set == nil {
+			set = make(map[int]bool)
+			sum.providers[d.Func] = set
+		}
+		if !set[idx] {
+			set[idx] = true
+			grew = true
+		}
+	}
+	ast.Inspect(d.Body, func(n ast.Node) bool {
+		if _, ok := n.(*ast.FuncLit); ok {
+			return false // a literal's returns are its own
+		}
+		ret, ok := n.(*ast.ReturnStmt)
+		if !ok {
+			return true
+		}
+		for i, res := range ret.Results {
+			if call, isCall := ast.Unparen(res).(*ast.CallExpr); isCall {
+				// Pass-through: return provider(...) forwards the callee's
+				// pooled result indices. A lone call may expand to several
+				// results; alongside siblings it is single-valued and
+				// forwards the callee's first result.
+				if callee := callgraph.StaticCallee(info, call); callee != nil {
+					if len(ret.Results) == 1 {
+						for idx := range sum.providers[callee] {
+							record(idx)
+						}
+					} else if sum.providers[callee][0] {
+						record(i)
+					}
+				}
+				continue
+			}
+			if _, isGet := poolGetExpr(info, ast.Unparen(res)); isGet {
+				record(i)
+				continue
+			}
+			if id, isID := ast.Unparen(res).(*ast.Ident); isID && pooled[id.Name] {
+				record(i)
+			}
+		}
+		return true
+	})
+	return grew
+}
+
+// pooledLocals collects, flow-insensitively, the local identifiers bound to
+// a pool.Get result or a provider call's pooled result.
+func pooledLocals(info *types.Info, body *ast.BlockStmt, sum *poolSummary) map[string]bool {
+	pooled := make(map[string]bool)
+	ast.Inspect(body, func(n ast.Node) bool {
+		as, ok := n.(*ast.AssignStmt)
+		if !ok {
+			return true
+		}
+		for _, acq := range poolAcquisitions(info, as, sum) {
+			pooled[acq.key] = true
+		}
+		return true
+	})
+	return pooled
+}
+
+// poolAcquisition is one "local becomes responsible for a pooled value"
+// event inside an assignment.
+type poolAcquisition struct {
+	key string // the acquiring identifier
+	src string // what produced the value: "scratches.Get" or "Filter"
+	// errKey names the error identifier assigned alongside a provider's
+	// pooled result ("" when none): on the errKey != nil branch the pooled
+	// value is invalid (nil) and carries no obligation.
+	errKey string
+	viaGet bool
+}
+
+// poolAcquisitions classifies an assignment's pool acquisitions: direct
+// x := pool.Get().(*T) (per RHS position) and x, err := provider(...)
+// (multi-value call).
+func poolAcquisitions(info *types.Info, as *ast.AssignStmt, sum *poolSummary) []poolAcquisition {
+	var out []poolAcquisition
+	if len(as.Rhs) == 1 && len(as.Lhs) >= 1 {
+		if call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr); ok {
+			callee := callgraph.StaticCallee(info, call)
+			if callee != nil && len(sum.providers[callee]) > 0 {
+				errKey := ""
+				for i, l := range as.Lhs {
+					if sum.providers[callee][i] {
+						continue
+					}
+					if id, isID := l.(*ast.Ident); isID && id.Name != "_" && isErrorType(info.TypeOf(l)) {
+						errKey = id.Name
+					}
+				}
+				for i, l := range as.Lhs {
+					if !sum.providers[callee][i] {
+						continue
+					}
+					id, isID := l.(*ast.Ident)
+					if !isID || id.Name == "_" {
+						continue
+					}
+					out = append(out, poolAcquisition{key: id.Name, src: callee.Name(), errKey: errKey})
+				}
+				return out
+			}
+		}
+	}
+	if len(as.Lhs) == len(as.Rhs) {
+		for i, r := range as.Rhs {
+			poolKey, isGet := poolGetExpr(info, ast.Unparen(r))
+			if !isGet {
+				continue
+			}
+			id, isID := as.Lhs[i].(*ast.Ident)
+			if !isID || id.Name == "_" {
+				continue
+			}
+			out = append(out, poolAcquisition{key: id.Name, src: poolKey + ".Get", viaGet: true})
+		}
+	}
+	return out
 }
 
 // ---- nil-before-Put -------------------------------------------------------
