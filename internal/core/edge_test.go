@@ -203,18 +203,3 @@ func TestObjectsLeavingAreaConsistency(t *testing.T) {
 		t.Errorf("objects left the plane but region non-empty: %v", r.Region[:1])
 	}
 }
-
-func TestFilterMarksAccessor(t *testing.T) {
-	s, _ := loadServer(t, testConfig(), 1000, 14)
-	fm, err := s.FilterMarks(Query{Rho: RelRhoTest(1000, 2), L: 60, At: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, rj, c := fm.CountMarks()
-	if a+rj+c != 50*50 {
-		t.Errorf("marks cover %d cells, want %d", a+rj+c, 2500)
-	}
-	if _, err := s.FilterMarks(Query{Rho: -1, L: 60, At: 0}); err == nil {
-		t.Error("invalid query must be rejected")
-	}
-}

@@ -615,16 +615,3 @@ func (s *Server) intervalLocked(q Query, n int, m Method, isp *telemetry.Span) (
 	usp.End()
 	return out, nil
 }
-
-// FilterMarks exposes the raw filter classification for a query — used by
-// the experiment harness and example programs to visualize the filter step.
-// The caller owns the result; releasing it (dh.FilterResult.Release) when
-// done is optional but lets the filter pool reuse its buffers.
-func (s *Server) FilterMarks(q Query) (*dh.FilterResult, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if err := s.validateLocked(q); err != nil {
-		return nil, err
-	}
-	return s.filterLocked(q)
-}

@@ -85,12 +85,6 @@ type Service struct {
 // Option customizes a Service at construction.
 type Option func(*Service)
 
-// WithRegistry exposes the service's metrics on an existing registry
-// (e.g. one shared with other subsystems of the process).
-func WithRegistry(reg *telemetry.Registry) Option {
-	return func(s *Service) { s.reg = reg }
-}
-
 // WithSlowQueryLog enables the slow-query log: every request slower than
 // threshold is written to w as one structured JSON line (see
 // docs/OBSERVABILITY.md for the schema), up to maxLines lines. Beyond the
@@ -131,14 +125,11 @@ func New(cfg core.Config, opts ...Option) (*Service, error) {
 // everything since the engine was built.
 func NewWithEngine(srv *core.Server, opts ...Option) (*Service, error) {
 	s := &Service{
-		srv: srv, mon: monitor.New(srv), mux: http.NewServeMux(),
+		srv: srv, mon: monitor.New(srv), mux: http.NewServeMux(), reg: telemetry.NewRegistry(),
 		start: time.Now(), traceSample: 1, traceBuffer: DefaultTraceBuffer,
 	}
 	for _, opt := range opts {
 		opt(s)
-	}
-	if s.reg == nil {
-		s.reg = telemetry.NewRegistry()
 	}
 	s.met = core.NewMetrics(s.reg)
 	srv.SetMetrics(s.met)
