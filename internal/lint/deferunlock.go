@@ -146,7 +146,7 @@ func applyHoldOp(s holdState, op mutexOp, report reporter) holdState {
 			level = 1
 		}
 		if len(set) == 0 {
-			out[op.key] = map[holdFact]bool{{}: true}
+			out[op.key] = map[holdFact]bool{{}: true} // first lock on every path here
 		}
 		out.Map(op.key, func(f holdFact) (holdFact, bool) {
 			f.level = level

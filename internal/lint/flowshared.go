@@ -3,8 +3,8 @@ package lint
 // Machinery the flow-aware analyzers (deferunlock, noleak, poollife,
 // lockorder) share: the textual key a tracked value is named by, the one
 // recognizer of method calls on sync types, the walk to a body's function
-// literals, and the reporter of the replay pass. Their fact-set lattice is
-// cfg.KeySets. Values are identified by the expression they are used
+// literals, and the reporter of the replay pass (deferunlock's and
+// poollife's fact-set lattice is cfg.KeySets). Values are identified by the expression they are used
 // through ("s.mu", "e.scratches"): intra-procedural, purely syntactic
 // aliasing, which is exactly the discipline the tree follows — a mutex is
 // locked and unlocked, a pool filled and drained, through one expression.

@@ -16,8 +16,8 @@ import (
 // AnalyzerLockOrder proves the engine's deadlock-freedom argument statically.
 // Mutex fields annotated with a `// pdr:lockrank <name> [rank]` comment form
 // lock classes; the analyzer extends the must-held lock-set dataflow
-// (lockState, below) across the call graph into a global acquisition-order graph
-// — "while holding class A, class B is acquired" — and reports:
+// (lockState, below) across the call graph into a global acquisition-order
+// graph — "while holding class A, class B is acquired" — and reports:
 //
 //   - rank violations: an edge from a higher to a lower (or equal) rank,
 //     which is how every deadlock between ranked classes must start;
