@@ -542,16 +542,6 @@ func mentionsName(n ast.Node, name string) bool {
 	return found
 }
 
-// ---- interprocedural summaries ------------------------------------------
-
-// The module-wide summaries say which functions release a pooled argument
-// back to a pool ("releasers" — releaseIntervalScratch,
-// FilterResult.Release) and which hand a pool-obtained value to their caller
-// ("providers" — Histogram.Filter, and core's filterLocked that returns its
-// result). Prepare computes them once per Run over the call graph, so
-// obligations follow values across package boundaries: core acquiring from
-// a dh provider is released by calling a dh method.
-
 // poolCallOf recognizes call as pool.Get() or pool.Put(x) on a trackable
 // sync.Pool expression, returning the pool's key and the method name.
 func poolCallOf(info *types.Info, call *ast.CallExpr) (poolKey, name string, ok bool) {
@@ -579,6 +569,16 @@ func poolGetExpr(info *types.Info, e ast.Expr) (poolKey string, ok bool) {
 	}
 	return key, true
 }
+
+// ---- interprocedural summaries ------------------------------------------
+
+// The module-wide summaries say which functions release a pooled argument
+// back to a pool ("releasers" — releaseIntervalScratch,
+// FilterResult.Release) and which hand a pool-obtained value to their caller
+// ("providers" — Histogram.Filter, and core's filterLocked that returns its
+// result). Prepare computes them once per Run over the call graph, so
+// obligations follow values across package boundaries: core acquiring from
+// a dh provider is released by calling a dh method.
 
 // poolSummary is the module-wide interprocedural pool knowledge.
 type poolSummary struct {
