@@ -3,11 +3,12 @@ package lint
 // Machinery the flow-aware analyzers (deferunlock, noleak, poollife,
 // lockorder) share: the textual key a tracked value is named by, the one
 // recognizer of method calls on sync types, the walk to a body's function
-// literals, and the reporter of the replay pass (deferunlock's and
-// poollife's fact-set lattice is cfg.KeySets). Values are identified by the expression they are used
-// through ("s.mu", "e.scratches"): intra-procedural, purely syntactic
-// aliasing, which is exactly the discipline the tree follows — a mutex is
-// locked and unlocked, a pool filled and drained, through one expression.
+// literals, and the reporter of the replay pass. (deferunlock's and
+// poollife's fact-set lattice, cfg.KeySets, sits beside cfg.Analysis.)
+// Values are identified by the expression they are used through ("s.mu",
+// "e.scratches"): intra-procedural, purely syntactic aliasing, which is
+// exactly the discipline the tree follows — a mutex is locked and unlocked,
+// a pool filled and drained, through one expression.
 
 import (
 	"go/ast"

@@ -31,14 +31,15 @@ import (
 //     retained scratch (return `out[:len(out):len(out)]`).
 //
 // Release knowledge is interprocedural: Prepare builds module-wide releaser
-// and provider summaries from the call graph (below), so core releasing a dh value by
-// calling its dh method is understood across the package boundary. Ownership
-// transfers end tracking: returning the value, storing it into a field,
-// composite literal, or channel, capturing it in a function literal or
-// goroutine, or passing it to a non-releasing callee all hand the obligation
-// to someone this function can no longer see. Error-path correlation uses
-// edge refinement: on the `err != nil` edge of `x, err := provider(...)`
-// the pooled result is invalid and carries no obligation.
+// and provider summaries from the call graph (below), so core releasing a dh
+// value by calling its dh method is understood across the package boundary.
+// Ownership transfers end tracking: returning the value, storing it into a
+// field, composite literal, or channel, capturing it in a function literal
+// or goroutine, or passing it to a non-releasing callee all hand the
+// obligation to someone this function can no longer see. Error-path
+// correlation uses edge refinement: on the `err != nil` edge of
+// `x, err := provider(...)` the pooled result is invalid and carries no
+// obligation.
 var AnalyzerPoolLife = &Analyzer{
 	Name: "poollife",
 	Doc:  "tracks sync.Pool scratch lifetimes: leaked or double releases, use-after-Put, un-cleared pointer fields, un-clipped pooled returns",
