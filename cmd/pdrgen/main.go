@@ -19,20 +19,31 @@ import (
 )
 
 func main() {
-	var (
-		n       = flag.Int("n", 10000, "number of moving objects")
-		ticks   = flag.Int("ticks", 30, "ticks of update stream to generate")
-		seed    = flag.Int64("seed", 1, "workload seed")
-		uniform = flag.Bool("uniform", false, "uniform linear movement instead of the road network")
-		out     = flag.String("o", "-", "output file (- for stdout)")
-	)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	w := io.Writer(os.Stdout)
+// run is main with the process edges (args, stdio, exit status) made
+// testable.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("pdrgen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		n       = fs.Int("n", 10000, "number of moving objects")
+		ticks   = fs.Int("ticks", 30, "ticks of update stream to generate")
+		seed    = fs.Int64("seed", 1, "workload seed")
+		uniform = fs.Bool("uniform", false, "uniform linear movement instead of the road network")
+		out     = fs.String("o", "-", "output file (- for stdout)")
+	)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+
+	w := stdout
 	if *out != "-" {
 		f, err := os.Create(*out)
 		if err != nil {
-			fatal(err)
+			fmt.Fprintln(stderr, "pdrgen:", err)
+			return 1
 		}
 		defer f.Close()
 		w = f
@@ -41,39 +52,44 @@ func main() {
 	cfg := datagen.DefaultConfig(*n)
 	cfg.Seed = *seed
 	cfg.Uniform = *uniform
+	updates, err := generate(w, cfg, *ticks)
+	if err != nil {
+		fmt.Fprintln(stderr, "pdrgen:", err)
+		return 1
+	}
+	fmt.Fprintf(stderr, "pdrgen: wrote %d objects, %d ticks, %d updates\n", *n, *ticks, updates)
+	return 0
+}
+
+// generate writes cfg's initial states and ticks ticks of its update stream
+// to w and returns the number of updates written.
+func generate(w io.Writer, cfg datagen.Config, ticks int) (int, error) {
 	g, err := datagen.New(cfg)
 	if err != nil {
-		fatal(err)
+		return 0, err
 	}
-
 	ww := wire.NewWriter(w)
 	for _, s := range g.InitialStates() {
-		must(ww.Write(wire.FromState(wire.KindState, s, 0)))
+		if err := ww.Write(wire.FromState(wire.KindState, s, 0)); err != nil {
+			return 0, err
+		}
 	}
 	updates := 0
-	for t := 0; t < *ticks; t++ {
+	for t := 0; t < ticks; t++ {
 		ups := g.Advance()
-		must(ww.Write(wire.Record{Kind: wire.KindTick, Tick: int64(g.Now())}))
+		if err := ww.Write(wire.Record{Kind: wire.KindTick, Tick: int64(g.Now())}); err != nil {
+			return updates, err
+		}
 		for _, u := range ups {
 			kind := wire.KindInsert
 			if u.Kind == motion.Delete {
 				kind = wire.KindDelete
 			}
-			must(ww.Write(wire.FromState(kind, u.State, u.At)))
+			if err := ww.Write(wire.FromState(kind, u.State, u.At)); err != nil {
+				return updates, err
+			}
 			updates++
 		}
 	}
-	must(ww.Flush())
-	fmt.Fprintf(os.Stderr, "pdrgen: wrote %d objects, %d ticks, %d updates\n", *n, *ticks, updates)
-}
-
-func must(err error) {
-	if err != nil {
-		fatal(err)
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "pdrgen:", err)
-	os.Exit(1)
+	return updates, ww.Flush()
 }
