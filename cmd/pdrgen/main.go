@@ -1,10 +1,13 @@
 // Command pdrgen generates a moving-object workload — initial states plus a
 // per-tick location-update stream — and writes it as JSON lines (see
-// internal/wire) for consumption by pdrquery or external tools.
+// internal/wire) for consumption by pdrserve, pdrquery or external tools.
+// The objects walk the one synthetic metro road network (internal/roadnet)
+// with datagen's paper-scale defaults; only the object count, the length of
+// the stream and the seed are settable.
 //
 // Usage:
 //
-//	pdrgen -n 10000 -ticks 30 -seed 1 [-uniform] -o workload.jsonl
+//	pdrgen -n 10000 -ticks 30 -seed 1 -o workload.jsonl
 package main
 
 import (
@@ -28,11 +31,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("pdrgen", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		n       = fs.Int("n", 10000, "number of moving objects")
-		ticks   = fs.Int("ticks", 30, "ticks of update stream to generate")
-		seed    = fs.Int64("seed", 1, "workload seed")
-		uniform = fs.Bool("uniform", false, "uniform linear movement instead of the road network")
-		out     = fs.String("o", "-", "output file (- for stdout)")
+		n     = fs.Int("n", 10000, "number of moving objects")
+		ticks = fs.Int("ticks", 30, "ticks of update stream to generate")
+		seed  = fs.Int64("seed", 1, "workload seed")
+		out   = fs.String("o", "-", "output file (- for stdout)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -51,7 +53,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	cfg := datagen.DefaultConfig(*n)
 	cfg.Seed = *seed
-	cfg.Uniform = *uniform
 	updates, err := generate(w, cfg, *ticks)
 	if err != nil {
 		fmt.Fprintln(stderr, "pdrgen:", err)

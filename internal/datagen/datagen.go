@@ -39,18 +39,11 @@ type Config struct {
 	// linearly and bounce off the area walls. This is a control workload
 	// for tests; the paper's experiments use network movement.
 	Uniform bool
-	// ShortestPath, when true, routes travelers along precomputed
-	// shortest-travel-time paths to hubs (Dijkstra) instead of greedy
-	// geometric hops, concentrating traffic on freeway corridors.
-	ShortestPath bool
 	// Warmup is the number of ticks travelers walk before t=0 so the
 	// initial snapshot already exhibits hub skew.
 	Warmup int
-	// Seed drives all randomness.
+	// Seed drives all randomness, the road network's hubs included.
 	Seed int64
-	// Net configures the road network; zero value uses
-	// roadnet.DefaultConfig(Area).
-	Net roadnet.Config
 }
 
 // DefaultConfig returns the paper-scale defaults for n objects: a 1,000-mile
@@ -109,27 +102,14 @@ func New(cfg Config) (*Generator, error) {
 		nextDue:  make([]motion.Tick, cfg.N),
 	}
 	if !cfg.Uniform {
-		netCfg := cfg.Net
-		if netCfg.GridN == 0 {
-			netCfg = roadnet.DefaultConfig(cfg.Area)
-			netCfg.Seed = cfg.Seed
-		}
-		net, err := roadnet.New(netCfg)
+		net, err := roadnet.New(cfg.Area, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
 		g.net = net
 		g.travelers = make([]roadnet.Traveler, cfg.N)
-		var router *roadnet.Router
-		if cfg.ShortestPath {
-			router = roadnet.NewRouter(net)
-		}
 		for i := range g.travelers {
-			if router != nil {
-				g.travelers[i] = roadnet.NewRoutedTraveler(net, router, g.rng, g.speed())
-			} else {
-				g.travelers[i] = roadnet.NewTraveler(net, g.rng, g.speed())
-			}
+			g.travelers[i] = roadnet.NewTraveler(net, g.rng, g.speed())
 		}
 		for w := 0; w < cfg.Warmup; w++ {
 			for i := range g.travelers {

@@ -11,7 +11,6 @@ func smallConfig(n int, uniform bool) Config {
 	cfg := DefaultConfig(n)
 	cfg.Warmup = 50
 	cfg.Uniform = uniform
-	cfg.Net.GridN = 0 // default network
 	return cfg
 }
 
@@ -172,27 +171,6 @@ func TestDeterminism(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("update %d differs: %+v vs %+v", i, a[i], b[i])
-		}
-	}
-}
-
-func TestShortestPathMode(t *testing.T) {
-	cfg := smallConfig(200, false)
-	cfg.ShortestPath = true
-	g, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range g.InitialStates() {
-		if !g.Area().ContainsClosed(s.Pos) {
-			t.Fatalf("routed initial pos %v outside area", s.Pos)
-		}
-	}
-	for tick := 0; tick < 20; tick++ {
-		for _, u := range g.Advance() {
-			if !g.Area().ContainsClosed(u.State.Pos) {
-				t.Fatalf("routed update pos %v outside area", u.State.Pos)
-			}
 		}
 	}
 }

@@ -75,59 +75,40 @@ type Network struct {
 	area  geom.Rect
 }
 
-// Config parameterizes network synthesis.
-type Config struct {
-	// Area is the bounding region of the network (the paper's L x L plane).
-	Area geom.Rect
-	// GridN is the number of grid lines per axis (GridN x GridN nodes).
-	GridN int
-	// AvenueEvery promotes every k-th grid line to Avenue class.
-	AvenueEvery int
-	// Hubs is the number of high-attraction destination nodes (the city
-	// center is always a hub).
-	Hubs int
-	// Seed drives all randomness in synthesis.
-	Seed int64
-}
+// The synthesized network: a gridN x gridN street grid over the area with
+// every avenueEvery-th line an avenue, 8 radial freeways, a ring road, and
+// numHubs high-attraction destinations (the city center among them).
+const (
+	gridN       = 32
+	avenueEvery = 4
+	numHubs     = 6
+)
 
-// DefaultConfig returns the configuration used by the experiment harness: a
-// 32x32 grid over the area with avenues every 4th line, 8 radial freeways, a
-// ring road, and 6 hubs.
-func DefaultConfig(area geom.Rect) Config {
-	return Config{Area: area, GridN: 32, AvenueEvery: 4, Hubs: 6, Seed: 1}
-}
-
-// New synthesizes a metro network from cfg.
-func New(cfg Config) (*Network, error) {
-	if cfg.GridN < 3 {
-		return nil, fmt.Errorf("roadnet: GridN must be >= 3, got %d", cfg.GridN)
+// New synthesizes the metro network over area; seed places the hubs.
+func New(area geom.Rect, seed int64) (*Network, error) {
+	if area.IsEmpty() {
+		return nil, fmt.Errorf("roadnet: empty area %v", area)
 	}
-	if cfg.Area.IsEmpty() {
-		return nil, fmt.Errorf("roadnet: empty area %v", cfg.Area)
-	}
-	if cfg.AvenueEvery <= 0 {
-		cfg.AvenueEvery = 4
-	}
-	n := cfg.GridN
+	n := gridN
 	net := &Network{
 		nodes: make([]geom.Point, n*n),
 		adj:   make([][]halfEdge, n*n),
-		area:  cfg.Area,
+		area:  area,
 	}
-	dx := cfg.Area.Width() / float64(n-1)
-	dy := cfg.Area.Height() / float64(n-1)
+	dx := area.Width() / float64(n-1)
+	dy := area.Height() / float64(n-1)
 	id := func(i, j int) NodeID { return NodeID(i*n + j) }
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			net.nodes[id(i, j)] = geom.Point{
-				X: cfg.Area.MinX + float64(i)*dx,
-				Y: cfg.Area.MinY + float64(j)*dy,
+				X: area.MinX + float64(i)*dx,
+				Y: area.MinY + float64(j)*dy,
 			}
 		}
 	}
 
 	classOf := func(line int) Class {
-		if line%cfg.AvenueEvery == 0 {
+		if line%avenueEvery == 0 {
 			return Avenue
 		}
 		return Street
@@ -167,10 +148,10 @@ func New(cfg Config) (*Network, error) {
 		}
 	}
 
-	// Hubs: the center plus cfg.Hubs-1 random nodes biased toward the ring.
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	// Hubs: the center plus numHubs-1 random nodes biased toward the ring.
+	rng := rand.New(rand.NewSource(seed))
 	net.hubs = append(net.hubs, id(c, c))
-	for len(net.hubs) < cfg.Hubs {
+	for len(net.hubs) < numHubs {
 		i := lo + rng.Intn(2*r+1)
 		j := lo + rng.Intn(2*r+1)
 		net.hubs = append(net.hubs, id(i, j))
@@ -285,9 +266,6 @@ type Traveler struct {
 	Dest      NodeID  // destination node
 	Progress  float64 // distance covered along the current edge
 	FreeSpeed float64 // free-flow speed (distance per tick)
-	// Route, when non-nil, follows precomputed shortest-travel-time paths
-	// to hub destinations instead of greedy geometric hops.
-	Route *Router
 }
 
 // NewTraveler places a traveler at a uniformly random node heading to a
@@ -297,18 +275,6 @@ func NewTraveler(net *Network, rng *rand.Rand, freeSpeed float64) Traveler {
 	dest := net.SampleHub(rng)
 	to := net.NextHop(from, -1, dest, rng)
 	return Traveler{From: from, To: to, Dest: dest, FreeSpeed: freeSpeed}
-}
-
-// NewRoutedTraveler places a traveler that follows shortest-travel-time
-// paths computed by router.
-func NewRoutedTraveler(net *Network, router *Router, rng *rand.Rand, freeSpeed float64) Traveler {
-	from := net.RandomNode(rng)
-	dest := net.SampleHub(rng)
-	to := router.Toward(from, -1, dest, rng)
-	if to == from {
-		to = net.NextHop(from, -1, dest, rng)
-	}
-	return Traveler{From: from, To: to, Dest: dest, FreeSpeed: freeSpeed, Route: router}
 }
 
 // Pos returns the traveler's current location.
@@ -385,17 +351,6 @@ func (tr *Traveler) advanceNode(net *Network, rng *rand.Rand) {
 			tr.Dest = net.SampleHub(rng)
 		}
 	}
-	var next NodeID
-	if tr.Route != nil {
-		next = tr.Route.Toward(arrived, tr.From, tr.Dest, rng)
-	} else {
-		next = net.NextHop(arrived, tr.From, tr.Dest, rng)
-	}
-	if next == arrived {
-		// Degenerate routing answer (destination equals the current node);
-		// take any geometric hop so the walk cannot stall.
-		next = net.NextHop(arrived, tr.From, tr.Dest, rng)
-	}
-	tr.From, tr.To = arrived, next
+	tr.From, tr.To = arrived, net.NextHop(arrived, tr.From, tr.Dest, rng)
 	tr.Progress = 0
 }

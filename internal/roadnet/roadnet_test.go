@@ -11,7 +11,7 @@ func testArea() geom.Rect { return geom.Rect{MinX: 0, MinY: 0, MaxX: 1000, MaxY:
 
 func testNet(t *testing.T) *Network {
 	t.Helper()
-	net, err := New(DefaultConfig(testArea()))
+	net, err := New(testArea(), 1)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -19,10 +19,7 @@ func testNet(t *testing.T) *Network {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(Config{Area: testArea(), GridN: 2}); err == nil {
-		t.Error("GridN=2 must be rejected")
-	}
-	if _, err := New(Config{Area: geom.Rect{}, GridN: 8}); err == nil {
+	if _, err := New(geom.Rect{}, 1); err == nil {
 		t.Error("empty area must be rejected")
 	}
 }
