@@ -9,6 +9,7 @@ import (
 	"pdr/internal/datagen"
 	"pdr/internal/geom"
 	"pdr/internal/motion"
+	"pdr/internal/storage"
 )
 
 // testConfig is a scaled-down default: coarser structures, same shapes.
@@ -333,7 +334,6 @@ func TestInsertAfterTheClockRejected(t *testing.T) {
 func TestCostAccounting(t *testing.T) {
 	cfg := testConfig()
 	cfg.BufferPages = 2 // force misses
-	cfg.IOCharge = 10 * time.Millisecond
 	s, _ := loadServer(t, cfg, 3000, 8)
 	q := Query{Rho: relRho(3000, 1), L: 60, At: 0}
 	r, err := s.Snapshot(q, FR)
@@ -343,7 +343,7 @@ func TestCostAccounting(t *testing.T) {
 	if r.Candidates > 0 && r.IOs == 0 {
 		t.Error("FR with candidates over a tiny buffer must incur I/O")
 	}
-	if r.IOTime != time.Duration(r.IOs)*cfg.IOCharge {
+	if r.IOTime != time.Duration(r.IOs)*storage.DefaultRandomIO {
 		t.Errorf("IOTime %v inconsistent with IOs %d", r.IOTime, r.IOs)
 	}
 	if r.Total() != r.CPU+r.IOTime {

@@ -307,7 +307,7 @@ func (s *Server) evaluateLocked(q Query, m Method, trackIO bool, sp *telemetry.S
 	res.Wall = res.CPU // a snapshot evaluation is one sequential stopwatch
 	if trackIO {
 		res.IOs = s.PoolStats().Sub(ioBefore).RandomIOs()
-		res.IOTime = time.Duration(res.IOs) * s.cfg.IOCharge
+		res.IOTime = time.Duration(res.IOs) * storage.DefaultRandomIO
 	}
 	sp.SetAttrInt("ios", res.IOs)
 	// The flat phase breakdown is the span tree's first level, folded by
@@ -606,7 +606,7 @@ func (s *Server) intervalLocked(q Query, n int, m Method, isp *telemetry.Span) (
 		out.Phases = telemetry.MergeSpans(out.Phases, r.Phases)
 	}
 	out.IOs = s.PoolStats().Sub(ioBefore).RandomIOs()
-	out.IOTime = time.Duration(out.IOs) * s.cfg.IOCharge
+	out.IOTime = time.Duration(out.IOs) * storage.DefaultRandomIO
 	// Snapshots of adjacent timestamps overlap heavily; coalescing the
 	// union keeps the answer free of redundant rectangles, exactly like the
 	// per-snapshot answers.

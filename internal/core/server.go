@@ -77,7 +77,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"pdr/internal/cache"
 	"pdr/internal/dh"
@@ -113,9 +112,6 @@ type Config struct {
 	BufferPages int
 	// PageSize is the tree page size in bytes (default 4 KB).
 	PageSize int
-	// IOCharge is the modelled cost per physical page access (default the
-	// paper's 10 ms).
-	IOCharge time.Duration
 	// KeepHistory archives superseded movements so PastSnapshot can answer
 	// PDR queries for past timestamps (memory grows with the update
 	// volume).
@@ -150,7 +146,6 @@ func DefaultConfig() Config {
 		PADegree: 5,
 		PAMD:     256,
 		L:        30,
-		IOCharge: storage.DefaultRandomIO,
 	}
 }
 
@@ -204,9 +199,6 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	if cfg.L <= 0 {
 		cfg.L = 30
-	}
-	if cfg.IOCharge == 0 {
-		cfg.IOCharge = storage.DefaultRandomIO
 	}
 	horizon := cfg.U + cfg.W
 	hist, err := dh.New(dh.Config{Area: cfg.Area, M: cfg.HistM, Horizon: horizon})

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-	"time"
 
 	"pdr/internal/geom"
 	"pdr/internal/motion"
@@ -22,7 +21,6 @@ func streamConfig(workers int) Config {
 		PADegree:    3,
 		PAMD:        64,
 		L:           100,
-		IOCharge:    time.Millisecond,
 		KeepHistory: true,
 		Workers:     workers,
 	}

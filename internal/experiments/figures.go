@@ -10,6 +10,7 @@ import (
 	"pdr/internal/dh"
 	"pdr/internal/motion"
 	"pdr/internal/pa"
+	"pdr/internal/storage"
 )
 
 // Runner executes the paper's experiments, caching one loaded server per
@@ -60,7 +61,7 @@ func (r *Runner) Table1(w io.Writer) error {
 	rep := newReport(w)
 	rep.text("Parameter\tValue")
 	rep.linef("Page size\t%d B\n", 4096)
-	rep.linef("Random disk access time\t%v\n", cfg.IOCharge)
+	rep.linef("Random disk access time\t%v\n", storage.DefaultRandomIO)
 	rep.linef("Maximum update interval (U)\t%d\n", cfg.U)
 	rep.linef("Prediction window length (W)\t%d\n", cfg.W)
 	rep.linef("Edge length of l-square (l)\t%v\n", r.P.Ls)
