@@ -28,7 +28,6 @@ import (
 // options are the flags an experiment may read beyond the runner's Params.
 type options struct {
 	sizes  []int  // fig10b dataset sizes
-	asCSV  bool   // figures that have a CSV writer use it
 	svgDir string // fig7 also renders SVG plots here when set
 }
 
@@ -99,7 +98,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		warm    = fs.Int("warm", 20, "warm-up ticks of update traffic before measuring")
 		seed    = fs.Int64("seed", 1, "workload seed")
 		sizes   = fs.String("sizes", "10000,50000,100000", "dataset sizes for fig10b")
-		format  = fs.String("format", "table", "output format for figure data: table or csv")
 		svgDir  = fs.String("svgdir", "", "when set, fig7 also renders SVG plots into this directory")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -122,7 +120,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	p.WarmTicks = *warm
 	p.Seed = *seed
 	r := experiments.NewRunner(p)
-	o := options{sizes: sizeList, asCSV: *format == "csv", svgDir: *svgDir}
+	o := options{sizes: sizeList, svgDir: *svgDir}
 
 	start := time.Now()
 	for _, e := range sel {
@@ -155,17 +153,13 @@ func parseSizes(s string) ([]int, error) {
 	return out, nil
 }
 
-// emit renders one figure's rows: as CSV when asked for and the figure has
-// a CSV writer (asCSV non-nil), as an aligned table otherwise. err is the
-// error of the call that produced rows, passed through unrendered.
-func emit[T any](w io.Writer, o options, rows []T, err error, asTable, asCSV func(io.Writer, []T) error) error {
+// emit renders one figure's rows as an aligned table. err is the error of
+// the call that produced rows, passed through unrendered.
+func emit[T any](w io.Writer, rows []T, err error, render func(io.Writer, []T) error) error {
 	if err != nil {
 		return err
 	}
-	if o.asCSV && asCSV != nil {
-		return asCSV(w, rows)
-	}
-	return asTable(w, rows)
+	return render(w, rows)
 }
 
 func table1(w io.Writer, r *experiments.Runner, _ options) error {
@@ -174,7 +168,7 @@ func table1(w io.Writer, r *experiments.Runner, _ options) error {
 
 func fig7(w io.Writer, r *experiments.Runner, o options) error {
 	rows, err := r.Fig7()
-	if err := emit(w, o, rows, err, experiments.PrintFig7, nil); err != nil {
+	if err := emit(w, rows, err, experiments.PrintFig7); err != nil {
 		return err
 	}
 	if o.svgDir == "" {
@@ -190,47 +184,47 @@ func fig7(w io.Writer, r *experiments.Runner, o options) error {
 	return nil
 }
 
-func fig8Accuracy(w io.Writer, r *experiments.Runner, o options) error {
+func fig8Accuracy(w io.Writer, r *experiments.Runner, _ options) error {
 	rows, err := r.Fig8Accuracy()
-	return emit(w, o, rows, err, experiments.PrintFig8Accuracy, experiments.CSVFig8Accuracy)
+	return emit(w, rows, err, experiments.PrintFig8Accuracy)
 }
 
-func fig8Memory(w io.Writer, r *experiments.Runner, o options) error {
+func fig8Memory(w io.Writer, r *experiments.Runner, _ options) error {
 	rows, err := r.Fig8Memory()
-	return emit(w, o, rows, err, experiments.PrintFig8Memory, experiments.CSVFig8Memory)
+	return emit(w, rows, err, experiments.PrintFig8Memory)
 }
 
-func fig9a(w io.Writer, r *experiments.Runner, o options) error {
+func fig9a(w io.Writer, r *experiments.Runner, _ options) error {
 	rows, err := r.Fig9aQueryCPU()
-	return emit(w, o, rows, err, experiments.PrintFig9a, experiments.CSVFig9a)
+	return emit(w, rows, err, experiments.PrintFig9a)
 }
 
-func fig9b(w io.Writer, r *experiments.Runner, o options) error {
+func fig9b(w io.Writer, r *experiments.Runner, _ options) error {
 	rows, err := r.Fig9bBuildCPU()
-	return emit(w, o, rows, err, experiments.PrintFig9b, nil)
+	return emit(w, rows, err, experiments.PrintFig9b)
 }
 
-func fig10a(w io.Writer, r *experiments.Runner, o options) error {
+func fig10a(w io.Writer, r *experiments.Runner, _ options) error {
 	rows, err := r.Fig10aQueryCost()
-	return emit(w, o, rows, err, experiments.PrintFig10a, experiments.CSVFig10a)
+	return emit(w, rows, err, experiments.PrintFig10a)
 }
 
 func fig10b(w io.Writer, r *experiments.Runner, o options) error {
 	rows, err := r.Fig10bScalability(o.sizes)
-	return emit(w, o, rows, err, experiments.PrintFig10b, experiments.CSVFig10b)
+	return emit(w, rows, err, experiments.PrintFig10b)
 }
 
-func interval(w io.Writer, r *experiments.Runner, o options) error {
+func interval(w io.Writer, r *experiments.Runner, _ options) error {
 	rows, err := r.ExtIntervalCost([]int{1, 2, 4, 8, 16})
-	return emit(w, o, rows, err, experiments.PrintInterval, nil)
+	return emit(w, rows, err, experiments.PrintInterval)
 }
 
-func baselines(w io.Writer, r *experiments.Runner, o options) error {
+func baselines(w io.Writer, r *experiments.Runner, _ options) error {
 	rows, err := r.BaselineComparison()
-	return emit(w, o, rows, err, experiments.PrintBaselines, nil)
+	return emit(w, rows, err, experiments.PrintBaselines)
 }
 
-func ablations(w io.Writer, r *experiments.Runner, o options) error {
+func ablations(w io.Writer, r *experiments.Runner, _ options) error {
 	var rows []experiments.AblationRow
 	for _, ablate := range []func() ([]experiments.AblationRow, error){
 		r.AblationBranchBound, r.AblationLocalPolynomials, r.AblationFilter,

@@ -95,23 +95,3 @@ func TestEveryAllSectionSelectableByName(t *testing.T) {
 		}
 	}
 }
-
-// -format csv reaches the figures that have a CSV writer and leaves the
-// rest as tables.
-func TestFormatCSV(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	args := []string{"-format", "csv", "-n", "2000", "-queries", "1", "-warm", "2", "-sizes", "2000"}
-	if code := run(append([]string{"-exp", "fig10b"}, args...), &stdout, &stderr); code != 0 {
-		t.Fatalf("fig10b: exit %d, stderr:\n%s", code, stderr.String())
-	}
-	if !strings.Contains(stdout.String(), "n,pa_total_us,fr_total_us\n2000,") {
-		t.Errorf("fig10b -format csv did not print CSV:\n%s", stdout.String())
-	}
-	stdout.Reset()
-	if code := run(append([]string{"-exp", "fig9b"}, args...), &stdout, &stderr); code != 0 {
-		t.Fatalf("fig9b: exit %d, stderr:\n%s", code, stderr.String())
-	}
-	if !strings.Contains(stdout.String(), "CPU per location update") {
-		t.Errorf("fig9b has no CSV writer and should print its table:\n%s", stdout.String())
-	}
-}

@@ -5,7 +5,6 @@ import (
 	"os"
 	"strings"
 	"testing"
-	"time"
 
 	"pdr/internal/geom"
 )
@@ -290,44 +289,6 @@ func TestBaselineComparison(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "coverage%") {
 		t.Error("PrintBaselines output malformed")
-	}
-}
-
-func TestCSVWriters(t *testing.T) {
-	var buf bytes.Buffer
-	if err := CSVFig8Accuracy(&buf, []AccuracyRow{{L: 30, Varrho: 1, PAfpPct: 2.5}}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(buf.String(), "l,varrho,") || !strings.Contains(buf.String(), "30,1,2.5") {
-		t.Errorf("CSVFig8Accuracy output:\n%s", buf.String())
-	}
-	buf.Reset()
-	if err := CSVFig8Memory(&buf, []MemoryRow{{Method: "PA", Config: "g=10 k=5", MemoryMB: 1.5}}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "PA,g=10 k=5,1.5") {
-		t.Errorf("CSVFig8Memory output:\n%s", buf.String())
-	}
-	buf.Reset()
-	if err := CSVFig9a(&buf, []QueryCPURow{{L: 60, Varrho: 3, PACPU: 2 * time.Millisecond, DHCPU: time.Millisecond}}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "60,3,2000,1000") {
-		t.Errorf("CSVFig9a output:\n%s", buf.String())
-	}
-	buf.Reset()
-	if err := CSVFig10a(&buf, []QueryCostRow{{L: 30, Varrho: 2, PATotal: time.Millisecond, FRTotal: 2 * time.Millisecond, FRIOs: 7}}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "30,2,1000,2000,7") {
-		t.Errorf("CSVFig10a output:\n%s", buf.String())
-	}
-	buf.Reset()
-	if err := CSVFig10b(&buf, []ScaleRow{{N: 10000, PATotal: time.Millisecond, FRTotal: time.Second}}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "10000,1000,1000000") {
-		t.Errorf("CSVFig10b output:\n%s", buf.String())
 	}
 }
 
