@@ -15,7 +15,6 @@ import (
 	"strings"
 
 	"pdr/internal/core"
-	"pdr/internal/experiments"
 	"pdr/internal/geom"
 	"pdr/internal/motion"
 	"pdr/internal/wire"
@@ -60,11 +59,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	m, err := parseMethod(*method)
+	m, err := core.ParseMethod(*method)
 	if err != nil {
 		fatal(err)
 	}
-	rho := experiments.RelRho(srv.NumObjects(), *varrho, cfg.Area)
+	rho := core.RelativeThreshold(srv.NumObjects(), *varrho, cfg.Area)
 	if *plan {
 		p, err := srv.Recommend(core.Query{Rho: rho, L: *l, At: qt}, true)
 		if err != nil {
@@ -110,23 +109,6 @@ func parseAt(s string, now motion.Tick) (motion.Tick, error) {
 			return 0, fmt.Errorf("bad -at %q", s)
 		}
 		return motion.Tick(k), nil
-	}
-}
-
-func parseMethod(s string) (core.Method, error) {
-	switch strings.ToLower(s) {
-	case "fr":
-		return core.FR, nil
-	case "pa":
-		return core.PA, nil
-	case "dh-opt", "dhopt":
-		return core.DHOptimistic, nil
-	case "dh-pess", "dhpess":
-		return core.DHPessimistic, nil
-	case "bf", "bruteforce":
-		return core.BruteForce, nil
-	default:
-		return 0, fmt.Errorf("unknown method %q", s)
 	}
 }
 

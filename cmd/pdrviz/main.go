@@ -14,7 +14,6 @@ import (
 	"os"
 
 	"pdr/internal/core"
-	"pdr/internal/experiments"
 	"pdr/internal/motion"
 	"pdr/internal/viz"
 	"pdr/internal/wire"
@@ -54,12 +53,12 @@ func main() {
 	}
 	f.Close()
 
-	m, err := parseMethod(*method)
+	m, err := core.ParseMethod(*method)
 	if err != nil {
 		fatal(err)
 	}
 	qt := srv.Now() + motion.Tick(*ahead)
-	rho := experiments.RelRho(srv.NumObjects(), *varrho, cfg.Area)
+	rho := core.RelativeThreshold(srv.NumObjects(), *varrho, cfg.Area)
 	res, err := srv.Snapshot(core.Query{Rho: rho, L: *l, At: qt}, m)
 	if err != nil {
 		fatal(err)
@@ -103,23 +102,6 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "pdrviz: %d rects, %d rings, %d contour segments, %d objects\n",
 		len(scene.Region), len(scene.Rings), len(scene.Contours), len(scene.Points))
-}
-
-func parseMethod(s string) (core.Method, error) {
-	switch s {
-	case "fr":
-		return core.FR, nil
-	case "pa":
-		return core.PA, nil
-	case "dh-opt":
-		return core.DHOptimistic, nil
-	case "dh-pess":
-		return core.DHPessimistic, nil
-	case "bf":
-		return core.BruteForce, nil
-	default:
-		return 0, fmt.Errorf("unknown method %q", s)
-	}
 }
 
 func fatal(err error) {

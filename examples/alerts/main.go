@@ -13,7 +13,6 @@ import (
 
 	"pdr/internal/core"
 	"pdr/internal/datagen"
-	"pdr/internal/experiments"
 	"pdr/internal/monitor"
 )
 
@@ -37,7 +36,7 @@ func main() {
 	// Standing query: congestion forecast 10 ticks out, re-checked every 2
 	// ticks with the fast approximation.
 	m := monitor.New(srv)
-	rho := experiments.RelRho(vehicles, 3, cfg.Area)
+	rho := core.RelativeThreshold(vehicles, 3, cfg.Area)
 	subID, err := m.Register(monitor.ContinuousQuery{
 		Rho: rho, L: cfg.L, Ahead: 10, Every: 2, Method: core.PA,
 	})

@@ -18,7 +18,6 @@ import (
 
 	"pdr/internal/core"
 	"pdr/internal/datagen"
-	"pdr/internal/experiments"
 	"pdr/internal/geom"
 )
 
@@ -48,7 +47,7 @@ func main() {
 		}
 	}
 
-	rho := experiments.RelRho(srv.NumObjects(), 2, cfg.Area)
+	rho := core.RelativeThreshold(srv.NumObjects(), 2, cfg.Area)
 	q := core.Query{Rho: rho, L: cfg.L, At: srv.Now() + 20}
 
 	// Step 1: cheap approximate scan of the whole plane.

@@ -10,7 +10,6 @@ import (
 
 	"pdr/internal/core"
 	"pdr/internal/datagen"
-	"pdr/internal/experiments"
 )
 
 func main() {
@@ -47,7 +46,7 @@ func main() {
 
 	// Ask: which regions will have at least rho objects per square mile in
 	// every 30-mile square neighborhood, 15 ticks from now?
-	rho := experiments.RelRho(srv.NumObjects(), 3, srv.Config().Area) // paper's varrho=3
+	rho := core.RelativeThreshold(srv.NumObjects(), 3, srv.Config().Area) // paper's varrho=3
 	q := core.Query{Rho: rho, L: 30, At: srv.Now() + 15}
 
 	res, err := srv.Snapshot(q, core.FR) // exact filtering-refinement

@@ -17,7 +17,6 @@ import (
 
 	"pdr/internal/core"
 	"pdr/internal/datagen"
-	"pdr/internal/experiments"
 	"pdr/internal/geom"
 	"pdr/internal/motion"
 )
@@ -42,7 +41,7 @@ func main() {
 	if err := srv.Load(gen.InitialStates()); err != nil {
 		log.Fatal(err)
 	}
-	rho := experiments.RelRho(vehicles, 3, cfg.Area)
+	rho := core.RelativeThreshold(vehicles, 3, cfg.Area)
 	fmt.Printf("monitoring %d vehicles; congestion threshold %.2g vehicles/sq-mile\n\n", vehicles, rho)
 
 	for round := 0; round < monitorFor; round++ {

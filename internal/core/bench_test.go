@@ -162,7 +162,7 @@ func BenchmarkSnapshotFRClasses(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for k, c := range classes {
-			q := Query{Rho: RelRhoTest(n, c[1]), L: c[0], At: s.Now() + motion.Tick(4*k)}
+			q := Query{Rho: relRho(n, c[1]), L: c[0], At: s.Now() + motion.Tick(4*k)}
 			if _, err := s.Snapshot(q, FR); err != nil {
 				b.Fatal(err)
 			}
@@ -186,7 +186,7 @@ func benchSnapshot(b *testing.B, m Method) {
 	if err := s.Load(g.InitialStates()); err != nil {
 		b.Fatal(err)
 	}
-	q := Query{Rho: RelRhoTest(20000, 3), L: 60, At: 15}
+	q := Query{Rho: relRho(20000, 3), L: 60, At: 15}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := s.Snapshot(q, m); err != nil {

@@ -37,7 +37,7 @@ func cachedEquivalence(t *testing.T, w int) {
 
 	for phase := 0; phase < 2; phase++ { // before and after a Tick
 		for _, m := range []Method{FR, PA, DHOptimistic, DHPessimistic, BruteForce} {
-			q := Query{Rho: RelRhoTest(n, 3), L: 60, At: sU.Now() + 5}
+			q := Query{Rho: relRho(n, 3), L: 60, At: sU.Now() + 5}
 			base, err := sU.Snapshot(q, m)
 			if err != nil {
 				t.Fatalf("workers=%d %v phase=%d uncached: %v", w, m, phase, err)
@@ -84,7 +84,7 @@ func cachedEquivalence(t *testing.T, w int) {
 // the cached answers.
 func TestCacheInvalidationOnMutations(t *testing.T) {
 	s, g := loadServer(t, cachedConfig(), 800, 13)
-	q := Query{Rho: RelRhoTest(800, 2), L: 60, At: 5}
+	q := Query{Rho: relRho(800, 2), L: 60, At: 5}
 
 	missesAfter := func(step string, wantEpoch uint64) int64 {
 		t.Helper()
@@ -174,7 +174,7 @@ func TestCacheDisabledByDefault(t *testing.T) {
 	if s.Cache() != nil {
 		t.Fatal("CacheBytes=0 must not build a cache")
 	}
-	q := Query{Rho: RelRhoTest(800, 2), L: 60, At: 5}
+	q := Query{Rho: relRho(800, 2), L: 60, At: 5}
 	for i := 0; i < 2; i++ {
 		res, err := s.Snapshot(q, FR)
 		if err != nil {
@@ -203,7 +203,7 @@ func TestCacheSingleflightStress(t *testing.T) {
 	const goroutines = 8
 	const maxRounds = 20
 	for round := 0; round < maxRounds; round++ {
-		q := Query{Rho: RelRhoTest(1500, 3), L: 60, At: motion.Tick(round % 10)}
+		q := Query{Rho: relRho(1500, 3), L: 60, At: motion.Tick(round % 10)}
 		before := s.CacheStats()
 		results := make([]*Result, goroutines)
 		errs := make([]error, goroutines)
@@ -256,7 +256,7 @@ func TestCacheSlidingWindowInterval(t *testing.T) {
 	s, _ := loadServer(t, cfg, 1500, 11)
 	sU, _ := loadServer(t, testConfig(), 1500, 11) // uncached twin
 
-	q := Query{Rho: RelRhoTest(1500, 3), L: 60, At: 5}
+	q := Query{Rho: relRho(1500, 3), L: 60, At: 5}
 	const hi = 15 // 11 timestamps
 	iv1, err := s.Interval(q, hi, FR)
 	if err != nil {
@@ -315,7 +315,7 @@ func TestCacheSlidingWindowInterval(t *testing.T) {
 // interval's Wall is its own stopwatch, not the summed sub-snapshot CPU.
 func TestSnapshotWallEqualsCPU(t *testing.T) {
 	s, _ := loadServer(t, testConfig(), 800, 13)
-	q := Query{Rho: RelRhoTest(800, 2), L: 60, At: 5}
+	q := Query{Rho: relRho(800, 2), L: 60, At: 5}
 	res, err := s.Snapshot(q, FR)
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"pdr/internal/geom"
 	"pdr/internal/motion"
 	"pdr/internal/storage"
+	"pdr/internal/telemetry"
 )
 
 // testConfig is a scaled-down default: coarser structures, same shapes.
@@ -77,10 +79,97 @@ func TestQueryValidation(t *testing.T) {
 	}
 }
 
+// relRho is the paper's relative threshold over the default 1000 x 1000
+// area.
 func relRho(n int, varrho float64) float64 {
-	// The paper's relative threshold: rho = N * varrho / 10^6 for the
-	// 1000x1000 area.
-	return float64(n) * varrho / 1e6
+	return RelativeThreshold(n, varrho, DefaultConfig().Area)
+}
+
+// Check refuses exactly what a snapshot evaluation refuses before it
+// computes, with the same error, and moves none of the counters an
+// evaluation moves: no query is counted and no page is read.
+func TestCheckAgreesWithSnapshot(t *testing.T) {
+	s, _ := loadServer(t, testConfig(), 500, 3) // l=60 surfaces; cells of 20
+	reg := telemetry.NewRegistry()
+	met := NewMetrics(reg)
+	s.SetMetrics(met)
+	now := s.Now()
+	rho := relRho(500, 1)
+	for _, c := range []struct {
+		q    Query
+		m    Method
+		fail bool
+	}{
+		{Query{Rho: rho, L: 60, At: now}, FR, false},
+		{Query{Rho: rho, L: 60, At: now + 5}, PA, false},
+		{Query{Rho: rho, L: 40, At: now}, DHPessimistic, false},
+		{Query{Rho: rho, L: 30, At: now}, BruteForce, false},
+		{Query{Rho: rho, L: 45, At: now}, PA, true},           // not the surfaces' l
+		{Query{Rho: rho, L: 30, At: now}, FR, true},           // l below twice the cell
+		{Query{Rho: rho, L: 30, At: now}, DHOptimistic, true}, // the same, for DH
+		{Query{Rho: -1, L: 60, At: now}, FR, true},
+		{Query{Rho: rho, L: 60, At: now + s.Horizon() + 1}, PA, true},
+		{Query{Rho: rho, L: 60, At: now}, Method(99), true},
+	} {
+		pool := s.PoolStats()
+		served := met.QueriesServed()
+		err := s.Check(c.q, c.m)
+		if (err != nil) != c.fail {
+			t.Errorf("Check(%+v, %v) = %v, want failure %v", c.q, c.m, err, c.fail)
+		}
+		if s.PoolStats() != pool || !reflect.DeepEqual(met.QueriesServed(), served) {
+			t.Errorf("Check(%+v, %v) moved the pool or the query counters", c.q, c.m)
+		}
+		if _, serr := s.Snapshot(c.q, c.m); (serr == nil) != (err == nil) || (err != nil && serr.Error() != err.Error()) {
+			t.Errorf("Check(%+v, %v) = %v, but Snapshot fails with %v", c.q, c.m, err, serr)
+		}
+	}
+}
+
+func TestRelativeThreshold(t *testing.T) {
+	area := geom.Rect{MinX: 0, MinY: 0, MaxX: 1000, MaxY: 1000}
+	if got := RelativeThreshold(500000, 1, area); got != 0.5 {
+		t.Errorf("RelativeThreshold(500K, 1) = %g, want 0.5 (paper: rho in [0.5, 2.5] for CH500K)", got)
+	}
+	if got := RelativeThreshold(500000, 5, area); got != 2.5 {
+		t.Errorf("RelativeThreshold(500K, 5) = %g, want 2.5", got)
+	}
+}
+
+func TestParseMethodEdgeCases(t *testing.T) {
+	cases := []struct {
+		in      string
+		want    Method
+		wantErr bool
+	}{
+		{"", FR, false},
+		{"fr", FR, false},
+		{"FR", FR, false}, // case-insensitive
+		{"Pa", PA, false},
+		{"dh-opt", DHOptimistic, false},
+		{"DH-PESS", DHPessimistic, false},
+		{"bf", BruteForce, false},
+		{"dh", 0, true},
+		{"brute", 0, true},
+		{"dhopt", 0, true},
+		{" fr", 0, true}, // no trimming: the URL layer already decoded
+	}
+	for _, c := range cases {
+		got, err := ParseMethod(c.in)
+		if (err != nil) != c.wantErr {
+			t.Errorf("ParseMethod(%q) error = %v, wantErr %v", c.in, err, c.wantErr)
+			continue
+		}
+		if err == nil && got != c.want {
+			t.Errorf("ParseMethod(%q) = %v, want %v", c.in, got, c.want)
+		}
+	}
+	// Every method round-trips through its name.
+	for m := FR; m <= BruteForce; m++ {
+		if got, err := ParseMethod(m.String()); err != nil || got != m {
+			t.Errorf("ParseMethod(%q) = %v, %v; want %v", m.String(), got, err, m)
+		}
+	}
 }
 
 func TestFREqualsBruteForce(t *testing.T) {

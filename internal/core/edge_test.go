@@ -114,7 +114,7 @@ func TestQuickFRMatchesBruteForceSmallWorlds(t *testing.T) {
 		}
 		varrho := 0.5 + 4*rng.Float64()
 		q := Query{
-			Rho: RelRhoTest(s.NumObjects(), varrho),
+			Rho: relRho(s.NumObjects(), varrho),
 			L:   40 + rng.Float64()*200,
 			At:  motion.Tick(rng.Intn(90)),
 		}
@@ -133,14 +133,9 @@ func TestQuickFRMatchesBruteForceSmallWorlds(t *testing.T) {
 	}
 }
 
-// RelRhoTest mirrors the paper's relative threshold for the default area.
-func RelRhoTest(n int, varrho float64) float64 {
-	return float64(n) * varrho / 1e6
-}
-
 func TestIntervalPA(t *testing.T) {
 	s, _ := loadServer(t, testConfig(), 800, 13)
-	q := Query{Rho: RelRhoTest(800, 2), L: 60, At: 0}
+	q := Query{Rho: relRho(800, 2), L: 60, At: 0}
 	iv, err := s.Interval(q, 3, PA)
 	if err != nil {
 		t.Fatal(err)

@@ -330,7 +330,7 @@ func TestReReportStream(t *testing.T) {
 		if err := s.index.Validate(); err != nil {
 			t.Fatalf("tick %d: %v", tick, err)
 		}
-		q := Query{Rho: RelRhoTest(n, 3), L: 60, At: g.Now() + motion.Tick(tick%10)}
+		q := Query{Rho: relRho(n, 3), L: 60, At: g.Now() + motion.Tick(tick%10)}
 		fr, err := s.Snapshot(q, FR)
 		if err != nil {
 			t.Fatalf("tick %d: FR: %v", tick, err)

@@ -45,7 +45,7 @@ func TestEndToEndPipeline(t *testing.T) {
 		}
 		if tick == 4 {
 			earlyTick = srv.Now()
-			r, err := srv.Snapshot(Query{Rho: RelRhoTest(10000, 2), L: 60, At: earlyTick}, BruteForce)
+			r, err := srv.Snapshot(Query{Rho: relRho(10000, 2), L: 60, At: earlyTick}, BruteForce)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -62,7 +62,7 @@ func TestEndToEndPipeline(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			q := Query{Rho: RelRhoTest(10000, 3), L: 60, At: srv.Now() + 10}
+			q := Query{Rho: relRho(10000, 3), L: 60, At: srv.Now() + 10}
 			a, err := srv.Snapshot(q, FR)
 			if err != nil {
 				t.Fatal(err)
@@ -78,7 +78,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	}
 
 	// All methods at a future timestamp: exactness and bracketing.
-	q := Query{Rho: RelRhoTest(10000, 2), L: 60, At: srv.Now() + 20}
+	q := Query{Rho: relRho(10000, 2), L: 60, At: srv.Now() + 20}
 	results := map[Method]*Result{}
 	for _, m := range []Method{FR, PA, DHOptimistic, DHPessimistic, BruteForce} {
 		r, err := srv.Snapshot(q, m)
@@ -118,7 +118,7 @@ func TestEndToEndPipeline(t *testing.T) {
 
 	// Historical reconstruction at the early tick matches what was measured
 	// live.
-	past, err := srv.PastSnapshot(Query{Rho: RelRhoTest(10000, 2), L: 60, At: earlyTick})
+	past, err := srv.PastSnapshot(Query{Rho: relRho(10000, 2), L: 60, At: earlyTick})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,7 +53,7 @@ func regionsEqual(a, b geom.Region) bool {
 func TestParallelSnapshotEquivalence(t *testing.T) {
 	servers := loadWorkers(t, 2500, 11, 1, 2, 17)
 	for _, varrho := range []float64{1, 3, 5} {
-		q := Query{Rho: RelRhoTest(2500, varrho), L: 60, At: 10}
+		q := Query{Rho: relRho(2500, varrho), L: 60, At: 10}
 		for _, m := range []Method{FR, BruteForce, DHOptimistic} {
 			base, err := servers[0].Snapshot(q, m)
 			if err != nil {
@@ -85,7 +85,7 @@ func TestParallelSnapshotEquivalence(t *testing.T) {
 func TestFRGatherReadsOnce(t *testing.T) {
 	servers := loadWorkers(t, 2500, 11, 1, 2, 17)
 	for _, varrho := range []float64{1, 3, 5} {
-		q := Query{Rho: RelRhoTest(2500, varrho), L: 60, At: 10}
+		q := Query{Rho: relRho(2500, varrho), L: 60, At: 10}
 		var reads []int64
 		for _, s := range servers {
 			before := s.PoolStats()
@@ -114,7 +114,7 @@ func TestFRGatherReadsOnce(t *testing.T) {
 // single-timestamp edge case and more workers than timestamps.
 func TestParallelIntervalEquivalence(t *testing.T) {
 	servers := loadWorkers(t, 2000, 7, 1, 2, 17)
-	q := Query{Rho: RelRhoTest(2000, 3), L: 60, At: 5}
+	q := Query{Rho: relRho(2000, 3), L: 60, At: 5}
 	for _, width := range []motion.Tick{0, 1, 4, 9} {
 		until := q.At + width
 		for _, m := range []Method{FR, DHOptimistic} {
@@ -145,7 +145,7 @@ func TestParallelIntervalEquivalence(t *testing.T) {
 // Definition 5 exactly the snapshot at t.
 func TestIntervalSingleTimestampMatchesSnapshot(t *testing.T) {
 	s, _ := loadServer(t, testConfig(), 2000, 7)
-	q := Query{Rho: RelRhoTest(2000, 3), L: 60, At: 5}
+	q := Query{Rho: relRho(2000, 3), L: 60, At: 5}
 	snap, err := s.Snapshot(q, FR)
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +166,7 @@ func TestIntervalSingleTimestampMatchesSnapshot(t *testing.T) {
 // the same point set as the raw union, in coalesced form).
 func TestIntervalAnswerIsCoalesced(t *testing.T) {
 	s, _ := loadServer(t, testConfig(), 2000, 7)
-	q := Query{Rho: RelRhoTest(2000, 3), L: 60, At: 5}
+	q := Query{Rho: relRho(2000, 3), L: 60, At: 5}
 	until := q.At + 8
 	iv, err := s.Interval(q, until, FR)
 	if err != nil {

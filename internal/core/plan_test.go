@@ -7,7 +7,7 @@ import (
 
 func TestRecommendExactAlwaysFR(t *testing.T) {
 	s, _ := loadServer(t, testConfig(), 500, 51)
-	p, err := s.Recommend(Query{Rho: RelRhoTest(500, 2), L: 60, At: 0}, false)
+	p, err := s.Recommend(Query{Rho: relRho(500, 2), L: 60, At: 0}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,7 +18,7 @@ func TestRecommendExactAlwaysFR(t *testing.T) {
 
 func TestRecommendMismatchedLFallsBackToFR(t *testing.T) {
 	s, _ := loadServer(t, testConfig(), 500, 52)
-	p, err := s.Recommend(Query{Rho: RelRhoTest(500, 2), L: 100, At: 0}, true)
+	p, err := s.Recommend(Query{Rho: relRho(500, 2), L: 100, At: 0}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestRecommendHeavyWorkloadPA(t *testing.T) {
 	// A large clustered workload at a threshold with many candidates: the
 	// estimated refinement volume must push the planner to PA.
 	s, _ := loadServer(t, testConfig(), 30000, 53)
-	q := Query{Rho: RelRhoTest(30000, 1), L: 60, At: 0}
+	q := Query{Rho: relRho(30000, 1), L: 60, At: 0}
 	p, err := s.Recommend(q, true)
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"time"
 
@@ -89,6 +90,21 @@ func (m Method) String() string {
 	}
 }
 
+// ParseMethod is the inverse of Method.String, case-insensitive; "" selects
+// FR, the exact method. It is the one method-name table of the service and
+// the command-line tools.
+func ParseMethod(v string) (Method, error) {
+	if v == "" {
+		return FR, nil
+	}
+	for m := FR; m <= BruteForce; m++ {
+		if strings.EqualFold(v, m.String()) {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown method %q", v)
+}
+
 // Query is a snapshot PDR query (rho, l, qt): all regions every point of
 // which has at least rho*l^2 objects in its l-square neighborhood at
 // timestamp qt.
@@ -96,6 +112,13 @@ type Query struct {
 	Rho float64
 	L   float64
 	At  motion.Tick
+}
+
+// RelativeThreshold converts the paper's relative density threshold varrho
+// (1..5 in the evaluation) to an absolute density for n objects over area:
+// rho = n * varrho / area (the paper's area is 10^6 square miles).
+func RelativeThreshold(n int, varrho float64, area geom.Rect) float64 {
+	return float64(n) * varrho / area.Area()
 }
 
 // Result carries a query answer and its measured costs.
@@ -166,6 +189,42 @@ func CheckParams(rho, l float64) error {
 	return nil
 }
 
+// Check reports the error an evaluation of q with m would stop at before it
+// computes anything: the query's parameters and timestamp, the PA surfaces'
+// l, the histogram cell against l/2. It counts no query and reads no page,
+// so a caller can vet a query it will evaluate later (a standing query).
+func (s *Server) Check(q Query, m Method) error {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.checkLocked(q, m)
+}
+
+// checkLocked is Check under the read lock; every snapshot evaluation starts
+// with it.
+func (s *Server) checkLocked(q Query, m Method) error {
+	if err := s.validateLocked(q); err != nil {
+		return err
+	}
+	switch m {
+	case FR, DHOptimistic, DHPessimistic:
+		return s.hist.CheckEdge(q.L)
+	case PA:
+		if s.surf == nil {
+			return errPADisabled
+		}
+		// lint:ignore floateq config identity: the surfaces answer only the
+		// exact l they were built for; a nearly-equal l must be rejected too.
+		if q.L != s.surf.L() {
+			return fmt.Errorf("core: PA surfaces are built for l=%g, query asked l=%g (the approximation method fixes l in advance; use FR for other edges)",
+				s.surf.L(), q.L)
+		}
+		return nil
+	case BruteForce:
+		return nil
+	}
+	return fmt.Errorf("core: unknown method %d", m)
+}
+
 func (s *Server) validateLocked(q Query) error {
 	now := s.Now()
 	if err := CheckParams(q.Rho, q.L); err != nil {
@@ -215,7 +274,7 @@ func (s *Server) SnapshotTraced(q Query, m Method, sp *telemetry.Span) (*Result,
 // bit-identical — the cache stores deep copies, so neither side can mutate
 // the other's region.
 func (s *Server) snapshotLocked(q Query, m Method, trackIO bool, sp *telemetry.Span) (*Result, error) {
-	if err := s.validateLocked(q); err != nil {
+	if err := s.checkLocked(q, m); err != nil {
 		return nil, err
 	}
 	if s.qcache == nil {
@@ -296,8 +355,6 @@ func (s *Server) evaluateLocked(q Query, m Method, trackIO bool, sp *telemetry.S
 		err = s.snapshotDHLocked(q, m, res, sp)
 	case BruteForce:
 		s.snapshotBFLocked(q, res, sp)
-	default:
-		err = fmt.Errorf("core: unknown method %d", m)
 	}
 	if err != nil {
 		return nil, err
@@ -403,16 +460,9 @@ func (s *Server) snapshotFRLocked(q Query, res *Result, sp *telemetry.Span) erro
 	return nil
 }
 
+// snapshotPALocked needs the surfaces and their l, which checkLocked has
+// vetted.
 func (s *Server) snapshotPALocked(q Query, res *Result, sp *telemetry.Span) error {
-	if s.surf == nil {
-		return errPADisabled
-	}
-	// lint:ignore floateq config identity: the surfaces answer only the
-	// exact l they were built for; a nearly-equal l must be rejected too.
-	if q.L != s.surf.L() {
-		return fmt.Errorf("core: PA surfaces are built for l=%g, query asked l=%g (the approximation method fixes l in advance; use FR for other edges)",
-			s.surf.L(), q.L)
-	}
 	ph := sp.Child("pa-eval")
 	region, walk, err := s.surf.DenseRegionStats(q.At, q.Rho)
 	ph.SetAttrInt("boxes", int64(walk.Boxes))

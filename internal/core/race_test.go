@@ -32,7 +32,7 @@ func TestConcurrentQueryTickStress(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iterations; i++ {
 				at := s.Now() // may be stale by the time the query runs; that's the point
-				q := Query{Rho: RelRhoTest(1500, 3), L: 60, At: at + motion.Tick(r%3)}
+				q := Query{Rho: relRho(1500, 3), L: 60, At: at + motion.Tick(r%3)}
 				switch r % 3 {
 				case 0:
 					if _, err := s.Snapshot(q, FR); err != nil && !isEngineReject(err) {

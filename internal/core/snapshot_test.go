@@ -38,7 +38,7 @@ func TestSaveRestoreRoundTrip(t *testing.T) {
 	// Every method answers identically on both servers.
 	for _, m := range []Method{FR, PA, DHOptimistic, DHPessimistic, BruteForce} {
 		for _, qt := range []motion.Tick{s.Now(), s.Now() + 15, s.Now() + 30} {
-			q := Query{Rho: RelRhoTest(1200, 2), L: 60, At: qt}
+			q := Query{Rho: relRho(1200, 2), L: 60, At: qt}
 			a, err := s.Snapshot(q, m)
 			if err != nil {
 				t.Fatal(err)
@@ -137,7 +137,7 @@ func TestPastSnapshotMatchesLiveAnswers(t *testing.T) {
 	cfg := testConfig()
 	cfg.KeepHistory = true
 	s, g := loadServer(t, cfg, 1000, 41)
-	q := Query{Rho: RelRhoTest(1000, 2), L: 60}
+	q := Query{Rho: relRho(1000, 2), L: 60}
 
 	// Capture the exact answer at each tick while live.
 	captured := map[motion.Tick]float64{}

@@ -33,7 +33,7 @@ func treeShape(tr *telemetry.Trace) string {
 // and the answer must be bit-identical to the untraced run.
 func TestTracedSnapshotDeterministicTree(t *testing.T) {
 	servers := loadWorkers(t, 2500, 11, 1, 2, 17)
-	q := Query{Rho: RelRhoTest(2500, 3), L: 60, At: 10}
+	q := Query{Rho: relRho(2500, 3), L: 60, At: 10}
 	for _, m := range []Method{FR, BruteForce, DHOptimistic, PA} {
 		var wantShape string
 		var wantRegion *Result
@@ -74,7 +74,7 @@ func TestTracedSnapshotDeterministicTree(t *testing.T) {
 // independent of the worker count.
 func TestTracedIntervalDeterministicTree(t *testing.T) {
 	servers := loadWorkers(t, 2500, 11, 1, 2, 17)
-	q := Query{Rho: RelRhoTest(2500, 3), L: 60, At: 5}
+	q := Query{Rho: relRho(2500, 3), L: 60, At: 5}
 	var wantShape string
 	var want *Result
 	for i, s := range servers {
@@ -118,7 +118,7 @@ func TestTracedIntervalDeterministicTree(t *testing.T) {
 func TestTracedBudgetTruncationKeepsAnswer(t *testing.T) {
 	servers := loadWorkers(t, 2500, 11, 4)
 	s := servers[0]
-	q := Query{Rho: RelRhoTest(2500, 3), L: 60, At: 10}
+	q := Query{Rho: relRho(2500, 3), L: 60, At: 10}
 	want, err := s.Snapshot(q, FR)
 	if err != nil {
 		t.Fatal(err)
@@ -237,7 +237,7 @@ func TestPAEvalSpanCountsTheWalk(t *testing.T) {
 	s := loadWorkers(t, 2500, 11, 1)[0]
 	walk := func(varrho float64) (boxes, leaves, rects int) {
 		tr := telemetry.NewTrace("test")
-		res, err := s.SnapshotTraced(Query{Rho: RelRhoTest(2500, varrho), L: s.Surface().L(), At: 10}, PA, tr.Root())
+		res, err := s.SnapshotTraced(Query{Rho: relRho(2500, varrho), L: s.Surface().L(), At: 10}, PA, tr.Root())
 		tr.End()
 		if err != nil {
 			t.Fatal(err)

@@ -174,12 +174,21 @@ func (h *Histogram) validateFilter(qt motion.Tick, rho, l float64) error {
 	if l <= 0 || rho < 0 {
 		return fmt.Errorf("dh: bad query parameters rho=%g l=%g", rho, l)
 	}
-	lc := math.Max(h.lcX, h.lcY)
-	if lc > l/2+1e-9 {
-		return fmt.Errorf("dh: cell edge %g exceeds l/2 = %g; use a finer grid", lc, l/2)
+	if err := h.CheckEdge(l); err != nil {
+		return err
 	}
 	if qt < h.base || qt > h.base+h.cfg.Horizon {
 		return fmt.Errorf("dh: timestamp %d outside window [%d, %d]", qt, h.base, h.base+h.cfg.Horizon)
+	}
+	return nil
+}
+
+// CheckEdge rejects a neighborhood edge l the filter cannot serve: the
+// bounds need l_c <= l/2.
+func (h *Histogram) CheckEdge(l float64) error {
+	lc := math.Max(h.lcX, h.lcY)
+	if lc > l/2+1e-9 {
+		return fmt.Errorf("dh: cell edge %g exceeds l/2 = %g; use a finer grid", lc, l/2)
 	}
 	return nil
 }

@@ -25,7 +25,7 @@ func (r *Runner) AblationBranchBound() ([]AblationRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	rho := RelRho(e.S.NumObjects(), 3, e.S.Config().Area)
+	rho := core.RelativeThreshold(e.S.NumObjects(), 3, e.S.Config().Area)
 	qt := e.S.Now()
 
 	timeIt := func(f func() error) (time.Duration, error) {
@@ -60,7 +60,7 @@ func (r *Runner) AblationLocalPolynomials() ([]AblationRow, error) {
 		return nil, err
 	}
 	cfg := e.S.Config()
-	rho := RelRho(e.S.NumObjects(), 3, cfg.Area)
+	rho := core.RelativeThreshold(e.S.NumObjects(), 3, cfg.Area)
 	qt := e.S.Now()
 	exact, err := e.S.Snapshot(core.Query{Rho: rho, L: l, At: qt}, core.FR)
 	if err != nil {
@@ -107,7 +107,7 @@ func (r *Runner) AblationFilter() ([]AblationRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	rho := RelRho(e.S.NumObjects(), 3, e.S.Config().Area)
+	rho := core.RelativeThreshold(e.S.NumObjects(), 3, e.S.Config().Area)
 	res, err := e.S.Snapshot(core.Query{Rho: rho, L: l, At: e.S.Now()}, core.FR)
 	if err != nil {
 		return nil, err

@@ -32,7 +32,7 @@ func (r *Runner) BaselineComparison() ([]BaselineRow, error) {
 		return nil, err
 	}
 	area := e.S.Config().Area
-	rho := RelRho(e.S.NumObjects(), 3, area)
+	rho := core.RelativeThreshold(e.S.NumObjects(), 3, area)
 	qt := e.S.Now()
 
 	exact, err := e.S.Snapshot(core.Query{Rho: rho, L: l, At: qt}, core.FR)

@@ -62,12 +62,6 @@ func TestParams() Params {
 	}
 }
 
-// RelRho converts the paper's relative threshold varrho to an absolute
-// density: rho = N * varrho / area (the paper's area is 10^6 square miles).
-func RelRho(n int, varrho float64, area geom.Rect) float64 {
-	return float64(n) * varrho / area.Area()
-}
-
 // Env is a loaded server plus its workload generator.
 type Env struct {
 	S *core.Server
@@ -125,7 +119,7 @@ func (e *Env) queryTimes() []motion.Tick {
 // runPoint runs the query workload for one (varrho, l) point with one
 // method and returns the averaged result plus the answers.
 func (e *Env) runPoint(varrho, l float64, m core.Method) (avg ResultAvg, regions []geom.Region, err error) {
-	rho := RelRho(e.S.NumObjects(), varrho, e.S.Config().Area)
+	rho := core.RelativeThreshold(e.S.NumObjects(), varrho, e.S.Config().Area)
 	times := e.queryTimes()
 	for _, qt := range times {
 		r, err := e.S.Snapshot(core.Query{Rho: rho, L: l, At: qt}, m)
@@ -160,7 +154,7 @@ type ResultAvg struct {
 // accuracyPoint measures PA and the DH baselines against one shared exact
 // FR answer per query, for one (varrho, l) parameter point.
 func (e *Env) accuracyPoint(varrho, l float64) (AccuracyRow, error) {
-	rho := RelRho(e.S.NumObjects(), varrho, e.S.Config().Area)
+	rho := core.RelativeThreshold(e.S.NumObjects(), varrho, e.S.Config().Area)
 	times := e.queryTimes()
 	row := AccuracyRow{L: l, Varrho: varrho}
 	for _, qt := range times {

@@ -5,8 +5,6 @@ import (
 	"os"
 	"strings"
 	"testing"
-
-	"pdr/internal/geom"
 )
 
 func testRunner() *Runner {
@@ -15,16 +13,6 @@ func testRunner() *Runner {
 	p.QueriesPerPoint = 1
 	p.WarmTicks = 2
 	return NewRunner(p)
-}
-
-func TestRelRho(t *testing.T) {
-	area := geom.Rect{MinX: 0, MinY: 0, MaxX: 1000, MaxY: 1000}
-	if got := RelRho(500000, 1, area); got != 0.5 {
-		t.Errorf("RelRho(500K, 1) = %g, want 0.5 (paper: rho in [0.5, 2.5] for CH500K)", got)
-	}
-	if got := RelRho(500000, 5, area); got != 2.5 {
-		t.Errorf("RelRho(500K, 5) = %g, want 2.5", got)
-	}
 }
 
 func TestTable1(t *testing.T) {

@@ -24,7 +24,7 @@ func (r *Runner) Fig7SVG(dir string) ([]string, error) {
 		return nil, err
 	}
 	area := e.S.Config().Area
-	rho := RelRho(e.S.NumObjects(), 3, area)
+	rho := core.RelativeThreshold(e.S.NumObjects(), 3, area)
 	qt := e.S.Now()
 
 	var points []geom.Point

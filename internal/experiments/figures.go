@@ -98,7 +98,7 @@ func (r *Runner) Fig7() ([]Fig7Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	rho := RelRho(e.S.NumObjects(), 3, e.S.Config().Area)
+	rho := core.RelativeThreshold(e.S.NumObjects(), 3, e.S.Config().Area)
 	q := core.Query{Rho: rho, L: l, At: e.S.Now()}
 	fr, err := e.S.Snapshot(q, core.FR)
 	if err != nil {
@@ -176,7 +176,7 @@ func (r *Runner) Fig8Memory() ([]MemoryRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	rho := RelRho(truthEnv.S.NumObjects(), varrho, truthEnv.S.Config().Area)
+	rho := core.RelativeThreshold(truthEnv.S.NumObjects(), varrho, truthEnv.S.Config().Area)
 	times := truthEnv.queryTimes()
 
 	// Exact answers once.

@@ -30,7 +30,7 @@ func (r *Runner) ExtIntervalCost(widths []int) ([]IntervalRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	rho := RelRho(e.S.NumObjects(), 3, e.S.Config().Area)
+	rho := core.RelativeThreshold(e.S.NumObjects(), 3, e.S.Config().Area)
 	q := core.Query{Rho: rho, L: l, At: e.S.Now()}
 
 	base, err := e.S.Snapshot(q, core.PA)

@@ -109,7 +109,9 @@ func (m *Monitor) RegisterMetrics(reg *telemetry.Registry) {
 	m.met = met
 }
 
-// Register adds a standing query and returns its subscription id.
+// Register adds a standing query and returns its subscription id. A query
+// the engine would refuse to evaluate is refused here, with the engine's
+// error, so it can never fail a tick.
 func (m *Monitor) Register(q ContinuousQuery) (int, error) {
 	if core.CheckParams(q.Rho, q.L) != nil {
 		return 0, fmt.Errorf("monitor: bad query parameters rho=%g l=%g", q.Rho, q.L)
@@ -119,6 +121,11 @@ func (m *Monitor) Register(q ContinuousQuery) (int, error) {
 	}
 	if q.Every <= 0 {
 		q.Every = 1
+	}
+	// What Check refuses does not depend on the clock once Ahead is within
+	// the window, so one check stands for every later evaluation.
+	if err := m.srv.Check(core.Query{Rho: q.Rho, L: q.L, At: m.srv.Now() + q.Ahead}, q.Method); err != nil {
+		return 0, err
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()

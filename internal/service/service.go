@@ -387,7 +387,7 @@ type PointJSON struct {
 //	outline  1 to include rectilinear boundary rings
 func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 	qp := r.URL.Query()
-	method, err := parseMethod(qp.Get("method"))
+	method, err := core.ParseMethod(qp.Get("method"))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -581,17 +581,29 @@ func (s *Service) parseRho(qp url.Values) (float64, error) {
 		if err != nil {
 			return 0, fmt.Errorf("bad rho %q", v)
 		}
-		return rho, nil
+		return s.threshold(&rho, nil)
 	}
 	if v := qp.Get("varrho"); v != "" {
 		varrho, err := strconv.ParseFloat(v, 64)
 		if err != nil {
 			return 0, fmt.Errorf("bad varrho %q", v)
 		}
-		area := s.srv.Config().Area
-		return float64(s.srv.NumObjects()) * varrho / area.Area(), nil
+		return s.threshold(nil, &varrho)
 	}
-	return 0, fmt.Errorf("one of rho or varrho is required")
+	return s.threshold(nil, nil)
+}
+
+// threshold is the density threshold rule of every query route: an absolute
+// rho when given, else varrho relative to the live object count; one of the
+// two is required.
+func (s *Service) threshold(rho, varrho *float64) (float64, error) {
+	switch {
+	case rho != nil:
+		return *rho, nil
+	case varrho != nil:
+		return core.RelativeThreshold(s.srv.NumObjects(), *varrho, s.srv.Config().Area), nil
+	}
+	return 0, errors.New("one of rho or varrho is required")
 }
 
 // parseTick parses a query timestamp ("now", "now+K", or an absolute tick)
@@ -655,23 +667,6 @@ func parsePastTick(v string, now motion.Tick) (motion.Tick, error) {
 		return 0, fmt.Errorf("timestamp %d is not in the past (now=%d); use /v1/query for the live window", t, now)
 	}
 	return t, nil
-}
-
-func parseMethod(v string) (core.Method, error) {
-	switch strings.ToLower(v) {
-	case "", "fr":
-		return core.FR, nil
-	case "pa":
-		return core.PA, nil
-	case "dh-opt":
-		return core.DHOptimistic, nil
-	case "dh-pess":
-		return core.DHPessimistic, nil
-	case "bf":
-		return core.BruteForce, nil
-	default:
-		return 0, fmt.Errorf("unknown method %q", v)
-	}
 }
 
 // ListenAndServe runs the service on addr until the listener fails. The

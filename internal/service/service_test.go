@@ -383,7 +383,8 @@ func TestWatchLifecycle(t *testing.T) {
 	g := loadWorkload(t, ts, 1500)
 
 	// Register a standing query.
-	body, _ := json.Marshal(WatchRequest{Varrho: 2, L: 60, Ahead: 5, Every: 1, Method: "pa"})
+	varrho := 2.0
+	body, _ := json.Marshal(WatchRequest{Varrho: &varrho, L: 60, Ahead: 5, Every: 1, Method: "pa"})
 	resp, err := http.Post(ts.URL+"/v1/watch", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -480,6 +481,40 @@ func TestWatchValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad id status %d", resp.StatusCode)
+	}
+}
+
+// A standing query the engine would refuse to evaluate is refused at
+// registration, with the engine's own message, and so never reaches a tick:
+// every /v1/updates after the refusals applies cleanly.
+func TestWatchRefusesWhatTheEngineRefuses(t *testing.T) {
+	_, ts := testService(t) // PA surfaces for l=60; histogram cells of 20
+	g := loadWorkload(t, ts, 500)
+	for _, c := range []struct{ body, want string }{
+		{`{"l":45,"varrho":1,"method":"pa"}`, "PA surfaces are built for l=60, query asked l=45"},
+		{`{"l":30,"varrho":1,"method":"fr"}`, "exceeds l/2"},
+		{`{"l":30,"varrho":1,"method":"dh-opt"}`, "exceeds l/2"},
+	} {
+		code, reply, _ := post(t, ts, "/v1/watch", c.body)
+		if code != http.StatusUnprocessableEntity || !strings.Contains(string(reply), c.want) {
+			t.Errorf("watch %s -> %d %s, want 422 naming %q", c.body, code, reply, c.want)
+		}
+	}
+	advanceTicks(t, ts, g, 2)
+}
+
+// /v1/watch reads the threshold by /v1/query's rule: one of rho or varrho is
+// required, and an absent one is not a zero.
+func TestWatchRequiresAThreshold(t *testing.T) {
+	_, ts := testService(t)
+	loadWorkload(t, ts, 500)
+	code, reply, _ := post(t, ts, "/v1/watch", `{"l":60,"method":"fr"}`)
+	if want := `{"error":"one of rho or varrho is required"}`; code != http.StatusBadRequest || strings.TrimSpace(string(reply)) != want {
+		t.Errorf("watch without a threshold -> %d %s, want 400 %s", code, reply, want)
+	}
+	// An explicit threshold of zero is still a threshold.
+	if code, reply, _ := post(t, ts, "/v1/watch", `{"rho":0,"l":60,"method":"fr"}`); code != http.StatusOK {
+		t.Errorf("watch with rho=0 -> %d %s, want 200", code, reply)
 	}
 }
 

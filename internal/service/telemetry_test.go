@@ -139,7 +139,8 @@ func TestMetricsAndStatsAgree(t *testing.T) {
 		resp.Body.Close()
 	}
 	// Register a watch so the subscription gauge is non-zero.
-	body, _ := json.Marshal(WatchRequest{Varrho: 2, L: 60, Every: 1, Method: "dh-opt"})
+	varrho := 2.0
+	body, _ := json.Marshal(WatchRequest{Varrho: &varrho, L: 60, Every: 1, Method: "dh-opt"})
 	resp, err := http.Post(ts.URL+"/v1/watch", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -508,35 +509,6 @@ func TestParsePastTick(t *testing.T) {
 		}
 		if err == nil && got != c.want {
 			t.Errorf("parsePastTick(%q) = %d, want %d", c.in, got, c.want)
-		}
-	}
-}
-
-func TestParseMethodEdgeCases(t *testing.T) {
-	cases := []struct {
-		in      string
-		want    core.Method
-		wantErr bool
-	}{
-		{"", core.FR, false},
-		{"fr", core.FR, false},
-		{"FR", core.FR, false}, // case-insensitive
-		{"Pa", core.PA, false},
-		{"dh-opt", core.DHOptimistic, false},
-		{"DH-PESS", core.DHPessimistic, false},
-		{"bf", core.BruteForce, false},
-		{"dh", 0, true},
-		{"brute", 0, true},
-		{" fr", 0, true}, // no trimming: the URL layer already decoded
-	}
-	for _, c := range cases {
-		got, err := parseMethod(c.in)
-		if (err != nil) != c.wantErr {
-			t.Errorf("parseMethod(%q) error = %v, wantErr %v", c.in, err, c.wantErr)
-			continue
-		}
-		if err == nil && got != c.want {
-			t.Errorf("parseMethod(%q) = %v, want %v", c.in, got, c.want)
 		}
 	}
 }

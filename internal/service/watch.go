@@ -11,10 +11,11 @@ import (
 )
 
 // WatchRequest is the body of POST /v1/watch: register a standing PDR query
-// re-evaluated on each update tick.
+// re-evaluated on each update tick. The threshold follows /v1/query's rule:
+// rho when present, else varrho; one of them is required.
 type WatchRequest struct {
-	Rho    float64     `json:"rho,omitempty"`
-	Varrho float64     `json:"varrho,omitempty"`
+	Rho    *float64    `json:"rho,omitempty"`
+	Varrho *float64    `json:"varrho,omitempty"`
 	L      float64     `json:"l"`
 	Ahead  motion.Tick `json:"ahead"`
 	Every  motion.Tick `json:"every"`
@@ -99,15 +100,15 @@ func (s *Service) handleWatch(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	method, err := parseMethod(req.Method)
+	method, err := core.ParseMethod(req.Method)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	rho := req.Rho
-	if rho == 0 && req.Varrho != 0 {
-		area := s.srv.Config().Area
-		rho = float64(s.srv.NumObjects()) * req.Varrho / area.Area()
+	rho, err := s.threshold(req.Rho, req.Varrho)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
 	id, err := s.mon.Register(monitor.ContinuousQuery{
 		Rho: rho, L: req.L, Ahead: req.Ahead, Every: req.Every, Method: method,

@@ -124,5 +124,5 @@ func NewDelete(old State, now Tick) Update { return motion.NewDelete(old, now) }
 // (1..5 in the evaluation) to an absolute density for n objects over area:
 // rho = n * varrho / area.
 func RelativeThreshold(n int, varrho float64, area Rect) float64 {
-	return float64(n) * varrho / area.Area()
+	return core.RelativeThreshold(n, varrho, area)
 }
