@@ -41,19 +41,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	w := stdout
+	var f *os.File
 	if *out != "-" {
-		f, err := os.Create(*out)
-		if err != nil {
+		var err error
+		if f, err = os.Create(*out); err != nil {
 			fmt.Fprintln(stderr, "pdrgen:", err)
 			return 1
 		}
-		defer f.Close()
 		w = f
 	}
 
 	cfg := datagen.DefaultConfig(*n)
 	cfg.Seed = *seed
 	updates, err := generate(w, cfg, *ticks)
+	if f != nil {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
 	if err != nil {
 		fmt.Fprintln(stderr, "pdrgen:", err)
 		return 1

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -15,17 +17,29 @@ import (
 // must leave it alone.
 const smallWorkloadSHA256 = "e5d56a3c30ba199c52247d3633480cab5d68df1c82207dae8cf82f439728a2c9"
 
+// TestOutputDigest checks the digest of what pdrgen writes to stdout and to
+// a file.
 func TestOutputDigest(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-n", "2000", "-ticks", "10", "-seed", "1", "-o", "-"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("exit %d, stderr:\n%s", code, stderr.String())
-	}
-	sum := sha256.Sum256(stdout.Bytes())
-	if got := hex.EncodeToString(sum[:]); got != smallWorkloadSHA256 {
-		t.Errorf("output sha256 = %s, want %s (%d bytes)", got, smallWorkloadSHA256, stdout.Len())
-	}
-	if want := "pdrgen: wrote 2000 objects, 10 ticks, 1286 updates\n"; stderr.String() != want {
-		t.Errorf("stderr = %q, want %q", stderr.String(), want)
+	path := filepath.Join(t.TempDir(), "wl.jsonl")
+	for _, out := range []string{"-", path} {
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-n", "2000", "-ticks", "10", "-seed", "1", "-o", out}, &stdout, &stderr); code != 0 {
+			t.Fatalf("-o %s: exit %d, stderr:\n%s", out, code, stderr.String())
+		}
+		written := stdout.Bytes()
+		if out != "-" {
+			var err error
+			if written, err = os.ReadFile(out); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sum := sha256.Sum256(written)
+		if got := hex.EncodeToString(sum[:]); got != smallWorkloadSHA256 {
+			t.Errorf("-o %s: output sha256 = %s, want %s (%d bytes)", out, got, smallWorkloadSHA256, len(written))
+		}
+		if want := "pdrgen: wrote 2000 objects, 10 ticks, 1286 updates\n"; stderr.String() != want {
+			t.Errorf("-o %s: stderr = %q, want %q", out, stderr.String(), want)
+		}
 	}
 }
 
