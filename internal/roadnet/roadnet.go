@@ -72,7 +72,6 @@ type Network struct {
 	adj   [][]halfEdge
 	hubs  []NodeID  // high-attraction destinations
 	hubW  []float64 // cumulative hub weights for sampling
-	area  geom.Rect
 }
 
 // The synthesized network: a gridN x gridN street grid over the area with
@@ -93,7 +92,6 @@ func New(area geom.Rect, seed int64) (*Network, error) {
 	net := &Network{
 		nodes: make([]geom.Point, n*n),
 		adj:   make([][]halfEdge, n*n),
-		area:  area,
 	}
 	dx := area.Width() / float64(n-1)
 	dy := area.Height() / float64(n-1)
@@ -192,18 +190,6 @@ func (net *Network) promote(a, b NodeID, c Class) {
 		net.connect(a, b, c)
 	}
 }
-
-// NumNodes returns the number of nodes in the network.
-func (net *Network) NumNodes() int { return len(net.nodes) }
-
-// NodePos returns the location of node v.
-func (net *Network) NodePos(v NodeID) geom.Point { return net.nodes[v] }
-
-// Area returns the bounding region of the network.
-func (net *Network) Area() geom.Rect { return net.area }
-
-// Degree returns the number of edges incident to v.
-func (net *Network) Degree(v NodeID) int { return len(net.adj[v]) }
 
 // RandomNode samples a node uniformly.
 func (net *Network) RandomNode(rng *rand.Rand) NodeID {

@@ -26,16 +26,15 @@ func TestNewValidation(t *testing.T) {
 
 func TestNetworkStructure(t *testing.T) {
 	net := testNet(t)
-	if got, want := net.NumNodes(), 32*32; got != want {
-		t.Fatalf("NumNodes = %d, want %d", got, want)
+	if got, want := len(net.nodes), 32*32; got != want {
+		t.Fatalf("%d nodes, want %d", got, want)
 	}
-	area := net.Area()
-	for v := 0; v < net.NumNodes(); v++ {
-		p := net.NodePos(NodeID(v))
+	area := testArea()
+	for v, p := range net.nodes {
 		if !area.ContainsClosed(p) {
 			t.Fatalf("node %d at %v outside area %v", v, p, area)
 		}
-		if net.Degree(NodeID(v)) == 0 {
+		if len(net.adj[v]) == 0 {
 			t.Fatalf("node %d has no edges", v)
 		}
 	}
@@ -43,7 +42,7 @@ func TestNetworkStructure(t *testing.T) {
 
 func TestAdjacencySymmetry(t *testing.T) {
 	net := testNet(t)
-	for a := 0; a < net.NumNodes(); a++ {
+	for a := 0; a < len(net.nodes); a++ {
 		for _, he := range net.adj[a] {
 			found := false
 			for _, back := range net.adj[he.to] {
@@ -62,7 +61,7 @@ func TestAdjacencySymmetry(t *testing.T) {
 func TestNetworkHasAllClasses(t *testing.T) {
 	net := testNet(t)
 	seen := map[Class]bool{}
-	for a := 0; a < net.NumNodes(); a++ {
+	for a := 0; a < len(net.nodes); a++ {
 		for _, he := range net.adj[a] {
 			seen[he.class] = true
 		}
@@ -107,7 +106,7 @@ func TestTravelerStaysOnNetworkAndInArea(t *testing.T) {
 	tr := NewTraveler(net, rng, 1.2)
 	for step := 0; step < 2000; step++ {
 		p := tr.Pos(net)
-		if !net.Area().ContainsClosed(p) {
+		if !testArea().ContainsClosed(p) {
 			t.Fatalf("step %d: traveler at %v left the area", step, p)
 		}
 		tr.Step(net, rng)
@@ -164,7 +163,7 @@ func TestNextHopAvoidsUTurn(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 200; trial++ {
 		from := net.RandomNode(rng)
-		if net.Degree(from) < 2 {
+		if len(net.adj[from]) < 2 {
 			continue
 		}
 		prev := net.adj[from][0].to
@@ -192,7 +191,7 @@ func TestDistributionIsSkewed(t *testing.T) {
 	}
 	const g = 10
 	var cells [g * g]int
-	area := net.Area()
+	area := testArea()
 	for i := range trs {
 		p := trs[i].Pos(net)
 		cx := int((p.X - area.MinX) / area.Width() * g)
