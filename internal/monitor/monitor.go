@@ -122,10 +122,19 @@ func (m *Monitor) Register(q ContinuousQuery) (int, error) {
 	if q.Every <= 0 {
 		q.Every = 1
 	}
-	// What Check refuses does not depend on the clock once Ahead is within
-	// the window, so one check stands for every later evaluation.
-	if err := m.srv.Check(core.Query{Rho: q.Rho, L: q.L, At: m.srv.Now() + q.Ahead}, q.Method); err != nil {
-		return 0, err
+	// Once Ahead is within the window, what Check refuses does not depend on
+	// the clock, so one check stands for every later evaluation. The check
+	// itself is made at one clock: a tick that lands between reading the
+	// clock and checking moves the window past now+Ahead, so it is redone.
+	for {
+		now := m.srv.Now()
+		err := m.srv.Check(core.Query{Rho: q.Rho, L: q.L, At: now + q.Ahead}, q.Method)
+		if err == nil {
+			break
+		}
+		if m.srv.Now() == now {
+			return 0, err
+		}
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
