@@ -10,6 +10,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -21,76 +22,102 @@ import (
 )
 
 func main() {
-	var (
-		data    = flag.String("data", "", "workload file from pdrgen (required)")
-		method  = flag.String("method", "fr", "query method: fr, pa, dh-opt, dh-pess, bf")
-		varrho  = flag.Float64("varrho", 3, "relative density threshold (paper's 1..5)")
-		l       = flag.Float64("l", 60, "neighborhood edge length")
-		at      = flag.String("at", "now", "query timestamp: now, now+K, or an absolute tick")
-		showMap = flag.Bool("map", false, "print an ASCII map of the dense region")
-		rects   = flag.Bool("rects", false, "print every dense rectangle")
-		plan    = flag.Bool("plan", false, "show the planner's method recommendation first")
-	)
-	flag.Parse()
-	if *data == "" {
-		fmt.Fprintln(os.Stderr, "pdrquery: -data is required")
-		flag.Usage()
-		os.Exit(2)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
+// run is main with the process edges (args, stdio, exit status) made
+// testable.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("pdrquery", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var o options
+	fs.StringVar(&o.data, "data", "", "workload file from pdrgen (required)")
+	fs.StringVar(&o.method, "method", "fr", "query method: fr, pa, dh-opt, dh-pess, bf")
+	fs.Float64Var(&o.varrho, "varrho", 3, "relative density threshold (paper's 1..5)")
+	fs.Float64Var(&o.l, "l", 60, "neighborhood edge length")
+	fs.StringVar(&o.at, "at", "now", "query timestamp: now, now+K, or an absolute tick")
+	fs.BoolVar(&o.showMap, "map", false, "print an ASCII map of the dense region")
+	fs.BoolVar(&o.rects, "rects", false, "print every dense rectangle")
+	fs.BoolVar(&o.plan, "plan", false, "show the planner's method recommendation first")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if o.data == "" {
+		fmt.Fprintln(stderr, "pdrquery: -data is required")
+		fs.Usage()
+		return 2
+	}
+	if err := query(stdout, o); err != nil {
+		fmt.Fprintln(stderr, "pdrquery:", err)
+		return 1
+	}
+	return 0
+}
+
+// options are pdrquery's flags.
+type options struct {
+	data, method, at string
+	varrho, l        float64
+	showMap, rects   bool
+	plan             bool
+}
+
+// query loads the workload file, answers one snapshot query and prints it.
+func query(stdout io.Writer, o options) error {
 	cfg := core.DefaultConfig()
-	cfg.L = *l
+	cfg.L = o.l
 	srv, err := core.NewServer(cfg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	f, err := os.Open(*data)
+	f, err := os.Open(o.data)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	records, err := wire.Replay(f, srv)
 	f.Close()
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("loaded %d records; %d live objects at tick %d\n", records, srv.NumObjects(), srv.Now())
+	fmt.Fprintf(stdout, "loaded %d records; %d live objects at tick %d\n", records, srv.NumObjects(), srv.Now())
 
-	qt, err := parseAt(*at, srv.Now())
+	qt, err := parseAt(o.at, srv.Now())
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	m, err := core.ParseMethod(*method)
+	m, err := core.ParseMethod(o.method)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	rho := core.RelativeThreshold(srv.NumObjects(), *varrho, cfg.Area)
-	if *plan {
-		p, err := srv.Recommend(core.Query{Rho: rho, L: *l, At: qt}, true)
+	rho := core.RelativeThreshold(srv.NumObjects(), o.varrho, cfg.Area)
+	if o.plan {
+		p, err := srv.Recommend(core.Query{Rho: rho, L: o.l, At: qt}, true)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("planner: %s — %s\n", p.Method, p.Reason)
+		fmt.Fprintf(stdout, "planner: %s — %s\n", p.Method, p.Reason)
 	}
-	res, err := srv.Snapshot(core.Query{Rho: rho, L: *l, At: qt}, m)
+	res, err := srv.Snapshot(core.Query{Rho: rho, L: o.l, At: qt}, m)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("method=%s rho=%.6g l=%g qt=%d\n", res.Method, rho, *l, qt)
-	fmt.Printf("dense region: %d rects, area %.1f (%.3f%% of the plane)\n",
+	fmt.Fprintf(stdout, "method=%s rho=%.6g l=%g qt=%d\n", res.Method, rho, o.l, qt)
+	fmt.Fprintf(stdout, "dense region: %d rects, area %.1f (%.3f%% of the plane)\n",
 		len(res.Region), res.Area, 100*res.Area/cfg.Area.Area())
-	fmt.Printf("cost: cpu=%v ios=%d io-time=%v total=%v\n", res.CPU, res.IOs, res.IOTime, res.Total())
+	fmt.Fprintf(stdout, "cost: cpu=%v ios=%d io-time=%v total=%v\n", res.CPU, res.IOs, res.IOTime, res.Total())
 	if res.Method == core.FR {
-		fmt.Printf("filter: accepted=%d rejected=%d candidates=%d objects-retrieved=%d\n",
+		fmt.Fprintf(stdout, "filter: accepted=%d rejected=%d candidates=%d objects-retrieved=%d\n",
 			res.Accepted, res.Rejected, res.Candidates, res.ObjectsRetrieved)
 	}
-	if *rects {
+	if o.rects {
 		for _, r := range res.Region {
-			fmt.Println(" ", r)
+			fmt.Fprintln(stdout, " ", r)
 		}
 	}
-	if *showMap {
-		printMap(os.Stdout, res.Region, cfg.Area, 60, 30)
+	if o.showMap {
+		printMap(stdout, res.Region, cfg.Area, 60, 30)
 	}
+	return nil
 }
 
 func parseAt(s string, now motion.Tick) (motion.Tick, error) {
@@ -113,7 +140,7 @@ func parseAt(s string, now motion.Tick) (motion.Tick, error) {
 }
 
 // printMap renders the dense region as a w x h ASCII grid.
-func printMap(out *os.File, region geom.Region, area geom.Rect, w, h int) {
+func printMap(out io.Writer, region geom.Region, area geom.Rect, w, h int) {
 	for row := h - 1; row >= 0; row-- {
 		var sb strings.Builder
 		for col := 0; col < w; col++ {
@@ -129,9 +156,4 @@ func printMap(out *os.File, region geom.Region, area geom.Rect, w, h int) {
 		}
 		fmt.Fprintln(out, sb.String())
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "pdrquery:", err)
-	os.Exit(1)
 }
