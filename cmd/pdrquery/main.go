@@ -38,7 +38,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&o.at, "at", "now", "query timestamp: now, now+K, or an absolute tick")
 	fs.BoolVar(&o.showMap, "map", false, "print an ASCII map of the dense region")
 	fs.BoolVar(&o.rects, "rects", false, "print every dense rectangle")
-	fs.BoolVar(&o.plan, "plan", false, "show the planner's method recommendation first")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -59,7 +58,6 @@ type options struct {
 	data, method, at string
 	varrho, l        float64
 	showMap, rects   bool
-	plan             bool
 }
 
 // query loads the workload file, answers one snapshot query and prints it.
@@ -90,13 +88,6 @@ func query(stdout io.Writer, o options) error {
 		return err
 	}
 	rho := core.RelativeThreshold(srv.NumObjects(), o.varrho, cfg.Area)
-	if o.plan {
-		p, err := srv.Recommend(core.Query{Rho: rho, L: o.l, At: qt}, true)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "planner: %s — %s\n", p.Method, p.Reason)
-	}
 	res, err := srv.Snapshot(core.Query{Rho: rho, L: o.l, At: qt}, m)
 	if err != nil {
 		return err

@@ -107,15 +107,6 @@ func TestEndToEndPipeline(t *testing.T) {
 		}
 	}
 
-	// The planner's recommendation must execute.
-	plan, err := srv.Recommend(q, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := srv.Snapshot(q, plan.Method); err != nil {
-		t.Fatalf("recommended method %v failed: %v", plan.Method, err)
-	}
-
 	// Historical reconstruction at the early tick matches what was measured
 	// live.
 	past, err := srv.PastSnapshot(Query{Rho: relRho(10000, 2), L: 60, At: earlyTick})

@@ -8,8 +8,8 @@ import (
 	"pdr/internal/motion"
 )
 
-// TestConcurrentQueryTickStress fires a mix of Snapshot, Interval, and
-// Recommend readers concurrently with a writer advancing the clock. It
+// TestConcurrentQueryTickStress fires a mix of FR Snapshot, Interval, and
+// PA Snapshot readers concurrently with a writer advancing the clock. It
 // asserts nothing about answers — its job is to give the race detector a
 // workload where the engine lock, the pool's LRU, the sweep scratch pool,
 // and the worker pool all contend at once. Readers tolerate engine
@@ -43,8 +43,8 @@ func TestConcurrentQueryTickStress(t *testing.T) {
 						t.Errorf("reader %d: interval: %v", r, err)
 					}
 				case 2:
-					if _, err := s.Recommend(q, true); err != nil && !isEngineReject(err) {
-						t.Errorf("reader %d: recommend: %v", r, err)
+					if _, err := s.Snapshot(q, PA); err != nil && !isEngineReject(err) {
+						t.Errorf("reader %d: pa snapshot: %v", r, err)
 					}
 				}
 			}

@@ -101,9 +101,6 @@ const (
 	BruteForce = core.BruteForce
 )
 
-// Plan is a method recommendation from Server.Recommend.
-type Plan = core.Plan
-
 // NewServer builds a PDR server.
 func NewServer(cfg Config) (*Server, error) { return core.NewServer(cfg) }
 
