@@ -1,10 +1,13 @@
 // Command pdrquery loads a workload file produced by pdrgen and answers
 // ad-hoc pointwise-dense-region queries with any of the paper's methods,
-// printing the dense rectangles (or an ASCII density map).
+// printing the dense rectangles (or an ASCII density map). With -svg it also
+// renders the answer as an SVG — the repository's equivalent of the paper's
+// Fig. 7 plots: the dense rectangles, their outline rings, the PA contour at
+// the threshold and the objects' positions at the query time.
 //
 // Usage:
 //
-//	pdrquery -data workload.jsonl -method fr -varrho 3 -l 60 [-at now+10] [-map]
+//	pdrquery -data workload.jsonl -method fr -varrho 3 -l 60 [-at now+10] [-map] [-svg dense.svg]
 package main
 
 import (
@@ -18,6 +21,7 @@ import (
 	"pdr/internal/core"
 	"pdr/internal/geom"
 	"pdr/internal/motion"
+	"pdr/internal/viz"
 	"pdr/internal/wire"
 )
 
@@ -38,6 +42,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&o.at, "at", "now", "query timestamp: now, now+K, or an absolute tick")
 	fs.BoolVar(&o.showMap, "map", false, "print an ASCII map of the dense region")
 	fs.BoolVar(&o.rects, "rects", false, "print every dense rectangle")
+	fs.StringVar(&o.svg, "svg", "", "also render the answer as an SVG to this file (- for stdout, the text then going to stderr)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -46,7 +51,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-	if err := query(stdout, o); err != nil {
+	if err := query(stdout, stderr, o); err != nil {
 		fmt.Fprintln(stderr, "pdrquery:", err)
 		return 1
 	}
@@ -56,12 +61,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 // options are pdrquery's flags.
 type options struct {
 	data, method, at string
+	svg              string
 	varrho, l        float64
 	showMap, rects   bool
 }
 
-// query loads the workload file, answers one snapshot query and prints it.
-func query(stdout io.Writer, o options) error {
+// query loads the workload file, answers one snapshot query and prints it,
+// to stderr when the SVG goes to stdout.
+func query(stdout, stderr io.Writer, o options) error {
+	text := stdout
+	if o.svg == "-" {
+		text = stderr
+	}
 	cfg := core.DefaultConfig()
 	cfg.L = o.l
 	srv, err := core.NewServer(cfg)
@@ -77,7 +88,7 @@ func query(stdout io.Writer, o options) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "loaded %d records; %d live objects at tick %d\n", records, srv.NumObjects(), srv.Now())
+	fmt.Fprintf(text, "loaded %d records; %d live objects at tick %d\n", records, srv.NumObjects(), srv.Now())
 
 	qt, err := parseAt(o.at, srv.Now())
 	if err != nil {
@@ -92,23 +103,63 @@ func query(stdout io.Writer, o options) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "method=%s rho=%.6g l=%g qt=%d\n", res.Method, rho, o.l, qt)
-	fmt.Fprintf(stdout, "dense region: %d rects, area %.1f (%.3f%% of the plane)\n",
+	fmt.Fprintf(text, "method=%s rho=%.6g l=%g qt=%d\n", res.Method, rho, o.l, qt)
+	fmt.Fprintf(text, "dense region: %d rects, area %.1f (%.3f%% of the plane)\n",
 		len(res.Region), res.Area, 100*res.Area/cfg.Area.Area())
-	fmt.Fprintf(stdout, "cost: cpu=%v ios=%d io-time=%v total=%v\n", res.CPU, res.IOs, res.IOTime, res.Total())
+	fmt.Fprintf(text, "cost: cpu=%v ios=%d io-time=%v total=%v\n", res.CPU, res.IOs, res.IOTime, res.Total())
 	if res.Method == core.FR {
-		fmt.Fprintf(stdout, "filter: accepted=%d rejected=%d candidates=%d objects-retrieved=%d\n",
+		fmt.Fprintf(text, "filter: accepted=%d rejected=%d candidates=%d objects-retrieved=%d\n",
 			res.Accepted, res.Rejected, res.Candidates, res.ObjectsRetrieved)
 	}
 	if o.rects {
 		for _, r := range res.Region {
-			fmt.Fprintln(stdout, " ", r)
+			fmt.Fprintln(text, " ", r)
 		}
 	}
 	if o.showMap {
-		printMap(stdout, res.Region, cfg.Area, 60, 30)
+		printMap(text, res.Region, cfg.Area, 60, 30)
 	}
-	return nil
+	if o.svg == "" {
+		return nil
+	}
+	segs, err := srv.Contours(qt, rho, svgContourRes)
+	if err != nil {
+		return err
+	}
+	scene := &viz.Scene{
+		Area:   cfg.Area,
+		Title:  fmt.Sprintf("PDR %s: rho=%.4g l=%g t=%d (%d rects)", res.Method, rho, o.l, qt, len(res.Region)),
+		Region: res.Region,
+		Rings:  res.Region.Outline(),
+	}
+	for _, st := range srv.LiveStates() {
+		if p := st.PositionAt(qt); cfg.Area.Contains(p) {
+			scene.Points = append(scene.Points, p)
+		}
+	}
+	for _, sg := range segs {
+		scene.Contours = append(scene.Contours, viz.Segment{A: sg.A, B: sg.B})
+	}
+	return writeSVG(stdout, o.svg, scene)
+}
+
+// svgContourRes is the sampling resolution of the SVG's contour.
+const svgContourRes = 128
+
+// writeSVG renders scene to the file at path, or to stdout for "-".
+func writeSVG(stdout io.Writer, path string, scene *viz.Scene) error {
+	if path == "-" {
+		return scene.WriteSVG(stdout)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = scene.WriteSVG(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 func parseAt(s string, now motion.Tick) (motion.Tick, error) {

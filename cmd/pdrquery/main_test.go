@@ -22,9 +22,9 @@ import (
 const workloadSHA256 = "e5d56a3c30ba199c52247d3633480cab5d68df1c82207dae8cf82f439728a2c9"
 
 // svgSHA256 is the digest, per method, of the SVG the separate rendering
-// command wrote before it became -svg: `-method M -varrho 3 -l 60 -ahead 10`
-// over pdrgen's workload above. -svg with -at now+10 must write the same
-// bytes.
+// command (pdrviz) wrote before it became -svg: `pdrviz -method M -varrho 3
+// -l 60 -ahead 10` over pdrgen's workload above. -svg with -at now+10 writes
+// the same bytes.
 var svgSHA256 = map[string]string{
 	"fr": "c614929ddc72a8832eefc0303a170b4fad8a1fb42fa7a0382753fef47c0f5d04",
 	"pa": "8f56c9f9c414af8390c4915cca03a086d82f75703bed63078487d600114c04b4",
@@ -120,6 +120,46 @@ func TestSummaryMatchesSnapshot(t *testing.T) {
 				t.Errorf("%s: stdout lacks %q:\n%s", m, want, stdout.String())
 			}
 		}
+	}
+}
+
+// TestSVGMatchesRecordedDigest checks that -svg writes, byte for byte, the
+// SVG recorded in svgSHA256, to a file and to stdout.
+func TestSVGMatchesRecordedDigest(t *testing.T) {
+	dir := t.TempDir()
+	path := writeWorkload(t, dir)
+	for _, m := range []string{"fr", "pa"} {
+		file := filepath.Join(dir, m+".svg")
+		for _, out := range []string{file, "-"} {
+			var stdout, stderr bytes.Buffer
+			args := []string{"-data", path, "-method", m, "-varrho", "3", "-l", "60", "-at", "now+10", "-svg", out}
+			if code := run(args, &stdout, &stderr); code != 0 {
+				t.Fatalf("%v: exit %d, stderr:\n%s", args, code, stderr.String())
+			}
+			svg := stdout.Bytes()
+			if out != "-" {
+				var err error
+				if svg, err = os.ReadFile(out); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if sum := sha256.Sum256(svg); hex.EncodeToString(sum[:]) != svgSHA256[m] {
+				t.Errorf("-method %s -svg %s: sha256 = %x, want %s (%d bytes)", m, out, sum, svgSHA256[m], len(svg))
+			}
+		}
+	}
+}
+
+func TestSVGCreateErrorExits1(t *testing.T) {
+	dir := t.TempDir()
+	path := writeWorkload(t, dir)
+	var stdout, stderr bytes.Buffer
+	args := []string{"-data", path, "-svg", filepath.Join(dir, "no-such-dir", "out.svg")}
+	if code := run(args, &stdout, &stderr); code != 1 {
+		t.Fatalf("exit %d, want 1; stderr:\n%s", code, stderr.String())
+	}
+	if !strings.HasPrefix(stderr.String(), "pdrquery: ") {
+		t.Errorf("stderr = %q", stderr.String())
 	}
 }
 

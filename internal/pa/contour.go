@@ -23,7 +23,7 @@ func (s *Surface) Contours(qt motion.Tick, level float64, res int) ([]ContourSeg
 	}
 	// The sampling allocates (res+1)² densities and evaluates the series at
 	// each under the caller's read lock, so res is bounded above as well:
-	// 1024 is 8x the largest in-tree caller (pdrviz's 128).
+	// 1024 is 8x the largest in-tree caller (pdrquery -svg's 128).
 	const maxRes = 1024
 	if res < 2 || res > maxRes {
 		return nil, fmt.Errorf("pa: contour resolution must be in [2, %d], got %d", maxRes, res)
