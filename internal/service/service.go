@@ -40,6 +40,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -384,7 +385,7 @@ type PointJSON struct {
 //	l        neighborhood edge (required)
 //	at       now | now+K | absolute tick            (default now)
 //	until    optional: interval query end (same forms as at)
-//	outline  1 to include rectilinear boundary rings
+//	outline  1 to include rectilinear boundary rings (422 over maxOutlineCells)
 func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 	qp := r.URL.Query()
 	method, err := core.ParseMethod(qp.Get("method"))
@@ -403,8 +404,24 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	annotateQuery(r, ans)
-	writeQueryReply(w, r, ans, qp.Get("outline") == "1")
+	outline := qp.Get("outline") == "1"
+	if outline {
+		if n := ans.res.Region.OutlineCells(); n > maxOutlineCells {
+			httpError(w, http.StatusUnprocessableEntity,
+				"outline of %d rects needs a %d-cell grid, over the bound of %d cells", len(ans.res.Region), n, maxOutlineCells)
+			return
+		}
+	}
+	writeQueryReply(w, r, ans, outline)
 }
+
+// maxOutlineCells bounds the grid an outline=1 reply rasterizes (a bool per
+// cell, geom.Region.OutlineCells). It admits every FR snapshot of pdrgen's
+// 20,000-object data set (the largest, l=30 varrho=2, is 65M cells and takes
+// under a second), and refuses intervals: their per-timestamp rectangles
+// multiply the grid lines, so one 9-timestamp FR interval at l=30 varrho=3
+// would allocate a 3G-cell grid.
+const maxOutlineCells = 1 << 26
 
 // atClock runs a request whose timestamps are relative to the engine's
 // clock: run resolves them against now and calls the engine, answering with
@@ -468,8 +485,9 @@ type ContourResponse struct {
 
 func (s *Service) handleContours(w http.ResponseWriter, r *http.Request) {
 	qp := r.URL.Query()
+	// ParseFloat reads NaN and Inf, which the reply could not encode.
 	level, err := strconv.ParseFloat(qp.Get("level"), 64)
-	if err != nil {
+	if err != nil || math.IsNaN(level) || math.IsInf(level, 0) {
 		httpError(w, http.StatusBadRequest, "bad level %q", qp.Get("level"))
 		return
 	}

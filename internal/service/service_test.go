@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"pdr/internal/cache"
 	"pdr/internal/core"
 	"pdr/internal/datagen"
+	"pdr/internal/geom"
 	"pdr/internal/motion"
 	"pdr/internal/wire"
 )
@@ -306,14 +308,16 @@ func TestContoursEndpoint(t *testing.T) {
 		"/v1/contours?level=1&res=1",      // res too small
 		"/v1/contours?level=1&res=100000", // res too large: 80 GB of samples
 		"/v1/contours?level=1&at=9999",    // out of window
+		"/v1/contours?level=NaN",          // ParseFloat reads it; JSON cannot carry it
+		"/v1/contours?level=Inf",
 	} {
 		resp, err := http.Get(ts.URL + u)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode == http.StatusOK {
-			t.Errorf("%s unexpectedly succeeded", u)
+		if resp.StatusCode < 400 || resp.StatusCode >= 500 {
+			t.Errorf("%s: status %d, want a 4xx", u, resp.StatusCode)
 		}
 	}
 }
@@ -796,4 +800,49 @@ func TestApplyEndpoint(t *testing.T) {
 			t.Fatalf("state-record apply status %d, want %d", r3.StatusCode, http.StatusBadRequest)
 		}
 	})
+}
+
+// TestOutlineGridIsBounded checks that an outline=1 query whose answer would
+// rasterize onto more than maxOutlineCells cells is refused with a 422 that
+// names the bound, and that the same query without outline=1 is answered.
+// Objects stand still on a diagonal, so every object's neighborhood edges
+// are distinct grid lines in both x and y: 4,400 objects give a grid of
+// about 8,800² cells, over the bound, from an answer of a few thousand
+// rectangles.
+func TestOutlineGridIsBounded(t *testing.T) {
+	_, ts := testService(t)
+	var req LoadRequest
+	for i := 0; i < 4400; i++ {
+		p := 100 + 0.17*float64(i)
+		st := motion.State{ID: motion.ObjectID(i + 1), Pos: geom.Point{X: p, Y: p}}
+		req.States = append(req.States, wire.FromState(wire.KindState, st, 0))
+	}
+	body, _ := json.Marshal(req)
+	if code, b, _ := post(t, ts, "/v1/load", string(body)); code != http.StatusOK {
+		t.Fatalf("load: %d %s", code, b)
+	}
+	const q = "/v1/query?method=fr&l=60&rho=0.03"
+	var qr QueryResponse
+	if resp := getJSON(t, ts.URL+q, &qr); resp.StatusCode != http.StatusOK {
+		t.Fatalf("without outline: status %d", resp.StatusCode)
+	}
+	region := make(geom.Region, len(qr.Rects))
+	for i, r := range qr.Rects {
+		region[i] = geom.NewRect(r.MinX, r.MinY, r.MaxX, r.MaxY)
+	}
+	if cells := region.OutlineCells(); cells <= maxOutlineCells {
+		t.Fatalf("answer's outline grid is %d cells, not over the bound %d", cells, maxOutlineCells)
+	}
+	resp, err := http.Get(ts.URL + q + "&outline=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var eb errorBody
+	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(eb.Error, strconv.Itoa(maxOutlineCells)) {
+		t.Errorf("outline=1: status %d, error %q; want 422 naming the bound %d", resp.StatusCode, eb.Error, maxOutlineCells)
+	}
 }
