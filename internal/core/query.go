@@ -553,16 +553,16 @@ func (s *Server) PastSnapshotTraced(q Query, sp *telemetry.Span) (*Result, error
 	if err := CheckParams(q.Rho, q.L); err != nil {
 		return nil, s.failed(err)
 	}
-	res := &Result{Method: BruteForce}
 	esp := sp.Child("past")
 	esp.SetAttrInt("at", int64(q.At))
-	sw := stopwatch.Start()
-	s.snapshotBFLocked(q, res, esp)
-	res.Area = geom.DisjointArea(res.Region)
-	res.CPU = sw.Elapsed()
-	res.Wall = res.CPU
-	res.Phases = esp.PhaseSummary()
+	// No I/O to track: the brute force reads no page, and the pool counters
+	// are engine-global, so a concurrent FR query's reads would be charged
+	// here.
+	res, err := s.evaluateLocked(q, BruteForce, false, esp)
 	esp.End()
+	if err != nil {
+		return nil, s.failed(err)
+	}
 	return res, nil
 }
 
