@@ -415,12 +415,12 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 	writeQueryReply(w, r, ans, outline)
 }
 
-// maxOutlineCells bounds the grid an outline=1 reply rasterizes (a bool per
-// cell, geom.Region.OutlineCells). It admits every FR snapshot of pdrgen's
-// 20,000-object data set (the largest, l=30 varrho=2, is 65M cells and takes
-// under a second), and refuses intervals: their per-timestamp rectangles
-// multiply the grid lines, so one 9-timestamp FR interval at l=30 varrho=3
-// would allocate a 3G-cell grid.
+// maxOutlineCells bounds the grid an outline=1 reply rasterizes, a bool per
+// cell (geom.Region.OutlineCells). It admits every FR snapshot of pdrgen's
+// 20,000-object data set: the largest, at l=30 varrho=2, is 65M cells and
+// rasterizes in under a second. What it stops is intervals: their
+// per-timestamp rectangles multiply the grid lines, and one 9-timestamp FR
+// interval at l=30 varrho=3 over the same data would allocate a 3G-cell grid.
 const maxOutlineCells = 1 << 26
 
 // atClock runs a request whose timestamps are relative to the engine's
