@@ -49,7 +49,18 @@ func CoalesceInPlace(g Region) Region {
 
 // coalesceWork runs the two merge passes over the (owned) working slice.
 func coalesceWork(work Region) Region {
-	return stackColumns(mergeBands(work))
+	sortBands(work)
+	return CoalesceBandOrdered(work)
+}
+
+// CoalesceBandOrdered is CoalesceInPlace for a caller whose rectangles are
+// already in pass 1's order — ascending (MinY, MaxY, MinX), none empty — and
+// so skips pass 1's sort: the PA branch-and-bound knows each emitted box's
+// band and orders them by counting. The input is consumed and the result
+// aliases it, as with CoalesceInPlace; for disjoint rectangles it is
+// CoalesceInPlace's result rectangle for rectangle.
+func CoalesceBandOrdered(g Region) Region {
+	return stackColumns(mergeRuns(g))
 }
 
 // compare3 orders by three keys in turn: as cmp.Compare would for every
@@ -73,15 +84,27 @@ func compare3(a1, b1, a2, b2, a3, b3 float64) int {
 	return 0
 }
 
-// mergeBands is pass 1: sort by (MinY, MaxY, MinX) and merge horizontal runs
-// within (MinY, MaxY) bands, in place. It returns the merged prefix.
-func mergeBands(work Region) Region {
-	if len(work) < 2 {
-		return work
-	}
+// sortBands puts work in pass 1's order: by (MinY, MaxY, MinX).
+func sortBands(work Region) {
 	slices.SortFunc(work, func(a, b Rect) int {
 		return compare3(a.MinY, b.MinY, a.MaxY, b.MaxY, a.MinX, b.MinX)
 	})
+}
+
+// mergeBands is pass 1: sort by (MinY, MaxY, MinX) and merge horizontal runs
+// within (MinY, MaxY) bands, in place. It returns the merged prefix.
+func mergeBands(work Region) Region {
+	sortBands(work)
+	return mergeRuns(work)
+}
+
+// mergeRuns is pass 1's merge over work in pass 1's order: touching runs of
+// one (MinY, MaxY) band become one rectangle, in place. It returns the
+// merged prefix.
+func mergeRuns(work Region) Region {
+	if len(work) < 2 {
+		return work
+	}
 	merged := work[:1]
 	for _, r := range work[1:] {
 		last := &merged[len(merged)-1]

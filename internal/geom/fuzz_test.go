@@ -2,6 +2,7 @@ package geom
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -41,6 +42,71 @@ func FuzzOutlineAreaIdentity(f *testing.F) {
 		// Subtract identity on the same data: g \ g is empty.
 		if d := Subtract(g, g); d.Area() != 0 {
 			t.Fatalf("g \\ g has area %g", d.Area())
+		}
+	})
+}
+
+// FuzzCoalesceBandOrderedMatchesInPlace derives a quadtree soup from fuzz
+// bytes — disjoint dyadic boxes over a row-major grid of cells, mapped to the
+// plane as the PA branch-and-bound maps them, in the order it emits them —
+// groups it by band with a stable sort on (MinY, MaxY) alone, and requires
+// CoalesceBandOrdered of that to be CoalesceInPlace's answer, float bit for
+// float bit: within a band, emission order is ascending MinX.
+func FuzzCoalesceBandOrderedMatchesInPlace(f *testing.F) {
+	f.Add([]byte{2, 3, 0, 2, 1, 2, 1, 1, 0, 2, 2, 1, 1, 1, 1, 0, 1, 2})
+	f.Add([]byte{3, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1})       // every cell dense at its root
+	f.Add([]byte{1, 4, 8, 2, 2, 2, 2, 1, 0, 1, 1, 2, 1, 0, 1}) // one cell, deep, far from the origin
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		g, depth := 1+int(data[0]%4), int(data[1]%5)
+		origin := []float64{0, -37.5, 1000, 1e6, 123.456}[data[2]%5]
+		size := []float64{100, 0.1, 3, 1000.0 / 7, 250}[data[2]/5%5]
+		next := 3
+		var soup Region
+		var split func(cell Rect, level int, x1, y1 float64)
+		split = func(cell Rect, level int, x1, y1 float64) {
+			if next >= len(data) || len(soup) >= 512 {
+				return
+			}
+			op := data[next] % 3
+			next++
+			side := 2 / float64(int(1)<<level)
+			switch {
+			case op == 0:
+			case op == 1 || level == depth:
+				soup.Add(NewRect(
+					cell.MinX+(x1+1)/2*cell.Width(), cell.MinY+(y1+1)/2*cell.Height(),
+					cell.MinX+(x1+side+1)/2*cell.Width(), cell.MinY+(y1+side+1)/2*cell.Height()))
+			default:
+				h := side / 2
+				split(cell, level+1, x1, y1)
+				split(cell, level+1, x1+h, y1)
+				split(cell, level+1, x1, y1+h)
+				split(cell, level+1, x1+h, y1+h)
+			}
+		}
+		for c := 0; c < g*g; c++ {
+			gx, gy := float64(c%g), float64(c/g)
+			split(NewRect(origin+gx*size, origin+gy*size, origin+(gx+1)*size, origin+(gy+1)*size), 0, -1, -1)
+		}
+		banded := slices.Clone(soup)
+		slices.SortStableFunc(banded, func(a, b Rect) int {
+			return compare3(a.MinY, b.MinY, a.MaxY, b.MaxY, 0, 0)
+		})
+		want := slices.Clone(soup)
+		slices.Reverse(want)
+		got, want := CoalesceBandOrdered(banded), CoalesceInPlace(want)
+		if len(got) != len(want) {
+			t.Fatalf("%d rectangles from %d, CoalesceInPlace %d", len(got), len(soup), len(want))
+		}
+		bits := math.Float64bits
+		for i, r := range got {
+			q := want[i]
+			if bits(r.MinX) != bits(q.MinX) || bits(r.MinY) != bits(q.MinY) || bits(r.MaxX) != bits(q.MaxX) || bits(r.MaxY) != bits(q.MaxY) {
+				t.Fatalf("rectangle %d: %v, CoalesceInPlace %v", i, r, q)
+			}
 		}
 	})
 }

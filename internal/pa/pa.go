@@ -117,6 +117,7 @@ func New(cfg Config) (*Surface, error) {
 		scratch: make([]factors, cfg.Horizon+1),
 		table:   newBoundsTable(cfg),
 	}
+	s.table.rank = s.bandRanks()
 	for t := range s.slots {
 		n := cfg.G * (cfg.Degree + 1)
 		s.scratch[t] = factors{x: make([]float64, n), y: make([]float64, n)}

@@ -1,7 +1,9 @@
 package pa
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 
 	"pdr/internal/cheb"
@@ -18,12 +20,16 @@ import (
 // produces. Immutable after New.
 type boundsTable struct {
 	depth int // the leaf level: its boxes are decided by their centre
-	// iv holds cheb.AxisBounds of interval i of level lv in the Degree+1
-	// entries from (2^lv-1+i)*(Degree+1) on.
+	// iv holds cheb.AxisBounds of interval i of level lv < depth in the
+	// Degree+1 entries from (2^lv-1+i)*(Degree+1) on. The leaf level has
+	// none: its boxes are never bounded.
 	iv []cheb.Interval
 	// leafT holds cheb.Vals at the centre of leaf interval i in the Degree+1
 	// entries from i*(Degree+1) on.
 	leafT []float64
+	// rank orders the walk's bands (see bandRanks); nil when two bands share
+	// their Y extent, and the union then sorts.
+	rank []int32
 }
 
 func newBoundsTable(cfg Config) boundsTable {
@@ -35,14 +41,15 @@ func newBoundsTable(cfg Config) boundsTable {
 		t.depth++
 	}
 	n := cfg.Degree + 1
-	t.iv = make([]cheb.Interval, (2<<t.depth-1)*n)
+	t.iv = make([]cheb.Interval, (1<<t.depth-1)*n)
 	t.leafT = make([]float64, n<<t.depth)
 	for lv := 0; lv <= t.depth; lv++ {
 		w := 2 / float64(int(1)<<lv)
 		for i := 0; i < 1<<lv; i++ {
 			z, row := -1+float64(i)*w, (1<<lv-1+i)*n
-			cheb.AxisBounds(t.iv[row:row+n], z, z+w)
-			if lv == t.depth {
+			if lv < t.depth {
+				cheb.AxisBounds(t.iv[row:row+n], z, z+w)
+			} else {
 				cheb.Vals(t.leafT[i*n:(i+1)*n], z+w/2)
 			}
 		}
@@ -50,10 +57,54 @@ func newBoundsTable(cfg Config) boundsTable {
 	return t
 }
 
+// bandRanks numbers the bands of the walk's output in the order of their Y
+// extents. A band is the boxes of one polynomial-cell row gy, level lv and
+// lattice row iy: they share the (MinY, MaxY) floats denorm gives them, and
+// the walk emits each band's boxes in ascending MinX (cells left to right,
+// quadtree children left before right). Band gy*(2^(depth+1)-1) + 2^lv-1+iy
+// gets the position of its extent in ascending (MinY, MaxY) order, so
+// ordering the emitted boxes by rank, stably, is the union's pass 1 sort.
+// It returns nil when two bands share an extent — only on a plane so far
+// from the origin that lattice rows round together.
+func (s *Surface) bandRanks() []int32 {
+	type band struct {
+		minY, maxY float64
+		id         int32
+	}
+	var bands []band
+	for gy := 0; gy < s.cfg.G; gy++ {
+		cell := s.cellRect(0, gy)
+		for lv := 0; lv <= s.table.depth; lv++ {
+			side := 2 / float64(int(1)<<lv)
+			for iy := 0; iy < 1<<lv; iy++ {
+				// The floats emit computes for every box of the band.
+				y1 := -1 + float64(iy)*side
+				r := s.denorm(cell, -1, y1, 1, y1+side)
+				bands = append(bands, band{r.MinY, r.MaxY, int32(len(bands))})
+			}
+		}
+	}
+	byExtent := func(a, b band) int {
+		if c := cmp.Compare(a.minY, b.minY); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.maxY, b.maxY)
+	}
+	slices.SortFunc(bands, byExtent)
+	rank := make([]int32, len(bands))
+	for i, b := range bands {
+		if i > 0 && byExtent(bands[i-1], b) == 0 {
+			return nil
+		}
+		rank[b.id] = int32(i)
+	}
+	return rank
+}
+
 // WalkStats counts the work of one branch-and-bound extraction.
 type WalkStats struct {
-	Boxes  int // boxes whose bounds were evaluated
-	Leaves int // floor-level boxes decided by evaluating their centre
+	Boxes  int // boxes above the floor, whose bounds were evaluated
+	Leaves int // floor-level boxes, decided by evaluating their centre
 	Rects  int // rectangles emitted, before coalescing
 }
 
@@ -61,8 +112,8 @@ type WalkStats struct {
 // timestamp qt is at least rho, extracted per polynomial cell by
 // branch-and-bound over the Chebyshev interval bounds (paper Sec. 6.3):
 // boxes whose lower bound reaches rho are wholly dense, boxes whose upper
-// bound misses rho are discarded, and boxes smaller than the MD resolution
-// floor are decided by their center density.
+// bound misses rho are discarded, and boxes at the MD resolution floor are
+// decided by their center density alone.
 func (s *Surface) DenseRegion(qt motion.Tick, rho float64) (geom.Region, error) {
 	region, _, err := s.DenseRegionStats(qt, rho)
 	return region, err
@@ -76,22 +127,65 @@ func (s *Surface) DenseRegionStats(qt motion.Tick, rho float64) (geom.Region, Wa
 	if rho < 0 {
 		return nil, WalkStats{}, fmt.Errorf("pa: negative threshold %g", rho)
 	}
-	buf := rawRegions.Get().(*geom.Region)
-	w := walk{s: s, rho: rho, out: (*buf)[:0]}
+	x := extractions.Get().(*extraction)
+	w := walk{s: s, rho: rho, out: x.raw[:0], bands: x.bands[:0]}
 	w.cells(s.slot(qt))
 	w.stats.Rects = len(w.out)
-	// The buffer is this call's alone, so the union coalesces in place; the
-	// caller owns a copy sized to the answer (nil when nothing is dense).
-	region := append(geom.Region(nil), geom.CoalesceInPlace(w.out)...)
-	*buf = w.out
-	rawRegions.Put(buf)
+	x.raw, x.bands = w.out, w.bands
+	// The buffers are this call's alone, so the union coalesces in place;
+	// the caller owns a copy sized to the answer (nil when nothing is dense).
+	region := append(geom.Region(nil), x.union(s.table.rank)...)
+	extractions.Put(x)
 	return region, w.stats, nil
 }
 
-// rawRegions pools the walk's output before the union: at a low threshold it
-// is tens of thousands of rectangles that coalesce to a few thousand, and
-// regrowing it from nil per query was most of a PA query's garbage.
-var rawRegions = sync.Pool{New: func() any { return new(geom.Region) }}
+// extraction is the working memory of one DenseRegion call, pooled: at a low
+// threshold the walk emits tens of thousands of rectangles that coalesce to
+// a few thousand, and regrowing these from nil per query was most of a PA
+// query's garbage.
+type extraction struct {
+	raw   geom.Region // the walk's output, in emission order
+	bands []int32     // the band of each raw rectangle
+	next  []int       // the counting sort's cursor per rank
+}
+
+var extractions = sync.Pool{New: func() any { return new(extraction) }}
+
+// union coalesces the walk's output, consuming raw and bands. A counting
+// sort by band rank — stable, so each band keeps its ascending MinX — puts
+// the rectangles in pass 1's order, in place, and geom.CoalesceBandOrdered
+// merges them from there: the same answer as geom.CoalesceInPlace, without
+// its comparison sort. Without a rank table the union sorts. The result
+// aliases raw.
+func (x *extraction) union(rank []int32) geom.Region {
+	raw, bands := x.raw, x.bands
+	if rank == nil {
+		return geom.CoalesceInPlace(raw)
+	}
+	next := slices.Grow(x.next[:0], len(rank)+1)[:len(rank)+1]
+	x.next = next
+	clear(next)
+	for _, b := range bands {
+		next[rank[b]+1]++
+	}
+	for i := 1; i < len(next); i++ {
+		next[i] += next[i-1]
+	}
+	// bands[i] becomes raw[i]'s position in pass 1's order; each swap then
+	// moves one rectangle to its position for good.
+	for i, b := range bands {
+		k := rank[b]
+		bands[i] = int32(next[k])
+		next[k]++
+	}
+	for i := range raw {
+		for j := int(bands[i]); j != i; j = int(bands[i]) {
+			raw[i], raw[j] = raw[j], raw[i]
+			bands[i], bands[j] = bands[j], bands[i]
+		}
+	}
+	return geom.CoalesceBandOrdered(raw)
+}
 
 // walk is the state of one extraction: the polynomial cell being classified
 // and the answer so far.
@@ -99,8 +193,10 @@ type walk struct {
 	s      *Surface
 	series *cheb.Series2D
 	cell   geom.Rect
+	row    int // the first band of the current cell's row
 	rho    float64
 	out    geom.Region
+	bands  []int32 // out[i]'s band
 	stats  WalkStats
 }
 
@@ -109,6 +205,7 @@ func (w *walk) cells(slot []*cheb.Series2D) {
 	g := w.s.cfg.G
 	for c, series := range slot {
 		w.cell, w.series = w.s.cellRect(c%g, c/g), series
+		w.row = c / g * (2<<w.s.table.depth - 1)
 		w.box(0, 0, 0)
 	}
 }
@@ -116,8 +213,17 @@ func (w *walk) cells(slot []*cheb.Series2D) {
 // box classifies box (ix, iy) of the 2^level x 2^level lattice over the
 // current cell's normalized square, reading its bounds from the table: no
 // trigonometry, no scratch to fetch, no allocation but the buffer's growth.
+// At the floor the centre decides without a bound: in exact arithmetic a
+// bound that settled the box would agree with the centre.
 func (w *walk) box(level, ix, iy int) {
 	t, n := &w.s.table, w.s.cfg.Degree+1
+	if level == t.depth {
+		w.stats.Leaves++
+		if w.series.EvalFrom(t.leafT[ix*n:ix*n+n], t.leafT[iy*n:iy*n+n]) >= w.rho {
+			w.emit(level, ix, iy)
+		}
+		return
+	}
 	w.stats.Boxes++
 	rx, ry := (1<<level-1+ix)*n, (1<<level-1+iy)*n
 	lo, hi := w.series.BoundsFrom(t.iv[rx:rx+n], t.iv[ry:ry+n])
@@ -128,24 +234,20 @@ func (w *walk) box(level, ix, iy int) {
 		w.emit(level, ix, iy)
 		return
 	}
-	if level == t.depth {
-		w.stats.Leaves++
-		if w.series.EvalFrom(t.leafT[ix*n:ix*n+n], t.leafT[iy*n:iy*n+n]) >= w.rho {
-			w.emit(level, ix, iy)
-		}
-		return
-	}
 	w.box(level+1, 2*ix, 2*iy)
 	w.box(level+1, 2*ix+1, 2*iy)
 	w.box(level+1, 2*ix, 2*iy+1)
 	w.box(level+1, 2*ix+1, 2*iy+1)
 }
 
-// emit adds lattice box (ix, iy) of level to the answer.
+// emit adds lattice box (ix, iy) of level to the answer, with its band.
 func (w *walk) emit(level, ix, iy int) {
 	side := 2 / float64(int(1)<<level)
 	x1, y1 := -1+float64(ix)*side, -1+float64(iy)*side
-	w.out.Add(w.s.denorm(w.cell, x1, y1, x1+side, y1+side))
+	if r := w.s.denorm(w.cell, x1, y1, x1+side, y1+side); !r.IsEmpty() {
+		w.out = append(w.out, r)
+		w.bands = append(w.bands, int32(w.row+1<<level-1+iy))
+	}
 }
 
 // denorm maps a normalized box of cell back to world coordinates.

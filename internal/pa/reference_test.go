@@ -68,10 +68,12 @@ func sameRects(a, b geom.Region) bool {
 }
 
 // TestDenseRegionMatchesReferenceWalk pins the table walk to the recursion it
-// replaced: the same rectangles in the same order (hence, coalesced, the same
-// answer) and the same box count, over grids, degrees and resolution floors
-// whose leaf level falls on and off a power of two, for thresholds from 0
-// (everything dense at the root) to above the surface's maximum (nothing).
+// replaced — which bounds every box, floor boxes too — the same rectangles in
+// the same order (hence, coalesced, the same answer), over grids, degrees and
+// resolution floors whose leaf level falls on and off a power of two, for
+// thresholds from 0 (everything dense at the root) to above the surface's
+// maximum (nothing). The walk's counts: every floor box is a child of a
+// bounded box, unless the floor is the root and each cell is one floor box.
 func TestDenseRegionMatchesReferenceWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, g := range []int{1, 3, 10} {
@@ -101,8 +103,12 @@ func TestDenseRegionMatchesReferenceWalk(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						if stats.Rects != len(want) || stats.Leaves > stats.Boxes || stats.Boxes < g*g {
-							t.Fatalf("rho=%g t=%d: stats %+v, the reference emits %d rectangles over %d cells", rho, qt, stats, len(want), g*g)
+						counted := stats.Boxes >= g*g && stats.Leaves <= 4*stats.Boxes
+						if s.table.depth == 0 {
+							counted = stats.Boxes == 0 && stats.Leaves == g*g
+						}
+						if stats.Rects != len(want) || !counted {
+							t.Fatalf("rho=%g t=%d: stats %+v at depth %d, the reference emits %d rectangles over %d cells", rho, qt, stats, s.table.depth, len(want), g*g)
 						}
 						emitted += len(want)
 						// The walk's emission order is visible only before the
@@ -134,7 +140,7 @@ func TestBoundsTableDepth(t *testing.T) {
 		{10, 256, 5}, {10, 320, 5}, {10, 321, 6}, {10, 10, 0}, {10, 11, 1}, {1, 1000, 10}, {1, 1024, 10}, {3, 9, 2},
 	} {
 		tab := newBoundsTable(Config{G: c.g, MD: c.md, Degree: 5})
-		if tab.depth != c.depth || len(tab.iv) != (2<<c.depth-1)*6 || len(tab.leafT) != 6<<c.depth {
+		if tab.depth != c.depth || len(tab.iv) != (1<<c.depth-1)*6 || len(tab.leafT) != 6<<c.depth {
 			t.Errorf("G=%d MD=%d: depth %d with %d bounds and %d leaf values, want depth %d", c.g, c.md, tab.depth, len(tab.iv), len(tab.leafT), c.depth)
 		}
 	}
@@ -166,4 +172,102 @@ func TestDenseRegionConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// bandExtents returns the Y extent emit gives each band of s's walk, indexed
+// as the walk numbers them: cell row, then level, then lattice row.
+func bandExtents(s *Surface) [][2]float64 {
+	var ext [][2]float64
+	for gy := 0; gy < s.cfg.G; gy++ {
+		for lv := 0; lv <= s.table.depth; lv++ {
+			side := 2 / float64(int(1)<<lv)
+			for iy := 0; iy < 1<<lv; iy++ {
+				y1 := -1 + float64(iy)*side
+				r := s.denorm(s.cellRect(s.cfg.G-1, gy), 1-side, y1, 1, y1+side)
+				ext = append(ext, [2]float64{r.MinY, r.MaxY})
+			}
+		}
+	}
+	return ext
+}
+
+// TestBandRankOrdersBands checks the rank table against the floats it
+// orders: ranks are a permutation of the bands, ascending strictly in
+// (MinY, MaxY) — so no two bands share an extent — and every rectangle the
+// walk emits has the extent of the band it is filed under.
+func TestBandRankOrdersBands(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	for _, g := range []int{1, 3, 10} {
+		for _, md := range []int{g, 3 * g, 100, 256, 1000} {
+			s, err := New(Config{Area: area1000(), G: g, Degree: 4, Horizon: 0, L: 80, MD: md})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ext := bandExtents(s)
+			rank := s.table.rank
+			if len(rank) != g*(2<<s.table.depth-1) || len(rank) != len(ext) {
+				t.Fatalf("G=%d MD=%d: %d ranks for %d bands at depth %d", g, md, len(rank), len(ext), s.table.depth)
+			}
+			byRank := make([]int, len(rank))
+			for i := range byRank {
+				byRank[i] = -1
+			}
+			for b, r := range rank {
+				if r < 0 || int(r) >= len(rank) || byRank[r] >= 0 {
+					t.Fatalf("G=%d MD=%d: band %d has rank %d, not a permutation", g, md, b, r)
+				}
+				byRank[r] = b
+			}
+			for r := 1; r < len(byRank); r++ {
+				a, b := ext[byRank[r-1]], ext[byRank[r]]
+				if !(a[0] < b[0] || a[0] == b[0] && a[1] < b[1]) {
+					t.Fatalf("G=%d MD=%d: rank %d has extent %v, rank %d %v", g, md, r-1, a, r, b)
+				}
+			}
+			s.Advance(0)
+			for _, st := range clusterStates(rng, 200, 500, 500, 150) {
+				s.Insert(st)
+			}
+			w := walk{s: s, rho: 0.3 * s.Density(0, geom.Point{X: 500, Y: 500})}
+			w.cells(s.slot(0))
+			if len(w.out) == 0 || len(w.bands) != len(w.out) {
+				t.Fatalf("G=%d MD=%d: %d rectangles filed under %d bands", g, md, len(w.out), len(w.bands))
+			}
+			for i, r := range w.out {
+				if e := ext[w.bands[i]]; r.MinY != e[0] || r.MaxY != e[1] {
+					t.Fatalf("G=%d MD=%d: %v filed under band %d, extent %v", g, md, r, w.bands[i], e)
+				}
+			}
+		}
+	}
+}
+
+// TestDenseRegionWithoutBandRanks: on a plane so far from the origin that
+// lattice rows round to the same floats, bands share extents, New keeps no
+// rank table, and the union sorts — still the coalesced reference.
+func TestDenseRegionWithoutBandRanks(t *testing.T) {
+	area := geom.NewRect(0, 1e17, 1000, 1e17+1000)
+	s, err := New(Config{Area: area, G: 2, Degree: 3, Horizon: 0, L: 80, MD: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.table.rank != nil {
+		t.Fatal("bands of 1000/2/64 units at y = 1e17 (16-unit floats) kept a rank table")
+	}
+	s.Advance(0)
+	for _, st := range clusterStates(rand.New(rand.NewSource(7)), 200, 500, 1e17+500, 150) {
+		s.Insert(st)
+	}
+	peak := s.Density(0, geom.Point{X: 500, Y: 1e17 + 500})
+	for _, rho := range []float64{0, 0.3 * peak, 0.8 * peak} {
+		want := referenceDenseRegion(s, 0, rho)
+		got, err := s.DenseRegion(0, rho)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := len(want)
+		if want = geom.CoalesceInPlace(want); n == 0 || !sameRects(got, want) {
+			t.Fatalf("rho=%g: %d rectangles, the coalesced reference %d of %d", rho, len(got), len(want), n)
+		}
+	}
 }

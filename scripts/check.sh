@@ -79,6 +79,9 @@ go test -race ./internal/telemetry ./internal/tracestore
 step "fuzz smoke: geometry area identity (${FUZZ_SECS}s)"
 go test -run '^$' -fuzz FuzzOutlineAreaIdentity -fuzztime "${FUZZ_SECS}s" ./internal/geom/
 
+step "fuzz smoke: band-ordered union == CoalesceInPlace, bit for bit (${FUZZ_SECS}s)"
+go test -run '^$' -fuzz FuzzCoalesceBandOrderedMatchesInPlace -fuzztime "${FUZZ_SECS}s" ./internal/geom/
+
 step "fuzz smoke: sweep-vs-oracle refinement (${FUZZ_SECS}s)"
 go test -run '^$' -fuzz FuzzDenseRectsMatchesOracle -fuzztime "${FUZZ_SECS}s" ./internal/sweep/
 
