@@ -154,6 +154,25 @@ func TestIntervalPA(t *testing.T) {
 	}
 }
 
+// TestIntervalPastTheWindowEvaluatesNothing: an interval that runs past the
+// prediction window is refused before its fan-out, with the message the
+// first snapshot outside the window gives — no FR gather touches an index
+// page first.
+func TestIntervalPastTheWindowEvaluatesNothing(t *testing.T) {
+	s, _ := loadServer(t, testConfig(), 800, 13)
+	past := s.Now() + s.Horizon() + 1
+	q := Query{Rho: relRho(800, 2), L: 60, At: s.Now()}
+	_, want := s.Snapshot(Query{Rho: q.Rho, L: q.L, At: past}, FR)
+	before := s.PoolStats()
+	_, err := s.Interval(q, past, FR)
+	if err == nil || want == nil || err.Error() != want.Error() {
+		t.Fatalf("Interval to %d: error %v, want the snapshot's %v", past, err, want)
+	}
+	if after := s.PoolStats(); after != before {
+		t.Errorf("the refused interval touched the pool: %+v -> %+v", before, after)
+	}
+}
+
 func TestObjectsLeavingAreaConsistency(t *testing.T) {
 	// Objects whose predictions exit the plane must be handled identically
 	// by FR and BF (the area-existence contract).

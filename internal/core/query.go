@@ -622,6 +622,16 @@ func (s *Server) IntervalTraced(q Query, until motion.Tick, m Method, sp *teleme
 // under the read locks and merges them into one result (everything but its
 // Area and Wall, which IntervalTraced fills in once the locks are released).
 func (s *Server) intervalLocked(q Query, n int, m Method, isp *telemetry.Span) (*Result, error) {
+	// Refuse a range that leaves the window before evaluating any of it: the
+	// first end, then the first timestamp past the window if the range
+	// reaches it — the snapshot whose error the fan-out would report.
+	last := q
+	last.At = min(q.At+motion.Tick(n-1), s.Now()+s.Horizon()+1)
+	for _, end := range [2]Query{q, last} {
+		if err := s.checkLocked(end, m); err != nil {
+			return nil, err
+		}
+	}
 	ioBefore := s.PoolStats()
 	sc := intervalScratches.Get().(*intervalScratch)
 	defer releaseIntervalScratch(sc)
