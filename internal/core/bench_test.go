@@ -136,13 +136,48 @@ func BenchmarkSnapshotPA(b *testing.B) {
 // population 8 ticks into its stream, each class at its own timestamp inside
 // the prediction window. One op is the seven queries.
 func BenchmarkSnapshotFRClasses(b *testing.B) {
+	const n = 20000
 	cfg := DefaultConfig()
 	cfg.DisablePA = true
+	s := classesServer(b, cfg, n)
+	classes := [][2]float64{{30, 1}, {30, 3}, {30, 5}, {45, 3}, {60, 1}, {60, 3}, {60, 5}}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k, c := range classes {
+			q := Query{Rho: relRho(n, c[1]), L: c[0], At: s.Now() + motion.Tick(4*k)}
+			if _, err := s.Snapshot(q, FR); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkSnapshotPAClasses is approx-read's snapshot mix in process: the
+// three varrho classes bench/ cycles through at the surfaces' l = 30, over
+// the same population as BenchmarkSnapshotFRClasses, spread over the
+// prediction window. One op is the three queries.
+func BenchmarkSnapshotPAClasses(b *testing.B) {
+	const n = 20000
+	s := classesServer(b, DefaultConfig(), n)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k, varrho := range []float64{1, 3, 5} {
+			q := Query{Rho: relRho(n, varrho), L: 30, At: s.Now() + motion.Tick(30*k)}
+			if _, err := s.Snapshot(q, PA); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// classesServer loads n datagen objects (seed 1) into a server built from
+// cfg and runs 8 ticks of their update stream.
+func classesServer(b *testing.B, cfg Config, n int) *Server {
+	b.Helper()
 	s, err := NewServer(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	const n = 20000
 	gcfg := datagen.DefaultConfig(n)
 	gcfg.Seed = 1
 	g, err := datagen.New(gcfg)
@@ -158,16 +193,7 @@ func BenchmarkSnapshotFRClasses(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	classes := [][2]float64{{30, 1}, {30, 3}, {30, 5}, {45, 3}, {60, 1}, {60, 3}, {60, 5}}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for k, c := range classes {
-			q := Query{Rho: relRho(n, c[1]), L: c[0], At: s.Now() + motion.Tick(4*k)}
-			if _, err := s.Snapshot(q, FR); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
+	return s
 }
 
 func benchSnapshot(b *testing.B, m Method) {
