@@ -22,17 +22,26 @@
 // every live object's current movement and one epoch-keyed cache of answers.
 // There is one query pipeline and one write path.
 //
-// Locking protocol. The engine lock (rank "engine") is the one lock on
-// engine state: it guards the histogram, the index, its pool, the archive,
-// the surface and the directory. Queries read-lock it for their whole
-// evaluation, so each observes one consistent cut of the stream; Tick, Load
-// and Apply write-lock it. It is the only lock an HTTP query or write
-// holds: the service takes none around it. The one lock ever held outside
-// it is the standing-query monitor's, across a tick and its
-// re-evaluations. The global acquisition order, checked by pdrvet's
-// lockorder analyzer, is
+// Locking protocol. The engine lock is the one lock on engine state: it
+// guards the histogram, the index, its pool, the archive, the surface and
+// the directory. Queries read-lock it for their whole evaluation, so each
+// observes one consistent cut of the stream; Tick, Load and Apply
+// write-lock it. It is the only lock an HTTP query or write holds: the
+// service takes none around it.
 //
-//	monitor 10 → engine 20
+// Lock order. The module's one nested acquisition is monitor → engine:
+// monitor.AdvanceTraced holds the monitor's lock across TickTraced and
+// SnapshotTraced. The reverse order would need code that holds the engine
+// lock to reach the monitor's mutex, and none can: package monitor imports
+// core, so core cannot import it, and core takes no func value from monitor
+// or service that could call back. The service's slow-query log holds its
+// mutex only around one io.Writer.Write, with no call under it. The other
+// mutexes (the answer cache, the buffer pool, telemetry, the trace store)
+// live in packages that import neither core nor monitor, and the cache
+// runs a miss's evaluation outside its shard lock. An inversion would hang
+// the dynamic guards: TestConcurrentSubscriptionChangesAndTicks,
+// TestRaceUpdatesQueryStats and the repeated service and monitor soak of
+// scripts/check.sh at GOMAXPROCS 1, 2 and 4.
 //
 // One write path. Tick (after moving the clock), Load and Apply run one
 // routine at the clock. It admits the records in stream order, then applies
@@ -162,7 +171,7 @@ type Server struct {
 
 	// mu guards hist, pool, index, hst, surf and dir; see the package
 	// comment for the protocol.
-	mu    sync.RWMutex // pdr:lockrank engine 20
+	mu    sync.RWMutex
 	hist  *dh.Histogram
 	pool  *storage.Pool
 	index *tprtree.Tree

@@ -110,3 +110,35 @@ func FuzzCoalesceBandOrderedMatchesInPlace(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSubtractMatchesReference derives two rectangle soups from fuzz bytes —
+// overlapping and disjoint, some spanning many grid cells, over an origin
+// and scale the first byte picks — and requires Subtract to return
+// referenceSubtract's answer, float bit for float bit, in both directions.
+func FuzzSubtractMatchesReference(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 2, 2, 1, 1, 3, 3})
+	f.Add([]byte{1, 0, 0, 1, 1, 1, 0, 1, 1, 0, 1, 1, 1, 1, 1, 1, 1}) // unit cells, disjoint
+	f.Add([]byte{7, 5, 5, 6, 6, 0, 0, 1, 1, 3, 3, 6, 6, 9, 9, 2, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 1 {
+			return
+		}
+		origin := []float64{0, -37.5, 1000, 1e6, 123.456}[data[0]%5]
+		scale := []float64{1, 0.1, 3, 1000.0 / 7}[data[0]/5%4]
+		var soups [2]Region
+		for i, k := 1, 0; i+3 < len(data) && k < 96; i, k = i+4, k+1 {
+			x := origin + float64(data[i]%16)*scale
+			y := origin + float64(data[i+1]%16)*scale
+			w := float64(data[i+2]%7) * scale
+			h := float64(data[i+3]%7) * scale
+			soups[k%2].Add(Rect{MinX: x, MinY: y, MaxX: x + w, MaxY: y + h})
+		}
+		g, h := soups[0], soups[1]
+		if got, want := Subtract(g, h), referenceSubtract(g, h); !sameBits(got, want) {
+			t.Fatalf("g \\ h: %v, reference %v", got, want)
+		}
+		if got, want := Subtract(h, g), referenceSubtract(h, g); !sameBits(got, want) {
+			t.Fatalf("h \\ g: %v, reference %v", got, want)
+		}
+	})
+}

@@ -7,6 +7,60 @@ import (
 	"testing/quick"
 )
 
+// referenceSubtract is Subtract as it was before the cutter grid: every
+// rectangle of h cuts every piece left so far, in h's order. Subtract must
+// return its answer float bit for float bit.
+func referenceSubtract(g, h Region) Region {
+	pieces := make(Region, 0, len(g))
+	for _, r := range g {
+		if !r.IsEmpty() {
+			pieces = append(pieces, r)
+		}
+	}
+	for _, b := range h {
+		if b.IsEmpty() || len(pieces) == 0 {
+			continue
+		}
+		next := make(Region, 0, len(pieces))
+		for _, p := range pieces {
+			next = append(next, SubtractRect(p, b)...)
+		}
+		pieces = next
+	}
+	return Coalesce(pieces)
+}
+
+// sameBits reports whether a and b hold the same rectangles in the same
+// order, compared as float bits.
+func sameBits(a, b Region) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	bits := math.Float64bits
+	for i, r := range a {
+		q := b[i]
+		if bits(r.MinX) != bits(q.MinX) || bits(r.MinY) != bits(q.MinY) || bits(r.MaxX) != bits(q.MaxX) || bits(r.MaxY) != bits(q.MaxY) {
+			return false
+		}
+	}
+	return true
+}
+
+// latticeRegion is a seeded half-full lattice of side×side unit cells
+// shifted by off on both axes: about side²/2 disjoint rectangles.
+func latticeRegion(seed int64, side int, off float64) Region {
+	rng := rand.New(rand.NewSource(seed))
+	var g Region
+	for y := 0; y < side; y++ {
+		for x := 0; x < side; x++ {
+			if rng.Intn(2) == 0 {
+				g.Add(Rect{MinX: float64(x) + off, MinY: float64(y) + off, MaxX: float64(x+1) + off, MaxY: float64(y+1) + off})
+			}
+		}
+	}
+	return g
+}
+
 func TestSubtractRectCases(t *testing.T) {
 	r := Rect{MinX: 0, MinY: 0, MaxX: 4, MaxY: 4}
 	cases := []struct {
@@ -85,5 +139,39 @@ func TestQuickSubtractSemantics(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestSubtractMatchesReferenceOnLattices(t *testing.T) {
+	g, h := latticeRegion(1, 40, 0), latticeRegion(2, 40, 0.5)
+	cases := []struct {
+		name string
+		a, b Region
+	}{
+		{"g minus h", g, h},
+		{"h minus g", h, g},
+		{"coalesced h", g, Coalesce(append(Region(nil), h...))},
+		{"one wide cutter", g, append(Region{{MinX: 3.25, MinY: -1, MaxX: 30.5, MaxY: 50}}, h...)},
+		{"minuend outside the cutters' bounds", Region{{MinX: 100, MinY: 100, MaxX: 101, MaxY: 101}}, h},
+		{"infinite minuend", Region{{MinX: math.Inf(-1), MinY: 2, MaxX: math.Inf(1), MaxY: 3}}, h},
+		{"infinite cutter", g, append(Region{{MinX: math.Inf(-1), MinY: 7, MaxX: 5, MaxY: 8}}, h...)},
+	}
+	for _, tc := range cases {
+		got, want := Subtract(tc.a, tc.b), referenceSubtract(tc.a, tc.b)
+		if !sameBits(got, want) {
+			t.Errorf("%s: %d rectangles, reference %d (or a float differs)", tc.name, len(got), len(want))
+		}
+	}
+}
+
+// BenchmarkSubtract diffs two seeded lattice regions of about 8k unit cells
+// each, offset by half a cell, both ways: the shape of a standing query's
+// change between two ticks.
+func BenchmarkSubtract(b *testing.B) {
+	g, h := latticeRegion(1, 128, 0), latticeRegion(2, 128, 0.5)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		Subtract(g, h)
+		Subtract(h, g)
 	}
 }

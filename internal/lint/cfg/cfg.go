@@ -1,10 +1,10 @@
 // Package cfg builds intra-procedural control-flow graphs over Go function
 // bodies and runs forward dataflow analyses over them. It is the engine
-// underneath pdrvet's flow-aware analyzers (deferunlock, noleak, poollife,
-// lockorder): where the first-generation analyzers compared token
-// positions ("a Lock call textually before the first access"), the CFG makes
-// path-sensitive questions answerable — "is the lock held on *every* path
-// reaching this access?", "does *some* path exit without unlocking?".
+// underneath pdrvet's flow-aware analyzers (deferunlock, noleak,
+// poollife): where the first-generation analyzers compared token
+// positions ("a Lock call textually before the first access"), the CFG
+// makes path-sensitive questions answerable — "is the lock held on *every*
+// path reaching this access?", "does *some* path exit without unlocking?".
 //
 // The graph is deliberately statement-grained. Basic blocks hold ast.Nodes in
 // execution order; composite statements (if/for/range/switch/select) are

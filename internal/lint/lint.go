@@ -3,9 +3,8 @@
 // PDR engine's un-compilable invariants — half-open rectangle semantics,
 // simulation-time purity, epsilon-safe float comparison, checked
 // encode/write errors, goroutine joins, sync.Pool lifetimes, and the
-// unlock and lock-rank discipline. Properties a measurement or the race
-// detector checks (allocations on hot paths, guarded-field access) are left
-// to those gates.
+// unlock discipline. Properties a measurement or the race detector checks
+// (allocations on hot paths, guarded-field access) are left to those gates.
 //
 // Diagnostics carry file:line:col positions. A finding can be suppressed by
 // a directive comment on the same line or the line above:
@@ -24,8 +23,6 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-
-	"pdr/internal/lint/callgraph"
 )
 
 // Diagnostic is one finding.
@@ -53,12 +50,10 @@ type Analyzer struct {
 	Run func(*Pass)
 	// Prepare, when set, runs once per Run over every loaded package before
 	// the per-package passes, and its result is handed to each of this
-	// analyzer's passes via Pass.Shared. Interprocedural analyzers build
-	// their cross-package summaries here (pool releaser sets, lock-rank
-	// annotations) so per-package findings can see the whole module. graph
-	// is the module call graph, built once per Run when any analyzer has a
-	// Prepare: the one walk of the module's functions.
-	Prepare func(pkgs []*Package, graph *callgraph.Graph) any
+	// analyzer's passes via Pass.Shared. An interprocedural analyzer builds
+	// its cross-package summaries here (poollife's releaser and provider
+	// sets) so per-package findings can see the whole module.
+	Prepare func(pkgs []*Package) any
 }
 
 // Pass hands one type-checked package to one analyzer.
@@ -119,7 +114,6 @@ func All() []*Analyzer {
 		AnalyzerDeferUnlock,
 		AnalyzerNoLeak,
 		AnalyzerPoolLife,
-		AnalyzerLockOrder,
 		AnalyzerDirective,
 	}
 }
@@ -154,16 +148,11 @@ func Names() []string {
 // Run applies the analyzers to every package and returns the surviving
 // findings in deterministic order, with lint:ignore suppression applied.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	var graph *callgraph.Graph
 	shared := make(map[string]any)
 	for _, a := range analyzers {
-		if a.Prepare == nil {
-			continue
+		if a.Prepare != nil {
+			shared[a.Name] = a.Prepare(pkgs)
 		}
-		if graph == nil {
-			graph = buildGraph(pkgs)
-		}
-		shared[a.Name] = a.Prepare(pkgs, graph)
 	}
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
@@ -209,21 +198,6 @@ func sortDiags(diags []Diagnostic) {
 		}
 		return a.Message < b.Message
 	})
-}
-
-// buildGraph constructs the module call graph over the loaded packages —
-// the interprocedural substrate of lockorder and poollife.
-func buildGraph(pkgs []*Package) *callgraph.Graph {
-	units := make([]callgraph.Unit, 0, len(pkgs))
-	for _, pkg := range pkgs {
-		units = append(units, callgraph.Unit{
-			Path:  pkg.Path,
-			Files: pkg.Files,
-			Pkg:   pkg.Types,
-			Info:  pkg.Info,
-		})
-	}
-	return callgraph.Build(units)
 }
 
 // ignoreDirective is one parsed lint:ignore comment.

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strings"
 
-	"pdr/internal/lint/callgraph"
 	"pdr/internal/lint/cfg"
 )
 
@@ -31,8 +30,9 @@ import (
 //     retained scratch (return `out[:len(out):len(out)]`).
 //
 // Release knowledge is interprocedural: Prepare builds module-wide releaser
-// and provider summaries from the call graph (below), so core releasing a dh
-// value by calling its dh method is understood across the package boundary.
+// and provider summaries over the module's declarations (below), so core
+// releasing a dh value by calling its dh method is understood across the
+// package boundary.
 // Ownership transfers end tracking: returning the value, storing it into a
 // field, composite literal, or channel, capturing it in a function literal
 // or goroutine, or passing it to a non-releasing callee all hand the
@@ -41,12 +41,10 @@ import (
 // `x, err := provider(...)` the pooled result is invalid and carries no
 // obligation.
 var AnalyzerPoolLife = &Analyzer{
-	Name: "poollife",
-	Doc:  "tracks sync.Pool scratch lifetimes: leaked or double releases, use-after-Put, un-cleared pointer fields, un-clipped pooled returns",
-	Run:  runPoolLife,
-	Prepare: func(_ []*Package, graph *callgraph.Graph) any {
-		return buildPoolSummary(graph)
-	},
+	Name:    "poollife",
+	Doc:     "tracks sync.Pool scratch lifetimes: leaked or double releases, use-after-Put, un-cleared pointer fields, un-clipped pooled returns",
+	Run:     runPoolLife,
+	Prepare: func(pkgs []*Package) any { return buildPoolSummary(pkgs) },
 }
 
 // poolFact is one reachable configuration of one tracked pooled value.
@@ -321,7 +319,7 @@ func stepPoolDefer(p *Pass, sum *poolSummary, d *ast.DeferStmt, st poolState, re
 			}
 		}
 	} else {
-		callee := callgraph.StaticCallee(p.Info, call)
+		callee := staticCallee(p.Info, call)
 		if sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr); isSel {
 			if root := rootOfValue(sel.X); root != "" && isReleaseMethod(sum, callee, sel.Sel.Name) {
 				released[root] = true
@@ -369,7 +367,7 @@ func collectClosureReleases(p *Pass, sum *poolSummary, body *ast.BlockStmt, rele
 			}
 			return true
 		}
-		callee := callgraph.StaticCallee(p.Info, call)
+		callee := staticCallee(p.Info, call)
 		if sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr); isSel {
 			if root := rootOfValue(sel.X); root != "" && isReleaseMethod(sum, callee, sel.Sel.Name) {
 				released[root] = true
@@ -454,7 +452,7 @@ func stepPoolCall(p *Pass, sum *poolSummary, call *ast.CallExpr, st poolState, r
 		}
 		return
 	}
-	callee := callgraph.StaticCallee(p.Info, call)
+	callee := staticCallee(p.Info, call)
 	if sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr); isSel {
 		if root := rootOfValue(sel.X); root != "" {
 			if _, tracked := st[root]; tracked && isReleaseMethod(sum, callee, sel.Sel.Name) {
@@ -577,9 +575,9 @@ func poolGetExpr(info *types.Info, e ast.Expr) (poolKey string, ok bool) {
 // back to a pool ("releasers" — releaseIntervalScratch,
 // FilterResult.Release) and which hand a pool-obtained value to their caller
 // ("providers" — Histogram.Filter, and core's filterLocked that returns its
-// result). Prepare computes them once per Run over the call graph, so
-// obligations follow values across package boundaries: core acquiring from
-// a dh provider is released by calling a dh method.
+// result). Prepare computes them once per Run over the module's function
+// declarations, so obligations follow values across package boundaries:
+// core acquiring from a dh provider is released by calling a dh method.
 
 // poolSummary is the module-wide interprocedural pool knowledge.
 type poolSummary struct {
@@ -595,20 +593,36 @@ func (s *poolSummary) releases(fn *types.Func, idx int) bool {
 	return fn != nil && s.releasers[fn][idx]
 }
 
+// funcDecl is one declared function or method with a body: the unit the
+// summaries are computed over.
+type funcDecl struct {
+	Func *types.Func
+	Body *ast.BlockStmt
+	Info *types.Info
+}
+
 // buildPoolSummary computes releaser and provider sets to a fixed point
-// over every declared function of the call graph (a body's closures count
-// as its own): a releaser may delegate to another releaser
+// over every declared function of the module (a body's closures count as
+// its own): a releaser may delegate to another releaser
 // (Release -> pool.Put), a provider may return another provider's result
 // (Filter -> filterCounts -> pool.Get).
-func buildPoolSummary(graph *callgraph.Graph) *poolSummary {
+func buildPoolSummary(pkgs []*Package) *poolSummary {
 	sum := &poolSummary{
 		releasers: make(map[*types.Func]map[int]bool),
 		providers: make(map[*types.Func]map[int]bool),
 	}
-	var decls []*callgraph.Node
-	for _, n := range graph.Nodes {
-		if n.Func != nil && n.Body != nil {
-			decls = append(decls, n)
+	var decls []funcDecl
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
+					decls = append(decls, funcDecl{Func: fn, Body: fd.Body, Info: pkg.Info})
+				}
+			}
 		}
 	}
 	for changed := true; changed; {
@@ -623,6 +637,21 @@ func buildPoolSummary(graph *callgraph.Graph) *poolSummary {
 		}
 	}
 	return sum
+}
+
+// staticCallee resolves a call to the *types.Func it names: package-level
+// functions, methods on concrete receivers, and interface methods (which
+// have no body to follow). Calls through func-typed values return nil.
+func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		f, _ := info.Uses[fun].(*types.Func)
+		return f
+	case *ast.SelectorExpr:
+		f, _ := info.Uses[fun.Sel].(*types.Func)
+		return f
+	}
+	return nil
 }
 
 // paramIndices maps parameter (and receiver) names to their index in the
@@ -646,7 +675,7 @@ func paramIndices(fn *types.Func) map[string]int {
 // position, or a releaser method invoked on p. Reports whether the summary
 // grew. Closure bodies are included: a deferred closure that Puts a
 // parameter still releases it on the function's behalf.
-func summarizeReleaser(d *callgraph.Node, sum *poolSummary) bool {
+func summarizeReleaser(d funcDecl, sum *poolSummary) bool {
 	params := paramIndices(d.Func)
 	if len(params) == 0 {
 		return false
@@ -663,7 +692,7 @@ func summarizeReleaser(d *callgraph.Node, sum *poolSummary) bool {
 			grew = true
 		}
 	}
-	info := d.Unit.Info
+	info := d.Info
 	ast.Inspect(d.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
@@ -675,7 +704,7 @@ func summarizeReleaser(d *callgraph.Node, sum *poolSummary) bool {
 			}
 			return true
 		}
-		callee := callgraph.StaticCallee(info, call)
+		callee := staticCallee(info, call)
 		if callee == nil || callee == d.Func {
 			return true
 		}
@@ -734,8 +763,8 @@ func rootOfValue(e ast.Expr) string {
 // flow-insensitively: x := pool.Get().(*T) or x, err := provider(...)
 // makes x pooled; returning x (or a provider call directly) makes this
 // function a provider at that result position.
-func summarizeProvider(d *callgraph.Node, sum *poolSummary) bool {
-	info := d.Unit.Info
+func summarizeProvider(d funcDecl, sum *poolSummary) bool {
+	info := d.Info
 	pooled := pooledLocals(info, d.Body, sum)
 	grew := false
 	record := func(idx int) {
@@ -763,7 +792,7 @@ func summarizeProvider(d *callgraph.Node, sum *poolSummary) bool {
 				// pooled result indices. A lone call may expand to several
 				// results; alongside siblings it is single-valued and
 				// forwards the callee's first result.
-				if callee := callgraph.StaticCallee(info, call); callee != nil {
+				if callee := staticCallee(info, call); callee != nil {
 					if len(ret.Results) == 1 {
 						for idx := range sum.providers[callee] {
 							record(idx)
@@ -823,7 +852,7 @@ func poolAcquisitions(info *types.Info, as *ast.AssignStmt, sum *poolSummary) []
 	var out []poolAcquisition
 	if len(as.Rhs) == 1 && len(as.Lhs) >= 1 {
 		if call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr); ok {
-			callee := callgraph.StaticCallee(info, call)
+			callee := staticCallee(info, call)
 			if callee != nil && len(sum.providers[callee]) > 0 {
 				errKey := ""
 				for i, l := range as.Lhs {

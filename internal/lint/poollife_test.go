@@ -344,3 +344,98 @@ func Copy(s []float64) []float64 {
 `, AnalyzerPoolLife), "poollife", 0)
 	})
 }
+
+// TestPoolLifeSummaryFixedPoint pins the Prepare summary through a second
+// function: releases and provisions that only a fixed point over the
+// module's declarations sees. A tracked value passed to a function the
+// summary does not know escapes silently, so the flagged cases are what
+// prove the summary reached the helper: a use after a delegated release, a
+// leak of a forwarded provider's result, and a method that borrows the
+// receiver instead of releasing it.
+func TestPoolLifeSummaryFixedPoint(t *testing.T) {
+	cases := []struct {
+		name string
+		src  string
+		want int
+	}{
+		{"delegating releaser on every path clean", providerDecl + `
+func done(r *res) { r.Release() }
+
+func Use(fail bool) error {
+	r, err := open(fail)
+	if err != nil {
+		return err
+	}
+	r.buf = r.buf[:0]
+	done(r)
+	return nil
+}
+`, 0},
+		{"use after a delegating releaser flagged", providerDecl + `
+func done(r *res) { r.Release() }
+
+func Stale(fail bool) float64 {
+	r, err := open(fail)
+	if err != nil {
+		return 0
+	}
+	done(r)
+	return r.buf[0]
+}
+`, 1},
+		{"forwarding provider with deferred Release clean", providerDecl + `
+func get(fail bool) (*res, error) { return open(fail) }
+
+func Use(fail bool) error {
+	r, err := get(fail)
+	if err != nil {
+		return err
+	}
+	defer r.Release()
+	r.buf = r.buf[:0]
+	return nil
+}
+`, 0},
+		{"forwarding provider result leaked flagged", providerDecl + `
+func get(fail bool) (*res, error) { return open(fail) }
+
+func Leak(fail bool) error {
+	r, err := get(fail)
+	if err != nil {
+		return err
+	}
+	r.buf = r.buf[:0]
+	return nil
+}
+`, 1},
+		{"releasing method through a second function clean", providerDecl + `
+func (r *res) done() { r.Release() }
+
+func Use(fail bool) error {
+	r, err := open(fail)
+	if err != nil {
+		return err
+	}
+	r.done()
+	return nil
+}
+`, 0},
+		{"done that does not release flagged", providerDecl + `
+func (r *res) done() { r.buf = r.buf[:0] }
+
+func Leak(fail bool) error {
+	r, err := open(fail)
+	if err != nil {
+		return err
+	}
+	r.done()
+	return nil
+}
+`, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			wantFindings(t, analyze(t, "pdr/internal/x", tc.src, AnalyzerPoolLife), "poollife", tc.want)
+		})
+	}
+}

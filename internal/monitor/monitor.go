@@ -5,10 +5,10 @@
 // continuous-query layer the paper's traffic-management motivation implies
 // (watch for congestion forming, alert when it appears or dissolves).
 //
-// A Monitor has one lock of its own (rank "monitor", taken before the
-// engine's): a tick and the re-evaluations it triggers run under it as one
-// step, so a registration or removal never lands between the two. Queries
-// and between-tick writes to the engine do not take it: an apply that lands
+// A Monitor has one lock of its own, taken before the engine's: a tick and
+// the re-evaluations it triggers run under it as one step, so a
+// registration or removal never lands between the two. Queries and
+// between-tick writes to the engine do not take it: an apply that lands
 // between a tick and its re-evaluations is seen by them, as by any query
 // after it.
 package monitor
@@ -74,8 +74,8 @@ type Monitor struct {
 	// out a tick that holds mu.
 	numSubs atomic.Int64
 	// mu guards everything below. Advance holds it across the engine tick,
-	// so it is taken before the engine lock: the lower rank.
-	mu     sync.Mutex // pdr:lockrank monitor 10
+	// so it is taken before the engine lock (see core's "Lock order").
+	mu     sync.Mutex
 	nextID int
 	subs   map[int]*sub
 	met    *metrics // nil unless RegisterMetrics was called

@@ -192,8 +192,8 @@ type slowQueryLog struct {
 	count    *telemetry.Counter
 	dropped  *telemetry.Counter
 	written  atomic.Int64
-	mu       sync.Mutex // pdr:lockrank svc-slowlog 50
-	w        io.Writer  // guarded by mu
+	mu       sync.Mutex
+	w        io.Writer // guarded by mu
 }
 
 // slowQueryLine is the JSON schema of one slow-query log record.

@@ -97,6 +97,9 @@ go test -run '^$' -fuzz FuzzAxisBoundsMatchesBound -fuzztime "${FUZZ_SECS}s" ./i
 step "fuzz smoke: the /v1/updates scanner == encoding/json wherever it answers (${FUZZ_SECS}s)"
 go test -run '^$' -fuzz FuzzDecodeUpdatesMatchesEncodingJSON -fuzztime "${FUZZ_SECS}s" ./internal/wire/
 
+step "fuzz smoke: gridded Subtract == the quadratic reference, bit for bit (${FUZZ_SECS}s)"
+go test -run '^$' -fuzz FuzzSubtractMatchesReference -fuzztime "${FUZZ_SECS}s" ./internal/geom/
+
 step "hotpath benchmark smoke (-benchtime=1x: kernels compile, run, report allocs)"
 go test -run '^$' -bench 'BenchmarkSeriesEval|BenchmarkAddBoxDelta|BenchmarkBoxFactors|BenchmarkFilter$|BenchmarkDenseRects200|BenchmarkDenseRegion$|BenchmarkSnapshot|BenchmarkDecodeUpdates' \
 	-benchtime=1x -benchmem ./internal/cheb ./internal/dh ./internal/sweep ./internal/pa ./internal/core ./internal/wire >/dev/null
@@ -125,6 +128,11 @@ go test -run '^$' -bench 'BenchmarkDenseRects200$|BenchmarkDenseRectsRow$' -benc
 # allocations are the closures that hand out the key ranges.
 go test -run '^$' -bench 'BenchmarkCoalesceSplit$' -benchtime=200x -benchmem ./internal/geom |
 	pin_allocs 'BenchmarkCoalesceSplit=2'
+# A region difference both ways between two ~8k-rectangle lattices allocates
+# its cutter grids, its piece buffers and its answers: a few dozen slices,
+# where the quadratic loop it replaced made 165 million.
+go test -run '^$' -bench 'BenchmarkSubtract$' -benchtime=20x -benchmem ./internal/geom |
+	pin_allocs 'BenchmarkSubtract=70'
 # A surface batch (1,000 updates x 91 timestamp slots) allocates nothing: the
 # Lemma-4 factor scratch is owned per slot.
 go test -run '^$' -bench 'BenchmarkSurfaceBatch$' -benchtime=5x -benchmem ./internal/pa |
