@@ -116,10 +116,11 @@ func TestGoldenAnswers(t *testing.T) {
 	}
 }
 
-// samePointSet reports whether two regions cover the same points (FR and the
-// brute force decompose the same region into different rectangles).
+// samePointSet reports whether two regions cover exactly the same points (FR
+// and the brute force decompose the same region into different rectangles):
+// neither leaves a piece of the other uncovered.
 func samePointSet(a, b geom.Region) bool {
-	return a.DifferenceArea(b) <= 1e-6 && b.DifferenceArea(a) <= 1e-6
+	return len(geom.Subtract(a, b)) == 0 && len(geom.Subtract(b, a)) == 0
 }
 
 // differentialStream drives s through a seeded random load/tick/apply/

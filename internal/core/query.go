@@ -153,9 +153,6 @@ type Result struct {
 	Accepted, Rejected, Candidates int
 	// ObjectsRetrieved counts index results fetched during refinement.
 	ObjectsRetrieved int
-	// Phases is the trace breakdown of the evaluation (filter, refine,
-	// pa-eval, union); interval queries merge per-snapshot spans by name.
-	Phases []telemetry.PhaseSpan
 }
 
 // Total returns CPU + IOTime.
@@ -328,7 +325,6 @@ func (s *Server) snapshotLocked(q Query, m Method, trackIO bool, sp *telemetry.S
 		Rejected:         ent.Rejected,
 		Candidates:       ent.Candidates,
 		ObjectsRetrieved: ent.ObjectsRetrieved,
-		Phases:           []telemetry.PhaseSpan{{Name: "cache", Duration: elapsed}},
 	}, nil
 }
 
@@ -367,9 +363,6 @@ func (s *Server) evaluateLocked(q Query, m Method, trackIO bool, sp *telemetry.S
 		res.IOTime = time.Duration(res.IOs) * storage.DefaultRandomIO
 	}
 	sp.SetAttrInt("ios", res.IOs)
-	// The flat phase breakdown is the span tree's first level, folded by
-	// name; untraced evaluations (nil sp) report no phases.
-	res.Phases = sp.PhaseSummary()
 	return res, nil
 }
 
@@ -663,7 +656,6 @@ func (s *Server) intervalLocked(q Query, n int, m Method, isp *telemetry.Span) (
 		out.Rejected += r.Rejected
 		out.Candidates += r.Candidates
 		out.ObjectsRetrieved += r.ObjectsRetrieved
-		out.Phases = telemetry.MergeSpans(out.Phases, r.Phases)
 	}
 	out.IOs = s.PoolStats().Sub(ioBefore).RandomIOs()
 	out.IOTime = time.Duration(out.IOs) * storage.DefaultRandomIO

@@ -196,12 +196,12 @@ func TestTickTracedSpans(t *testing.T) {
 	}
 }
 
-// TestFailedPhaseSpanIsClosed: a snapshot evaluation that fails inside a
+// TestFailedPhaseClosesItsSpan: a snapshot evaluation that fails inside a
 // phase closes the span it opened, so the failed request's trace shows how
 // long the phase ran instead of an open span of duration 0. End is
 // idempotent on a closed span and stamps an open one, so ending the span
 // again later tells the two apart.
-func TestFailedPhaseSpanIsClosed(t *testing.T) {
+func TestFailedPhaseClosesItsSpan(t *testing.T) {
 	s := loadWorkers(t, 500, 11, 1)[0]
 	short := Query{Rho: 1, L: 1, At: 0}                   // l below twice the histogram cell: the filter refuses
 	negative := Query{Rho: -1, L: s.Surface().L(), At: 0} // past validateLocked only when called directly

@@ -248,9 +248,15 @@ func (s *Server) Apply(u motion.Update) error {
 // one write: a query sees all of its admitted prefix or none of it. The
 // epoch is bumped iff a record was admitted.
 func (s *Server) ApplyBatch(updates []motion.Update) error {
+	return s.ApplyBatchTraced(updates, nil)
+}
+
+// ApplyBatchTraced is ApplyBatch recording the write's "plan" and "apply"
+// spans under sp (nil traces nothing and allocates nothing).
+func (s *Server) ApplyBatchTraced(updates []motion.Update, sp *telemetry.Span) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n, err := s.write(s.Now(), updates, nil)
+	n, err := s.write(s.Now(), updates, sp)
 	if n > 0 {
 		s.epoch.Add(1)
 	}

@@ -9,7 +9,6 @@ import (
 	"sync"
 
 	"pdr/internal/motion"
-	"pdr/internal/stopwatch"
 	"pdr/internal/wire"
 )
 
@@ -92,7 +91,6 @@ func decodeUpdates(w http.ResponseWriter, r *http.Request, fallback func(body []
 	}
 	defer bodyBufs.Put(pb) // updates hold no reference into the body
 	sp := requestSpan(r).Child("decode")
-	sw := stopwatch.Start()
 	now, ups, fast := wire.DecodeUpdates(*pb)
 	var fellBack int64
 	if !fast {
@@ -112,9 +110,6 @@ func decodeUpdates(w http.ResponseWriter, r *http.Request, fallback func(body []
 	sp.SetAttrInt("bytes", int64(len(*pb)))
 	sp.SetAttrInt("fallback", fellBack)
 	sp.End()
-	if d := requestDetail(r); d != nil {
-		d.decode = sw.Elapsed()
-	}
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return 0, nil, false

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"io"
@@ -34,7 +33,7 @@ func post(t *testing.T, ts *httptest.Server, route, body string) (int, []byte, s
 // root, nil when there is no such span.
 func spanAttrs(t *testing.T, ts *httptest.Server, traceID, name string) map[string]string {
 	t.Helper()
-	var tr TraceResponse
+	var tr TraceJSON
 	if resp := getJSON(t, ts.URL+"/debug/traces/"+traceID, &tr); resp.StatusCode != http.StatusOK {
 		t.Fatalf("trace lookup status %d", resp.StatusCode)
 	}
@@ -88,19 +87,11 @@ func TestUpdatesHandlerFallsBack(t *testing.T) {
 	if attrs := spanAttrs(t, ts, id, "decode"); attrs["fallback"] != "1" || attrs["records"] != "1" {
 		t.Errorf("apply decode span %v, want fallback=1 records=1", attrs)
 	}
-	// The slow log carries the decode time of write routes and only of those.
-	sc := bufio.NewScanner(strings.NewReader(log.String()))
+	// The slow log carries the decode span of write routes and only of those.
 	routes := map[string]int{}
-	for sc.Scan() {
-		var line struct {
-			Route        string
-			DecodeMicros *int64
-		}
-		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
-			t.Fatal(err)
-		}
-		if line.DecodeMicros != nil && line.Route != "/v1/updates" && line.Route != "/v1/apply" {
-			t.Errorf("slow-log line of %s carries decodeMicros", line.Route)
+	for _, line := range slowLines(t, &log) {
+		if decoded := child(*line.Root, "decode") != nil; decoded != (line.Route == "/v1/updates" || line.Route == "/v1/apply") {
+			t.Errorf("slow-log line of %s: decode span %v", line.Route, decoded)
 		}
 		routes[line.Route]++
 	}

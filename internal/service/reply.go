@@ -13,7 +13,6 @@ import (
 	"pdr/internal/core"
 	"pdr/internal/geom"
 	"pdr/internal/motion"
-	"pdr/internal/stopwatch"
 )
 
 // replyBufs pools reply bodies. Every JSON reply is encoded whole into one
@@ -82,7 +81,6 @@ type queryAnswer struct {
 // tick nor another reader.
 func writeQueryReply(w http.ResponseWriter, r *http.Request, a queryAnswer, outline bool) {
 	sp := requestSpan(r).Child("encode")
-	sw := stopwatch.Start()
 	var rings []geom.Ring
 	if outline {
 		rings = a.res.Region.Outline()
@@ -92,9 +90,6 @@ func writeQueryReply(w http.ResponseWriter, r *http.Request, a queryAnswer, outl
 	sp.SetAttrInt("rects", int64(len(a.res.Region)))
 	sp.SetAttrInt("bytes", int64(len(body)))
 	sp.End()
-	if d := requestDetail(r); d != nil {
-		d.encode = sw.Elapsed()
-	}
 	sendEncoded(w, http.StatusOK, pb, body, err)
 }
 

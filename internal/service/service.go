@@ -87,8 +87,10 @@ type Service struct {
 type Option func(*Service)
 
 // WithSlowQueryLog enables the slow-query log: every request slower than
-// threshold is written to w as one structured JSON line (see
-// docs/OBSERVABILITY.md for the schema), up to maxLines lines. Beyond the
+// threshold is written to w as one JSON line, its trace record with the
+// span tree cut at the engine's phases (docs/OBSERVABILITY.md), up to
+// maxLines lines. While it is on, every request records its span tree,
+// whether or not head sampling admits it to the trace store. Beyond the
 // cap, lines are dropped (and counted on pdr_http_slow_log_dropped_total)
 // so a long-running server can never grow the log without limit; 0 means
 // unbounded.
@@ -99,10 +101,10 @@ func WithSlowQueryLog(threshold time.Duration, maxLines int64, w io.Writer) Opti
 }
 
 // WithTracing configures request tracing: sample is the head-sampling
-// probability in [0, 1] (1 = trace everything, the default; 0 = trace
-// nothing), buffer is the trace-store recency-ring capacity (0 disables
-// tracing entirely and removes the per-request trace machinery). See
-// docs/OBSERVABILITY.md "Tracing".
+// probability in [0, 1] (1 = store every trace, the default; 0 = none),
+// buffer is the trace-store recency-ring capacity (0 disables the store
+// and the trace API). A request sampling turns away records no spans
+// unless the slow-query log is on. See docs/OBSERVABILITY.md "Tracing".
 func WithTracing(sample float64, buffer int) Option {
 	return func(s *Service) {
 		s.traceSample = sample
@@ -151,7 +153,7 @@ func NewWithEngine(srv *core.Server, opts ...Option) (*Service, error) {
 			sampled: s.reg.Counter("pdr_trace_sampled_total",
 				"Requests traced and stored in the trace store."),
 			dropped: s.reg.Counter("pdr_trace_dropped_total",
-				"Requests not traced (head sampling decided against)."),
+				"Requests head sampling kept out of the trace store."),
 		}
 	}
 	s.rts = telemetry.NewRuntimeStats(s.reg)
@@ -318,10 +320,12 @@ type ApplyResponse struct {
 }
 
 // handleApply makes the request's records one engine write
-// (core.Server.ApplyBatch), so a query sees all of its admitted prefix or
-// none of it. It bypasses the monitor — the clock does not move, so no
+// (core.Server.ApplyBatchTraced), so a query sees all of its admitted prefix
+// or none of it. It bypasses the monitor — the clock does not move, so no
 // standing query comes due — and takes the engine's write lock alone: the
-// contention regime bench/'s mixed-rw workload measures.
+// contention regime bench/'s mixed-rw workload measures. The write is the
+// root's "batch" span, with the engine's plan and apply under it, as a
+// tick's are under "tick".
 func (s *Service) handleApply(w http.ResponseWriter, r *http.Request) {
 	_, ups, ok := decodeUpdates(w, r, func(body []byte) (motion.Tick, []wire.Record, error) {
 		var req ApplyRequest
@@ -331,7 +335,11 @@ func (s *Service) handleApply(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if err := s.srv.ApplyBatch(ups); err != nil {
+	bsp := requestSpan(r).Child("batch")
+	bsp.SetAttrInt("updates", int64(len(ups)))
+	err := s.srv.ApplyBatchTraced(ups, bsp)
+	bsp.End()
+	if err != nil {
 		writePartial(w, fmt.Sprintf("apply %d", appliedOf(err)), err)
 		return
 	}

@@ -12,9 +12,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"pdr/internal/motion"
 	"pdr/internal/stopwatch"
 	"pdr/internal/telemetry"
+	"pdr/internal/tracestore"
 )
 
 // TraceIDHeader is the response header carrying the request's trace ID;
@@ -27,6 +27,13 @@ const TraceIDHeader = "X-Pdr-Trace-Id"
 // tracing, and the slow-query log. The route label is the path part of the
 // pattern, so cardinality stays bounded by the API surface, never by
 // client input.
+//
+// A request's span tree is its one record, with two sinks: the trace store
+// keeps it when head sampling admitted the request, and the slow-query log
+// writes it when the request was slow. The tree is recorded whenever either
+// sink may read it — for every request while the slow-query log is on — and
+// sampling decides only what the store keeps and which responses carry
+// X-Pdr-Trace-Id.
 func (s *Service) handle(pattern string, h http.HandlerFunc) {
 	route := pattern
 	if i := strings.IndexByte(pattern, ' '); i >= 0 {
@@ -37,33 +44,36 @@ func (s *Service) handle(pattern string, h http.HandlerFunc) {
 	replyBytes := s.reg.Histogram("pdr_http_response_bytes",
 		"HTTP response body size by route.", responseByteBuckets, telemetry.L("route", route))
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		detail := &queryDetail{}
+		sampled := s.tracer != nil && s.tracer.sample()
 		var tr *telemetry.Trace
-		if s.tracer != nil {
-			tr = s.tracer.maybeStart(route)
+		if sampled || s.slow != nil {
+			tr = telemetry.NewTrace(route)
+			r = r.WithContext(context.WithValue(r.Context(), spanKey{}, tr.Root()))
 		}
-		if tr != nil {
+		if sampled {
 			// The header goes out before the handler writes the status
 			// line; the body of the trace fills in as the request runs.
-			detail.span = tr.Root()
 			w.Header().Set(TraceIDHeader, tr.ID().String())
 		}
-		r = r.WithContext(context.WithValue(r.Context(), detailKey{}, detail))
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		sw := stopwatch.Start()
 		h(rec, r)
-		var elapsed time.Duration
-		var traceID telemetry.TraceID
+		elapsed := sw.Elapsed()
+		var trec *tracestore.Record
 		if tr != nil {
 			// The trace's root duration is the request duration: the slow
 			// log, the latency histogram, and /debug/traces/{id} all report
-			// the same measurement for a traced request.
+			// the same measurement for a recorded request.
 			tr.End()
 			elapsed = tr.Duration()
-			traceID = tr.ID()
-			s.tracer.finish(tr, route, r, rec.status, elapsed)
-		} else {
-			elapsed = sw.Elapsed()
+			trec = &tracestore.Record{
+				Time: time.Now(), Route: route, Method: r.Method, URL: r.URL.String(),
+				Status: rec.status, Duration: elapsed, ReplyBytes: len(rec.body), Root: tr.Root(),
+			}
+			if sampled {
+				trec.ID = tr.ID()
+				s.tracer.finish(trec)
+			}
 		}
 		latency.Observe(elapsed.Seconds())
 		replyBytes.Observe(float64(len(rec.body)))
@@ -72,7 +82,7 @@ func (s *Service) handle(pattern string, h http.HandlerFunc) {
 			telemetry.L("route", route),
 			telemetry.L("status", strconv.Itoa(rec.status))).Inc()
 		if s.slow != nil {
-			s.slow.maybeLog(route, r, rec.status, len(rec.body), elapsed, detail, traceID)
+			s.slow.maybeLog(trec)
 		}
 		rec.release()
 	})
@@ -118,70 +128,46 @@ func (r *statusRecorder) release() {
 	}
 }
 
-// detailKey carries the per-request queryDetail through the context.
-type detailKey struct{}
+// spanKey carries the request's root span through the context.
+type spanKey struct{}
 
-// queryDetail is filled in by query handlers so the slow-query log can
-// report engine-level context (method, parameters, phase breakdown) beyond
-// what the middleware sees.
-type queryDetail struct {
-	set    bool
-	method string
-	rho, l float64
-	at     motion.Tick
-	until  *motion.Tick
-	ios    int64
-	cpu    time.Duration
-	wall   time.Duration
-	cached bool
-	phases []telemetry.PhaseSpan
-	// encode is the time writeQueryReply spent building the reply body;
-	// decode the time decodeUpdates spent turning a write's body into updates.
-	encode time.Duration
-	decode time.Duration
-	// span is the request's root span when the request is traced; handlers
-	// fetch it via requestSpan to hang engine subtrees off it. Nil when
-	// tracing is off or the request was sampled out.
-	span *telemetry.Span
-}
-
-// requestDetail returns the request's carrier, nil for a request that
-// bypassed the middleware (e.g. a direct handler test).
-func requestDetail(r *http.Request) *queryDetail {
-	d, _ := r.Context().Value(detailKey{}).(*queryDetail)
-	return d
-}
-
-// requestSpan returns the request's root span, nil for untraced requests
-// (tracing disabled, sampled out, or no carrier).
+// requestSpan returns the request's root span, nil when the request records
+// no tree (tracing off or sampled out, and no slow-query log) or bypassed
+// the middleware (a direct handler test).
 func requestSpan(r *http.Request) *telemetry.Span {
-	if d := requestDetail(r); d != nil {
-		return d.span
-	}
-	return nil
+	sp, _ := r.Context().Value(spanKey{}).(*telemetry.Span)
+	return sp
 }
 
-// annotateQuery records engine result detail on the request's carrier (a
-// no-op without one).
+// annotateQuery writes the resolved query onto the request's root span: the
+// method, rho, l, at and, for an interval, until — in one append, as a
+// traced request pays for each growth of the attribute list.
 func annotateQuery(r *http.Request, a queryAnswer) {
-	d := requestDetail(r)
-	if d == nil {
+	sp := requestSpan(r)
+	if sp == nil {
 		return
 	}
-	d.set = true
-	d.method = a.method
-	d.rho, d.l, d.at = a.q.Rho, a.q.L, a.q.At
-	d.until = a.until
-	d.ios = a.res.IOs
-	d.cpu = a.res.CPU
-	d.wall = a.res.Wall
-	d.cached = a.res.Cached
-	d.phases = a.res.Phases
+	sp.Attrs = append(sp.Attrs,
+		telemetry.Attr{Key: "method", Value: a.method},
+		telemetry.Attr{Key: "rho", Value: attrFloat(a.q.Rho)},
+		telemetry.Attr{Key: "l", Value: attrFloat(a.q.L)},
+		telemetry.Attr{Key: "at", Value: strconv.FormatInt(int64(a.q.At), 10)})
+	if a.until != nil {
+		sp.SetAttrInt("until", int64(*a.until))
+	}
 }
 
-// slowQueryLog writes one structured JSON line per request slower than the
-// threshold, up to maxLines lines. Handlers run concurrently, so the
-// writer is mutex-guarded.
+// attrFloat renders a span attribute's float through a stack buffer, which
+// spares strconv.FormatFloat's heap scratch.
+func attrFloat(v float64) string {
+	var buf [32]byte
+	return string(strconv.AppendFloat(buf[:0], v, 'g', -1, 64))
+}
+
+// slowQueryLog writes one JSON line per request slower than the threshold,
+// up to maxLines lines: the request's trace as GET /debug/traces/{id}
+// renders it, cut at phaseLevels. Handlers run concurrently, so the writer
+// is mutex-guarded.
 type slowQueryLog struct {
 	threshold time.Duration
 	// maxLines caps the lines ever written (0 = unbounded); beyond it,
@@ -196,48 +182,8 @@ type slowQueryLog struct {
 	w        io.Writer // guarded by mu
 }
 
-// slowQueryLine is the JSON schema of one slow-query log record.
-type slowQueryLine struct {
-	Time           string `json:"time"`
-	Route          string `json:"route"`
-	HTTPMethod     string `json:"httpMethod"`
-	URL            string `json:"url"`
-	Status         int    `json:"status"`
-	DurationMicros int64  `json:"durationMicros"`
-	// ReplyBytes is the response body size; EncodeMicros, present on query
-	// routes, is the part of the duration spent building that body — the
-	// service's own share of a slow exact read, beside the engine's phases.
-	// DecodeMicros, present on /v1/updates and /v1/apply, is the part spent
-	// decoding the request body before the engine was called.
-	ReplyBytes   int   `json:"replyBytes"`
-	EncodeMicros int64 `json:"encodeMicros,omitempty"`
-	DecodeMicros int64 `json:"decodeMicros,omitempty"`
-	// TraceID resolves at GET /debug/traces/{id} while the trace store
-	// retains the trace; absent for untraced requests.
-	TraceID string           `json:"traceId,omitempty"`
-	Query   *slowQueryDetail `json:"query,omitempty"`
-}
-
-type slowQueryDetail struct {
-	Method     string          `json:"method"`
-	Rho        float64         `json:"rho"`
-	L          float64         `json:"l"`
-	At         motion.Tick     `json:"at"`
-	Until      *motion.Tick    `json:"until,omitempty"`
-	IOs        int64           `json:"ios"`
-	CPUMicros  int64           `json:"cpuMicros"`
-	WallMicros int64           `json:"wallMicros"`
-	Cached     bool            `json:"cached,omitempty"`
-	Phases     []phaseSpanJSON `json:"phases,omitempty"`
-}
-
-type phaseSpanJSON struct {
-	Phase  string `json:"phase"`
-	Micros int64  `json:"micros"`
-}
-
-func (l *slowQueryLog) maybeLog(route string, r *http.Request, status, replyBytes int, elapsed time.Duration, d *queryDetail, traceID telemetry.TraceID) {
-	if elapsed < l.threshold {
+func (l *slowQueryLog) maybeLog(rec *tracestore.Record) {
+	if rec.Duration < l.threshold {
 		return
 	}
 	l.count.Inc()
@@ -245,34 +191,7 @@ func (l *slowQueryLog) maybeLog(route string, r *http.Request, status, replyByte
 		l.dropped.Inc()
 		return
 	}
-	line := slowQueryLine{
-		Time:           time.Now().UTC().Format(time.RFC3339Nano),
-		Route:          route,
-		HTTPMethod:     r.Method,
-		URL:            r.URL.String(),
-		Status:         status,
-		DurationMicros: elapsed.Microseconds(),
-		ReplyBytes:     replyBytes,
-	}
-	if traceID != 0 {
-		line.TraceID = traceID.String()
-	}
-	if d != nil {
-		line.DecodeMicros = d.decode.Microseconds()
-	}
-	if d != nil && d.set {
-		line.EncodeMicros = d.encode.Microseconds()
-		q := &slowQueryDetail{
-			Method: d.method, Rho: d.rho, L: d.l, At: d.at, Until: d.until,
-			IOs: d.ios, CPUMicros: d.cpu.Microseconds(),
-			WallMicros: d.wall.Microseconds(), Cached: d.cached,
-		}
-		for _, p := range d.phases {
-			q.Phases = append(q.Phases, phaseSpanJSON{Phase: p.Name, Micros: p.Duration.Microseconds()})
-		}
-		line.Query = q
-	}
-	buf, err := json.Marshal(line)
+	buf, err := json.Marshal(traceJSON(rec, phaseLevels))
 	if err != nil {
 		return
 	}

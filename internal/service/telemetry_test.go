@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"io"
@@ -359,13 +358,8 @@ func TestSlowQueryLog(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	var queryLine *slowQueryLine
-	sc := bufio.NewScanner(strings.NewReader(log.String()))
-	for sc.Scan() {
-		var line slowQueryLine
-		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
-			t.Fatalf("bad slow-log line %q: %v", sc.Text(), err)
-		}
+	var queryLine *TraceJSON
+	for _, line := range slowLines(t, &log) {
 		if line.Route == "/v1/query" {
 			queryLine = &line
 		}
@@ -376,17 +370,14 @@ func TestSlowQueryLog(t *testing.T) {
 	if queryLine.Status != http.StatusOK || queryLine.DurationMicros < 0 {
 		t.Errorf("slow log line: %+v", queryLine)
 	}
-	if queryLine.Query == nil {
-		t.Fatal("slow log line missing engine query detail")
+	if attrs := attrMap(*queryLine.Root); attrs["method"] != "FR" || attrs["l"] != "60" {
+		t.Errorf("slow log query attrs: %v", attrs)
 	}
-	if queryLine.Query.Method != "FR" || queryLine.Query.L != 60 {
-		t.Errorf("slow log query detail: %+v", queryLine.Query)
+	snap := child(*queryLine.Root, "snapshot")
+	if snap == nil {
+		t.Fatalf("slow log line has no snapshot span: root children %s", childNames(*queryLine.Root))
 	}
-	phases := make([]string, 0, len(queryLine.Query.Phases))
-	for _, p := range queryLine.Query.Phases {
-		phases = append(phases, p.Phase)
-	}
-	if got := strings.Join(phases, ","); got != "filter,gather,refine,union" {
+	if got := childNames(*snap); got != "filter,gather,refine,union" {
 		t.Errorf("trace phases = %s, want filter,gather,refine,union", got)
 	}
 	// The slow-query counter is exposed.
@@ -510,5 +501,58 @@ func TestParsePastTick(t *testing.T) {
 		if err == nil && got != c.want {
 			t.Errorf("parsePastTick(%q) = %d, want %d", c.in, got, c.want)
 		}
+	}
+}
+
+// discardWriter is a reusable ResponseWriter that keeps the status and
+// drops the body, so a benchmark counts the service's allocations and not
+// a recorder's.
+type discardWriter struct {
+	h    http.Header
+	code int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.h }
+func (w *discardWriter) WriteHeader(code int)        { w.code = code }
+func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+
+// BenchmarkTracedQuery is one PA snapshot through ServeHTTP with tracing at
+// its default — every request traced and filed in the store — and no
+// slow-query log: the allocations of a traced request, its answer's
+// included. The store's ring and reservoir are filled first, so every
+// measured request evicts one trace.
+func BenchmarkTracedQuery(b *testing.B) {
+	cfg := core.DefaultConfig()
+	cfg.HistM = 50
+	cfg.L = 60
+	svc, err := New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	gcfg := datagen.DefaultConfig(1000)
+	gcfg.Seed = 7
+	g, err := datagen.New(gcfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := svc.Engine().Load(g.InitialStates()); err != nil {
+		b.Fatal(err)
+	}
+	req := httptest.NewRequest(http.MethodGet, "/v1/query?method=pa&varrho=2&l=60", nil)
+	w := &discardWriter{h: http.Header{}}
+	serve := func() {
+		clear(w.h)
+		svc.ServeHTTP(w, req)
+		if w.code != http.StatusOK {
+			b.Fatalf("status %d", w.code)
+		}
+	}
+	for i := 0; i < 2*DefaultTraceBuffer; i++ {
+		serve()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve()
 	}
 }

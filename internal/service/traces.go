@@ -1,6 +1,7 @@
 package service
 
 import (
+	"math"
 	"net/http"
 	"strconv"
 	"sync/atomic"
@@ -10,8 +11,8 @@ import (
 	"pdr/internal/tracestore"
 )
 
-// tracer decides per request whether to trace (probabilistic head
-// sampling) and files completed traces into the bounded store. All state
+// tracer decides per request whether the store keeps its trace
+// (probabilistic head sampling) and files completed traces there. All state
 // is atomic or internally locked — the middleware uses it without a lock.
 type tracer struct {
 	store   *tracestore.Store
@@ -21,16 +22,16 @@ type tracer struct {
 	dropped *telemetry.Counter
 }
 
-// maybeStart returns a new trace for this request, or nil when head
-// sampling decides against. The decision is a hash of an atomic sequence
-// number — deterministic for a given request ordinal, lock-free, and free
-// of the global math/rand state.
-func (t *tracer) maybeStart(route string) *telemetry.Trace {
-	if !t.admit() {
-		t.dropped.Inc()
-		return nil
+// sample reports whether head sampling admits this request's trace to the
+// store, counting the requests it turns away. The decision is a hash of an
+// atomic sequence number — deterministic for a given request ordinal,
+// lock-free, and free of the global math/rand state.
+func (t *tracer) sample() bool {
+	if t.admit() {
+		return true
 	}
-	return telemetry.NewTrace(route)
+	t.dropped.Inc()
+	return false
 }
 
 // admit implements the sampling decision: splitmix64 of the request
@@ -53,44 +54,42 @@ func (t *tracer) admit() bool {
 
 // finish files a completed trace. The span tree must be fully ended —
 // store readers render it concurrently.
-func (t *tracer) finish(tr *telemetry.Trace, route string, r *http.Request, status int, elapsed time.Duration) {
-	t.store.Add(&tracestore.Record{
-		ID:       tr.ID(),
-		Time:     time.Now(),
-		Route:    route,
-		Method:   r.Method,
-		URL:      r.URL.String(),
-		Status:   status,
-		Duration: elapsed,
-		Root:     tr.Root(),
-	})
+func (t *tracer) finish(rec *tracestore.Record) {
+	t.store.Add(rec)
 	t.sampled.Inc()
-}
-
-// TraceSummaryJSON is one entry of the GET /debug/traces listing.
-type TraceSummaryJSON struct {
-	ID             string `json:"id"`
-	Time           string `json:"time"`
-	Route          string `json:"route"`
-	HTTPMethod     string `json:"httpMethod"`
-	URL            string `json:"url"`
-	Status         int    `json:"status"`
-	DurationMicros int64  `json:"durationMicros"`
-	Spans          int    `json:"spans"`
 }
 
 // TraceListResponse is the body of GET /debug/traces.
 type TraceListResponse struct {
-	Sampled int64              `json:"sampled"`
-	Dropped int64              `json:"dropped"`
-	Evicted int64              `json:"evicted"`
-	Stored  int                `json:"stored"`
-	Traces  []TraceSummaryJSON `json:"traces"`
+	Sampled int64       `json:"sampled"`
+	Dropped int64       `json:"dropped"`
+	Evicted int64       `json:"evicted"`
+	Stored  int         `json:"stored"`
+	Traces  []TraceJSON `json:"traces"`
+}
+
+// TraceJSON is one request's record as every trace view renders it: an
+// entry of GET /debug/traces (no root), the body of GET /debug/traces/{id}
+// (the whole tree) and a slow-query log line (the tree cut at phaseLevels).
+// Spans counts the whole tree however much of it is rendered.
+type TraceJSON struct {
+	// ID is absent from the slow-query line of a request head sampling
+	// turned away: its trace is in no store.
+	ID             string    `json:"id,omitempty"`
+	Time           string    `json:"time"`
+	Route          string    `json:"route"`
+	HTTPMethod     string    `json:"httpMethod"`
+	URL            string    `json:"url"`
+	Status         int       `json:"status"`
+	DurationMicros int64     `json:"durationMicros"`
+	ReplyBytes     int       `json:"replyBytes"`
+	Spans          int       `json:"spans"`
+	Root           *SpanJSON `json:"root,omitempty"`
 }
 
 // SpanJSON is one node of a rendered span tree. Start offsets are
-// relative to the trace start; the record's time field anchors them to
-// the wall clock.
+// relative to the trace start, which is the record's time (when the
+// request finished) less its duration.
 type SpanJSON struct {
 	Name           string           `json:"name"`
 	StartMicros    int64            `json:"startMicros"`
@@ -99,45 +98,53 @@ type SpanJSON struct {
 	Children       []SpanJSON       `json:"children,omitempty"`
 }
 
-// TraceResponse is the body of GET /debug/traces/{id}.
-type TraceResponse struct {
-	ID             string   `json:"id"`
-	Time           string   `json:"time"`
-	Route          string   `json:"route"`
-	HTTPMethod     string   `json:"httpMethod"`
-	URL            string   `json:"url"`
-	Status         int      `json:"status"`
-	DurationMicros int64    `json:"durationMicros"`
-	Root           SpanJSON `json:"root"`
-}
+// phaseLevels is how deep a slow-query line renders the span tree: the
+// request root, the calls under it (the engine's snapshot, interval, past,
+// tick or monitor span, the service's decode and encode) and their phases —
+// filter, gather, refine, union, pa-eval, an interval's per-snapshot spans
+// with its union and area, a write's plan and apply, the monitor's
+// subscriptions. A refine's row-run window spans, one level further down,
+// stay at GET /debug/traces/{id}, so a line's size does not follow the
+// answer's.
+const phaseLevels = 3
 
-func spanJSON(sp *telemetry.Span) SpanJSON {
-	out := SpanJSON{
-		Name:           sp.Name,
-		StartMicros:    sp.Start.Microseconds(),
-		DurationMicros: sp.Duration.Microseconds(),
-		Attrs:          sp.Attrs,
-	}
-	if len(sp.Children) > 0 {
-		out.Children = make([]SpanJSON, len(sp.Children))
-		for i, c := range sp.Children {
-			out.Children[i] = spanJSON(c)
-		}
-	}
-	return out
-}
-
-func traceSummary(rec *tracestore.Record) TraceSummaryJSON {
-	return TraceSummaryJSON{
-		ID:             rec.ID.String(),
+// traceJSON renders a record with its span tree down to levels levels (0:
+// no root; math.MaxInt: the whole tree).
+func traceJSON(rec *tracestore.Record, levels int) TraceJSON {
+	out := TraceJSON{
 		Time:           rec.Time.UTC().Format(time.RFC3339Nano),
 		Route:          rec.Route,
 		HTTPMethod:     rec.Method,
 		URL:            rec.URL,
 		Status:         rec.Status,
 		DurationMicros: rec.Duration.Microseconds(),
+		ReplyBytes:     rec.ReplyBytes,
 		Spans:          rec.Root.CountSpans(),
 	}
+	if rec.ID != 0 {
+		out.ID = rec.ID.String()
+	}
+	if levels > 0 {
+		root := spanJSON(rec.Root, levels)
+		out.Root = &root
+	}
+	return out
+}
+
+func spanJSON(sp *telemetry.Span, levels int) SpanJSON {
+	out := SpanJSON{
+		Name:           sp.Name,
+		StartMicros:    sp.Start.Microseconds(),
+		DurationMicros: sp.Duration.Microseconds(),
+		Attrs:          sp.Attrs,
+	}
+	if levels > 1 && len(sp.Children) > 0 {
+		out.Children = make([]SpanJSON, len(sp.Children))
+		for i, c := range sp.Children {
+			out.Children[i] = spanJSON(c, levels-1)
+		}
+	}
+	return out
 }
 
 // handleTraces serves GET /debug/traces: recent trace summaries, newest
@@ -169,10 +176,10 @@ func (s *Service) handleTraces(w http.ResponseWriter, r *http.Request) {
 		Dropped: s.tracer.dropped.Value(),
 		Evicted: s.tracer.store.Evictions(),
 		Stored:  s.tracer.store.Len(),
-		Traces:  make([]TraceSummaryJSON, len(recs)),
+		Traces:  make([]TraceJSON, len(recs)),
 	}
 	for i, rec := range recs {
-		out.Traces[i] = traceSummary(rec)
+		out.Traces[i] = traceJSON(rec, 0)
 	}
 	writeJSON(w, out)
 }
@@ -194,14 +201,5 @@ func (s *Service) handleTraceByID(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "trace %s is not in the store (never sampled, or evicted)", r.PathValue("id"))
 		return
 	}
-	writeJSON(w, TraceResponse{
-		ID:             rec.ID.String(),
-		Time:           rec.Time.UTC().Format(time.RFC3339Nano),
-		Route:          rec.Route,
-		HTTPMethod:     rec.Method,
-		URL:            rec.URL,
-		Status:         rec.Status,
-		DurationMicros: rec.Duration.Microseconds(),
-		Root:           spanJSON(rec.Root),
-	})
+	writeJSON(w, traceJSON(rec, math.MaxInt))
 }

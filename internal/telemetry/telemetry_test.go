@@ -240,18 +240,3 @@ func TestScrapeDuringLazyRegistration(t *testing.T) {
 		t.Errorf("exposed %d pdr_lazy_total samples, want %d", got, workers*iters)
 	}
 }
-
-func TestMergeSpans(t *testing.T) {
-	a := []PhaseSpan{{"filter", 2}, {"refine", 3}}
-	b := []PhaseSpan{{"refine", 5}, {"union", 7}}
-	got := MergeSpans(a, b)
-	want := []PhaseSpan{{"filter", 2}, {"refine", 8}, {"union", 7}}
-	if len(got) != len(want) {
-		t.Fatalf("got %d spans, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("span %d = %+v, want %+v", i, got[i], want[i])
-		}
-	}
-}

@@ -11,35 +11,6 @@ import (
 	"pdr/internal/stopwatch"
 )
 
-// PhaseSpan is one flat, named slice of query time — the summary form the
-// engine reports in Result.Phases and the slow-query log renders. The full
-// hierarchical form is Span; PhaseSummary folds a span's children down to
-// this shape.
-type PhaseSpan struct {
-	Name     string
-	Duration time.Duration
-}
-
-// MergeSpans folds src into dst by phase name, summing durations — the
-// aggregation an interval query uses to combine its per-snapshot traces.
-// Phase order follows first appearance.
-func MergeSpans(dst, src []PhaseSpan) []PhaseSpan {
-	for _, s := range src {
-		found := false
-		for i := range dst {
-			if dst[i].Name == s.Name {
-				dst[i].Duration += s.Duration
-				found = true
-				break
-			}
-		}
-		if !found {
-			dst = append(dst, s)
-		}
-	}
-	return dst
-}
-
 // TraceID identifies one traced request, unique within the process. The
 // zero value means "no trace".
 type TraceID uint64
@@ -294,30 +265,6 @@ func (s *Span) Fork(name string, n int) Spans {
 	}
 	s.Children = append(s.Children, slots[:created]...)
 	return slots
-}
-
-// PhaseSummary folds the span's direct children into the flat PhaseSpan
-// form by name (first-appearance order, durations summed) — the bridge
-// from the span tree to Result.Phases and the slow-query log.
-func (s *Span) PhaseSummary() []PhaseSpan {
-	if s == nil || len(s.Children) == 0 {
-		return nil
-	}
-	out := make([]PhaseSpan, 0, len(s.Children))
-	for _, c := range s.Children {
-		found := false
-		for i := range out {
-			if out[i].Name == c.Name {
-				out[i].Duration += c.Duration
-				found = true
-				break
-			}
-		}
-		if !found {
-			out = append(out, PhaseSpan{Name: c.Name, Duration: c.Duration})
-		}
-	}
-	return out
 }
 
 // CountSpans returns the number of spans in the subtree rooted at s.

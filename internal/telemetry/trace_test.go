@@ -72,7 +72,7 @@ func TestNilTraceAndSpanAreNoops(t *testing.T) {
 	if sp.Fork("x", 4) != nil {
 		t.Error("nil span produced fork slots")
 	}
-	if sp.PhaseSummary() != nil || sp.CountSpans() != 0 || sp.TraceID() != 0 {
+	if sp.CountSpans() != 0 || sp.TraceID() != 0 {
 		t.Error("nil span leaked state")
 	}
 	var ss Spans
@@ -95,7 +95,6 @@ func TestNilSpanZeroAllocs(t *testing.T) {
 		s.Begin()
 		s.SetAttrInt("retrieved", 7)
 		s.End()
-		_ = sp.PhaseSummary()
 	})
 	if allocs != 0 {
 		t.Errorf("disabled tracing allocated %.1f times per run, want 0", allocs)
@@ -196,25 +195,4 @@ func TestSpanBudgetTruncates(t *testing.T) {
 	s := slots.At(4)
 	s.Begin()
 	s.End()
-}
-
-func TestPhaseSummary(t *testing.T) {
-	tr := NewTrace("q")
-	root := tr.Root()
-	for _, name := range []string{"filter", "refine", "refine", "union"} {
-		c := root.Child(name)
-		// Leaf grandchildren must not leak into the summary.
-		g := c.Child("inner")
-		g.End()
-		c.End()
-	}
-	tr.End()
-	sum := root.PhaseSummary()
-	names := make([]string, len(sum))
-	for i, p := range sum {
-		names[i] = p.Name
-	}
-	if got := strings.Join(names, ","); got != "filter,refine,union" {
-		t.Errorf("summary = %s, want filter,refine,union", got)
-	}
 }

@@ -23,13 +23,15 @@ import (
 // Record is one stored trace with its request envelope.
 type Record struct {
 	ID       telemetry.TraceID
-	Time     time.Time // wall-clock anchor; span offsets are relative to it
+	Time     time.Time // when the request finished; span offsets count from Time - Duration
 	Route    string
 	Method   string // HTTP method
 	URL      string
 	Status   int
 	Duration time.Duration
-	Root     *telemetry.Span
+	// ReplyBytes is the size of the response body.
+	ReplyBytes int
+	Root       *telemetry.Span
 }
 
 // entry wraps a record with its retention bookkeeping.

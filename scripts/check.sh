@@ -149,6 +149,11 @@ go test -run '^$' -bench 'BenchmarkSeriesEval$|BenchmarkAddBoxDelta$|BenchmarkFi
 # that is already grown: the encoder builds no intermediate value.
 go test -run '^$' -bench 'BenchmarkEncodeQueryReply$' -benchtime=200x -benchmem ./internal/service |
 	pin_allocs 'BenchmarkEncodeQueryReply=0'
+# A traced PA snapshot through ServeHTTP (every request traced and stored, the
+# default; no slow-query log) allocates its answer, its span tree and record,
+# the root's query attributes, and the mux's and metrics' per-request share.
+go test -run '^$' -bench 'BenchmarkTracedQuery$' -benchtime=200x -benchmem ./internal/service |
+	pin_allocs 'BenchmarkTracedQuery=56'
 # A tick's body (1,030 records) is scanned off the request's bytes into one
 # exactly-sized update slice: no per-record or per-number allocation.
 go test -run '^$' -bench 'BenchmarkDecodeUpdates$' -benchtime=200x -benchmem ./internal/wire |
