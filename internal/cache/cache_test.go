@@ -72,9 +72,6 @@ func TestZeroBudgetDisablesCache(t *testing.T) {
 	if got := c.Stats(); got != (Stats{}) {
 		t.Errorf("nil cache stats = %+v, want zeros", got)
 	}
-	if c.Len() != 0 {
-		t.Errorf("nil cache Len = %d", c.Len())
-	}
 }
 
 func TestHitReturnsEqualRegion(t *testing.T) {
@@ -126,38 +123,40 @@ func TestDeepImmutability(t *testing.T) {
 	}
 }
 
-// TestLRUEvictionOrder pins the eviction policy on a single shard: the
-// least-recently-used key goes first, so entries of a superseded epoch age
-// out as soon as the budget needs the room.
+// TestLRUEvictionOrder pins the eviction policy within one epoch: the
+// least-recently-used key goes first.
 func TestLRUEvictionOrder(t *testing.T) {
 	per := entryWithRects(1).ApproxBytes()
-	c := newShards(2*per, 1) // room for exactly two entries
-	old1, old2 := key(1, 0), key(1, 1)
-	mustCompute(t, c, old1, entryWithRects(1))
-	mustCompute(t, c, old2, entryWithRects(1))
+	c := New(2 * per) // room for exactly two entries
+	k0, k1 := key(1, 0), key(1, 1)
+	mustCompute(t, c, k0, entryWithRects(1))
+	mustCompute(t, c, k1, entryWithRects(1))
 
-	// Touch old1 so old2 is the LRU tail, then insert a new-epoch entry.
-	if _, outcome := lookup(t, c, old1); outcome != Hit {
-		t.Fatal("old1 should be resident")
+	// Touch k0 so k1 is the LRU tail, then insert a third entry.
+	if _, outcome := lookup(t, c, k0); outcome != Hit {
+		t.Fatal("k0 should be resident")
 	}
-	mustCompute(t, c, key(2, 0), entryWithRects(1))
+	mustCompute(t, c, key(1, 2), entryWithRects(1))
 
 	st := c.Stats()
 	if st.Evictions != 1 || st.Entries != 2 {
 		t.Fatalf("stats after third insert = %+v, want 1 eviction, 2 entries", st)
 	}
-	if _, outcome := lookup(t, c, old2); outcome != Computed {
-		t.Errorf("old2 (the LRU tail) should have been evicted")
+	if _, outcome := lookup(t, c, k1); outcome != Computed {
+		t.Errorf("k1 (the LRU tail) should have been evicted")
 	}
-	// old2's re-insert (epoch 1 key) just evicted the next tail: old1.
-	if _, outcome := lookup(t, c, key(2, 0)); outcome != Hit {
+	// k1's re-insert just evicted the next tail: k0.
+	if _, outcome := lookup(t, c, key(1, 2)); outcome != Hit {
 		t.Errorf("the newest entry must survive the evictions")
+	}
+	if _, outcome := lookup(t, c, k0); outcome != Computed {
+		t.Errorf("k0 (the tail after k1's re-insert) should have been evicted")
 	}
 }
 
 func TestBytesAccounting(t *testing.T) {
 	per := entryWithRects(4).ApproxBytes()
-	c := newShards(3*per, 1)
+	c := New(3 * per)
 	for i := int64(0); i < 3; i++ {
 		mustCompute(t, c, key(1, i), entryWithRects(4))
 	}
@@ -174,7 +173,7 @@ func TestBytesAccounting(t *testing.T) {
 }
 
 func TestOversizeEntryNotCached(t *testing.T) {
-	c := newShards(entryFixedBytes+2*rectBytes, 1)
+	c := New(entryFixedBytes + 2*rectBytes)
 	huge := entryWithRects(1000)
 	mustCompute(t, c, key(1, 0), huge)
 	if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 {
@@ -182,6 +181,53 @@ func TestOversizeEntryNotCached(t *testing.T) {
 	}
 	if _, outcome := lookup(t, c, key(1, 0)); outcome != Computed {
 		t.Error("oversize entry must re-evaluate")
+	}
+}
+
+// TestLargeEntryWithinBudgetIsCached: the budget applies whole, so an
+// answer that takes a quarter of it is stored and hits.
+func TestLargeEntryWithinBudgetIsCached(t *testing.T) {
+	big := entryWithRects(10000)
+	c := New(4 * big.ApproxBytes())
+	mustCompute(t, c, key(1, 0), big)
+	if st := c.Stats(); st.Entries != 1 || st.Bytes != big.ApproxBytes() {
+		t.Fatalf("stats = %+v, want the one %d-byte entry resident", st, big.ApproxBytes())
+	}
+	if got, outcome := lookup(t, c, key(1, 0)); outcome != Hit || len(got.Region) != len(big.Region) {
+		t.Fatalf("lookup = (%d rects, %v), want a %d-rect hit", len(got.Region), outcome, len(big.Region))
+	}
+}
+
+// TestNewerEpochDropsOlderEntries: once a key of a newer epoch is looked up,
+// no older entry can hit again, and none stays resident. The drop is not
+// an eviction.
+func TestNewerEpochDropsOlderEntries(t *testing.T) {
+	c := New(64 << 20)
+	for i := int64(0); i < 20; i++ {
+		mustCompute(t, c, key(1, i), entryWithRects(1000))
+	}
+	newest := entryWithRects(3)
+	mustCompute(t, c, key(2, 0), newest)
+	st := c.Stats()
+	if st.Entries != 1 || st.Bytes != newest.ApproxBytes() || st.Evictions != 0 {
+		t.Fatalf("stats after the first epoch-2 store = %+v, want 1 entry of %d bytes and no eviction",
+			st, newest.ApproxBytes())
+	}
+	if _, outcome := lookup(t, c, key(2, 0)); outcome != Hit {
+		t.Error("the epoch-2 entry must hit")
+	}
+}
+
+// TestOlderEpochKeyNotStored: a key older than the newest epoch seen is
+// computed every time and never takes budget.
+func TestOlderEpochKeyNotStored(t *testing.T) {
+	c := New(1 << 20)
+	mustCompute(t, c, key(2, 0), entryWithRects(1))
+	for i := 0; i < 2; i++ {
+		mustCompute(t, c, key(1, 0), entryWithRects(1))
+	}
+	if st := c.Stats(); st.Entries != 1 || st.Misses != 3 || st.Hits != 0 {
+		t.Fatalf("stats = %+v, want 3 misses and only the epoch-2 entry resident", st)
 	}
 }
 
@@ -242,7 +288,7 @@ func TestSingleflightCollapses(t *testing.T) {
 		}()
 	}
 	// Release only once every loser is parked on the winner's flight.
-	for c.waiters() < losers {
+	for c.Stats().Waiting < losers {
 		time.Sleep(50 * time.Microsecond)
 	}
 	close(release)
@@ -298,26 +344,63 @@ func TestSingleflightSharesErrors(t *testing.T) {
 			t.Errorf("loser = (%v, %v), want the shared error", outcome, err)
 		}
 	}()
-	for c.waiters() < 1 {
+	for c.Stats().Waiting < 1 {
 		time.Sleep(50 * time.Microsecond)
 	}
 	close(release)
 	wg.Wait()
 }
 
+// TestPanickingComputeSettlesFlight: a compute that panics still settles
+// its flight, so a waiter gets an error instead of blocking forever, and
+// the panic reaches the computing caller.
+func TestPanickingComputeSettlesFlight(t *testing.T) {
+	c := New(1 << 20)
+	started := make(chan struct{})
+	release := make(chan struct{})
+	recovered := make(chan any, 1)
+	go func() {
+		defer func() { recovered <- recover() }()
+		c.Do(key(1, 0), func() (*Entry, error) {
+			close(started)
+			<-release
+			panic("boom")
+		})
+	}()
+	<-started
+	waiterErr := make(chan error, 1)
+	go func() {
+		_, _, err := c.Do(key(1, 0), func() (*Entry, error) { return entryWithRects(1), nil })
+		waiterErr <- err
+	}()
+	for c.Stats().Waiting < 1 {
+		time.Sleep(50 * time.Microsecond)
+	}
+	close(release)
+	if r := <-recovered; r != "boom" {
+		t.Errorf("computing caller recovered %v, want the panic", r)
+	}
+	if err := <-waiterErr; err == nil {
+		t.Error("the waiter of a panicked flight got no error")
+	}
+	if _, outcome := lookup(t, c, key(1, 0)); outcome != Computed {
+		t.Errorf("after a panicked flight the key resolved %v, want a fresh evaluation", outcome)
+	}
+}
+
 // TestConcurrentMixedKeys is the race-detector workload: many goroutines
-// hammer a small key space through hits, misses, shared flights, and
-// evictions at once.
+// hammer a small key space through hits, misses, shared flights, evictions,
+// epoch drops and keys of superseded epochs at once.
 func TestConcurrentMixedKeys(t *testing.T) {
 	per := entryWithRects(2).ApproxBytes()
-	c := New(numShards * 2 * per) // tight: evictions guaranteed
+	c := New(4 * per) // tight: evictions guaranteed
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				k := key(uint64(i%5), int64((g+i)%7))
+				k := key(uint64(i/40), int64((g+i)%7))
 				ent, _, err := c.Do(k, func() (*Entry, error) {
 					return entryWithRects(2), nil
 				})
@@ -333,7 +416,7 @@ func TestConcurrentMixedKeys(t *testing.T) {
 	if st.Hits+st.Misses+st.Shared != 8*200 {
 		t.Errorf("lookup accounting leaks: %+v", st)
 	}
-	if st.Bytes > numShards*2*per {
+	if st.Bytes > 4*per {
 		t.Errorf("resident bytes %d exceed the budget", st.Bytes)
 	}
 }
@@ -389,4 +472,52 @@ func TestHitRatioFreshProcess(t *testing.T) {
 	if !strings.Contains(body, "pdr_cache_hit_ratio 0") {
 		t.Fatalf("fresh exposition missing zero hit ratio:\n%s", body)
 	}
+}
+
+// hitSink keeps the benchmarks' hits alive.
+var hitSink *Entry
+
+// warmHit returns a cache holding one 10,000-rect entry, the shape of
+// bench/layers' cache.do_hit_us probe, and the lookup that hits it.
+func warmHit(b *testing.B) (*Cache, Key, func() (*Entry, error)) {
+	c := New(64 << 20)
+	ent := entryWithRects(10000)
+	k := key(1, 1)
+	compute := func() (*Entry, error) { return ent, nil }
+	if _, _, err := c.Do(k, compute); err != nil {
+		b.Fatal(err)
+	}
+	return c, k, compute
+}
+
+// BenchmarkCacheDoHit times one hit: the lock, the recency move and the
+// deep copy of the answer (its two allocations).
+func BenchmarkCacheDoHit(b *testing.B) {
+	c, k, compute := warmHit(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ent, outcome, err := c.Do(k, compute)
+		if err != nil || outcome != Hit {
+			b.Fatalf("Do = (%v, %v), want a hit", outcome, err)
+		}
+		hitSink = ent
+	}
+}
+
+// BenchmarkCacheDoHitParallel is the same hit from GOMAXPROCS goroutines at
+// once: what readers pay for sharing the cache's one mutex.
+func BenchmarkCacheDoHitParallel(b *testing.B) {
+	c, k, compute := warmHit(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			ent, outcome, err := c.Do(k, compute)
+			if err != nil || outcome != Hit || len(ent.Region) != 10000 {
+				b.Errorf("Do = (%v, %v), want a 10,000-rect hit", outcome, err)
+				return
+			}
+		}
+	})
 }

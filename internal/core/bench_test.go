@@ -139,15 +139,60 @@ func BenchmarkSnapshotFRClasses(b *testing.B) {
 	const n = 20000
 	cfg := DefaultConfig()
 	cfg.DisablePA = true
-	s := classesServer(b, cfg, n)
-	classes := [][2]float64{{30, 1}, {30, 3}, {30, 5}, {45, 3}, {60, 1}, {60, 3}, {60, 5}}
+	s, _ := classesServer(b, cfg, n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for k, c := range classes {
-			q := Query{Rho: relRho(n, c[1]), L: c[0], At: s.Now() + motion.Tick(4*k)}
-			if _, err := s.Snapshot(q, FR); err != nil {
-				b.Fatal(err)
+		askFRClasses(b, s, n)
+	}
+}
+
+// BenchmarkCachedFRClasses re-asks exact-read's seven classes between
+// writes, with the result cache off and on (64 MiB), over the population of
+// BenchmarkSnapshotFRClasses. One op is a tick of the stream (untimed), then
+// the seven classes asked and asked again. It reports the time per query
+// and, at the end, the cache's hit ratio and resident bytes: the resident
+// set after 20 ticks under -benchtime=20x.
+func BenchmarkCachedFRClasses(b *testing.B) {
+	const n = 20000
+	for _, budget := range []int64{0, 64 << 20} {
+		name := "off"
+		if budget > 0 {
+			name = "on"
+		}
+		b.Run(name, func(b *testing.B) {
+			cfg := DefaultConfig()
+			cfg.DisablePA = true
+			cfg.CacheBytes = budget
+			s, g := classesServer(b, cfg, n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				ups := g.Advance()
+				if err := s.Tick(g.Now(), ups); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				askFRClasses(b, s, n)
+				askFRClasses(b, s, n)
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(2*len(frClasses)*b.N), "ns/query")
+			st := s.CacheStats()
+			b.ReportMetric(st.HitRatio(), "hit-ratio")
+			b.ReportMetric(float64(st.Bytes), "resident-B")
+		})
+	}
+}
+
+// frClasses are the l x varrho classes bench/'s exact queries cycle through.
+var frClasses = [][2]float64{{30, 1}, {30, 3}, {30, 5}, {45, 3}, {60, 1}, {60, 3}, {60, 5}}
+
+// askFRClasses asks each of frClasses once, the k-th at now+4k, inside the
+// prediction window.
+func askFRClasses(b *testing.B, s *Server, n int) {
+	for k, c := range frClasses {
+		q := Query{Rho: relRho(n, c[1]), L: c[0], At: s.Now() + motion.Tick(4*k)}
+		if _, err := s.Snapshot(q, FR); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
@@ -158,7 +203,7 @@ func BenchmarkSnapshotFRClasses(b *testing.B) {
 // prediction window. One op is the three queries.
 func BenchmarkSnapshotPAClasses(b *testing.B) {
 	const n = 20000
-	s := classesServer(b, DefaultConfig(), n)
+	s, _ := classesServer(b, DefaultConfig(), n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for k, varrho := range []float64{1, 3, 5} {
@@ -171,8 +216,9 @@ func BenchmarkSnapshotPAClasses(b *testing.B) {
 }
 
 // classesServer loads n datagen objects (seed 1) into a server built from
-// cfg and runs 8 ticks of their update stream.
-func classesServer(b *testing.B, cfg Config, n int) *Server {
+// cfg and runs 8 ticks of their update stream; the generator goes on from
+// there.
+func classesServer(b *testing.B, cfg Config, n int) (*Server, *datagen.Generator) {
 	b.Helper()
 	s, err := NewServer(cfg)
 	if err != nil {
@@ -193,7 +239,7 @@ func classesServer(b *testing.B, cfg Config, n int) *Server {
 			b.Fatal(err)
 		}
 	}
-	return s
+	return s, g
 }
 
 func benchSnapshot(b *testing.B, m Method) {

@@ -38,7 +38,7 @@
 // mutex only around one io.Writer.Write, with no call under it. The other
 // mutexes (the answer cache, the buffer pool, telemetry, the trace store)
 // live in packages that import neither core nor monitor, and the cache
-// runs a miss's evaluation outside its shard lock. An inversion would hang
+// runs a miss's evaluation outside its mutex. An inversion would hang
 // the dynamic guards: TestConcurrentSubscriptionChangesAndTicks,
 // TestRaceUpdatesQueryStats and the repeated service and monitor soak of
 // scripts/check.sh at GOMAXPROCS 1, 2 and 4.

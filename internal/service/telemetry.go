@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"maps"
 	"net/http"
 	"strconv"
 	"strings"
@@ -43,6 +44,8 @@ func (s *Service) handle(pattern string, h http.HandlerFunc) {
 		"HTTP request latency by route.", nil, telemetry.L("route", route))
 	replyBytes := s.reg.Histogram("pdr_http_response_bytes",
 		"HTTP response body size by route.", responseByteBuckets, telemetry.L("route", route))
+	requests := &requestCounters{reg: s.reg, route: route}
+	requests.bound.Store(&map[int]*telemetry.Counter{})
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		sampled := s.tracer != nil && s.tracer.sample()
 		var tr *telemetry.Trace
@@ -77,15 +80,42 @@ func (s *Service) handle(pattern string, h http.HandlerFunc) {
 		}
 		latency.Observe(elapsed.Seconds())
 		replyBytes.Observe(float64(len(rec.body)))
-		s.reg.Counter("pdr_http_requests_total",
-			"HTTP requests by route and status.",
-			telemetry.L("route", route),
-			telemetry.L("status", strconv.Itoa(rec.status))).Inc()
+		requests.inc(rec.status)
 		if s.slow != nil {
 			s.slow.maybeLog(trec)
 		}
 		rec.release()
 	})
+}
+
+// requestCounters holds one route's pdr_http_requests_total series by
+// status. Each is registered at the first request with that status, so the
+// exposition lists the series in the order they first occurred; after that
+// a request reads the bound counter without the registry, whose mutex
+// scrapes also take.
+type requestCounters struct {
+	reg   *telemetry.Registry
+	route string
+	mu    sync.Mutex // serializes binding a new status
+	bound atomic.Pointer[map[int]*telemetry.Counter]
+}
+
+func (rc *requestCounters) inc(status int) {
+	if c := (*rc.bound.Load())[status]; c != nil {
+		c.Inc()
+		return
+	}
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	m := maps.Clone(*rc.bound.Load())
+	if m[status] == nil {
+		m[status] = rc.reg.Counter("pdr_http_requests_total",
+			"HTTP requests by route and status.",
+			telemetry.L("route", rc.route),
+			telemetry.L("status", strconv.Itoa(status)))
+		rc.bound.Store(&m)
+	}
+	m[status].Inc()
 }
 
 // responseByteBuckets spans an error envelope (~50 B) to a paper-scale exact

@@ -68,6 +68,40 @@ func metricValue(body, sample string) string {
 	return ""
 }
 
+// TestRequestCounterPerStatus sends one route's requests of two statuses
+// from several goroutines at once: each status keeps its own series, bound
+// at its first request, and every request is counted in it.
+func TestRequestCounterPerStatus(t *testing.T) {
+	_, ts := testService(t)
+	loadWorkload(t, ts, 200)
+	const workers, each = 4, 10
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				for _, q := range []string{"method=fr&varrho=2&l=60", "method=nope"} {
+					resp, err := http.Get(ts.URL + "/v1/query?" + q)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					resp.Body.Close()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	body := fetchMetrics(t, ts)
+	for _, status := range []string{"200", "400"} {
+		sample := `pdr_http_requests_total{route="/v1/query",status="` + status + `"}`
+		if v := metricValue(body, sample); v != strconv.Itoa(workers*each) {
+			t.Errorf("%s = %q, want %d", sample, v, workers*each)
+		}
+	}
+}
+
 // TestMetricsEndpoint is the acceptance path: /metrics serves Prometheus
 // text, and the per-method latency histograms and filter counters move
 // after a /v1/query call.

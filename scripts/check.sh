@@ -153,7 +153,12 @@ go test -run '^$' -bench 'BenchmarkEncodeQueryReply$' -benchtime=200x -benchmem 
 # default; no slow-query log) allocates its answer, its span tree and record,
 # the root's query attributes, and the mux's and metrics' per-request share.
 go test -run '^$' -bench 'BenchmarkTracedQuery$' -benchtime=200x -benchmem ./internal/service |
-	pin_allocs 'BenchmarkTracedQuery=56'
+	pin_allocs 'BenchmarkTracedQuery=43'
+# A cache hit on a 10,000-rect answer, alone or from every CPU at once,
+# allocates the private copy it returns (the entry and its region) and
+# nothing else.
+go test -run '^$' -bench 'BenchmarkCacheDoHit' -benchtime=200x -benchmem ./internal/cache |
+	pin_allocs 'BenchmarkCacheDoHit=2 BenchmarkCacheDoHitParallel=2'
 # A tick's body (1,030 records) is scanned off the request's bytes into one
 # exactly-sized update slice: no per-record or per-number allocation.
 go test -run '^$' -bench 'BenchmarkDecodeUpdates$' -benchtime=200x -benchmem ./internal/wire |
