@@ -14,6 +14,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"slices"
 	"sort"
 
 	"pdr/internal/core"
@@ -89,13 +90,16 @@ func main() {
 	}
 }
 
-// topHotspots returns the largest rectangles of the region, merged-ish by
-// taking the biggest K by area.
+// topHotspots returns the k largest rectangles of the region by area,
+// largest first. The region is the engine's answer, which is read-only, so
+// only the k winners are copied.
 func topHotspots(region geom.Region, k int) []geom.Rect {
-	sorted := append(geom.Region(nil), region...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Area() > sorted[j].Area() })
-	if len(sorted) > k {
-		sorted = sorted[:k]
+	top := make([]geom.Rect, 0, k+1)
+	for _, r := range region {
+		i := sort.Search(len(top), func(i int) bool { return top[i].Area() < r.Area() })
+		if i < k {
+			top = slices.Insert(top, i, r)[:min(len(top)+1, k)]
+		}
 	}
-	return sorted
+	return top
 }

@@ -15,9 +15,10 @@
 // table; byte/entry accounting and the hit/miss/eviction statistics are
 // atomics, so Stats and a /metrics scrape never take it. Concurrent callers
 // of the same key collapse: the first computes while the rest block on its
-// flight and share the stored result. Entries are deep-immutable — the cache
-// stores and returns private copies, so neither the winner's caller nor any
-// reader can corrupt a cached region.
+// flight and share the stored result. Entries are read-only: the cache
+// stores compute's own entry and hands that same entry to every hit and
+// sharer, so no holder — the winner's caller included — may write to it or
+// to its region.
 package cache
 
 import (
@@ -71,14 +72,6 @@ func (e *Entry) ApproxBytes() int64 {
 	return entryFixedBytes + rectBytes*int64(len(e.Region))
 }
 
-// clone returns a deep copy of e. Rects are plain values, so copying the
-// slice copies the geometry.
-func (e *Entry) clone() *Entry {
-	c := *e
-	c.Region = append(geom.Region(nil), e.Region...)
-	return &c
-}
-
 // Outcome classifies how Do resolved a lookup.
 type Outcome int
 
@@ -106,9 +99,8 @@ func (o Outcome) String() string {
 	}
 }
 
-// flight is one in-progress evaluation; losers block on done. ent points at
-// the cache-private copy, set before done closes, so sharers clone from
-// storage the winner's caller can never mutate.
+// flight is one in-progress evaluation; losers block on done. ent is the
+// winner's entry, set before done closes and read-only from then on.
 type flight struct {
 	done chan struct{}
 	ent  *Entry
@@ -166,8 +158,9 @@ func New(budgetBytes int64) *Cache {
 // Do resolves key k: a resident entry is returned immediately (Hit); an
 // entry already being evaluated by another caller is waited for (Shared); a
 // cold key runs compute on the calling goroutine, stores the result, and
-// wakes any waiters (Computed). The returned entry is always a private copy
-// except on the Computed path, where it is compute's own return value.
+// wakes any waiters (Computed). The returned entry is shared and read-only:
+// a hit returns the resident entry, a sharer the flight's, and the winner
+// compute's own, which the cache stores.
 //
 // A key of a newer epoch than any seen before first drops every resident
 // entry; a key of an older epoch is computed and neither stored nor shared.
@@ -198,7 +191,7 @@ func (c *Cache) Do(k Key, compute func() (*Entry, error)) (*Entry, Outcome, erro
 		ent := el.Value.(*node).ent
 		c.mu.Unlock()
 		c.hits.Add(1)
-		return ent.clone(), Hit, nil
+		return ent, Hit, nil
 	}
 	if f, ok := c.flights[k]; ok {
 		c.mu.Unlock()
@@ -209,7 +202,7 @@ func (c *Cache) Do(k Key, compute func() (*Entry, error)) (*Entry, Outcome, erro
 		if f.err != nil {
 			return nil, Shared, f.err
 		}
-		return f.ent.clone(), Shared, nil
+		return f.ent, Shared, nil
 	}
 	f := &flight{done: make(chan struct{})}
 	c.flights[k] = f
@@ -232,13 +225,12 @@ func (c *Cache) Do(k Key, compute func() (*Entry, error)) (*Entry, Outcome, erro
 		c.settle(k, f, nil)
 		return nil, Computed, err
 	}
-	c.settle(k, f, ent.clone())
+	c.settle(k, f, ent)
 	return ent, Computed, nil
 }
 
-// settle removes the flight, stores the (already cloned) entry when the
-// evaluation succeeded and its epoch is still the newest, and wakes the
-// waiters.
+// settle removes the flight, stores the entry when the evaluation succeeded
+// and its epoch is still the newest, and wakes the waiters.
 func (c *Cache) settle(k Key, f *flight, stored *Entry) {
 	f.ent = stored
 	c.mu.Lock()

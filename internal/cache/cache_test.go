@@ -99,27 +99,59 @@ func TestHitReturnsEqualRegion(t *testing.T) {
 	}
 }
 
-// TestDeepImmutability: mutating any returned region must not corrupt the
-// resident entry — the cache stores and serves private copies.
-func TestDeepImmutability(t *testing.T) {
+// TestHitAndSharerReadTheStoredEntry: entries are shared read-only, not
+// copied — a hit and a sharer of a flight get compute's own *Entry and its
+// region's backing array, and a hit allocates nothing.
+func TestHitAndSharerReadTheStoredEntry(t *testing.T) {
 	c := New(1 << 20)
-	orig := entryWithRects(2)
-	mustCompute(t, c, key(1, 0), orig)
-	// Corrupt the winner's own entry after the fact.
-	orig.Region[0] = geom.NewRect(-99, -99, -98, -98)
-
-	first, _ := lookup(t, c, key(1, 0))
-	first.Region[1] = geom.NewRect(-77, -77, -76, -76)
-
-	second, outcome := lookup(t, c, key(1, 0))
-	if outcome != Hit {
-		t.Fatalf("outcome = %v, want hit", outcome)
+	want := entryWithRects(2)
+	mustCompute(t, c, key(1, 0), want)
+	got, outcome := lookup(t, c, key(1, 0))
+	if outcome != Hit || got != want || &got.Region[0] != &want.Region[0] {
+		t.Fatalf("hit = (%p, region %p, %v), want the stored (%p, region %p)",
+			got, &got.Region[0], outcome, want, &want.Region[0])
 	}
-	clean := entryWithRects(2)
-	for i := range second.Region {
-		if second.Region[i] != clean.Region[i] {
-			t.Errorf("resident entry corrupted at rect %d: %v", i, second.Region[i])
+
+	flown := entryWithRects(2)
+	started, release := make(chan struct{}), make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		c.Do(key(1, 1), func() (*Entry, error) {
+			close(started)
+			<-release
+			return flown, nil
+		})
+	}()
+	<-started
+	shared := make(chan *Entry, 1)
+	go func() {
+		ent, outcome, err := c.Do(key(1, 1), func() (*Entry, error) {
+			t.Error("sharer evaluated; singleflight failed to collapse")
+			return entryWithRects(2), nil
+		})
+		if err != nil || outcome != Shared {
+			t.Errorf("sharer: (%v, %v), want shared", outcome, err)
 		}
+		shared <- ent
+	}()
+	for c.Stats().Waiting < 1 {
+		time.Sleep(50 * time.Microsecond)
+	}
+	close(release)
+	<-done
+	if got := <-shared; got != flown || &got.Region[0] != &flown.Region[0] {
+		t.Fatalf("sharer got (%p, region %p), want the flight's (%p, region %p)",
+			got, &got.Region[0], flown, &flown.Region[0])
+	}
+
+	compute := func() (*Entry, error) { return entryWithRects(1), nil }
+	if n := testing.AllocsPerRun(100, func() {
+		if _, outcome, _ := c.Do(key(1, 0), compute); outcome != Hit {
+			t.Fatalf("outcome = %v, want hit", outcome)
+		}
+	}); n != 0 {
+		t.Errorf("a hit allocates %.1f times, want 0", n)
 	}
 }
 
@@ -490,8 +522,8 @@ func warmHit(b *testing.B) (*Cache, Key, func() (*Entry, error)) {
 	return c, k, compute
 }
 
-// BenchmarkCacheDoHit times one hit: the lock, the recency move and the
-// deep copy of the answer (its two allocations).
+// BenchmarkCacheDoHit times one hit: the lock and the recency move; the
+// stored entry itself is returned, so nothing is allocated.
 func BenchmarkCacheDoHit(b *testing.B) {
 	c, k, compute := warmHit(b)
 	b.ReportAllocs()

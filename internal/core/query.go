@@ -17,15 +17,6 @@ import (
 	"pdr/internal/telemetry"
 )
 
-// intervalScratch is frScratch for the interval fan-out: per-timestamp
-// sub-result and error slots.
-type intervalScratch struct {
-	subs []*Result
-	errs []error
-}
-
-var intervalScratches = sync.Pool{New: func() any { return new(intervalScratch) }}
-
 // pointBufs pools point buffers: the FR gather's per-subtree finds, each
 // run's merge of its window's objects, and the brute force's sweep input
 // (the sweep reads the points and retains nothing).
@@ -40,18 +31,6 @@ func grow[T any](buf []T, n int) []T {
 	buf = buf[:n]
 	clear(buf)
 	return buf
-}
-
-// releaseIntervalScratch clears the slot pointers (so the pool never pins
-// sub-results or errors) and returns the scratch.
-func releaseIntervalScratch(sc *intervalScratch) {
-	for i := range sc.subs {
-		sc.subs[i] = nil
-	}
-	for i := range sc.errs {
-		sc.errs[i] = nil
-	}
-	intervalScratches.Put(sc)
 }
 
 // Method selects the query evaluation strategy.
@@ -121,7 +100,9 @@ func RelativeThreshold(n int, varrho float64, area geom.Rect) float64 {
 	return float64(n) * varrho / area.Area()
 }
 
-// Result carries a query answer and its measured costs.
+// Result carries a query answer and its measured costs. Region is read-only
+// to every holder: a snapshot's region may be the result cache's resident
+// entry, shared with every later hit.
 type Result struct {
 	Method Method
 	Region geom.Region
@@ -267,9 +248,9 @@ func (s *Server) SnapshotTraced(q Query, m Method, sp *telemetry.Span) (*Result,
 // epoch: a hit returns the stored region and filter counters with zero IOs
 // (no page is touched) and CachedCPU recording the evaluation the cache
 // saved, while concurrent identical queries collapse onto one evaluation via
-// the cache's singleflight layer. Cached and computed answers are
-// bit-identical — the cache stores deep copies, so neither side can mutate
-// the other's region.
+// the cache's singleflight layer. Cached and computed answers are one and the
+// same region: the cache stores the computed one and serves it to every hit,
+// so the region is read-only to every holder, this call's caller included.
 func (s *Server) snapshotLocked(q Query, m Method, trackIO bool, sp *telemetry.Span) (*Result, error) {
 	if err := s.checkLocked(q, m); err != nil {
 		return nil, err
@@ -626,11 +607,8 @@ func (s *Server) intervalLocked(q Query, n int, m Method, isp *telemetry.Span) (
 		}
 	}
 	ioBefore := s.PoolStats()
-	sc := intervalScratches.Get().(*intervalScratch)
-	defer releaseIntervalScratch(sc)
-	subs := grow(sc.subs, n)
-	errs := grow(sc.errs, n)
-	sc.subs, sc.errs = subs, errs
+	subs := make([]*Result, n)
+	errs := make([]error, n)
 	slots := isp.Fork("snapshot", n)
 	s.par.ForEachSpan(n, slots, func(i int, ssp *telemetry.Span) {
 		sub := q
@@ -646,8 +624,9 @@ func (s *Server) intervalLocked(q Query, n int, m Method, isp *telemetry.Span) (
 	out := &Result{Method: m, Cached: true}
 	var region geom.Region
 	for _, r := range subs {
-		// The sub-result regions are copied by value into the fresh union
-		// buffer, so coalescing it in place cannot touch a cached answer.
+		// The sub-results are read-only; their rectangles are copied by
+		// value into this call's own union buffer, which it coalesces in
+		// place.
 		region = append(region, r.Region...)
 		out.CPU += r.CPU
 		out.Cached = out.Cached && r.Cached

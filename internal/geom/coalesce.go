@@ -5,35 +5,23 @@ import (
 	"sync"
 )
 
-// Coalesce returns a compacted region covering exactly the same point set:
-// rectangles that abut horizontally with identical Y extents are merged into
-// runs, and runs that abut vertically with identical X extents are stacked.
-// Query answers produced cell-by-cell (the FR refinement, the PA
+// CoalesceInPlace returns a compacted region covering exactly the same point
+// set: rectangles that abut horizontally with identical Y extents are merged
+// into runs, and runs that abut vertically with identical X extents are
+// stacked. Query answers produced cell-by-cell (the FR refinement, the PA
 // branch-and-bound) shrink dramatically — often by an order of magnitude —
 // which speeds up every downstream area computation.
 //
-// Coalesce assumes the input rectangles are non-overlapping or exactly
-// aligned (true for all query outputs in this module); overlapping inputs
-// are still covered correctly but may not reach the minimal form.
-func Coalesce(g Region) Region {
-	if len(g) < 2 {
-		return g
-	}
-	work := make(Region, 0, len(g))
-	for _, r := range g {
-		if !r.IsEmpty() {
-			work = append(work, r)
-		}
-	}
-	return coalesceWork(work)
-}
-
-// CoalesceInPlace is Coalesce for a caller that owns g's backing array: the
-// working set is compacted, sorted, and merged inside g itself, so steady-
-// state coalescing allocates nothing. The input is consumed — its contents
-// are unspecified afterwards and the result aliases it. Regions built
-// per-call (the FR refinement union, the PA branch-and-bound output, the
-// interval merge) qualify; shared or cached regions must use Coalesce.
+// The input rectangles are assumed non-overlapping or exactly aligned (true
+// for all query outputs in this module); overlapping inputs are still
+// covered correctly but may not reach the minimal form.
+//
+// g must be the caller's own: the working set is compacted, sorted, and
+// merged inside g itself, so steady-state coalescing allocates nothing. The
+// input is consumed — its contents are unspecified afterwards and the result
+// aliases it. Regions built per call (the FR refinement union, the PA
+// branch-and-bound output, the interval merge, Subtract's pieces) qualify;
+// a region the engine has handed out is read-only and never is.
 func CoalesceInPlace(g Region) Region {
 	if len(g) < 2 {
 		return g
@@ -44,11 +32,6 @@ func CoalesceInPlace(g Region) Region {
 			work = append(work, r)
 		}
 	}
-	return coalesceWork(work)
-}
-
-// coalesceWork runs the two merge passes over the (owned) working slice.
-func coalesceWork(work Region) Region {
 	sortBands(work)
 	return CoalesceBandOrdered(work)
 }
@@ -157,7 +140,7 @@ func stackColumns(merged Region) Region {
 // engine uses it — no two share all three sort keys (they would share a
 // corner point), so the sorted order is unique and the result is
 // CoalesceInPlace's rectangle for rectangle, at any n. Overlapping inputs
-// are still covered exactly, as by Coalesce.
+// are still covered exactly, as by CoalesceInPlace.
 func CoalesceSplit(g Region, n int, forEach func(n int, fn func(i int))) Region {
 	if n < 2 || len(g) < 2*n {
 		return CoalesceInPlace(g)

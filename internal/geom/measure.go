@@ -89,8 +89,8 @@ func UnionArea(rects []Rect) float64 {
 
 // DisjointArea returns the area of a region whose rectangles are pairwise
 // disjoint — every snapshot answer is, by construction: histogram cells,
-// branch-and-bound boxes and sweep output tile without overlap, and Coalesce
-// only merges abutting runs — as the plain sum of the rectangle areas: one
+// branch-and-bound boxes and sweep output tile without overlap, and
+// CoalesceInPlace only merges abutting runs — as the plain sum of the rectangle areas: one
 // linear pass where UnionArea sorts and sweeps. Overlapping input is counted
 // once per rectangle; interval unions and set differences need UnionArea.
 func DisjointArea(rects []Rect) float64 {

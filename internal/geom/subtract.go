@@ -32,7 +32,8 @@ func appendSubtractRect(dst Region, r, s Rect) Region {
 
 // Subtract returns a region covering exactly the points of g not covered by
 // h. The result is built by iterated rectangle subtraction and compacted
-// with Coalesce; it is exact under the half-open convention.
+// with CoalesceInPlace over the call's own pieces; it is exact under the
+// half-open convention.
 func Subtract(g, h Region) Region {
 	grid := newCutterGrid(h)
 	pieces := make(Region, 0, len(g))
@@ -59,7 +60,7 @@ func Subtract(g, h Region) Region {
 		}
 		pieces = append(pieces, cur...)
 	}
-	return Coalesce(pieces)
+	return CoalesceInPlace(pieces)
 }
 
 // subtractGrid is the side of the uniform grid Subtract buckets the

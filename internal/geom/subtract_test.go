@@ -27,7 +27,7 @@ func referenceSubtract(g, h Region) Region {
 		}
 		pieces = next
 	}
-	return Coalesce(pieces)
+	return coalesce(pieces)
 }
 
 // sameBits reports whether a and b hold the same rectangles in the same
@@ -150,7 +150,7 @@ func TestSubtractMatchesReferenceOnLattices(t *testing.T) {
 	}{
 		{"g minus h", g, h},
 		{"h minus g", h, g},
-		{"coalesced h", g, Coalesce(append(Region(nil), h...))},
+		{"coalesced h", g, coalesce(h)},
 		{"one wide cutter", g, append(Region{{MinX: 3.25, MinY: -1, MaxX: 30.5, MaxY: 50}}, h...)},
 		{"minuend outside the cutters' bounds", Region{{MinX: 100, MinY: 100, MaxX: 101, MaxY: 101}}, h},
 		{"infinite minuend", Region{{MinX: math.Inf(-1), MinY: 2, MaxX: math.Inf(1), MaxY: 3}}, h},

@@ -572,7 +572,7 @@ func poolGetExpr(info *types.Info, e ast.Expr) (poolKey string, ok bool) {
 // ---- interprocedural summaries ------------------------------------------
 
 // The module-wide summaries say which functions release a pooled argument
-// back to a pool ("releasers" — releaseIntervalScratch,
+// back to a pool ("releasers" — core's frScratch.release,
 // FilterResult.Release) and which hand a pool-obtained value to their caller
 // ("providers" — Histogram.Filter, and core's filterLocked that returns its
 // result). Prepare computes them once per Run over the module's function

@@ -36,7 +36,9 @@ type ContinuousQuery struct {
 	Method core.Method
 }
 
-// Event is one change notification.
+// Event is one change notification. Its regions are read-only: Region (and
+// Added, on a first evaluation) is the engine's answer itself, which the
+// result cache and the monitor's next diff share.
 type Event struct {
 	// SubID identifies the subscription.
 	SubID int

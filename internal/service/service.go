@@ -32,8 +32,9 @@
 // Clock-relative timestamps (now, now+K) are resolved against the engine's
 // clock and re-resolved when a tick moved it under a failed run (atClock),
 // so a query never fails because a tick landed between the two. A query's
-// answer is private to its request: the reply is encoded (reply.go) after
-// the engine lock is released, so a tick never waits out its formatting.
+// answer is read-only, and no write touches it once handed out: the reply is
+// encoded (reply.go) after the engine lock is released, so a tick never
+// waits out its formatting.
 package service
 
 import (

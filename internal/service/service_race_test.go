@@ -1,14 +1,16 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"pdr/internal/core"
 	"pdr/internal/geom"
@@ -152,56 +154,149 @@ func TestRaceUpdatesQueryStats(t *testing.T) {
 	}
 }
 
-// TestRaceConcurrentIntervalQueries hammers the parallel interval path from
-// several HTTP clients at once: every handler holds the engine read lock
-// simultaneously, and each interval query fans its per-timestamp snapshots
-// out to the engine's worker pool. All clients must get the same answer —
-// the engine is quiescent (no updates), so any divergence would mean the
-// parallel merge or the shared scratch reuse is racy.
+// TestRaceConcurrentIntervalQueries hammers the readers of one snapshot
+// answer at once, with the result cache off and on: FR snapshot queries at
+// one timestamp (half of them with outline=1, so the outline walk reads the
+// region beside the reply encoder), FR interval queries that start at it,
+// each fanning its per-timestamp snapshots out to the engine's worker pool,
+// and a standing query whose tick diffs that snapshot against its previous
+// answer. The readers start once the tick has moved the clock, so with the
+// cache on they all read the one region the cache stores, and under -race
+// any holder that wrote to it would be caught. Every client of a request
+// must get the same answer bytes, and the cache-on answers must be the
+// cache-off ones byte for byte.
 func TestRaceConcurrentIntervalQueries(t *testing.T) {
-	cfg := core.DefaultConfig()
-	cfg.HistM = 50
-	cfg.L = 60
-	cfg.Workers = 4
-	svc, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(svc)
-	t.Cleanup(ts.Close)
-	loadWorkload(t, ts, 800)
-
-	const clients = 6
-	answers := make([]QueryResponse, clients)
-	errs := make([]error, clients)
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			resp, err := http.Get(ts.URL + "/v1/query?method=fr&varrho=3&l=60&at=now&until=now%2B4")
-			if err != nil {
-				errs[c] = err
-				return
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				errs[c] = fmt.Errorf("interval query status %d", resp.StatusCode)
-				return
-			}
-			errs[c] = json.NewDecoder(resp.Body).Decode(&answers[c])
-		}(c)
-	}
-	wg.Wait()
-	for c, err := range errs {
+	const (
+		clients = 3
+		ahead   = 2
+	)
+	var cacheOff map[string]string
+	for _, cacheBytes := range []int64{0, 64 << 20} {
+		svc, ts := testServiceWith(t, func(cfg *core.Config) {
+			cfg.Workers = 4
+			cfg.CacheBytes = cacheBytes
+		})
+		g := loadWorkload(t, ts, 800)
+		rho := strconv.FormatFloat(core.RelativeThreshold(800, 3, svc.Engine().Config().Area), 'g', -1, 64)
+		resp, err := http.Post(ts.URL+"/v1/watch", "application/json",
+			strings.NewReader(fmt.Sprintf(`{"rho":%s,"l":60,"ahead":%d,"every":1,"method":"fr"}`, rho, ahead)))
 		if err != nil {
-			t.Fatalf("client %d: %v", c, err)
+			t.Fatal(err)
 		}
-	}
-	for c := 1; c < clients; c++ {
-		if answers[c].Area != answers[0].Area || len(answers[c].Rects) != len(answers[0].Rects) {
-			t.Errorf("client %d answer diverged: area %g (%d rects) vs %g (%d rects)",
-				c, answers[c].Area, len(answers[c].Rects), answers[0].Area, len(answers[0].Rects))
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("watch status %d", resp.StatusCode)
+		}
+		advanceTicks(t, ts, g, 1) // the standing query's first answer
+
+		ups := g.Advance()
+		now := g.Now()
+		tick := updatesBody(now, ups)
+		at := now + ahead
+		query := fmt.Sprintf("/v1/query?method=fr&rho=%s&l=60&at=%d", rho, at)
+		paths := map[string]string{
+			"snapshot": query,
+			"outline":  query + "&outline=1",
+			"interval": fmt.Sprintf("%s&until=%d", query, at+2),
+		}
+
+		var mu sync.Mutex
+		answers := make(map[string][]string)
+		var wg sync.WaitGroup
+		// record keeps one client's answer bytes: the updates reply whole
+		// (its events carry the diff), a query reply's region fields (its
+		// timings vary).
+		record := func(name string, body []byte, err error) {
+			if err == nil && name != "tick" {
+				var a struct{ Rects, Area, Rings json.RawMessage }
+				if err = json.Unmarshal(body, &a); err == nil {
+					body = bytes.Join([][]byte{a.Rects, a.Area, a.Rings}, []byte(" "))
+				}
+			}
+			if err != nil {
+				t.Errorf("%s: %v", name, err)
+				return
+			}
+			mu.Lock()
+			answers[name] = append(answers[name], string(body))
+			mu.Unlock()
+		}
+		// The readers wait for the tick to move the clock, or to fail: a
+		// failed tick never moves it, and reports itself.
+		tickDone := make(chan struct{})
+		waitTick := func() {
+			for svc.Engine().Now() < now {
+				select {
+				case <-tickDone:
+					return
+				case <-time.After(50 * time.Microsecond):
+				}
+			}
+		}
+		send := func(name, method, path string, body []byte) {
+			defer wg.Done()
+			if name != "tick" {
+				waitTick()
+			}
+			hr, err := http.NewRequest(method, ts.URL+path, bytes.NewReader(body))
+			if err != nil {
+				record(name, nil, err)
+				return
+			}
+			resp, err := http.DefaultClient.Do(hr)
+			if err != nil {
+				record(name, nil, err)
+				return
+			}
+			reply, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err == nil && resp.StatusCode != http.StatusOK {
+				err = fmt.Errorf("status %d: %s", resp.StatusCode, reply)
+			}
+			record(name, reply, err)
+		}
+		for name, path := range paths {
+			for c := 0; c < clients; c++ {
+				wg.Add(1)
+				go send(name, http.MethodGet, path, nil)
+			}
+		}
+		wg.Add(1)
+		go func() {
+			defer close(tickDone)
+			send("tick", http.MethodPost, "/v1/updates", tick)
+		}()
+		wg.Wait()
+		if t.Failed() {
+			t.FailNow()
+		}
+
+		for name, got := range answers {
+			for c := 1; c < len(got); c++ {
+				if got[c] != got[0] {
+					t.Errorf("cache %d B, %s: client %d's answer differs from client 0's", cacheBytes, name, c)
+				}
+			}
+			if cacheOff != nil && got[0] != cacheOff[name] {
+				t.Errorf("%s: the cache-on answer differs from the cache-off one", name)
+			}
+		}
+		if !strings.Contains(answers["tick"][0], `"added"`) {
+			t.Errorf("the tick's reply carries no diff: %.200s", answers["tick"][0])
+		}
+		if cacheOff == nil {
+			cacheOff = make(map[string]string)
+			for name, got := range answers {
+				cacheOff[name] = got[0]
+			}
+			continue
+		}
+		// After the tick, 3 clients ask for 3 timestamps and the rest for
+		// one: each of the 3 keys is evaluated once, every other lookup
+		// reads what that evaluation stored.
+		lookups := 2*clients + 3*clients + 1
+		if st := svc.Engine().CacheStats(); st.Hits+st.Shared != int64(lookups-3) {
+			t.Errorf("cache stats %+v: want %d hits and sharers of the tick's %d lookups", st, lookups-3, lookups)
 		}
 	}
 }

@@ -81,7 +81,8 @@ type (
 	Config = core.Config
 	// Query is a snapshot PDR query (rho, l, qt).
 	Query = core.Query
-	// Result is a query answer with measured costs.
+	// Result is a query answer with measured costs. Its Region is read-only:
+	// the result cache may share it with other callers.
 	Result = core.Result
 	// Method selects the evaluation strategy.
 	Method = core.Method
