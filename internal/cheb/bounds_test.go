@@ -96,36 +96,87 @@ func FuzzAxisBoundsMatchesBound(f *testing.F) {
 	})
 }
 
+// referenceBoundsFrom is BoundsFrom as it stood before the kernel was split
+// into Products and BoundsOf: per coefficient, the interval product bx[i] *
+// by[j] by four multiplies and four compares, then scaled by a. Kept verbatim
+// as the bit-for-bit reference of the split — and so of the surface's product
+// table, which pa's reference walk shares with the engine.
+func referenceBoundsFrom(s *Series2D, bx, by []Interval) (lo, hi float64) {
+	k := s.K
+	idx := 0
+	for i := 0; i <= k; i++ {
+		xl, xh := bx[i].Lo, bx[i].Hi
+		for j := 0; j <= k-i; j++ {
+			a := s.A[idx]
+			idx++
+			if a == 0 {
+				continue
+			}
+			// Interval product bx[i] * by[j], then scaled by a.
+			p1, p2 := xl*by[j].Lo, xl*by[j].Hi
+			p3, p4 := xh*by[j].Lo, xh*by[j].Hi
+			if p2 < p1 {
+				p1, p2 = p2, p1
+			}
+			if p4 < p3 {
+				p3, p4 = p4, p3
+			}
+			tl, th := p1, p2
+			if p3 < tl {
+				tl = p3
+			}
+			if p4 > th {
+				th = p4
+			}
+			if a > 0 {
+				lo += a * tl
+				hi += a * th
+			} else {
+				lo += a * th
+				hi += a * tl
+			}
+		}
+	}
+	return lo, hi
+}
+
 // TestBoundsFromMatchesBounds pins both routes through the split — Bounds,
-// and AxisBounds x2 + BoundsFrom as the surface's table serves them — to the
-// pre-split Bounds on float bits, over random series of degrees 0..7 (dense,
-// sparse and with zero coefficients) and boxes interior, dyadic, degenerate,
+// and AxisBounds x2 + Products + BoundsOf as the surface's table serves them
+// — to referenceBoundsFrom on float bits, and that in turn to the pre-split
+// Bounds, over random series of degrees 0..7 (coefficients of both signs,
+// a fifth of them exactly zero, and all-zero series) and boxes on every
+// dyadic level 0..10 of the branch-and-bound lattice, interior, degenerate,
 // inverted and clipped.
 func TestBoundsFromMatchesBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
+	const levels = 11
 	for k := 0; k <= 7; k++ {
 		s, _ := NewSeries2D(k)
 		bx, by := make([]Interval, k+1), make([]Interval, k+1)
-		for n := 0; n < 2000; n++ {
+		prods := make([]Interval, NumCoeffs(k))
+		for n := 0; n < 2200; n++ {
 			for i := range s.A {
 				s.A[i] = rng.NormFloat64() / 900
-				if rng.Intn(5) == 0 {
+				if rng.Intn(5) == 0 || n%100 == 0 {
 					s.A[i] = 0
 				}
 			}
 			x1, x2 := kernelCoord(rng), kernelCoord(rng)
 			y1, y2 := kernelCoord(rng), kernelCoord(rng)
-			if n%4 == 0 { // a box of the branch-and-bound lattice
-				w := 2 / float64(int(1)<<rng.Intn(7))
-				x1, y1 = -1+w*float64(rng.Intn(int(2/w))), -1+w*float64(rng.Intn(int(2/w)))
+			if n%2 == 0 { // a box of the branch-and-bound lattice
+				lv := n / 2 % levels
+				w := 2 / float64(int(1)<<lv)
+				x1, y1 = -1+w*float64(rng.Intn(1<<lv)), -1+w*float64(rng.Intn(1<<lv))
 				x2, y2 = x1+w, y1+w
 			}
-			wlo, whi := referenceBounds(s, x1, y1, x2, y2)
-			lo, hi := s.Bounds(x1, y1, x2, y2)
 			AxisBounds(bx, x1, x2)
 			AxisBounds(by, y1, y2)
-			flo, fhi := s.BoundsFrom(bx, by)
-			for _, got := range [][2]float64{{lo, hi}, {flo, fhi}} {
+			wlo, whi := referenceBoundsFrom(s, bx, by)
+			plo, phi := referenceBounds(s, x1, y1, x2, y2)
+			lo, hi := s.Bounds(x1, y1, x2, y2)
+			Products(prods, bx, by, k)
+			flo, fhi := s.BoundsOf(prods)
+			for _, got := range [][2]float64{{plo, phi}, {lo, hi}, {flo, fhi}} {
 				if math.Float64bits(got[0]) != math.Float64bits(wlo) || math.Float64bits(got[1]) != math.Float64bits(whi) {
 					t.Fatalf("k=%d box %d [%g,%g]x[%g,%g]: bounds [%x, %x], reference [%x, %x]", k, n, x1, x2, y1, y2,
 						math.Float64bits(got[0]), math.Float64bits(got[1]), math.Float64bits(wlo), math.Float64bits(whi))
@@ -144,14 +195,21 @@ func BenchmarkBounds(b *testing.B) {
 	}
 }
 
-func BenchmarkBoundsFrom(b *testing.B) {
+// BenchmarkBoundsOf is one branch-and-bound box: the coefficient pass over a
+// box's precomputed Products.
+func BenchmarkBoundsOf(b *testing.B) {
 	s, _ := NewSeries2D(5)
 	s.AddBoxDelta(-0.4, -0.3, 0.2, 0.5, 1)
 	bx, by := make([]Interval, 6), make([]Interval, 6)
 	AxisBounds(bx, -0.5, -0.4375)
 	AxisBounds(by, -0.25, -0.1875)
+	prods := make([]Interval, NumCoeffs(5))
+	Products(prods, bx, by, 5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.BoundsFrom(bx, by)
+		boundsSink, _ = s.BoundsOf(prods)
 	}
 }
+
+// boundsSink keeps BenchmarkBoundsOf's inlined call from being optimized away.
+var boundsSink float64

@@ -105,13 +105,14 @@ func NumCoeffs(k int) int { return (k + 1) * (k + 2) / 2 }
 // (T_i value vectors, Lemma-4 factors, per-degree bounds) for callers that
 // bring none: Eval, Bounds and AddBoxDelta run once per density probe and
 // per movement update, so the scratch lives in a sync.Pool rather than being
-// made fresh each call (EvalFrom, BoundsFrom and AddOuter take the caller's). It
+// made fresh each call (EvalFrom, BoundsOf and AddOuter take the caller's). It
 // cannot live on Series2D itself: any number of readers evaluate the same
 // series concurrently under the engine's read lock.
 type evalScratch struct {
 	tx, ty []float64  // Eval: T_i(x), T_j(y)
 	ax, ay []float64  // AddBoxDelta: Lemma-4 one-dimensional factors
 	bx, by []Interval // Bounds: per-degree interval bounds
+	prods  []Interval // Bounds: their products, per coefficient
 }
 
 // scratches pools evaluation scratch across goroutines; buffers grow to the
@@ -299,38 +300,35 @@ func BoxFactors(dst []float64, z1, z2 float64) bool {
 // Bounds returns sound lower and upper bounds of the series over the box
 // [x1, x2] x [y1, y2] (within [-1, 1]^2), obtained by interval arithmetic
 // over per-term Chebyshev bounds (paper Sec. 6.3): AxisBounds of each axis
-// interval, then BoundsFrom, the way AddBoxDelta is BoxFactors and AddOuter.
+// interval, Products of the two, then BoundsOf, the way AddBoxDelta is
+// BoxFactors and AddOuter.
 func (s *Series2D) Bounds(x1, y1, x2, y2 float64) (lo, hi float64) {
 	k := s.K
 	sc := scratches.Get().(*evalScratch)
 	sc.bx = grow(sc.bx, k+1)
 	sc.by = grow(sc.by, k+1)
+	sc.prods = grow(sc.prods, NumCoeffs(k))
 	AxisBounds(sc.bx, x1, x2)
 	AxisBounds(sc.by, y1, y2)
-	lo, hi = s.BoundsFrom(sc.bx, sc.by)
+	Products(sc.prods, sc.bx, sc.by, k)
+	lo, hi = s.BoundsOf(sc.prods)
 	scratches.Put(sc)
 	return lo, hi
 }
 
-// BoundsFrom is the two-dimensional half of Bounds: given AxisBounds of the
-// box's x and y intervals it sums a_ij * (bx[i] * by[j]) in interval
-// arithmetic. The extremes of the four endpoint products are picked by plain
-// comparisons, not math.Min/Max calls: the two differ only in the sign of a
-// zero, which neither the sums nor a threshold comparison can see.
-//
-// Called per branch-and-bound box.
-func (s *Series2D) BoundsFrom(bx, by []Interval) (lo, hi float64) {
-	k := s.K
+// Products fills dst, in Series2D.A's order, with the interval products
+// bx[i] * by[j] of a total-degree-k series' terms, given AxisBounds of a
+// box's x and y intervals (k+1 each). They depend on the box alone, not on
+// the coefficients: a caller bounding many series over the same boxes
+// (pa.Surface's branch-and-bound) computes them once. The extremes of the
+// four endpoint products are picked by plain comparisons, not math.Min/Max
+// calls: the two differ only in the sign of a zero, which neither the sums
+// nor a threshold comparison can see.
+func Products(dst, bx, by []Interval, k int) {
 	idx := 0
 	for i := 0; i <= k; i++ {
 		xl, xh := bx[i].Lo, bx[i].Hi
 		for j := 0; j <= k-i; j++ {
-			a := s.A[idx]
-			idx++
-			if a == 0 {
-				continue
-			}
-			// Interval product bx[i] * by[j], then scaled by a.
 			p1, p2 := xl*by[j].Lo, xl*by[j].Hi
 			p3, p4 := xh*by[j].Lo, xh*by[j].Hi
 			if p2 < p1 {
@@ -346,13 +344,28 @@ func (s *Series2D) BoundsFrom(bx, by []Interval) (lo, hi float64) {
 			if p4 > th {
 				th = p4
 			}
-			if a > 0 {
-				lo += a * tl
-				hi += a * th
-			} else {
-				lo += a * th
-				hi += a * tl
-			}
+			dst[idx] = Interval{tl, th}
+			idx++
+		}
+	}
+}
+
+// BoundsOf is the coefficient half of Bounds: given the box's Products it
+// sums a_ij * prods[ij] in interval arithmetic, skipping zero coefficients.
+//
+// Called per branch-and-bound box.
+func (s *Series2D) BoundsOf(prods []Interval) (lo, hi float64) {
+	prods = prods[:len(s.A)]
+	for idx, a := range s.A {
+		if a == 0 {
+			continue
+		}
+		if p := prods[idx]; a > 0 {
+			lo += a * p.Lo
+			hi += a * p.Hi
+		} else {
+			lo += a * p.Hi
+			hi += a * p.Lo
 		}
 	}
 	return lo, hi

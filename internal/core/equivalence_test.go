@@ -619,7 +619,10 @@ func referenceDenseRegion(surf *pa.Surface, cfg Config, qt motion.Tick, rho floa
 // the engine's PA answer — the table walk, under the engine's locks, through
 // its cache — is the recursion it replaced run over the engine's own
 // surface, rectangle for rectangle on float bits: every maintained timestamp after the load, a rotating quarter of them after
-// each later step, at a threshold that rotates too.
+// each later step, at a threshold that rotates too. The reference's Bounds
+// and the walk's table share one kernel, cheb.Products and BoundsOf, so this
+// pins the walk, not the kernel's arithmetic: that rests on internal/cheb's
+// TestBoundsFromMatchesBounds, which holds both to the pre-split BoundsFrom.
 func TestPASnapshotMatchesReferenceWalk(t *testing.T) {
 	// The case keeps the subtest name it had when the engine could be split
 	// into partitions; there is one engine now.

@@ -141,7 +141,7 @@ func TestTracedBudgetTruncationKeepsAnswer(t *testing.T) {
 func attrOf(sp *telemetry.Span, key string) string {
 	for _, a := range sp.Attrs {
 		if a.Key == key {
-			return a.Value
+			return a.Text()
 		}
 	}
 	return ""

@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"pdr/internal/core"
+	"pdr/internal/geom"
+	"pdr/internal/motion"
 	"pdr/internal/pa"
 )
 
@@ -19,9 +21,9 @@ type AblationRow struct {
 
 // AblationBranchBound compares the paper's branch-and-bound dense-region
 // extraction against the "trivial approach" (Sec. 6.3): evaluating the
-// density at every cell of an md x md grid. Each variant runs once untimed,
-// to warm its tables and scratch pools, and then reports the median wall
-// time of ablationRuns calls.
+// density at every cell of an md x md grid. Each variant reports the
+// medianCost of its wall time: one untimed warm-up, then the median of
+// ablationRuns calls.
 func (r *Runner) AblationBranchBound() ([]AblationRow, error) {
 	l := r.P.Ls[len(r.P.Ls)-1]
 	e, err := r.Env(l)
@@ -31,27 +33,19 @@ func (r *Runner) AblationBranchBound() ([]AblationRow, error) {
 	rho := core.RelativeThreshold(e.S.NumObjects(), 3, e.S.Config().Area)
 	qt := e.S.Now()
 
-	medianOf := func(f func() error) (time.Duration, error) {
-		if err := f(); err != nil {
-			return 0, err
-		}
-		runs := make([]time.Duration, ablationRuns)
-		for i := range runs {
-			start := time.Now()
-			if err := f(); err != nil {
-				return 0, err
-			}
-			runs[i] = time.Since(start)
-		}
-		slices.Sort(runs)
-		return runs[len(runs)/2], nil
-	}
 	surf := e.S.Surface()
-	bbTime, err := medianOf(func() error { _, err := surf.DenseRegion(qt, rho); return err })
+	wall := func(f func(motion.Tick, float64) (geom.Region, error)) func() (time.Duration, error) {
+		return func() (time.Duration, error) {
+			start := time.Now()
+			_, err := f(qt, rho)
+			return time.Since(start), err
+		}
+	}
+	bbTime, err := medianCost(wall(surf.DenseRegion))
 	if err != nil {
 		return nil, err
 	}
-	gridTime, err := medianOf(func() error { _, err := surf.DenseRegionGrid(qt, rho); return err })
+	gridTime, err := medianCost(wall(surf.DenseRegionGrid))
 	if err != nil {
 		return nil, err
 	}
@@ -62,9 +56,27 @@ func (r *Runner) AblationBranchBound() ([]AblationRow, error) {
 	}, nil
 }
 
-// ablationRuns is the number of timed calls AblationBranchBound takes the
-// median of.
+// ablationRuns is the number of timed calls medianCost takes the median of.
 const ablationRuns = 9
+
+// medianCost calls f once untimed, to warm the tables, scratch pools and
+// buffer pool it reads, then ablationRuns times, and returns the median of
+// the costs those calls report: one slow call is not the number.
+func medianCost(f func() (time.Duration, error)) (time.Duration, error) {
+	if _, err := f(); err != nil {
+		return 0, err
+	}
+	runs := make([]time.Duration, ablationRuns)
+	for i := range runs {
+		d, err := f()
+		if err != nil {
+			return 0, err
+		}
+		runs[i] = d
+	}
+	slices.Sort(runs)
+	return runs[len(runs)/2], nil
+}
 
 // AblationLocalPolynomials compares a single global polynomial against the
 // g x g local grid (paper Sec. 6.4): skewed distributions need local

@@ -288,6 +288,11 @@ func TestExtIntervalCost(t *testing.T) {
 	if len(rows) != 3 {
 		t.Fatalf("got %d rows, want 3", len(rows))
 	}
+	for _, row := range rows {
+		if row.PATotal <= 0 || row.DHTotal <= 0 || row.FRTotal <= 0 {
+			t.Errorf("window %d: a method's interval cost is not positive: %+v", row.Window, row)
+		}
+	}
 	// Cost and union area grow (weakly) with the window.
 	for i := 1; i < len(rows); i++ {
 		if rows[i].PATotal < rows[i-1].PATotal/2 {
@@ -301,7 +306,7 @@ func TestExtIntervalCost(t *testing.T) {
 	if err := PrintInterval(&buf, rows); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "window") {
+	if !strings.Contains(buf.String(), "window") || !strings.Contains(buf.String(), "FR total") {
 		t.Error("PrintInterval output malformed")
 	}
 }

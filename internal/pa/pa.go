@@ -143,7 +143,9 @@ func (s *Surface) Horizon() motion.Tick { return s.cfg.Horizon }
 func (s *Surface) Now() motion.Tick { return s.base }
 
 // MemoryBytes returns the coefficient storage footprint: the paper's
-// H * g^2 * (k+1)(k+2)/2 doubles.
+// H * g^2 * (k+1)(k+2)/2 doubles. It excludes the branch-and-bound table,
+// which is constant in H and the data (the interval products of every box
+// above the floor: 114,576 B at the defaults).
 func (s *Surface) MemoryBytes() int {
 	return len(s.slots) * s.cfg.G * s.cfg.G * cheb.NumCoeffs(s.cfg.Degree) * 8
 }

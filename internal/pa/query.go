@@ -20,16 +20,24 @@ import (
 // produces. Immutable after New.
 type boundsTable struct {
 	depth int // the leaf level: its boxes are decided by their centre
-	// iv holds cheb.AxisBounds of interval i of level lv < depth in the
-	// Degree+1 entries from (2^lv-1+i)*(Degree+1) on. The leaf level has
-	// none: its boxes are never bounded.
-	iv []cheb.Interval
+	// prod holds cheb.Products of box (ix, iy) of level lv < depth — the
+	// hulls of bx[i] * by[j] over its two sides, which depend on none of
+	// the cell, the slot, the threshold or the data — in the
+	// NumCoeffs(Degree) entries from boxIndex(lv, ix, iy)*NumCoeffs(Degree)
+	// on. The leaf level has none: its boxes are never bounded.
+	prod []cheb.Interval
 	// leafT holds cheb.Vals at the centre of leaf interval i in the Degree+1
 	// entries from i*(Degree+1) on.
 	leafT []float64
 	// rank orders the walk's bands (see bandRanks); nil when two bands share
 	// their Y extent, and the union then sorts.
 	rank []int32
+}
+
+// boxIndex numbers box (ix, iy) of level lv: the (4^lv-1)/3 boxes of the
+// levels above it, then row-major within its 2^lv x 2^lv lattice.
+func boxIndex(lv, ix, iy int) int {
+	return (1<<(2*lv)-1)/3 + iy<<lv + ix
 }
 
 func newBoundsTable(cfg Config) boundsTable {
@@ -40,17 +48,29 @@ func newBoundsTable(cfg Config) boundsTable {
 	for w := 2.0; w > floor; w /= 2 {
 		t.depth++
 	}
-	n := cfg.Degree + 1
-	t.iv = make([]cheb.Interval, (1<<t.depth-1)*n)
+	n, m := cfg.Degree+1, cheb.NumCoeffs(cfg.Degree)
+	// iv holds cheb.AxisBounds of interval i of level lv < depth in the n
+	// entries from (2^lv-1+i)*n on.
+	iv := make([]cheb.Interval, (1<<t.depth-1)*n)
+	t.prod = make([]cheb.Interval, boxIndex(t.depth, 0, 0)*m)
 	t.leafT = make([]float64, n<<t.depth)
 	for lv := 0; lv <= t.depth; lv++ {
 		w := 2 / float64(int(1)<<lv)
 		for i := 0; i < 1<<lv; i++ {
 			z, row := -1+float64(i)*w, (1<<lv-1+i)*n
 			if lv < t.depth {
-				cheb.AxisBounds(t.iv[row:row+n], z, z+w)
+				cheb.AxisBounds(iv[row:row+n], z, z+w)
 			} else {
 				cheb.Vals(t.leafT[i*n:(i+1)*n], z+w/2)
+			}
+		}
+	}
+	for lv := 0; lv < t.depth; lv++ {
+		for iy := 0; iy < 1<<lv; iy++ {
+			ry := (1<<lv - 1 + iy) * n
+			for ix := 0; ix < 1<<lv; ix++ {
+				rx, b := (1<<lv-1+ix)*n, boxIndex(lv, ix, iy)*m
+				cheb.Products(t.prod[b:b+m], iv[rx:rx+n], iv[ry:ry+n], cfg.Degree)
 			}
 		}
 	}
@@ -211,8 +231,9 @@ func (w *walk) cells(slot []*cheb.Series2D) {
 }
 
 // box classifies box (ix, iy) of the 2^level x 2^level lattice over the
-// current cell's normalized square, reading its bounds from the table: no
-// trigonometry, no scratch to fetch, no allocation but the buffer's growth.
+// current cell's normalized square, bounding it from the table's interval
+// products: one pass over the coefficients, no trigonometry, no scratch to
+// fetch, no allocation but the buffer's growth.
 // At the floor the centre decides without a bound: in exact arithmetic a
 // bound that settled the box would agree with the centre.
 func (w *walk) box(level, ix, iy int) {
@@ -225,8 +246,9 @@ func (w *walk) box(level, ix, iy int) {
 		return
 	}
 	w.stats.Boxes++
-	rx, ry := (1<<level-1+ix)*n, (1<<level-1+iy)*n
-	lo, hi := w.series.BoundsFrom(t.iv[rx:rx+n], t.iv[ry:ry+n])
+	m := len(w.series.A)
+	b := boxIndex(level, ix, iy) * m
+	lo, hi := w.series.BoundsOf(t.prod[b : b+m])
 	if hi < w.rho {
 		return
 	}

@@ -140,8 +140,46 @@ func TestBoundsTableDepth(t *testing.T) {
 		{10, 256, 5}, {10, 320, 5}, {10, 321, 6}, {10, 10, 0}, {10, 11, 1}, {1, 1000, 10}, {1, 1024, 10}, {3, 9, 2},
 	} {
 		tab := newBoundsTable(Config{G: c.g, MD: c.md, Degree: 5})
-		if tab.depth != c.depth || len(tab.iv) != (1<<c.depth-1)*6 || len(tab.leafT) != 6<<c.depth {
-			t.Errorf("G=%d MD=%d: depth %d with %d bounds and %d leaf values, want depth %d", c.g, c.md, tab.depth, len(tab.iv), len(tab.leafT), c.depth)
+		boxes := (1<<(2*c.depth) - 1) / 3
+		if tab.depth != c.depth || len(tab.prod) != boxes*21 || len(tab.leafT) != 6<<c.depth {
+			t.Errorf("G=%d MD=%d: depth %d with %d products and %d leaf values, want depth %d", c.g, c.md, tab.depth, len(tab.prod), len(tab.leafT), c.depth)
+		}
+	}
+}
+
+// TestBoundsTableProducts recomputes a fresh surface's product table: the
+// entries of box (ix, iy) of every level above the floor are cheb.Products
+// of AxisBounds of its two sides, on float bits, at the defaults and at other
+// degrees and floors. With the cheb kernel pinned to the pre-split BoundsFrom,
+// this is what makes the walk's bounds the reference walk's.
+func TestBoundsTableProducts(t *testing.T) {
+	for _, c := range []struct{ g, md, degree int }{{10, 256, 5}, {3, 100, 2}, {1, 64, 7}, {10, 10, 5}} {
+		s, err := New(Config{Area: area1000(), G: c.g, Degree: c.degree, Horizon: 1, L: 80, MD: c.md})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tab, n, m := &s.table, c.degree+1, cheb.NumCoeffs(c.degree)
+		if len(tab.prod) != boxIndex(tab.depth, 0, 0)*m {
+			t.Fatalf("G=%d MD=%d K=%d: %d products for depth %d", c.g, c.md, c.degree, len(tab.prod), tab.depth)
+		}
+		bx, by, want := make([]cheb.Interval, n), make([]cheb.Interval, n), make([]cheb.Interval, m)
+		for lv := 0; lv < tab.depth; lv++ {
+			w := 2 / float64(int(1)<<lv)
+			for iy := 0; iy < 1<<lv; iy++ {
+				for ix := 0; ix < 1<<lv; ix++ {
+					x1, y1 := -1+float64(ix)*w, -1+float64(iy)*w
+					cheb.AxisBounds(bx, x1, x1+w)
+					cheb.AxisBounds(by, y1, y1+w)
+					cheb.Products(want, bx, by, c.degree)
+					b := boxIndex(lv, ix, iy) * m
+					for i, got := range tab.prod[b : b+m] {
+						bits := math.Float64bits
+						if bits(got.Lo) != bits(want[i].Lo) || bits(got.Hi) != bits(want[i].Hi) {
+							t.Fatalf("G=%d MD=%d K=%d: box (%d, %d) of level %d, product %d is %v, recomputed %v", c.g, c.md, c.degree, ix, iy, lv, i, got, want[i])
+						}
+					}
+				}
+			}
 		}
 	}
 }

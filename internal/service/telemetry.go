@@ -181,7 +181,7 @@ func annotateQuery(r *http.Request, a queryAnswer) {
 		telemetry.Attr{Key: "method", Value: a.method},
 		telemetry.Attr{Key: "rho", Value: attrFloat(a.q.Rho)},
 		telemetry.Attr{Key: "l", Value: attrFloat(a.q.L)},
-		telemetry.Attr{Key: "at", Value: strconv.FormatInt(int64(a.q.At), 10)})
+		telemetry.IntAttr("at", int64(a.q.At)))
 	if a.until != nil {
 		sp.SetAttrInt("until", int64(*a.until))
 	}

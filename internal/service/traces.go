@@ -91,11 +91,18 @@ type TraceJSON struct {
 // relative to the trace start, which is the record's time (when the
 // request finished) less its duration.
 type SpanJSON struct {
-	Name           string           `json:"name"`
-	StartMicros    int64            `json:"startMicros"`
-	DurationMicros int64            `json:"durationMicros"`
-	Attrs          []telemetry.Attr `json:"attrs,omitempty"`
-	Children       []SpanJSON       `json:"children,omitempty"`
+	Name           string     `json:"name"`
+	StartMicros    int64      `json:"startMicros"`
+	DurationMicros int64      `json:"durationMicros"`
+	Attrs          []AttrJSON `json:"attrs,omitempty"`
+	Children       []SpanJSON `json:"children,omitempty"`
+}
+
+// AttrJSON is one rendered span attribute: its value as text, integers in
+// decimal.
+type AttrJSON struct {
+	Key   string `json:"key"`
+	Value string `json:"value"`
 }
 
 // phaseLevels is how deep a slow-query line renders the span tree: the
@@ -136,7 +143,12 @@ func spanJSON(sp *telemetry.Span, levels int) SpanJSON {
 		Name:           sp.Name,
 		StartMicros:    sp.Start.Microseconds(),
 		DurationMicros: sp.Duration.Microseconds(),
-		Attrs:          sp.Attrs,
+	}
+	if len(sp.Attrs) > 0 {
+		out.Attrs = make([]AttrJSON, len(sp.Attrs))
+		for i, a := range sp.Attrs {
+			out.Attrs[i] = AttrJSON{a.Key, a.Text()}
+		}
 	}
 	if levels > 1 && len(sp.Children) > 0 {
 		out.Children = make([]SpanJSON, len(sp.Children))

@@ -61,11 +61,26 @@ func ParseTraceID(s string) (TraceID, error) {
 }
 
 // Attr is one key/value annotation on a span (cache outcome, fan-out
-// width, candidate counts, ...). Values are pre-rendered strings so
-// rendering a stored trace does no per-type dispatch.
+// width, candidate counts, ...). A string attribute holds its Value; an
+// integer attribute (IsInt) keeps its Int and is formatted only when a
+// trace is rendered, since most recorded trees never are. Text is the
+// value as every view renders it.
 type Attr struct {
-	Key   string `json:"key"`
-	Value string `json:"value"`
+	Key   string
+	Value string
+	Int   int64
+	IsInt bool
+}
+
+// IntAttr returns the integer attribute key=v.
+func IntAttr(key string, v int64) Attr { return Attr{Key: key, Int: v, IsInt: true} }
+
+// Text renders the attribute's value: the string, or the integer in decimal.
+func (a Attr) Text() string {
+	if a.IsInt {
+		return strconv.FormatInt(a.Int, 10)
+	}
+	return a.Value
 }
 
 // DefaultSpanBudget bounds the number of spans one trace may allocate.
@@ -209,16 +224,27 @@ func (s *Span) SetAttr(key, value string) {
 	if s == nil {
 		return
 	}
-	s.Attrs = append(s.Attrs, Attr{Key: key, Value: value})
+	s.addAttr(Attr{Key: key, Value: value})
 }
 
-// SetAttrInt annotates the span with an integer value. The rendering
-// happens after the nil check, so untraced calls do no formatting work.
+// addAttr appends a, starting a span's list at room for three: nearly
+// every span carries at most three counts, and growing the list one by one
+// was most of a traced request's allocations. Three, not four, keeps a
+// stored window span's list at 144 bytes.
+func (s *Span) addAttr(a Attr) {
+	if s.Attrs == nil {
+		s.Attrs = make([]Attr, 0, 3)
+	}
+	s.Attrs = append(s.Attrs, a)
+}
+
+// SetAttrInt annotates the span with an integer value, kept as an integer
+// until the trace is rendered (Attr.Text).
 func (s *Span) SetAttrInt(key string, v int64) {
 	if s == nil {
 		return
 	}
-	s.Attrs = append(s.Attrs, Attr{Key: key, Value: strconv.FormatInt(v, 10)})
+	s.addAttr(IntAttr(key, v))
 }
 
 // SetAttrBool annotates the span with a boolean value.
@@ -226,7 +252,7 @@ func (s *Span) SetAttrBool(key string, v bool) {
 	if s == nil {
 		return
 	}
-	s.Attrs = append(s.Attrs, Attr{Key: key, Value: strconv.FormatBool(v)})
+	s.addAttr(Attr{Key: key, Value: strconv.FormatBool(v)})
 }
 
 // Spans is a fixed fan-out of sibling spans, indexed by worker item. A nil

@@ -46,7 +46,7 @@ func TestTraceSpanTree(t *testing.T) {
 		t.Errorf("refine starts at %v, before filter ended at %v",
 			refine.Start, filter.Start+filter.Duration)
 	}
-	if got := len(filter.Attrs); got != 1 || filter.Attrs[0] != (Attr{"accepted", "12"}) {
+	if got := len(filter.Attrs); got != 1 || filter.Attrs[0] != IntAttr("accepted", 12) || filter.Attrs[0].Text() != "12" {
 		t.Errorf("filter attrs = %+v, want [{accepted 12}]", filter.Attrs)
 	}
 	if root.CountSpans() != 3 {
@@ -160,7 +160,7 @@ func TestForkDeterministicOrder(t *testing.T) {
 		if c != slots[i] {
 			t.Fatalf("child %d is not slot %d", i, i)
 		}
-		if got := c.Attrs[0].Value; got != strconv.Itoa(i) {
+		if got := c.Attrs[0].Text(); got != strconv.Itoa(i) {
 			t.Errorf("child %d carries attr i=%s", i, got)
 		}
 	}

@@ -137,23 +137,26 @@ go test -run '^$' -bench 'BenchmarkSubtract$' -benchtime=20x -benchmem ./interna
 # Lemma-4 factor scratch is owned per slot.
 go test -run '^$' -bench 'BenchmarkSurfaceBatch$' -benchtime=5x -benchmem ./internal/pa |
 	pin_allocs 'BenchmarkSurfaceBatch=0'
-# The PA branch-and-bound walk reads its bounds from the surface's table and
-# emits into a pooled buffer: it allocates the answer and nothing per box.
+# The PA branch-and-bound walk reads each box's interval products from the
+# surface's table and emits into a pooled buffer: it allocates the answer and
+# nothing per box.
 go test -run '^$' -bench 'BenchmarkDenseRegion$' -benchtime=200x -benchmem ./internal/pa |
 	pin_allocs 'BenchmarkDenseRegion=1'
-# Chebyshev evaluation, the Lemma-4 box delta and the DH filter (its result
-# released, as the engine does) run on pooled scratch alone.
-go test -run '^$' -bench 'BenchmarkSeriesEval$|BenchmarkAddBoxDelta$|BenchmarkFilter$' -benchtime=200x -benchmem ./internal/cheb ./internal/dh |
-	pin_allocs 'BenchmarkSeriesEval=0 BenchmarkAddBoxDelta=0 BenchmarkFilter=0'
+# Chebyshev evaluation, the Lemma-4 box delta, a box's bounds (Bounds on
+# pooled scratch, BoundsOf on the caller's products) and the DH filter (its
+# result released, as the engine does) allocate nothing.
+go test -run '^$' -bench 'BenchmarkSeriesEval$|BenchmarkAddBoxDelta$|BenchmarkBounds$|BenchmarkBoundsOf$|BenchmarkFilter$' -benchtime=200x -benchmem ./internal/cheb ./internal/dh |
+	pin_allocs 'BenchmarkSeriesEval=0 BenchmarkAddBoxDelta=0 BenchmarkBounds=0 BenchmarkBoundsOf=0 BenchmarkFilter=0'
 # A query reply (~8k rectangles, ~840 KB) is appended into a pooled buffer
 # that is already grown: the encoder builds no intermediate value.
 go test -run '^$' -bench 'BenchmarkEncodeQueryReply$' -benchtime=200x -benchmem ./internal/service |
 	pin_allocs 'BenchmarkEncodeQueryReply=0'
 # A traced PA snapshot through ServeHTTP (every request traced and stored, the
 # default; no slow-query log) allocates its answer, its span tree and record,
-# the root's query attributes, and the mux's and metrics' per-request share.
+# one attribute list per annotated span (integers stay integers until a trace
+# is rendered), and the mux's and metrics' per-request share.
 go test -run '^$' -bench 'BenchmarkTracedQuery$' -benchtime=200x -benchmem ./internal/service |
-	pin_allocs 'BenchmarkTracedQuery=43'
+	pin_allocs 'BenchmarkTracedQuery=33'
 # A cache hit on a 10,000-rect answer, alone or from every CPU at once,
 # allocates nothing: it returns the stored entry itself, which every holder
 # only reads.
