@@ -1,6 +1,8 @@
 // Command pdrserve runs the PDR engine as an HTTP service (see
 // internal/service for the API). It can start empty or pre-load a workload
-// file produced by pdrgen.
+// file produced by pdrgen. It answers the live window [now, now+H] and keeps
+// no archive of superseded movements, so its memory follows the live object
+// count, not the length of the update stream.
 //
 // Usage:
 //
@@ -38,7 +40,7 @@ func main() {
 		l         = flag.Float64("l", 30, "fixed neighborhood edge for the PA surfaces")
 		histM     = flag.Int("histm", 100, "density histogram resolution per axis")
 		workers   = flag.Int("workers", 0, "query worker-pool size: 0 = GOMAXPROCS, 1 = sequential")
-		cacheB    = flag.Int64("cache-bytes", 0, "result-cache budget in bytes: repeated/interval/monitor queries reuse per-timestamp answers until the next update (0 disables)")
+		cacheB    = flag.Int64("cache-bytes", 0, "result-cache budget in bytes: repeated and interval queries reuse per-timestamp answers until the next update (0 disables)")
 		slowQuery = flag.Duration("slow-query", 0, "log requests slower than this as JSON lines on stderr (0 disables)")
 		slowMax   = flag.Int64("slow-query-max", 0, "cap the slow-query log at this many lines; further slow requests only count on pdr_http_slow_log_dropped_total (0 = unbounded)")
 		traceRate = flag.Float64("trace-sample", 1.0, "head-sampling probability for request traces in [0,1]; sampled requests carry X-Pdr-Trace-Id and appear under /debug/traces")
@@ -52,7 +54,6 @@ func main() {
 	cfg.HistM = *histM
 	cfg.Workers = *workers
 	cfg.CacheBytes = *cacheB
-	cfg.KeepHistory = true // the /v1/past audit endpoint needs the archive
 	var opts []service.Option
 	if *slowQuery > 0 {
 		opts = append(opts, service.WithSlowQueryLog(*slowQuery, *slowMax, os.Stderr))

@@ -2,7 +2,7 @@
 // the forecast ten ticks ahead and emits alerts when dense regions appear
 // or dissolve; afterwards, the movement archive answers "where exactly was
 // it congested at tick T?" for any past tick — the continuous-monitoring
-// and historical-audit layers on top of the paper's query engine.
+// and historical-audit uses of the paper's query engine.
 //
 // Run with: go run ./examples/alerts
 package main
@@ -13,11 +13,15 @@ import (
 
 	"pdr/internal/core"
 	"pdr/internal/datagen"
-	"pdr/internal/monitor"
+	"pdr/internal/geom"
 )
 
 func main() {
-	const vehicles = 15000
+	const (
+		vehicles = 15000
+		ahead    = 10 // forecast distance in ticks
+		every    = 2  // re-evaluation period in ticks
+	)
 	gen, err := datagen.New(datagen.DefaultConfig(vehicles))
 	if err != nil {
 		log.Fatal(err)
@@ -34,35 +38,36 @@ func main() {
 	}
 
 	// Standing query: congestion forecast 10 ticks out, re-checked every 2
-	// ticks with the fast approximation.
-	m := monitor.New(srv)
+	// ticks with the fast approximation and diffed against the last answer.
 	rho := core.RelativeThreshold(vehicles, 3, cfg.Area)
-	subID, err := m.Register(monitor.ContinuousQuery{
-		Rho: rho, L: cfg.L, Ahead: 10, Every: 2, Method: core.PA,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("standing query #%d: rho=%.2g, l=%g, forecast +10 ticks\n\n", subID, rho, cfg.L)
+	fmt.Printf("standing query: rho=%.2g, l=%g, forecast +%d ticks\n\n", rho, cfg.L, ahead)
 
+	var prev geom.Region
 	for tick := 0; tick < 12; tick++ {
 		ups := gen.Advance()
-		events, err := m.Advance(gen.Now(), ups)
+		if err := srv.Tick(gen.Now(), ups); err != nil {
+			log.Fatal(err)
+		}
+		if tick%every != 0 {
+			continue
+		}
+		now := srv.Now()
+		res, err := srv.Snapshot(core.Query{Rho: rho, L: cfg.L, At: now + ahead}, core.PA)
 		if err != nil {
 			log.Fatal(err)
 		}
-		for _, ev := range events {
-			switch {
-			case ev.First:
-				fmt.Printf("t=%2d  baseline: %.0f sq miles forecast congested at t=%d\n",
-					ev.At, ev.Region.Area(), ev.Target)
-			case ev.Changed():
-				fmt.Printf("t=%2d  ALERT: +%.0f sq miles forming, -%.0f dissolving (forecast t=%d)\n",
-					ev.At, ev.Added.Area(), ev.Removed.Area(), ev.Target)
-			default:
-				fmt.Printf("t=%2d  steady (forecast t=%d)\n", ev.At, ev.Target)
-			}
+		added, removed := geom.Subtract(res.Region, prev), geom.Subtract(prev, res.Region)
+		switch {
+		case tick == 0:
+			fmt.Printf("t=%2d  baseline: %.0f sq miles forecast congested at t=%d\n",
+				now, res.Region.Area(), now+ahead)
+		case len(added) > 0 || len(removed) > 0:
+			fmt.Printf("t=%2d  ALERT: +%.0f sq miles forming, -%.0f dissolving (forecast t=%d)\n",
+				now, added.Area(), removed.Area(), now+ahead)
+		default:
+			fmt.Printf("t=%2d  steady (forecast t=%d)\n", now, now+ahead)
 		}
+		prev = res.Region
 	}
 
 	// Post-incident audit: reconstruct the exact congestion at a past tick

@@ -2,8 +2,10 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -85,43 +87,45 @@ func relRho(n int, varrho float64) float64 {
 	return RelativeThreshold(n, varrho, DefaultConfig().Area)
 }
 
-// Check refuses exactly what a snapshot evaluation refuses before it
-// computes, with the same error, and moves none of the counters an
-// evaluation moves: no query is counted and no page is read.
-func TestCheckAgreesWithSnapshot(t *testing.T) {
+// A snapshot refuses, before it computes, a query whose parameters,
+// timestamp, PA l or histogram cell rule out an answer: each refusal names
+// its reason, reads no page and counts no served query. An interval starting
+// at the same query refuses it with the same error.
+func TestSnapshotRefusals(t *testing.T) {
 	s, _ := loadServer(t, testConfig(), 500, 3) // l=60 surfaces; cells of 20
 	reg := telemetry.NewRegistry()
 	met := NewMetrics(reg)
 	s.SetMetrics(met)
 	now := s.Now()
+	end := now + s.Horizon()
 	rho := relRho(500, 1)
 	for _, c := range []struct {
 		q    Query
 		m    Method
-		fail bool
+		want string // a substring of the refusal; "" answers
 	}{
-		{Query{Rho: rho, L: 60, At: now}, FR, false},
-		{Query{Rho: rho, L: 60, At: now + 5}, PA, false},
-		{Query{Rho: rho, L: 40, At: now}, DHPessimistic, false},
-		{Query{Rho: rho, L: 30, At: now}, BruteForce, false},
-		{Query{Rho: rho, L: 45, At: now}, PA, true},           // not the surfaces' l
-		{Query{Rho: rho, L: 30, At: now}, FR, true},           // l below twice the cell
-		{Query{Rho: rho, L: 30, At: now}, DHOptimistic, true}, // the same, for DH
-		{Query{Rho: -1, L: 60, At: now}, FR, true},
-		{Query{Rho: rho, L: 60, At: now + s.Horizon() + 1}, PA, true},
-		{Query{Rho: rho, L: 60, At: now}, Method(99), true},
+		{q: Query{Rho: rho, L: 60, At: now}, m: FR},
+		{q: Query{Rho: rho, L: 60, At: now + 5}, m: PA},
+		{q: Query{Rho: rho, L: 40, At: now}, m: DHPessimistic},
+		{q: Query{Rho: rho, L: 30, At: now}, m: BruteForce},
+		{q: Query{Rho: rho, L: 45, At: now}, m: PA, want: "PA surfaces are built for l=60, query asked l=45"},
+		{q: Query{Rho: rho, L: 30, At: now}, m: FR, want: "cell edge 20 exceeds l/2 = 15"},
+		{q: Query{Rho: rho, L: 30, At: now}, m: DHOptimistic, want: "cell edge 20 exceeds l/2 = 15"},
+		{q: Query{Rho: -1, L: 60, At: now}, m: FR, want: "negative density threshold -1"},
+		{q: Query{Rho: rho, L: 60, At: end + 1}, m: PA, want: fmt.Sprintf("query time %d outside [%d, %d]", end+1, now, end)},
+		{q: Query{Rho: rho, L: 60, At: now}, m: Method(99), want: "unknown method 99"},
 	} {
 		pool := s.PoolStats()
 		served := met.QueriesServed()
-		err := s.Check(c.q, c.m)
-		if (err != nil) != c.fail {
-			t.Errorf("Check(%+v, %v) = %v, want failure %v", c.q, c.m, err, c.fail)
+		_, err := s.Snapshot(c.q, c.m)
+		if (err != nil) != (c.want != "") || (err != nil && !strings.Contains(err.Error(), c.want)) {
+			t.Errorf("Snapshot(%+v, %v) = %v, want refusal %q", c.q, c.m, err, c.want)
 		}
-		if s.PoolStats() != pool || !reflect.DeepEqual(met.QueriesServed(), served) {
-			t.Errorf("Check(%+v, %v) moved the pool or the query counters", c.q, c.m)
+		if err != nil && (s.PoolStats() != pool || !reflect.DeepEqual(met.QueriesServed(), served)) {
+			t.Errorf("refused Snapshot(%+v, %v) moved the pool or the query counters", c.q, c.m)
 		}
-		if _, serr := s.Snapshot(c.q, c.m); (serr == nil) != (err == nil) || (err != nil && serr.Error() != err.Error()) {
-			t.Errorf("Check(%+v, %v) = %v, but Snapshot fails with %v", c.q, c.m, err, serr)
+		if _, ierr := s.Interval(c.q, c.q.At+2, c.m); (ierr == nil) != (err == nil) || (err != nil && ierr.Error() != err.Error()) {
+			t.Errorf("Interval(%+v, %d, %v) = %v, but Snapshot refuses with %v", c.q, c.q.At+2, c.m, ierr, err)
 		}
 	}
 }

@@ -140,7 +140,7 @@ type Result struct {
 func (r *Result) Total() time.Duration { return r.CPU + r.IOTime }
 
 // failed counts one failed query call and returns its error. Only the public
-// entry points (SnapshotTraced, IntervalTraced, PastSnapshotTraced) call it,
+// entry points (SnapshotTraced, IntervalTraced, PastSnapshot) call it,
 // so pdr_engine_query_errors_total moves once per failed request however many
 // snapshots the request fanned out.
 func (s *Server) failed(err error) error {
@@ -167,18 +167,10 @@ func CheckParams(rho, l float64) error {
 	return nil
 }
 
-// Check reports the error an evaluation of q with m would stop at before it
-// computes anything: the query's parameters and timestamp, the PA surfaces'
-// l, the histogram cell against l/2. It counts no query and reads no page,
-// so a caller can vet a query it will evaluate later (a standing query).
-func (s *Server) Check(q Query, m Method) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.checkLocked(q, m)
-}
-
-// checkLocked is Check under the read lock; every snapshot evaluation starts
-// with it.
+// checkLocked reports the error an evaluation of q with m would stop at
+// before it computes anything: the query's parameters and timestamp, the PA
+// surfaces' l, the histogram cell against l/2. It counts no query and reads
+// no page; every snapshot evaluation starts with it, under the read lock.
 func (s *Server) checkLocked(q Query, m Method) error {
 	if err := s.validateLocked(q); err != nil {
 		return err
@@ -510,12 +502,6 @@ func (s *Server) snapshotBFLocked(q Query, res *Result, sp *telemetry.Span) {
 // that were already current at q.At. Requires Config.KeepHistory; q.At must
 // precede the server clock (use Snapshot for now and the future).
 func (s *Server) PastSnapshot(q Query) (*Result, error) {
-	return s.PastSnapshotTraced(q, nil)
-}
-
-// PastSnapshotTraced is PastSnapshot recording its evaluation as a child
-// span of sp (nil traces nothing).
-func (s *Server) PastSnapshotTraced(q Query, sp *telemetry.Span) (*Result, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if !s.cfg.KeepHistory {
@@ -527,13 +513,10 @@ func (s *Server) PastSnapshotTraced(q Query, sp *telemetry.Span) (*Result, error
 	if err := CheckParams(q.Rho, q.L); err != nil {
 		return nil, s.failed(err)
 	}
-	esp := sp.Child("past")
-	esp.SetAttrInt("at", int64(q.At))
 	// No I/O to track: the brute force reads no page, and the pool counters
 	// are engine-global, so a concurrent FR query's reads would be charged
 	// here.
-	res, err := s.evaluateLocked(q, BruteForce, false, esp)
-	esp.End()
+	res, err := s.evaluateLocked(q, BruteForce, false, nil)
 	if err != nil {
 		return nil, s.failed(err)
 	}

@@ -29,18 +29,15 @@
 // write-lock it. It is the only lock an HTTP query or write holds: the
 // service takes none around it.
 //
-// Lock order. The module's one nested acquisition is monitor → engine:
-// monitor.AdvanceTraced holds the monitor's lock across TickTraced and
-// SnapshotTraced. The reverse order would need code that holds the engine
-// lock to reach the monitor's mutex, and none can: package monitor imports
-// core, so core cannot import it, and core takes no func value from monitor
-// or service that could call back. The service's slow-query log holds its
-// mutex only around one io.Writer.Write, with no call under it. The other
-// mutexes (the answer cache, the buffer pool, telemetry, the trace store)
-// live in packages that import neither core nor monitor, and the cache
-// runs a miss's evaluation outside its mutex. An inversion would hang
-// the dynamic guards: TestConcurrentSubscriptionChangesAndTicks,
-// TestRaceUpdatesQueryStats and the repeated service and monitor soak of
+// Lock order. No request path nests two project locks: an HTTP query or
+// write takes the engine lock for its engine call and holds no other lock
+// across it, and core takes no func value from the service that could call
+// back under it. The service's slow-query log holds its mutex only around
+// one io.Writer.Write, with no call under it. The other mutexes (the answer
+// cache, the buffer pool, telemetry, the trace store) are leaves: they live
+// in packages that do not import core, and the cache runs a miss's
+// evaluation outside its mutex. An inversion would hang the dynamic guards:
+// TestRaceUpdatesQueryStats and the repeated service soak of
 // scripts/check.sh at GOMAXPROCS 1, 2 and 4.
 //
 // One write path. Tick (after moving the clock), Load and Apply run one
@@ -133,10 +130,9 @@ type Config struct {
 	Workers int
 	// CacheBytes bounds the epoch-versioned snapshot result cache
 	// (approximate resident bytes). 0 (the default) disables caching and
-	// keeps the pre-cache behavior; when set, repeated snapshot queries,
-	// interval fan-outs, and monitor re-evaluations reuse per-timestamp
-	// answers until the next mutation supersedes them (see
-	// docs/PERFORMANCE.md, "Result cache").
+	// keeps the pre-cache behavior; when set, repeated snapshot queries and
+	// interval fan-outs reuse per-timestamp answers until the next mutation
+	// supersedes them (see docs/PERFORMANCE.md, "Result cache").
 	CacheBytes int64
 	// DisablePA skips building and maintaining the Chebyshev surface: PA
 	// queries are rejected and Surface returns nil.

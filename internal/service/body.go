@@ -13,7 +13,7 @@ import (
 )
 
 // maxBodyBytes bounds the body of a POST (/v1/load, /v1/updates,
-// /v1/apply, /v1/watch), which is read whole before it is decoded. A
+// /v1/apply), which is read whole before it is decoded. A
 // 20,000-state load is 2.8 MB and a 1,030-record tick 143 KB.
 const maxBodyBytes = 64 << 20
 

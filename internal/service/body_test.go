@@ -189,7 +189,7 @@ func TestOversizedBodyIs413(t *testing.T) {
 	svc, ts := testService(t)
 	loadWorkload(t, ts, 100)
 	epoch := svc.Engine().Epoch()
-	for _, route := range []string{"/v1/updates", "/v1/apply", "/v1/load", "/v1/watch"} {
+	for _, route := range []string{"/v1/updates", "/v1/apply", "/v1/load"} {
 		req := httptest.NewRequest(http.MethodPost, route, io.LimitReader(zeros{}, maxBodyBytes+1))
 		req.ContentLength = maxBodyBytes + 1
 		rec := httptest.NewRecorder()

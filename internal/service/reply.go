@@ -67,7 +67,7 @@ func sendEncoded(w http.ResponseWriter, code int, pb *[]byte, body []byte, err e
 }
 
 // queryAnswer is an engine result with the resolved query it answers: what
-// the /v1/query and /v1/past replies are encoded from.
+// a /v1/query reply is encoded from.
 type queryAnswer struct {
 	method string
 	q      core.Query

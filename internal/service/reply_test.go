@@ -53,10 +53,7 @@ func referenceReply(method string, q core.Query, until *motion.Tick, res *core.R
 // for the QueryResponse holding the same answer, the answer being the
 // engine's own for the same query.
 func TestQueryReplyMatchesEncodingJSON(t *testing.T) {
-	svc, ts := testServiceWith(t, func(cfg *core.Config) {
-		cfg.CacheBytes = 16 << 20
-		cfg.KeepHistory = true
-	})
+	svc, ts := testServiceWith(t, func(cfg *core.Config) { cfg.CacheBytes = 16 << 20 })
 	g := loadWorkload(t, ts, 1500)
 	advanceTicks(t, ts, g, 3)
 	eng := svc.Engine()
@@ -65,7 +62,6 @@ func TestQueryReplyMatchesEncodingJSON(t *testing.T) {
 
 	cases := []struct {
 		name    string
-		path    string // /v1/query or /v1/past
 		query   string
 		method  core.Method
 		rho     float64
@@ -83,15 +79,10 @@ func TestQueryReplyMatchesEncodingJSON(t *testing.T) {
 		{name: "outline", query: "method=fr&outline=1", method: core.FR, rho: rho, at: now + 5, outline: true},
 		{name: "empty", query: "method=fr", method: core.FR, rho: 1e3, at: now, empty: true},
 		{name: "cached", query: "method=fr", method: core.FR, rho: rho, at: now + 2, cached: true},
-		{name: "past", path: "/v1/past", rho: rho, at: now - 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			path := tc.path
-			if path == "" {
-				path = "/v1/query"
-			}
-			target := path + "?" + tc.query + "&l=60&rho=" + strconv.FormatFloat(tc.rho, 'g', -1, 64) +
+			target := "/v1/query?" + tc.query + "&l=60&rho=" + strconv.FormatFloat(tc.rho, 'g', -1, 64) +
 				"&at=" + strconv.FormatInt(int64(tc.at), 10)
 			if tc.until != nil {
 				target += "&until=" + strconv.FormatInt(int64(*tc.until), 10)
@@ -118,16 +109,10 @@ func TestQueryReplyMatchesEncodingJSON(t *testing.T) {
 			q := core.Query{Rho: tc.rho, L: 60, At: tc.at}
 			var res *core.Result
 			var err error
-			method := "past-exact"
-			switch {
-			case tc.path == "/v1/past":
-				res, err = eng.PastSnapshot(q)
-			case tc.until != nil:
+			if tc.until != nil {
 				res, err = eng.Interval(q, *tc.until, tc.method)
-				method = tc.method.String()
-			default:
+			} else {
 				res, err = eng.Snapshot(q, tc.method)
-				method = tc.method.String()
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -140,7 +125,7 @@ func TestQueryReplyMatchesEncodingJSON(t *testing.T) {
 				t.Fatalf("reply cached=%v cachedCpuMicros=%d, case wants cached=%v", got.Cached, got.CachedCPUMicros, tc.cached)
 			}
 			var want bytes.Buffer
-			if err := json.NewEncoder(&want).Encode(referenceReply(method, q, tc.until, res, tc.outline, got)); err != nil {
+			if err := json.NewEncoder(&want).Encode(referenceReply(tc.method.String(), q, tc.until, res, tc.outline, got)); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(body, want.Bytes()) {
@@ -189,7 +174,7 @@ func TestNonFiniteReplyIsAClean500(t *testing.T) {
 	}
 	t.Run("reflective", func(t *testing.T) {
 		rec := httptest.NewRecorder()
-		writeJSON(rec, ContourResponse{Level: math.NaN()})
+		writeJSON(rec, StatsResponse{PoolHitRatio: math.NaN()})
 		clean500(t, rec)
 	})
 	// End to end, through the middleware's recorder: rho=NaN, which no

@@ -3,19 +3,14 @@
 //
 //	POST   /v1/load       bulk-load initial object states
 //	POST   /v1/updates    advance the clock and apply location updates
-//	                      (returns standing-query change events)
 //	POST   /v1/apply      apply insert/delete updates between ticks
 //	                      (the clock does not move)
 //	GET    /v1/query      answer a snapshot or interval PDR query
-//	POST   /v1/watch      register a standing (continuous) PDR query
-//	DELETE /v1/watch/{id} remove a standing query
-//	GET    /v1/past       exact PDR query at a past timestamp (history)
-//	GET    /v1/contours   extract iso-density contour lines (PA surfaces)
 //	GET    /v1/stats      server and buffer-pool statistics
 //	GET    /healthz       liveness
 //
-// The three write routes and /v1/watch read their body whole, at most 64 MiB
-// of it (413 beyond), before decoding: /v1/updates and /v1/apply through
+// The three write routes read their body whole, at most 64 MiB of it (413
+// beyond), before decoding: /v1/updates and /v1/apply through
 // wire.DecodeUpdates with encoding/json as the fallback on the same bytes
 // (body.go), so a malformed body's 400 names the byte or the record. The
 // engine applies the valid prefix of a write and stops at the first record it
@@ -26,9 +21,7 @@
 // One lock per request. The service holds no lock on the engine: every
 // handler calls the engine (internal/core), which takes its own lock for the
 // call, so queries run concurrently with each other and a write waits out
-// only the engine calls in flight, not the requests around them. The monitor
-// has its own lock, taken only by /v1/updates (a tick and its standing-query
-// re-evaluations run as one step) and by POST and DELETE /v1/watch.
+// only the engine calls in flight, not the requests around them.
 // Clock-relative timestamps (now, now+K) are resolved against the engine's
 // clock and re-resolved when a tick moved it under a failed run (atClock),
 // so a query never fails because a tick landed between the two. A query's
@@ -41,7 +34,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -49,7 +41,6 @@ import (
 	"time"
 
 	"pdr/internal/core"
-	"pdr/internal/monitor"
 	"pdr/internal/motion"
 	"pdr/internal/telemetry"
 	"pdr/internal/tracestore"
@@ -63,10 +54,9 @@ const DefaultTraceBuffer = 256
 
 // Service wraps a PDR engine with an HTTP API.
 type Service struct {
-	// srv is the engine and mon re-evaluates standing queries; each locks
-	// itself, so the handlers call both without a lock of their own.
+	// srv is the engine; it locks itself, so the handlers call it without a
+	// lock of their own.
 	srv *core.Server
-	mon *monitor.Monitor
 	mux *http.ServeMux
 	// reg and met are atomic-based telemetry.
 	reg  *telemetry.Registry
@@ -129,7 +119,7 @@ func New(cfg core.Config, opts ...Option) (*Service, error) {
 // everything since the engine was built.
 func NewWithEngine(srv *core.Server, opts ...Option) (*Service, error) {
 	s := &Service{
-		srv: srv, mon: monitor.New(srv), mux: http.NewServeMux(), reg: telemetry.NewRegistry(),
+		srv: srv, mux: http.NewServeMux(), reg: telemetry.NewRegistry(),
 		start: time.Now(), traceSample: 1, traceBuffer: DefaultTraceBuffer,
 	}
 	for _, opt := range opts {
@@ -138,7 +128,6 @@ func NewWithEngine(srv *core.Server, opts ...Option) (*Service, error) {
 	s.met = core.NewMetrics(s.reg)
 	srv.SetMetrics(s.met)
 	srv.AttachTelemetry(s.reg)
-	s.mon.RegisterMetrics(s.reg)
 	if s.slow != nil {
 		s.slow.count = s.reg.Counter("pdr_http_slow_queries_total",
 			"Requests that exceeded the slow-query threshold.")
@@ -161,12 +150,10 @@ func NewWithEngine(srv *core.Server, opts ...Option) (*Service, error) {
 	s.reg.GaugeFunc("pdr_process_uptime_seconds",
 		"Seconds since the service was constructed.",
 		func() float64 { return time.Since(s.start).Seconds() })
-	s.registerWatchRoutes()
 	s.handle("POST /v1/load", s.handleLoad)
 	s.handle("POST /v1/updates", s.handleUpdates)
 	s.handle("POST /v1/apply", s.handleApply)
 	s.handle("GET /v1/query", s.handleQuery)
-	s.handle("GET /v1/contours", s.handleContours)
 	s.handle("GET /v1/stats", s.handleStats)
 	s.handle("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.WriteHeader(http.StatusOK)
@@ -277,15 +264,17 @@ type UpdatesRequest struct {
 	Updates []wire.Record `json:"updates"`
 }
 
-// UpdatesResponse reports the tick outcome, including any change events
-// from registered standing queries.
+// UpdatesResponse reports the tick outcome.
 type UpdatesResponse struct {
 	Applied int         `json:"applied"`
 	Now     motion.Tick `json:"now"`
 	Objects int         `json:"objects"`
-	Events  []EventJSON `json:"events,omitempty"`
 }
 
+// handleUpdates makes the request one engine tick (core.Server.TickTraced):
+// the clock moves to the body's now and its records are applied under the
+// engine's write lock. The tick is the root's "tick" span, with the engine's
+// plan and apply under it.
 func (s *Service) handleUpdates(w http.ResponseWriter, r *http.Request) {
 	now, ups, ok := decodeUpdates(w, r, func(body []byte) (motion.Tick, []wire.Record, error) {
 		var req UpdatesRequest
@@ -295,20 +284,19 @@ func (s *Service) handleUpdates(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	events, err := s.mon.AdvanceTraced(now, ups, requestSpan(r))
+	tsp := requestSpan(r).Child("tick")
+	tsp.SetAttrInt("updates", int64(len(ups)))
+	err := s.srv.TickTraced(now, ups, tsp)
+	tsp.End()
 	if err != nil {
 		writePartial(w, "tick", err)
 		return
 	}
-	writeJSON(w, UpdatesResponse{
-		Applied: len(ups), Now: now, Objects: s.srv.NumObjects(),
-		Events: eventsJSON(events),
-	})
+	writeJSON(w, UpdatesResponse{Applied: len(ups), Now: now, Objects: s.srv.NumObjects()})
 }
 
 // ApplyRequest is the body of POST /v1/apply: between-tick movement updates
-// applied at the current clock. Unlike /v1/updates, the clock does not move
-// and standing queries are not re-evaluated.
+// applied at the current clock. Unlike /v1/updates, the clock does not move.
 type ApplyRequest struct {
 	Updates []wire.Record `json:"updates"`
 }
@@ -322,11 +310,10 @@ type ApplyResponse struct {
 
 // handleApply makes the request's records one engine write
 // (core.Server.ApplyBatchTraced), so a query sees all of its admitted prefix
-// or none of it. It bypasses the monitor — the clock does not move, so no
-// standing query comes due — and takes the engine's write lock alone: the
-// contention regime bench/'s mixed-rw workload measures. The write is the
-// root's "batch" span, with the engine's plan and apply under it, as a
-// tick's are under "tick".
+// or none of it. It takes the engine's write lock alone: the contention
+// regime bench/'s mixed-rw workload measures. The write is the root's
+// "batch" span, with the engine's plan and apply under it, as a tick's are
+// under "tick".
 func (s *Service) handleApply(w http.ResponseWriter, r *http.Request) {
 	_, ups, ok := decodeUpdates(w, r, func(body []byte) (motion.Tick, []wire.Record, error) {
 		var req ApplyRequest
@@ -355,10 +342,10 @@ type RectJSON struct {
 	MaxY float64 `json:"maxY"`
 }
 
-// QueryResponse is the body returned by GET /v1/query and GET /v1/past: the
-// documented shape, and what clients decode into. The handlers never build
-// one — appendQueryReply writes its encoding straight from the engine's
-// result — so a field added here must be added there, in the same position
+// QueryResponse is the body returned by GET /v1/query: the documented shape,
+// and what clients decode into. The handler never builds one —
+// appendQueryReply writes its encoding straight from the engine's result —
+// so a field added here must be added there, in the same position
 // (TestQueryReplyMatchesEncodingJSON compares the two byte for byte).
 type QueryResponse struct {
 	Method      string        `json:"method"`
@@ -485,50 +472,6 @@ func (s *Service) evalQuery(r *http.Request, qp url.Values, method core.Method, 
 	})
 }
 
-// ContourResponse is the body of GET /v1/contours.
-type ContourResponse struct {
-	Level    float64      `json:"level"`
-	At       motion.Tick  `json:"at"`
-	Segments [][4]float64 `json:"segments"` // x1, y1, x2, y2
-}
-
-func (s *Service) handleContours(w http.ResponseWriter, r *http.Request) {
-	qp := r.URL.Query()
-	// ParseFloat reads NaN and Inf, which the reply could not encode.
-	level, err := strconv.ParseFloat(qp.Get("level"), 64)
-	if err != nil || math.IsNaN(level) || math.IsInf(level, 0) {
-		httpError(w, http.StatusBadRequest, "bad level %q", qp.Get("level"))
-		return
-	}
-	res := 96
-	if v := qp.Get("res"); v != "" {
-		if res, err = strconv.Atoi(v); err != nil {
-			httpError(w, http.StatusBadRequest, "bad res %q", v)
-			return
-		}
-	}
-	out, code, err := atClock(s.srv, func(now motion.Tick) (ContourResponse, int, error) {
-		at, err := parseTick(qp.Get("at"), now, s.srv.Horizon())
-		if err != nil {
-			return ContourResponse{}, http.StatusBadRequest, err
-		}
-		segs, err := s.srv.Contours(at, level, res)
-		if err != nil {
-			return ContourResponse{}, http.StatusUnprocessableEntity, err
-		}
-		out := ContourResponse{Level: level, At: at, Segments: make([][4]float64, len(segs))}
-		for i, sg := range segs {
-			out.Segments[i] = [4]float64{sg.A.X, sg.A.Y, sg.B.X, sg.B.Y}
-		}
-		return out, http.StatusOK, nil
-	})
-	if err != nil {
-		httpError(w, code, "%v", err)
-		return
-	}
-	writeJSON(w, out)
-}
-
 // StatsResponse is the body of GET /v1/stats. Each number is read from the
 // subsystem that counts it, the same place /metrics reads it, so the two
 // surfaces always agree.
@@ -542,7 +485,6 @@ type StatsResponse struct {
 	PoolWrites     int64            `json:"poolWrites"`
 	PoolHits       int64            `json:"poolHits"`
 	PoolHitRatio   float64          `json:"poolHitRatio"`
-	Subscriptions  int              `json:"subscriptions"`
 	QueriesServed  map[string]int64 `json:"queriesServed"`
 	UptimeHorizon  motion.Tick      `json:"horizon"`
 	// Result-cache counters (all zero when Config.CacheBytes is 0); the
@@ -583,7 +525,6 @@ func (s *Service) handleStats(w http.ResponseWriter, _ *http.Request) {
 		PoolWrites:         st.Writes,
 		PoolHits:           st.Hits,
 		PoolHitRatio:       st.HitRatio(),
-		Subscriptions:      s.mon.NumSubscriptions(),
 		QueriesServed:      s.met.QueriesServed(),
 		UptimeHorizon:      s.srv.Horizon(),
 		CacheHits:          cst.Hits,
@@ -600,35 +541,23 @@ func (s *Service) handleStats(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// parseRho resolves rho= (absolute) or varrho= (relative to the live count)
-// query parameters.
+// parseRho resolves the density threshold of a query: rho= (absolute) when
+// given, else varrho= relative to the live object count; one of the two is
+// required.
 func (s *Service) parseRho(qp url.Values) (float64, error) {
 	if v := qp.Get("rho"); v != "" {
 		rho, err := strconv.ParseFloat(v, 64)
 		if err != nil {
 			return 0, fmt.Errorf("bad rho %q", v)
 		}
-		return s.threshold(&rho, nil)
+		return rho, nil
 	}
 	if v := qp.Get("varrho"); v != "" {
 		varrho, err := strconv.ParseFloat(v, 64)
 		if err != nil {
 			return 0, fmt.Errorf("bad varrho %q", v)
 		}
-		return s.threshold(nil, &varrho)
-	}
-	return s.threshold(nil, nil)
-}
-
-// threshold is the density threshold rule of every query route: an absolute
-// rho when given, else varrho relative to the live object count; one of the
-// two is required.
-func (s *Service) threshold(rho, varrho *float64) (float64, error) {
-	switch {
-	case rho != nil:
-		return *rho, nil
-	case varrho != nil:
-		return core.RelativeThreshold(s.srv.NumObjects(), *varrho, s.srv.Config().Area), nil
+		return core.RelativeThreshold(s.srv.NumObjects(), varrho, s.srv.Config().Area), nil
 	}
 	return 0, errors.New("one of rho or varrho is required")
 }
@@ -636,7 +565,7 @@ func (s *Service) threshold(rho, varrho *float64) (float64, error) {
 // parseTick parses a query timestamp ("now", "now+K", or an absolute tick)
 // and validates it against the engine's live window [now, now+horizon], so
 // clients get a clear 400 naming the window instead of an opaque engine
-// failure. Past forms are redirected to /v1/past.
+// failure. Past forms are refused with the live window they fall outside.
 func parseTick(v string, now, horizon motion.Tick) (motion.Tick, error) {
 	switch {
 	case v == "" || v == "now":
@@ -651,7 +580,7 @@ func parseTick(v string, now, horizon motion.Tick) (motion.Tick, error) {
 		}
 		return now + motion.Tick(k), nil
 	case strings.HasPrefix(v, "now-"):
-		return 0, fmt.Errorf("timestamp %q is in the past; use /v1/past for historical queries", v)
+		return 0, fmt.Errorf("timestamp %q is in the past: the engine answers [now, now+%d]", v, horizon)
 	default:
 		k, err := strconv.ParseInt(v, 10, 64)
 		if err != nil {
@@ -659,41 +588,13 @@ func parseTick(v string, now, horizon motion.Tick) (motion.Tick, error) {
 		}
 		t := motion.Tick(k)
 		if t < now {
-			return 0, fmt.Errorf("timestamp %d precedes now=%d; use /v1/past for historical queries", t, now)
+			return 0, fmt.Errorf("timestamp %d precedes now: the engine answers [%d, %d]", t, now, now+horizon)
 		}
 		if t > now+horizon {
 			return 0, fmt.Errorf("timestamp %d is beyond the maintained horizon: the engine answers [%d, %d]", t, now, now+horizon)
 		}
 		return t, nil
 	}
-}
-
-// parsePastTick parses the timestamp of a /v1/past query: "now-K" or an
-// absolute tick strictly before now (PastSnapshot covers only the past; the
-// live window belongs to /v1/query).
-func parsePastTick(v string, now motion.Tick) (motion.Tick, error) {
-	var t motion.Tick
-	switch {
-	case strings.HasPrefix(v, "now-"):
-		k, err := strconv.Atoi(v[len("now-"):])
-		if err != nil || k < 0 {
-			return 0, fmt.Errorf("bad timestamp %q", v)
-		}
-		t = now - motion.Tick(k)
-	default:
-		k, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			return 0, fmt.Errorf("bad timestamp %q (want an absolute tick or now-K)", v)
-		}
-		t = motion.Tick(k)
-	}
-	if t < 0 {
-		return 0, fmt.Errorf("timestamp %q is before the start of history: past queries cover [0, %d)", v, now)
-	}
-	if t >= now {
-		return 0, fmt.Errorf("timestamp %d is not in the past (now=%d); use /v1/query for the live window", t, now)
-	}
-	return t, nil
 }
 
 // ListenAndServe runs the service on addr until the listener fails. The

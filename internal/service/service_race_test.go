@@ -20,21 +20,18 @@ import (
 
 // TestRaceUpdatesQueryStats drives one Service with a ticking writer beside
 // a client of every other route: snapshot queries, stats polls and /metrics
-// scrapes, between-tick applies, standing-query registration and removal,
-// contours and past queries. It exists for `go test -race` (scripts/check.sh
-// runs it there): no service lock spans a request, so each handler meets the
-// tick on the engine's lock or the monitor's alone, and a scrape reads each
+// scrapes, and between-tick applies. It exists for `go test -race`
+// (scripts/check.sh runs it there): no service lock spans a request, so each
+// handler meets the tick on the engine's lock alone, and a scrape reads each
 // subsystem's own counters (the buffer pool's and the trace store's leaf
-// locks, the worker pool's slots, the monitor's count) while the traffic
-// moves them; this workload makes the detector see every pairing. The writer is the single clock owner, so Now stays
-// monotonic. Every reply must succeed: the queries and contours ask at the
-// default at=now, which a tick landing between resolve and run would turn
-// into an error if the service did not re-resolve.
+// locks, the worker pool's slots) while the traffic moves them; this
+// workload makes the detector see every pairing. The writer is the single
+// clock owner, so Now stays monotonic. Every reply must succeed: the queries
+// ask at the default at=now, which a tick landing between resolve and run
+// would turn into an error if the service did not re-resolve.
 func TestRaceUpdatesQueryStats(t *testing.T) {
-	_, ts := testServiceWith(t, func(cfg *core.Config) { cfg.KeepHistory = true })
+	_, ts := testService(t)
 	g := loadWorkload(t, ts, 800)
-	// One tick first, so at=0 is in the past for the /v1/past client.
-	advanceTicks(t, ts, g, 1)
 
 	const (
 		queryWorkers = 4
@@ -60,7 +57,7 @@ func TestRaceUpdatesQueryStats(t *testing.T) {
 		return reply, err
 	}
 	var wg sync.WaitGroup
-	errs := make(chan error, queryWorkers+statsWorkers+5)
+	errs := make(chan error, queryWorkers+statsWorkers+2)
 	// client runs iters rounds on its own goroutine and reports the first
 	// round that fails.
 	client := func(round func(i int) error) {
@@ -120,8 +117,6 @@ func TestRaceUpdatesQueryStats(t *testing.T) {
 			return err
 		})
 	}
-	client(get("/v1/contours?level=0.001&res=16"))
-	client(get("/v1/past?varrho=2&l=60&at=0"))
 	// Between-tick applies: each inserts an object no tick names and deletes
 	// it again.
 	client(func(i int) error {
@@ -130,20 +125,6 @@ func TestRaceUpdatesQueryStats(t *testing.T) {
 		del.Kind = wire.KindDelete
 		body, _ := json.Marshal(ApplyRequest{Updates: []wire.Record{ins, del}})
 		_, err := do(http.MethodPost, "/v1/apply", string(body), http.StatusOK)
-		return err
-	})
-	// Standing queries, registered and removed again while ticks
-	// re-evaluate them.
-	client(func(int) error {
-		reply, err := do(http.MethodPost, "/v1/watch", `{"varrho":2,"l":60,"every":1,"method":"pa"}`, http.StatusOK)
-		if err != nil {
-			return err
-		}
-		var wr WatchResponse
-		if err := json.Unmarshal(reply, &wr); err != nil {
-			return err
-		}
-		_, err = do(http.MethodDelete, fmt.Sprintf("/v1/watch/%d", wr.ID), "", http.StatusNoContent)
 		return err
 	})
 
@@ -158,13 +139,12 @@ func TestRaceUpdatesQueryStats(t *testing.T) {
 // answer at once, with the result cache off and on: FR snapshot queries at
 // one timestamp (half of them with outline=1, so the outline walk reads the
 // region beside the reply encoder), FR interval queries that start at it,
-// each fanning its per-timestamp snapshots out to the engine's worker pool,
-// and a standing query whose tick diffs that snapshot against its previous
-// answer. The readers start once the tick has moved the clock, so with the
-// cache on they all read the one region the cache stores, and under -race
-// any holder that wrote to it would be caught. Every client of a request
-// must get the same answer bytes, and the cache-on answers must be the
-// cache-off ones byte for byte.
+// each fanning its per-timestamp snapshots out to the engine's worker pool.
+// The readers start once the tick has moved the clock, so with the cache on
+// they all read the one region the cache stores, and under -race any holder
+// that wrote to it would be caught. Every client of a request must get the
+// same answer bytes, and the cache-on answers must be the cache-off ones
+// byte for byte.
 func TestRaceConcurrentIntervalQueries(t *testing.T) {
 	const (
 		clients = 3
@@ -178,16 +158,6 @@ func TestRaceConcurrentIntervalQueries(t *testing.T) {
 		})
 		g := loadWorkload(t, ts, 800)
 		rho := strconv.FormatFloat(core.RelativeThreshold(800, 3, svc.Engine().Config().Area), 'g', -1, 64)
-		resp, err := http.Post(ts.URL+"/v1/watch", "application/json",
-			strings.NewReader(fmt.Sprintf(`{"rho":%s,"l":60,"ahead":%d,"every":1,"method":"fr"}`, rho, ahead)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("watch status %d", resp.StatusCode)
-		}
-		advanceTicks(t, ts, g, 1) // the standing query's first answer
 
 		ups := g.Advance()
 		now := g.Now()
@@ -203,9 +173,8 @@ func TestRaceConcurrentIntervalQueries(t *testing.T) {
 		var mu sync.Mutex
 		answers := make(map[string][]string)
 		var wg sync.WaitGroup
-		// record keeps one client's answer bytes: the updates reply whole
-		// (its events carry the diff), a query reply's region fields (its
-		// timings vary).
+		// record keeps one client's answer bytes: the updates reply whole, a
+		// query reply's region fields (its timings vary).
 		record := func(name string, body []byte, err error) {
 			if err == nil && name != "tick" {
 				var a struct{ Rects, Area, Rings json.RawMessage }
@@ -281,9 +250,6 @@ func TestRaceConcurrentIntervalQueries(t *testing.T) {
 				t.Errorf("%s: the cache-on answer differs from the cache-off one", name)
 			}
 		}
-		if !strings.Contains(answers["tick"][0], `"added"`) {
-			t.Errorf("the tick's reply carries no diff: %.200s", answers["tick"][0])
-		}
 		if cacheOff == nil {
 			cacheOff = make(map[string]string)
 			for name, got := range answers {
@@ -291,10 +257,11 @@ func TestRaceConcurrentIntervalQueries(t *testing.T) {
 			}
 			continue
 		}
-		// After the tick, 3 clients ask for 3 timestamps and the rest for
-		// one: each of the 3 keys is evaluated once, every other lookup
-		// reads what that evaluation stored.
-		lookups := 2*clients + 3*clients + 1
+		// After the tick, the interval clients ask for 3 timestamps and the
+		// snapshot and outline clients for one: each of the 3 keys is
+		// evaluated once, every other lookup reads what that evaluation
+		// stored.
+		lookups := 2*clients + 3*clients
 		if st := svc.Engine().CacheStats(); st.Hits+st.Shared != int64(lookups-3) {
 			t.Errorf("cache stats %+v: want %d hits and sharers of the tick's %d lookups", st, lookups-3, lookups)
 		}

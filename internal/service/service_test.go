@@ -200,7 +200,7 @@ func TestQueryValidationErrors(t *testing.T) {
 		{"/v1/query?method=fr&l=60&rho=xyz", http.StatusBadRequest}, // bad rho
 		{"/v1/query?method=fr&l=60&varrho=1&at=later", http.StatusBadRequest},
 		{"/v1/query?method=fr&l=60&varrho=1&at=9999", http.StatusBadRequest},  // beyond horizon
-		{"/v1/query?method=fr&l=60&varrho=1&at=now-3", http.StatusBadRequest}, // past: /v1/past territory
+		{"/v1/query?method=fr&l=60&varrho=1&at=now-3", http.StatusBadRequest}, // past: outside the live window
 		{"/v1/query?method=fr&l=60&varrho=1&until=now%2B9999", http.StatusBadRequest},
 		{"/v1/query?method=pa&l=45&varrho=1", http.StatusUnprocessableEntity}, // PA wrong l
 		// An interval the engine rejects is a 422 like a snapshot, not a
@@ -283,45 +283,6 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 }
 
-func TestContoursEndpoint(t *testing.T) {
-	_, ts := testService(t)
-	loadWorkload(t, ts, 3000)
-	resp, err := http.Get(ts.URL + "/v1/contours?level=0.0001&res=48")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("contours status %d", resp.StatusCode)
-	}
-	var cr ContourResponse
-	if err := json.NewDecoder(resp.Body).Decode(&cr); err != nil {
-		t.Fatal(err)
-	}
-	if len(cr.Segments) == 0 {
-		t.Error("no contour segments at a low level over 3000 objects")
-	}
-	// Bad parameters.
-	for _, u := range []string{
-		"/v1/contours",                    // missing level
-		"/v1/contours?level=1&res=x",      // bad res
-		"/v1/contours?level=1&res=1",      // res too small
-		"/v1/contours?level=1&res=100000", // res too large: 80 GB of samples
-		"/v1/contours?level=1&at=9999",    // out of window
-		"/v1/contours?level=NaN",          // ParseFloat reads it; JSON cannot carry it
-		"/v1/contours?level=Inf",
-	} {
-		resp, err := http.Get(ts.URL + u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode < 400 || resp.StatusCode >= 500 {
-			t.Errorf("%s: status %d, want a 4xx", u, resp.StatusCode)
-		}
-	}
-}
-
 func TestConcurrentQueries(t *testing.T) {
 	// The mutex must keep concurrent readers and writers safe; exercised
 	// with parallel HTTP traffic.
@@ -379,214 +340,6 @@ func TestConcurrentQueries(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
-	}
-}
-
-func TestWatchLifecycle(t *testing.T) {
-	_, ts := testService(t)
-	g := loadWorkload(t, ts, 1500)
-
-	// Register a standing query.
-	varrho := 2.0
-	body, _ := json.Marshal(WatchRequest{Varrho: &varrho, L: 60, Ahead: 5, Every: 1, Method: "pa"})
-	resp, err := http.Post(ts.URL+"/v1/watch", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("watch status %d", resp.StatusCode)
-	}
-	var wr WatchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&wr); err != nil {
-		t.Fatal(err)
-	}
-	if wr.ID == 0 {
-		t.Fatal("watch returned zero id")
-	}
-
-	// The next update tick carries an event (first evaluation).
-	ups := g.Advance()
-	var ur UpdatesRequest
-	ur.Now = g.Now()
-	for _, u := range ups {
-		kind := wire.KindInsert
-		if u.Kind == motion.Delete {
-			kind = wire.KindDelete
-		}
-		ur.Updates = append(ur.Updates, wire.FromState(kind, u.State, u.At))
-	}
-	body, _ = json.Marshal(ur)
-	resp2, err := http.Post(ts.URL+"/v1/updates", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	var urr UpdatesResponse
-	if err := json.NewDecoder(resp2.Body).Decode(&urr); err != nil {
-		t.Fatal(err)
-	}
-	if len(urr.Events) != 1 {
-		t.Fatalf("got %d events, want 1", len(urr.Events))
-	}
-	ev := urr.Events[0]
-	if ev.SubID != wr.ID || !ev.First {
-		t.Errorf("unexpected event %+v", ev)
-	}
-	if ev.Target != ev.At+5 {
-		t.Errorf("event target %d, want at+5=%d", ev.Target, ev.At+5)
-	}
-
-	// Unregister and confirm no more events.
-	req, _ := http.NewRequest(http.MethodDelete, fmt.Sprintf("%s/v1/watch/%d", ts.URL, wr.ID), nil)
-	resp3, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp3.Body.Close()
-	if resp3.StatusCode != http.StatusNoContent {
-		t.Fatalf("unwatch status %d", resp3.StatusCode)
-	}
-	// Double delete -> 404.
-	resp4, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp4.Body.Close()
-	if resp4.StatusCode != http.StatusNotFound {
-		t.Fatalf("double unwatch status %d", resp4.StatusCode)
-	}
-}
-
-func TestWatchValidation(t *testing.T) {
-	_, ts := testService(t)
-	loadWorkload(t, ts, 100)
-	for _, body := range []string{
-		`{`,                                     // malformed
-		`{"l":60,"varrho":1,"method":"banana"}`, // bad method
-		`{"l":0,"varrho":1,"method":"pa"}`,      // bad l
-		`{"l":60,"varrho":1,"ahead":99,"method":"pa"}`, // ahead > W
-	} {
-		resp, err := http.Post(ts.URL+"/v1/watch", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusOK {
-			t.Errorf("watch body %q unexpectedly succeeded", body)
-		}
-	}
-	// Bad id on delete.
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/watch/zzz", nil)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad id status %d", resp.StatusCode)
-	}
-}
-
-// A standing query the engine would refuse to evaluate is refused at
-// registration, with the engine's own message, and so never reaches a tick:
-// every /v1/updates after the refusals applies cleanly.
-func TestWatchRefusesWhatTheEngineRefuses(t *testing.T) {
-	_, ts := testService(t) // PA surfaces for l=60; histogram cells of 20
-	g := loadWorkload(t, ts, 500)
-	for _, c := range []struct{ body, want string }{
-		{`{"l":45,"varrho":1,"method":"pa"}`, "PA surfaces are built for l=60, query asked l=45"},
-		{`{"l":30,"varrho":1,"method":"fr"}`, "exceeds l/2"},
-		{`{"l":30,"varrho":1,"method":"dh-opt"}`, "exceeds l/2"},
-	} {
-		code, reply, _ := post(t, ts, "/v1/watch", c.body)
-		if code != http.StatusUnprocessableEntity || !strings.Contains(string(reply), c.want) {
-			t.Errorf("watch %s -> %d %s, want 422 naming %q", c.body, code, reply, c.want)
-		}
-	}
-	advanceTicks(t, ts, g, 2)
-}
-
-// /v1/watch reads the threshold by /v1/query's rule: one of rho or varrho is
-// required, and an absent one is not a zero.
-func TestWatchRequiresAThreshold(t *testing.T) {
-	_, ts := testService(t)
-	loadWorkload(t, ts, 500)
-	code, reply, _ := post(t, ts, "/v1/watch", `{"l":60,"method":"fr"}`)
-	if want := `{"error":"one of rho or varrho is required"}`; code != http.StatusBadRequest || strings.TrimSpace(string(reply)) != want {
-		t.Errorf("watch without a threshold -> %d %s, want 400 %s", code, reply, want)
-	}
-	// An explicit threshold of zero is still a threshold.
-	if code, reply, _ := post(t, ts, "/v1/watch", `{"rho":0,"l":60,"method":"fr"}`); code != http.StatusOK {
-		t.Errorf("watch with rho=0 -> %d %s, want 200", code, reply)
-	}
-}
-
-func TestPastEndpoint(t *testing.T) {
-	_, ts := testServiceWith(t, func(cfg *core.Config) { cfg.KeepHistory = true })
-	g := loadWorkload(t, ts, 1500)
-	// Advance a few ticks so there is a past to query.
-	advanceTicks(t, ts, g, 5)
-	resp, err := http.Get(ts.URL + "/v1/past?varrho=2&l=60&at=2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("past status %d", resp.StatusCode)
-	}
-	var qr QueryResponse
-	if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
-		t.Fatal(err)
-	}
-	if qr.Method != "past-exact" || qr.At != 2 {
-		t.Errorf("past response: %+v", qr)
-	}
-	// Validation: a future tick is a clear 400 (not an engine 422); a
-	// genuinely past tick on a non-history server still 422s.
-	r2, _ := http.Get(ts.URL + "/v1/past?varrho=2&l=60&at=9999")
-	r2.Body.Close()
-	if r2.StatusCode != http.StatusBadRequest {
-		t.Errorf("future past query status %d", r2.StatusCode)
-	}
-	// The now-K form resolves against the advanced clock.
-	r2b, err := http.Get(ts.URL + "/v1/past?varrho=2&l=60&at=now-3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r2b.Body.Close()
-	if r2b.StatusCode != http.StatusOK {
-		t.Errorf("now-3 past query status %d", r2b.StatusCode)
-	}
-	var qr2 QueryResponse
-	if err := json.NewDecoder(r2b.Body).Decode(&qr2); err != nil {
-		t.Fatal(err)
-	}
-	if qr2.At != g.Now()-3 {
-		t.Errorf("now-3 resolved to %d, want %d", qr2.At, g.Now()-3)
-	}
-	_, ts2 := testService(t) // history disabled
-	g2 := loadWorkload(t, ts2, 50)
-	advanceTicks(t, ts2, g2, 1)
-	r3, _ := http.Get(ts2.URL + "/v1/past?varrho=2&l=60&at=0")
-	r3.Body.Close()
-	if r3.StatusCode != http.StatusUnprocessableEntity {
-		t.Errorf("history-disabled past query status %d", r3.StatusCode)
-	}
-	// Bad params.
-	r4, _ := http.Get(ts.URL + "/v1/past?varrho=2&l=60&at=now")
-	r4.Body.Close()
-	if r4.StatusCode != http.StatusBadRequest {
-		t.Errorf("at=now status %d", r4.StatusCode)
-	}
-	// A pre-history tick is a clear 400, not an engine error — even with a
-	// clock so fresh that now-K underflows tick 0.
-	for _, at := range []string{"-1", "now-9999"} {
-		r5, _ := http.Get(ts.URL + "/v1/past?varrho=2&l=60&at=" + at)
-		r5.Body.Close()
-		if r5.StatusCode != http.StatusBadRequest {
-			t.Errorf("at=%s status %d, want 400", at, r5.StatusCode)
-		}
 	}
 }
 

@@ -162,7 +162,7 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 func TestMetricsAndStatsAgree(t *testing.T) {
-	svc, ts := testService(t)
+	_, ts := testService(t)
 	loadWorkload(t, ts, 500)
 	for i := 0; i < 3; i++ {
 		resp, err := http.Get(ts.URL + "/v1/query?method=dh-opt&varrho=2&l=60")
@@ -171,17 +171,7 @@ func TestMetricsAndStatsAgree(t *testing.T) {
 		}
 		resp.Body.Close()
 	}
-	// Register a watch so the subscription gauge is non-zero.
-	varrho := 2.0
-	body, _ := json.Marshal(WatchRequest{Varrho: &varrho, L: 60, Every: 1, Method: "dh-opt"})
-	resp, err := http.Post(ts.URL+"/v1/watch", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-
 	sr := struct {
-		Subscriptions int              `json:"subscriptions"`
 		QueriesServed map[string]int64 `json:"queriesServed"`
 		PoolHitRatio  float64          `json:"poolHitRatio"`
 	}{}
@@ -193,9 +183,6 @@ func TestMetricsAndStatsAgree(t *testing.T) {
 	if err := json.NewDecoder(statsResp.Body).Decode(&sr); err != nil {
 		t.Fatal(err)
 	}
-	if sr.Subscriptions != 1 {
-		t.Errorf("stats subscriptions = %d, want 1", sr.Subscriptions)
-	}
 	if sr.QueriesServed["DH-opt"] != 3 {
 		t.Errorf("stats queriesServed[DH-opt] = %d, want 3", sr.QueriesServed["DH-opt"])
 	}
@@ -206,10 +193,6 @@ func TestMetricsAndStatsAgree(t *testing.T) {
 	if v := metricValue(body2, `pdr_engine_queries_total{method="DH-opt"}`); v != "3" {
 		t.Errorf("metrics DH-opt count = %q, want 3 (stats said %d)", v, sr.QueriesServed["DH-opt"])
 	}
-	if v := metricValue(body2, "pdr_monitor_subscriptions"); v != "1" {
-		t.Errorf("metrics subscriptions = %q, want 1", v)
-	}
-	_ = svc
 }
 
 // TestMetricsAgreeWithStatsForAWarmEngine wraps an engine that was loaded
@@ -316,9 +299,6 @@ var metricFamilies = []string{
 	"pdr_http_request_seconds histogram",
 	"pdr_http_requests_total counter",
 	"pdr_http_response_bytes histogram",
-	"pdr_monitor_eval_seconds histogram",
-	"pdr_monitor_events_total counter",
-	"pdr_monitor_subscriptions gauge",
 	"pdr_parallel_workers gauge",
 	"pdr_parallel_workers_busy gauge",
 	"pdr_pool_hit_ratio gauge",
@@ -334,15 +314,11 @@ var metricFamilies = []string{
 }
 
 // TestMetricFamiliesPinned sends one request down each kind of route, with
-// the result cache on: a load, a standing query, two ticks, FR, PA and
-// interval queries, stats and contours. Then it checks each family's
-// # TYPE line against metricFamilies.
+// the result cache on: a load, two ticks, FR, PA and interval queries, and
+// stats. Then it checks each family's # TYPE line against metricFamilies.
 func TestMetricFamiliesPinned(t *testing.T) {
 	_, ts := cachedTestService(t)
 	g := loadWorkload(t, ts, 1000)
-	if code, reply, _ := post(t, ts, "/v1/watch", `{"varrho":2,"l":60,"every":1,"method":"pa"}`); code != http.StatusOK {
-		t.Fatalf("watch: status %d: %s", code, reply)
-	}
 	advanceTicks(t, ts, g, 2)
 	for _, path := range []string{
 		"/v1/query?method=fr&varrho=2&l=60",
@@ -350,7 +326,6 @@ func TestMetricFamiliesPinned(t *testing.T) {
 		"/v1/query?method=pa&varrho=2&l=60",
 		"/v1/query?method=fr&varrho=2&l=60&at=now&until=now%2B2",
 		"/v1/stats",
-		"/v1/contours?level=0.0001&res=16",
 	} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
@@ -485,7 +460,7 @@ func TestParseTick(t *testing.T) {
 		{"now+90", now + 90, false},
 		{"now+91", 0, true},  // beyond horizon
 		{"now+-3", 0, true},  // negative K
-		{"now-5", 0, true},   // past: /v1/past territory
+		{"now-5", 0, true},   // past: outside the live window
 		{"now+abc", 0, true}, // malformed K
 		{"100", 100, false},
 		{"190", 190, false},
@@ -502,38 +477,6 @@ func TestParseTick(t *testing.T) {
 		}
 		if err == nil && got != c.want {
 			t.Errorf("parseTick(%q) = %d, want %d", c.in, got, c.want)
-		}
-	}
-}
-
-func TestParsePastTick(t *testing.T) {
-	const now = 100
-	cases := []struct {
-		in      string
-		want    motion.Tick
-		wantErr bool
-	}{
-		{"now-1", 99, false},
-		{"now-100", 0, false},
-		{"now-101", 0, true}, // underflows past the start of history
-		{"now-0", 0, true},   // not in the past
-		{"now--3", 0, true},
-		{"50", 50, false},
-		{"-1", 0, true},  // before the start of history
-		{"100", 0, true}, // == now
-		{"101", 0, true}, // future
-		{"now", 0, true},
-		{"now+5", 0, true},
-		{"", 0, true},
-	}
-	for _, c := range cases {
-		got, err := parsePastTick(c.in, now)
-		if (err != nil) != c.wantErr {
-			t.Errorf("parsePastTick(%q) error = %v, wantErr %v", c.in, err, c.wantErr)
-			continue
-		}
-		if err == nil && got != c.want {
-			t.Errorf("parsePastTick(%q) = %d, want %d", c.in, got, c.want)
 		}
 	}
 }

@@ -106,13 +106,12 @@ type AttrJSON struct {
 }
 
 // phaseLevels is how deep a slow-query line renders the span tree: the
-// request root, the calls under it (the engine's snapshot, interval, past,
-// tick or monitor span, the service's decode and encode) and their phases —
-// filter, gather, refine, union, pa-eval, an interval's per-snapshot spans
-// with its union and area, a write's plan and apply, the monitor's
-// subscriptions. A refine's row-run window spans, one level further down,
-// stay at GET /debug/traces/{id}, so a line's size does not follow the
-// answer's.
+// request root, the calls under it (the engine's snapshot, interval, tick or
+// batch span, the service's decode and encode) and their phases — filter,
+// gather, refine, union, pa-eval, an interval's per-snapshot spans with its
+// union and area, a write's plan and apply. A refine's row-run window spans,
+// one level further down, stay at GET /debug/traces/{id}, so a line's size
+// does not follow the answer's.
 const phaseLevels = 3
 
 // traceJSON renders a record with its span tree down to levels levels (0:

@@ -192,17 +192,14 @@ func TestTraceHeaderResolvesToStoredTree(t *testing.T) {
 // TestSlowLineIsTheStoredTrace: a slow request's log line is its stored
 // trace — the body GET /debug/traces/{id} serves, cut at phaseLevels — field
 // for field, for an FR snapshot and an FR interval (whose refine windows the
-// cut drops), a tick (whose standing query's snapshot it drops) and an apply
-// (decode, then the engine write with its plan and apply, like a tick's).
-// The spans count is the whole tree's.
+// cut drops), a tick and an apply (each its decode, then the engine write
+// with its plan and apply). The spans count is the whole tree's.
 func TestSlowLineIsTheStoredTrace(t *testing.T) {
 	var log syncBuffer
 	ts := tracedTestService(t, WithSlowQueryLog(time.Nanosecond, 0, &log))
-	if code, reply, _ := post(t, ts, "/v1/watch", `{"varrho":2,"l":60,"every":1,"method":"fr"}`); code != http.StatusOK {
-		t.Fatalf("watch: status %d: %s", code, reply)
-	}
 	type request struct {
 		id, call, phases string // the root's engine-side call and that call's children
+		roots            string // the root's children, when the case pins them
 		cut              string // a span name deeper than phaseLevels in the stored tree
 	}
 	var reqs []request
@@ -229,11 +226,11 @@ func TestSlowLineIsTheStoredTrace(t *testing.T) {
 		if code != http.StatusOK {
 			t.Fatalf("%s: status %d: %s", w.route, code, reply)
 		}
-		if w.route == "/v1/updates" {
-			reqs = append(reqs, request{id: id, call: "monitor", phases: "subscription", cut: "snapshot"})
-		} else {
-			reqs = append(reqs, request{id: id, call: "batch", phases: "plan,apply"})
+		call := "tick"
+		if w.route == "/v1/apply" {
+			call = "batch"
 		}
+		reqs = append(reqs, request{id: id, call: call, phases: "plan,apply", roots: "decode," + call})
 	}
 	lines := map[string]TraceJSON{}
 	for _, line := range slowLines(t, &log) {
@@ -257,6 +254,9 @@ func TestSlowLineIsTheStoredTrace(t *testing.T) {
 		call := child(*line.Root, q.call)
 		if call == nil || childNames(*call) != q.phases {
 			t.Errorf("%s: root children %s, want %s with %s under it", q.call, childNames(*line.Root), q.call, q.phases)
+		}
+		if q.roots != "" && childNames(*line.Root) != q.roots {
+			t.Errorf("%s: root children %s, want %s", q.call, childNames(*line.Root), q.roots)
 		}
 		if q.call == "interval" && attrMap(*line.Root)["until"] != "3" {
 			t.Errorf("interval: root attrs %v, want until=3", attrMap(*line.Root))

@@ -14,7 +14,6 @@ import (
 	"strings"
 	"testing"
 
-	"pdr/internal/core"
 	"pdr/internal/datagen"
 	"pdr/internal/motion"
 	"pdr/internal/wire"
@@ -143,11 +142,10 @@ func updatesBody(now motion.Tick, ups []motion.Update) []byte {
 
 // recordTranscript runs the session: a seeded load, ticks and applies with
 // their failure modes, every query method as a snapshot, an interval and an
-// outline, the archive, a standing query and its events, contours, stats, and
-// the routing errors.
+// outline, more ticks, stats, and the routing errors.
 func recordTranscript(t *testing.T) []byte {
 	t.Helper()
-	svc, ts := testServiceWith(t, func(cfg *core.Config) { cfg.KeepHistory = true })
+	svc, ts := testService(t)
 	tr := &transcript{t: t, svc: svc, ts: ts}
 
 	tr.do("GET", "/healthz", nil, "")
@@ -213,40 +211,18 @@ func recordTranscript(t *testing.T) []byte {
 		tr.do("GET", "/v1/query?"+q, nil, "")
 	}
 
-	// The archive.
-	tr.do("GET", "/v1/past?varrho=8&l=60&at=now-2", nil, "")
-	tr.do("GET", "/v1/past?varrho=8&l=60&at=1", nil, "")
-	for _, q := range []string{"varrho=8&l=60&at=now", "varrho=8&l=60&at=-1", "varrho=3&l=x&at=1", "l=60&at=1", "varrho=8&l=60&at=zz"} {
-		tr.do("GET", "/v1/past?"+q, nil, "")
-	}
-
-	// Standing queries and their events.
-	tr.do("POST", "/v1/watch", []byte(`{"varrho":8,"l":60,"ahead":5,"every":1,"method":"pa"}`), "")
-	tr.do("POST", "/v1/watch", []byte(`{"varrho":9,"l":60,"ahead":0,"every":2,"method":"fr"}`), "")
-	tick()
-	tick()
-	tr.do("DELETE", "/v1/watch/1", nil, "")
-	tick()
-	tr.do("DELETE", "/v1/watch/1", nil, "")
-	tr.do("DELETE", "/v1/watch/zzz", nil, "")
-	for _, b := range []string{
-		`{`,
-		`{"l":60,"varrho":1,"method":"banana"}`,
-		`{"l":0,"varrho":1,"method":"pa"}`,
-		`{"l":60,"varrho":1,"ahead":99,"method":"pa"}`,
-	} {
-		tr.do("POST", "/v1/watch", []byte(b), "")
-	}
-
-	// Contours.
-	tr.do("GET", "/v1/contours?level=0.0004&res=16", nil, "")
-	for _, q := range []string{"", "?level=1&res=x", "?level=1&res=1", "?level=1&res=1025", "?level=1&at=9999"} {
-		tr.do("GET", "/v1/contours"+q, nil, "")
+	// More ticks.
+	for i := 0; i < 3; i++ {
+		tick()
 	}
 
 	// Stats, then the routing errors.
 	tr.do("GET", "/v1/stats", nil, "")
 	tr.do("GET", "/v1/nope", nil, "")
+	tr.do("POST", "/v1/watch", []byte(`{"varrho":8,"l":60,"ahead":5,"every":1,"method":"pa"}`), "")
+	tr.do("DELETE", "/v1/watch/1", nil, "")
+	tr.do("GET", "/v1/past?varrho=8&l=60&at=now-2", nil, "")
+	tr.do("GET", "/v1/contours?level=0.0004&res=16", nil, "")
 	tr.do("GET", "/v1/load", nil, "")
 	tr.do("DELETE", "/v1/query", nil, "")
 	tr.do("POST", "/v1/stats", nil, "")

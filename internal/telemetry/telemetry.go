@@ -7,7 +7,7 @@
 // scrape path: instruments are updated with atomic operations, and a number
 // that already has a home in a subsystem is read there at scrape time
 // (GaugeFunc, CounterFunc) rather than copied, so GET /metrics never takes
-// the engine or monitor lock and a slow scrape can never pin a handler.
+// the engine lock and a slow scrape can never pin a handler.
 // Registration takes a mutex and is idempotent — asking for an
 // already-registered instrument with the same name, labels, and kind returns
 // the existing one, which lets request middleware materialize status-code
@@ -162,7 +162,7 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 // than copied into an instrument. fn must be safe to call concurrently with
 // everything else in the process: it reads atomics, or takes a leaf mutex
 // for O(1) work (the buffer pool's page map, the trace store), never the
-// engine or monitor lock, which a tick can hold for seconds.
+// engine lock, which a tick can hold for seconds.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
 	r.register(name, help, kindGauge, labels, func(sig string) any {
 		return gaugeFunc(fn)

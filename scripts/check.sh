@@ -59,12 +59,12 @@ go build -C bench ./...
 go test -C bench ./...
 go run -C bench pdr/cmd/pdrvet ./...
 
-step "go test -race (service + monitor: the concurrent surfaces, the instrumented service included)"
-go test -race ./internal/service/... ./internal/monitor/...
+step "go test -race (service: the concurrent HTTP surface, instrumented)"
+go test -race ./internal/service
 
-step "service + monitor soak (-count=10 at GOMAXPROCS 1, 2, 4: green means green on any core count)"
+step "service soak (-count=10 at GOMAXPROCS 1, 2, 4: green means green on any core count)"
 for procs in 1 2 4; do
-	GOMAXPROCS=$procs go test -count=10 ./internal/service ./internal/monitor
+	GOMAXPROCS=$procs go test -count=10 ./internal/service
 done
 
 step "go test -race (engine: writers vs readers on the one engine lock, the slot-parallel surface, kernel scratch pools, result cache)"
