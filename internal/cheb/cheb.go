@@ -163,21 +163,48 @@ func (s *Series2D) Eval(x, y float64) float64 {
 
 // EvalFrom is Eval given Vals of the point's two coordinates (K+1 values
 // each): a caller evaluating on a lattice computes each vector once.
-//
-// Called per branch-and-bound leaf.
 func (s *Series2D) EvalFrom(tx, ty []float64) float64 {
-	k := s.K
 	var sum float64
-	idx := 0
-	for i := 0; i <= k; i++ {
-		var row float64
-		for j := 0; j <= k-i; j++ {
-			row += s.A[idx] * ty[j]
-			idx++
-		}
-		sum += row * tx[i]
+	for i, a := 0, s.A; i <= s.K; i++ {
+		n := s.K + 1 - i
+		sum += rowSum(a[:n], ty) * tx[i]
+		a = a[n:]
 	}
 	return sum
+}
+
+// RowSums fills r (K+1 values) with the series' row sums at a y whose Vals
+// are ty: r[i] = sum over j of a_ij * T_j(y), each summed as EvalFrom sums
+// it, so EvalRows(r, tx) is EvalFrom(tx, ty) bit for bit. A caller
+// evaluating a lattice computes each lattice row's sums once.
+func (s *Series2D) RowSums(r, ty []float64) {
+	for i, a := 0, s.A; i <= s.K; i++ {
+		n := s.K + 1 - i
+		r[i] = rowSum(a[:n], ty)
+		a = a[n:]
+	}
+}
+
+// EvalRows is EvalFrom given RowSums of the point's y and Vals of its x:
+// K+1 multiply-adds, in EvalFrom's order.
+//
+// Called per branch-and-bound leaf.
+func EvalRows(r, tx []float64) float64 {
+	var sum float64
+	for i, v := range r {
+		sum += v * tx[i]
+	}
+	return sum
+}
+
+// rowSum is one row of the series, coefficients a against T_0(y).., in
+// ascending j.
+func rowSum(a, ty []float64) float64 {
+	var row float64
+	for j, v := range a {
+		row += v * ty[j]
+	}
+	return row
 }
 
 // Vals fills t with T_0(x)..T_len(t)-1(x).

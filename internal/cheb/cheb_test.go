@@ -125,6 +125,43 @@ func TestSeriesEvalMatchesDirectSum(t *testing.T) {
 	}
 }
 
+// TestEvalRowsMatchesEvalFrom: a point's value from its y row sums is the
+// point's value from EvalFrom, and both are the nested row-by-row sum
+// EvalFrom has always made, float bit for float bit, at every degree the
+// surfaces use and at lattice-like and arbitrary points.
+func TestEvalRowsMatchesEvalFrom(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	for k := 0; k <= 7; k++ {
+		s, _ := NewSeries2D(k)
+		for i := range s.A {
+			s.A[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(7)-3))
+		}
+		tx, ty, r := make([]float64, k+1), make([]float64, k+1), make([]float64, k+1)
+		for trial := 0; trial < 500; trial++ {
+			x, y := rng.Float64()*2-1, rng.Float64()*2-1
+			if trial%2 == 0 {
+				x, y = -1+float64(2*rng.Intn(64)+1)/64, -1+float64(2*rng.Intn(64)+1)/64
+			}
+			Vals(tx, x)
+			Vals(ty, y)
+			var want float64
+			for i, idx := 0, 0; i <= k; i++ {
+				var row float64
+				for j := 0; j <= k-i; j++ {
+					row += s.A[idx] * ty[j]
+					idx++
+				}
+				want += row * tx[i]
+			}
+			s.RowSums(r, ty)
+			from, rows := s.EvalFrom(tx, ty), EvalRows(r, tx)
+			if math.Float64bits(from) != math.Float64bits(want) || math.Float64bits(rows) != math.Float64bits(want) {
+				t.Fatalf("K=%d at (%g, %g): EvalFrom %v, EvalRows %v, the nested sum %v", k, x, y, from, rows, want)
+			}
+		}
+	}
+}
+
 // quadratureBoxCoeff computes the (i, j) Chebyshev coefficient of the box
 // indicator by Gauss-Chebyshev quadrature — an oracle independent of the
 // closed form in AddBoxDelta.

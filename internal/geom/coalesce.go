@@ -43,7 +43,45 @@ func CoalesceInPlace(g Region) Region {
 // aliases it, as with CoalesceInPlace; for disjoint rectangles it is
 // CoalesceInPlace's result rectangle for rectangle.
 func CoalesceBandOrdered(g Region) Region {
-	return stackColumns(mergeRuns(g))
+	return stackColumns(MergeBandOrdered(g, nil))
+}
+
+// ColumnSpan names a rectangle's MinX and MaxX by integers that order as the
+// floats do: what MergeBandOrdered carries through pass 1 for a caller that
+// puts pass 2 in order by counting instead of comparing.
+type ColumnSpan struct{ Min, Max int32 }
+
+// MergeBandOrdered is CoalesceBandOrdered's pass 1 alone: touching runs of
+// one (MinY, MaxY) band of g, which must be in pass 1's order, become one
+// rectangle, in place. It returns the merged prefix. cols, unless nil, holds
+// g[i]'s column names in cols[i] and is compacted with g: a merged run keeps
+// its first rectangle's Min and takes its last one's Max. Ordering the runs
+// by (Min, Max), stably, then puts them in pass 2's order for
+// StackColumnOrdered.
+func MergeBandOrdered(g Region, cols []ColumnSpan) Region {
+	if len(g) < 2 {
+		return g
+	}
+	merged := g[:1]
+	for i, r := range g[1:] {
+		last := &merged[len(merged)-1]
+		// lint:ignore floateq runs may merge only when their band edges are
+		// bit-identical; an epsilon would grow the covered point set.
+		if r.MinY == last.MinY && r.MaxY == last.MaxY && r.MinX <= last.MaxX {
+			if r.MaxX > last.MaxX {
+				last.MaxX = r.MaxX
+				if cols != nil {
+					cols[len(merged)-1].Max = cols[i+1].Max
+				}
+			}
+		} else {
+			if cols != nil {
+				cols[len(merged)] = cols[i+1]
+			}
+			merged = append(merged, r)
+		}
+	}
+	return merged
 }
 
 // compare3 orders by three keys in turn: as cmp.Compare would for every
@@ -78,41 +116,27 @@ func sortBands(work Region) {
 // within (MinY, MaxY) bands, in place. It returns the merged prefix.
 func mergeBands(work Region) Region {
 	sortBands(work)
-	return mergeRuns(work)
-}
-
-// mergeRuns is pass 1's merge over work in pass 1's order: touching runs of
-// one (MinY, MaxY) band become one rectangle, in place. It returns the
-// merged prefix.
-func mergeRuns(work Region) Region {
-	if len(work) < 2 {
-		return work
-	}
-	merged := work[:1]
-	for _, r := range work[1:] {
-		last := &merged[len(merged)-1]
-		// lint:ignore floateq runs may merge only when their band edges are
-		// bit-identical; an epsilon would grow the covered point set.
-		if r.MinY == last.MinY && r.MaxY == last.MaxY && r.MinX <= last.MaxX {
-			if r.MaxX > last.MaxX {
-				last.MaxX = r.MaxX
-			}
-		} else {
-			merged = append(merged, r)
-		}
-	}
-	return merged
+	return MergeBandOrdered(work, nil)
 }
 
 // stackColumns is pass 2: sort by (MinX, MaxX, MinY) and stack vertical runs
 // with identical X extents, in place. It returns the stacked prefix.
 func stackColumns(merged Region) Region {
-	if len(merged) < 2 {
-		return merged
-	}
 	slices.SortFunc(merged, func(a, b Rect) int {
 		return compare3(a.MinX, b.MinX, a.MaxX, b.MaxX, a.MinY, b.MinY)
 	})
+	return StackColumnOrdered(merged)
+}
+
+// StackColumnOrdered is pass 2 without its sort, for runs already in pass
+// 2's order — ascending (MinX, MaxX, MinY): vertical runs with identical X
+// extents are stacked, in place. It returns the stacked prefix; the runs of
+// CoalesceBandOrdered's pass 1 in this order stack to its result rectangle
+// for rectangle.
+func StackColumnOrdered(merged Region) Region {
+	if len(merged) < 2 {
+		return merged
+	}
 	out := merged[:1]
 	for _, r := range merged[1:] {
 		last := &out[len(out)-1]

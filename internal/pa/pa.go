@@ -118,6 +118,9 @@ func New(cfg Config) (*Surface, error) {
 		table:   newBoundsTable(cfg),
 	}
 	s.table.rank = s.bandRanks()
+	if s.columnsOrdered() {
+		s.table.columns = cfg.G<<s.table.depth + 1
+	}
 	for t := range s.slots {
 		n := cfg.G * (cfg.Degree + 1)
 		s.scratch[t] = factors{x: make([]float64, n), y: make([]float64, n)}

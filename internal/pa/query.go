@@ -3,6 +3,7 @@ package pa
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -32,6 +33,10 @@ type boundsTable struct {
 	// rank orders the walk's bands (see bandRanks); nil when two bands share
 	// their Y extent, and the union then sorts.
 	rank []int32
+	// columns is the number of lattice columns, G*2^depth+1, when they
+	// number the walk's X floats in their order (see columnsOrdered); 0 when
+	// they do not, and the union then sorts pass 2.
+	columns int
 }
 
 // boxIndex numbers box (ix, iy) of level lv: the (4^lv-1)/3 boxes of the
@@ -121,6 +126,39 @@ func (s *Surface) bandRanks() []int32 {
 	return rank
 }
 
+// columnsOrdered reports whether the lattice columns of the walk's output
+// order its X floats. Column gx*2^depth + j is the x of lattice line j of
+// polynomial-cell column gx, so cell gx's last line and cell gx+1's first are
+// one column; the walk names each box's MinX and MaxX by their columns. When
+// every column is one float and the floats ascend strictly with the column,
+// counting by column is sorting by X, and the union orders pass 2 so. It is
+// false only on a plane so far from the origin that lattice lines round
+// together, or where a cell's right edge and the next cell's left edge round
+// apart.
+func (s *Surface) columnsOrdered() bool {
+	side := 2 / float64(int(1)<<s.table.depth)
+	prev := math.Inf(-1)
+	for gx := 0; gx < s.cfg.G; gx++ {
+		cell := s.cellRect(gx, 0)
+		for j := 0; j <= 1<<s.table.depth; j++ {
+			// The float emit computes for every box edge on this line.
+			x := s.denorm(cell, -1+float64(j)*side, -1, 1, 1).MinX
+			if j == 0 && gx > 0 {
+				// lint:ignore floateq a column is one float or it names none.
+				if x != prev {
+					return false
+				}
+				continue
+			}
+			if !(x > prev) {
+				return false
+			}
+			prev = x
+		}
+	}
+	return true
+}
+
 // WalkStats counts the work of one branch-and-bound extraction.
 type WalkStats struct {
 	Boxes  int // boxes above the floor, whose bounds were evaluated
@@ -148,45 +186,56 @@ func (s *Surface) DenseRegionStats(qt motion.Tick, rho float64) (geom.Region, Wa
 		return nil, WalkStats{}, fmt.Errorf("pa: negative threshold %g", rho)
 	}
 	x := extractions.Get().(*extraction)
-	w := walk{s: s, rho: rho, out: x.raw[:0], bands: x.bands[:0]}
-	w.cells(s.slot(qt))
-	w.stats.Rects = len(w.out)
-	x.raw, x.bands = w.out, w.bands
-	// The buffers are this call's alone, so the union coalesces in place;
-	// the caller owns a copy sized to the answer (nil when nothing is dense).
-	region := append(geom.Region(nil), x.union(s.table.rank)...)
+	region, stats := x.dense(s, s.slot(qt), rho)
 	extractions.Put(x)
-	return region, w.stats, nil
+	return region, stats, nil
+}
+
+// dense extracts the region of slot at rho on x's buffers. The buffers are
+// this call's alone, so the union coalesces in place; the caller owns a copy
+// sized to the answer (nil when nothing is dense).
+func (x *extraction) dense(s *Surface, slot []*cheb.Series2D, rho float64) (geom.Region, WalkStats) {
+	w := walk{s: s, rho: rho, out: x.raw[:0], bands: x.bands[:0], cols: x.cols[:0], rows: x.rows, filled: x.filled}
+	w.cells(slot)
+	w.stats.Rects = len(w.out)
+	x.raw, x.bands, x.cols, x.rows, x.filled = w.out, w.bands, w.cols, w.rows, w.filled
+	return append(geom.Region(nil), x.union(&s.table)...), w.stats
 }
 
 // extraction is the working memory of one DenseRegion call, pooled: at a low
 // threshold the walk emits tens of thousands of rectangles that coalesce to
 // a few thousand, and regrowing these from nil per query was most of a PA
-// query's garbage.
+// query's garbage. A pooled extraction serves surfaces of any degree and
+// floor; the walk sizes what it uses.
 type extraction struct {
-	raw   geom.Region // the walk's output, in emission order
-	bands []int32     // the band of each raw rectangle
-	next  []int       // the counting sort's cursor per rank
+	raw    geom.Region       // the walk's output, in emission order
+	bands  []int32           // the band of each raw rectangle
+	cols   []geom.ColumnSpan // the lattice columns of each one's MinX and MaxX
+	next   []int             // the counting sorts' cursor per rank or column
+	rows   []float64         // the walk's floor-row memo
+	filled []bool            // which memo rows hold the current cell's sums
 }
 
 var extractions = sync.Pool{New: func() any { return new(extraction) }}
 
-// union coalesces the walk's output, consuming raw and bands. A counting
-// sort by band rank — stable, so each band keeps its ascending MinX — puts
-// the rectangles in pass 1's order, in place, and geom.CoalesceBandOrdered
-// merges them from there: the same answer as geom.CoalesceInPlace, without
-// its comparison sort. Without a rank table the union sorts. The result
-// aliases raw.
-func (x *extraction) union(rank []int32) geom.Region {
-	raw, bands := x.raw, x.bands
-	if rank == nil {
+// union coalesces the walk's output, consuming raw, bands and cols. A
+// counting sort by band rank — stable, so each band keeps its ascending
+// MinX — puts the rectangles in pass 1's order, in place, and pass 1 merges
+// them there, carrying each run's columns. Two stable counting sorts of the
+// runs, by MaxX column and then by MinX column, put them in pass 2's order:
+// (MinX, MaxX) by the columns, and pass 1's ascending MinY among runs that
+// share both. Disjoint rectangles share no (MinX, MaxX, MinY), so this is
+// the order geom.CoalesceInPlace sorts them into, and the stacked result is
+// its answer rectangle for rectangle. Without a rank table the union sorts
+// both passes; without ordered columns, pass 2. The result aliases raw.
+func (x *extraction) union(t *boundsTable) geom.Region {
+	raw, bands, cols := x.raw, x.bands, x.cols
+	if t.rank == nil {
 		return geom.CoalesceInPlace(raw)
 	}
-	next := slices.Grow(x.next[:0], len(rank)+1)[:len(rank)+1]
-	x.next = next
-	clear(next)
+	next := x.counts(len(t.rank))
 	for _, b := range bands {
-		next[rank[b]+1]++
+		next[t.rank[b]+1]++
 	}
 	for i := 1; i < len(next); i++ {
 		next[i] += next[i-1]
@@ -194,17 +243,63 @@ func (x *extraction) union(rank []int32) geom.Region {
 	// bands[i] becomes raw[i]'s position in pass 1's order; each swap then
 	// moves one rectangle to its position for good.
 	for i, b := range bands {
-		k := rank[b]
+		k := t.rank[b]
 		bands[i] = int32(next[k])
 		next[k]++
 	}
 	for i := range raw {
 		for j := int(bands[i]); j != i; j = int(bands[i]) {
 			raw[i], raw[j] = raw[j], raw[i]
+			cols[i], cols[j] = cols[j], cols[i]
 			bands[i], bands[j] = bands[j], bands[i]
 		}
 	}
-	return geom.CoalesceBandOrdered(raw)
+	if t.columns == 0 {
+		return geom.CoalesceBandOrdered(raw)
+	}
+	runs := geom.MergeBandOrdered(raw, cols)
+	// order lists the runs by MaxX column, stably.
+	order := bands[:len(runs)]
+	next = x.counts(t.columns)
+	for _, c := range cols[:len(runs)] {
+		next[c.Max+1]++
+	}
+	for i := 1; i < len(next); i++ {
+		next[i] += next[i-1]
+	}
+	for i, c := range cols[:len(runs)] {
+		order[next[c.Max]] = int32(i)
+		next[c.Max]++
+	}
+	// Then, taking them in that order, by MinX column: the run's position
+	// in pass 2's order replaces its MaxX column, which is spent.
+	next = x.counts(t.columns)
+	for _, c := range cols[:len(runs)] {
+		next[c.Min+1]++
+	}
+	for i := 1; i < len(next); i++ {
+		next[i] += next[i-1]
+	}
+	for _, i := range order {
+		c := &cols[i]
+		c.Max = int32(next[c.Min])
+		next[c.Min]++
+	}
+	for i := range runs {
+		for j := int(cols[i].Max); j != i; j = int(cols[i].Max) {
+			runs[i], runs[j] = runs[j], runs[i]
+			cols[i], cols[j] = cols[j], cols[i]
+		}
+	}
+	return geom.StackColumnOrdered(runs)
+}
+
+// counts returns the counting sorts' cursor for n keys, zeroed, with one
+// slot more for the prefix sums.
+func (x *extraction) counts(n int) []int {
+	x.next = slices.Grow(x.next[:0], n+1)[:n+1]
+	clear(x.next)
+	return x.next
 }
 
 // walk is the state of one extraction: the polynomial cell being classified
@@ -214,18 +309,31 @@ type walk struct {
 	series *cheb.Series2D
 	cell   geom.Rect
 	row    int // the first band of the current cell's row
+	col    int // the column of the current cell's left edge
 	rho    float64
 	out    geom.Region
-	bands  []int32 // out[i]'s band
+	bands  []int32           // out[i]'s band
+	cols   []geom.ColumnSpan // out[i]'s columns
+	// rows[iy*(Degree+1):] memoizes the current cell's RowSums at floor
+	// lattice row iy once filled[iy] is set: every floor box of the row
+	// shares them, so a floor box costs Degree+1 multiply-adds, not the
+	// whole series.
+	rows   []float64
+	filled []bool
 	stats  WalkStats
 }
 
-// cells classifies every polynomial cell of one timestamp's slot, in row order.
+// cells classifies every polynomial cell of one timestamp's slot, in row
+// order. The memo is sized for this surface, whatever one it last served.
 func (w *walk) cells(slot []*cheb.Series2D) {
-	g := w.s.cfg.G
+	g, d := w.s.cfg.G, w.s.table.depth
+	w.rows = slices.Grow(w.rows[:0], (w.s.cfg.Degree+1)<<d)[:(w.s.cfg.Degree+1)<<d]
+	w.filled = slices.Grow(w.filled[:0], 1<<d)[:1<<d]
 	for c, series := range slot {
 		w.cell, w.series = w.s.cellRect(c%g, c/g), series
-		w.row = c / g * (2<<w.s.table.depth - 1)
+		w.row = c / g * (2<<d - 1)
+		w.col = c % g << d
+		clear(w.filled)
 		w.box(0, 0, 0)
 	}
 }
@@ -240,7 +348,12 @@ func (w *walk) box(level, ix, iy int) {
 	t, n := &w.s.table, w.s.cfg.Degree+1
 	if level == t.depth {
 		w.stats.Leaves++
-		if w.series.EvalFrom(t.leafT[ix*n:ix*n+n], t.leafT[iy*n:iy*n+n]) >= w.rho {
+		rows := w.rows[iy*n : iy*n+n]
+		if !w.filled[iy] {
+			w.series.RowSums(rows, t.leafT[iy*n:iy*n+n])
+			w.filled[iy] = true
+		}
+		if cheb.EvalRows(rows, t.leafT[ix*n:ix*n+n]) >= w.rho {
 			w.emit(level, ix, iy)
 		}
 		return
@@ -262,13 +375,16 @@ func (w *walk) box(level, ix, iy int) {
 	w.box(level+1, 2*ix+1, 2*iy+1)
 }
 
-// emit adds lattice box (ix, iy) of level to the answer, with its band.
+// emit adds lattice box (ix, iy) of level to the answer, with its band and
+// columns.
 func (w *walk) emit(level, ix, iy int) {
 	side := 2 / float64(int(1)<<level)
 	x1, y1 := -1+float64(ix)*side, -1+float64(iy)*side
 	if r := w.s.denorm(w.cell, x1, y1, x1+side, y1+side); !r.IsEmpty() {
 		w.out = append(w.out, r)
 		w.bands = append(w.bands, int32(w.row+1<<level-1+iy))
+		sh := w.s.table.depth - level
+		w.cols = append(w.cols, geom.ColumnSpan{Min: int32(w.col + ix<<sh), Max: int32(w.col + (ix+1)<<sh)})
 	}
 }
 

@@ -309,3 +309,131 @@ func TestDenseRegionWithoutBandRanks(t *testing.T) {
 		}
 	}
 }
+
+// TestDenseRegionWithoutColumnRanks: where lattice columns do not name one
+// X float each in order — on a plane so far from the origin that lattice
+// lines round to the same floats, or one where a polynomial cell's right
+// edge and the next cell's left edge round to two floats — New keeps no
+// column order and the union sorts pass 2: still the coalesced reference.
+// The bands keep their ranks: pass 1 still counts.
+func TestDenseRegionWithoutColumnRanks(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		area geom.Rect
+		g    int
+	}{
+		{"x=1e17", geom.NewRect(1e17, 0, 1e17+1000, 1000), 2},
+		{"cell edge", geom.NewRect(-28.15190346333655, 0, -28.15190346333655+926.1635847420617, 1000), 7},
+	} {
+		s, err := New(Config{Area: c.area, G: c.g, Degree: 3, Horizon: 0, L: 80, MD: 128})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.table.columns != 0 || s.table.rank == nil {
+			t.Fatalf("%s: column count %d, band ranks %v", c.name, s.table.columns, s.table.rank != nil)
+		}
+		s.Advance(0)
+		mid := geom.Point{X: c.area.MinX + 500, Y: 500}
+		for _, st := range clusterStates(rand.New(rand.NewSource(7)), 200, mid.X, mid.Y, 150) {
+			s.Insert(st)
+		}
+		peak := s.Density(0, mid)
+		for _, rho := range []float64{0, 0.3 * peak, 0.8 * peak} {
+			want := referenceDenseRegion(s, 0, rho)
+			got, err := s.DenseRegion(0, rho)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := len(want)
+			if want = geom.CoalesceInPlace(want); n == 0 || !sameRects(got, want) {
+				t.Fatalf("%s, rho=%g: %d rectangles, the coalesced reference %d of %d", c.name, rho, len(got), len(want), n)
+			}
+		}
+	}
+}
+
+// TestColumnsNameEmittedX checks the columns the walk files each rectangle
+// under against the floats they stand for: column k's float ascends
+// strictly with k, and every rectangle's MinX and MaxX are its columns'
+// floats — so counting by column is sorting by X.
+func TestColumnsNameEmittedX(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	for _, c := range []struct {
+		area   geom.Rect
+		g, md  int
+		degree int
+	}{
+		{area1000(), 10, 256, 5}, {area1000(), 3, 100, 2}, {area1000(), 1, 1000, 4},
+		{geom.NewRect(-37.5, -37.5, 962.5, 962.5), 7, 90, 3},
+	} {
+		s, err := New(Config{Area: c.area, G: c.g, Degree: c.degree, Horizon: 0, L: 80, MD: c.md})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := s.table.depth
+		if s.table.columns != c.g<<d+1 {
+			t.Fatalf("G=%d MD=%d: column count %d at depth %d", c.g, c.md, s.table.columns, d)
+		}
+		xs := make([]float64, s.table.columns)
+		for k := range xs {
+			gx, j := min(k>>d, c.g-1), k-min(k>>d, c.g-1)<<d
+			xs[k] = s.denorm(s.cellRect(gx, 0), -1+float64(j)*2/float64(int(1)<<d), -1, 1, 1).MinX
+			if k > 0 && !(xs[k] > xs[k-1]) {
+				t.Fatalf("G=%d MD=%d: column %d is %v, column %d %v", c.g, c.md, k, xs[k], k-1, xs[k-1])
+			}
+		}
+		s.Advance(0)
+		mid := geom.Point{X: (c.area.MinX + c.area.MaxX) / 2, Y: (c.area.MinY + c.area.MaxY) / 2}
+		for _, st := range clusterStates(rng, 200, mid.X, mid.Y, 150) {
+			s.Insert(st)
+		}
+		w := walk{s: s, rho: 0.3 * s.Density(0, mid)}
+		w.cells(s.slot(0))
+		if len(w.out) == 0 || len(w.cols) != len(w.out) {
+			t.Fatalf("G=%d MD=%d: %d rectangles named by %d column spans", c.g, c.md, len(w.out), len(w.cols))
+		}
+		for i, r := range w.out {
+			if col := w.cols[i]; r.MinX != xs[col.Min] || r.MaxX != xs[col.Max] {
+				t.Fatalf("G=%d MD=%d: %v named by columns %v, floats %v, %v", c.g, c.md, r, col, xs[col.Min], xs[col.Max])
+			}
+		}
+	}
+}
+
+// TestPooledExtractionAcrossSurfaces: one extraction serves, in turn, a
+// surface of degree 3 at floor 128 and one of degree 5 at floor 256 — the
+// floor-row memo regrown, then reused over stale rows of the other size —
+// and every answer is the coalesced reference walk's, rectangle for
+// rectangle.
+func TestPooledExtractionAcrossSurfaces(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var surfaces [2]*Surface
+	for i, c := range []struct{ degree, md int }{{3, 128}, {5, 256}} {
+		s, err := New(Config{Area: area1000(), G: 10, Degree: c.degree, Horizon: 0, L: 60, MD: c.md})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.table.rank == nil || s.table.columns == 0 {
+			t.Fatalf("degree %d floor %d: no band ranks or column order", c.degree, c.md)
+		}
+		s.Advance(0)
+		for _, st := range clusterStates(rng, 400, 300+400*rng.Float64(), 300+400*rng.Float64(), 120) {
+			s.Insert(st)
+		}
+		surfaces[i] = s
+	}
+	x := new(extraction)
+	for round := 0; round < 3; round++ {
+		for _, s := range surfaces {
+			peak := s.Density(0, geom.Point{X: 500, Y: 500})
+			for _, frac := range []float64{0.1, 0.4, 0.9} {
+				want := referenceDenseRegion(s, 0, frac*peak)
+				n := len(want)
+				got, _ := x.dense(s, s.slot(0), frac*peak)
+				if want = geom.CoalesceInPlace(want); !sameRects(got, want) {
+					t.Fatalf("round %d, degree %d: %d rectangles, the coalesced reference %d of %d", round, s.cfg.Degree, len(got), len(want), n)
+				}
+			}
+		}
+	}
+}

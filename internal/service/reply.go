@@ -236,7 +236,18 @@ func (e *replyEncoder) float(key string, f float64) {
 // where it is 'e' form with a two-digit exponent's leading zero dropped
 // (e-09 becomes e-9). FuzzAppendFloatMatchesEncodingJSON holds it to
 // json.Marshal over every finite input.
+//
+// A PA answer's coordinates lie on a dyadic lattice, and those that are
+// multiples of 2^-10 below 97,656.25 in magnitude take a fast path
+// (appendDyadic); the rest pay one multiply and compare before strconv.
 func appendFloat(b []byte, f float64) ([]byte, error) {
+	if m := f * 1024; m > -1e8 && m < 1e8 && f != 0 {
+		// lint:ignore floateq the fast path is for exact multiples of 2^-10
+		// only; a float near one must take strconv's shortest search.
+		if i := int64(m); float64(i) == m {
+			return appendDyadic(b, i), nil
+		}
+	}
 	if math.IsInf(f, 0) || math.IsNaN(f) {
 		return b, errNonFinite
 	}
@@ -252,6 +263,35 @@ func appendFloat(b []byte, f float64) ([]byte, error) {
 		}
 	}
 	return b, nil
+}
+
+// appendDyadic appends m/1024, for a nonzero integer m with |m| < 1e8, as
+// its exact decimal: the integer part, then the fraction's ten decimals
+// (m mod 1024 times 10^10/2^10 = 5^10) with trailing zeros trimmed. That is
+// at most 15 significant digits, and two decimals of at most 15 digits never
+// round to the same float64, so no other decimal as short or shorter
+// round-trips: it is the shortest one, which strconv and encoding/json print.
+func appendDyadic(b []byte, m int64) []byte {
+	if m < 0 {
+		b = append(b, '-')
+		m = -m
+	}
+	b = strconv.AppendInt(b, m>>10, 10)
+	frac := (m & 1023) * 9765625
+	if frac == 0 {
+		return b
+	}
+	var d [11]byte
+	d[0] = '.'
+	for i := 10; i > 0; i-- {
+		d[i] = byte('0' + frac%10)
+		frac /= 10
+	}
+	n := len(d)
+	for d[n-1] == '0' {
+		n--
+	}
+	return append(b, d[:n]...)
 }
 
 // appendString appends s as a JSON string. Method names are short ASCII

@@ -221,22 +221,39 @@ func FuzzAppendFloatMatchesEncodingJSON(f *testing.F) {
 		1e-6, 9.999999999999999e-7, 1e-7, -1e-7, 1.5e-9, 1e-10, 1e-100, 5e-324,
 		1e20, 9.999999999999999e20, 1e21, -1e21, 1e22, 1e100, math.MaxFloat64,
 		math.NaN(), math.Inf(1), math.Inf(-1),
+		// The dyadic fast path's edges: the smallest step, the largest
+		// magnitudes in and the first out, a PA lattice line.
+		0x1p-10, -0x1p-10, 97655.9990234375, 97656, 403.125, -0.5, 97656.25,
 	} {
 		f.Add(math.Float64bits(v))
 	}
 	f.Fuzz(func(t *testing.T, bits uint64) {
 		sameAsEncodingJSON(t, math.Float64frombits(bits))
+		// Raw bits seldom land on a multiple of 2^-10, so each input is
+		// also read as m/1024 with m in [-1e8, 1e8]: the fast path's
+		// whole domain and its edge.
+		m := int64(bits%200000001) - 100000000
+		sameAsEncodingJSON(t, float64(m)/1024)
 	})
 }
 
 // TestAppendFloatRandomBits sweeps random bit patterns (every exponent, so
-// both 'e' ranges and the non-finite values turn up) and the lattice-like
-// coordinates replies are made of, inside plain `go test`.
+// both 'e' ranges and the non-finite values turn up), decimal coordinates
+// with four places, and random multiples of 2^-10 over the dyadic fast
+// path's range and just past it, inside plain `go test`; and every fraction
+// of 1024 at the integer parts the fast path's range starts and ends with.
 func TestAppendFloatRandomBits(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 200000; i++ {
 		sameAsEncodingJSON(t, math.Float64frombits(rng.Uint64()))
 		sameAsEncodingJSON(t, math.Floor(rng.Float64()*1e7)/1e4)
+		sameAsEncodingJSON(t, float64(rng.Int63n(2.2e8)-1.1e8)/1024)
+	}
+	for _, ip := range []float64{0, 1, 403, 97655, 97656} {
+		for frac := 0; frac < 1024; frac++ {
+			sameAsEncodingJSON(t, ip+float64(frac)/1024)
+			sameAsEncodingJSON(t, -ip-float64(frac)/1024)
+		}
 	}
 }
 
@@ -287,11 +304,33 @@ func TestSplitReplyMatchesSerial(t *testing.T) {
 	}
 }
 
-// BenchmarkEncodeQueryReply is the steady state of the reply path: the
-// buffer comes from the pool already grown, the region is walked once, and
-// nothing is allocated (scripts/check.sh pins allocs/op at 0).
+// paBenchAnswer is an answer the size of a varrho=1 PA reply at n=20,000:
+// ~2,600 disjoint lattice boxes on the default surface's 3.125-unit floor.
+func paBenchAnswer() queryAnswer {
+	rng := rand.New(rand.NewSource(9))
+	region := make(geom.Region, 0, 2600)
+	for i := 0; len(region) < cap(region); i++ {
+		x, y := float64(i%100)*10, float64(i/100)*10
+		w, h := float64(1+rng.Intn(3))*3.125, float64(1+rng.Intn(3))*3.125
+		region = append(region, geom.NewRect(x, y, x+w, y+h))
+	}
+	return queryAnswer{method: "PA", q: core.Query{Rho: 0.02, L: 30, At: 8}, res: &core.Result{
+		Method: core.PA, Region: region, Area: geom.DisjointArea(region),
+		CPU: 6 * time.Millisecond, Wall: 6 * time.Millisecond,
+	}}
+}
+
+// BenchmarkEncodeQueryReply is the steady state of the reply path, for an
+// exact answer's full-precision coordinates (fr) and a PA answer's lattice
+// ones (pa): the buffer comes from the pool already grown, the region is
+// walked once, and nothing is allocated (scripts/check.sh pins allocs/op at
+// 0).
 func BenchmarkEncodeQueryReply(b *testing.B) {
-	ans := benchAnswer()
+	b.Run("fr", func(b *testing.B) { benchEncodeQueryReply(b, benchAnswer()) })
+	b.Run("pa", func(b *testing.B) { benchEncodeQueryReply(b, paBenchAnswer()) })
+}
+
+func benchEncodeQueryReply(b *testing.B, ans queryAnswer) {
 	encode := func() int {
 		pb := replyBufs.Get().(*[]byte)
 		body, err := appendQueryReply((*pb)[:0], ans, nil)
