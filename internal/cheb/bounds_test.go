@@ -3,6 +3,7 @@ package cheb
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -186,6 +187,72 @@ func TestBoundsFromMatchesBounds(t *testing.T) {
 	}
 }
 
+// TestBoundsOf4MatchesBoundsOf pins the four-box kernel to four BoundsOf
+// calls on float bits, over degrees 0..7: coefficients positive, negative
+// and exactly zero (some series all zero), against products of the walk's
+// dyadic boxes (straddling zero wherever a term changes sign), of arbitrary
+// boxes, and raw
+// intervals — straddling zero, one-signed, degenerate, signed zeros — that
+// no box produces.
+func TestBoundsOf4MatchesBoundsOf(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	edges := []float64{0, math.Copysign(0, -1), 1, -1, 0.5}
+	for k := 0; k <= 7; k++ {
+		s, _ := NewSeries2D(k)
+		m := NumCoeffs(k)
+		bx, by := make([]Interval, k+1), make([]Interval, k+1)
+		prods := [4][]Interval{}
+		for c := range prods {
+			prods[c] = make([]Interval, m)
+		}
+		for n := 0; n < 1000; n++ {
+			for i := range s.A {
+				switch {
+				case n%50 == 0 || rng.Intn(5) == 0:
+					s.A[i] = 0
+				case n%3 == 0:
+					s.A[i] = math.Abs(rng.NormFloat64())
+				default:
+					s.A[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(7)-3))
+				}
+			}
+			for c := range prods {
+				switch n % 3 {
+				case 0: // a box of the branch-and-bound lattice
+					lv := rng.Intn(8)
+					w := 2 / float64(int(1)<<lv)
+					x1, y1 := -1+w*float64(rng.Intn(1<<lv)), -1+w*float64(rng.Intn(1<<lv))
+					AxisBounds(bx, x1, x1+w)
+					AxisBounds(by, y1, y1+w)
+					Products(prods[c], bx, by, k)
+				case 1:
+					AxisBounds(bx, kernelCoord(rng), kernelCoord(rng))
+					AxisBounds(by, kernelCoord(rng), kernelCoord(rng))
+					Products(prods[c], bx, by, k)
+				default:
+					for i := range prods[c] {
+						lo, hi := rng.NormFloat64(), rng.NormFloat64()
+						if rng.Intn(4) == 0 {
+							lo, hi = edges[rng.Intn(len(edges))], edges[rng.Intn(len(edges))]
+						}
+						prods[c][i] = Interval{min(lo, hi), max(lo, hi)}
+					}
+				}
+			}
+			// The walk hands the kernel four windows of one table.
+			table := slices.Concat(prods[0], prods[1], prods[2], prods[3])
+			lo, hi := s.BoundsOf4(table[:m], table[m:2*m], table[2*m:3*m], table[3*m:])
+			for c := range prods {
+				wlo, whi := s.BoundsOf(prods[c])
+				if math.Float64bits(lo[c]) != math.Float64bits(wlo) || math.Float64bits(hi[c]) != math.Float64bits(whi) {
+					t.Fatalf("k=%d trial %d box %d: BoundsOf4 [%x, %x], BoundsOf [%x, %x]", k, n, c,
+						math.Float64bits(lo[c]), math.Float64bits(hi[c]), math.Float64bits(wlo), math.Float64bits(whi))
+				}
+			}
+		}
+	}
+}
+
 func BenchmarkBounds(b *testing.B) {
 	s, _ := NewSeries2D(5)
 	s.AddBoxDelta(-0.4, -0.3, 0.2, 0.5, 1)
@@ -211,5 +278,27 @@ func BenchmarkBoundsOf(b *testing.B) {
 	}
 }
 
-// boundsSink keeps BenchmarkBoundsOf's inlined call from being optimized away.
+// BenchmarkBoundsOf4 is one split branch-and-bound box: the coefficient pass
+// over its four children's precomputed Products.
+func BenchmarkBoundsOf4(b *testing.B) {
+	s, _ := NewSeries2D(5)
+	s.AddBoxDelta(-0.4, -0.3, 0.2, 0.5, 1)
+	bx, by := make([]Interval, 6), make([]Interval, 6)
+	m := NumCoeffs(5)
+	prods := make([]Interval, 4*m)
+	for c := 0; c < 4; c++ {
+		x1, y1 := -0.5+float64(c&1)/32, -0.25+float64(c>>1)/32
+		AxisBounds(bx, x1, x1+1.0/32)
+		AxisBounds(by, y1, y1+1.0/32)
+		Products(prods[c*m:(c+1)*m], bx, by, 5)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lo, _ := s.BoundsOf4(prods[:m], prods[m:2*m], prods[2*m:3*m], prods[3*m:])
+		boundsSink = lo[0]
+	}
+}
+
+// boundsSink keeps BenchmarkBoundsOf's and BenchmarkBoundsOf4's inlined
+// calls from being optimized away.
 var boundsSink float64

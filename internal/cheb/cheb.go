@@ -105,11 +105,12 @@ func NumCoeffs(k int) int { return (k + 1) * (k + 2) / 2 }
 // (T_i value vectors, Lemma-4 factors, per-degree bounds) for callers that
 // bring none: Eval, Bounds and AddBoxDelta run once per density probe and
 // per movement update, so the scratch lives in a sync.Pool rather than being
-// made fresh each call (EvalFrom, BoundsOf and AddOuter take the caller's). It
+// made fresh each call (EvalFrom, BoundsOf and AddOuter take the caller's;
+// Eval keeps a degree's vectors on its stack up to evalOnStack). It
 // cannot live on Series2D itself: any number of readers evaluate the same
 // series concurrently under the engine's read lock.
 type evalScratch struct {
-	tx, ty []float64  // Eval: T_i(x), T_j(y)
+	tx, ty []float64  // Eval above evalOnStack: T_i(x), T_j(y)
 	ax, ay []float64  // AddBoxDelta: Lemma-4 one-dimensional factors
 	bx, by []Interval // Bounds: per-degree interval bounds
 	prods  []Interval // Bounds: their products, per coefficient
@@ -146,14 +147,25 @@ func (s *Series2D) Index(i, j int) int {
 // At returns coefficient (i, j).
 func (s *Series2D) At(i, j int) float64 { return s.A[s.Index(i, j)] }
 
+// evalOnStack is the most T_i values per axis Eval keeps on its stack:
+// every degree the surfaces use (the paper's 3-5) fits, and only a larger
+// one fetches pooled scratch.
+const evalOnStack = 8
+
 // Eval evaluates the series at (x, y) in [-1, 1]^2.
 //
 // Called per density probe.
 func (s *Series2D) Eval(x, y float64) float64 {
-	k := s.K
+	n := s.K + 1
+	if n <= evalOnStack {
+		var tx, ty [evalOnStack]float64
+		Vals(tx[:n], x)
+		Vals(ty[:n], y)
+		return s.EvalFrom(tx[:n], ty[:n])
+	}
 	sc := scratches.Get().(*evalScratch)
-	sc.tx = grow(sc.tx, k+1)
-	sc.ty = grow(sc.ty, k+1)
+	sc.tx = grow(sc.tx, n)
+	sc.ty = grow(sc.ty, n)
 	Vals(sc.tx, x)
 	Vals(sc.ty, y)
 	sum := s.EvalFrom(sc.tx, sc.ty)
@@ -195,6 +207,27 @@ func EvalRows(r, tx []float64) float64 {
 		sum += v * tx[i]
 	}
 	return sum
+}
+
+// EvalRows4 is EvalRows at the four points of a 2x2 block of lattice
+// points: rows r0 and r1 (RowSums at the block's lower and upper y) against
+// tx0 and tx1 (Vals at its left and right x), returned lower left, lower
+// right, upper left, upper right. Each value is its EvalRows bit for bit:
+// the four sums are independent chains, each in EvalRows' order, taken side
+// by side so their additions overlap.
+//
+// Called per split branch-and-bound box whose children are floor boxes.
+func EvalRows4(r0, r1, tx0, tx1 []float64) [4]float64 {
+	r1, tx0, tx1 = r1[:len(r0)], tx0[:len(r0)], tx1[:len(r0)]
+	var s0, s1, s2, s3 float64
+	for i, a := range r0 {
+		b := r1[i]
+		s0 += a * tx0[i]
+		s1 += a * tx1[i]
+		s2 += b * tx0[i]
+		s3 += b * tx1[i]
+	}
+	return [4]float64{s0, s1, s2, s3}
 }
 
 // rowSum is one row of the series, coefficients a against T_0(y).., in
@@ -396,4 +429,43 @@ func (s *Series2D) BoundsOf(prods []Interval) (lo, hi float64) {
 		}
 	}
 	return lo, hi
+}
+
+// BoundsOf4 is BoundsOf for four boxes at once, given each box's Products:
+// lo[c], hi[c] is BoundsOf(p_c) bit for bit. Each of the eight sums is taken
+// in BoundsOf's order, with its zero skip and sign choice; one box's sums
+// are two dependent chains of additions, and four boxes' side by side
+// overlap them, and share each coefficient's load, zero test and sign.
+//
+// Called per split branch-and-bound box, for its four children.
+func (s *Series2D) BoundsOf4(p0, p1, p2, p3 []Interval) (lo, hi [4]float64) {
+	a := s.A
+	p0, p1, p2, p3 = p0[:len(a)], p1[:len(a)], p2[:len(a)], p3[:len(a)]
+	var l0, l1, l2, l3, h0, h1, h2, h3 float64
+	for idx, v := range a {
+		if v == 0 {
+			continue
+		}
+		q0, q1, q2, q3 := p0[idx], p1[idx], p2[idx], p3[idx]
+		if v > 0 {
+			l0 += v * q0.Lo
+			h0 += v * q0.Hi
+			l1 += v * q1.Lo
+			h1 += v * q1.Hi
+			l2 += v * q2.Lo
+			h2 += v * q2.Hi
+			l3 += v * q3.Lo
+			h3 += v * q3.Hi
+		} else {
+			l0 += v * q0.Hi
+			h0 += v * q0.Lo
+			l1 += v * q1.Hi
+			h1 += v * q1.Lo
+			l2 += v * q2.Hi
+			h2 += v * q2.Lo
+			l3 += v * q3.Hi
+			h3 += v * q3.Lo
+		}
+	}
+	return [4]float64{l0, l1, l2, l3}, [4]float64{h0, h1, h2, h3}
 }

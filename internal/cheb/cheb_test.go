@@ -126,12 +126,13 @@ func TestSeriesEvalMatchesDirectSum(t *testing.T) {
 }
 
 // TestEvalRowsMatchesEvalFrom: a point's value from its y row sums is the
-// point's value from EvalFrom, and both are the nested row-by-row sum
-// EvalFrom has always made, float bit for float bit, at every degree the
-// surfaces use and at lattice-like and arbitrary points.
+// point's value from EvalFrom and from Eval, and all three are the nested
+// row-by-row sum EvalFrom has always made, float bit for float bit, at every
+// degree the surfaces use — Eval's stack vectors — and the two above, where
+// Eval takes pooled scratch, at lattice-like and arbitrary points.
 func TestEvalRowsMatchesEvalFrom(t *testing.T) {
 	rng := rand.New(rand.NewSource(48))
-	for k := 0; k <= 7; k++ {
+	for k := 0; k <= evalOnStack+1; k++ {
 		s, _ := NewSeries2D(k)
 		for i := range s.A {
 			s.A[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(7)-3))
@@ -154,9 +155,54 @@ func TestEvalRowsMatchesEvalFrom(t *testing.T) {
 				want += row * tx[i]
 			}
 			s.RowSums(r, ty)
-			from, rows := s.EvalFrom(tx, ty), EvalRows(r, tx)
-			if math.Float64bits(from) != math.Float64bits(want) || math.Float64bits(rows) != math.Float64bits(want) {
-				t.Fatalf("K=%d at (%g, %g): EvalFrom %v, EvalRows %v, the nested sum %v", k, x, y, from, rows, want)
+			from, rows, eval := s.EvalFrom(tx, ty), EvalRows(r, tx), s.Eval(x, y)
+			if math.Float64bits(from) != math.Float64bits(want) || math.Float64bits(rows) != math.Float64bits(want) ||
+				math.Float64bits(eval) != math.Float64bits(want) {
+				t.Fatalf("K=%d at (%g, %g): EvalFrom %v, EvalRows %v, Eval %v, the nested sum %v", k, x, y, from, rows, eval, want)
+			}
+		}
+	}
+}
+
+// TestEvalRows4MatchesEvalRows pins the four-point kernel to four EvalRows
+// calls on float bits, at degrees 0..7, with coefficients positive, negative
+// and exactly zero, at the centres of 2x2 blocks of floor boxes (the walk's
+// use) and at arbitrary points.
+func TestEvalRows4MatchesEvalRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	for k := 0; k <= 7; k++ {
+		s, _ := NewSeries2D(k)
+		n := k + 1
+		tx, ty := make([]float64, 2*n), make([]float64, 2*n)
+		r := make([]float64, 2*n)
+		for trial := 0; trial < 500; trial++ {
+			for i := range s.A {
+				switch {
+				case trial%50 == 0 || rng.Intn(5) == 0:
+					s.A[i] = 0
+				case trial%3 == 0:
+					s.A[i] = math.Abs(rng.NormFloat64())
+				default:
+					s.A[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(7)-3))
+				}
+			}
+			for c := 0; c < 2; c++ {
+				x, y := rng.Float64()*2-1, rng.Float64()*2-1
+				if trial%2 == 0 {
+					const side = 1.0 / 32
+					x = -1 + side*(float64(2*rng.Intn(32)+c)+0.5)
+					y = -1 + side*(float64(2*rng.Intn(32)+c)+0.5)
+				}
+				Vals(tx[c*n:(c+1)*n], x)
+				Vals(ty[c*n:(c+1)*n], y)
+				s.RowSums(r[c*n:(c+1)*n], ty[c*n:(c+1)*n])
+			}
+			r0, r1, tx0, tx1 := r[:n], r[n:], tx[:n], tx[n:]
+			got := EvalRows4(r0, r1, tx0, tx1)
+			for c, want := range []float64{EvalRows(r0, tx0), EvalRows(r0, tx1), EvalRows(r1, tx0), EvalRows(r1, tx1)} {
+				if math.Float64bits(got[c]) != math.Float64bits(want) {
+					t.Fatalf("K=%d trial %d point %d: EvalRows4 %v, EvalRows %v", k, trial, c, got[c], want)
+				}
 			}
 		}
 	}
@@ -301,6 +347,28 @@ func BenchmarkSeriesEval(b *testing.B) {
 		s.Eval(0.1, -0.2)
 	}
 }
+
+// BenchmarkEvalRows4 is one split branch-and-bound box at the floor: its four
+// children's centres from two memoized rows.
+func BenchmarkEvalRows4(b *testing.B) {
+	s, _ := NewSeries2D(5)
+	s.AddBoxDelta(-0.4, -0.3, 0.2, 0.5, 1)
+	t := make([]float64, 4*6)
+	for c := 0; c < 4; c++ {
+		Vals(t[c*6:(c+1)*6], -0.5+float64(c)/32)
+	}
+	r0, r1 := make([]float64, 6), make([]float64, 6)
+	s.RowSums(r0, t[12:18])
+	s.RowSums(r1, t[18:])
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v := EvalRows4(r0, r1, t[:6], t[6:12])
+		evalSink = v[0]
+	}
+}
+
+// evalSink keeps BenchmarkEvalRows4's inlined call from being optimized away.
+var evalSink float64
 
 // TestKernelsAllocationFree pins the hot kernels at zero steady-state
 // allocations: after the scratch pool is warm, Eval, Bounds, AddBoxDelta and

@@ -215,6 +215,24 @@ func BenchmarkSnapshotPAClasses(b *testing.B) {
 	}
 }
 
+// BenchmarkIntervalPA is approx-read's PA interval in process: l = 30,
+// varrho = 3 and eight timestamps (at..at+7), over the population of
+// BenchmarkSnapshotPAClasses, at four offsets spread over the workload's
+// now+[0, 30). One op is the four intervals.
+func BenchmarkIntervalPA(b *testing.B) {
+	const n = 20000
+	s, _ := classesServer(b, DefaultConfig(), n)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, off := range []motion.Tick{0, 10, 20, 29} {
+			q := Query{Rho: relRho(n, 3), L: 30, At: s.Now() + off}
+			if _, err := s.Interval(q, q.At+7, PA); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // classesServer loads n datagen objects (seed 1) into a server built from
 // cfg and runs 8 ticks of their update stream; the generator goes on from
 // there.

@@ -334,45 +334,84 @@ func (w *walk) cells(slot []*cheb.Series2D) {
 		w.row = c / g * (2<<d - 1)
 		w.col = c % g << d
 		clear(w.filled)
-		w.box(0, 0, 0)
+		w.root()
 	}
 }
 
-// box classifies box (ix, iy) of the 2^level x 2^level lattice over the
-// current cell's normalized square, bounding it from the table's interval
-// products: one pass over the coefficients, no trigonometry, no scratch to
-// fetch, no allocation but the buffer's growth.
-// At the floor the centre decides without a bound: in exact arithmetic a
-// bound that settled the box would agree with the centre.
-func (w *walk) box(level, ix, iy int) {
-	t, n := &w.s.table, w.s.cfg.Degree+1
-	if level == t.depth {
+// root classifies the current cell's whole normalized square: bounded alone
+// from the table's interval products, and split into its four children when
+// the bound does not decide it. At depth 0 the cell is one floor box,
+// decided by its centre.
+func (w *walk) root() {
+	t := &w.s.table
+	if t.depth == 0 {
 		w.stats.Leaves++
-		rows := w.rows[iy*n : iy*n+n]
-		if !w.filled[iy] {
-			w.series.RowSums(rows, t.leafT[iy*n:iy*n+n])
-			w.filled[iy] = true
-		}
-		if cheb.EvalRows(rows, t.leafT[ix*n:ix*n+n]) >= w.rho {
-			w.emit(level, ix, iy)
+		if cheb.EvalRows(w.rowSums(0), t.leafT) >= w.rho {
+			w.emit(0, 0, 0)
 		}
 		return
 	}
 	w.stats.Boxes++
-	m := len(w.series.A)
-	b := boxIndex(level, ix, iy) * m
-	lo, hi := w.series.BoundsOf(t.prod[b : b+m])
+	lo, hi := w.series.BoundsOf(t.prod[:len(w.series.A)])
 	if hi < w.rho {
 		return
 	}
 	if lo >= w.rho {
-		w.emit(level, ix, iy)
+		w.emit(0, 0, 0)
 		return
 	}
-	w.box(level+1, 2*ix, 2*iy)
-	w.box(level+1, 2*ix+1, 2*iy)
-	w.box(level+1, 2*ix, 2*iy+1)
-	w.box(level+1, 2*ix+1, 2*iy+1)
+	w.children(0, 0, 0)
+}
+
+// children classifies the four children of box (ix, iy) of the 2^level x
+// 2^level lattice over the current cell's normalized square, in the order
+// (2ix, 2iy), (2ix+1, 2iy), (2ix, 2iy+1), (2ix+1, 2iy+1), each decided and,
+// when it splits, walked before the next: the emission order of a walk that
+// visits one box at a time. Above the floor one cheb.BoundsOf4 pass bounds
+// all four from the table's interval products — no trigonometry, no scratch
+// to fetch, no allocation but the buffer's growth. At the floor one
+// cheb.EvalRows4 evaluates their four centres from two memoized rows: in
+// exact arithmetic a bound that settled a floor box would agree with its
+// centre.
+func (w *walk) children(level, ix, iy int) {
+	t, n := &w.s.table, w.s.cfg.Degree+1
+	level, ix, iy = level+1, 2*ix, 2*iy
+	if level == t.depth {
+		w.stats.Leaves += 4
+		v := cheb.EvalRows4(w.rowSums(iy), w.rowSums(iy+1), t.leafT[ix*n:ix*n+n], t.leafT[ix*n+n:ix*n+2*n])
+		for c, centre := range v {
+			if centre >= w.rho {
+				w.emit(level, ix+c&1, iy+c>>1)
+			}
+		}
+		return
+	}
+	w.stats.Boxes += 4
+	m := len(w.series.A)
+	b0, b2 := boxIndex(level, ix, iy)*m, boxIndex(level, ix, iy+1)*m
+	lo, hi := w.series.BoundsOf4(t.prod[b0:b0+m], t.prod[b0+m:b0+2*m], t.prod[b2:b2+m], t.prod[b2+m:b2+2*m])
+	for c := range lo {
+		cx, cy := ix+c&1, iy+c>>1
+		switch {
+		case hi[c] < w.rho:
+		case lo[c] >= w.rho:
+			w.emit(level, cx, cy)
+		default:
+			w.children(level, cx, cy)
+		}
+	}
+}
+
+// rowSums returns the current cell's RowSums at floor lattice row iy,
+// computing them on the row's first use.
+func (w *walk) rowSums(iy int) []float64 {
+	n := w.s.cfg.Degree + 1
+	rows := w.rows[iy*n : iy*n+n]
+	if !w.filled[iy] {
+		w.series.RowSums(rows, w.s.table.leafT[iy*n:iy*n+n])
+		w.filled[iy] = true
+	}
+	return rows
 }
 
 // emit adds lattice box (ix, iy) of level to the answer, with its band and

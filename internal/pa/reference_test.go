@@ -51,6 +51,35 @@ func referenceBranch(s *Surface, series *cheb.Series2D, cell geom.Rect, x1, y1, 
 	referenceBranch(s, series, cell, mx, my, x2, y2, rho, floor, out)
 }
 
+// referenceWalkStats counts what a walk that visits one box at a time does:
+// every box above the floor that it reaches is bounded, one Bounds call each
+// (the table's products, bit for bit), and split when the bound decides
+// nothing; every floor box it reaches is a leaf. The rectangles are the
+// reference's to count.
+func referenceWalkStats(s *Surface, qt motion.Tick, rho float64) WalkStats {
+	var st WalkStats
+	var visit func(series *cheb.Series2D, lv, ix, iy int)
+	visit = func(series *cheb.Series2D, lv, ix, iy int) {
+		if lv == s.table.depth {
+			st.Leaves++
+			return
+		}
+		st.Boxes++
+		side := 2 / float64(int(1)<<lv)
+		x1, y1 := -1+float64(ix)*side, -1+float64(iy)*side
+		if lo, hi := series.Bounds(x1, y1, x1+side, y1+side); hi < rho || lo >= rho {
+			return
+		}
+		for c := 0; c < 4; c++ {
+			visit(series, lv+1, 2*ix+c&1, 2*iy+c>>1)
+		}
+	}
+	for _, series := range s.slot(qt) {
+		visit(series, 0, 0, 0)
+	}
+	return st
+}
+
 // sameRects reports whether two regions hold the same rectangles, float bit
 // for float bit, in the same order.
 func sameRects(a, b geom.Region) bool {
@@ -70,65 +99,79 @@ func sameRects(a, b geom.Region) bool {
 // TestDenseRegionMatchesReferenceWalk pins the table walk to the recursion it
 // replaced — which bounds every box, floor boxes too — the same rectangles in
 // the same order (hence, coalesced, the same answer), over grids, degrees and
-// resolution floors whose leaf level falls on and off a power of two, for
+// resolution floors whose leaf level falls on and off a power of two — depth 0
+// (each cell one floor box), depth 1 (the root's children are) and deeper — for
 // thresholds from 0 (everything dense at the root) to above the surface's
 // maximum (nothing). The walk's counts: every floor box is a child of a
 // bounded box, unless the floor is the root and each cell is one floor box.
 func TestDenseRegionMatchesReferenceWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
+	var cases [][2]int // {G, MD}
 	for _, g := range []int{1, 3, 10} {
 		for _, md := range []int{g - 1, g, 3 * g, 100, 256, 1000} {
-			degree := 1 + rng.Intn(6)
-			t.Run(fmt.Sprintf("G=%d/MD=%d/K=%d", g, md, degree), func(t *testing.T) {
-				s, err := New(Config{Area: area1000(), G: g, Degree: degree, Horizon: 1, L: 80, MD: md})
-				if err != nil {
-					t.Fatal(err)
-				}
-				s.Advance(0)
-				for _, st := range clusterStates(rng, 120, 300+400*rng.Float64(), 300+400*rng.Float64(), 40+80*rng.Float64()) {
-					st.Vel = geom.Vec{X: 8 * rng.NormFloat64(), Y: 8 * rng.NormFloat64()}
-					s.Insert(st)
-				}
-				peak := 0.0
-				for i := 0; i < 400; i++ {
-					p := geom.Point{X: 1000 * rng.Float64(), Y: 1000 * rng.Float64()}
-					peak = math.Max(peak, s.Density(0, p))
-				}
-				emitted := 0
-				for _, frac := range []float64{0, 1e-9, 0.05, 0.2, 0.5, 0.8, 1, 1.5, 40} {
-					for qt := motion.Tick(0); qt <= 1; qt++ {
-						rho := frac * peak
-						want := referenceDenseRegion(s, qt, rho)
-						got, stats, err := s.DenseRegionStats(qt, rho)
-						if err != nil {
-							t.Fatal(err)
-						}
-						counted := stats.Boxes >= g*g && stats.Leaves <= 4*stats.Boxes
-						if s.table.depth == 0 {
-							counted = stats.Boxes == 0 && stats.Leaves == g*g
-						}
-						if stats.Rects != len(want) || !counted {
-							t.Fatalf("rho=%g t=%d: stats %+v at depth %d, the reference emits %d rectangles over %d cells", rho, qt, stats, s.table.depth, len(want), g*g)
-						}
-						emitted += len(want)
-						// The walk's emission order is visible only before the
-						// union; coalescing is deterministic, so equal input
-						// is equal output — and is what the caller gets.
-						raw := walk{s: s, rho: rho}
-						raw.cells(s.slot(qt))
-						if !sameRects(raw.out, want) {
-							t.Fatalf("rho=%g t=%d: the walk emits %d rectangles, the reference %d, or in another order", rho, qt, len(raw.out), len(want))
-						}
-						if !sameRects(got, geom.CoalesceInPlace(want)) || (len(want) == 0 && got != nil) {
-							t.Fatalf("rho=%g t=%d: DenseRegion differs from the coalesced reference (nil when empty)", rho, qt)
-						}
+			cases = append(cases, [2]int{g, md})
+		}
+	}
+	// MD = 2G is depth 1: the root's children are floor boxes. These cases
+	// come last, so the ones above keep their random draws.
+	for _, g := range []int{1, 3, 10} {
+		cases = append(cases, [2]int{g, 2 * g})
+	}
+	for _, c := range cases {
+		g, md := c[0], c[1]
+		degree := 1 + rng.Intn(6)
+		t.Run(fmt.Sprintf("G=%d/MD=%d/K=%d", g, md, degree), func(t *testing.T) {
+			s, err := New(Config{Area: area1000(), G: g, Degree: degree, Horizon: 1, L: 80, MD: md})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Advance(0)
+			for _, st := range clusterStates(rng, 120, 300+400*rng.Float64(), 300+400*rng.Float64(), 40+80*rng.Float64()) {
+				st.Vel = geom.Vec{X: 8 * rng.NormFloat64(), Y: 8 * rng.NormFloat64()}
+				s.Insert(st)
+			}
+			peak := 0.0
+			for i := 0; i < 400; i++ {
+				p := geom.Point{X: 1000 * rng.Float64(), Y: 1000 * rng.Float64()}
+				peak = math.Max(peak, s.Density(0, p))
+			}
+			emitted := 0
+			for _, frac := range []float64{0, 1e-9, 0.05, 0.2, 0.5, 0.8, 1, 1.5, 40} {
+				for qt := motion.Tick(0); qt <= 1; qt++ {
+					rho := frac * peak
+					want := referenceDenseRegion(s, qt, rho)
+					got, stats, err := s.DenseRegionStats(qt, rho)
+					if err != nil {
+						t.Fatal(err)
+					}
+					counted := stats.Boxes >= g*g && stats.Leaves <= 4*stats.Boxes
+					if s.table.depth == 0 {
+						counted = stats.Boxes == 0 && stats.Leaves == g*g
+					}
+					if ref := referenceWalkStats(s, qt, rho); stats.Boxes != ref.Boxes || stats.Leaves != ref.Leaves {
+						t.Fatalf("rho=%g t=%d: stats %+v, a walk one box at a time counts %+v", rho, qt, stats, ref)
+					}
+					if stats.Rects != len(want) || !counted {
+						t.Fatalf("rho=%g t=%d: stats %+v at depth %d, the reference emits %d rectangles over %d cells", rho, qt, stats, s.table.depth, len(want), g*g)
+					}
+					emitted += len(want)
+					// The walk's emission order is visible only before the
+					// union; coalescing is deterministic, so equal input
+					// is equal output — and is what the caller gets.
+					raw := walk{s: s, rho: rho}
+					raw.cells(s.slot(qt))
+					if !sameRects(raw.out, want) {
+						t.Fatalf("rho=%g t=%d: the walk emits %d rectangles, the reference %d, or in another order", rho, qt, len(raw.out), len(want))
+					}
+					if !sameRects(got, geom.CoalesceInPlace(want)) || (len(want) == 0 && got != nil) {
+						t.Fatalf("rho=%g t=%d: DenseRegion differs from the coalesced reference (nil when empty)", rho, qt)
 					}
 				}
-				if emitted == 0 {
-					t.Fatal("no threshold produced a rectangle: the comparison pins nothing")
-				}
-			})
-		}
+			}
+			if emitted == 0 {
+				t.Fatal("no threshold produced a rectangle: the comparison pins nothing")
+			}
+		})
 	}
 }
 

@@ -101,7 +101,7 @@ step "fuzz smoke: gridded Subtract == the quadratic reference, bit for bit (${FU
 go test -run '^$' -fuzz FuzzSubtractMatchesReference -fuzztime "${FUZZ_SECS}s" ./internal/geom/
 
 step "hotpath benchmark smoke (-benchtime=1x: kernels compile, run, report allocs)"
-go test -run '^$' -bench 'BenchmarkSeriesEval|BenchmarkAddBoxDelta|BenchmarkBoxFactors|BenchmarkFilter$|BenchmarkDenseRects200|BenchmarkDenseRegion$|BenchmarkSnapshot|BenchmarkDecodeUpdates' \
+go test -run '^$' -bench 'BenchmarkSeriesEval|BenchmarkAddBoxDelta|BenchmarkBoxFactors|BenchmarkFilter$|BenchmarkDenseRects200|BenchmarkDenseRegion$|BenchmarkSnapshot|BenchmarkIntervalPA$|BenchmarkDecodeUpdates' \
 	-benchtime=1x -benchmem ./internal/cheb ./internal/dh ./internal/sweep ./internal/pa ./internal/core ./internal/wire >/dev/null
 # pin_allocs 'Name=N ...' reads `go test -bench -benchmem` output and fails
 # when a named benchmark is missing or allocates more than its pin.
@@ -143,10 +143,11 @@ go test -run '^$' -bench 'BenchmarkSurfaceBatch$' -benchtime=5x -benchmem ./inte
 go test -run '^$' -bench 'BenchmarkDenseRegion$' -benchtime=200x -benchmem ./internal/pa |
 	pin_allocs 'BenchmarkDenseRegion=1'
 # Chebyshev evaluation, the Lemma-4 box delta, a box's bounds (Bounds on
-# pooled scratch, BoundsOf on the caller's products) and the DH filter (its
+# pooled scratch, BoundsOf on the caller's products), the walk's four-box
+# kernels (four children's bounds, four floor centres) and the DH filter (its
 # result released, as the engine does) allocate nothing.
-go test -run '^$' -bench 'BenchmarkSeriesEval$|BenchmarkAddBoxDelta$|BenchmarkBounds$|BenchmarkBoundsOf$|BenchmarkFilter$' -benchtime=200x -benchmem ./internal/cheb ./internal/dh |
-	pin_allocs 'BenchmarkSeriesEval=0 BenchmarkAddBoxDelta=0 BenchmarkBounds=0 BenchmarkBoundsOf=0 BenchmarkFilter=0'
+go test -run '^$' -bench 'BenchmarkSeriesEval$|BenchmarkAddBoxDelta$|BenchmarkBounds$|BenchmarkBoundsOf$|BenchmarkBoundsOf4$|BenchmarkEvalRows4$|BenchmarkFilter$' -benchtime=200x -benchmem ./internal/cheb ./internal/dh |
+	pin_allocs 'BenchmarkSeriesEval=0 BenchmarkAddBoxDelta=0 BenchmarkBounds=0 BenchmarkBoundsOf=0 BenchmarkBoundsOf4=0 BenchmarkEvalRows4=0 BenchmarkFilter=0'
 # A query reply — an exact one of ~8k rectangles, ~840 KB, and a PA one of
 # ~2,600 lattice boxes — is appended into a pooled buffer that is already
 # grown: the encoder builds no intermediate value.
