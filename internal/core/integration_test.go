@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -11,8 +10,8 @@ import (
 
 // TestEndToEndPipeline is the repository's widest integration test: a
 // 10K-object road-network workload streamed through a history-keeping
-// server, with every query method cross-checked, a checkpoint round trip in
-// the middle, and past-snapshot reconstruction at the end. Skipped under
+// server, with every query method cross-checked, a rebuild from the live set
+// in the middle, and past-snapshot reconstruction at the end. Skipped under
 // -short.
 func TestEndToEndPipeline(t *testing.T) {
 	if testing.Short() {
@@ -52,28 +51,19 @@ func TestEndToEndPipeline(t *testing.T) {
 			earlyRegionArea = r.Region.Area()
 		}
 		if tick == 8 {
-			// Checkpoint round trip mid-stream: the restored server must
-			// answer identically, then both continue consuming updates.
-			var buf bytes.Buffer
-			if err := srv.Save(&buf); err != nil {
-				t.Fatal(err)
-			}
-			restored, err := Restore(&buf)
-			if err != nil {
-				t.Fatal(err)
-			}
+			// A server rebuilt from the live set mid-stream answers
+			// identically.
+			rebuilt := rebuild(t, srv)
 			q := Query{Rho: relRho(10000, 3), L: 60, At: srv.Now() + 10}
 			a, err := srv.Snapshot(q, FR)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := restored.Snapshot(q, FR)
+			b, err := rebuilt.Snapshot(q, FR)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if d := a.Region.DifferenceArea(b.Region) + b.Region.DifferenceArea(a.Region); d > 1e-6 {
-				t.Fatalf("restored server diverges by area %g", d)
-			}
+			sameAnswer(t, "rebuilt FR", a, b)
 		}
 	}
 

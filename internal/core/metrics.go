@@ -6,8 +6,10 @@ import (
 	"pdr/internal/telemetry"
 )
 
-// metricMethods enumerates the instrumented query methods in display order.
-var metricMethods = []Method{FR, PA, DHOptimistic, DHPessimistic, BruteForce}
+// metricMethods enumerates the instrumented query methods in display order:
+// the two the service answers. The baselines are library methods, asked in
+// process by the experiments and the tests, and are not counted.
+var metricMethods = []Method{FR, PA}
 
 // filter-mark label values for pdr_engine_filter_cells_total.
 var filterMarks = []string{"accepted", "rejected", "candidate"}
@@ -76,9 +78,14 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 	return m
 }
 
-// observe records one completed snapshot result.
+// observe records one completed snapshot result; a method metricMethods
+// does not name counts nowhere.
 func (m *Metrics) observe(res *Result) {
-	m.queries[res.Method].Inc()
+	q, ok := m.queries[res.Method]
+	if !ok {
+		return
+	}
+	q.Inc()
 	m.latency[res.Method].Observe(res.Total().Seconds())
 	m.filter["accepted"].Add(int64(res.Accepted))
 	m.filter["rejected"].Add(int64(res.Rejected))

@@ -74,3 +74,25 @@ func TestQueryErrorsCountCalls(t *testing.T) {
 		})
 	}
 }
+
+// TestMetricsCountServedMethodsOnly: the per-method series exist for FR and
+// PA, the methods the service answers; a baseline answered in process counts
+// nowhere and does not fail the query.
+func TestMetricsCountServedMethodsOnly(t *testing.T) {
+	s, err := NewServer(streamConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	met := NewMetrics(telemetry.NewRegistry())
+	s.SetMetrics(met)
+	makeStream().replay(t, s)
+	q := streamQueries(s.Now())[0]
+	for _, m := range []Method{FR, PA, DHOptimistic, DHPessimistic, BruteForce} {
+		if _, err := s.Snapshot(q, m); err != nil {
+			t.Fatalf("%v: %v", m, err)
+		}
+	}
+	if got := fmt.Sprint(met.QueriesServed()); got != "map[FR:1 PA:1]" {
+		t.Errorf("QueriesServed = %s, want map[FR:1 PA:1]", got)
+	}
+}

@@ -49,9 +49,9 @@
 // disjoint slots under the writer's lock.
 //
 // The clock rule. An insert referenced after the clock is rejected (one
-// referenced before it is legal: Restore loads such states). A delete's own
-// timestamp is not consulted: it ends its movement at the clock, in the
-// histogram, the surface and the archive alike.
+// referenced before it is legal: a rebuild from LiveStates loads such
+// states). A delete's own timestamp is not consulted: it ends its movement
+// at the clock, in the histogram, the surface and the archive alike.
 //
 // Partial writes. A record admission rejects — an insert of a live object or
 // one referenced after the clock, a delete that does not name the live
@@ -307,10 +307,6 @@ func (s *Server) HistogramBytes() int { return s.hist.MemoryBytes() }
 func (s *Server) LiveStates() []motion.State {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.liveStatesLocked()
-}
-
-func (s *Server) liveStatesLocked() []motion.State {
 	states := make([]motion.State, 0, len(s.dir.m))
 	for _, st := range s.dir.m {
 		states = append(states, st)

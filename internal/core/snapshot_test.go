@@ -1,78 +1,60 @@
 package core
 
 import (
-	"bytes"
+	"encoding/gob"
 	"fmt"
 	"math"
 	"os"
-	"strings"
 	"testing"
 
 	"pdr/internal/geom"
 	"pdr/internal/motion"
 )
 
-func TestSaveRestoreRoundTrip(t *testing.T) {
-	s, g := loadServer(t, testConfig(), 1200, 31)
-	for tick := 0; tick < 8; tick++ {
-		ups := g.Advance()
-		if err := s.Tick(g.Now(), ups); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := Restore(&buf)
+// rebuild builds a second server from s's live set: the same configuration,
+// the clock moved to s's, then every live movement loaded at once, as
+// pdrserve -data preloads one.
+func rebuild(t *testing.T, s *Server) *Server {
+	t.Helper()
+	return rebuildFrom(t, s.Config(), s.Now(), s.LiveStates())
+}
+
+// rebuildFrom builds a server with configuration cfg, moves its clock to now,
+// then loads states.
+func rebuildFrom(t *testing.T, cfg Config, now motion.Tick, states []motion.State) *Server {
+	t.Helper()
+	r, err := NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.Now() != s.Now() {
-		t.Fatalf("restored Now = %d, want %d", restored.Now(), s.Now())
-	}
-	if restored.NumObjects() != s.NumObjects() {
-		t.Fatalf("restored %d objects, want %d", restored.NumObjects(), s.NumObjects())
-	}
-
-	// Every method answers identically on both servers.
-	for _, m := range []Method{FR, PA, DHOptimistic, DHPessimistic, BruteForce} {
-		for _, qt := range []motion.Tick{s.Now(), s.Now() + 15, s.Now() + 30} {
-			q := Query{Rho: relRho(1200, 2), L: 60, At: qt}
-			a, err := s.Snapshot(q, m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := restored.Snapshot(q, m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d := a.Region.DifferenceArea(b.Region) + b.Region.DifferenceArea(a.Region); d > 1e-9 {
-				t.Fatalf("%v at qt=%d: original and restored answers differ by %g", m, qt, d)
-			}
-		}
-	}
-
-	// The restored server keeps working: apply more updates and query.
-	for tick := 0; tick < 3; tick++ {
-		ups := g.Advance()
-		if err := restored.Tick(g.Now(), ups); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := restored.Snapshot(Query{Rho: 0.001, L: 60, At: restored.Now()}, FR); err != nil {
+	if err := r.Tick(now, nil); err != nil {
 		t.Fatal(err)
 	}
+	if err := r.Load(states); err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
 
-// TestRestoreParentCheckpoint restores two pdr-checkpoint-v1 files written by
-// commit 6c96f86 — the last one whose Config had an Index field — from a
-// streamConfig(1) server that had replayed makeStream: one with the default
-// index, one with Config.Index = "grid". gob drops the stream fields the
-// receiver lacks (Index, and Shards since the engine is one partition), so
-// both come back as TPR-tree servers: the remaining Config
-// fields round-trip, and every FR/PA/DH answer equals, bit for bit, that of a
-// fresh server fed the same stream.
+// checkpointV1 is the layout of the pdr-checkpoint-v1 files in testdata: the
+// configuration, the clock and the live set of the server that wrote them.
+type checkpointV1 struct {
+	Magic  string
+	Config Config
+	Now    motion.Tick
+	States []motion.State
+}
+
+// TestRestoreParentCheckpoint rebuilds servers from two pdr-checkpoint-v1
+// files written by commit 6c96f86 — the last one whose Config had an Index
+// field — from a streamConfig(1) server that had replayed makeStream: one
+// with the default index, one with Config.Index = "grid". gob drops the
+// fields the receiver lacks (Index, and Shards since the engine is one
+// partition). Each file's configuration, clock and live set go through
+// rebuildFrom, the remaining Config fields must equal a fresh server's, and
+// every FR/PA/DH answer must equal, bit for bit, that of a fresh server fed
+// the same stream: a live set recorded by an earlier version still loads into
+// the same summaries.
 func TestRestoreParentCheckpoint(t *testing.T) {
 	fresh := streamServer(t, makeStream(), 1)
 	for _, name := range []string{"checkpoint_v1_default.gob", "checkpoint_v1_grid.gob"} {
@@ -82,13 +64,17 @@ func TestRestoreParentCheckpoint(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer f.Close()
-			restored, err := Restore(f)
-			if err != nil {
+			var cp checkpointV1
+			if err := gob.NewDecoder(f).Decode(&cp); err != nil {
 				t.Fatal(err)
 			}
-			if got, want := restored.Config(), fresh.Config(); got != want {
-				t.Fatalf("restored config %+v, want %+v", got, want)
+			if cp.Magic != "pdr-checkpoint-v1" {
+				t.Fatalf("magic %q, want pdr-checkpoint-v1", cp.Magic)
 			}
+			if got, want := cp.Config, fresh.Config(); got != want {
+				t.Fatalf("checkpoint config %+v, want %+v", got, want)
+			}
+			restored := rebuildFrom(t, cp.Config, cp.Now, cp.States)
 			if restored.Now() != fresh.Now() || restored.NumObjects() != fresh.NumObjects() {
 				t.Fatalf("restored now=%d n=%d, want now=%d n=%d",
 					restored.Now(), restored.NumObjects(), fresh.Now(), fresh.NumObjects())
@@ -110,26 +96,30 @@ func TestRestoreParentCheckpoint(t *testing.T) {
 	}
 }
 
-func TestRestoreRejectsGarbage(t *testing.T) {
-	if _, err := Restore(strings.NewReader("not a checkpoint")); err == nil {
-		t.Error("garbage input must be rejected")
+// TestRebuildFromLiveSet: a server rebuilt from the live set of one that
+// replayed makeStream answers like it, bit for bit, by FR, PA and both DH
+// baselines at every streamQueries timestamp. The summaries exist only as the
+// sum of every write since start-up, and a rebuild replays just the live
+// movements, so this is the check that the two agree.
+func TestRebuildFromLiveSet(t *testing.T) {
+	streamed := streamServer(t, makeStream(), 1)
+	rebuilt := rebuild(t, streamed)
+	if rebuilt.Now() != streamed.Now() || rebuilt.NumObjects() != streamed.NumObjects() {
+		t.Fatalf("rebuilt now=%d n=%d, want now=%d n=%d",
+			rebuilt.Now(), rebuilt.NumObjects(), streamed.Now(), streamed.NumObjects())
 	}
-	if _, err := Restore(bytes.NewReader(nil)); err == nil {
-		t.Error("empty input must be rejected")
-	}
-}
-
-func TestSaveDeterministic(t *testing.T) {
-	s, _ := loadServer(t, testConfig(), 300, 32)
-	var a, b bytes.Buffer
-	if err := s.Save(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Save(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Error("two saves of the same server differ")
+	for _, q := range streamQueries(streamed.Now()) {
+		for _, m := range []Method{FR, PA, DHOptimistic, DHPessimistic} {
+			want, err := streamed.Snapshot(q, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := rebuilt.Snapshot(q, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameAnswer(t, fmt.Sprintf("%v at %d", m, q.At), want, got)
+		}
 	}
 }
 

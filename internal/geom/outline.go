@@ -19,10 +19,25 @@ type Ring []Point
 // them into rings, preferring straight continuation so collinear segments
 // merge.
 func (g Region) Outline() []Ring {
-	rects, xs, ys := g.outlineGrid()
+	rects := make([]Rect, 0, len(g))
+	for _, r := range g {
+		if !r.IsEmpty() {
+			rects = append(rects, r)
+		}
+	}
 	if len(rects) == 0 {
 		return nil
 	}
+	xs := make([]float64, 0, 2*len(rects))
+	ys := make([]float64, 0, 2*len(rects))
+	for _, r := range rects {
+		xs = append(xs, r.MinX, r.MaxX)
+		ys = append(ys, r.MinY, r.MaxY)
+	}
+	sort.Float64s(xs)
+	sort.Float64s(ys)
+	xs = dedupFloat64s(xs)
+	ys = dedupFloat64s(ys)
 	nx, ny := len(xs)-1, len(ys)-1 // elementary cells
 
 	xi := func(v float64) int { return sort.SearchFloat64s(xs, v) }
@@ -147,39 +162,6 @@ func (g Region) Outline() []Ring {
 		}
 	}
 	return rings
-}
-
-// OutlineCells returns the number of cells of the grid Outline rasterizes
-// the region onto, without allocating the grid: the elementary intervals
-// between distinct rectangle x edges times those between y edges. Outline
-// allocates a bool per cell, so a caller bounds its memory with this.
-func (g Region) OutlineCells() int {
-	rects, xs, ys := g.outlineGrid()
-	if len(rects) == 0 {
-		return 0
-	}
-	return (len(xs) - 1) * (len(ys) - 1)
-}
-
-// outlineGrid returns the region's non-empty rectangles and the sorted,
-// distinct x and y coordinates of their edges: the lines of the compressed
-// coordinate grid Outline rasterizes onto.
-func (g Region) outlineGrid() (rects []Rect, xs, ys []float64) {
-	rects = make([]Rect, 0, len(g))
-	for _, r := range g {
-		if !r.IsEmpty() {
-			rects = append(rects, r)
-		}
-	}
-	xs = make([]float64, 0, 2*len(rects))
-	ys = make([]float64, 0, 2*len(rects))
-	for _, r := range rects {
-		xs = append(xs, r.MinX, r.MaxX)
-		ys = append(ys, r.MinY, r.MaxY)
-	}
-	sort.Float64s(xs)
-	sort.Float64s(ys)
-	return rects, dedupFloat64s(xs), dedupFloat64s(ys)
 }
 
 // gridVertex is a vertex of the compressed coordinate grid used by Outline.

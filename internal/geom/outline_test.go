@@ -134,23 +134,6 @@ func TestOutlineEmpty(t *testing.T) {
 	}
 }
 
-func TestOutlineCells(t *testing.T) {
-	for _, c := range []struct {
-		g    Region
-		want int
-	}{
-		{nil, 0},
-		{Region{{MinX: 1, MinY: 1, MaxX: 1, MaxY: 5}}, 0}, // degenerate
-		{Region{{MinX: 1, MinY: 2, MaxX: 4, MaxY: 6}}, 1},
-		// Shared edges are one grid line: x {0, 2, 3}, y {0, 1, 2, 4}.
-		{Region{{MinX: 0, MinY: 0, MaxX: 2, MaxY: 2}, {MinX: 2, MinY: 1, MaxX: 3, MaxY: 4}}, 6},
-	} {
-		if got := c.g.OutlineCells(); got != c.want {
-			t.Errorf("%v: OutlineCells = %d, want %d", c.g, got, c.want)
-		}
-	}
-}
-
 func TestQuickOutlineAreaMatchesRegionArea(t *testing.T) {
 	// Property: the net signed area of all rings equals the union area.
 	f := func(seed int64) bool {

@@ -12,9 +12,9 @@ import (
 	"pdr/internal/wire"
 )
 
-// maxBodyBytes bounds the body of a POST (/v1/load, /v1/updates,
-// /v1/apply), which is read whole before it is decoded. A
-// 20,000-state load is 2.8 MB and a 1,030-record tick 143 KB.
+// maxBodyBytes bounds the body of a POST (/v1/updates, /v1/apply), which is
+// read whole before it is decoded. A 1,030-record tick is 143 KB, 139 B a
+// record, so the bound admits a write of some 480,000 records.
 const maxBodyBytes = 64 << 20
 
 // bodyBufs pools request bodies the way replyBufs pools replies: a steady

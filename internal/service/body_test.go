@@ -104,14 +104,13 @@ func TestUpdatesHandlerFallsBack(t *testing.T) {
 // says where encoding/json gave up, and of a record that is not an update
 // which one.
 func TestMalformedBodyNamesTheByte(t *testing.T) {
-	_, ts := testService(t)
-	loadWorkload(t, ts, 100)
+	svc, ts := testService(t)
+	loadWorkload(t, svc, 100)
 	for _, tc := range []struct{ route, body, want string }{
 		{"/v1/updates", `{"now":1,"updates":[{"kind":"insert","x":"east"}]}`, "at byte 47"},
 		{"/v1/updates", `{"now":1,"updates":[}`, "at byte 21"},
 		{"/v1/updates", `{"now":1,"updates":[`, "at byte 20"},
 		{"/v1/apply", `{"updates":[{"kind":"insert"},{"kind":"state"}]}`, "update 1: "},
-		{"/v1/load", `{"states":[{"kind":"state","id":"7"}]}`, "at byte 35"},
 	} {
 		code, reply, _ := post(t, ts, tc.route, tc.body)
 		var e errorBody
@@ -126,7 +125,7 @@ func TestMalformedBodyNamesTheByte(t *testing.T) {
 // the prefix was, on every write route, and the prefix stays applied.
 func TestPartialWriteReportsAppliedCount(t *testing.T) {
 	svc, ts := testService(t)
-	loadWorkload(t, ts, 100)
+	loadWorkload(t, svc, 100)
 	rec := func(kind string, id int) string {
 		return `{"kind":"` + kind + `","tick":1,"id":` + strconv.Itoa(id) + `,"x":400,"y":400,"ref":1}`
 	}
@@ -151,23 +150,8 @@ func TestPartialWriteReportsAppliedCount(t *testing.T) {
 	check("/v1/updates", `{"now":1,"updates":`+batch+`}`, 2, 102)
 	batch = `[` + rec("insert", 900004) + `,` + rec("delete", 999999) + `]`
 	check("/v1/apply", `{"updates":`+batch+`}`, 1, 103)
-	// A load stops at a duplicate ID with the states before it loaded.
-	state := func(id int) string {
-		return `{"id":` + strconv.Itoa(id) + `,"x":400,"y":400,"ref":1}`
-	}
-	code, reply, _ := post(t, ts, "/v1/load", `{"states":[`+state(900006)+`,`+state(900007)+`,`+state(900001)+`,`+state(900008)+`]}`)
-	var p struct {
-		Error   string
-		Applied *int
-	}
-	if err := json.Unmarshal(reply, &p); err != nil || code != http.StatusConflict || p.Applied == nil || *p.Applied != 2 {
-		t.Errorf("/v1/load duplicate: status %d, reply %s; want 409 with applied=2", code, reply)
-	}
-	if got := svc.Engine().NumObjects(); got != 105 {
-		t.Errorf("/v1/load: %d objects after the partial load, want 105 (the prefix loaded, nothing after it)", got)
-	}
 	// A tick the engine refuses outright applied nothing.
-	code, reply, _ = post(t, ts, "/v1/updates", `{"now":0,"updates":[`+rec("insert", 900005)+`]}`)
+	code, reply, _ := post(t, ts, "/v1/updates", `{"now":0,"updates":[`+rec("insert", 900005)+`]}`)
 	if code != http.StatusConflict || !bytes.Contains(reply, []byte(`"applied":0`)) {
 		t.Errorf("backwards tick: status %d, reply %s", code, reply)
 	}
@@ -186,10 +170,10 @@ func (zeros) Read(p []byte) (int, error) {
 // it. (An undeclared length is refused by http.MaxBytesReader once the read
 // crosses the bound; exercising that means buffering the bound.)
 func TestOversizedBodyIs413(t *testing.T) {
-	svc, ts := testService(t)
-	loadWorkload(t, ts, 100)
+	svc, _ := testService(t)
+	loadWorkload(t, svc, 100)
 	epoch := svc.Engine().Epoch()
-	for _, route := range []string{"/v1/updates", "/v1/apply", "/v1/load"} {
+	for _, route := range []string{"/v1/updates", "/v1/apply"} {
 		req := httptest.NewRequest(http.MethodPost, route, io.LimitReader(zeros{}, maxBodyBytes+1))
 		req.ContentLength = maxBodyBytes + 1
 		rec := httptest.NewRecorder()

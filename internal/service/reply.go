@@ -79,14 +79,10 @@ type queryAnswer struct {
 // No lock is held: the result's region is read-only (computed fresh, or the
 // cache's resident entry that other requests read at the same time), so
 // formatting ~33k floats holds up neither a tick nor another reader.
-func writeQueryReply(w http.ResponseWriter, r *http.Request, a queryAnswer, outline bool) {
+func writeQueryReply(w http.ResponseWriter, r *http.Request, a queryAnswer) {
 	sp := requestSpan(r).Child("encode")
-	var rings []geom.Ring
-	if outline {
-		rings = a.res.Region.Outline()
-	}
 	pb := replyBufs.Get().(*[]byte)
-	body, err := appendQueryReplySplit((*pb)[:0], a, rings)
+	body, err := appendQueryReplySplit((*pb)[:0], a)
 	sp.SetAttrInt("rects", int64(len(a.res.Region)))
 	sp.SetAttrInt("bytes", int64(len(body)))
 	sp.End()
@@ -102,11 +98,11 @@ var errNonFinite = errors.New("service: non-finite float in a JSON reply")
 // holding the same answer, trailing newline included (pinned by
 // TestQueryReplyMatchesEncodingJSON). It walks the region once and builds no
 // intermediate value; QueryResponse stays the documented, decodable shape.
-func appendQueryReply(b []byte, a queryAnswer, rings []geom.Ring) ([]byte, error) {
+func appendQueryReply(b []byte, a queryAnswer) ([]byte, error) {
 	e := replyEncoder{b: b}
 	e.head(a)
 	e.rects(a.res.Region, false)
-	e.tail(a, rings)
+	e.tail(a)
 	return e.b, e.err
 }
 
@@ -119,10 +115,10 @@ const splitRects = 1024
 // answer's rectangles formatted half on the calling goroutine and half on
 // another, into a second pooled buffer appended after the first half: the
 // shortest-decimal formatting of ~33k floats is the reply's serial tail.
-func appendQueryReplySplit(b []byte, a queryAnswer, rings []geom.Ring) ([]byte, error) {
+func appendQueryReplySplit(b []byte, a queryAnswer) ([]byte, error) {
 	rects := a.res.Region
 	if len(rects) < splitRects || runtime.GOMAXPROCS(0) < 2 {
-		return appendQueryReply(b, a, rings)
+		return appendQueryReply(b, a)
 	}
 	h := len(rects) / 2
 	pb := replyBufs.Get().(*[]byte)
@@ -142,7 +138,7 @@ func appendQueryReplySplit(b []byte, a queryAnswer, rings []geom.Ring) ([]byte, 
 	}
 	*pb = second.b
 	replyBufs.Put(pb)
-	e.tail(a, rings)
+	e.tail(a)
 	return e.b, e.err
 }
 
@@ -175,29 +171,10 @@ func (e *replyEncoder) rects(rects []geom.Rect, more bool) {
 }
 
 // tail appends the reply after its rectangles.
-func (e *replyEncoder) tail(a queryAnswer, rings []geom.Ring) {
+func (e *replyEncoder) tail(a queryAnswer) {
 	res := a.res
 	e.raw(`]`)
 	e.float(`,"area":`, res.Area)
-	if len(rings) > 0 {
-		e.raw(`,"rings":[`)
-		for i, ring := range rings {
-			if i > 0 {
-				e.raw(`,`)
-			}
-			e.raw(`[`)
-			for j, p := range ring {
-				if j > 0 {
-					e.raw(`,`)
-				}
-				e.float(`{"x":`, p.X)
-				e.float(`,"y":`, p.Y)
-				e.raw(`}`)
-			}
-			e.raw(`]`)
-		}
-		e.raw(`]`)
-	}
 	e.num(`,"cpuMicros":`, res.CPU.Microseconds())
 	e.num(`,"wallMicros":`, res.Wall.Microseconds())
 	e.num(`,"ios":`, res.IOs)

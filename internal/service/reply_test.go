@@ -20,7 +20,7 @@ import (
 // encoder: a QueryResponse filled in field by field, for encoding/json to
 // reflect over. The cost fields are measurements, so they come from the
 // reply under test; everything the answer determines comes from res.
-func referenceReply(method string, q core.Query, until *motion.Tick, res *core.Result, outline bool, costs QueryResponse) QueryResponse {
+func referenceReply(method string, q core.Query, until *motion.Tick, res *core.Result, costs QueryResponse) QueryResponse {
 	out := QueryResponse{
 		Method: method, At: q.At, Until: until, Rho: q.Rho, L: q.L,
 		Rects:           make([]RectJSON, len(res.Region)),
@@ -35,15 +35,6 @@ func referenceReply(method string, q core.Query, until *motion.Tick, res *core.R
 	for i, rect := range res.Region {
 		out.Rects[i] = RectJSON{rect.MinX, rect.MinY, rect.MaxX, rect.MaxY}
 	}
-	if outline {
-		for _, ring := range res.Region.Outline() {
-			pts := make([]PointJSON, len(ring))
-			for i, p := range ring {
-				pts[i] = PointJSON{p.X, p.Y}
-			}
-			out.Rings = append(out.Rings, pts)
-		}
-	}
 	return out
 }
 
@@ -51,10 +42,12 @@ func referenceReply(method string, q core.Query, until *motion.Tick, res *core.R
 // encoder: for every reply shape the handlers produce, the body on the wire
 // is byte for byte — trailing newline included — what encoding/json writes
 // for the QueryResponse holding the same answer, the answer being the
-// engine's own for the same query.
+// engine's own for the same query. The DH baselines are not served, so their
+// answers, whose coordinates are histogram-cell integers, are encoded by
+// writeQueryReply straight from the engine.
 func TestQueryReplyMatchesEncodingJSON(t *testing.T) {
 	svc, ts := testServiceWith(t, func(cfg *core.Config) { cfg.CacheBytes = 16 << 20 })
-	g := loadWorkload(t, ts, 1500)
+	g := loadWorkload(t, svc, 1500)
 	advanceTicks(t, ts, g, 3)
 	eng := svc.Engine()
 	now := eng.Now()
@@ -67,30 +60,53 @@ func TestQueryReplyMatchesEncodingJSON(t *testing.T) {
 		rho     float64
 		at      motion.Tick
 		until   *motion.Tick
-		outline bool
+		library bool // not served: encoded from the engine's answer
 		cached  bool
 		empty   bool
 	}{
 		{name: "fr", query: "method=fr", method: core.FR, rho: rho, at: now + 2},
 		{name: "pa", query: "method=pa", method: core.PA, rho: rho, at: now + 2},
-		{name: "dh-opt", query: "method=dh-opt", method: core.DHOptimistic, rho: rho, at: now + 2},
-		{name: "dh-pess", query: "method=dh-pess", method: core.DHPessimistic, rho: rho / 2, at: now + 2},
+		{name: "dh-opt", method: core.DHOptimistic, rho: rho, at: now + 2, library: true},
+		{name: "dh-pess", method: core.DHPessimistic, rho: rho / 2, at: now + 2, library: true},
 		{name: "fr interval", query: "method=fr", method: core.FR, rho: rho, at: now + 1, until: tickPtr(now + 4)},
-		{name: "outline", query: "method=fr&outline=1", method: core.FR, rho: rho, at: now + 5, outline: true},
 		{name: "empty", query: "method=fr", method: core.FR, rho: 1e3, at: now, empty: true},
 		{name: "cached", query: "method=fr", method: core.FR, rho: rho, at: now + 2, cached: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			target := "/v1/query?" + tc.query + "&l=60&rho=" + strconv.FormatFloat(tc.rho, 'g', -1, 64) +
-				"&at=" + strconv.FormatInt(int64(tc.at), 10)
-			if tc.until != nil {
-				target += "&until=" + strconv.FormatInt(int64(*tc.until), 10)
+			// The engine's own answer to the same query: asked after a served
+			// request, so the request's cache outcome is the case's.
+			q := core.Query{Rho: tc.rho, L: 60, At: tc.at}
+			answer := func() (res *core.Result) {
+				t.Helper()
+				var err error
+				if tc.until != nil {
+					res, err = eng.Interval(q, *tc.until, tc.method)
+				} else {
+					res, err = eng.Snapshot(q, tc.method)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
 			}
 			rec := httptest.NewRecorder()
-			svc.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))
+			var res *core.Result
+			if tc.library {
+				res = answer()
+				writeQueryReply(rec, httptest.NewRequest(http.MethodGet, "/v1/query", nil),
+					queryAnswer{method: tc.method.String(), q: q, until: tc.until, res: res})
+			} else {
+				target := "/v1/query?" + tc.query + "&l=60&rho=" + strconv.FormatFloat(tc.rho, 'g', -1, 64) +
+					"&at=" + strconv.FormatInt(int64(tc.at), 10)
+				if tc.until != nil {
+					target += "&until=" + strconv.FormatInt(int64(*tc.until), 10)
+				}
+				svc.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))
+				res = answer()
+			}
 			if rec.Code != http.StatusOK {
-				t.Fatalf("GET %s: status %d: %s", target, rec.Code, rec.Body)
+				t.Fatalf("%s: status %d: %s", tc.name, rec.Code, rec.Body)
 			}
 			body := rec.Body.Bytes()
 			if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
@@ -103,20 +119,6 @@ func TestQueryReplyMatchesEncodingJSON(t *testing.T) {
 			if err := json.Unmarshal(body, &got); err != nil {
 				t.Fatal(err)
 			}
-
-			// The engine's own answer to the same query, asked after the
-			// request so the request's cache outcome is the case's.
-			q := core.Query{Rho: tc.rho, L: 60, At: tc.at}
-			var res *core.Result
-			var err error
-			if tc.until != nil {
-				res, err = eng.Interval(q, *tc.until, tc.method)
-			} else {
-				res, err = eng.Snapshot(q, tc.method)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
 			res.Cached = tc.cached
 			if tc.empty != (len(res.Region) == 0) {
 				t.Fatalf("answer has %d rectangles, empty case: %v", len(res.Region), tc.empty)
@@ -125,15 +127,12 @@ func TestQueryReplyMatchesEncodingJSON(t *testing.T) {
 				t.Fatalf("reply cached=%v cachedCpuMicros=%d, case wants cached=%v", got.Cached, got.CachedCPUMicros, tc.cached)
 			}
 			var want bytes.Buffer
-			if err := json.NewEncoder(&want).Encode(referenceReply(tc.method.String(), q, tc.until, res, tc.outline, got)); err != nil {
+			if err := json.NewEncoder(&want).Encode(referenceReply(tc.method.String(), q, tc.until, res, got)); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(body, want.Bytes()) {
 				t.Fatalf("reply differs from encoding/json's (%d bytes against %d):\n got %.300s\nwant %.300s",
 					len(body), want.Len(), body, want.Bytes())
-			}
-			if tc.outline && len(got.Rings) == 0 {
-				t.Fatal("outline=1 reply carries no rings")
 			}
 		})
 	}
@@ -168,7 +167,7 @@ func TestNonFiniteReplyIsAClean500(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			rec := httptest.NewRecorder()
-			writeQueryReply(rec, httptest.NewRequest(http.MethodGet, "/v1/query", nil), ans, false)
+			writeQueryReply(rec, httptest.NewRequest(http.MethodGet, "/v1/query", nil), ans)
 			clean500(t, rec)
 		})
 	}
@@ -180,9 +179,9 @@ func TestNonFiniteReplyIsAClean500(t *testing.T) {
 	// End to end, through the middleware's recorder: rho=NaN, which no
 	// range comparison catches, never reaches the reply — the engine
 	// rejects it up front as a JSON 422.
-	_, ts := testService(t)
-	loadWorkload(t, ts, 200)
-	resp, err := http.Get(ts.URL + "/v1/query?method=dh-opt&rho=NaN&l=60")
+	svc, ts := testService(t)
+	loadWorkload(t, svc, 200)
+	resp, err := http.Get(ts.URL + "/v1/query?method=fr&rho=NaN&l=60")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,24 +272,20 @@ func benchAnswer() queryAnswer {
 }
 
 // TestSplitReplyMatchesSerial: the two-goroutine encoder writes the serial
-// encoder's bytes — on either side of the split size, with rings, and with a
-// non-finite coordinate in either half, which both refuse.
+// encoder's bytes — on either side of the split size, and with a non-finite
+// coordinate in either half, which both refuse.
 func TestSplitReplyMatchesSerial(t *testing.T) {
 	big := benchAnswer()
 	small := benchAnswer()
 	small.res = &core.Result{Region: big.res.Region[:splitRects-1], Area: 1}
-	ringed := benchAnswer()
-	ringed.res = &core.Result{Region: big.res.Region[:splitRects+1], Area: 2}
-	rings := ringed.res.Region[:3].Outline()
-	for name, c := range map[string]struct {
-		a     queryAnswer
-		rings []geom.Ring
-	}{"big": {big, nil}, "small": {small, nil}, "ringed": {ringed, rings}} {
-		want, err := appendQueryReply(nil, c.a, c.rings)
+	over := benchAnswer()
+	over.res = &core.Result{Region: big.res.Region[:splitRects+1], Area: 2}
+	for name, a := range map[string]queryAnswer{"big": big, "small": small, "over": over} {
+		want, err := appendQueryReply(nil, a)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := appendQueryReplySplit([]byte("stale"), c.a, c.rings)
+		got, err := appendQueryReplySplit([]byte("stale"), a)
 		if err != nil || !bytes.Equal(got[len("stale"):], want) {
 			t.Fatalf("%s: split reply differs from the serial one (err %v)", name, err)
 		}
@@ -298,7 +293,7 @@ func TestSplitReplyMatchesSerial(t *testing.T) {
 	for _, at := range []int{0, len(big.res.Region) - 1} {
 		bad := benchAnswer()
 		bad.res.Region[at].MaxX = math.Inf(1)
-		if _, err := appendQueryReplySplit(nil, bad, nil); err == nil {
+		if _, err := appendQueryReplySplit(nil, bad); err == nil {
 			t.Fatalf("non-finite coordinate at %d: no error", at)
 		}
 	}
@@ -333,7 +328,7 @@ func BenchmarkEncodeQueryReply(b *testing.B) {
 func benchEncodeQueryReply(b *testing.B, ans queryAnswer) {
 	encode := func() int {
 		pb := replyBufs.Get().(*[]byte)
-		body, err := appendQueryReply((*pb)[:0], ans, nil)
+		body, err := appendQueryReply((*pb)[:0], ans)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,15 +1,20 @@
 // Package service exposes the PDR engine over HTTP with a JSON API — the
 // deployment surface a location-based-services backend would integrate:
 //
-//	POST   /v1/load       bulk-load initial object states
 //	POST   /v1/updates    advance the clock and apply location updates
 //	POST   /v1/apply      apply insert/delete updates between ticks
 //	                      (the clock does not move)
-//	GET    /v1/query      answer a snapshot or interval PDR query
+//	GET    /v1/query      answer a snapshot or interval PDR query by FR
+//	                      (exact) or PA (approximate)
 //	GET    /v1/stats      server and buffer-pool statistics
 //	GET    /healthz       liveness
 //
-// The three write routes read their body whole, at most 64 MiB of it (413
+// The DH baselines and the brute-force sweep are library methods
+// (core.Server.Snapshot), not served, and outlines are drawn by pdrquery
+// -svg; /v1/query refuses both with a 400. Initial object states are loaded
+// before serving, through Engine (pdrserve -data).
+//
+// The two write routes read their body whole, at most 64 MiB of it (413
 // beyond), before decoding: /v1/updates and /v1/apply through
 // wire.DecodeUpdates with encoding/json as the fallback on the same bytes
 // (body.go), so a malformed body's 400 names the byte or the record. The
@@ -150,7 +155,6 @@ func NewWithEngine(srv *core.Server, opts ...Option) (*Service, error) {
 	s.reg.GaugeFunc("pdr_process_uptime_seconds",
 		"Seconds since the service was constructed.",
 		func() float64 { return time.Since(s.start).Seconds() })
-	s.handle("POST /v1/load", s.handleLoad)
 	s.handle("POST /v1/updates", s.handleUpdates)
 	s.handle("POST /v1/apply", s.handleApply)
 	s.handle("GET /v1/query", s.handleQuery)
@@ -181,8 +185,9 @@ func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// Engine returns the wrapped PDR engine for offline pre-loading; once the
-// service is receiving HTTP traffic, all access must go through the API.
+// Engine returns the wrapped PDR engine for offline pre-loading: pdrserve
+// -data loads the initial states through its Load, and no route does. Once
+// the service is receiving HTTP traffic, all access must go through the API.
 func (s *Service) Engine() *core.Server { return s.srv }
 
 // errorBody is the JSON error envelope.
@@ -220,41 +225,6 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 
 func writeJSON(w http.ResponseWriter, v any) {
 	writeJSONStatus(w, http.StatusOK, v)
-}
-
-// LoadRequest is the body of POST /v1/load.
-type LoadRequest struct {
-	States []wire.Record `json:"states"`
-}
-
-// LoadResponse reports the load outcome.
-type LoadResponse struct {
-	Loaded int         `json:"loaded"`
-	Now    motion.Tick `json:"now"`
-}
-
-func (s *Service) handleLoad(w http.ResponseWriter, r *http.Request) {
-	pb, err := readBody(w, r)
-	if err != nil {
-		bodyReadError(w, err)
-		return
-	}
-	var req LoadRequest
-	err = decodeJSON(*pb, &req)
-	bodyBufs.Put(pb)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	states := make([]motion.State, len(req.States))
-	for i, rec := range req.States {
-		states[i] = rec.State()
-	}
-	if err := s.srv.Load(states); err != nil {
-		writePartial(w, "load", err)
-		return
-	}
-	writeJSON(w, LoadResponse{Loaded: len(states), Now: s.srv.Now()})
 }
 
 // UpdatesRequest is the body of POST /v1/updates: the clock advances to Now
@@ -348,18 +318,17 @@ type RectJSON struct {
 // so a field added here must be added there, in the same position
 // (TestQueryReplyMatchesEncodingJSON compares the two byte for byte).
 type QueryResponse struct {
-	Method      string        `json:"method"`
-	At          motion.Tick   `json:"at"`
-	Until       *motion.Tick  `json:"until,omitempty"`
-	Rho         float64       `json:"rho"`
-	L           float64       `json:"l"`
-	Rects       []RectJSON    `json:"rects"`
-	Area        float64       `json:"area"`
-	Rings       [][]PointJSON `json:"rings,omitempty"`
-	CPUMicros   int64         `json:"cpuMicros"`
-	WallMicros  int64         `json:"wallMicros"`
-	IOs         int64         `json:"ios"`
-	TotalMicros int64         `json:"totalMicros"`
+	Method      string       `json:"method"`
+	At          motion.Tick  `json:"at"`
+	Until       *motion.Tick `json:"until,omitempty"`
+	Rho         float64      `json:"rho"`
+	L           float64      `json:"l"`
+	Rects       []RectJSON   `json:"rects"`
+	Area        float64      `json:"area"`
+	CPUMicros   int64        `json:"cpuMicros"`
+	WallMicros  int64        `json:"wallMicros"`
+	IOs         int64        `json:"ios"`
+	TotalMicros int64        `json:"totalMicros"`
 	// Cached reports the answer came from the result cache (for an interval,
 	// every per-timestamp snapshot did); CachedCPUMicros is the evaluation
 	// cost the cache saved.
@@ -367,26 +336,27 @@ type QueryResponse struct {
 	CachedCPUMicros int64 `json:"cachedCpuMicros,omitempty"`
 }
 
-// PointJSON is one outline vertex.
-type PointJSON struct {
-	X float64 `json:"x"`
-	Y float64 `json:"y"`
-}
-
 // handleQuery answers GET /v1/query with parameters:
 //
-//	method   fr | pa | dh-opt | dh-pess | bf        (default fr)
+//	method   fr | pa                                (default fr)
 //	rho      absolute density threshold, or
 //	varrho   relative threshold (paper's 1..5)
 //	l        neighborhood edge (required)
 //	at       now | now+K | absolute tick            (default now)
 //	until    optional: interval query end (same forms as at)
-//	outline  1 to include rectilinear boundary rings (422 over maxOutlineCells)
 func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 	qp := r.URL.Query()
+	if qp.Has("outline") {
+		httpError(w, http.StatusBadRequest, "outline is not served: pdrquery -svg draws a region's outline rings")
+		return
+	}
 	method, err := core.ParseMethod(qp.Get("method"))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	if method != core.FR && method != core.PA {
+		httpError(w, http.StatusBadRequest, "method %q is not served: /v1/query answers fr (exact) and pa (approximate)", qp.Get("method"))
 		return
 	}
 	l, err := strconv.ParseFloat(qp.Get("l"), 64)
@@ -400,24 +370,8 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	annotateQuery(r, ans)
-	outline := qp.Get("outline") == "1"
-	if outline {
-		if n := ans.res.Region.OutlineCells(); n > maxOutlineCells {
-			httpError(w, http.StatusUnprocessableEntity,
-				"outline of %d rects needs a %d-cell grid, over the bound of %d cells", len(ans.res.Region), n, maxOutlineCells)
-			return
-		}
-	}
-	writeQueryReply(w, r, ans, outline)
+	writeQueryReply(w, r, ans)
 }
-
-// maxOutlineCells bounds the grid an outline=1 reply rasterizes, a bool per
-// cell (geom.Region.OutlineCells). It admits every FR snapshot of pdrgen's
-// 20,000-object data set: the largest, at l=30 varrho=2, is 65M cells and
-// rasterizes in under a second. What it stops is intervals: their
-// per-timestamp rectangles multiply the grid lines, and one 9-timestamp FR
-// interval at l=30 varrho=3 over the same data would allocate a 3G-cell grid.
-const maxOutlineCells = 1 << 26
 
 // atClock runs a request whose timestamps are relative to the engine's
 // clock: run resolves them against now and calls the engine, answering with

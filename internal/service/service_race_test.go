@@ -30,8 +30,8 @@ import (
 // ask at the default at=now, which a tick landing between resolve and run
 // would turn into an error if the service did not re-resolve.
 func TestRaceUpdatesQueryStats(t *testing.T) {
-	_, ts := testService(t)
-	g := loadWorkload(t, ts, 800)
+	svc, ts := testService(t)
+	g := loadWorkload(t, svc, 800)
 
 	const (
 		queryWorkers = 4
@@ -95,9 +95,9 @@ func TestRaceUpdatesQueryStats(t *testing.T) {
 		_, err := do(http.MethodPost, "/v1/updates", string(body), http.StatusOK)
 		return err
 	})
-	// Snapshot queries with both cheap methods, at the default at=now.
+	// Snapshot queries with both served methods, at the default at=now.
 	for w := 0; w < queryWorkers; w++ {
-		method := []string{"pa", "dh-opt"}[w%2]
+		method := []string{"pa", "fr"}[w%2]
 		client(get(fmt.Sprintf("/v1/query?method=%s&varrho=%d&l=60", method, 1+w%3)))
 	}
 	for w := 0; w < statsWorkers; w++ {
@@ -137,9 +137,8 @@ func TestRaceUpdatesQueryStats(t *testing.T) {
 
 // TestRaceConcurrentIntervalQueries hammers the readers of one snapshot
 // answer at once, with the result cache off and on: FR snapshot queries at
-// one timestamp (half of them with outline=1, so the outline walk reads the
-// region beside the reply encoder), FR interval queries that start at it,
-// each fanning its per-timestamp snapshots out to the engine's worker pool.
+// one timestamp, FR interval queries that start at it, each fanning its
+// per-timestamp snapshots out to the engine's worker pool.
 // The readers start once the tick has moved the clock, so with the cache on
 // they all read the one region the cache stores, and under -race any holder
 // that wrote to it would be caught. Every client of a request must get the
@@ -156,7 +155,7 @@ func TestRaceConcurrentIntervalQueries(t *testing.T) {
 			cfg.Workers = 4
 			cfg.CacheBytes = cacheBytes
 		})
-		g := loadWorkload(t, ts, 800)
+		g := loadWorkload(t, svc, 800)
 		rho := strconv.FormatFloat(core.RelativeThreshold(800, 3, svc.Engine().Config().Area), 'g', -1, 64)
 
 		ups := g.Advance()
@@ -166,7 +165,6 @@ func TestRaceConcurrentIntervalQueries(t *testing.T) {
 		query := fmt.Sprintf("/v1/query?method=fr&rho=%s&l=60&at=%d", rho, at)
 		paths := map[string]string{
 			"snapshot": query,
-			"outline":  query + "&outline=1",
 			"interval": fmt.Sprintf("%s&until=%d", query, at+2),
 		}
 
@@ -177,9 +175,9 @@ func TestRaceConcurrentIntervalQueries(t *testing.T) {
 		// query reply's region fields (its timings vary).
 		record := func(name string, body []byte, err error) {
 			if err == nil && name != "tick" {
-				var a struct{ Rects, Area, Rings json.RawMessage }
+				var a struct{ Rects, Area json.RawMessage }
 				if err = json.Unmarshal(body, &a); err == nil {
-					body = bytes.Join([][]byte{a.Rects, a.Area, a.Rings}, []byte(" "))
+					body = bytes.Join([][]byte{a.Rects, a.Area}, []byte(" "))
 				}
 			}
 			if err != nil {
@@ -258,10 +256,9 @@ func TestRaceConcurrentIntervalQueries(t *testing.T) {
 			continue
 		}
 		// After the tick, the interval clients ask for 3 timestamps and the
-		// snapshot and outline clients for one: each of the 3 keys is
-		// evaluated once, every other lookup reads what that evaluation
-		// stored.
-		lookups := 2*clients + 3*clients
+		// snapshot clients for one: each of the 3 keys is evaluated once,
+		// every other lookup reads what that evaluation stored.
+		lookups := clients + 3*clients
 		if st := svc.Engine().CacheStats(); st.Hits+st.Shared != int64(lookups-3) {
 			t.Errorf("cache stats %+v: want %d hits and sharers of the tick's %d lookups", st, lookups-3, lookups)
 		}
@@ -277,8 +274,8 @@ func TestRaceConcurrentIntervalQueries(t *testing.T) {
 // snapshot's are disjoint), which a buffer recycled a write too early, or a
 // region shared with the engine, would break.
 func TestRaceEncodeWhileTicking(t *testing.T) {
-	_, ts := testService(t)
-	g := loadWorkload(t, ts, 1500)
+	svc, ts := testService(t)
+	g := loadWorkload(t, svc, 1500)
 
 	const readers = 4
 	stop := make(chan struct{})

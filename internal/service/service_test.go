@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -15,7 +14,6 @@ import (
 	"pdr/internal/cache"
 	"pdr/internal/core"
 	"pdr/internal/datagen"
-	"pdr/internal/geom"
 	"pdr/internal/motion"
 	"pdr/internal/wire"
 )
@@ -68,7 +66,9 @@ func advanceTicks(t *testing.T, ts *httptest.Server, g *datagen.Generator, n int
 	}
 }
 
-func loadWorkload(t *testing.T, ts *httptest.Server, n int) *datagen.Generator {
+// loadWorkload preloads n generator objects into the service's engine, as
+// pdrserve -data does before it serves.
+func loadWorkload(t *testing.T, svc *Service, n int) *datagen.Generator {
 	t.Helper()
 	gcfg := datagen.DefaultConfig(n)
 	gcfg.Seed = 7
@@ -76,25 +76,8 @@ func loadWorkload(t *testing.T, ts *httptest.Server, n int) *datagen.Generator {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var req LoadRequest
-	for _, s := range g.InitialStates() {
-		req.States = append(req.States, wire.FromState(wire.KindState, s, 0))
-	}
-	body, _ := json.Marshal(req)
-	resp, err := http.Post(ts.URL+"/v1/load", "application/json", bytes.NewReader(body))
-	if err != nil {
+	if err := svc.Engine().Load(g.InitialStates()); err != nil {
 		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("load status %d", resp.StatusCode)
-	}
-	var lr LoadResponse
-	if err := json.NewDecoder(resp.Body).Decode(&lr); err != nil {
-		t.Fatal(err)
-	}
-	if lr.Loaded != n {
-		t.Fatalf("loaded %d, want %d", lr.Loaded, n)
 	}
 	return g
 }
@@ -112,8 +95,8 @@ func TestHealthz(t *testing.T) {
 }
 
 func TestLoadUpdatesQueryFlow(t *testing.T) {
-	_, ts := testService(t)
-	g := loadWorkload(t, ts, 2000)
+	svc, ts := testService(t)
+	g := loadWorkload(t, svc, 2000)
 
 	// Apply one tick of updates.
 	ups := g.Advance()
@@ -143,8 +126,8 @@ func TestLoadUpdatesQueryFlow(t *testing.T) {
 		t.Fatalf("updates response %+v", urr)
 	}
 
-	// Query via FR with outline rings.
-	qresp, err := http.Get(ts.URL + "/v1/query?method=fr&varrho=2&l=60&at=now%2B10&outline=1")
+	// Query via FR.
+	qresp, err := http.Get(ts.URL + "/v1/query?method=fr&varrho=2&l=60&at=now%2B10")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,14 +145,11 @@ func TestLoadUpdatesQueryFlow(t *testing.T) {
 	if len(qr.Rects) == 0 || qr.Area <= 0 {
 		t.Errorf("empty answer: %d rects, area %g", len(qr.Rects), qr.Area)
 	}
-	if len(qr.Rings) == 0 {
-		t.Error("outline=1 but no rings returned")
-	}
 }
 
 func TestIntervalQueryOverHTTP(t *testing.T) {
-	_, ts := testService(t)
-	loadWorkload(t, ts, 1000)
+	svc, ts := testService(t)
+	loadWorkload(t, svc, 1000)
 	resp, err := http.Get(ts.URL + "/v1/query?method=pa&varrho=1&l=60&at=now&until=now%2B3")
 	if err != nil {
 		t.Fatal(err)
@@ -188,8 +168,8 @@ func TestIntervalQueryOverHTTP(t *testing.T) {
 }
 
 func TestQueryValidationErrors(t *testing.T) {
-	_, ts := testService(t)
-	loadWorkload(t, ts, 100)
+	svc, ts := testService(t)
+	loadWorkload(t, svc, 100)
 	cases := []struct {
 		url  string
 		code int
@@ -211,6 +191,9 @@ func TestQueryValidationErrors(t *testing.T) {
 		{"/v1/query?method=fr&l=60&rho=NaN", http.StatusUnprocessableEntity},
 		{"/v1/query?method=fr&l=60&rho=Inf", http.StatusUnprocessableEntity},
 		{"/v1/query?method=fr&l=Inf&varrho=1", http.StatusUnprocessableEntity},
+		// The baselines and outlines are library features, not served.
+		{"/v1/query?method=bf&l=60&varrho=1", http.StatusBadRequest},
+		{"/v1/query?method=fr&l=60&varrho=1&outline=0", http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		resp, err := http.Get(ts.URL + c.url)
@@ -225,8 +208,8 @@ func TestQueryValidationErrors(t *testing.T) {
 }
 
 func TestUpdatesValidationErrors(t *testing.T) {
-	_, ts := testService(t)
-	loadWorkload(t, ts, 100)
+	svc, ts := testService(t)
+	loadWorkload(t, svc, 100)
 	// Malformed JSON.
 	resp, err := http.Post(ts.URL+"/v1/updates", "application/json", bytes.NewReader([]byte("{")))
 	if err != nil {
@@ -261,8 +244,8 @@ func TestUpdatesValidationErrors(t *testing.T) {
 }
 
 func TestStatsEndpoint(t *testing.T) {
-	_, ts := testService(t)
-	loadWorkload(t, ts, 500)
+	svc, ts := testService(t)
+	loadWorkload(t, svc, 500)
 	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
@@ -286,8 +269,8 @@ func TestStatsEndpoint(t *testing.T) {
 func TestConcurrentQueries(t *testing.T) {
 	// The mutex must keep concurrent readers and writers safe; exercised
 	// with parallel HTTP traffic.
-	_, ts := testService(t)
-	g := loadWorkload(t, ts, 1000)
+	svc, ts := testService(t)
+	g := loadWorkload(t, svc, 1000)
 	var wg sync.WaitGroup
 	errs := make(chan error, 32)
 	for w := 0; w < 8; w++ {
@@ -355,7 +338,7 @@ func cachedTestService(t *testing.T) (*Service, *httptest.Server) {
 // instruments under pdr_cache_*.
 func TestQueryCacheOverHTTP(t *testing.T) {
 	svc, ts := cachedTestService(t)
-	loadWorkload(t, ts, 1500)
+	loadWorkload(t, svc, 1500)
 
 	url := ts.URL + "/v1/query?method=fr&varrho=3&l=60&at=now%2B5"
 	fetch := func() QueryResponse {
@@ -507,8 +490,8 @@ func TestApplyEndpoint(t *testing.T) {
 	// The case keeps the subtest name it had when the engine could be split
 	// into partitions; there is one engine now.
 	t.Run("shards=1", func(t *testing.T) {
-		_, ts := testService(t)
-		loadWorkload(t, ts, 500)
+		svc, ts := testService(t)
+		loadWorkload(t, svc, 500)
 
 		ins := wire.Record{Kind: wire.KindInsert, Tick: 0, ID: 900001, X: 400, Y: 400, VX: 2, VY: 1, Ref: 0}
 		del := ins
@@ -553,49 +536,4 @@ func TestApplyEndpoint(t *testing.T) {
 			t.Fatalf("state-record apply status %d, want %d", r3.StatusCode, http.StatusBadRequest)
 		}
 	})
-}
-
-// TestOutlineGridIsBounded checks that an outline=1 query whose answer would
-// rasterize onto more than maxOutlineCells cells is refused with a 422 that
-// names the bound, and that the same query without outline=1 is answered.
-// Objects stand still on a diagonal, so every object's neighborhood edges
-// are distinct grid lines in both x and y: 4,400 objects give a grid of
-// about 8,800² cells, over the bound, from an answer of a few thousand
-// rectangles.
-func TestOutlineGridIsBounded(t *testing.T) {
-	_, ts := testService(t)
-	var req LoadRequest
-	for i := 0; i < 4400; i++ {
-		p := 100 + 0.17*float64(i)
-		st := motion.State{ID: motion.ObjectID(i + 1), Pos: geom.Point{X: p, Y: p}}
-		req.States = append(req.States, wire.FromState(wire.KindState, st, 0))
-	}
-	body, _ := json.Marshal(req)
-	if code, b, _ := post(t, ts, "/v1/load", string(body)); code != http.StatusOK {
-		t.Fatalf("load: %d %s", code, b)
-	}
-	const q = "/v1/query?method=fr&l=60&rho=0.03"
-	var qr QueryResponse
-	if resp := getJSON(t, ts.URL+q, &qr); resp.StatusCode != http.StatusOK {
-		t.Fatalf("without outline: status %d", resp.StatusCode)
-	}
-	region := make(geom.Region, len(qr.Rects))
-	for i, r := range qr.Rects {
-		region[i] = geom.NewRect(r.MinX, r.MinY, r.MaxX, r.MaxY)
-	}
-	if cells := region.OutlineCells(); cells <= maxOutlineCells {
-		t.Fatalf("answer's outline grid is %d cells, not over the bound %d", cells, maxOutlineCells)
-	}
-	resp, err := http.Get(ts.URL + q + "&outline=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var eb errorBody
-	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(eb.Error, strconv.Itoa(maxOutlineCells)) {
-		t.Errorf("outline=1: status %d, error %q; want 422 naming the bound %d", resp.StatusCode, eb.Error, maxOutlineCells)
-	}
 }

@@ -72,8 +72,8 @@ func metricValue(body, sample string) string {
 // from several goroutines at once: each status keeps its own series, bound
 // at its first request, and every request is counted in it.
 func TestRequestCounterPerStatus(t *testing.T) {
-	_, ts := testService(t)
-	loadWorkload(t, ts, 200)
+	svc, ts := testService(t)
+	loadWorkload(t, svc, 200)
 	const workers, each = 4, 10
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -106,8 +106,8 @@ func TestRequestCounterPerStatus(t *testing.T) {
 // text, and the per-method latency histograms and filter counters move
 // after a /v1/query call.
 func TestMetricsEndpoint(t *testing.T) {
-	_, ts := testService(t)
-	loadWorkload(t, ts, 1000)
+	svc, ts := testService(t)
+	loadWorkload(t, svc, 1000)
 
 	before := fetchMetrics(t, ts)
 	if v := metricValue(before, `pdr_engine_queries_total{method="FR"}`); v != "0" {
@@ -162,10 +162,10 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 func TestMetricsAndStatsAgree(t *testing.T) {
-	_, ts := testService(t)
-	loadWorkload(t, ts, 500)
+	svc, ts := testService(t)
+	loadWorkload(t, svc, 500)
 	for i := 0; i < 3; i++ {
-		resp, err := http.Get(ts.URL + "/v1/query?method=dh-opt&varrho=2&l=60")
+		resp, err := http.Get(ts.URL + "/v1/query?method=pa&varrho=2&l=60")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,15 +183,15 @@ func TestMetricsAndStatsAgree(t *testing.T) {
 	if err := json.NewDecoder(statsResp.Body).Decode(&sr); err != nil {
 		t.Fatal(err)
 	}
-	if sr.QueriesServed["DH-opt"] != 3 {
-		t.Errorf("stats queriesServed[DH-opt] = %d, want 3", sr.QueriesServed["DH-opt"])
+	if sr.QueriesServed["PA"] != 3 {
+		t.Errorf("stats queriesServed[PA] = %d, want 3", sr.QueriesServed["PA"])
 	}
 	if sr.PoolHitRatio < 0 || sr.PoolHitRatio > 1 {
 		t.Errorf("pool hit ratio %g outside [0,1]", sr.PoolHitRatio)
 	}
 	body2 := fetchMetrics(t, ts)
-	if v := metricValue(body2, `pdr_engine_queries_total{method="DH-opt"}`); v != "3" {
-		t.Errorf("metrics DH-opt count = %q, want 3 (stats said %d)", v, sr.QueriesServed["DH-opt"])
+	if v := metricValue(body2, `pdr_engine_queries_total{method="PA"}`); v != "3" {
+		t.Errorf("metrics PA count = %q, want 3 (stats said %d)", v, sr.QueriesServed["PA"])
 	}
 }
 
@@ -314,11 +314,11 @@ var metricFamilies = []string{
 }
 
 // TestMetricFamiliesPinned sends one request down each kind of route, with
-// the result cache on: a load, two ticks, FR, PA and interval queries, and
-// stats. Then it checks each family's # TYPE line against metricFamilies.
+// the result cache on: two ticks after a preload, FR, PA and interval
+// queries, and stats. Then it checks each family's # TYPE line against metricFamilies.
 func TestMetricFamiliesPinned(t *testing.T) {
-	_, ts := cachedTestService(t)
-	g := loadWorkload(t, ts, 1000)
+	svc, ts := cachedTestService(t)
+	g := loadWorkload(t, svc, 1000)
 	advanceTicks(t, ts, g, 2)
 	for _, path := range []string{
 		"/v1/query?method=fr&varrho=2&l=60",
@@ -359,7 +359,7 @@ func TestSlowQueryLog(t *testing.T) {
 	}
 	ts := httptest.NewServer(svc)
 	defer ts.Close()
-	loadWorkload(t, ts, 500)
+	loadWorkload(t, svc, 500)
 
 	resp, err := http.Get(ts.URL + "/v1/query?method=fr&varrho=2&l=60")
 	if err != nil {

@@ -27,7 +27,7 @@ func tracedTestService(t *testing.T, opts ...Option) *httptest.Server {
 	}
 	ts := httptest.NewServer(svc)
 	t.Cleanup(ts.Close)
-	loadWorkload(t, ts, 500)
+	loadWorkload(t, svc, 500)
 	return ts
 }
 
@@ -285,7 +285,7 @@ func TestSampledOutSlowLineKeepsThePhases(t *testing.T) {
 	}
 	ts := httptest.NewServer(svc)
 	t.Cleanup(ts.Close)
-	loadWorkload(t, ts, 500)
+	loadWorkload(t, svc, 500)
 	resp := getJSON(t, ts.URL+"/v1/query?method=fr&varrho=2&l=60", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("query status %d", resp.StatusCode)
@@ -323,7 +323,7 @@ func TestSampledOutSlowLineKeepsThePhases(t *testing.T) {
 func TestTraceListing(t *testing.T) {
 	ts := tracedTestService(t)
 	for i := 0; i < 3; i++ {
-		resp, err := http.Get(ts.URL + "/v1/query?method=dh-opt&varrho=2&l=60")
+		resp, err := http.Get(ts.URL + "/v1/query?method=pa&varrho=2&l=60")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -30,9 +30,9 @@ var volatileFields = regexp.MustCompile(`"(cpuMicros|wallMicros|totalMicros|cach
 // service and compares every exchange with testdata/transcript.txt, one line
 // per exchange: the request, the status, the Content-Type and the reply body
 // byte for byte (volatileFields masked). It pins what the engine tests
-// cannot: status codes, error texts, 409 applied counts, /v1/stats fields,
-// watch events and the reply encoding itself. -update-transcript rewrites the
-// file, which is only right when a reply is meant to change.
+// cannot: status codes, error texts, 409 applied counts, /v1/stats fields
+// and the reply encoding itself. -update-transcript rewrites the file, which
+// is only right when a reply is meant to change.
 func TestGoldenTranscript(t *testing.T) {
 	const path = "testdata/transcript.txt"
 	got := recordTranscript(t)
@@ -140,9 +140,10 @@ func updatesBody(now motion.Tick, ups []motion.Update) []byte {
 	return body
 }
 
-// recordTranscript runs the session: a seeded load, ticks and applies with
-// their failure modes, every query method as a snapshot, an interval and an
-// outline, more ticks, stats, and the routing errors.
+// recordTranscript runs the session over 300 objects of seed 7 preloaded
+// through the engine, as pdrserve -data does: ticks and applies with their
+// failure modes, FR and PA as a snapshot and an interval, the refusals of
+// what /v1/query does not serve, more ticks, stats, and the routing errors.
 func recordTranscript(t *testing.T) []byte {
 	t.Helper()
 	svc, ts := testService(t)
@@ -155,12 +156,9 @@ func recordTranscript(t *testing.T) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var load LoadRequest
-	for _, s := range g.InitialStates() {
-		load.States = append(load.States, wire.FromState(wire.KindState, s, 0))
+	if err := svc.Engine().Load(g.InitialStates()); err != nil {
+		t.Fatal(err)
 	}
-	body, _ := json.Marshal(load)
-	tr.do("POST", "/v1/load", body, "[300 states, seed 7]")
 	tick := func() {
 		ups := g.Advance()
 		tr.do("POST", "/v1/updates", updatesBody(g.Now(), ups), fmt.Sprintf("[tick %d, %d records]", g.Now(), len(ups)))
@@ -170,27 +168,29 @@ func recordTranscript(t *testing.T) []byte {
 	}
 
 	// Writes the engine refuses, and the bodies the service refuses.
-	tr.do("POST", "/v1/load", []byte(`{"states":[{"kind":"state","tick":0,"id":1,"x":5,"y":5,"vx":0,"vy":0,"ref":0}]}`), "")
 	tr.do("POST", "/v1/apply", []byte(`{"updates":[{"kind":"insert","tick":3,"id":900001,"x":400,"y":400,"vx":2,"vy":1,"ref":3},{"kind":"delete","tick":3,"id":900002,"x":1,"y":1,"vx":0,"vy":0,"ref":0}]}`), "")
 	tr.do("POST", "/v1/apply", []byte(`{"updates":[{"kind":"delete","tick":3,"id":900001,"x":400,"y":400,"vx":2,"vy":1,"ref":3}]}`), "")
 	tr.do("POST", "/v1/apply", []byte(`{"updates":[{"kind":"state","id":1}]}`), "")
 	tr.do("POST", "/v1/updates", []byte(`{"now":3,"updates":[{"kind":"insert","tick":3,"id":900003,"x":600,"y":300,"vx":-1,"vy":2,"ref":3},{"kind":"delete","tick":3,"id":900004,"x":1,"y":1,"vx":0,"vy":0,"ref":0}]}`), "")
 	tr.do("POST", "/v1/updates", []byte(`{"now":2,"updates":[]}`), "")
 	tr.do("POST", "/v1/updates", []byte(`{"now":4,"updates":[{"kind":"insert",`), "")
-	tr.do("POST", "/v1/load", []byte(`{"states":[}`), "")
 	tr.do("POST", "/v1/apply", []byte(`{"updates":"none"}`), "")
 	big := httptest.NewRequest("POST", "/v1/updates", strings.NewReader("{}"))
 	big.ContentLength = maxBodyBytes + 1
 	tr.serve(big, fmt.Sprintf("[declared length %d]", big.ContentLength))
 	tick()
 
-	// Every method as a snapshot, an interval and an outline.
-	for _, m := range []string{"fr", "pa", "dh-opt", "dh-pess", "bf"} {
+	// Both served methods as a snapshot and an interval, then what is not
+	// served: the baselines, outlines and the load route.
+	for _, m := range []string{"fr", "pa"} {
 		tr.do("GET", "/v1/query?method="+m+"&varrho=8&l=60&at=now%2B5", nil, "")
 		tr.do("GET", "/v1/query?method="+m+"&varrho=8&l=60&until=now%2B2", nil, "")
-		tr.do("GET", "/v1/query?method="+m+"&varrho=8&l=60&at=now%2B1&outline=1", nil, "")
 	}
-	tr.do("GET", "/v1/query?method=dh-pess&varrho=2&l=60&at=now%2B5", nil, "")
+	for _, m := range []string{"dh-opt", "dh-pess", "bf"} {
+		tr.do("GET", "/v1/query?method="+m+"&varrho=8&l=60&at=now%2B5", nil, "")
+	}
+	tr.do("GET", "/v1/query?method=fr&varrho=8&l=60&at=now%2B1&outline=1", nil, "")
+	tr.do("POST", "/v1/load", []byte(`{"states":[]}`), "")
 	tr.do("GET", "/v1/query?method=fr&rho=0.0012&l=80&at=now", nil, "")
 	for _, q := range []string{
 		"method=banana&l=60&varrho=1",

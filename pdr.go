@@ -23,6 +23,9 @@
 //   - DHOptimistic / DHPessimistic: histogram-only baselines;
 //   - BruteForce: a global plane sweep (exact; used as ground truth).
 //
+// The baselines are library methods, for the paper's evaluation and the
+// tests; the HTTP service (cmd/pdrserve) answers FR and PA only.
+//
 // A Server is safe for concurrent use: queries run together and share one
 // engine read lock; Tick, Apply and Load take it for writing.
 //
@@ -41,8 +44,6 @@
 package pdr
 
 import (
-	"io"
-
 	"pdr/internal/core"
 	"pdr/internal/geom"
 	"pdr/internal/motion"
@@ -107,9 +108,6 @@ func NewServer(cfg Config) (*Server, error) { return core.NewServer(cfg) }
 
 // DefaultConfig returns the paper's default experimental setup.
 func DefaultConfig() Config { return core.DefaultConfig() }
-
-// Restore rebuilds a server from a checkpoint written by Server.Save.
-func Restore(r io.Reader) (*Server, error) { return core.Restore(r) }
 
 // NewInsert builds an insertion update for a fresh movement.
 func NewInsert(s State) Update { return motion.NewInsert(s) }

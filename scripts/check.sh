@@ -1,6 +1,6 @@
 #!/bin/sh
 # check.sh — the repo's full verification gate: formatting, vet, build,
-# tests, race detection on the concurrent packages, a fuzz smoke pass over
+# tests, a run of every example, race detection on the concurrent packages, a fuzz smoke pass over
 # the geometry invariants and the decoders, allocs/op pins on the kernels, the
 # project-specific pdrvet analyzers, and a dangling-path check on the docs.
 #
@@ -53,6 +53,15 @@ echo "ok"
 
 step "go test ./..."
 go test ./...
+
+step "examples run (each exits 0: they are the public API's end-to-end callers)"
+for ex in examples/*/; do
+	if ! go run "./$ex" >/dev/null; then
+		echo "$ex exited non-zero" >&2
+		exit 1
+	fi
+done
+echo "ok"
 
 step "bench module (its own module: tier-1 does not build it, a product API change can still break it)"
 go build -C bench ./...
