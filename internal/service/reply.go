@@ -78,7 +78,8 @@ type queryAnswer struct {
 // writeQueryReply encodes a query answer (appendQueryReply) and sends it.
 // No lock is held: the result's region is read-only (computed fresh, or the
 // cache's resident entry that other requests read at the same time), so
-// formatting ~33k floats holds up neither a tick nor another reader.
+// printing an exact answer's ~33k floats holds up neither a tick nor another
+// reader.
 func writeQueryReply(w http.ResponseWriter, r *http.Request, a queryAnswer) {
 	sp := requestSpan(r).Child("encode")
 	pb := replyBufs.Get().(*[]byte)
@@ -107,14 +108,15 @@ func appendQueryReply(b []byte, a queryAnswer) ([]byte, error) {
 }
 
 // splitRects is the answer size from which appendQueryReplySplit formats the
-// rectangles on two goroutines: a few hundred microseconds of formatting,
-// well above the cost of starting one.
+// rectangles on two goroutines: 4,096 floats, over 200 microseconds of
+// printing even by appendShortestF, well above the cost of starting one.
 const splitRects = 1024
 
 // appendQueryReplySplit is appendQueryReply, byte for byte, with a large
 // answer's rectangles formatted half on the calling goroutine and half on
-// another, into a second pooled buffer appended after the first half: the
-// shortest-decimal formatting of ~33k floats is the reply's serial tail.
+// another, into a second pooled buffer appended after the first half.
+// Printing the floats is most of an exact reply's encoding, and the two
+// halves print independently.
 func appendQueryReplySplit(b []byte, a queryAnswer) ([]byte, error) {
 	rects := a.res.Region
 	if len(rects) < splitRects || runtime.GOMAXPROCS(0) < 2 {
@@ -216,28 +218,32 @@ func (e *replyEncoder) float(key string, f float64) {
 //
 // A PA answer's coordinates lie on a dyadic lattice, and those that are
 // multiples of 2^-10 below 97,656.25 in magnitude take a fast path
-// (appendDyadic); the rest pay one multiply and compare before strconv.
+// (appendDyadic). Every other float of the 'f' range, an FR answer's
+// full-precision edges among them, takes the table-driven shortest-decimal
+// printer (appendShortestF). strconv prints the rest: zero and the 'e'
+// range, subnormals included.
 func appendFloat(b []byte, f float64) ([]byte, error) {
 	if m := f * 1024; m > -1e8 && m < 1e8 && f != 0 {
 		// lint:ignore floateq the fast path is for exact multiples of 2^-10
-		// only; a float near one must take strconv's shortest search.
+		// only; a float near one must take the shortest-decimal search.
 		if i := int64(m); float64(i) == m {
 			return appendDyadic(b, i), nil
 		}
 	}
+	abs := math.Abs(f)
+	if abs >= 1e-6 && abs < 1e21 {
+		return appendShortestF(b, math.Float64bits(f)), nil
+	}
 	if math.IsInf(f, 0) || math.IsNaN(f) {
 		return b, errNonFinite
 	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
+	if abs == 0 {
+		return strconv.AppendFloat(b, f, 'f', -1, 64), nil
 	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
+	b = strconv.AppendFloat(b, f, 'e', -1, 64)
+	if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
 	}
 	return b, nil
 }

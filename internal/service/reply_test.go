@@ -8,10 +8,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
 	"pdr/internal/core"
+	"pdr/internal/datagen"
 	"pdr/internal/geom"
 	"pdr/internal/motion"
 )
@@ -195,7 +197,8 @@ func TestNonFiniteReplyIsAClean500(t *testing.T) {
 	}
 }
 
-// sameAsEncodingJSON holds appendFloat to json.Marshal on one value.
+// sameAsEncodingJSON holds appendFloat to json.Marshal on one value, and
+// the printed bytes to f: strconv.ParseFloat reads back f's own bits.
 func sameAsEncodingJSON(t *testing.T, f float64) {
 	t.Helper()
 	got, err := appendFloat(nil, f)
@@ -203,12 +206,32 @@ func sameAsEncodingJSON(t *testing.T, f float64) {
 	if (err != nil) != (jerr != nil) {
 		t.Fatalf("%v (%#x): appendFloat error %v, json.Marshal error %v", f, math.Float64bits(f), err, jerr)
 	}
-	if err == nil && !bytes.Equal(got, want) {
+	if err != nil {
+		if len(got) != 0 {
+			t.Fatalf("%v: rejected but appended %q", f, got)
+		}
+		return
+	}
+	if !bytes.Equal(got, want) {
 		t.Fatalf("%v (%#x): appendFloat %s, json.Marshal %s", f, math.Float64bits(f), got, want)
 	}
-	if err != nil && len(got) != 0 {
-		t.Fatalf("%v: rejected but appended %q", f, got)
+	if back, err := strconv.ParseFloat(string(got), 64); err != nil || math.Float64bits(back) != math.Float64bits(f) {
+		t.Fatalf("%#x: printed %s, which parses to %#x (%v)", math.Float64bits(f), got, math.Float64bits(back), err)
 	}
+}
+
+// The biased binary exponents of the floats appendShortestF prints: 2^-20
+// holds 1e-6, 2^69 the floats just below 1e21. Exponents one past either
+// end print through strconv.
+const (
+	shortestExpMin = 1023 - 20
+	shortestExpMax = 1023 + 69
+)
+
+// fromParts is the float64 with the given sign bit, biased exponent and 52
+// mantissa bits.
+func fromParts(sign, exp, mant uint64) float64 {
+	return math.Float64frombits(sign<<63 | exp<<52 | mant&(1<<52-1))
 }
 
 // FuzzAppendFloatMatchesEncodingJSON: every finite float64 formats exactly
@@ -226,6 +249,16 @@ func FuzzAppendFloatMatchesEncodingJSON(f *testing.F) {
 	} {
 		f.Add(math.Float64bits(v))
 	}
+	// The shortest-decimal printer's ends beside the seeds above: the floats
+	// either side of 1e-6 and above 1e21 (its table's first k is 1e-6's,
+	// its last the float's below 1e21), and powers of two, whose lower
+	// rounding gap is half the upper, at and past its exponent range.
+	for _, v := range []float64{
+		math.Nextafter(1e-6, 0), math.Nextafter(1e-6, 1), math.Nextafter(1e21, 2e21),
+		0x1p-20, 0x1p-21, 0x1p69, 0x1p70, 0x1p-1, -0x1p33,
+	} {
+		f.Add(math.Float64bits(v))
+	}
 	f.Fuzz(func(t *testing.T, bits uint64) {
 		sameAsEncodingJSON(t, math.Float64frombits(bits))
 		// Raw bits seldom land on a multiple of 2^-10, so each input is
@@ -233,6 +266,12 @@ func FuzzAppendFloatMatchesEncodingJSON(f *testing.F) {
 		// whole domain and its edge.
 		m := int64(bits%200000001) - 100000000
 		sameAsEncodingJSON(t, float64(m)/1024)
+		// Raw bits land in the 'f' range ~4% of the time, so each input is
+		// also read as its sign and mantissa under an exponent folded into
+		// the shortest-decimal printer's range, one past either end
+		// included.
+		exp := shortestExpMin - 1 + (bits>>52&0x7ff)%(shortestExpMax-shortestExpMin+3)
+		sameAsEncodingJSON(t, fromParts(bits>>63, exp, bits))
 	})
 }
 
@@ -241,6 +280,10 @@ func FuzzAppendFloatMatchesEncodingJSON(f *testing.F) {
 // with four places, and random multiples of 2^-10 over the dyadic fast
 // path's range and just past it, inside plain `go test`; and every fraction
 // of 1024 at the integer parts the fast path's range starts and ends with.
+// For the shortest-decimal printer it adds, with both signs: random
+// full-mantissa floats at every binary exponent it covers and one past each
+// end; every power of two there, whose lower rounding gap is halved; and
+// each power of ten from 1e-6 to 1e21 with its neighbours.
 func TestAppendFloatRandomBits(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 200000; i++ {
@@ -252,6 +295,21 @@ func TestAppendFloatRandomBits(t *testing.T) {
 		for frac := 0; frac < 1024; frac++ {
 			sameAsEncodingJSON(t, ip+float64(frac)/1024)
 			sameAsEncodingJSON(t, -ip-float64(frac)/1024)
+		}
+	}
+	for exp := uint64(shortestExpMin - 1); exp <= shortestExpMax+1; exp++ {
+		for sign := uint64(0); sign < 2; sign++ {
+			sameAsEncodingJSON(t, fromParts(sign, exp, 0))
+			for i := 0; i < 1000; i++ {
+				sameAsEncodingJSON(t, fromParts(sign, exp, rng.Uint64()))
+			}
+		}
+	}
+	for p := -6; p <= 21; p++ {
+		for _, v := range []float64{math.Pow10(p), -math.Pow10(p)} {
+			sameAsEncodingJSON(t, v)
+			sameAsEncodingJSON(t, math.Nextafter(v, 0))
+			sameAsEncodingJSON(t, math.Nextafter(v, 2*v))
 		}
 	}
 }
@@ -315,13 +373,44 @@ func paBenchAnswer() queryAnswer {
 	}}
 }
 
+// engineFRAnswer is an exact answer as the engine computes it: datagen's
+// n=20,000 workload (seed 1), l=45, varrho=3, at now+8. Unlike benchAnswer's
+// random coordinates, its edges are objects' positions ± l/2, and
+// neighbouring rectangles share edges. It is built once per test binary.
+var engineFRAnswer = sync.OnceValues(func() (queryAnswer, error) {
+	const n = 20000
+	cfg := core.DefaultConfig()
+	cfg.L = 45
+	srv, err := core.NewServer(cfg)
+	if err != nil {
+		return queryAnswer{}, err
+	}
+	g, err := datagen.New(datagen.DefaultConfig(n))
+	if err != nil {
+		return queryAnswer{}, err
+	}
+	if err := srv.Load(g.InitialStates()); err != nil {
+		return queryAnswer{}, err
+	}
+	q := core.Query{Rho: 3 * n / cfg.Area.Area(), L: 45, At: srv.Now() + 8}
+	res, err := srv.Snapshot(q, core.FR)
+	return queryAnswer{method: core.FR.String(), q: q, res: res}, err
+})
+
 // BenchmarkEncodeQueryReply is the steady state of the reply path, for an
-// exact answer's full-precision coordinates (fr) and a PA answer's lattice
-// ones (pa): the buffer comes from the pool already grown, the region is
-// walked once, and nothing is allocated (scripts/check.sh pins allocs/op at
-// 0).
+// exact answer's full-precision coordinates (fr, random; fr-engine, the
+// engine's own) and a PA answer's lattice ones (pa): the buffer comes from
+// the pool already grown, the region is walked once, and nothing is
+// allocated (scripts/check.sh pins allocs/op at 0).
 func BenchmarkEncodeQueryReply(b *testing.B) {
 	b.Run("fr", func(b *testing.B) { benchEncodeQueryReply(b, benchAnswer()) })
+	b.Run("fr-engine", func(b *testing.B) {
+		ans, err := engineFRAnswer()
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchEncodeQueryReply(b, ans)
+	})
 	b.Run("pa", func(b *testing.B) { benchEncodeQueryReply(b, paBenchAnswer()) })
 }
 

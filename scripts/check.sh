@@ -157,11 +157,12 @@ go test -run '^$' -bench 'BenchmarkDenseRegion$' -benchtime=200x -benchmem ./int
 # result released, as the engine does) allocate nothing.
 go test -run '^$' -bench 'BenchmarkSeriesEval$|BenchmarkAddBoxDelta$|BenchmarkBounds$|BenchmarkBoundsOf$|BenchmarkBoundsOf4$|BenchmarkEvalRows4$|BenchmarkFilter$' -benchtime=200x -benchmem ./internal/cheb ./internal/dh |
 	pin_allocs 'BenchmarkSeriesEval=0 BenchmarkAddBoxDelta=0 BenchmarkBounds=0 BenchmarkBoundsOf=0 BenchmarkBoundsOf4=0 BenchmarkEvalRows4=0 BenchmarkFilter=0'
-# A query reply — an exact one of ~8k rectangles, ~840 KB, and a PA one of
-# ~2,600 lattice boxes — is appended into a pooled buffer that is already
-# grown: the encoder builds no intermediate value.
+# A query reply — an exact one of ~8k rectangles, ~840 KB, random (fr) or the
+# engine's own (fr-engine), and a PA one of ~2,600 lattice boxes — is
+# appended into a pooled buffer that is already grown: the encoder builds no
+# intermediate value.
 go test -run '^$' -bench 'BenchmarkEncodeQueryReply$' -benchtime=200x -benchmem ./internal/service |
-	pin_allocs 'BenchmarkEncodeQueryReply/fr=0 BenchmarkEncodeQueryReply/pa=0'
+	pin_allocs 'BenchmarkEncodeQueryReply/fr=0 BenchmarkEncodeQueryReply/fr-engine=0 BenchmarkEncodeQueryReply/pa=0'
 # A traced PA snapshot through ServeHTTP (every request traced and stored, the
 # default; no slow-query log) allocates its answer, its span tree and record,
 # one attribute list per annotated span (integers stay integers until a trace
