@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -101,7 +102,8 @@ func TestHitReturnsEqualRegion(t *testing.T) {
 
 // TestHitAndSharerReadTheStoredEntry: entries are shared read-only, not
 // copied — a hit and a sharer of a flight get compute's own *Entry and its
-// region's backing array, and a hit allocates nothing.
+// region's backing array (TestCacheDoHitAllocs pins that a hit allocates
+// nothing).
 func TestHitAndSharerReadTheStoredEntry(t *testing.T) {
 	c := New(1 << 20)
 	want := entryWithRects(2)
@@ -143,15 +145,6 @@ func TestHitAndSharerReadTheStoredEntry(t *testing.T) {
 	if got := <-shared; got != flown || &got.Region[0] != &flown.Region[0] {
 		t.Fatalf("sharer got (%p, region %p), want the flight's (%p, region %p)",
 			got, &got.Region[0], flown, &flown.Region[0])
-	}
-
-	compute := func() (*Entry, error) { return entryWithRects(1), nil }
-	if n := testing.AllocsPerRun(100, func() {
-		if _, outcome, _ := c.Do(key(1, 0), compute); outcome != Hit {
-			t.Fatalf("outcome = %v, want hit", outcome)
-		}
-	}); n != 0 {
-		t.Errorf("a hit allocates %.1f times, want 0", n)
 	}
 }
 
@@ -506,50 +499,76 @@ func TestHitRatioFreshProcess(t *testing.T) {
 	}
 }
 
-// hitSink keeps the benchmarks' hits alive.
-var hitSink *Entry
-
-// warmHit returns a cache holding one 10,000-rect entry, the shape of
-// bench/layers' cache.do_hit_us probe, and the lookup that hits it.
-func warmHit(b *testing.B) (*Cache, Key, func() (*Entry, error)) {
+// hitOp is the hit BenchmarkCacheDoHit and BenchmarkCacheDoHitParallel
+// time: a cache holding one 10,000-rect entry, the shape of bench/layers'
+// cache.do_hit_us probe, and the lookup that hits it. The stored entry itself
+// is returned, so nothing is allocated. op is safe for concurrent use.
+func hitOp(tb testing.TB) func() {
 	c := New(64 << 20)
 	ent := entryWithRects(10000)
 	k := key(1, 1)
 	compute := func() (*Entry, error) { return ent, nil }
 	if _, _, err := c.Do(k, compute); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	return c, k, compute
+	return func() {
+		got, outcome, err := c.Do(k, compute)
+		if err != nil || outcome != Hit || got != ent {
+			tb.Errorf("Do = (%v, %v), want the stored entry's hit", outcome, err)
+		}
+	}
 }
 
-// BenchmarkCacheDoHit times one hit: the lock and the recency move; the
-// stored entry itself is returned, so nothing is allocated.
+// BenchmarkCacheDoHit times one hit: the lock and the recency move.
 func BenchmarkCacheDoHit(b *testing.B) {
-	c, k, compute := warmHit(b)
+	op := hitOp(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ent, outcome, err := c.Do(k, compute)
-		if err != nil || outcome != Hit {
-			b.Fatalf("Do = (%v, %v), want a hit", outcome, err)
-		}
-		hitSink = ent
+		op()
 	}
 }
 
 // BenchmarkCacheDoHitParallel is the same hit from GOMAXPROCS goroutines at
 // once: what readers pay for sharing the cache's one mutex.
 func BenchmarkCacheDoHitParallel(b *testing.B) {
-	c, k, compute := warmHit(b)
+	op := hitOp(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			ent, outcome, err := c.Do(k, compute)
-			if err != nil || outcome != Hit || len(ent.Region) != 10000 {
-				b.Errorf("Do = (%v, %v), want a 10,000-rect hit", outcome, err)
-				return
-			}
+			op()
 		}
 	})
+}
+
+// TestCacheDoHitAllocs pins a hit at zero allocations, alone
+// (BenchmarkCacheDoHit) and from GOMAXPROCS goroutines at once
+// (BenchmarkCacheDoHitParallel). The parallel hits' mallocs are counted at
+// the test's GOMAXPROCS, over 1,000 hits shared out as RunParallel does, the
+// goroutines' start included.
+func TestCacheDoHitAllocs(t *testing.T) {
+	op := hitOp(t)
+	if n := testing.AllocsPerRun(200, op); n != 0 {
+		t.Errorf("BenchmarkCacheDoHit: %v allocs/op, want 0", n)
+	}
+	const hits = 1000
+	procs := runtime.GOMAXPROCS(0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var wg sync.WaitGroup
+	for p := 0; p < procs; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := p; i < hits; i += procs {
+				op()
+			}
+		}()
+	}
+	wg.Wait()
+	runtime.ReadMemStats(&after)
+	if n := (after.Mallocs - before.Mallocs) / hits; n != 0 {
+		t.Errorf("BenchmarkCacheDoHitParallel: %d allocs/op, want 0", n)
+	}
 }

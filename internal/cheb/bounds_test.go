@@ -253,18 +253,15 @@ func TestBoundsOf4MatchesBoundsOf(t *testing.T) {
 	}
 }
 
-func BenchmarkBounds(b *testing.B) {
+func boundsOp() func() {
 	s, _ := NewSeries2D(5)
 	s.AddBoxDelta(-0.4, -0.3, 0.2, 0.5, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Bounds(-0.5, -0.25, -0.4375, -0.1875)
-	}
+	return func() { boundsSink, _ = s.Bounds(-0.5, -0.25, -0.4375, -0.1875) }
 }
 
-// BenchmarkBoundsOf is one branch-and-bound box: the coefficient pass over a
-// box's precomputed Products.
-func BenchmarkBoundsOf(b *testing.B) {
+// boundsOfOp is one branch-and-bound box: the coefficient pass over a box's
+// precomputed Products.
+func boundsOfOp() func() {
 	s, _ := NewSeries2D(5)
 	s.AddBoxDelta(-0.4, -0.3, 0.2, 0.5, 1)
 	bx, by := make([]Interval, 6), make([]Interval, 6)
@@ -272,15 +269,12 @@ func BenchmarkBoundsOf(b *testing.B) {
 	AxisBounds(by, -0.25, -0.1875)
 	prods := make([]Interval, NumCoeffs(5))
 	Products(prods, bx, by, 5)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		boundsSink, _ = s.BoundsOf(prods)
-	}
+	return func() { boundsSink, _ = s.BoundsOf(prods) }
 }
 
-// BenchmarkBoundsOf4 is one split branch-and-bound box: the coefficient pass
-// over its four children's precomputed Products.
-func BenchmarkBoundsOf4(b *testing.B) {
+// boundsOf4Op is one split branch-and-bound box: the coefficient pass over
+// its four children's precomputed Products.
+func boundsOf4Op() func() {
 	s, _ := NewSeries2D(5)
 	s.AddBoxDelta(-0.4, -0.3, 0.2, 0.5, 1)
 	bx, by := make([]Interval, 6), make([]Interval, 6)
@@ -292,13 +286,17 @@ func BenchmarkBoundsOf4(b *testing.B) {
 		AxisBounds(by, y1, y1+1.0/32)
 		Products(prods[c*m:(c+1)*m], bx, by, 5)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		lo, _ := s.BoundsOf4(prods[:m], prods[m:2*m], prods[2*m:3*m], prods[3*m:])
 		boundsSink = lo[0]
 	}
 }
 
-// boundsSink keeps BenchmarkBoundsOf's and BenchmarkBoundsOf4's inlined
-// calls from being optimized away.
+func BenchmarkBounds(b *testing.B) { benchOp(b, boundsOp()) }
+
+func BenchmarkBoundsOf(b *testing.B) { benchOp(b, boundsOfOp()) }
+
+func BenchmarkBoundsOf4(b *testing.B) { benchOp(b, boundsOf4Op()) }
+
+// boundsSink keeps the bounds benchmarks' calls from being optimized away.
 var boundsSink float64

@@ -332,25 +332,24 @@ func TestReset(t *testing.T) {
 	}
 }
 
-func BenchmarkAddBoxDelta(b *testing.B) {
+// addBoxDeltaOp, seriesEvalOp and evalRows4Op are the calls of the
+// benchmarks named after them, and boundsOp, boundsOfOp and boundsOf4Op
+// (bounds_test.go) those of BenchmarkBounds, BenchmarkBoundsOf and
+// BenchmarkBoundsOf4; TestKernelsAllocationFree pins each.
+func addBoxDeltaOp() func() {
 	s, _ := NewSeries2D(5)
-	for i := 0; i < b.N; i++ {
-		s.AddBoxDelta(-0.4, -0.3, 0.2, 0.5, 1e-4)
-	}
+	return func() { s.AddBoxDelta(-0.4, -0.3, 0.2, 0.5, 1e-4) }
 }
 
-func BenchmarkSeriesEval(b *testing.B) {
+func seriesEvalOp() func() {
 	s, _ := NewSeries2D(5)
 	s.AddBoxDelta(-0.4, -0.3, 0.2, 0.5, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Eval(0.1, -0.2)
-	}
+	return func() { evalSink = s.Eval(0.1, -0.2) }
 }
 
-// BenchmarkEvalRows4 is one split branch-and-bound box at the floor: its four
+// evalRows4Op is one split branch-and-bound box at the floor: its four
 // children's centres from two memoized rows.
-func BenchmarkEvalRows4(b *testing.B) {
+func evalRows4Op() func() {
 	s, _ := NewSeries2D(5)
 	s.AddBoxDelta(-0.4, -0.3, 0.2, 0.5, 1)
 	t := make([]float64, 4*6)
@@ -360,56 +359,64 @@ func BenchmarkEvalRows4(b *testing.B) {
 	r0, r1 := make([]float64, 6), make([]float64, 6)
 	s.RowSums(r0, t[12:18])
 	s.RowSums(r1, t[18:])
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		v := EvalRows4(r0, r1, t[:6], t[6:12])
 		evalSink = v[0]
 	}
 }
 
-// evalSink keeps BenchmarkEvalRows4's inlined call from being optimized away.
+// benchOp times op; what built it before the call is not timed.
+func benchOp(b *testing.B, op func()) {
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
+
+func BenchmarkAddBoxDelta(b *testing.B) { benchOp(b, addBoxDeltaOp()) }
+
+func BenchmarkSeriesEval(b *testing.B) { benchOp(b, seriesEvalOp()) }
+
+func BenchmarkEvalRows4(b *testing.B) { benchOp(b, evalRows4Op()) }
+
+// evalSink keeps the evaluation benchmarks' calls from being optimized away.
 var evalSink float64
 
 // TestKernelsAllocationFree pins the hot kernels at zero steady-state
-// allocations: after the scratch pool is warm, Eval, Bounds, AddBoxDelta and
-// its two halves must not touch the heap (the zero-allocation contract documented in
-// docs/PERFORMANCE.md).
+// allocations: after the scratch pool is warm, the calls of the evaluation
+// and bounds benchmarks, AddBoxDelta and its two halves must not touch the
+// heap (the zero-allocation contract documented in docs/PERFORMANCE.md).
 func TestKernelsAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are unreliable under the race detector")
 	}
+	// The halves of AddBoxDelta, as pa.Surface calls them with scratch of
+	// its own.
 	s, err := NewSeries2D(5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.AddBoxDelta(-0.4, -0.3, 0.2, 0.5, 1)
-	var sink float64
-	if n := testing.AllocsPerRun(100, func() {
-		sink += s.Eval(0.1, -0.2)
-	}); n != 0 {
-		t.Errorf("Eval allocates %v per run, want 0", n)
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		lo, hi := s.Bounds(-0.5, -0.25, 0.5, 0.25)
-		sink += lo + hi
-	}); n != 0 {
-		t.Errorf("Bounds allocates %v per run, want 0", n)
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		s.AddBoxDelta(-0.2, -0.2, 0.2, 0.2, 1)
-		s.AddBoxDelta(-0.2, -0.2, 0.2, 0.2, -1)
-	}); n != 0 {
-		t.Errorf("AddBoxDelta allocates %v per run, want 0", n)
-	}
-	// The halves, as pa.Surface calls them with scratch of its own.
 	ax, ay := make([]float64, s.K+1), make([]float64, s.K+1)
-	if n := testing.AllocsPerRun(100, func() {
+	halves := func() {
 		if BoxFactors(ax, -1, 0.3) && BoxFactors(ay, -0.2, 1) {
 			s.AddOuter(ax, ay, 1)
 			s.AddOuter(ax, ay, -1)
 		}
-	}); n != 0 {
-		t.Errorf("BoxFactors + AddOuter allocate %v per run, want 0", n)
 	}
-	_ = sink
+	for _, k := range []struct {
+		name string
+		op   func()
+	}{
+		{"BenchmarkSeriesEval", seriesEvalOp()},
+		{"BenchmarkAddBoxDelta", addBoxDeltaOp()},
+		{"BenchmarkBounds", boundsOp()},
+		{"BenchmarkBoundsOf", boundsOfOp()},
+		{"BenchmarkBoundsOf4", boundsOf4Op()},
+		{"BenchmarkEvalRows4", evalRows4Op()},
+		{"BoxFactors + AddOuter", halves},
+	} {
+		if n := testing.AllocsPerRun(200, k.op); n != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", k.name, n)
+		}
+	}
 }

@@ -63,31 +63,31 @@ func BenchmarkServerTick(b *testing.B) {
 	}
 }
 
-// BenchmarkServerApply measures a between-tick write on pdrserve's engine
-// (DefaultConfig with KeepHistory), 20,000 objects 8 ticks into their stream:
-// one op is bench/'s /v1/apply request, one ApplyBatch of two records — the
-// insert of a fresh object at the clock and the delete of the one inserted
-// eight applies earlier.
-func BenchmarkServerApply(b *testing.B) {
+// applyOp is BenchmarkServerApply's call, a between-tick write on
+// pdrserve's engine (DefaultConfig with KeepHistory), 20,000 objects 8 ticks
+// into their stream: bench/'s /v1/apply request, one ApplyBatch of two
+// records — the insert of a fresh object at the clock and the delete of the
+// one inserted eight applies earlier.
+func applyOp(tb testing.TB) func() {
 	cfg := DefaultConfig()
 	cfg.KeepHistory = true
 	s, err := NewServer(cfg)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	gcfg := datagen.DefaultConfig(20000)
 	gcfg.Seed = 1
 	g, err := datagen.New(gcfg)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := s.Load(g.InitialStates()); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
 		ups := g.Advance()
 		if err := s.Tick(g.Now(), ups); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	rng := rand.New(rand.NewSource(1))
@@ -105,19 +105,36 @@ func BenchmarkServerApply(b *testing.B) {
 	for i := 0; i < 8; i++ {
 		st := fresh()
 		if err := s.Apply(motion.NewInsert(st)); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		inFlight = append(inFlight, st)
 	}
 	batch := make([]motion.Update, 2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		st := fresh()
 		batch[0], batch[1] = motion.NewInsert(st), motion.NewDelete(inFlight[0], s.Now())
 		inFlight = append(inFlight[1:], st)
 		if err := s.ApplyBatch(batch); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
+	}
+}
+
+func BenchmarkServerApply(b *testing.B) {
+	op := applyOp(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
+
+// TestServerApplyAllocs pins BenchmarkServerApply at zero allocations a call,
+// over 2,000 calls: the write runs its two items inline and allocates nothing
+// but the structures' amortized growth (handing them to the worker pool
+// reads 9).
+func TestServerApplyAllocs(t *testing.T) {
+	if n := testing.AllocsPerRun(2000, applyOp(t)); n != 0 {
+		t.Errorf("BenchmarkServerApply: %v allocs/op, want 0", n)
 	}
 }
 

@@ -156,7 +156,7 @@ func DefaultConfig() Config {
 
 // Server maintains all query structures over the update stream. It is safe
 // for concurrent use: any number of queries (Snapshot, Interval,
-// PastSnapshot, Save) run together, and mutations (Tick, Apply,
+// PastSnapshot, LiveStates) run together, and mutations (Tick, Apply,
 // Load) exclude queries and each other. The package comment
 // states the locking protocol.
 type Server struct {

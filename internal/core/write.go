@@ -14,7 +14,7 @@ import (
 // current movement. It validates updates — a duplicate insert could
 // otherwise count an object twice in every summary, and a delete must name
 // the movement the summaries hold — and is what BruteForce, PastSnapshot and
-// Save gather from. The engine lock guards m; count mirrors len(m) so
+// LiveStates gather from. The engine lock guards m; count mirrors len(m) so
 // NumObjects reads it without the lock.
 type directory struct {
 	count atomic.Int64

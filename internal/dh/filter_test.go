@@ -194,34 +194,16 @@ func TestMarkString(t *testing.T) {
 	}
 }
 
-// TestFilterAllocationFree pins the filter kernel at zero steady-state
-// allocations: once the result and scratch pools are warm, a
-// Filter-then-Release cycle must not touch the heap (the zero-allocation
-// contract documented in docs/PERFORMANCE.md).
+// TestFilterAllocationFree pins the filter kernel, BenchmarkFilter's call,
+// at zero steady-state allocations: once the result and scratch pools are
+// warm, a Filter-then-Release cycle must not touch the heap (the
+// zero-allocation contract documented in docs/PERFORMANCE.md).
 func TestFilterAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are unreliable under the race detector")
 	}
-	h, err := New(Config{Area: geom.NewRect(0, 0, 100, 100), M: 20, Horizon: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Advance(0)
-	for i := 0; i < 500; i++ {
-		h.Insert(motion.State{
-			ID:  motion.ObjectID(i + 1),
-			Pos: geom.Point{X: float64(i%100) + 0.5, Y: float64(i/5%100) + 0.5},
-			Ref: 0,
-		})
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		fr, err := h.Filter(3, 0.05, 12)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fr.Release()
-	}); n != 0 {
-		t.Errorf("Filter+Release allocates %v per run, want 0", n)
+	if n := testing.AllocsPerRun(200, filterOp(t)); n != 0 {
+		t.Errorf("BenchmarkFilter: %v allocs/op, want 0", n)
 	}
 }
 

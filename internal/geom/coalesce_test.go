@@ -3,6 +3,7 @@ package geom
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -282,16 +283,45 @@ func TestCoalesceSplitMatchesInPlace(t *testing.T) {
 	}
 }
 
-// BenchmarkCoalesceSplit is an exact answer's final union — ~9k disjoint
-// rectangles — split two ways on the caller: the scratch is pooled, so what
-// it allocates is the closures that hand the ranges out.
-func BenchmarkCoalesceSplit(b *testing.B) {
+// coalesceSplitOp is BenchmarkCoalesceSplit's call: an exact answer's final
+// union — ~9k disjoint rectangles — split two ways on the caller.
+func coalesceSplitOp() func() {
 	g := disjointRegion(rand.New(rand.NewSource(1)), 75)
 	work := make(Region, len(g))
+	return func() {
+		copy(work, g)
+		CoalesceSplit(work, 2, inline)
+	}
+}
+
+func BenchmarkCoalesceSplit(b *testing.B) {
+	op := coalesceSplitOp()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		copy(work, g)
-		CoalesceSplit(work, 2, inline)
+		op()
+	}
+}
+
+// TestCoalesceSplitAllocs pins BenchmarkCoalesceSplit at 2 allocations a
+// call: the scratch is pooled, so what it allocates is the closures that hand
+// the ranges out. The mallocs of 200 calls are counted at the test's
+// GOMAXPROCS, as -benchmem counts them: the scratch pool keeps a cache per P,
+// and the engine runs this union on its worker pool.
+func TestCoalesceSplitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are unreliable under the race detector")
+	}
+	const runs = 200
+	op := coalesceSplitOp()
+	op()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		op()
+	}
+	runtime.ReadMemStats(&after)
+	if n := (after.Mallocs - before.Mallocs) / runs; n > 2 {
+		t.Errorf("BenchmarkCoalesceSplit: %d allocs/op, pinned at 2", n)
 	}
 }

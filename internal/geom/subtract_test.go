@@ -168,10 +168,27 @@ func TestSubtractMatchesReferenceOnLattices(t *testing.T) {
 // each, offset by half a cell, both ways: the shape of a standing query's
 // change between two ticks.
 func BenchmarkSubtract(b *testing.B) {
-	g, h := latticeRegion(1, 128, 0), latticeRegion(2, 128, 0.5)
+	op := subtractOp()
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
+
+// subtractOp is BenchmarkSubtract's call.
+func subtractOp() func() {
+	g, h := latticeRegion(1, 128, 0), latticeRegion(2, 128, 0.5)
+	return func() {
 		Subtract(g, h)
 		Subtract(h, g)
+	}
+}
+
+// TestSubtractAllocs pins BenchmarkSubtract at 68 allocations a call: the
+// cutter grids, the piece buffers and the answers.
+func TestSubtractAllocs(t *testing.T) {
+	if n := testing.AllocsPerRun(20, subtractOp()); n > 68 {
+		t.Errorf("BenchmarkSubtract: %v allocs/op, pinned at 68", n)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -400,8 +401,8 @@ func TestByName(t *testing.T) {
 }
 
 // TestSuiteIsClean runs the full analyzer suite over the real module — the
-// committed tree must stay finding-free (the same gate scripts/check.sh
-// enforces via cmd/pdrvet).
+// committed tree must stay finding-free, the gate `go run ./cmd/pdrvet ./...`
+// would be.
 func TestSuiteIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
@@ -416,6 +417,28 @@ func TestSuiteIsClean(t *testing.T) {
 	}
 	for _, d := range Run(pkgs, All()) {
 		t.Errorf("%s", d)
+	}
+}
+
+// TestInventoryMatchesDocs: every analyzer the suite runs has a "### name"
+// section in docs/LINT.md, and every such section names an analyzer.
+func TestInventoryMatchesDocs(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "LINT.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var documented []string
+	for _, line := range strings.Split(string(doc), "\n") {
+		if name, ok := strings.CutPrefix(line, "### "); ok {
+			name, _, _ = strings.Cut(name, " ")
+			documented = append(documented, name)
+		}
+	}
+	sort.Strings(documented)
+	registered := Names()
+	sort.Strings(registered)
+	if !slices.Equal(registered, documented) {
+		t.Errorf("analyzer inventory drift:\n  All():        %v\n  docs/LINT.md: %v", registered, documented)
 	}
 }
 

@@ -282,32 +282,44 @@ func benchBatch(tb testing.TB) (*Surface, []motion.Update) {
 	return s, ups
 }
 
-// TestBatchAllocationFree pins the steady-state batch at zero allocations:
-// factor scratch is owned per slot, nothing is pooled or made per call.
-func TestBatchAllocationFree(t *testing.T) {
-	s, ups := benchBatch(t)
-	if n := testing.AllocsPerRun(3, func() {
+// batchOp is BenchmarkSurfaceBatch's call: benchBatch's 1,000 inserts
+// applied slot by slot on one goroutine, the surface's share of one tick.
+func batchOp(tb testing.TB) func() {
+	s, ups := benchBatch(tb)
+	return func() {
 		for k, n := 0, s.Begin(ups); k < n; k++ {
 			s.ApplySlot(k, ups)
 		}
-		s.Apply(ups[0])
-	}); n != 0 {
-		t.Errorf("a surface batch allocates %v per run, want 0", n)
+	}
+}
+
+// TestBatchAllocationFree pins the steady-state batch, BenchmarkSurfaceBatch's
+// call, at zero allocations, and Apply, the batch of one, with it: factor
+// scratch is owned per slot, nothing is pooled or made per call. The batch is
+// counted over 20 calls: the five objects of an OS thread the runtime may
+// start while they run stay under one a call, and an allocation per batch
+// does not.
+func TestBatchAllocationFree(t *testing.T) {
+	batch := batchOp(t)
+	if n := testing.AllocsPerRun(20, batch); n != 0 {
+		t.Errorf("BenchmarkSurfaceBatch: %v allocs/op, want 0", n)
+	}
+	s, ups := benchBatch(t)
+	if n := testing.AllocsPerRun(200, func() { s.Apply(ups[0]) }); n != 0 {
+		t.Errorf("Apply: %v allocs/op, want 0", n)
 	}
 }
 
 // BenchmarkSurfaceBatch is the surface's share of one tick run on one
-// goroutine (scripts/check.sh pins its allocs/op at 0);
+// goroutine (TestBatchAllocationFree pins it at 0 allocations);
 // BenchmarkSurfaceBatchWorkers2 is the same batch as the items of a
 // two-worker fan-out.
 func BenchmarkSurfaceBatch(b *testing.B) {
-	s, ups := benchBatch(b)
+	op := batchOp(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for k, n := 0, s.Begin(ups); k < n; k++ {
-			s.ApplySlot(k, ups)
-		}
+		op()
 	}
 }
 

@@ -315,10 +315,12 @@ func BenchmarkInsert(b *testing.B) {
 	}
 }
 
-func BenchmarkDenseRegion(b *testing.B) {
+// denseRegionOp is BenchmarkDenseRegion's call: the branch-and-bound walk
+// over a surface holding one cluster of 500 objects, at half its peak.
+func denseRegionOp(tb testing.TB) func() {
 	s, err := New(Config{Area: area1000(), G: 10, Degree: 5, Horizon: 0, L: 60, MD: 256})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	s.Advance(0)
 	rng := rand.New(rand.NewSource(1))
@@ -326,11 +328,30 @@ func BenchmarkDenseRegion(b *testing.B) {
 		s.Insert(st)
 	}
 	rho := 0.5 * s.Density(0, geom.Point{X: 500, Y: 500})
+	return func() {
+		if _, err := s.DenseRegion(0, rho); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkDenseRegion(b *testing.B) {
+	op := denseRegionOp(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.DenseRegion(0, rho); err != nil {
-			b.Fatal(err)
-		}
+		op()
+	}
+}
+
+// TestDenseRegionAllocs pins BenchmarkDenseRegion at one allocation a call:
+// the walk reads each box's interval products from the surface's table and
+// emits into a pooled buffer, so it allocates the answer and nothing per box.
+func TestDenseRegionAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are unreliable under the race detector")
+	}
+	if n := testing.AllocsPerRun(200, denseRegionOp(t)); n > 1 {
+		t.Errorf("BenchmarkDenseRegion: %v allocs/op, pinned at 1", n)
 	}
 }
 

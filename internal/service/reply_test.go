@@ -397,38 +397,65 @@ var engineFRAnswer = sync.OnceValues(func() (queryAnswer, error) {
 	return queryAnswer{method: core.FR.String(), q: q, res: res}, err
 })
 
-// BenchmarkEncodeQueryReply is the steady state of the reply path, for an
-// exact answer's full-precision coordinates (fr, random; fr-engine, the
-// engine's own) and a PA answer's lattice ones (pa): the buffer comes from
-// the pool already grown, the region is walked once, and nothing is
-// allocated (scripts/check.sh pins allocs/op at 0).
-func BenchmarkEncodeQueryReply(b *testing.B) {
-	b.Run("fr", func(b *testing.B) { benchEncodeQueryReply(b, benchAnswer()) })
-	b.Run("fr-engine", func(b *testing.B) {
-		ans, err := engineFRAnswer()
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchEncodeQueryReply(b, ans)
-	})
-	b.Run("pa", func(b *testing.B) { benchEncodeQueryReply(b, paBenchAnswer()) })
+// encodeCase is a named answer to encode.
+type encodeCase struct {
+	name string
+	ans  queryAnswer
 }
 
-func benchEncodeQueryReply(b *testing.B, ans queryAnswer) {
-	encode := func() int {
-		pb := replyBufs.Get().(*[]byte)
-		body, err := appendQueryReply((*pb)[:0], ans)
-		if err != nil {
-			b.Fatal(err)
-		}
-		*pb = body
-		replyBufs.Put(pb)
-		return len(body)
+// encodeCases are BenchmarkEncodeQueryReply's answers, for the steady state
+// of the reply path: an exact answer's full-precision coordinates (fr,
+// random; fr-engine, the engine's own) and a PA answer's lattice ones (pa).
+// The buffer comes from the pool already grown, the region is walked once,
+// and nothing is allocated (TestEncodeQueryReplyAllocs pins each at 0).
+func encodeCases(tb testing.TB) []encodeCase {
+	engine, err := engineFRAnswer()
+	if err != nil {
+		tb.Fatal(err)
 	}
-	b.SetBytes(int64(encode())) // and the pooled buffer is grown
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		encode()
+	return []encodeCase{{"fr", benchAnswer()}, {"fr-engine", engine}, {"pa", paBenchAnswer()}}
+}
+
+// encode is BenchmarkEncodeQueryReply's call: ans's reply appended into a
+// pooled buffer, as writeQueryReply does. It returns the reply's length.
+func encode(ans queryAnswer) (int, error) {
+	pb := replyBufs.Get().(*[]byte)
+	body, err := appendQueryReply((*pb)[:0], ans)
+	*pb = body
+	replyBufs.Put(pb)
+	return len(body), err
+}
+
+// BenchmarkEncodeQueryReply times encode, one sub-benchmark per case.
+func BenchmarkEncodeQueryReply(b *testing.B) {
+	for _, c := range encodeCases(b) {
+		b.Run(c.name, func(b *testing.B) {
+			n, err := encode(c.ans) // and the pooled buffer is grown
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(n))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				encode(c.ans)
+			}
+		})
+	}
+}
+
+// TestEncodeQueryReplyAllocs pins BenchmarkEncodeQueryReply's call at zero
+// allocations for each case: the encoder builds no intermediate value.
+func TestEncodeQueryReplyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are unreliable under the race detector")
+	}
+	for _, c := range encodeCases(t) {
+		if _, err := encode(c.ans); err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(200, func() { encode(c.ans) }); n != 0 {
+			t.Errorf("BenchmarkEncodeQueryReply/%s: %v allocs/op, want 0", c.name, n)
+		}
 	}
 }

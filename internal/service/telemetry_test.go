@@ -493,27 +493,26 @@ func (w *discardWriter) Header() http.Header         { return w.h }
 func (w *discardWriter) WriteHeader(code int)        { w.code = code }
 func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
 
-// BenchmarkTracedQuery is one PA snapshot through ServeHTTP with tracing at
-// its default — every request traced and filed in the store — and no
-// slow-query log: the allocations of a traced request, its answer's
-// included. The store's ring and reservoir are filled first, so every
-// measured request evicts one trace.
-func BenchmarkTracedQuery(b *testing.B) {
+// tracedQueryOp is BenchmarkTracedQuery's call: one PA snapshot through
+// ServeHTTP with tracing at its default — every request traced and filed in
+// the store — and no slow-query log. The store's ring and reservoir are
+// filled first, so every call evicts one trace.
+func tracedQueryOp(tb testing.TB) func() {
 	cfg := core.DefaultConfig()
 	cfg.HistM = 50
 	cfg.L = 60
 	svc, err := New(cfg)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	gcfg := datagen.DefaultConfig(1000)
 	gcfg.Seed = 7
 	g, err := datagen.New(gcfg)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := svc.Engine().Load(g.InitialStates()); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	req := httptest.NewRequest(http.MethodGet, "/v1/query?method=pa&varrho=2&l=60", nil)
 	w := &discardWriter{h: http.Header{}}
@@ -521,15 +520,35 @@ func BenchmarkTracedQuery(b *testing.B) {
 		clear(w.h)
 		svc.ServeHTTP(w, req)
 		if w.code != http.StatusOK {
-			b.Fatalf("status %d", w.code)
+			tb.Fatalf("status %d", w.code)
 		}
 	}
 	for i := 0; i < 2*DefaultTraceBuffer; i++ {
 		serve()
 	}
+	return serve
+}
+
+// BenchmarkTracedQuery times tracedQueryOp: the allocations of a traced
+// request, its answer's included.
+func BenchmarkTracedQuery(b *testing.B) {
+	op := tracedQueryOp(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		serve()
+		op()
+	}
+}
+
+// TestTracedQueryAllocs pins BenchmarkTracedQuery at 33 allocations a call:
+// the answer, the span tree and record, one attribute list per annotated
+// span (integers stay integers until a trace is rendered), and the mux's and
+// metrics' per-request share.
+func TestTracedQueryAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are unreliable under the race detector")
+	}
+	if n := testing.AllocsPerRun(200, tracedQueryOp(t)); n > 33 {
+		t.Errorf("BenchmarkTracedQuery: %v allocs/op, pinned at 33", n)
 	}
 }

@@ -379,9 +379,19 @@ func TestRowSkipsWalks(t *testing.T) {
 	t.Logf("%d Y walks over %d dense steps", sw.walks, sw.dense)
 }
 
-// BenchmarkDenseRectsRow refines a 20-cell run with ~300 points per grown
-// window — the shape of a row of candidates in the n=20,000 benchmark.
-func BenchmarkDenseRectsRow(b *testing.B) {
+// rowOp is a named call and the allocations it is pinned at.
+type rowOp struct {
+	name string
+	op   func()
+	pin  float64
+}
+
+// rowOps are BenchmarkDenseRectsRow's calls, each a 20-cell run with ~300
+// points per grown window — the shape of a row of candidates in the n=20,000
+// benchmark — and the allocations each is pinned at: its answer's append
+// growth, 15 for a uniform run whether its points are copied and sorted or,
+// as the engine passes them, swept in place, and 10 for a clustered run.
+func rowOps() []rowOp {
 	rng := rand.New(rand.NewSource(1))
 	const l = 30.0
 	cells := make([]geom.Rect, 20)
@@ -394,32 +404,45 @@ func BenchmarkDenseRectsRow(b *testing.B) {
 		points[i] = geom.Point{X: rng.Float64()*(200+l) - l/2, Y: rng.Float64()*(10+l) - l/2}
 	}
 	rho := 300.0 / 1600
-	b.Run("copy", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			DenseRectsRow(points, cells, rho, l)
-		}
-	})
 	// The engine's call: the points arrive in X order and are swept where
 	// they lie.
-	SortByX(points)
-	b.Run("sorted", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			DenseRectsRowSorted(points, cells, rho, l)
-		}
-	})
+	sorted := slices.Clone(points)
+	SortByX(sorted)
 	// Uniform points keep the dense Y set moving at almost every event. The
 	// engine's candidates sit where a road cluster thins out: most steps are
 	// sparse, whole-row dense, or leave the segments as they were.
 	road, _, roadRho, _ := clusteredRun(rng, len(cells), 2000)
 	SortByX(road)
-	b.Run("clustered", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			DenseRectsRowSorted(road, cells, roadRho, l)
+	return []rowOp{
+		{"copy", func() { DenseRectsRow(points, cells, rho, l) }, 15},
+		{"sorted", func() { DenseRectsRowSorted(sorted, cells, rho, l) }, 15},
+		{"clustered", func() { DenseRectsRowSorted(road, cells, roadRho, l) }, 10},
+	}
+}
+
+// BenchmarkDenseRectsRow times rowOps' calls, one sub-benchmark each.
+func BenchmarkDenseRectsRow(b *testing.B) {
+	for _, c := range rowOps() {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c.op()
+			}
+		})
+	}
+}
+
+// TestDenseRectsRowAllocs pins each of BenchmarkDenseRectsRow's calls at its
+// answer's growth: one allocation more means scratch stopped being reused.
+func TestDenseRectsRowAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are unreliable under the race detector")
+	}
+	for _, c := range rowOps() {
+		if n := testing.AllocsPerRun(200, c.op); n > c.pin {
+			t.Errorf("BenchmarkDenseRectsRow/%s: %v allocs/op, pinned at %v", c.name, n, c.pin)
 		}
-	})
+	}
 }
 
 // TestRowIgnoresObjectsOutsideTheWindow pins the argument in DenseRectsRow's

@@ -258,15 +258,34 @@ func TestDensePointsSampledVerification(t *testing.T) {
 	}
 }
 
-func BenchmarkDenseRects200(b *testing.B) {
+// denseRects200Op is BenchmarkDenseRects200's call: one cell's 200-point
+// window refined.
+func denseRects200Op() func() {
 	rng := rand.New(rand.NewSource(1))
 	cell := geom.Rect{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100}
 	points := make([]geom.Point, 200)
 	for i := range points {
 		points[i] = geom.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}
 	}
+	return func() { DenseRects(points, cell, 4.0/100.0, 10) }
+}
+
+func BenchmarkDenseRects200(b *testing.B) {
+	op := denseRects200Op()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		DenseRects(points, cell, 4.0/100.0, 10)
+		op()
+	}
+}
+
+// TestDenseRects200Allocs pins BenchmarkDenseRects200 at 11 allocations a
+// call: the append growth of the answer, and nothing else. One more means
+// the sweep's scratch stopped being reused.
+func TestDenseRects200Allocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are unreliable under the race detector")
+	}
+	if n := testing.AllocsPerRun(200, denseRects200Op()); n > 11 {
+		t.Errorf("BenchmarkDenseRects200: %v allocs/op, pinned at 11", n)
 	}
 }

@@ -2,6 +2,7 @@ package tprtree
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"pdr/internal/datagen"
@@ -60,33 +61,33 @@ func BenchmarkDeleteInsertCycle(b *testing.B) {
 	}
 }
 
-// BenchmarkTreeUpdate times one re-report of a 20,000-object road-network
-// stream (datagen, seed 1) on a bulk-loaded tree: an Update that rewrites the
-// movement in its leaf when the new one fits there, as most do ("in-place" is
-// their share), and deletes and re-inserts it otherwise. Time advances a tick
-// — untimed — whenever the tick's re-reports are used up.
-func BenchmarkTreeUpdate(b *testing.B) {
+// treeUpdateOp is BenchmarkTreeUpdate's call: one re-report of a
+// 20,000-object road-network stream (datagen, seed 1) on a bulk-loaded tree,
+// an Update that rewrites the movement in its leaf when the new one fits
+// there, as most do, and deletes and re-inserts it otherwise. It reports
+// whether the movement stayed in its leaf. Time advances a tick whenever the
+// tick's re-reports are used up, and the updates between re-reports are
+// applied, with clock stopped.
+func treeUpdateOp(tb testing.TB, clock timer) func() (inPlace bool) {
 	gcfg := datagen.DefaultConfig(20000)
 	gcfg.Seed = 1
 	g, err := datagen.New(gcfg)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	tr, err := New(Config{Pool: storage.NewPool(0), Horizon: 90}) // U + W of the engine's default config
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := tr.BulkLoad(g.InitialStates()); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	var ups []motion.Update
-	inPlace := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() bool {
 		// ups holds the rest of the tick: re-reports are a delete and the
 		// insert of the same object, back to back.
 		for len(ups) < 2 || ups[0].Kind != motion.Delete || ups[1].Kind != motion.Insert || ups[0].State.ID != ups[1].State.ID {
-			b.StopTimer()
+			clock.StopTimer()
 			if len(ups) == 0 {
 				ups = g.Advance()
 				tr.SetNow(g.Now())
@@ -94,20 +95,80 @@ func BenchmarkTreeUpdate(b *testing.B) {
 				if u := ups[0]; u.Kind == motion.Insert {
 					tr.Insert(u.State)
 				} else if !tr.Delete(u.State) {
-					b.Fatalf("object %d missing", u.State.ID)
+					tb.Fatalf("object %d missing", u.State.ID)
 				}
 				ups = ups[1:]
 			}
-			b.StartTimer()
+			clock.StartTimer()
 		}
 		found, placed := tr.Update(ups[0].State, ups[1].State)
 		if !found {
-			b.Fatalf("object %d missing", ups[0].State.ID)
-		}
-		if placed {
-			inPlace++
+			tb.Fatalf("object %d missing", ups[0].State.ID)
 		}
 		ups = ups[2:]
+		return placed
+	}
+}
+
+// BenchmarkTreeUpdate times treeUpdateOp; "in-place" is the share of
+// re-reports rewritten in their leaf.
+func BenchmarkTreeUpdate(b *testing.B) {
+	op := treeUpdateOp(b, b)
+	inPlace := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if op() {
+			inPlace++
+		}
 	}
 	b.ReportMetric(float64(inPlace)/float64(b.N), "in-place")
+}
+
+// timer is the clock treeUpdateOp stops: the benchmark's, or a mallocClock.
+type timer interface {
+	StartTimer()
+	StopTimer()
+}
+
+// mallocClock counts the mallocs made while it runs, as -benchmem counts a
+// benchmark's between StartTimer and StopTimer.
+type mallocClock struct {
+	on             bool
+	start, mallocs uint64
+}
+
+func (c *mallocClock) StartTimer() {
+	if !c.on {
+		c.on, c.start = true, readMallocs()
+	}
+}
+
+func (c *mallocClock) StopTimer() {
+	if c.on {
+		c.on, c.mallocs = false, c.mallocs+readMallocs()-c.start
+	}
+}
+
+func readMallocs() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.Mallocs
+}
+
+// TestTreeUpdateAllocs pins BenchmarkTreeUpdate at zero allocations a
+// re-report, over 2,000 of them: one rewritten in its leaf allocates nothing,
+// and the few deleted and re-inserted average out below one.
+func TestTreeUpdateAllocs(t *testing.T) {
+	const runs = 2000
+	var clock mallocClock
+	op := treeUpdateOp(t, &clock)
+	op()
+	clock.StartTimer()
+	for i := 0; i < runs; i++ {
+		op()
+	}
+	clock.StopTimer()
+	if n := clock.mallocs / runs; n != 0 {
+		t.Errorf("BenchmarkTreeUpdate: %d allocs/op, want 0", n)
+	}
 }

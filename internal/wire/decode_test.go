@@ -331,18 +331,36 @@ func benchTickBody(tb testing.TB) []byte {
 	return tickBody(1, ups)
 }
 
+// decodeOp is BenchmarkDecodeUpdates' call: the scanner reads one tick's
+// body.
+func decodeOp(tb testing.TB, body []byte) func() {
+	return func() {
+		if _, ups, ok := DecodeUpdates(body); !ok || len(ups) != 1030 {
+			tb.Fatal("declined")
+		}
+	}
+}
+
 // BenchmarkDecodeUpdates is the decode share of one /v1/updates tick
-// (scripts/check.sh pins its allocs/op at 1: the update slice);
+// (TestDecodeUpdatesAllocs pins it at 1 allocation: the update slice);
 // BenchmarkDecodeUpdatesEncodingJSON is the fallback on the same body.
 func BenchmarkDecodeUpdates(b *testing.B) {
 	body := benchTickBody(b)
+	op := decodeOp(b, body)
 	b.SetBytes(int64(len(body)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ups, ok := DecodeUpdates(body); !ok || len(ups) != 1030 {
-			b.Fatal("declined")
-		}
+		op()
+	}
+}
+
+// TestDecodeUpdatesAllocs pins BenchmarkDecodeUpdates at one allocation a
+// call: a tick's 1,030 records are scanned off the request's bytes into one
+// exactly-sized update slice, with no per-record or per-number allocation.
+func TestDecodeUpdatesAllocs(t *testing.T) {
+	if n := testing.AllocsPerRun(200, decodeOp(t, benchTickBody(t))); n > 1 {
+		t.Errorf("BenchmarkDecodeUpdates: %v allocs/op, pinned at 1", n)
 	}
 }
 

@@ -1,8 +1,13 @@
 #!/bin/sh
-# check.sh — the repo's full verification gate: formatting, vet, build,
-# tests, a run of every example, race detection on the concurrent packages, a fuzz smoke pass over
-# the geometry invariants and the decoders, allocs/op pins on the kernels, the
-# project-specific pdrvet analyzers, and a dangling-path check on the docs.
+# check.sh — the repo's full verification gate: formatting, vet, build, a
+# link-closure check, tests, a run of every example, the bench module's
+# build, tests and pdrvet run, race detection on the concurrent packages, a
+# service soak at three core counts, a fuzz smoke pass over the geometry
+# invariants and the decoders, a one-iteration run of the hot-path
+# benchmarks no pin test calls, and a dangling-path check on the docs.
+# What `go test ./...` checks runs there only: the allocs/op pins, the golden
+# answers and transcript, pdrvet over this module and its analyzer inventory
+# are tier-1 tests.
 #
 # Usage: scripts/check.sh        (from the module root)
 #
@@ -79,9 +84,6 @@ done
 step "go test -race (engine: writers vs readers on the one engine lock, the slot-parallel surface, kernel scratch pools, result cache)"
 go test -race ./internal/core ./internal/pa ./internal/cheb ./internal/dh ./internal/sweep ./internal/parallel ./internal/storage ./internal/cache
 
-step "answer equivalence (FR == brute force == the per-cell pipeline, the surface == the per-record feed, the golden answers, the golden HTTP transcript)"
-go test -run 'TestDifferentialStream|TestFRMatchesPerCellPipeline|TestSurfaceMatchesPerRecordFeed|TestGoldenAnswers|TestGoldenTranscript' -count=1 ./internal/core ./internal/service
-
 step "telemetry (race on the atomic registry + trace store)"
 go test -race ./internal/telemetry ./internal/tracestore
 
@@ -109,98 +111,8 @@ go test -run '^$' -fuzz FuzzDecodeUpdatesMatchesEncodingJSON -fuzztime "${FUZZ_S
 step "fuzz smoke: gridded Subtract == the quadratic reference, bit for bit (${FUZZ_SECS}s)"
 go test -run '^$' -fuzz FuzzSubtractMatchesReference -fuzztime "${FUZZ_SECS}s" ./internal/geom/
 
-step "hotpath benchmark smoke (-benchtime=1x: kernels compile, run, report allocs)"
-go test -run '^$' -bench 'BenchmarkSeriesEval|BenchmarkAddBoxDelta|BenchmarkBoxFactors|BenchmarkFilter$|BenchmarkDenseRects200|BenchmarkDenseRegion$|BenchmarkSnapshot|BenchmarkIntervalPA$|BenchmarkDecodeUpdates' \
-	-benchtime=1x -benchmem ./internal/cheb ./internal/dh ./internal/sweep ./internal/pa ./internal/core ./internal/wire >/dev/null
-# pin_allocs 'Name=N ...' reads `go test -bench -benchmem` output and fails
-# when a named benchmark is missing or allocates more than its pin.
-pin_allocs() {
-	awk -v pins="$1" '
-		BEGIN { n = split(pins, p, " "); for (i = 1; i <= n; i++) { split(p[i], kv, "="); pin[kv[1]] = kv[2] } }
-		$1 ~ /^Benchmark/ {
-			name = $1; sub(/-[0-9]+$/, "", name)
-			if (name in pin) {
-				seen++
-				if ($(NF-1) + 0 > pin[name] + 0) { print name ": " $(NF-1) " allocs/op, pinned at " pin[name]; bad = 1 }
-			}
-		}
-		END { if (seen != n) { print "expected " n " pinned benchmarks, saw " seen + 0; bad = 1 }; exit bad }'
-}
-# The sweep's steady state allocates its output region and nothing else: the
-# append growth of a 200-point window's answer is 11 allocations, a 20-cell
-# run's 15 — whether the run's points are copied and sorted or, as the engine
-# passes them, swept in place — and a clustered run's 10. One more means
-# scratch stopped being reused.
-go test -run '^$' -bench 'BenchmarkDenseRects200$|BenchmarkDenseRectsRow$' -benchtime=200x -benchmem ./internal/sweep |
-	pin_allocs 'BenchmarkDenseRects200=11 BenchmarkDenseRectsRow/copy=15 BenchmarkDenseRectsRow/sorted=15 BenchmarkDenseRectsRow/clustered=10'
-# An exact answer's final union, split in two, runs on pooled scratch: its two
-# allocations are the closures that hand out the key ranges.
-go test -run '^$' -bench 'BenchmarkCoalesceSplit$' -benchtime=200x -benchmem ./internal/geom |
-	pin_allocs 'BenchmarkCoalesceSplit=2'
-# A region difference both ways between two ~8k-rectangle lattices allocates
-# its cutter grids, its piece buffers and its answers: a few dozen slices,
-# where the quadratic loop it replaced made 165 million.
-go test -run '^$' -bench 'BenchmarkSubtract$' -benchtime=20x -benchmem ./internal/geom |
-	pin_allocs 'BenchmarkSubtract=68'
-# A surface batch (1,000 updates x 91 timestamp slots) allocates nothing: the
-# Lemma-4 factor scratch is owned per slot.
-go test -run '^$' -bench 'BenchmarkSurfaceBatch$' -benchtime=5x -benchmem ./internal/pa |
-	pin_allocs 'BenchmarkSurfaceBatch=0'
-# The PA branch-and-bound walk reads each box's interval products from the
-# surface's table and emits into a pooled buffer: it allocates the answer and
-# nothing per box.
-go test -run '^$' -bench 'BenchmarkDenseRegion$' -benchtime=200x -benchmem ./internal/pa |
-	pin_allocs 'BenchmarkDenseRegion=1'
-# Chebyshev evaluation, the Lemma-4 box delta, a box's bounds (Bounds on
-# pooled scratch, BoundsOf on the caller's products), the walk's four-box
-# kernels (four children's bounds, four floor centres) and the DH filter (its
-# result released, as the engine does) allocate nothing.
-go test -run '^$' -bench 'BenchmarkSeriesEval$|BenchmarkAddBoxDelta$|BenchmarkBounds$|BenchmarkBoundsOf$|BenchmarkBoundsOf4$|BenchmarkEvalRows4$|BenchmarkFilter$' -benchtime=200x -benchmem ./internal/cheb ./internal/dh |
-	pin_allocs 'BenchmarkSeriesEval=0 BenchmarkAddBoxDelta=0 BenchmarkBounds=0 BenchmarkBoundsOf=0 BenchmarkBoundsOf4=0 BenchmarkEvalRows4=0 BenchmarkFilter=0'
-# A query reply — an exact one of ~8k rectangles, ~840 KB, random (fr) or the
-# engine's own (fr-engine), and a PA one of ~2,600 lattice boxes — is
-# appended into a pooled buffer that is already grown: the encoder builds no
-# intermediate value.
-go test -run '^$' -bench 'BenchmarkEncodeQueryReply$' -benchtime=200x -benchmem ./internal/service |
-	pin_allocs 'BenchmarkEncodeQueryReply/fr=0 BenchmarkEncodeQueryReply/fr-engine=0 BenchmarkEncodeQueryReply/pa=0'
-# A traced PA snapshot through ServeHTTP (every request traced and stored, the
-# default; no slow-query log) allocates its answer, its span tree and record,
-# one attribute list per annotated span (integers stay integers until a trace
-# is rendered), and the mux's and metrics' per-request share.
-go test -run '^$' -bench 'BenchmarkTracedQuery$' -benchtime=200x -benchmem ./internal/service |
-	pin_allocs 'BenchmarkTracedQuery=33'
-# A cache hit on a 10,000-rect answer, alone or from every CPU at once,
-# allocates nothing: it returns the stored entry itself, which every holder
-# only reads.
-go test -run '^$' -bench 'BenchmarkCacheDoHit' -benchtime=200x -benchmem ./internal/cache |
-	pin_allocs 'BenchmarkCacheDoHit=0 BenchmarkCacheDoHitParallel=0'
-# A tick's body (1,030 records) is scanned off the request's bytes into one
-# exactly-sized update slice: no per-record or per-number allocation.
-go test -run '^$' -bench 'BenchmarkDecodeUpdates$' -benchtime=200x -benchmem ./internal/wire |
-	pin_allocs 'BenchmarkDecodeUpdates=1'
-# A re-report the index rewrites in its leaf (most of a road-network stream's)
-# allocates nothing; the few deleted and re-inserted average out below one.
-go test -run '^$' -bench 'BenchmarkTreeUpdate$' -benchtime=2000x -benchmem ./internal/tprtree |
-	pin_allocs 'BenchmarkTreeUpdate=0'
-# A /v1/apply-shaped write (an insert and a delete, one ApplyBatch) runs its
-# items inline and allocates nothing but the structures' amortized growth;
-# handing them to the worker pool reads 9.
-go test -run '^$' -bench 'BenchmarkServerApply$' -benchtime=2000x -benchmem ./internal/core |
-	pin_allocs 'BenchmarkServerApply=0'
-echo "ok"
-
-step "pdrvet (project-specific static analysis)"
-go run ./cmd/pdrvet ./...
-
-step "analyzer inventory matches docs/LINT.md"
-listed=$(go run ./cmd/pdrvet -list | awk '{print $1}' | sort)
-documented=$(grep -E '^### ' docs/LINT.md | sed -E 's/^### ([a-z]+) .*/\1/' | sort)
-if [ "$listed" != "$documented" ]; then
-	echo "analyzer inventory drift between 'pdrvet -list' and docs/LINT.md:" >&2
-	echo "pdrvet -list: $(echo $listed)" >&2
-	echo "docs/LINT.md: $(echo $documented)" >&2
-	exit 1
-fi
+step "hotpath benchmark smoke (-benchtime=1x: the snapshot and interval benchmarks and the box-factor ablations, which no pin test calls, compile and run)"
+go test -run '^$' -bench 'BenchmarkBoxFactors|BenchmarkSnapshot|BenchmarkIntervalPA$' -benchtime=1x ./internal/cheb ./internal/core >/dev/null
 echo "ok"
 
 step "doc paths resolve (a doc that names a file or package names one that exists)"
