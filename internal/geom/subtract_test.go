@@ -185,10 +185,10 @@ func subtractOp() func() {
 	}
 }
 
-// TestSubtractAllocs pins BenchmarkSubtract at 68 allocations a call: the
+// TestSubtractAllocs pins BenchmarkSubtract at 66 allocations a call: the
 // cutter grids, the piece buffers and the answers.
 func TestSubtractAllocs(t *testing.T) {
-	if n := testing.AllocsPerRun(20, subtractOp()); n > 68 {
-		t.Errorf("BenchmarkSubtract: %v allocs/op, pinned at 68", n)
+	if n := testing.AllocsPerRun(20, subtractOp()); n > 66 {
+		t.Errorf("BenchmarkSubtract: %v allocs/op, pinned at 66", n)
 	}
 }

@@ -4,10 +4,10 @@
 # build, tests and pdrvet run, race detection on the concurrent packages, a
 # service soak at three core counts, a fuzz smoke pass over the geometry
 # invariants and the decoders, a one-iteration run of the hot-path
-# benchmarks no pin test calls, and a dangling-path check on the docs.
-# What `go test ./...` checks runs there only: the allocs/op pins, the golden
-# answers and transcript, pdrvet over this module and its analyzer inventory
-# are tier-1 tests.
+# benchmarks no pin test calls, and a dangling-path and dangling-section
+# check on the docs. What `go test ./...` checks runs there only: the
+# allocs/op pins, the golden answers and transcript, pdrvet over this module
+# and its analyzer inventory are tier-1 tests.
 #
 # Usage: scripts/check.sh        (from the module root)
 #
@@ -77,8 +77,11 @@ step "go test -race (service: the concurrent HTTP surface, instrumented)"
 go test -race ./internal/service
 
 step "service soak (-count=10 at GOMAXPROCS 1, 2, 4: green means green on any core count)"
+# The allocs/op pins are left to the tests step: testing.AllocsPerRun counts
+# at GOMAXPROCS 1 whatever the soak sets, so a soak run would measure the
+# same program again.
 for procs in 1 2 4; do
-	GOMAXPROCS=$procs go test -count=10 ./internal/service
+	GOMAXPROCS=$procs go test -count=10 -skip 'Allocs$' ./internal/service
 done
 
 step "go test -race (engine: writers vs readers on the one engine lock, the slot-parallel surface, kernel scratch pools, result cache)"
@@ -129,6 +132,42 @@ for doc in README.md DESIGN.md EXPERIMENTS.md docs/*.md .claude/skills/verify/SK
 	done
 done
 [ "$dangling" = 0 ]
+echo "ok"
+
+step "doc sections resolve (a heading a doc, a Go file, a script or CI cites exists in the doc it names)"
+# A citation is a doc's file name, an optional comma and a quoted heading,
+# or DESIGN.md, a section sign and a section number. Comment markers are
+# stripped and lines joined first, so a citation may wrap. The doc is named
+# by its path from the module root, and a quoted heading must be a heading of
+# it or the start of one. CHANGES.md, ROADMAP.md and bench/ cite history and
+# are not checked.
+unresolved=$(
+	for src in README.md DESIGN.md EXPERIMENTS.md docs/*.md .claude/skills/verify/SKILL.md \
+		$(find . \( -path ./bench -o -path ./.bench_build -o -path ./.git \) -prune -o -name '*.go' -print) \
+		$(find scripts .github -type f); do
+		text=$(sed -E 's/^[[:space:]]*(\/\/|#)+[[:space:]]?//' "$src" | tr '\n' ' ' | tr -s ' ')
+		printf '%s\n' "$text" | grep -oE '([A-Za-z0-9_.-]+/)*[A-Z][A-Z_]*\.md,? "[^"]+"' |
+			while IFS= read -r ref; do
+				doc=${ref%%.md*}.md
+				heading=${ref#*\"}
+				heading=${heading%\"}
+				if [ ! -f "$doc" ]; then
+					echo "$src: $doc does not exist"
+				elif ! grep -E '^#+ ' "$doc" | sed -E 's/^#+ +//' |
+					awk -v h="$heading" 'index($0, h) == 1 { found = 1 } END { exit !found }'; then
+					echo "$src: $doc has no heading \"$heading\""
+				fi
+			done
+		printf '%s\n' "$text" | grep -oE 'DESIGN\.md ?§ ?[0-9]+' | grep -oE '[0-9]+$' |
+			while IFS= read -r n; do
+				grep -q "^## $n\. " DESIGN.md || echo "$src: DESIGN.md has no section $n"
+			done
+	done | sort -u
+)
+if [ -n "$unresolved" ]; then
+	echo "$unresolved" >&2
+	exit 1
+fi
 echo "ok"
 
 echo ""
